@@ -230,21 +230,29 @@ impl EdgeNode {
         self.kmeans.is_some() || !self.summaries.is_empty()
     }
 
-    /// The hull of every cluster summary rectangle — the node's entire
-    /// leader-visible footprint in the joint space. This is what the
-    /// spatial index stores per node: a query disjoint from this hull on
-    /// *every* axis cannot produce a non-zero Eq. 2 overlap with any of
-    /// the node's clusters.
+    /// The cluster summary rectangles, in summary order — the node's
+    /// entire leader-visible footprint in the joint space.
     ///
     /// # Panics
     /// Panics if the node is not quantised (same guidance as scoring).
-    pub fn summary_bounds(&self) -> HyperRect {
+    pub fn summary_rects(&self) -> impl ExactSizeIterator<Item = &HyperRect> {
         assert!(
             self.is_quantized(),
             "node {} has no cluster summaries; call EdgeNetwork::quantize_all first",
             self.id
         );
-        let mut it = self.summaries.iter().map(|s| &s.rect);
+        self.summaries.iter().map(|s| &s.rect)
+    }
+
+    /// The hull of [`EdgeNode::summary_rects`]. This is what the spatial
+    /// index stores per node: a query disjoint from this hull on *every*
+    /// axis cannot produce a non-zero Eq. 2 overlap with any of the
+    /// node's clusters.
+    ///
+    /// # Panics
+    /// Panics if the node is not quantised (same guidance as scoring).
+    pub fn summary_bounds(&self) -> HyperRect {
+        let mut it = self.summary_rects();
         let first = it.next().expect("quantised node has summaries").clone();
         it.fold(first, |acc, r| acc.hull(r))
     }

@@ -26,9 +26,12 @@
 //!
 //! Item bounds are stored in SoA layout — one contiguous `lo` and `hi`
 //! slice per dimension, in Morton slot order — so the final per-item
-//! verify ([`SpatialIndex::verify_domain`]) is a branch-light slice
-//! loop. The verify reports the *original* push-order ids (the slot →
-//! id permutation is kept), so callers never see the internal layout.
+//! verify ([`SpatialIndex::verify_slots`]) is a branch-light slice
+//! loop. [`SpatialIndex::verify_domain`] reports the *original*
+//! push-order ids (the slot → id permutation is kept), so most callers
+//! never see the internal layout; a caller that keeps its own per-item
+//! payload in slot order (so that what a query touches is contiguous)
+//! takes the slots themselves and [`SpatialIndex::slot_ids`].
 //!
 //! Everything is bulk-built and immutable; determinism is structural:
 //! the Morton sort has a total key (quantised key, then push id), cells
@@ -174,6 +177,28 @@ impl SpatialIndexBuilder {
             let iv = rect.interval(d);
             self.lo[d].push(iv.lo());
             self.hi[d].push(iv.hi());
+        }
+    }
+
+    /// Appends the next item as the hull of `rects`, written straight
+    /// into the SoA arrays: the same bounds as pushing the fold of
+    /// [`HyperRect::hull`] over them, without building that rectangle
+    /// (one heap allocation per fold step, which at a million items is
+    /// a third of the walk).
+    ///
+    /// # Panics
+    /// Panics if `rects` is empty or on a dimensionality mismatch.
+    pub fn push_hull<'a>(&mut self, rects: impl IntoIterator<Item = &'a HyperRect>) {
+        let mut rects = rects.into_iter();
+        self.push(rects.next().expect("hull of zero rectangles"));
+        let i = self.len() - 1;
+        for rect in rects {
+            assert_eq!(rect.dim(), self.dims, "rect dimensionality mismatch");
+            for d in 0..self.dims {
+                let iv = rect.interval(d);
+                self.lo[d][i] = self.lo[d][i].min(iv.lo());
+                self.hi[d][i] = self.hi[d][i].max(iv.hi());
+            }
         }
     }
 
@@ -348,10 +373,16 @@ impl SpatialIndex {
     }
 
     /// The *slot* range `[start, end)` of a domain (Morton layout;
-    /// translate slots to push-order ids via [`SpatialIndex::verify_domain`]).
+    /// translate slots to push-order ids via [`SpatialIndex::slot_ids`]).
     pub fn domain_items(&self, domain: u32) -> (usize, usize) {
         let start = domain as usize * self.domain_size;
         (start, (start + self.domain_size).min(self.len))
+    }
+
+    /// Slot → original push-order id: `slot_ids()[slot]` is the item
+    /// stored at that Morton slot.
+    pub fn slot_ids(&self) -> &[u32] {
+        &self.ids
     }
 
     /// Grid-level probe: returns every domain with at least one
@@ -408,24 +439,35 @@ impl SpatialIndex {
         }
     }
 
-    /// Item-level verify for one domain: appends the **original
-    /// push-order id** of every item whose bounds intersect the query
-    /// interval in **at least one** dimension. The inner loop is a
-    /// branch-light OR-accumulation over the SoA slices, walked in slot
-    /// order — so the output order is deterministic but *not* globally
-    /// ascending across domains; sort the concatenation if the caller's
-    /// contract needs ascending ids.
-    pub fn verify_domain(&self, domain: u32, q_lo: &[f64], q_hi: &[f64], out: &mut Vec<u32>) {
+    /// Item-level verify for one domain: calls `hit` with the **slot**
+    /// of every item whose bounds intersect the query interval in **at
+    /// least one** dimension, in ascending slot order. The inner loop is
+    /// a branch-light OR-accumulation over the SoA slices.
+    pub fn verify_slots(
+        &self,
+        domain: u32,
+        q_lo: &[f64],
+        q_hi: &[f64],
+        mut hit: impl FnMut(usize),
+    ) {
         let (start, end) = self.domain_items(domain);
         for i in start..end {
-            let mut hit = false;
+            let mut any = false;
             for d in 0..self.dims {
-                hit |= self.item_lo[d][i] <= q_hi[d] && self.item_hi[d][i] >= q_lo[d];
+                any |= self.item_lo[d][i] <= q_hi[d] && self.item_hi[d][i] >= q_lo[d];
             }
-            if hit {
-                out.push(self.ids[i]);
+            if any {
+                hit(i);
             }
         }
+    }
+
+    /// [`SpatialIndex::verify_slots`] reporting the **original
+    /// push-order id** of every hit. Slot order is deterministic but
+    /// *not* globally ascending in id across domains; sort the
+    /// concatenation if the caller's contract needs ascending ids.
+    pub fn verify_domain(&self, domain: u32, q_lo: &[f64], q_hi: &[f64], out: &mut Vec<u32>) {
+        self.verify_slots(domain, q_lo, q_hi, |slot| out.push(self.ids[slot]));
     }
 
     /// Serial convenience: probe then verify every surviving domain,
@@ -640,6 +682,60 @@ mod tests {
             probe.domains_pruned,
             index.n_domains()
         );
+    }
+
+    #[test]
+    fn push_hull_equals_pushing_the_folded_hull() {
+        let rects = random_rects(90, 13);
+        let mut folded = SpatialIndexBuilder::new(2);
+        let mut direct = SpatialIndexBuilder::new(2);
+        for group in rects.chunks(3) {
+            folded.push(
+                &group[1..]
+                    .iter()
+                    .fold(group[0].clone(), |acc, r| acc.hull(r)),
+            );
+            direct.push_hull(group);
+        }
+        assert_eq!(direct.len(), 30);
+        for d in 0..2 {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&direct.lo[d]), bits(&folded.lo[d]));
+            assert_eq!(bits(&direct.hi[d]), bits(&folded.hi[d]));
+        }
+    }
+
+    #[test]
+    fn verify_slots_are_ascending_and_map_to_the_reported_ids() {
+        let rects = random_rects(300, 17);
+        let index = build(
+            &rects,
+            GridConfig {
+                domain_size: 16,
+                cells_per_dim: 0,
+            },
+        );
+        let mut seen = vec![false; rects.len()];
+        for &id in index.slot_ids() {
+            assert!(!std::mem::replace(&mut seen[id as usize], true));
+        }
+        assert!(seen.iter().all(|s| *s), "slot_ids is a permutation");
+        let probe = index.probe(&rect2(30.0, 50.0, 30.0, 50.0));
+        for &g in &probe.domains {
+            let mut slots = Vec::new();
+            index.verify_slots(g, &probe.q_lo, &probe.q_hi, |s| slots.push(s));
+            assert!(slots.windows(2).all(|w| w[0] < w[1]));
+            let mut ids = Vec::new();
+            index.verify_domain(g, &probe.q_lo, &probe.q_hi, &mut ids);
+            let mapped: Vec<u32> = slots.iter().map(|&s| index.slot_ids()[s]).collect();
+            assert_eq!(ids, mapped);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "hull of zero rectangles")]
+    fn empty_hull_rejected() {
+        SpatialIndexBuilder::new(2).push_hull(std::iter::empty());
     }
 
     #[test]

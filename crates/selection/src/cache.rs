@@ -326,7 +326,7 @@ impl CachedQueryDriven {
                 }
                 None => self.score_all(ctx, pool),
             };
-            let selection = self.inner.rank_and_cap(participants);
+            let selection = self.inner.rank_and_cap(participants.into_iter().flatten());
             state.stats.misses += 1;
             telemetry::counter!("qens_cache_misses_total").add(1);
             telemetry::trace::instant("selection.cache_miss", &[("nodes", nodes.len() as u64)]);
@@ -395,7 +395,7 @@ impl CachedQueryDriven {
                 participants.push(self.rank_table(node.id(), table));
             }
         }
-        let selection = self.inner.rank_and_cap(participants);
+        let selection = self.inner.rank_and_cap(participants.into_iter().flatten());
         entry.bounds = bounds;
         entry.selection = selection.clone();
         state.stats.hits += 1;

@@ -1,36 +1,79 @@
-//! Sublinear candidate generation for the query-driven policy
-//! (ROADMAP item 1).
+//! Sublinear selection for the query-driven policy: candidate
+//! generation through a spatial index, Eq. 2–4 scoring off a cluster
+//! table laid out in the index's own order.
 //!
 //! The plain [`QueryDriven`] kernel scores every node on every query:
 //! `O(N·K·d)` per selection, which a million-node fleet turns into
 //! hundreds of milliseconds of pure arithmetic. This module splits
-//! selection into an explicit **candidate-generation** stage — a
-//! [`geom::index::SpatialIndex`] over per-node summary hulls
-//! ([`edgesim::EdgeNode::summary_bounds`]) with a two-level
-//! domain-then-node hierarchy — feeding the *unchanged*
-//! `score_node`/`rank_and_cap` scoring stage over the survivors only.
+//! selection into **candidate generation** — a
+//! [`geom::index::SpatialIndex`] over per-node summary hulls with a
+//! two-level domain-then-node hierarchy — and **exact verification**:
+//! each surviving domain's hull hits are scored on the spot, from that
+//! domain's block of a cluster table kept in the index's Morton slot
+//! order, through the shared `rank_clusters` / `participant_for` /
+//! `rank_and_cap`.
+//!
+//! # The cluster table
+//!
+//! Scoring a candidate through `nodes[id] → summaries → rect →
+//! intervals` is five or six dependent cache misses into a heap the
+//! Morton sort has made random with respect to node id; at 1M nodes
+//! that chase, not the arithmetic, was 15 of a 17–20 ms select. The
+//! table holds what Eq. 2–4 reads and nothing else, per cluster and in
+//! slot order, one [`DomainClusters`] block per index domain:
+//! `offsets[i]..offsets[i + 1]` are the clusters of the node at the
+//! domain's `i`-th slot, each with its `d` [`geom::Interval`]s
+//! contiguous (16·d bytes) and its `(cluster_id, size)` (8 bytes) — 40
+//! bytes per cluster at `d = 2`, plus 4 per node for the offsets. A
+//! domain's candidates are neighbours in its block, so a query streams
+//! one contiguous run per surviving domain.
+//!
+//! A block is gathered by the first fused select that verifies its
+//! domain — the pointer chase above, paid once per domain per build
+//! instead of once per candidate per query — and lives inside the built
+//! index, so whatever makes the index stale drops it too. Nothing is
+//! gathered up front: building the whole table with the index costs a
+//! fleet-wide walk plus 124 MB of fresh pages at 1M nodes × 3
+//! clusters (0.2–0.5 s, measured), a select only needs the few per cent of domains its
+//! query survives in, and
+//! [`crate::cache::CachedQueryDriven::with_index`], which only ever
+//! asks for candidate ids, needs none.
 //!
 //! # Why the results are bit-identical
 //!
-//! Eq. 2 overlap is *additive* over dimensions (the mean of per-axis
-//! ratios), so the index prunes with **per-axis union** semantics: a
-//! node is a candidate iff at least one dimension of its summary hull
-//! intersects the query's interval in that dimension. For every
-//! non-candidate the hull — and therefore every cluster rectangle under
-//! it — is disjoint from the query in *every* dimension, and
-//! [`geom::Interval::overlap_ratio`] returns exactly `0.0` for every
-//! disjoint (or touching-but-degenerate) pair. With `ε > 0` each such
-//! cluster fails `h_ik >= ε`, leaving the node with zero supporting
-//! clusters and ranking `0.0` — precisely the nodes
-//! `QueryDriven::participant_for` maps to `None` in a full scan. The
-//! candidates themselves go through the identical scoring kernel in
-//! ascending node order on the same fixed-chunk pool schedule, and the
-//! final sort is a total order (ranking desc, node id asc), so the
-//! selection — participants, rankings, supporting clusters and standby
-//! tail — matches the scan bit for bit at any thread count.
+//! *Pruned nodes score zero.* Eq. 2 overlap is *additive* over
+//! dimensions (the mean of per-axis ratios), so the index prunes with
+//! **per-axis union** semantics: a node is a candidate iff at least one
+//! dimension of its summary hull intersects the query's interval in
+//! that dimension. For every non-candidate the hull — and therefore
+//! every cluster rectangle under it — is disjoint from the query in
+//! *every* dimension, and [`geom::Interval::overlap_ratio`] returns
+//! exactly `0.0` for every disjoint (or touching-but-degenerate) pair.
+//! With `ε > 0` each such cluster fails `h_ik >= ε`, leaving the node
+//! with zero supporting clusters and ranking `0.0` — precisely the
+//! nodes `QueryDriven::participant_for` maps to `None` in a full scan.
+//!
+//! *Candidates score the same bits.* The table stores copies of the
+//! summaries' own `Interval`s; a candidate's `h_ik` is
+//! `Interval::overlap_ratio` per dimension, summed in dimension order
+//! by the same `Iterator::sum` and divided by `d` — the arithmetic of
+//! [`geom::HyperRect::overlap_rate`] on the same operands — and its
+//! clusters reach `rank_clusters` in summary order, so the ε filter,
+//! the overlap-descending sort, the potential sum and the ranking are
+//! the scan's.
+//!
+//! *Order does not matter.* Candidates are scored in slot order, not
+//! ascending node id, and per fixed chunk of surviving domains rather
+//! than per fixed chunk of nodes. Nothing downstream can see that:
+//! each node's entry is a function of that node and the query alone,
+//! and `rank_and_cap` sorts by a **total** order (ranking descending,
+//! then the unique node id ascending) in which no two entries compare
+//! equal, so every input permutation — and therefore every thread
+//! count — gives the same participants, rankings, supporting clusters
+//! and standby tail as the scan.
 //!
 //! `ε <= 0` (e.g. ablations ranking by cluster-count only) breaks the
-//! argument — a zero-overlap cluster then *satisfies* `h >= ε` — so
+//! first step — a zero-overlap cluster then *satisfies* `h >= ε` — so
 //! [`IndexedQueryDriven`] detects it and falls back to the full scan.
 //!
 //! # Staleness
@@ -40,19 +83,25 @@
 //! [`edgesim::EdgeNetwork::membership_epoch`]; any drift on the next
 //! probe triggers a deterministic bulk rebuild (counted in
 //! `qens_index_rebuilds_total`, timed by the `qens_index_build_nanos`
-//! histogram).
+//! histogram) that drops the cluster table with the index it belongs
+//! to; the blocks a later query needs are gathered again from the new
+//! summaries. Only that check and the counters run under the index's lock: a
+//! select works on an `Arc` snapshot of the build it verified, so
+//! concurrent selects on one policy probe and score side by side.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
-use geom::index::{GridConfig, SpatialIndex, SpatialIndexBuilder};
+use edgesim::{EdgeNetwork, EdgeNode, NodeId};
+use geom::index::{GridConfig, Probe, SpatialIndex, SpatialIndexBuilder};
+use geom::Interval;
 use par::ThreadPool;
 
-use crate::policy::{Selection, SelectionContext, SelectionOverhead, SelectionPolicy};
-use crate::query_driven::{QueryDriven, NODE_CHUNK};
+use crate::policy::{Participant, Selection, SelectionContext, SelectionOverhead, SelectionPolicy};
+use crate::query_driven::QueryDriven;
 
-/// Domains per pool task during the per-node verify stage. Fixed
-/// (worker-count independent) like [`NODE_CHUNK`], so the flattened
-/// candidate list is identical for any pool.
+/// Surviving domains per pool task, for the id-only verify and for the
+/// fused verify-and-score alike. Fixed (worker-count independent), so
+/// what each task produces does not depend on the pool.
 pub(crate) const DOMAIN_CHUNK: usize = 4;
 
 /// Monotonic index counters, mirrored into the global telemetry registry
@@ -74,26 +123,131 @@ pub struct IndexStats {
     pub fallbacks: u64,
 }
 
+/// What Eq. 2–4 reads of every cluster under one index domain, flat
+/// and in slot order; see the module docs.
+#[derive(Debug)]
+struct DomainClusters {
+    dims: usize,
+    /// `offsets[i]..offsets[i + 1]` index the clusters of the node at
+    /// the domain's `i`-th slot.
+    offsets: Vec<u32>,
+    /// `dims` intervals per cluster, contiguous.
+    intervals: Vec<Interval>,
+    /// `(cluster_id, size)` per cluster, narrowed: scoring is bound by
+    /// the bytes it streams, and at 48 bytes per cluster instead of 40
+    /// `fleet_select` ran 87–89 ops/s instead of 103–108. [`WIDE`] in
+    /// either half sends the reader back to the node's own summary.
+    meta: Vec<(u32, u32)>,
+}
+
+/// Stands in [`DomainClusters::meta`] for a cluster id or size that does
+/// not fit 32 bits. No fitted summary has one (a size is bounded by the
+/// node's sample count), but [`EdgeNode::from_summaries`] accepts any.
+const WIDE: u32 = u32::MAX;
+
+impl DomainClusters {
+    fn gather(index: &SpatialIndex, domain: u32, nodes: &[EdgeNode]) -> Self {
+        let dims = index.dims();
+        let (start, end) = index.domain_items(domain);
+        let ids = &index.slot_ids()[start..end];
+        // Exact capacities: growth slack on every block of a million
+        // nodes' table would be tens of megabytes.
+        let clusters: usize = ids.iter().map(|&id| nodes[id as usize].k()).sum();
+        let mut offsets = Vec::with_capacity(ids.len() + 1);
+        let mut intervals = Vec::with_capacity(clusters * dims);
+        let mut meta = Vec::with_capacity(clusters);
+        let narrow = |v: usize| u32::try_from(v).unwrap_or(WIDE);
+        offsets.push(0);
+        for &id in ids {
+            for summary in nodes[id as usize].summaries() {
+                meta.push((narrow(summary.cluster_id), narrow(summary.size)));
+                intervals.extend_from_slice(summary.rect.intervals());
+            }
+            offsets.push(u32::try_from(meta.len()).expect("domain cluster count fits 32 bits"));
+        }
+        Self {
+            dims,
+            offsets,
+            intervals,
+            meta,
+        }
+    }
+
+    /// The `(cluster_id, size, h_ik)` triples of the node at the
+    /// domain's `i`-th slot, in summary order, as
+    /// [`QueryDriven::rank_clusters`] takes them. `h_ik` repeats
+    /// [`geom::HyperRect::overlap_rate`] operation for operation.
+    fn overlaps<'a>(
+        &'a self,
+        i: usize,
+        node: &'a EdgeNode,
+        query: &'a geom::HyperRect,
+    ) -> impl ExactSizeIterator<Item = (usize, usize, f64)> + 'a {
+        let first = self.offsets[i] as usize;
+        (first..self.offsets[i + 1] as usize).map(move |c| {
+            let sum: f64 = query
+                .intervals()
+                .iter()
+                .zip(&self.intervals[c * self.dims..(c + 1) * self.dims])
+                .map(|(q, k)| q.overlap_ratio(k))
+                .sum();
+            let (cluster_id, size) = match self.meta[c] {
+                (id, size) if id != WIDE && size != WIDE => (id as usize, size as usize),
+                _ => {
+                    let summary = &node.summaries()[c - first];
+                    (summary.cluster_id, summary.size)
+                }
+            };
+            (cluster_id, size, sum / self.dims as f64)
+        })
+    }
+}
+
 /// The index plus the epochs it was built against.
 #[derive(Debug)]
 struct BuiltIndex {
     index: SpatialIndex,
+    /// The cluster table, one cell per domain, each filled by the first
+    /// fused select that verifies the domain.
+    clusters: Vec<OnceLock<DomainClusters>>,
     /// Per-node summary epochs at build time, in node order.
     epochs: Vec<u64>,
     /// Network membership epoch at build time.
     membership: u64,
-    /// Last [`edgesim::EdgeNetwork::mutation_epoch`] this build was
-    /// verified against. While the network's counter still matches, no
-    /// `&mut EdgeNode` was handed out since, so the `O(N)` per-node
-    /// epoch walk below is provably redundant — at fleet scale that
-    /// walk streams the whole node vector and would dominate the
-    /// probe itself.
-    mutation: u64,
+}
+
+impl BuiltIndex {
+    /// Bulk build over the nodes' summary hulls.
+    fn new(nodes: &[EdgeNode], dims: usize, membership: u64, config: GridConfig) -> Self {
+        let mut builder = SpatialIndexBuilder::with_capacity(dims, nodes.len());
+        let mut epochs = Vec::with_capacity(nodes.len());
+        for node in nodes {
+            // summary_rects carries the same "call quantize_all first"
+            // guidance as direct scoring, so the indexed path cannot
+            // mask an unquantised node.
+            builder.push_hull(node.summary_rects());
+            epochs.push(node.summary_epoch());
+        }
+        let index = builder.build(config);
+        Self {
+            clusters: (0..index.n_domains()).map(|_| OnceLock::new()).collect(),
+            index,
+            epochs,
+            membership,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
 struct IndexState {
-    built: Option<BuiltIndex>,
+    built: Option<Arc<BuiltIndex>>,
+    /// Last [`EdgeNetwork::mutation_epoch`] `built` was verified
+    /// against. While the network's counter still matches, no
+    /// `&mut EdgeNode` was handed out since, so the `O(N)` per-node
+    /// epoch walk is provably redundant — at fleet scale that walk
+    /// streams the whole node vector and would dominate the probe
+    /// itself.
+    mutation: u64,
     stats: IndexStats,
 }
 
@@ -129,93 +283,102 @@ impl SelectionIndex {
         self.state.lock().expect("index lock poisoned").stats
     }
 
-    /// Candidate node ids (ascending) for a query: every node whose
-    /// summary hull intersects the query in at least one dimension.
-    /// Rebuilds first when any epoch drifted; the per-domain verify fans
-    /// out over `pool` on fixed chunks, so the list is bit-identical at
-    /// any worker count.
-    pub(crate) fn candidates(
-        &self,
-        network: &edgesim::EdgeNetwork,
-        query: &geom::Query,
-        pool: &ThreadPool,
-    ) -> Vec<u32> {
+    /// The build that is current for `network`, rebuilt first when any
+    /// epoch drifted. The lock covers this check and nothing after it.
+    fn current(&self, network: &EdgeNetwork, dims: usize) -> Arc<BuiltIndex> {
         let nodes = network.nodes();
         let mut state = self.state.lock().expect("index lock poisoned");
-        let stale = match &mut state.built {
-            None => true,
-            Some(b) if b.membership != network.membership_epoch() => true,
+        let fresh = state.built.as_ref().filter(|b| {
+            if b.membership != network.membership_epoch() {
+                return false;
+            }
             // O(1) fast path: no `&mut EdgeNode` was handed out since
             // the last verification, so no summary epoch can have moved.
-            Some(b) if b.mutation == network.mutation_epoch() => false,
-            Some(b) => {
-                let drifted = b.epochs.len() != nodes.len()
-                    || b.epochs
+            state.mutation == network.mutation_epoch()
+                || (b.epochs.len() == nodes.len()
+                    && b.epochs
                         .iter()
                         .zip(nodes)
-                        .any(|(e, n)| *e != n.summary_epoch());
-                if !drifted {
-                    // A `&mut` went out but no summary actually changed:
-                    // re-arm the fast path instead of re-walking the
-                    // fleet on every subsequent probe.
-                    b.mutation = network.mutation_epoch();
-                }
-                drifted
+                        .all(|(e, n)| *e == n.summary_epoch()))
+        });
+        let built = match fresh {
+            Some(built) => Arc::clone(built),
+            None => {
+                let span = telemetry::span!("qens_index_build_nanos");
+                let built = Arc::new(BuiltIndex::new(
+                    nodes,
+                    dims,
+                    network.membership_epoch(),
+                    self.config,
+                ));
+                state.built = Some(Arc::clone(&built));
+                state.stats.rebuilds += 1;
+                telemetry::counter!("qens_index_rebuilds_total").add(1);
+                telemetry::trace::instant(
+                    "selection.index_rebuild",
+                    &[("nodes", nodes.len() as u64)],
+                );
+                drop(span);
+                built
             }
         };
-        if stale {
-            let span = telemetry::span!("qens_index_build_nanos");
-            let mut builder = SpatialIndexBuilder::with_capacity(query.dim(), nodes.len());
-            for node in nodes {
-                // summary_bounds carries the same "call quantize_all
-                // first" guidance as direct scoring, so the indexed path
-                // cannot mask an unquantised node.
-                builder.push(&node.summary_bounds());
-            }
-            let index = builder.build(self.config);
-            state.built = Some(BuiltIndex {
-                index,
-                epochs: nodes.iter().map(|n| n.summary_epoch()).collect(),
-                membership: network.membership_epoch(),
-                mutation: network.mutation_epoch(),
-            });
-            state.stats.rebuilds += 1;
-            telemetry::counter!("qens_index_rebuilds_total").add(1);
-            telemetry::trace::instant("selection.index_rebuild", &[("nodes", nodes.len() as u64)]);
-            drop(span);
+        // Fresh either way: a `&mut` that changed no summary re-arms the
+        // fast path here instead of re-walking the fleet on every probe.
+        state.mutation = network.mutation_epoch();
+        built
+    }
+
+    /// Accounts one probe and the candidates its verify let through.
+    fn record_probe(&self, probe: &Probe, candidates: u64) {
+        {
+            let stats = &mut self.state.lock().expect("index lock poisoned").stats;
+            stats.probes += 1;
+            stats.cells_probed += probe.cells_probed;
+            stats.domains_pruned += probe.domains_pruned;
+            stats.candidates += candidates;
         }
-        let built = state.built.as_ref().expect("built above");
-        let probe = built.index.probe(query.region());
-        let mut candidates: Vec<u32> = pool
-            .map_indexed(&probe.domains, DOMAIN_CHUNK, |_, &domain| {
-                let mut out = Vec::new();
-                built
-                    .index
-                    .verify_domain(domain, &probe.q_lo, &probe.q_hi, &mut out);
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        // Domains hold Morton-ordered slots; scoring's fixed-chunk
-        // schedule (and therefore bit-identity with the scan) needs
-        // ascending node ids.
-        candidates.sort_unstable();
-        state.stats.probes += 1;
-        state.stats.cells_probed += probe.cells_probed;
-        state.stats.domains_pruned += probe.domains_pruned;
-        state.stats.candidates += candidates.len() as u64;
         telemetry::counter!("qens_index_cells_probed_total").add(probe.cells_probed);
         telemetry::counter!("qens_index_domains_pruned_total").add(probe.domains_pruned);
-        telemetry::counter!("qens_index_candidates_total").add(candidates.len() as u64);
+        telemetry::counter!("qens_index_candidates_total").add(candidates);
         telemetry::trace::instant(
             "selection.index_probe",
             &[
                 ("cells", probe.cells_probed),
                 ("domains_pruned", probe.domains_pruned),
-                ("candidates", candidates.len() as u64),
+                ("candidates", candidates),
             ],
         );
+    }
+
+    /// Candidate node ids (ascending) for a query: every node whose
+    /// summary hull intersects the query in at least one dimension.
+    /// The per-domain verify fans out over `pool` on fixed chunks, so
+    /// the list is bit-identical at any worker count.
+    pub(crate) fn candidates(
+        &self,
+        network: &EdgeNetwork,
+        query: &geom::Query,
+        pool: &ThreadPool,
+    ) -> Vec<u32> {
+        let built = self.current(network, query.dim());
+        let probe = built.index.probe(query.region());
+        let mut candidates: Vec<u32> = pool
+            .map_chunks(probe.domains.len(), DOMAIN_CHUNK, |chunk| {
+                let mut out = Vec::new();
+                for &domain in &probe.domains[chunk] {
+                    built
+                        .index
+                        .verify_domain(domain, &probe.q_lo, &probe.q_hi, &mut out);
+                }
+                out
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        // Domains hold Morton-ordered slots; the cache's per-node
+        // tables are in node order.
+        candidates.sort_unstable();
+        self.record_probe(&probe, candidates.len() as u64);
         candidates
     }
 
@@ -264,9 +427,9 @@ impl IndexedQueryDriven {
         self.index.stats()
     }
 
-    /// [`SelectionPolicy::select`] on an explicit pool handle: candidate
-    /// generation through the index, then the unchanged scoring kernel
-    /// over the survivors in ascending node order.
+    /// [`SelectionPolicy::select`] on an explicit pool handle: probe,
+    /// then per fixed chunk of surviving domains verify the hulls and
+    /// score every hit off the cluster table, then the shared rank/cap.
     pub fn select_with_pool(&self, ctx: &SelectionContext<'_>, pool: &ThreadPool) -> Selection {
         if self.inner.epsilon <= 0.0 {
             // With ε <= 0 a zero-overlap cluster still passes the
@@ -282,13 +445,52 @@ impl IndexedQueryDriven {
             "selection.select_indexed",
             &[("nodes", nodes.len() as u64)],
         );
-        let candidates = self.index.candidates(ctx.network, ctx.query, pool);
-        let scored: Vec<_> = pool.map_indexed(&candidates, NODE_CHUNK, |_, &i| {
-            let node = &nodes[i as usize];
-            let (ranking, supporting) = self.inner.score_node(node, ctx.query);
-            self.inner.participant_for(node.id(), ranking, supporting)
-        });
-        self.inner.rank_and_cap(scored)
+        let built = self.index.current(ctx.network, ctx.query.dim());
+        let ids = built.index.slot_ids();
+        let region = ctx.query.region();
+        let probe = built.index.probe(region);
+        let chunks: Vec<(Vec<Participant>, u64)> =
+            pool.map_chunks(probe.domains.len(), DOMAIN_CHUNK, |chunk| {
+                let mut supporting_nodes = Vec::new();
+                let (mut candidates, mut evals) = (0u64, 0u64);
+                for &domain in &probe.domains[chunk] {
+                    let clusters = built.clusters[domain as usize]
+                        .get_or_init(|| DomainClusters::gather(&built.index, domain, nodes));
+                    let (first_slot, _) = built.index.domain_items(domain);
+                    built
+                        .index
+                        .verify_slots(domain, &probe.q_lo, &probe.q_hi, |slot| {
+                            let id = ids[slot] as usize;
+                            // Wall-mode only, as in the scan: this runs
+                            // on pool workers.
+                            let _trace_score = telemetry::trace::wall_span_args(
+                                "selection.score_node",
+                                &[("node", id as u64)],
+                            );
+                            let overlaps = clusters.overlaps(slot - first_slot, &nodes[id], region);
+                            candidates += 1;
+                            evals += overlaps.len() as u64;
+                            let (ranking, supporting) =
+                                self.inner.rank_clusters(overlaps.len(), overlaps);
+                            supporting_nodes.extend(self.inner.participant_for(
+                                NodeId(id),
+                                ranking,
+                                supporting,
+                            ));
+                        });
+                }
+                telemetry::counter!("qens_selection_overlap_evals_total").add(evals);
+                (supporting_nodes, candidates)
+            });
+        self.index.record_probe(
+            &probe,
+            chunks.iter().map(|(_, candidates)| candidates).sum(),
+        );
+        self.inner.rank_and_cap(
+            chunks
+                .into_iter()
+                .flat_map(|(supporting_nodes, _)| supporting_nodes),
+        )
     }
 }
 
@@ -417,6 +619,76 @@ mod tests {
         let stats = indexed.index_stats();
         assert_eq!(stats.fallbacks, 1);
         assert_eq!(stats.rebuilds, 0, "fallback never builds the index");
+    }
+
+    #[test]
+    fn cluster_blocks_are_gathered_only_for_domains_a_fused_select_verifies() {
+        let net = network(40);
+        let grid = GridConfig {
+            domain_size: 4,
+            cells_per_dim: 0,
+        };
+        let q = Query::from_boundary_vec(0, &[0.0, 30.0, 0.0, 30.0]);
+        let gathered = |index: &SelectionIndex| {
+            let state = index.state.lock().unwrap();
+            let built = state.built.as_ref().unwrap();
+            built.clusters.iter().filter(|c| c.get().is_some()).count()
+        };
+        // The cache's miss path asks for candidate ids and nothing else.
+        let index = SelectionIndex::new(grid);
+        index.candidates(&net, &q, &ThreadPool::new(2));
+        assert_eq!(
+            gathered(&index),
+            0,
+            "candidates() must not pay for the table"
+        );
+        let indexed = IndexedQueryDriven::new(QueryDriven::top_l(3), grid);
+        indexed.select(&SelectionContext::new(&net, &q));
+        let after_one = gathered(&indexed.index);
+        assert!(
+            (1..10).contains(&after_one),
+            "a narrow query gathers its own domains only, got {after_one}"
+        );
+        // The same query again gathers nothing.
+        indexed.select(&SelectionContext::new(&net, &q));
+        assert_eq!(gathered(&indexed.index), after_one);
+    }
+
+    #[test]
+    fn concurrent_selects_share_one_build_and_agree_with_the_scan() {
+        let net = network(40);
+        let plain = QueryDriven::top_l(5);
+        let indexed = IndexedQueryDriven::new(
+            plain.clone(),
+            GridConfig {
+                domain_size: 4,
+                cells_per_dim: 0,
+            },
+        );
+        let pool = ThreadPool::new(2);
+        // All four arrive at the unbuilt index together: one of them
+        // builds it (and one the table), the rest wait and share it.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (net, plain, indexed, pool, start) = (&net, &plain, &indexed, &pool, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..25u64 {
+                        let off = ((t * 25 + i) % 60) as f64 * 7.0;
+                        let q = Query::from_boundary_vec(i, &[off, off + 20.0, off, off + 20.0]);
+                        let ctx = SelectionContext::new(net, &q);
+                        assert_bitwise_eq(
+                            &plain.select_with_pool(&ctx, pool),
+                            &indexed.select_with_pool(&ctx, pool),
+                        );
+                    }
+                });
+            }
+        });
+        let stats = indexed.index_stats();
+        assert_eq!(stats.rebuilds, 1);
+        assert_eq!(stats.probes, 100);
     }
 
     #[test]

@@ -195,35 +195,38 @@ impl QueryDriven {
         // instant below) may record on the logical clock.
         let _trace_span =
             telemetry::trace::span_args("selection.select", &[("nodes", nodes.len() as u64)]);
-        // Indexed map over the nodes; order restored (by construction)
-        // before the ranking sort below.
         let scored_by_node: Vec<Option<Participant>> =
             pool.map_indexed(nodes, NODE_CHUNK, |_, node| {
                 let (ranking, supporting) = self.score_node(node, ctx.query);
                 self.participant_for(node.id(), ranking, supporting)
             });
-        self.rank_and_cap(scored_by_node)
+        self.rank_and_cap(scored_by_node.into_iter().flatten())
     }
 
-    /// The leader-serial ranking phase: flattens the per-node scores (in
-    /// node order), sorts best-ranked first and applies the cap. Shared
-    /// with [`crate::cache`], which feeds it participants rebuilt from
-    /// cached per-dimension overlaps — going through the identical sort
-    /// and split is what makes cached selections bit-identical.
-    pub(crate) fn rank_and_cap(&self, scored_by_node: Vec<Option<Participant>>) -> Selection {
-        let mut scored: Vec<Participant> = scored_by_node.into_iter().flatten().collect();
+    /// The leader-serial ranking phase: collects the supporting nodes'
+    /// entries (in whatever order the caller scored them), sorts
+    /// best-ranked first and applies the cap. Shared with
+    /// [`crate::cache`] and [`crate::indexed`], which feed it
+    /// participants rebuilt from cached ratios or scored off the
+    /// index's cluster table — going through the identical sort and
+    /// split is what makes their selections bit-identical to the scan's.
+    ///
+    /// The sort key is total: [`QueryDriven::participant_for`] only
+    /// lets strictly positive rankings through (so `total_cmp` orders
+    /// them exactly as `partial_cmp` would, with no NaN case to panic
+    /// on) and node ids are unique, so no two entries compare equal and
+    /// the result does not depend on the input order — which is why an
+    /// unstable sort is enough and why the indexed path need not score
+    /// in ascending node id.
+    pub(crate) fn rank_and_cap(&self, scored: impl IntoIterator<Item = Participant>) -> Selection {
+        let mut scored: Vec<Participant> = scored.into_iter().collect();
         // Ranking phase (sort + cap split) — leader-serial, so the span
         // may record on the logical clock and the profiler can separate
         // scoring time from ranking time.
         let rank_span =
             telemetry::trace::span_args("selection.rank", &[("scored", scored.len() as u64)]);
         // Best-ranked first; node id breaks ties deterministically.
-        scored.sort_by(|a, b| {
-            b.ranking
-                .partial_cmp(&a.ranking)
-                .expect("rankings are finite")
-                .then(a.node.cmp(&b.node))
-        });
+        scored.sort_unstable_by(|a, b| b.ranking.total_cmp(&a.ranking).then(a.node.cmp(&b.node)));
         // The cap splits the ranked list into participants and the
         // standby tail. The tail keeps the ranking order, so a
         // fault-tolerant federation promoting standby[0], standby[1], …

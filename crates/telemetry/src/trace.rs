@@ -238,10 +238,17 @@ thread_local! {
 }
 
 /// Discards every buffered event and resets ticks, span ids, the epoch
-/// and the dropped counter. The mode is left untouched.
+/// and the dropped counter. The mode is left untouched, and so is the
+/// thread-id counter: a thread keeps the id it was given for as long as
+/// it lives (pool workers outlive any one trace), so handing the same
+/// id out again would put two threads on one track and break the
+/// per-thread stack discipline [`validate_structure`] checks.
 pub fn clear() {
     let mut c = collector();
-    *c = Collector::new();
+    *c = Collector {
+        next_tid: c.next_tid,
+        ..Collector::new()
+    };
 }
 
 /// Number of buffered events.
@@ -857,6 +864,41 @@ mod tests {
         assert_eq!(events_len(), 0);
         assert_eq!(dropped(), 0);
         set_mode(None);
+    }
+
+    /// Regression: `clear()` used to restart thread ids at 0 while
+    /// long-lived threads (pool workers) kept theirs, so the first new
+    /// thread to record after a clear shared a track with an old one
+    /// and interleaved spans failed the stack check.
+    #[test]
+    fn clear_never_hands_a_live_threads_id_out_again() {
+        let _g = locked(Some(Clock::Wall));
+        let (to_worker, from_main) = std::sync::mpsc::channel::<()>();
+        let (to_main, from_worker) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            drop(wall_span("before.clear")); // takes an id
+            to_main.send(()).unwrap();
+            from_main.recv().unwrap();
+            let _outer = wall_span("worker.outer");
+            to_main.send(()).unwrap();
+            from_main.recv().unwrap();
+        });
+        from_worker.recv().unwrap();
+        clear();
+        to_worker.send(()).unwrap();
+        from_worker.recv().unwrap();
+        // Opened while the worker's span is open, on a thread (a fresh
+        // one, spawned here) that has no id yet.
+        std::thread::spawn(|| drop(wall_span("fresh.inner")))
+            .join()
+            .unwrap();
+        to_worker.send(()).unwrap();
+        worker.join().unwrap();
+        let events = snapshot_events();
+        set_mode(None);
+        validate_structure(&events).expect("two threads, two tracks");
+        let tid_of = |name| events.iter().find(|e| e.name == name).unwrap().tid;
+        assert_ne!(tid_of("worker.outer"), tid_of("fresh.inner"));
     }
 
     #[test]

@@ -5,7 +5,11 @@
 # feature set of every crate is dependency-free):
 #
 #   1. release build of the whole workspace,
-#   2. the full test suite,
+#   2. the full test suite, three times in a row at the default test
+#      parallelism — the canary for tests that share process-global
+#      state (telemetry registry, trace buffer) without taking their
+#      file's lock: such a test passes alone and under
+#      --test-threads=1 and fails only when a sibling lands inside it,
 #   3. the full test suite again under QENS_THREADS=2, exercising the
 #      env-configured global `par` pool (the determinism suite injects
 #      pools explicitly; this pass covers the environment path),
@@ -67,7 +71,11 @@
 #      nodes, scan vs indexed, bit-identity asserted inside the sweep)
 #      is run under QENS_THREADS=1 and QENS_THREADS=4 and
 #      results/fig11_scale.csv must be byte-identical (the CSV is
-#      structural counters + selection hashes, never wall clock).
+#      structural counters + selection hashes, never wall clock),
+#  17. the repo benchmark's own unit tests (`benchmark/` is a workspace
+#      of its own, so step 2 never sees them); this runs them only —
+#      `BENCHMARK.json` and `benchmark/` are the driver's contract and
+#      are measured by the driver, not here.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -76,8 +84,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> cargo test -q --offline"
-cargo test -q --offline
+echo "==> cargo test -q --offline, 3x at default test parallelism (racy-test canary)"
+for run in 1 2 3; do
+  cargo test -q --offline || { echo "FAIL: test suite failed on run $run of 3"; exit 1; }
+done
 
 echo "==> QENS_THREADS=2 cargo test -q --offline (global pool path)"
 QENS_THREADS=2 cargo test -q --offline
@@ -190,5 +200,8 @@ cmp results/fig11_scale.csv results/fig11_scale.t1.csv \
   || { echo "FAIL: fig11 scaling sweep differs between QENS_THREADS=1 and 4"; exit 1; }
 rm -f results/fig11_scale.t1.csv
 echo "fig11 scaling sweep is thread-count stable"
+
+echo "==> benchmark package unit tests"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "verify OK"

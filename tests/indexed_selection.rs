@@ -9,17 +9,33 @@
 //! * the cache+index composition must stay exact while still hitting,
 //! * summary churn (absorb + re-quantisation) and membership growth
 //!   must each trigger a deterministic rebuild and stay exact,
+//! * the fused verify-and-score path (the cluster table in slot order)
+//!   must agree with the scan on the shapes a flat, offset-addressed
+//!   table and a top-ℓ cut are known to get wrong: differing and
+//!   changing K, zero-width rectangles, `h_ik == ε`, equal rankings
+//!   across the cut, a hull hit with every cluster disjoint, 32-bit
+//!   overflow of an id or size — and count exactly the candidates and
+//!   overlap evaluations the per-candidate `score_node` loop counted,
 //! * a federation under a 0.2-dropout fault plan must produce the same
 //!   selections, fault trace and final cohort with the index on or off,
 //! * the `qens_index_*` counters must reach the Prometheus scrape
 //!   surface format-conformant, and the probe/rebuild trace instants
 //!   must land in the Chrome trace.
 
+use qens::cluster::ClusterSummary;
 use qens::par::ThreadPool;
 use qens::prelude::*;
-use qens::selection::{GridConfig, IndexedQueryDriven};
+use qens::selection::{GridConfig, IndexedQueryDriven, SelectionCap};
 use qens::telemetry;
 use qens::workload::generate;
+
+/// Serialises the tests of this binary: three of them switch the
+/// process-global telemetry on and one compares exact counter deltas,
+/// which a sibling's selections would leak into.
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn network(seed: u64) -> EdgeNetwork {
     let nodes = scenario::heterogeneous_nodes(6, 80, seed);
@@ -74,6 +90,7 @@ fn assert_bitwise_eq(a: &Selection, b: &Selection, what: &str) {
 /// one pool schedule must serve under another.
 #[test]
 fn indexed_selections_are_bitwise_identical_across_threads_and_workloads() {
+    let _g = lock();
     let net = network(4);
     let space = net.global_space();
     let kinds: Vec<(&str, QueryWorkload)> = vec![
@@ -133,6 +150,7 @@ fn indexed_selections_are_bitwise_identical_across_threads_and_workloads() {
 /// the plain scan.
 #[test]
 fn cache_and_index_compose_exactly() {
+    let _g = lock();
     let net = network(4);
     let space = net.global_space();
     let wl = workload_of(
@@ -178,6 +196,7 @@ fn cache_and_index_compose_exactly() {
 /// after must still match the scan bitwise.
 #[test]
 fn churn_rebuilds_the_index_and_stays_exact() {
+    let _g = lock();
     let mut net = network(9);
     let plain = QueryDriven::top_l(3);
     let indexed = IndexedQueryDriven::new(plain.clone(), GridConfig::default());
@@ -235,6 +254,7 @@ fn churn_rebuilds_the_index_and_stays_exact() {
 /// cohort on every query.
 #[test]
 fn fault_plan_is_index_transparent() {
+    let _g = lock();
     let build = |index: bool| {
         FederationBuilder::new()
             .heterogeneous_nodes(5, 60)
@@ -286,6 +306,7 @@ fn fault_plan_is_index_transparent() {
 /// counter, all format-conformant.
 #[test]
 fn prometheus_export_covers_index_series() {
+    let _g = lock();
     let net = network(11);
     telemetry::set_enabled(true);
     let indexed = IndexedQueryDriven::new(QueryDriven::top_l(3), GridConfig::default());
@@ -352,6 +373,7 @@ fn prometheus_export_covers_index_series() {
 /// next to the selection spans.
 #[test]
 fn trace_records_index_instants() {
+    let _g = lock();
     let net = network(5);
     telemetry::trace::set_mode(Some(telemetry::trace::Clock::Logical));
     telemetry::trace::clear();
@@ -373,3 +395,378 @@ fn trace_records_index_instants() {
         "trace must record the indexed selection span"
     );
 }
+
+/// A leader's-view node with exactly these cluster rectangles
+/// `(x_lo, x_hi, y_lo, y_hi)`.
+fn summary_node(id: usize, rects: &[[f64; 4]]) -> EdgeNode {
+    let summaries = rects
+        .iter()
+        .enumerate()
+        .map(|(k, b)| ClusterSummary {
+            cluster_id: k,
+            size: 10 + k,
+            representative: vec![(b[0] + b[1]) / 2.0, (b[2] + b[3]) / 2.0],
+            rect: HyperRect::from_boundary_vec(b),
+        })
+        .collect();
+    EdgeNode::from_summaries(NodeId(id), format!("s{id}"), 1.0, summaries)
+}
+
+/// Small domains, so that a few hundred nodes make dozens of domains
+/// and the fused path really fans out over `DOMAIN_CHUNK` tasks.
+const SMALL_DOMAINS: GridConfig = GridConfig {
+    domain_size: 4,
+    cells_per_dim: 0,
+};
+
+/// `count` filler nodes on a jittered lattice over `[0, 200]²`, one to
+/// four clusters each (so the table's offsets are not a multiple of
+/// anything), starting at id `first`.
+fn filler_nodes(first: usize, count: usize) -> Vec<EdgeNode> {
+    (first..first + count)
+        .map(|id| {
+            let (cx, cy) = ((id * 37 % 200) as f64, (id * 91 % 200) as f64);
+            let rects: Vec<[f64; 4]> = (0..1 + id % 4)
+                .map(|k| {
+                    let o = k as f64 * 1.5;
+                    [cx + o, cx + o + 3.0, cy - o, cy - o + 2.0 + o]
+                })
+                .collect();
+            summary_node(id, &rects)
+        })
+        .collect()
+}
+
+/// Scan and indexed selections of every query agree bit for bit at
+/// pools of 1, 2 and 4 workers.
+fn assert_indexed_matches_scan(
+    net: &EdgeNetwork,
+    plain: &QueryDriven,
+    indexed: &IndexedQueryDriven,
+    queries: &[Query],
+    what: &str,
+) {
+    for threads in [1usize, 2, 4] {
+        let pool = ThreadPool::new(threads);
+        for q in queries {
+            let ctx = SelectionContext::new(net, q);
+            assert_bitwise_eq(
+                &plain.select_with_pool(&ctx, &pool),
+                &indexed.select_with_pool(&ctx, &pool),
+                &format!("{what}: query {} at {threads} threads", q.id()),
+            );
+        }
+    }
+}
+
+/// Queries sliding over `[0, 200]²`, narrow and wide.
+fn sliding_queries() -> Vec<Query> {
+    (0..24u64)
+        .map(|i| {
+            let (x, y) = (i as f64 * 8.0, 190.0 - i as f64 * 7.0);
+            let w = 4.0 + (i % 5) as f64 * 9.0;
+            Query::from_boundary_vec(i, &[x, x + w, y, y + w])
+        })
+        .collect()
+}
+
+/// Nodes report different K, and a re-quantise changes one node's K:
+/// the table's per-slot offsets must be those of the *current*
+/// summaries, not of the build before.
+#[test]
+fn differing_and_changing_k_rebuilds_the_offsets() {
+    let _g = lock();
+    let mut net = network(21);
+    for i in 0..net.len() {
+        net.node_mut(NodeId(i)).quantize(2 + i % 4, 21);
+    }
+    let ks: Vec<usize> = net.nodes().iter().map(EdgeNode::k).collect();
+    assert!(ks.iter().any(|k| *k != ks[0]), "nodes must differ in K");
+    let plain = QueryDriven {
+        cap: SelectionCap::AllPositive,
+        ..QueryDriven::top_l(3)
+    };
+    let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
+    let queries = workload_of(WorkloadKind::Uniform, 12, &net.global_space()).queries;
+    assert_indexed_matches_scan(&net, &plain, &indexed, &queries, "differing K");
+    assert_eq!(indexed.index_stats().rebuilds, 1);
+
+    // More clusters on one node, fewer on another: every later slot's
+    // offset moves.
+    net.node_mut(NodeId(1)).quantize(ks[1] + 3, 5);
+    net.node_mut(NodeId(4)).quantize(1, 5);
+    assert_ne!(net.node(NodeId(1)).k(), ks[1]);
+    assert_indexed_matches_scan(&net, &plain, &indexed, &queries, "changed K");
+    assert_eq!(indexed.index_stats().rebuilds, 2);
+
+    // A joiner grows the table by one slot.
+    let late = scenario::heterogeneous_nodes(2, 50, 79)
+        .into_iter()
+        .next()
+        .unwrap()
+        .dataset;
+    let id = net.add_node("late", late, 1.0);
+    net.node_mut(id).quantize(3, 2);
+    let queries = workload_of(WorkloadKind::Uniform, 12, &net.global_space()).queries;
+    assert_indexed_matches_scan(&net, &plain, &indexed, &queries, "after add_node");
+    assert_eq!(indexed.index_stats().rebuilds, 3);
+    let in_some_selection = queries.iter().any(|q| {
+        indexed
+            .select(&SelectionContext::new(&net, q))
+            .participants
+            .iter()
+            .any(|p| p.node == id)
+    });
+    assert!(in_some_selection, "the joiner must be selectable");
+}
+
+/// Zero-width cluster rectangles (a single sample, a constant feature)
+/// score by membership, not measure; the table must carry the
+/// degenerate intervals through unchanged.
+#[test]
+fn zero_width_cluster_rectangles_score_like_the_scan() {
+    let _g = lock();
+    let mut nodes = vec![
+        // A point, a vertical segment, a horizontal segment.
+        summary_node(0, &[[50.0, 50.0, 60.0, 60.0]]),
+        summary_node(1, &[[70.0, 70.0, 40.0, 80.0], [20.0, 30.0, 20.0, 30.0]]),
+        summary_node(2, &[[40.0, 90.0, 55.0, 55.0]]),
+    ];
+    nodes.extend(filler_nodes(3, 120));
+    let net = EdgeNetwork::from_nodes(nodes);
+    let plain = QueryDriven {
+        cap: SelectionCap::AllPositive,
+        ..QueryDriven::top_l(3)
+    };
+    let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
+    let mut queries = sliding_queries();
+    for (i, b) in [
+        [45.0, 75.0, 50.0, 65.0], // covers the point and crosses both segments
+        [50.0, 50.0, 60.0, 60.0], // a point query on the point cluster
+        [70.0, 70.0, 0.0, 200.0], // zero-width query along the vertical segment
+        [50.0, 60.0, 60.0, 70.0], // touches the point at its corner
+    ]
+    .iter()
+    .enumerate()
+    {
+        queries.push(Query::from_boundary_vec(100 + i as u64, b));
+    }
+    assert_indexed_matches_scan(&net, &plain, &indexed, &queries, "zero width");
+    let covering = indexed.select(&SelectionContext::new(&net, &queries[24]));
+    for node in 0..3 {
+        assert!(
+            covering.participants.iter().any(|p| p.node == NodeId(node)),
+            "degenerate node {node} must support the covering query"
+        );
+    }
+}
+
+/// `h_ik == ε` exactly supports the query (`>=`), on both paths.
+#[test]
+fn overlap_exactly_epsilon_supports_on_both_paths() {
+    let _g = lock();
+    let mut nodes = vec![summary_node(0, &[[0.0, 10.0, 0.0, 10.0]])];
+    nodes.extend(filler_nodes(1, 60));
+    let net = EdgeNetwork::from_nodes(nodes);
+    // Dimension 0: query inside cluster, 1/10; dimension 1: disjoint, 0.
+    // The mean is 0.1 / 2, which is the double 0.05.
+    let q = Query::from_boundary_vec(0, &[4.0, 5.0, 150.0, 151.0]);
+    let at = QueryDriven {
+        epsilon: 0.05,
+        cap: SelectionCap::AllPositive,
+        ..QueryDriven::top_l(1)
+    };
+    let indexed = IndexedQueryDriven::new(at.clone(), SMALL_DOMAINS);
+    assert_indexed_matches_scan(&net, &at, &indexed, std::slice::from_ref(&q), "h == ε");
+    let sel = indexed.select(&SelectionContext::new(&net, &q));
+    let p = sel
+        .participants
+        .iter()
+        .find(|p| p.node == NodeId(0))
+        .expect("h == ε supports");
+    assert_eq!(
+        p.supporting_clusters[0].overlap.to_bits(),
+        0.05f64.to_bits()
+    );
+
+    // One ulp above ε and the same cluster no longer supports.
+    let above = QueryDriven {
+        epsilon: f64::from_bits(0.05f64.to_bits() + 1),
+        ..at
+    };
+    let indexed = IndexedQueryDriven::new(above.clone(), SMALL_DOMAINS);
+    assert_indexed_matches_scan(&net, &above, &indexed, std::slice::from_ref(&q), "h < ε");
+    let sel = indexed.select(&SelectionContext::new(&net, &q));
+    assert!(sel.participants.iter().all(|p| p.node != NodeId(0)));
+}
+
+/// Equal rankings on both sides of the ℓ cut: the node id decides, and
+/// it decides the same way whatever order the candidates were scored in.
+#[test]
+fn equal_rankings_straddling_the_cut_break_by_node_id() {
+    let _g = lock();
+    // Six nodes with the same two rectangles, spread through the id
+    // space so the Morton order does not happen to be the id order.
+    let twins = [3usize, 17, 18, 40, 77, 90];
+    let nodes: Vec<EdgeNode> = (0..100)
+        .map(|id| {
+            if twins.contains(&id) {
+                summary_node(
+                    id,
+                    &[[100.0, 110.0, 100.0, 110.0], [104.0, 120.0, 96.0, 108.0]],
+                )
+            } else {
+                filler_nodes(id, 1).remove(0)
+            }
+        })
+        .collect();
+    let net = EdgeNetwork::from_nodes(nodes);
+    let q = Query::from_boundary_vec(0, &[101.0, 109.0, 101.0, 109.0]);
+    for l in [1usize, 3, 4, 6, 9] {
+        let plain = QueryDriven::top_l(l);
+        let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
+        assert_indexed_matches_scan(&net, &plain, &indexed, std::slice::from_ref(&q), "ties");
+        let sel = indexed.select(&SelectionContext::new(&net, &q));
+        let ranked: Vec<&qens::selection::Participant> =
+            sel.participants.iter().chain(&sel.standby).collect();
+        let top = ranked[0].ranking;
+        let tied: Vec<usize> = ranked
+            .iter()
+            .take_while(|p| p.ranking.to_bits() == top.to_bits())
+            .map(|p| p.node.0)
+            .collect();
+        assert_eq!(tied, twins, "ℓ = {l}: ties must come out in id order");
+        assert_eq!(sel.participants.len(), l.min(ranked.len()));
+    }
+}
+
+/// A query in the gap between a node's clusters hits the node's hull
+/// and none of its rectangles: a candidate, evaluated, not selected.
+#[test]
+fn query_in_the_gap_between_clusters_is_a_candidate_but_not_a_participant() {
+    let _g = lock();
+    let net = EdgeNetwork::from_nodes(vec![
+        summary_node(0, &[[0.0, 10.0, 0.0, 10.0], [90.0, 100.0, 90.0, 100.0]]),
+        summary_node(1, &[[40.0, 50.0, 40.0, 50.0]]),
+        summary_node(2, &[[300.0, 310.0, 300.0, 310.0]]),
+    ]);
+    let plain = QueryDriven::top_l(3);
+    let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
+    let q = Query::from_boundary_vec(0, &[42.0, 48.0, 42.0, 48.0]);
+    assert_indexed_matches_scan(&net, &plain, &indexed, std::slice::from_ref(&q), "gap");
+    let before = indexed.index_stats().candidates;
+    let sel = indexed.select(&SelectionContext::new(&net, &q));
+    assert_eq!(
+        indexed.index_stats().candidates - before,
+        2,
+        "nodes 0 (hull only) and 1 are candidates, node 2 is pruned"
+    );
+    let picked: Vec<NodeId> = sel.participants.iter().map(|p| p.node).collect();
+    assert_eq!(picked, vec![NodeId(1)]);
+    assert!(sel.standby.is_empty());
+}
+
+/// The table keeps cluster ids and sizes in 32 bits; a summary-only
+/// node may carry wider ones and must get them back unchanged.
+#[test]
+fn cluster_ids_and_sizes_beyond_32_bits_survive_the_table() {
+    let _g = lock();
+    let wide = |cluster_id: usize, size: usize, b: [f64; 4]| ClusterSummary {
+        cluster_id,
+        size,
+        representative: vec![(b[0] + b[1]) / 2.0, (b[2] + b[3]) / 2.0],
+        rect: HyperRect::from_boundary_vec(&b),
+    };
+    let mut nodes = vec![EdgeNode::from_summaries(
+        NodeId(0),
+        "wide",
+        1.0,
+        vec![
+            wide(1 << 40, 7, [10.0, 20.0, 10.0, 20.0]),
+            wide(3, usize::MAX, [12.0, 22.0, 12.0, 22.0]),
+            wide(
+                u32::MAX as usize,
+                u32::MAX as usize,
+                [14.0, 24.0, 14.0, 24.0],
+            ),
+        ],
+    )];
+    nodes.extend(filler_nodes(1, 40));
+    let net = EdgeNetwork::from_nodes(nodes);
+    let plain = QueryDriven::top_l(2);
+    let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
+    let q = Query::from_boundary_vec(0, &[11.0, 21.0, 11.0, 21.0]);
+    assert_indexed_matches_scan(&net, &plain, &indexed, std::slice::from_ref(&q), "wide");
+    let sel = indexed.select(&SelectionContext::new(&net, &q));
+    let mut got: Vec<(usize, usize)> = sel.participants[0]
+        .supporting_clusters
+        .iter()
+        .map(|c| (c.cluster_id, c.size))
+        .collect();
+    got.sort_unstable();
+    assert_eq!(sel.participants[0].node, NodeId(0));
+    assert_eq!(
+        got,
+        vec![
+            (3, usize::MAX),
+            (u32::MAX as usize, u32::MAX as usize),
+            (1 << 40, 7)
+        ]
+    );
+}
+
+/// The fused path counts what the per-candidate `score_node` loop
+/// counted: one candidate per hull hit, one overlap evaluation per
+/// cluster of a candidate — in `IndexStats` and in the exported series.
+/// The expected totals are derived from the hulls by brute force, and
+/// pinned to the literal values the per-candidate loop reported for
+/// this stream before the table existed.
+#[test]
+fn candidate_and_overlap_eval_counts_match_the_per_candidate_loop() {
+    let _g = lock();
+    let net = EdgeNetwork::from_nodes(filler_nodes(0, 400));
+    let queries = sliding_queries();
+    let (mut want_candidates, mut want_evals) = (0u64, 0u64);
+    for q in &queries {
+        for node in net.nodes() {
+            let hull = node.summary_bounds();
+            if (0..hull.dim()).any(|d| hull.interval(d).intersects(q.region().interval(d))) {
+                want_candidates += 1;
+                want_evals += node.k() as u64;
+            }
+        }
+    }
+    assert_eq!(
+        (want_candidates, want_evals),
+        (PINNED_CANDIDATES, PINNED_EVALS)
+    );
+
+    for threads in [1usize, 2, 4] {
+        let pool = ThreadPool::new(threads);
+        let indexed = IndexedQueryDriven::new(QueryDriven::top_l(3), SMALL_DOMAINS);
+        telemetry::set_enabled(true);
+        telemetry::global().reset();
+        for q in &queries {
+            indexed.select_with_pool(&SelectionContext::new(&net, q), &pool);
+        }
+        let snap = telemetry::global().snapshot();
+        telemetry::set_enabled(false);
+        assert_eq!(indexed.index_stats().candidates, want_candidates);
+        assert_eq!(indexed.index_stats().probes, queries.len() as u64);
+        assert_eq!(
+            snap.counter("qens_index_candidates_total"),
+            Some(want_candidates),
+            "{threads} threads"
+        );
+        assert_eq!(
+            snap.counter("qens_selection_overlap_evals_total"),
+            Some(want_evals),
+            "{threads} threads"
+        );
+    }
+}
+
+/// What commit 732a758 (candidates re-sorted to ascending id, one
+/// `score_node` each) reported for the stream above.
+const PINNED_CANDIDATES: u64 = 2304;
+const PINNED_EVALS: u64 = 5912;

@@ -28,7 +28,10 @@ use qens::prelude::*;
 use qens::selection::{QueryDriven, SelectionContext};
 use qens::telemetry;
 
-/// Serialises tests that flip the process-global telemetry state.
+/// Serialises every test that records into the process-global telemetry
+/// registry — not only the one that resets and reads it: a sibling's
+/// k-means fit or `run_query` landing between that test's `reset()` and
+/// `snapshot()` leaks counters into one of the two totals it compares.
 fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -66,6 +69,7 @@ fn pools() -> Vec<ThreadPool> {
 /// Layer 1: k-means fits are bit-identical for any worker count.
 #[test]
 fn kmeans_fits_are_bit_identical_across_pool_sizes() {
+    let _g = telemetry_lock();
     let data = blob_matrix(900, 5);
     let cfg = KMeansConfig::with_k(4, 17);
     let reference = KMeans::fit_with_pool(&data, &cfg, &ThreadPool::new(1));
@@ -94,6 +98,7 @@ fn kmeans_fits_are_bit_identical_across_pool_sizes() {
 /// and sort order) is identical for any worker count.
 #[test]
 fn selections_are_identical_across_pool_sizes() {
+    let _g = telemetry_lock();
     let f = fed(9);
     let bounds = f.network().global_space().to_boundary_vec();
     let q = Query::from_boundary_vec(3, &bounds);
@@ -126,6 +131,7 @@ fn selections_are_identical_across_pool_sizes() {
 /// train serially, on a 1-thread pool, or on 4 workers.
 #[test]
 fn full_rounds_are_bit_identical_across_thread_counts() {
+    let _g = telemetry_lock();
     let f = fed(27);
     let bounds = f.network().global_space().to_boundary_vec();
     let q = Query::from_boundary_vec(1, &bounds);
