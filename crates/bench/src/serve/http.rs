@@ -101,6 +101,13 @@ fn read_line_capped<R: BufRead>(reader: &mut R, budget: &mut usize) -> std::io::
     }
 }
 
+/// `text` as an unsigned number, if it is ASCII digits and nothing else
+/// (`str::parse` alone would let a leading `+` through).
+pub(super) fn parse_unsigned<T: std::str::FromStr>(text: &str) -> Option<T> {
+    let digits = text.bytes().all(|b| b.is_ascii_digit());
+    digits.then(|| text.parse().ok()).flatten()
+}
+
 /// Reads one full request (head + body) off `reader`.
 ///
 /// `first` distinguishes a socket that closed before its first request
@@ -109,7 +116,7 @@ fn read_line_capped<R: BufRead>(reader: &mut R, budget: &mut usize) -> std::io::
 /// Read timeouts surface as `Closed` too — an idle keep-alive peer is
 /// not an error.
 pub fn read_request(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut impl BufRead,
     body_cap: usize,
     first: bool,
 ) -> std::io::Result<ReadOutcome> {
@@ -157,7 +164,7 @@ pub fn read_request(
 
     // Header block: we only care about Content-Length, Connection and
     // (to reject it) Transfer-Encoding. The head budget bounds the loop.
-    let mut content_length = 0usize;
+    let mut content_length = None;
     loop {
         let header = match read_line_capped(reader, &mut budget)? {
             LineRead::Line(h) => h,
@@ -188,12 +195,14 @@ pub fn read_request(
         let value = value.trim();
         match name.as_str() {
             "content-length" => {
-                let Ok(n) = value.parse::<usize>() else {
+                // Once only: two lengths are two opinions on where the
+                // next request starts.
+                let (Some(n), None) = (parse_unsigned::<usize>(value), content_length) else {
                     return Ok(ReadOutcome::Bad {
-                        reason: "unparseable Content-Length",
+                        reason: "unparseable or repeated Content-Length",
                     });
                 };
-                content_length = n;
+                content_length = Some(n);
             }
             "connection" => {
                 let v = value.to_ascii_lowercase();
@@ -213,6 +222,7 @@ pub fn read_request(
         }
     }
 
+    let content_length = content_length.unwrap_or(0);
     if content_length > body_cap {
         return Ok(ReadOutcome::TooLarge {
             declared: content_length,
@@ -239,8 +249,12 @@ pub fn read_request(
 
 /// Writes one response. `keep_alive` controls the `Connection` header;
 /// the caller decides whether to actually reuse the socket.
+///
+/// Head and body leave in one write: of two small writes on one socket
+/// the second waits (Nagle) for the peer's delayed ACK of the first,
+/// 40 ms on Linux, on every keep-alive reply.
 pub fn write_response(
-    stream: &mut TcpStream,
+    out: &mut impl Write,
     status: &str,
     content_type: &str,
     extra_headers: &str,
@@ -248,13 +262,11 @@ pub fn write_response(
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{extra_headers}Connection: {connection}\r\n\r\n",
+    let response = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{extra_headers}Connection: {connection}\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    out.write_all(response.as_bytes())
 }
 
 fn split_response(response: &str) -> (u16, String) {
@@ -369,5 +381,194 @@ impl KeepAliveClient {
         let mut body = vec![0u8; content_length];
         self.reader.read_exact(&mut body)?;
         Ok((status, String::from_utf8_lossy(&body).into_owned()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use linalg::rng::{rng_for, Rng};
+
+    /// Counts the `write` calls it receives and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        for (extra, keep_alive, connection) in [
+            ("", true, "keep-alive"),
+            ("", false, "close"),
+            ("Retry-After: 1\r\nAllow: POST\r\n", true, "keep-alive"),
+        ] {
+            let mut out = CountingWriter::default();
+            let body = "{\"ok\":true}\n".repeat(500);
+            write_response(
+                &mut out,
+                "200 OK",
+                "application/json",
+                extra,
+                &body,
+                keep_alive,
+            )
+            .unwrap();
+            assert_eq!(out.writes, 1, "head and body must leave together");
+            let expected = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{extra}Connection: {connection}\r\n\r\n{body}",
+                body.len()
+            );
+            assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
+        }
+    }
+
+    const BODY_CAP: usize = 256;
+
+    /// Reads requests off `bytes` as a keep-alive connection would, until
+    /// the connection ends; panics if the reader breaks its contract.
+    fn read_all(bytes: &[u8]) -> Vec<ReadOutcome> {
+        let mut reader = bytes;
+        let mut outcomes = Vec::new();
+        loop {
+            let before = reader.len();
+            let outcome = read_request(&mut reader, BODY_CAP, outcomes.is_empty())
+                .expect("a slice reader has no I/O errors");
+            assert!(
+                before - reader.len() <= MAX_REQUEST_BYTES + BODY_CAP,
+                "one request may consume a head and a body at most"
+            );
+            match &outcome {
+                ReadOutcome::Request(r) => {
+                    assert!(r.body.len() <= BODY_CAP);
+                    assert!(before > reader.len(), "a request consumes bytes");
+                }
+                ReadOutcome::TooLarge { declared } => assert!(*declared > BODY_CAP),
+                ReadOutcome::Bad { reason } => assert!(!reason.is_empty()),
+                ReadOutcome::Closed => {}
+            }
+            let done = !matches!(outcome, ReadOutcome::Request(_));
+            outcomes.push(outcome);
+            if done {
+                return outcomes;
+            }
+        }
+    }
+
+    fn post(headers: &str, body: &str) -> Vec<u8> {
+        format!("POST /query HTTP/1.1\r\nHost: x\r\n{headers}\r\n{body}").into_bytes()
+    }
+
+    #[test]
+    fn content_length_is_digits_once_and_capped() {
+        let body = "{\"bounds\": [0, 20, 0, 45]}";
+        let n = body.len();
+        let request = |headers: &str| read_all(&post(headers, body)).remove(0);
+        let ReadOutcome::Request(r) = request(&format!("Content-Length: {n}\r\n")) else {
+            panic!("the plain request must parse");
+        };
+        assert_eq!(r.body, body.as_bytes());
+        for hostile in [
+            format!("Content-Length: {n}\r\nContent-Length: {n}\r\n"),
+            format!("Content-Length: {n}\r\ncontent-length: 0\r\n"),
+            "Content-Length: -1\r\n".to_string(),
+            format!("Content-Length: +{n}\r\n"),
+            "Content-Length: 99999999999999999999999\r\n".to_string(),
+            "Content-Length: 0x1a\r\n".to_string(),
+            "Content-Length: 2 6\r\n".to_string(),
+            "Content-Length:\r\n".to_string(),
+            "Content-Length: 26, 26\r\n".to_string(),
+        ] {
+            assert!(
+                matches!(request(&hostile), ReadOutcome::Bad { .. }),
+                "{hostile:?} must be refused"
+            );
+        }
+        // In range for a usize but over the cap: refused unread.
+        for declared in [BODY_CAP + 1, usize::MAX] {
+            match request(&format!("Content-Length: {declared}\r\n")) {
+                ReadOutcome::TooLarge { declared: d } => assert_eq!(d, declared),
+                other => panic!("{declared} must be too large, got {other:?}"),
+            }
+        }
+        // A body shorter than declared is a 400, not a wait.
+        let short = read_all(&post("Content-Length: 200\r\n", body)).remove(0);
+        assert!(matches!(short, ReadOutcome::Bad { .. }));
+    }
+
+    #[test]
+    fn hostile_framing_never_panics() {
+        let body = "{\"id\": 7, \"bounds\": [0, 20, 0.5, 45]}";
+        let valid: Vec<Vec<u8>> = vec![
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(),
+            post(&format!("Content-Length: {}\r\n", body.len()), body),
+            post(
+                &format!("Connection: close\r\nContent-Length: {}\r\n", body.len()),
+                body,
+            ),
+            // Two requests on one connection.
+            [
+                post(&format!("Content-Length: {}\r\n", body.len()), body),
+                b"GET /metrics HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".to_vec(),
+            ]
+            .concat(),
+        ];
+        for request in &valid {
+            assert!(matches!(read_all(request)[0], ReadOutcome::Request(_)));
+            // Every truncation.
+            for cut in 0..request.len() {
+                read_all(&request[..cut]);
+            }
+        }
+        let mut rng = rng_for(0x5EED, 16);
+        let splices: [&[u8]; 10] = [
+            b"\r\n",
+            b"\n",
+            b":",
+            b"\0",
+            b"\xff\xfe",
+            b"Content-Length: 7\r\n",
+            b"Content-Length: 18446744073709551616\r\n",
+            b"Transfer-Encoding: chunked\r\n",
+            b"\r\n\r\n",
+            b" ",
+        ];
+        for _ in 0..4000 {
+            let mut request = valid[rng.gen_range(0..valid.len())].clone();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let at = rng.gen_range(0..request.len());
+                match rng.gen_range(0..4u32) {
+                    0 => request[at] = rng.gen::<u32>() as u8,
+                    1 => request[at] ^= 1 << rng.gen_range(0..8u32),
+                    2 => {
+                        let splice = splices[rng.gen_range(0..splices.len())];
+                        request.splice(at..at, splice.iter().copied());
+                    }
+                    _ => {
+                        request.remove(at);
+                    }
+                }
+            }
+            read_all(&request);
+        }
+        // An endless line and an endless header block both run out of
+        // head budget, not memory.
+        for flood in [vec![b'a'; 1 << 20], b"X: y\r\n".repeat(1 << 16)] {
+            let mut request = b"GET / HTTP/1.1\r\n".to_vec();
+            request.extend_from_slice(&flood);
+            assert!(matches!(read_all(&request)[0], ReadOutcome::Bad { .. }));
+        }
     }
 }

@@ -112,7 +112,7 @@ pub struct QueryJob {
     pub reply: mpsc::Sender<Reply>,
 }
 
-fn json_escape(s: &str) -> String {
+pub(super) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -22,17 +22,20 @@
 //! | `POST /shutdown`    | Graceful drain + exit (loopback peers only)          |
 //!
 //! `POST /query` takes `{"id": 7, "bounds": [x_min, x_max, ..., y_min,
-//! y_max]}` (`id` optional) and returns the selection plus the federated
-//! answer. Queries flow through a bounded ingestion queue with explicit
-//! admission control — a full queue answers `429` with `Retry-After`, a
-//! stale queue entry is shed with `503` — and a batcher that coalesces
-//! queries sharing a quantized cache bucket into one federation wave
-//! (see [`ingest`]). Bodies over the admission cap get `413` unread.
+//! y_max]}` (`id` optional; any other or repeated key is a `400`) and
+//! returns the selection plus the federated answer. Queries flow
+//! through a bounded ingestion queue with explicit admission control —
+//! a full queue answers `429` with `Retry-After`, a stale queue entry is
+//! shed with `503` — and a batcher that coalesces queries sharing a
+//! quantized cache bucket into one federation wave (see [`ingest`]).
+//! Bodies over the admission cap get `413` unread.
 //!
 //! Malformed requests never kill the process: empty, truncated,
 //! oversized and non-UTF-8 heads all get a `400` with a body, wrong
 //! methods get `405` with an `Allow` header, unknown paths a `404`
-//! listing every endpoint.
+//! listing every endpoint. A connection may block its worker for five
+//! seconds in one read or one write, then it is closed; I/O failures
+//! are counted in `qens_serve_io_errors_total`.
 //!
 //! `repro serve` binds and serves until `--duration` elapses or a
 //! loopback client posts `/shutdown` — both drain in-flight queries
@@ -64,6 +67,9 @@ pub const SERVE_SELECT_L: usize = 3;
 /// Requests served per keep-alive connection before the server closes
 /// it (bounds how long one client can pin a worker).
 const KEEP_ALIVE_MAX_REQUESTS: usize = 128;
+
+/// How long a connection may block a worker in one read or one write.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 const ENDPOINT_LIST: &str = "/healthz, /metrics, /trace, /profile, /profile.svg, /slowest, /slo, \
                              /cache, /nodes, /nodes/<id>, /events?n=, POST /query, POST /shutdown";
@@ -235,8 +241,11 @@ pub fn spawn(addr: &str, fed: Federation) -> std::io::Result<ServerHandle> {
                             if state.stopping.load(Ordering::SeqCst) {
                                 break;
                             }
-                            if let Err(e) = handle_connection(stream, &state) {
-                                eprintln!("connection error: {e}");
+                            // A peer that reset, or stopped reading until
+                            // the write timed out: the socket is closed
+                            // by the drop, the worker moves on.
+                            if handle_connection(stream, &state).is_err() {
+                                telemetry::counter!("qens_serve_io_errors_total").incr();
                             }
                         }
                         Err(e) => eprintln!("accept error: {e}"),
@@ -252,10 +261,21 @@ pub fn spawn(addr: &str, fed: Federation) -> std::io::Result<ServerHandle> {
     })
 }
 
+/// Socket options of an accepted connection.
+fn configure(stream: &TcpStream) -> std::io::Result<()> {
+    // Neither an idle peer nor one that stops reading a large body may
+    // pin a worker.
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    // A reply is one write (see `write_response`); it leaves at once
+    // instead of waiting for the peer's ACK of the previous reply.
+    stream.set_nodelay(true)
+}
+
 /// Serves one connection: a keep-alive loop of parse → route → respond.
 fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) -> std::io::Result<()> {
     let mut stream = stream;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    configure(&stream)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut served = 0usize;
     loop {
@@ -554,40 +574,135 @@ fn node_scorecard_json(id: &str) -> Option<String> {
     Some(body)
 }
 
-/// Parses the tiny `POST /query` JSON body: `{"id": 7, "bounds":
-/// [lo, hi, ...]}` with `id` optional. A hand-rolled scanner — the
-/// subset is small enough that a JSON dependency would be overkill
-/// (and the workspace builds offline).
-fn parse_query_body(body: &[u8]) -> Result<(Option<u64>, Vec<f64>), &'static str> {
-    let s = std::str::from_utf8(body).map_err(|_| "body is not valid UTF-8")?;
-    let s = s.trim();
-    if !s.starts_with('{') || !s.ends_with('}') {
-        return Err("body must be a JSON object like {\"bounds\": [0, 20, 0, 45]}");
+/// A cursor over a `POST /query` body for [`parse_query_body`].
+struct Scanner<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Scanner<'a> {
+    fn skip_ws(&mut self) {
+        self.rest = self.rest.trim_start_matches([' ', '\t', '\n', '\r']);
     }
-    let bounds_key = s.find("\"bounds\"").ok_or("missing \"bounds\" array")?;
-    let after = &s[bounds_key + "\"bounds\"".len()..];
-    let lb = after.find('[').ok_or("missing [ after \"bounds\"")?;
-    let rb = after.find(']').ok_or("missing ] closing \"bounds\"")?;
-    if rb < lb {
-        return Err("malformed \"bounds\" array");
-    }
-    let mut bounds = Vec::new();
-    for tok in after[lb + 1..rb].split(',') {
-        let tok = tok.trim();
-        if tok.is_empty() {
-            continue;
+
+    /// Consumes `c` if it is the next thing after white space.
+    fn eat(&mut self, c: char) -> bool {
+        self.skip_ws();
+        match self.rest.strip_prefix(c) {
+            Some(rest) => {
+                self.rest = rest;
+                true
+            }
+            None => false,
         }
-        bounds.push(tok.parse::<f64>().map_err(|_| "non-numeric bound")?);
     }
-    let id = s.find("\"id\"").and_then(|i| {
-        let after = &s[i + "\"id\"".len()..];
-        let colon = after.find(':')?;
-        let rest = after[colon + 1..].trim_start();
-        let end = rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        rest[..end].parse::<u64>().ok()
-    });
+
+    /// A string's text as written (escapes are not decoded: the two keys
+    /// this server knows contain none).
+    fn string(&mut self) -> Result<&'a str, &'static str> {
+        if !self.eat('"') {
+            return Err("expected a quoted key");
+        }
+        let mut escaped = false;
+        for (i, c) in self.rest.char_indices() {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => {
+                    let text = &self.rest[..i];
+                    self.rest = &self.rest[i + 1..];
+                    return Ok(text);
+                }
+                _ => {}
+            }
+        }
+        Err("unterminated string")
+    }
+
+    /// The bare token (a number, if the body is well formed) up to the
+    /// next delimiter.
+    fn token(&mut self) -> &'a str {
+        self.skip_ws();
+        let end = self
+            .rest
+            .find([',', ']', '}', '[', '{', '"', ':', ' ', '\t', '\n', '\r'])
+            .unwrap_or(self.rest.len());
+        let (token, rest) = self.rest.split_at(end);
+        self.rest = rest;
+        token
+    }
+}
+
+/// Parses and checks a `POST /query` body against the `dim`-dimensional
+/// joint space: `{"id": 7, "bounds": [lo, hi, ...]}`, `id` optional. The
+/// error is the text of the `400`.
+///
+/// The body is one flat JSON object read key by key, so text inside a
+/// string is never mistaken for a key. Only `"id"` (an unsigned integer)
+/// and `"bounds"` (`2·dim` finite numbers, `lo <= hi` per dimension) are
+/// known; an unknown or repeated key is refused rather than guessed at.
+/// Numbers are read by `str::parse::<f64>`, which is more lenient than
+/// JSON (`1.`, `+1`, `inf`, `NaN`); what it yields must still be finite.
+/// A hand-rolled scanner — the subset is small enough that a JSON
+/// dependency would be overkill (and the workspace builds offline).
+fn parse_query_body(body: &[u8], dim: usize) -> Result<(Option<u64>, Vec<f64>), String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not valid UTF-8")?;
+    let mut s = Scanner { rest: text };
+    if !s.eat('{') {
+        return Err("body must be a JSON object like {\"bounds\": [0, 20, 0, 45]}".into());
+    }
+    let (mut id, mut bounds) = (None, None);
+    let mut first = true;
+    while !s.eat('}') {
+        if !first && !s.eat(',') {
+            return Err("expected , or } after a value".into());
+        }
+        first = false;
+        let key = s.string()?;
+        if !s.eat(':') {
+            return Err("expected : after a key".into());
+        }
+        match key {
+            "id" if id.is_none() => {
+                let value = http::parse_unsigned::<u64>(s.token());
+                id = Some(value.ok_or("\"id\" must be an unsigned 64-bit integer")?);
+            }
+            "bounds" if bounds.is_none() => {
+                if !s.eat('[') {
+                    return Err("missing [ after \"bounds\"".into());
+                }
+                let mut values = Vec::with_capacity(2 * dim);
+                while !s.eat(']') {
+                    if !values.is_empty() && !s.eat(',') {
+                        return Err("expected , or ] after a bound".into());
+                    }
+                    values.push(s.token().parse::<f64>().map_err(|_| "non-numeric bound")?);
+                }
+                bounds = Some(values);
+            }
+            "id" | "bounds" => return Err(format!("\"{key}\" appears twice")),
+            _ => return Err("unknown key: a query has only \"id\" and \"bounds\"".into()),
+        }
+    }
+    s.skip_ws();
+    if !s.rest.is_empty() {
+        return Err("unexpected text after the closing }".into());
+    }
+    let bounds = bounds.ok_or("missing \"bounds\" array")?;
+    if bounds.len() != 2 * dim {
+        return Err(format!(
+            "expected {} bounds (lo/hi per dimension of the {dim}-d joint space), got {}",
+            2 * dim,
+            bounds.len()
+        ));
+    }
+    for pair in bounds.chunks(2) {
+        if !pair[0].is_finite() || !pair[1].is_finite() || pair[0] > pair[1] {
+            return Err(format!(
+                "invalid interval [{}, {}]: bounds must be finite with lo <= hi",
+                pair[0], pair[1]
+            ));
+        }
+    }
     Ok((id, bounds))
 }
 
@@ -609,7 +724,8 @@ fn serve_query(
             false,
         );
     }
-    let (id, bounds) = match parse_query_body(body) {
+    let dim = state.fed.network().global_space().to_boundary_vec().len() / 2;
+    let (id, bounds) = match parse_query_body(body, dim) {
         Ok(parsed) => parsed,
         Err(reason) => {
             return write_response(
@@ -617,41 +733,11 @@ fn serve_query(
                 "400 Bad Request",
                 "application/json",
                 "",
-                &format!("{{\"error\":\"{reason}\"}}\n"),
+                &format!("{{\"error\":\"{}\"}}\n", ingest::json_escape(&reason)),
                 keep_alive,
             )
         }
     };
-    let dim = state.fed.network().global_space().to_boundary_vec().len() / 2;
-    if bounds.len() != 2 * dim {
-        return write_response(
-            stream,
-            "400 Bad Request",
-            "application/json",
-            "",
-            &format!(
-                "{{\"error\":\"expected {} bounds (lo/hi per dimension of the {dim}-d joint space), got {}\"}}\n",
-                2 * dim,
-                bounds.len()
-            ),
-            keep_alive,
-        );
-    }
-    for pair in bounds.chunks(2) {
-        if !pair[0].is_finite() || !pair[1].is_finite() || pair[0] > pair[1] {
-            return write_response(
-                stream,
-                "400 Bad Request",
-                "application/json",
-                "",
-                &format!(
-                    "{{\"error\":\"invalid interval [{}, {}]: bounds must be finite with lo <= hi\"}}\n",
-                    pair[0], pair[1]
-                ),
-                keep_alive,
-            );
-        }
-    }
     let id = id.unwrap_or_else(|| state.next_id.fetch_add(1, Ordering::Relaxed));
     let query = Query::from_boundary_vec(id, &bounds);
     telemetry::trace::instant("serve.enqueue", &[("query", id)]);
@@ -1217,15 +1303,301 @@ mod tests {
 
     #[test]
     fn parse_query_body_accepts_the_documented_shape() {
-        let (id, bounds) = parse_query_body(b"{\"id\": 7, \"bounds\": [0, 20, 0.5, 45]}").unwrap();
+        let (id, bounds) =
+            parse_query_body(b"{\"id\": 7, \"bounds\": [0, 20, 0.5, 45]}", 2).unwrap();
         assert_eq!(id, Some(7));
         assert_eq!(bounds, vec![0.0, 20.0, 0.5, 45.0]);
-        let (id, bounds) = parse_query_body(b"{\"bounds\": [-1e3, 1e3]}").unwrap();
+        let (id, bounds) = parse_query_body(b" {\"bounds\":[-1e3,1e3]}\n", 1).unwrap();
         assert_eq!(id, None);
         assert_eq!(bounds, vec![-1000.0, 1000.0]);
-        assert!(parse_query_body(b"[]").is_err());
-        assert!(parse_query_body(b"{\"bounds\": [1, oops]}").is_err());
-        assert!(parse_query_body(b"{}").is_err());
+        let (id, _) =
+            parse_query_body(b"{\"bounds\": [1, 2], \"id\": 18446744073709551615}", 1).unwrap();
+        assert_eq!(id, Some(u64::MAX));
+        assert!(parse_query_body(b"[]", 1).is_err());
+        assert!(parse_query_body(b"{\"bounds\": [1, oops]}", 1).is_err());
+        assert!(parse_query_body(b"{}", 1).is_err());
+    }
+
+    #[test]
+    fn parse_query_body_refuses_what_it_cannot_vouch_for() {
+        for hostile in [
+            // Not the documented object.
+            "",
+            "{",
+            "}",
+            "{\"bounds\": [0, 1, 0, 1]} trailing",
+            "{\"bounds\": [0, 1, 0, 1]}}",
+            "{{\"bounds\": [0, 1, 0, 1]}",
+            "{\"bounds\" [0, 1, 0, 1]}",
+            "{bounds: [0, 1, 0, 1]}",
+            "{\"bounds\": [0, 1, 0, 1],}",
+            "{,\"bounds\": [0, 1, 0, 1]}",
+            "{\"bounds\": [0, 1, 0, 1] \"id\": 1}",
+            // Brackets.
+            "{\"bounds\": [0, 1, 0, 1}",
+            "{\"bounds\": 0, 1, 0, 1]}",
+            "{\"bounds\": [[0, 1], [0, 1]]}",
+            "{\"bounds\": [0, 1, 0, 1]]}",
+            "{\"bounds\": [0, 1,, 0, 1]}",
+            "{\"bounds\": [0, 1, 0, 1,]}",
+            "{\"bounds\": [0 1 0 1]}",
+            // Counts and values.
+            "{\"bounds\": []}",
+            "{\"bounds\": [0, 1, 0]}",
+            "{\"bounds\": [0, 1, 0, 1, 0, 1]}",
+            "{\"bounds\": [1, 0, 0, 1]}",
+            "{\"bounds\": [0, 1, NaN, 1]}",
+            "{\"bounds\": [0, inf, 0, 1]}",
+            "{\"bounds\": [-inf, 1, 0, 1]}",
+            "{\"bounds\": [0, 1e999, 0, 1]}",
+            "{\"bounds\": [0, 1, 0, \"1\"]}",
+            "{\"bounds\": [0, 1, 0, null]}",
+            "{\"bounds\": null}",
+            // Ids.
+            "{\"id\": -1, \"bounds\": [0, 1, 0, 1]}",
+            "{\"id\": +1, \"bounds\": [0, 1, 0, 1]}",
+            "{\"id\": 1.0, \"bounds\": [0, 1, 0, 1]}",
+            "{\"id\": 18446744073709551616, \"bounds\": [0, 1, 0, 1]}",
+            "{\"id\": \"1\", \"bounds\": [0, 1, 0, 1]}",
+            "{\"id\": , \"bounds\": [0, 1, 0, 1]}",
+            // Keys: repeated, unknown, or only present inside a string.
+            "{\"id\": 1, \"id\": 1, \"bounds\": [0, 1, 0, 1]}",
+            "{\"bounds\": [0, 1, 0, 1], \"bounds\": [0, 1, 0, 1]}",
+            "{\"note\": \"x\", \"bounds\": [0, 1, 0, 1]}",
+            "{\"note\": \"\\\"bounds\\\": [0, 1, 0, 1]\"}",
+            "{\"\\u0069d\": 1, \"bounds\": [0, 1, 0, 1]}",
+            "{\"bounds\": [0, 1, 0, 1], \"note\": \"unterminated}",
+        ] {
+            let refused = parse_query_body(hostile.as_bytes(), 2);
+            assert!(refused.is_err(), "{hostile:?} parsed to {refused:?}");
+        }
+        assert!(parse_query_body(b"{\"bounds\": [0, 1, 0, \xff]}", 2).is_err());
+        // `str::parse::<f64>` is the number grammar: wider than JSON's,
+        // and what it yields is still checked.
+        let (_, lenient) = parse_query_body(b"{\"bounds\": [-0, +1., .5, 1E1]}", 2).unwrap();
+        assert_eq!(lenient, vec![-0.0, 1.0, 0.5, 10.0]);
+    }
+
+    #[test]
+    fn hostile_query_bodies_never_panic() {
+        use linalg::rng::{rng_for, Rng};
+        let valid: [&str; 3] = [
+            "{\"id\": 7, \"bounds\": [0, 20, 0.5, 45]}",
+            "{\"bounds\": [-1.5e2, 3.25, 1e-3, 1e3]}",
+            " {\"bounds\":[0,0,0,0],\"id\":4294967296} ",
+        ];
+        let splices: [&str; 16] = [
+            "{",
+            "}",
+            "[",
+            "]",
+            ",",
+            ":",
+            "\"",
+            "\\",
+            "-",
+            "NaN",
+            "inf",
+            "1e999",
+            "\"id\"",
+            "\"bounds\"",
+            "\u{0}",
+            "é",
+        ];
+        let mut rng = rng_for(0x5EED, 17);
+        let mut accepted = 0;
+        for round in 0..6000 {
+            let mut body = valid[round % valid.len()].as_bytes().to_vec();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let at = rng.gen_range(0..body.len());
+                match rng.gen_range(0..5u32) {
+                    0 => body[at] = rng.gen::<u32>() as u8,
+                    1 => body[at] ^= 1 << rng.gen_range(0..8u32),
+                    2 => {
+                        let splice = splices[rng.gen_range(0..splices.len())];
+                        body.splice(at..at, splice.bytes());
+                    }
+                    3 => body.truncate(at),
+                    _ => {
+                        body.remove(at);
+                    }
+                }
+                if body.is_empty() {
+                    break;
+                }
+            }
+            match parse_query_body(&body, 2) {
+                Ok((id, bounds)) => {
+                    accepted += 1;
+                    // What is accepted is what the engine can take.
+                    assert_eq!(bounds.len(), 4);
+                    let query = Query::from_boundary_vec(id.unwrap_or(0), &bounds);
+                    assert_eq!(query.dim(), 2);
+                }
+                Err(reason) => {
+                    // As the 400's body carries it: no bare quote, no
+                    // control byte, so the body stays one JSON string.
+                    let escaped = ingest::json_escape(&reason);
+                    assert!(
+                        !escaped.replace("\\\"", "").contains('"')
+                            && !escaped.contains(char::is_control),
+                        "{escaped}"
+                    );
+                }
+            }
+        }
+        // Flipping a digit leaves a valid query: the sweep is not all
+        // refusals.
+        assert!(accepted > 100, "only {accepted} mutants were accepted");
+    }
+
+    #[test]
+    fn hostile_requests_get_a_4xx_or_a_close_from_a_live_server() {
+        let server = test_server(None);
+        let addr = server.addr().to_string();
+        let body = "{\"id\": 7, \"bounds\": [0, 20, 0.5, 45]}";
+        let post_with = |headers: &str, body: &str| {
+            format!("POST /query HTTP/1.1\r\nHost: x\r\n{headers}\r\n{body}").into_bytes()
+        };
+        let length = format!("Content-Length: {}\r\n", body.len());
+        let mut probes: Vec<(Vec<u8>, &[u16])> = vec![
+            (post_with(&length, body), &[200]),
+            (post_with(&format!("{length}{length}"), body), &[400]),
+            (post_with("Content-Length: -1\r\n", body), &[400]),
+            (
+                post_with("Content-Length: 99999999999999999999\r\n", body),
+                &[400],
+            ),
+            (
+                post_with("Content-Length: 4611686018427387904\r\n", body),
+                &[413],
+            ),
+            (post_with("Content-Length: 500\r\n", body), &[400]),
+            (post_with("", body), &[400]),
+        ];
+        for hostile in [
+            "{\"bounds\": [0, 20, NaN, 45]}",
+            "{\"bounds\": [0, inf, 0, 45]}",
+            "{\"bounds\": [20, 0, 0, 45]}",
+            "{\"bounds\": [0, 20, 0]}",
+            "{\"bounds\": [0, 20, 0, 45",
+            "{\"note\": \"\\\"bounds\\\": [0, 20, 0, 45]\"}",
+            "{\"id\": -3, \"bounds\": [0, 20, 0, 45]}",
+        ] {
+            let length = format!("Content-Length: {}\r\n", hostile.len());
+            probes.push((post_with(&length, hostile), &[400]));
+        }
+        // Truncations (the probe half-closes, so the server sees EOF) and
+        // seeded byte flips of the valid request: any typed refusal, the
+        // answer, or a clean close (status 0), never a dead worker.
+        let request = post_with(&length, body);
+        for cut in (0..request.len()).step_by(7) {
+            probes.push((request[..cut].to_vec(), &[0, 400]));
+        }
+        use linalg::rng::{rng_for, Rng};
+        let mut rng = rng_for(0x5EED, 18);
+        for _ in 0..48 {
+            let mut flipped = request.clone();
+            let at = rng.gen_range(0..flipped.len());
+            flipped[at] ^= 1 << rng.gen_range(0..8u32);
+            probes.push((flipped, &[0, 200, 400, 404, 405, 413]));
+        }
+        let started = std::time::Instant::now();
+        for (request, allowed) in &probes {
+            let (status, reply) = probe_raw(&addr, request).unwrap();
+            assert!(
+                allowed.contains(&status),
+                "{:?} got {status} {reply}",
+                String::from_utf8_lossy(request)
+            );
+        }
+        assert!(
+            started.elapsed() < IO_TIMEOUT,
+            "no probe may have waited for the read timeout"
+        );
+        // All four workers still answer; `wait` joins them and would
+        // re-raise a worker's panic.
+        for _ in 0..8 {
+            assert_eq!(get(&addr, "/healthz").unwrap().0, 200);
+        }
+        server.request_shutdown();
+        server.wait().unwrap();
+    }
+
+    #[test]
+    fn keep_alive_replies_do_not_wait_for_a_delayed_ack() {
+        let server = test_server(None);
+        // `KeepAliveClient` leaves TCP_NODELAY off, as most clients do.
+        let mut client = KeepAliveClient::connect(server.addr()).unwrap();
+        let mut millis: Vec<f64> = (0..32)
+            .map(|id| {
+                let body = format!("{{\"id\": {id}, \"bounds\": [0, 20, 0, 45]}}");
+                let start = std::time::Instant::now();
+                let (status, _) = client.request("POST", "/query", &body).unwrap();
+                assert_eq!(status, 200);
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        millis.sort_by(f64::total_cmp);
+        // A reply written as head then body takes the peer's 40 ms
+        // delayed-ACK timer on every round trip; one write takes a
+        // fraction of a millisecond.
+        assert!(millis[16] < 10.0, "median round trip {} ms", millis[16]);
+        drop(client);
+        server.request_shutdown();
+        server.wait().unwrap();
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_times_the_write_out() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut accepted, _) = listener.accept().unwrap();
+        configure(&accepted).unwrap();
+        // More than the send and receive buffers can ever hold.
+        let body = "x".repeat(48 << 20);
+        let started = std::time::Instant::now();
+        let stalled = write_response(&mut accepted, "200 OK", "text/plain", "", &body, true);
+        let kind = stalled.expect_err("nobody reads 48 MB").kind();
+        assert!(
+            matches!(
+                kind,
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "got {kind:?}"
+        );
+        // Not a reset: the timeout ended it. (A write that got part of
+        // its buffer out before the timeout reports the part, and
+        // `write_all` waits again, so this can take a few timeouts.)
+        let waited = started.elapsed();
+        assert!(
+            waited >= IO_TIMEOUT && waited < 12 * IO_TIMEOUT,
+            "the write gave up after {waited:?}"
+        );
+    }
+
+    #[test]
+    fn a_peer_that_stops_sending_is_dropped_at_the_read_timeout() {
+        use std::io::{Read as _, Write as _};
+        let server = test_server(None);
+        let mut stalled = TcpStream::connect(server.addr()).unwrap();
+        stalled
+            .write_all(b"POST /query HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"bounds\"")
+            .unwrap();
+        stalled
+            .set_read_timeout(Some(4 * IO_TIMEOUT))
+            .expect("a client-side limit, so a server that never closes fails the test");
+        let started = std::time::Instant::now();
+        let mut reply = Vec::new();
+        stalled.read_to_end(&mut reply).unwrap();
+        let waited = started.elapsed();
+        assert!(reply.is_empty(), "half a body earns a close, not an answer");
+        assert!(
+            waited >= IO_TIMEOUT - Duration::from_millis(100) && waited < 2 * IO_TIMEOUT,
+            "the server hung up after {waited:?}"
+        );
+        server.request_shutdown();
+        server.wait().unwrap();
     }
 
     #[test]

@@ -122,26 +122,53 @@ impl Histogram {
         for (i, b) in self.buckets.iter().enumerate() {
             let c = b.load(Ordering::Relaxed);
             if c > 0 {
-                let (lo, hi) = bucket_bounds(i);
-                buckets.push(BucketCount {
-                    index: i,
-                    lo,
-                    hi,
-                    count: c,
-                });
+                buckets.push(BucketCount::at(i, c));
             }
         }
         let count = buckets.iter().map(|b| b.count).sum();
-        let min = self.min.load(Ordering::Relaxed);
+        let (min, max) = self.extrema();
         HistogramSnapshot {
             name: name.to_string(),
             count,
             sum: self.sum.load(Ordering::Relaxed),
-            min: if min == u64::MAX { 0 } else { min },
-            max: self.max.load(Ordering::Relaxed),
+            min,
+            max,
             buckets,
         }
     }
+
+    /// `(min, max)` as a snapshot reports them: both 0 when empty.
+    pub(crate) fn extrema(&self) -> (u64, u64) {
+        let min = self.min.load(Ordering::Relaxed);
+        (
+            if min == u64::MAX { 0 } else { min },
+            self.max.load(Ordering::Relaxed),
+        )
+    }
+
+    /// The raw bucket counts, then the sum: what a query scope
+    /// subtracts, without the name and the `Vec` a snapshot carries.
+    pub(crate) fn cells(&self) -> [u64; NUM_BUCKETS + 1] {
+        std::array::from_fn(|i| match self.buckets.get(i) {
+            Some(bucket) => bucket.load(Ordering::Relaxed),
+            None => self.sum.load(Ordering::Relaxed),
+        })
+    }
+}
+
+/// Pairs each item of `later` with the item of `earlier` that has the
+/// same key, in one walk over both; each slice ascends by key.
+pub(crate) fn pair_sorted<'a, T, K: Ord + ?Sized>(
+    later: &'a [T],
+    earlier: &'a [T],
+    key: impl Fn(&T) -> &K,
+) -> impl Iterator<Item = (&'a T, Option<&'a T>)> {
+    let mut rest = earlier;
+    later.iter().map(move |item| {
+        let behind = rest.iter().take_while(|e| key(e) < key(item)).count();
+        rest = &rest[behind..];
+        (item, rest.first().filter(|e| key(e) == key(item)))
+    })
 }
 
 /// One occupied bucket in a [`HistogramSnapshot`].
@@ -155,6 +182,19 @@ pub struct BucketCount {
     pub hi: u64,
     /// Samples that fell in this bucket.
     pub count: u64,
+}
+
+impl BucketCount {
+    /// `count` samples in bucket `index`, with that bucket's bounds.
+    pub(crate) fn at(index: usize, count: u64) -> Self {
+        let (lo, hi) = bucket_bounds(index);
+        Self {
+            index,
+            lo,
+            hi,
+            count,
+        }
+    }
 }
 
 /// An immutable point-in-time view of a [`Histogram`].
@@ -232,21 +272,15 @@ impl HistogramSnapshot {
     /// deltas). `min`/`max` are re-derived from the surviving buckets'
     /// bounds, since extrema are not invertible.
     pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = Vec::new();
-        for b in &self.buckets {
-            let before = earlier
-                .buckets
-                .iter()
-                .find(|e| e.index == b.index)
-                .map_or(0, |e| e.count);
-            let d = b.count.saturating_sub(before);
-            if d > 0 {
-                buckets.push(BucketCount {
+        let buckets: Vec<BucketCount> = pair_sorted(&self.buckets, &earlier.buckets, |b| &b.index)
+            .filter_map(|(b, before)| {
+                let d = b.count.saturating_sub(before.map_or(0, |e| e.count));
+                (d > 0).then(|| BucketCount {
                     count: d,
                     ..b.clone()
-                });
-            }
-        }
+                })
+            })
+            .collect();
         let count = buckets.iter().map(|b| b.count).sum();
         HistogramSnapshot {
             name: self.name.clone(),

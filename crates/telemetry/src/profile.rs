@@ -221,7 +221,7 @@ fn flame_tree(profile: &Profile) -> FlameNode {
 
 /// FNV-1a over the frame name: the deterministic seed of the warm
 /// flamegraph palette below.
-fn fnv1a(name: &str) -> u64 {
+pub(crate) fn fnv1a(name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {
         h ^= u64::from(b);

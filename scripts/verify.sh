@@ -75,7 +75,11 @@
 #  17. the repo benchmark's own unit tests (`benchmark/` is a workspace
 #      of its own, so step 2 never sees them); this runs them only —
 #      `BENCHMARK.json` and `benchmark/` are the driver's contract and
-#      are measured by the driver, not here.
+#      are measured by the driver, not here,
+#  18. one 3 s run of the repo benchmark's `serve_closed` workload (run
+#      only, nothing under `benchmark/` is edited): fails unless no
+#      operation failed and the keep-alive p50 is under 5 ms — a reply
+#      that leaves as two writes reads 44 ms there.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -203,5 +207,15 @@ echo "fig11 scaling sweep is thread-count stable"
 
 echo "==> benchmark package unit tests"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> repo benchmark: serve_closed, 3 s (failed_share 0, latency_p50_ms < 5)"
+serve_closed=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload serve_closed --seconds 3 --trace 0)
+echo "$serve_closed" | grep -E '^serve_closed (throughput_ops_s|latency_p50_ms|peak_rss_mb|failed_share) '
+echo "$serve_closed" | awk '
+  $1 == "serve_closed" && $2 == "failed_share" { seen++; if ($3 + 0 != 0) bad = 1 }
+  $1 == "serve_closed" && $2 == "latency_p50_ms" { seen++; if ($3 + 0 >= 5) bad = 1 }
+  END { exit !(seen == 2 && !bad) }' \
+  || { echo "FAIL: serve_closed has failed operations or a p50 of 5 ms or more"; exit 1; }
 
 echo "verify OK"
