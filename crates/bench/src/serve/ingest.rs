@@ -9,11 +9,11 @@
 //! blew the staleness deadline (`503`), so a backlog burns down instead
 //! of serving arbitrarily stale work.
 //!
-//! Batching reuses the selection cache's quantized-query keying
+//! Batching keys on the quantized query rectangle
 //! ([`selection::CacheConfig::compatibility_key`]): queries whose
-//! rectangles land in the same cache bucket share a scoring pass and a
-//! training wave via [`fedlearn::run_batch`], and the per-query answers
-//! stay bit-identical to unbatched serving.
+//! bounds land in the same buckets share a training wave via
+//! [`fedlearn::run_batch`], and the per-query answers stay
+//! bit-identical to unbatched serving.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -128,16 +128,16 @@ pub(super) fn json_escape(s: &str) -> String {
     out
 }
 
-/// The batcher thread body: pop → shed stale → group by cache bucket →
+/// The batcher thread body: pop → shed stale → group by bucket key →
 /// one [`fedlearn::run_batch`] per group → reply per query.
 ///
 /// Runs until shutdown is requested *and* the queue is empty, so
 /// requests admitted before a shutdown still get real answers (the
 /// graceful-drain contract `serve --once` asserts).
 pub fn batcher_loop(state: Arc<ServerState>) {
-    // The policy (and its selection cache) lives for the whole server:
+    // The policy (and its selection memo) lives for the whole server:
     // built here because boxed policies are not Send, and shared across
-    // every wave so repeated buckets hit the cache.
+    // every wave so a repeated rectangle hits the memo.
     let policy = state
         .fed
         .build_policy(&PolicyKind::query_driven(super::SERVE_SELECT_L));
@@ -187,7 +187,7 @@ pub fn batcher_loop(state: Arc<ServerState>) {
             continue;
         }
 
-        // Group by the cache-bucket compatibility key, preserving
+        // Group by the bucket compatibility key, preserving
         // arrival order within each group.
         let mut groups: Vec<(u64, Vec<QueryJob>)> = Vec::new();
         for job in live {

@@ -132,9 +132,9 @@ impl ServerState {
 }
 
 /// The federation a standalone `repro serve` answers queries against: a
-/// mid-size heterogeneous network with the selection cache on and a
-/// coarse quantization bucket, so repeated query regions actually hit
-/// the cache and batch together.
+/// mid-size heterogeneous network with the selection memo on, so a
+/// repeated rectangle gets its stored selection back, and a coarse
+/// batching bucket, so nearby in-flight queries share a wave.
 pub(crate) fn demo_federation() -> Federation {
     FederationBuilder::new()
         .heterogeneous_nodes(6, 120)
@@ -535,7 +535,7 @@ fn respond(
     }
 }
 
-/// Renders the selection cache's registry mirror as JSON (the cache
+/// Renders the selection memo's registry mirror as JSON (the memo
 /// itself lives inside the batcher's policy object; its counters are
 /// published to the global registry on every lookup).
 pub fn cache_stats_json() -> String {

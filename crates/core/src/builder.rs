@@ -55,8 +55,8 @@ pub struct FederationBuilder {
     faults: Option<FaultSpec>,
     tolerance: FaultTolerance,
     link_range: Option<((f64, f64), (f64, f64))>,
-    selection_cache: Option<bool>,
-    cache_bucket_width: Option<f64>,
+    selection_cache: bool,
+    cache: selection::CacheConfig,
     selection_index: Option<bool>,
     admission: Option<AdmissionConfig>,
 }
@@ -93,8 +93,8 @@ impl FederationBuilder {
             faults: None,
             tolerance: FaultTolerance::default(),
             link_range: None,
-            selection_cache: None,
-            cache_bucket_width: None,
+            selection_cache: false,
+            cache: selection::CacheConfig::default(),
             selection_index: None,
             admission: None,
         }
@@ -300,19 +300,22 @@ impl FederationBuilder {
         self
     }
 
-    /// Turns the selection cache on (or off) for query-driven policies
-    /// run through this federation, overriding the `QENS_CACHE`
-    /// environment variable. Cached selections are bit-identical to
-    /// uncached ones (see [`selection::CachedQueryDriven`]); only the
-    /// work to compute them changes. Off by default.
+    /// Turns the selection memo on (or off) for query-driven policies
+    /// built through [`Federation::build_policy`]: a bit-exact repeat of
+    /// a rectangle on an unchanged fleet gets the stored selection back
+    /// (see [`selection::CachedQueryDriven`]). It pays only where one
+    /// built policy sees rectangles again, so it is off by default and
+    /// there is no environment switch for it.
     pub fn selection_cache(mut self, on: bool) -> Self {
-        self.selection_cache = Some(on);
+        self.selection_cache = on;
         self
     }
 
-    /// Bucket width (data units) of the cache's query quantisation,
-    /// overriding `QENS_CACHE_QUANT`. Coarser buckets share entries
-    /// across more queries via delta re-scoring.
+    /// Bucket width (data units) of the serving batcher's coalescing
+    /// key ([`selection::CacheConfig::compatibility_key`]): in-flight
+    /// queries whose bounds fall in the same buckets share a federation
+    /// wave. Takes effect with [`FederationBuilder::selection_cache`];
+    /// the memo itself keys on exact bits.
     ///
     /// # Panics
     /// Panics if `width` is not positive-finite.
@@ -321,7 +324,7 @@ impl FederationBuilder {
             width.is_finite() && width > 0.0,
             "cache bucket width must be positive and finite, got {width}"
         );
-        self.cache_bucket_width = Some(width);
+        self.cache.bucket_width = width;
         self
     }
 
@@ -331,8 +334,8 @@ impl FederationBuilder {
     /// bit-identical to full scans (see [`selection::IndexedQueryDriven`]);
     /// only the work to compute them changes — sublinear in fleet size
     /// instead of scoring every node. Composes with
-    /// [`FederationBuilder::selection_cache`]: cache hits bypass the
-    /// index, misses generate candidates through it. Off by default.
+    /// [`FederationBuilder::selection_cache`]: the memo then sits in
+    /// front of the indexed path. Off by default.
     pub fn index(mut self, on: bool) -> Self {
         self.selection_index = Some(on);
         self
@@ -417,19 +420,6 @@ impl FederationBuilder {
             faults: self.faults,
             tolerance: self.tolerance,
         };
-        let cache_enabled =
-            self.selection_cache
-                .unwrap_or_else(|| match std::env::var("QENS_CACHE") {
-                    Ok(v) => !matches!(v.as_str(), "" | "0" | "false" | "off" | "no"),
-                    Err(_) => false,
-                });
-        let cache = cache_enabled.then(|| {
-            let mut cfg = selection::CacheConfig::from_env();
-            if let Some(w) = self.cache_bucket_width {
-                cfg.bucket_width = w;
-            }
-            cfg
-        });
         let index_enabled =
             self.selection_index
                 .unwrap_or_else(|| match std::env::var("QENS_INDEX") {
@@ -440,7 +430,7 @@ impl FederationBuilder {
             network,
             config,
             seed: self.seed,
-            cache,
+            cache: self.selection_cache.then_some(self.cache),
             index: index_enabled,
             admission: self.admission.unwrap_or_else(AdmissionConfig::from_env),
         }
@@ -454,8 +444,8 @@ pub struct Federation {
     network: EdgeNetwork,
     config: FederationConfig,
     seed: u64,
-    /// Selection-cache configuration for query-driven policies, `None`
-    /// when caching is off (builder flag / `QENS_CACHE`).
+    /// Selection-memo configuration for query-driven policies, `None`
+    /// when the memo is off.
     cache: Option<selection::CacheConfig>,
     /// Spatial-index candidate generation for query-driven policies
     /// (builder flag / `QENS_INDEX`).
@@ -528,7 +518,7 @@ impl Federation {
         generate(&self.network.global_space(), &config)
     }
 
-    /// The selection-cache configuration in force (`None` = caching off).
+    /// The selection-memo configuration in force (`None` = memo off).
     pub fn cache_config(&self) -> Option<selection::CacheConfig> {
         self.cache
     }
@@ -544,22 +534,22 @@ impl Federation {
         self.admission
     }
 
-    /// Builds the runtime policy object, wrapped in a selection cache
+    /// Builds the runtime policy object, behind the selection memo
     /// and/or spatial index when enabled and the policy is query-driven.
-    /// The cache and index live as long as the returned object: one
-    /// [`Federation::run_workload`] call shares them across its whole
-    /// stream.
+    /// Memo and index live as long as the returned object: build once
+    /// and hand it to `fedlearn::run_query` / `run_batch` for every
+    /// query, as [`Federation::run_workload`] does for its stream.
     pub fn build_policy(&self, policy: &PolicyKind) -> Box<dyn selection::SelectionPolicy> {
-        let grid = selection::GridConfig::default();
-        match (self.cache, self.index) {
-            (Some(cfg), true) => policy.build_cached_indexed(cfg, grid),
-            (Some(cfg), false) => policy.build_cached(cfg),
-            (None, true) => policy.build_indexed(grid),
-            (None, false) => policy.build(),
-        }
+        policy.build_with(self.cache, self.index.then(selection::GridConfig::default))
     }
 
     /// Runs one query under a policy.
+    ///
+    /// Builds a fresh policy per call, so an enabled index is rebuilt
+    /// and an enabled memo starts empty every time: neither can pay
+    /// here. To keep them across queries, call
+    /// [`Federation::build_policy`] once and pass the result to
+    /// [`fedlearn::run_query`], or use [`Federation::run_workload`].
     pub fn run_query(
         &self,
         query: &Query,
@@ -577,8 +567,11 @@ impl Federation {
     /// the configuration allows it ([`fedlearn::batchable`]), falling
     /// back to per-query rounds otherwise. Outcomes are bit-identical to
     /// [`Federation::run_query`] either way; only the wave scheduling
-    /// changes. The policy object (and therefore any selection cache) is
-    /// shared across the whole batch.
+    /// changes.
+    ///
+    /// Like [`Federation::run_query`] this builds a fresh policy per
+    /// call: index and memo are shared by the queries of this one batch
+    /// and gone after it.
     pub fn run_batch(
         &self,
         queries: &[Query],

@@ -64,131 +64,66 @@ pub enum PolicyKind {
     },
 }
 
+/// Boxes a query-driven policy, behind [`WithoutSelectivity`] unless it
+/// keeps its per-cluster data selectivity.
+fn boxed<P: SelectionPolicy + 'static>(policy: P, selective: bool) -> Box<dyn SelectionPolicy> {
+    if selective {
+        Box::new(policy)
+    } else {
+        Box::new(WithoutSelectivity(policy))
+    }
+}
+
 impl PolicyKind {
     /// The paper's defaults for a query-driven run: ε = 0.05, top-ℓ.
     pub fn query_driven(l: usize) -> Self {
         PolicyKind::QueryDriven { epsilon: 0.05, l }
     }
 
-    /// Builds the runtime policy object.
+    /// Builds the runtime policy object: the plain scan, no memo.
     pub fn build(&self) -> Box<dyn SelectionPolicy> {
-        match *self {
-            PolicyKind::QueryDriven { epsilon, l } => Box::new(QueryDriven {
+        self.build_with(None, None)
+    }
+
+    /// Builds the runtime policy object. For the query-driven variants
+    /// `index` puts spatial-index candidate generation
+    /// ([`selection::indexed`]) in front of the Eq. 2–4 kernel and
+    /// `memo` puts a memo of answers ([`selection::cache`]) in front of
+    /// whichever path that leaves; selections are bit-identical either
+    /// way, only the work changes. Policies that never score summaries
+    /// (random, game-theory, …) ignore both.
+    pub fn build_with(
+        &self,
+        memo: Option<CacheConfig>,
+        index: Option<GridConfig>,
+    ) -> Box<dyn SelectionPolicy> {
+        let kernel = match *self {
+            PolicyKind::QueryDriven { epsilon, l }
+            | PolicyKind::QueryDrivenNoSelectivity { epsilon, l } => QueryDriven {
                 epsilon,
                 ..QueryDriven::top_l(l)
-            }),
+            },
             PolicyKind::QueryDrivenThreshold { epsilon, psi } => {
-                Box::new(QueryDriven::threshold(epsilon, psi))
+                QueryDriven::threshold(epsilon, psi)
             }
-            PolicyKind::QueryDrivenNoSelectivity { epsilon, l } => {
-                Box::new(WithoutSelectivity(QueryDriven {
-                    epsilon,
-                    ..QueryDriven::top_l(l)
-                }))
-            }
-            PolicyKind::Random { l, seed } => Box::new(RandomSelection { l, seed }),
+            PolicyKind::Random { l, seed } => return Box::new(RandomSelection { l, seed }),
             PolicyKind::GameTheory { leader, l, seed } => {
-                Box::new(GameTheory::paper_default(leader, l, seed))
+                return Box::new(GameTheory::paper_default(leader, l, seed))
             }
-            PolicyKind::AllNodes => Box::new(AllNodes),
-            PolicyKind::DataCentric { l } => Box::new(DataCentric::equal_weights(l)),
-            PolicyKind::FairStochastic { l, seed } => Box::new(FairStochastic::new(l, seed)),
-        }
-    }
-
-    /// Like [`PolicyKind::build`], but query-driven variants come back
-    /// behind a [`CachedQueryDriven`] selection cache. Policies without
-    /// an Eq. 2–4 kernel (random, game-theory, …) have nothing to cache
-    /// and build plain. Selections are bit-identical either way; only
-    /// the scoring work changes.
-    pub fn build_cached(&self, config: CacheConfig) -> Box<dyn SelectionPolicy> {
-        match *self {
-            PolicyKind::QueryDriven { epsilon, l } => Box::new(CachedQueryDriven::new(
-                QueryDriven {
-                    epsilon,
-                    ..QueryDriven::top_l(l)
-                },
-                config,
-            )),
-            PolicyKind::QueryDrivenThreshold { epsilon, psi } => Box::new(CachedQueryDriven::new(
-                QueryDriven::threshold(epsilon, psi),
-                config,
-            )),
-            PolicyKind::QueryDrivenNoSelectivity { epsilon, l } => {
-                Box::new(WithoutSelectivity(CachedQueryDriven::new(
-                    QueryDriven {
-                        epsilon,
-                        ..QueryDriven::top_l(l)
-                    },
-                    config,
-                )))
+            PolicyKind::AllNodes => return Box::new(AllNodes),
+            PolicyKind::DataCentric { l } => return Box::new(DataCentric::equal_weights(l)),
+            PolicyKind::FairStochastic { l, seed } => {
+                return Box::new(FairStochastic::new(l, seed))
             }
-            _ => self.build(),
-        }
-    }
-
-    /// Like [`PolicyKind::build`], but query-driven variants generate
-    /// candidates through a spatial index ([`selection::indexed`])
-    /// before the scoring kernel runs. Policies that never score
-    /// summaries build plain. Selections are bit-identical either way;
-    /// only the scoring work changes.
-    pub fn build_indexed(&self, grid: GridConfig) -> Box<dyn SelectionPolicy> {
-        match *self {
-            PolicyKind::QueryDriven { epsilon, l } => Box::new(IndexedQueryDriven::new(
-                QueryDriven {
-                    epsilon,
-                    ..QueryDriven::top_l(l)
-                },
-                grid,
-            )),
-            PolicyKind::QueryDrivenThreshold { epsilon, psi } => Box::new(IndexedQueryDriven::new(
-                QueryDriven::threshold(epsilon, psi),
-                grid,
-            )),
-            PolicyKind::QueryDrivenNoSelectivity { epsilon, l } => {
-                Box::new(WithoutSelectivity(IndexedQueryDriven::new(
-                    QueryDriven {
-                        epsilon,
-                        ..QueryDriven::top_l(l)
-                    },
-                    grid,
-                )))
+        };
+        let selective = !matches!(self, PolicyKind::QueryDrivenNoSelectivity { .. });
+        match (memo, index) {
+            (Some(cfg), Some(grid)) => {
+                boxed(CachedQueryDriven::with_index(kernel, cfg, grid), selective)
             }
-            _ => self.build(),
-        }
-    }
-
-    /// Cache *and* index: [`PolicyKind::build_cached`] with misses
-    /// routed through the spatial index
-    /// ([`CachedQueryDriven::with_index`]).
-    pub fn build_cached_indexed(
-        &self,
-        config: CacheConfig,
-        grid: GridConfig,
-    ) -> Box<dyn SelectionPolicy> {
-        match *self {
-            PolicyKind::QueryDriven { epsilon, l } => Box::new(CachedQueryDriven::with_index(
-                QueryDriven {
-                    epsilon,
-                    ..QueryDriven::top_l(l)
-                },
-                config,
-                grid,
-            )),
-            PolicyKind::QueryDrivenThreshold { epsilon, psi } => Box::new(
-                CachedQueryDriven::with_index(QueryDriven::threshold(epsilon, psi), config, grid),
-            ),
-            PolicyKind::QueryDrivenNoSelectivity { epsilon, l } => {
-                Box::new(WithoutSelectivity(CachedQueryDriven::with_index(
-                    QueryDriven {
-                        epsilon,
-                        ..QueryDriven::top_l(l)
-                    },
-                    config,
-                    grid,
-                )))
-            }
-            _ => self.build(),
+            (Some(cfg), None) => boxed(CachedQueryDriven::new(kernel, cfg), selective),
+            (None, Some(grid)) => boxed(IndexedQueryDriven::new(kernel, grid), selective),
+            (None, None) => boxed(kernel, selective),
         }
     }
 
@@ -233,47 +168,44 @@ mod tests {
 
     #[test]
     fn cached_builds_keep_names_and_expose_stats() {
-        let cfg = CacheConfig::default();
+        let memo = Some(CacheConfig::default());
+        let no_selectivity = PolicyKind::QueryDrivenNoSelectivity {
+            epsilon: 0.05,
+            l: 3,
+        };
         // Names must not fork on caching: result tables key on them.
         assert_eq!(
-            PolicyKind::query_driven(3).build_cached(cfg).name(),
+            PolicyKind::query_driven(3).build_with(memo, None).name(),
             "query-driven"
         );
         assert_eq!(
-            PolicyKind::QueryDrivenNoSelectivity {
-                epsilon: 0.05,
-                l: 3
-            }
-            .build_cached(cfg)
-            .name(),
+            no_selectivity.build_with(memo, None).name(),
             "without-selectivity"
         );
-        assert_eq!(PolicyKind::AllNodes.build_cached(cfg).name(), "all-nodes");
-        // Only cache-backed policies report cache stats.
-        assert!(PolicyKind::query_driven(3)
-            .build_cached(cfg)
-            .cache_stats()
-            .is_some());
+        assert_eq!(
+            PolicyKind::AllNodes.build_with(memo, None).name(),
+            "all-nodes"
+        );
+        // Only memo-backed policies report cache stats.
+        let stats = |kind: &PolicyKind, memo| kind.build_with(memo, None).cache_stats();
+        assert!(stats(&PolicyKind::query_driven(3), memo).is_some());
+        assert!(stats(&PolicyKind::query_driven(3), None).is_none());
         assert!(PolicyKind::query_driven(3).build().cache_stats().is_none());
-        assert!(PolicyKind::AllNodes
-            .build_cached(cfg)
-            .cache_stats()
-            .is_none());
-        assert!(PolicyKind::QueryDrivenNoSelectivity {
+        assert!(stats(&PolicyKind::AllNodes, memo).is_none());
+        assert!(stats(&no_selectivity, memo).is_some());
+        let threshold = PolicyKind::QueryDrivenThreshold {
             epsilon: 0.05,
-            l: 3
-        }
-        .build_cached(cfg)
-        .cache_stats()
-        .is_some());
+            psi: 0.1,
+        };
+        assert!(stats(&threshold, memo).is_some());
     }
 
     #[test]
     fn indexed_builds_keep_names() {
-        let grid = GridConfig::default();
+        let grid = Some(GridConfig::default());
         // Names must not fork on indexing: result tables key on them.
         assert_eq!(
-            PolicyKind::query_driven(3).build_indexed(grid).name(),
+            PolicyKind::query_driven(3).build_with(None, grid).name(),
             "query-driven"
         );
         assert_eq!(
@@ -281,23 +213,23 @@ mod tests {
                 epsilon: 0.05,
                 l: 3
             }
-            .build_indexed(grid)
+            .build_with(None, grid)
             .name(),
             "without-selectivity"
         );
-        assert_eq!(PolicyKind::AllNodes.build_indexed(grid).name(), "all-nodes");
-        let cfg = CacheConfig::default();
         assert_eq!(
-            PolicyKind::query_driven(3)
-                .build_cached_indexed(cfg, grid)
-                .name(),
-            "query-driven"
+            PolicyKind::AllNodes.build_with(None, grid).name(),
+            "all-nodes"
         );
-        // Cached-indexed still reports cache stats.
+        let both = PolicyKind::query_driven(3).build_with(Some(CacheConfig::default()), grid);
+        assert_eq!(both.name(), "query-driven");
+        // Memo over index still reports cache stats; the index alone
+        // has none.
+        assert!(both.cache_stats().is_some());
         assert!(PolicyKind::query_driven(3)
-            .build_cached_indexed(cfg, grid)
+            .build_with(None, grid)
             .cache_stats()
-            .is_some());
+            .is_none());
     }
 
     #[test]

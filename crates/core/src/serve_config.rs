@@ -24,7 +24,7 @@ pub struct AdmissionConfig {
     /// every dequeued query with `503`.
     pub deadline_ms: Option<u64>,
     /// Most queries one federation wave may coalesce. The batcher only
-    /// merges queries whose quantized cache keys match
+    /// merges queries whose quantized bucket keys match
     /// ([`selection::CacheConfig::compatibility_key`]); this caps how
     /// long a popular bucket can keep one wave growing. Floored at 1.
     pub batch_max: usize,

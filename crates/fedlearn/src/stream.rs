@@ -39,8 +39,8 @@ pub struct StreamResult {
     pub per_query: Vec<QueryResult>,
     /// The full resource ledger of the successful rounds.
     pub accounting: StreamAccounting,
-    /// Selection-cache counters accumulated over the stream, `None`
-    /// unless the policy is cache-backed
+    /// Selection-memo counters accumulated over the stream, `None`
+    /// unless the policy is memo-backed
     /// ([`selection::CachedQueryDriven`]). Snapshot taken after the last
     /// query, so it covers the whole stream (plus whatever the policy
     /// object served before — policies are usually built per stream).
@@ -195,37 +195,34 @@ mod tests {
     #[test]
     fn cached_policy_matches_uncached_and_reports_stats() {
         let net = network();
-        // A drifting stream with a coarse cache quantum so consecutive
-        // queries share a cache key and exercise the delta path.
-        let wl = generate(
+        // Five rectangles, each asked twice in a row: the memo answers
+        // the second of every pair.
+        let mut wl = generate(
             &net.global_space(),
             &WorkloadConfig {
-                n_queries: 10,
+                n_queries: 5,
                 halfwidth_frac: (0.20, 0.20),
-                kind: workload::WorkloadKind::Drifting {
-                    step_frac: 0.01,
-                    spread_frac: 0.01,
-                },
                 ..WorkloadConfig::paper_default(5)
             },
         );
+        wl.queries = wl
+            .queries
+            .iter()
+            .flat_map(|q| {
+                let again = geom::Query::from_boundary_vec(q.id() + 5, &q.to_boundary_vec());
+                [q.clone(), again]
+            })
+            .collect();
         let plain = run_stream(&net, &wl, &QueryDriven::top_l(3), &fast_cfg());
-        let cached_policy = selection::CachedQueryDriven::new(
-            QueryDriven::top_l(3),
-            selection::CacheConfig {
-                bucket_width: 1e6,
-                ..selection::CacheConfig::default()
-            },
-        );
+        let cached_policy = selection::CachedQueryDriven::with_defaults(QueryDriven::top_l(3));
         let cached = run_stream(&net, &wl, &cached_policy, &fast_cfg());
-        // Bit-identical rows: the cache must not change any outcome.
+        // Bit-identical rows: the memo must not change any outcome.
         // (Full accounting is not compared — it carries measured
         // wall_seconds, which no two runs share.)
         assert_eq!(plain.per_query, cached.per_query);
         assert!(plain.cache.is_none(), "plain policies report no cache");
         let stats = cached.cache.expect("cached policy reports stats");
-        assert_eq!(stats.hits + stats.misses, 10);
-        assert!(stats.hits > 0, "drifting stream should hit: {stats:?}");
+        assert_eq!((stats.hits, stats.misses), (5, 5), "{stats:?}");
     }
 
     #[test]

@@ -1,58 +1,44 @@
-//! A selection cache with quantized-query hashing, per-node epoch
-//! invalidation and delta re-scoring (ROADMAP item 2).
+//! A memo of answers in front of one selection path.
 //!
-//! The 200-query drifting/hotspot streams re-run the full `O(N·K·d)`
-//! Eq. 2–4 kernel on near-identical rectangles every query. This module
-//! memoises selections the way a game engine memoises positions — a
-//! transposition table keyed by an FNV-1a hash of the *quantized* query
-//! rectangle (per-dimension bucketing of the boundary values at a
-//! configurable resolution):
+//! [`CachedQueryDriven`] remembers the [`Selection`] it returned for a
+//! rectangle and hands it back when the *same bits* are asked again of
+//! an unchanged fleet. The key is `f64::to_bits` of every bound, so a
+//! hit is a repeat, never a neighbour; every other lookup runs the one
+//! path the policy was built with — the scan ([`QueryDriven`]) or the
+//! fused index path ([`IndexedQueryDriven`]) — and stores what it
+//! returned. The memo holds nothing per node and knows nothing of
+//! Eq. 2–4, so it cannot disagree with the path behind it.
 //!
-//! * **Exact hit** — the cached rectangle is bitwise equal to the
-//!   incoming one and every node's summary epoch is unchanged: return
-//!   the stored [`Selection`] without touching a single summary.
-//! * **Delta hit** — the query drifted inside the same buckets (or a
-//!   hash collision mapped a nearby rectangle here): only the
-//!   dimensions whose bounds actually changed are re-evaluated through
-//!   [`geom::Interval::overlap_ratio`]; per-cluster overlaps are rebuilt
-//!   from the cached per-dimension ratios and rankings are reassembled
-//!   through the *same* `QueryDriven` code path, so the result is
-//!   bit-identical to an uncached run.
-//! * **Invalidation** — a node whose [`edgesim::EdgeNode::summary_epoch`]
-//!   moved (re-quantisation, `absorb`, private re-release) is fully
-//!   re-scored; fresh nodes keep their cached ratios.
-//! * **Miss** — no entry under the key: the full kernel runs (on the
-//!   same fixed-chunk pool schedule as the uncached path) and the
-//!   per-dimension ratio tables are recorded for future deltas.
+//! Staleness is the check the spatial index uses (`FleetEpochs`: the
+//! membership epoch, the `O(1)` mutation-epoch fast path, the per-node
+//! summary-epoch walk only when that fails). When a summary really
+//! moved, every entry is dropped: an answer is a function of the whole
+//! fleet, and at fleet scale recomputing one through the index costs
+//! less than patching it did (DESIGN.md "Selection cache" has the
+//! measurement that removed delta re-scoring).
 //!
-//! Bit-identity holds because every number either (a) comes out of the
-//! identical function applied to bitwise-identical inputs, or (b) is
-//! reused unchanged; sums are re-accumulated in the same order
-//! (dimension order for Eq. 2, overlap-sorted order for Eq. 3) and the
-//! final sort/cap runs through [`QueryDriven::rank_and_cap`] itself.
+//! The mutex covers the lookup and the insert, never the path: selects
+//! on one policy compute their misses side by side.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
-use edgesim::NodeId;
+use geom::index::GridConfig;
 use par::ThreadPool;
 
-use crate::indexed::{IndexStats, SelectionIndex};
-use crate::policy::{Participant, Selection, SelectionContext, SelectionOverhead, SelectionPolicy};
-use crate::query_driven::{QueryDriven, NODE_CHUNK};
-use geom::index::GridConfig;
+use crate::epochs::FleetEpochs;
+use crate::indexed::{IndexStats, IndexedQueryDriven};
+use crate::policy::{Selection, SelectionContext, SelectionOverhead, SelectionPolicy};
+use crate::query_driven::QueryDriven;
 
-/// Tuning knobs for [`CachedQueryDriven`].
+/// Tuning knobs for [`CachedQueryDriven`] and the serving batcher.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
-    /// Bucket width (in data units) of the per-dimension quantisation
-    /// that forms the hash key. Rectangles whose bounds fall in the same
-    /// buckets share an entry and serve each other via delta re-scoring;
-    /// coarser buckets (larger width) trade more delta work for more
-    /// sharing. Must be positive and finite.
+    /// Bucket width (in data units) of [`CacheConfig::compatibility_key`],
+    /// the serving batcher's coalescing key. The memo itself never
+    /// buckets: it keys on exact bits. Must be positive and finite.
     pub bucket_width: f64,
-    /// Maximum number of cached entries; the oldest-inserted entry is
+    /// Maximum number of memoised answers; the oldest-inserted entry is
     /// evicted first (deterministic FIFO).
     pub capacity: usize,
 }
@@ -67,136 +53,73 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// The cache-bucket key of a query under this configuration. Queries
-    /// with equal keys land in the same transposition-table entry, which
-    /// is exactly the "compatible in-flight queries" test the serving
-    /// batcher uses to coalesce queries into shared federation waves.
+    /// The bucket key of a query under this configuration: the serving
+    /// batcher coalesces in-flight queries with equal keys into one
+    /// shared federation wave.
     pub fn compatibility_key(&self, query: &geom::Query) -> u64 {
         quantized_key(&query.region().to_boundary_vec(), self.bucket_width)
     }
-
-    /// Reads `QENS_CACHE_QUANT` (bucket width in data units) on top of
-    /// the defaults. Unset, empty, non-positive or unparseable values
-    /// fall back to the default width.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("QENS_CACHE_QUANT") {
-            if let Ok(w) = v.trim().parse::<f64>() {
-                if w.is_finite() && w > 0.0 {
-                    cfg.bucket_width = w;
-                }
-            }
-        }
-        cfg
-    }
 }
 
-/// Monotonic cache counters, mirrored into the global telemetry registry
+/// Monotonic memo counters, mirrored into the global telemetry registry
 /// as `qens_cache_{hits,misses,invalidations,entries}_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
-    /// Lookups served from the cache — exact or by delta re-scoring.
+    /// Lookups answered from the memo: bit-exact repeats on an
+    /// unchanged fleet.
     pub hits: u64,
-    /// Lookups that ran the full kernel and inserted a new entry.
+    /// Lookups that ran the selection path and stored its answer.
     pub misses: u64,
-    /// Hits that needed delta re-scoring (drifted bounds within the
-    /// entry's buckets); always `<= hits`.
+    /// Always 0: delta re-scoring is gone. Kept only because the repo
+    /// benchmark's facade reads the field by name.
     pub delta_hits: u64,
-    /// Stale nodes fully re-scored because their summary epoch moved.
+    /// Nodes whose summaries had moved each time the table was dropped.
     pub invalidations: u64,
-    /// Entries ever inserted (monotonic; `entries - evictions` live).
+    /// Entries ever inserted (monotonic).
     pub entries: u64,
     /// Entries evicted by the FIFO capacity bound.
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Hit fraction over all lookups (0 when nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Cached per-cluster state: identity, size and the per-dimension
-/// overlap ratios against the entry's exact rectangle.
-#[derive(Debug, Clone)]
-struct ClusterScores {
-    cluster_id: usize,
-    size: usize,
-    ratios: Vec<f64>,
-}
-
-/// Cached per-node state: the summary epoch the ratios were computed at
-/// plus one [`ClusterScores`] per summary, in summary order.
-#[derive(Debug, Clone)]
-struct NodeScores {
-    node: NodeId,
-    epoch: u64,
-    clusters: Vec<ClusterScores>,
-}
-
-/// One transposition-table entry.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    /// The exact boundary vector the entry was (re-)scored against —
-    /// compared bitwise on lookup to detect drift within the buckets.
-    bounds: Vec<f64>,
-    /// Per-node ratio tables, in network node order.
-    nodes: Vec<NodeScores>,
-    /// The assembled selection for `bounds`.
-    selection: Selection,
-}
+/// `f64::to_bits` of every bound of a rectangle.
+type Key = Box<[u64]>;
 
 #[derive(Debug, Default)]
-struct CacheState {
-    entries: HashMap<u64, CacheEntry>,
+struct Memo {
+    answers: HashMap<Key, Selection>,
     /// Insertion order for deterministic FIFO eviction.
-    order: VecDeque<u64>,
+    order: VecDeque<Key>,
+    /// The fleet every answer in the table was computed on.
+    seen: FleetEpochs,
     stats: CacheStats,
 }
 
-/// [`QueryDriven`] behind a selection cache. Implements
-/// [`SelectionPolicy`] with the exact same observable selections —
-/// participants, standby, rankings, supporting clusters, all bitwise —
-/// as the inner policy, at a fraction of the scoring work on repetitive
-/// streams.
+/// The one path that computes what the memo does not hold.
+#[derive(Debug)]
+enum Path {
+    Scan(QueryDriven),
+    Index(IndexedQueryDriven),
+}
+
+/// [`QueryDriven`] behind a memo of its own answers. Implements
+/// [`SelectionPolicy`] with exactly the selections of the path it
+/// wraps: a hit returns a clone of what that path once returned.
 ///
-/// One instance caches for one network: entries are invalidated per
-/// node through [`edgesim::EdgeNode::summary_epoch`], so feeding the
-/// same instance contexts over *different* networks (beyond mutations
-/// of the original) is detected only when node count/ids/epochs differ.
+/// One instance memoises for one network: staleness is detected through
+/// the membership and summary epochs, so feeding the same instance
+/// contexts over *different* networks (beyond mutations of the original)
+/// is detected only when node count or epochs differ.
+#[derive(Debug)]
 pub struct CachedQueryDriven {
-    inner: QueryDriven,
+    path: Path,
     config: CacheConfig,
-    state: Mutex<CacheState>,
-    /// Spatial index for miss-path candidate generation
-    /// ([`CachedQueryDriven::with_index`]); `None` = plain full-kernel
-    /// misses. Hits never consult it.
-    index: Option<SelectionIndex>,
+    state: Mutex<Memo>,
 }
 
-impl std::fmt::Debug for CachedQueryDriven {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachedQueryDriven")
-            .field("inner", &self.inner)
-            .field("config", &self.config)
-            .field("stats", &self.stats())
-            .field("indexed", &self.index.is_some())
-            .finish()
-    }
-}
-
-/// FNV-1a over the per-dimension bucket indices of a boundary vector —
-/// the transposition-table key. Public because the serving batcher uses
-/// the *same* keying to decide which in-flight queries are compatible:
-/// two rectangles with equal keys share a cache entry (exact or delta),
-/// so coalescing them into one federation wave costs one scoring pass.
+/// FNV-1a over the per-dimension bucket indices of a boundary vector:
+/// the serving batcher's coalescing key (see
+/// [`CacheConfig::compatibility_key`]).
 pub fn quantized_key(bounds: &[f64], bucket_width: f64) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -215,12 +138,7 @@ pub fn quantized_key(bounds: &[f64], bucket_width: f64) -> u64 {
 }
 
 impl CachedQueryDriven {
-    /// Wraps a policy with a cache under the given configuration.
-    ///
-    /// # Panics
-    /// Panics if `bucket_width` is not positive-finite or `capacity`
-    /// is 0.
-    pub fn new(inner: QueryDriven, config: CacheConfig) -> Self {
+    fn over(path: Path, config: CacheConfig) -> Self {
         assert!(
             config.bucket_width.is_finite() && config.bucket_width > 0.0,
             "cache bucket width must be positive and finite, got {}",
@@ -228,11 +146,19 @@ impl CachedQueryDriven {
         );
         assert!(config.capacity > 0, "cache capacity must be non-zero");
         Self {
-            inner,
+            path,
             config,
-            state: Mutex::new(CacheState::default()),
-            index: None,
+            state: Mutex::new(Memo::default()),
         }
+    }
+
+    /// Memoises the full scan.
+    ///
+    /// # Panics
+    /// Panics if `bucket_width` is not positive-finite or `capacity`
+    /// is 0.
+    pub fn new(inner: QueryDriven, config: CacheConfig) -> Self {
+        Self::over(Path::Scan(inner), config)
     }
 
     /// Wraps with [`CacheConfig::default`].
@@ -240,36 +166,32 @@ impl CachedQueryDriven {
         Self::new(inner, CacheConfig::default())
     }
 
-    /// Like [`CachedQueryDriven::new`] but cache *misses* generate
-    /// candidates through a spatial index instead of scoring every node
-    /// (see [`crate::indexed`]): hits bypass the index entirely, misses
-    /// score only the candidates and synthesise exact-zero ratio tables
-    /// for the rest — bit-identical by the indexed module's argument,
-    /// since non-candidates are axis-disjoint in every dimension and
-    /// [`geom::Interval::overlap_ratio`] is exactly `0.0` on every such
-    /// pair. `summary_epoch` invalidation covers both structures: a
-    /// bumped node re-scores its cache entry *and* (via the index's own
-    /// epoch snapshot) rebuilds the index.
+    /// Like [`CachedQueryDriven::new`], but what the memo does not hold
+    /// is computed by the fused index path ([`IndexedQueryDriven`]).
     pub fn with_index(inner: QueryDriven, config: CacheConfig, grid: GridConfig) -> Self {
-        let mut cached = Self::new(inner, config);
-        cached.index = Some(SelectionIndex::new(grid));
-        cached
+        Self::over(Path::Index(IndexedQueryDriven::new(inner, grid)), config)
     }
 
     /// The wrapped policy.
     pub fn inner(&self) -> &QueryDriven {
-        &self.inner
+        match &self.path {
+            Path::Scan(scan) => scan,
+            Path::Index(indexed) => indexed.inner(),
+        }
     }
 
-    /// A snapshot of the cache counters.
+    /// A snapshot of the memo counters.
     pub fn stats(&self) -> CacheStats {
         self.state.lock().expect("cache lock poisoned").stats
     }
 
-    /// Counters of the miss-path spatial index, when one is attached
+    /// Counters of the spatial index behind the memo, when there is one
     /// ([`CachedQueryDriven::with_index`]).
     pub fn index_stats(&self) -> Option<IndexStats> {
-        self.index.as_ref().map(SelectionIndex::stats)
+        match &self.path {
+            Path::Scan(_) => None,
+            Path::Index(indexed) => Some(indexed.index_stats()),
+        }
     }
 
     /// Live entry count.
@@ -277,301 +199,97 @@ impl CachedQueryDriven {
         self.state
             .lock()
             .expect("cache lock poisoned")
-            .entries
+            .answers
             .len()
     }
 
-    /// True when nothing is cached yet.
+    /// True when nothing is memoised.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Drops every entry (counters survive).
     pub fn clear(&self) {
-        let mut state = self.state.lock().expect("cache lock poisoned");
-        state.entries.clear();
-        state.order.clear();
+        let mut memo = self.state.lock().expect("cache lock poisoned");
+        memo.answers.clear();
+        memo.order.clear();
     }
 
-    /// [`SelectionPolicy::select`] on an explicit pool handle; see the
-    /// module docs for the hit/delta/invalidation/miss flow. The pool
-    /// only ever runs the same fixed-chunk node map as the uncached
-    /// path, so results are bit-identical at any worker count.
+    /// [`SelectionPolicy::select`] on an explicit pool handle, which
+    /// only a miss uses: the wrapped path runs on it exactly as it
+    /// would unwrapped.
     pub fn select_with_pool(&self, ctx: &SelectionContext<'_>, pool: &ThreadPool) -> Selection {
-        let _span = telemetry::span!("qens_selection_select_nanos");
-        let nodes = ctx.network.nodes();
         let _trace_span = telemetry::trace::span_args(
             "selection.select_cached",
-            &[("nodes", nodes.len() as u64)],
+            &[("nodes", ctx.network.len() as u64)],
         );
         let bounds = ctx.query.region().to_boundary_vec();
-        let key = quantized_key(&bounds, self.config.bucket_width);
-        let mut state = self.state.lock().expect("cache lock poisoned");
-
-        let reusable = state.entries.get(&key).is_some_and(|e| {
-            e.nodes.len() == nodes.len()
-                && e.nodes.iter().zip(nodes).all(|(ns, n)| ns.node == n.id())
-        });
-        if !reusable {
-            // Miss (or an unusable entry after network membership
-            // changes): run the full kernel and (re)install the entry.
-            // With an index attached (and ε > 0, where pruning is
-            // sound), only candidates are scored; pruned nodes get
-            // synthesised all-zero tables.
-            let (tables, participants) = match &self.index {
-                Some(index) if self.inner.epsilon > 0.0 => self.score_all_indexed(ctx, pool, index),
-                Some(index) => {
-                    index.record_fallback();
-                    self.score_all(ctx, pool)
-                }
-                None => self.score_all(ctx, pool),
-            };
-            let selection = self.inner.rank_and_cap(participants.into_iter().flatten());
-            state.stats.misses += 1;
-            telemetry::counter!("qens_cache_misses_total").add(1);
-            telemetry::trace::instant("selection.cache_miss", &[("nodes", nodes.len() as u64)]);
-            self.insert(&mut state, key, bounds, tables, selection.clone());
-            return selection;
+        let key: Key = bounds.iter().map(|b| b.to_bits()).collect();
+        if let Some(answer) = self.lookup(ctx, &key) {
+            return answer;
         }
-
-        let entry = state.entries.get(&key).expect("checked above");
-        let dim = ctx.query.dim();
-        // Dimensions whose lo/hi moved since the entry was scored
-        // (bitwise compare: only exact reuse keeps exact results).
-        let changed_dims: Vec<usize> = (0..dim)
-            .filter(|d| {
-                entry.bounds[2 * d].to_bits() != bounds[2 * d].to_bits()
-                    || entry.bounds[2 * d + 1].to_bits() != bounds[2 * d + 1].to_bits()
-            })
-            .collect();
-        let stale: Vec<bool> = entry
-            .nodes
-            .iter()
-            .zip(nodes)
-            .map(|(ns, n)| ns.epoch != n.summary_epoch())
-            .collect();
-        let n_stale = stale.iter().filter(|s| **s).count();
-
-        if changed_dims.is_empty() && n_stale == 0 {
-            let selection = entry.selection.clone();
-            state.stats.hits += 1;
-            telemetry::counter!("qens_cache_hits_total").add(1);
-            telemetry::trace::instant(
-                "selection.cache_hit",
-                &[("delta_dims", 0), ("stale_nodes", 0)],
-            );
-            return selection;
-        }
-
-        // Delta path: re-score only the moved dimensions on fresh nodes
-        // and everything on stale nodes, mutating the entry's tables in
-        // place. The per-node delta is a handful of interval divisions,
-        // so it runs serially — no table clones, no pool dispatch — and
-        // since every value is either reused or recomputed by the same
-        // function, thread-count bit-identity is trivial.
-        let rect = ctx.query.region();
-        let entry = state.entries.get_mut(&key).expect("checked above");
-        let mut participants = Vec::with_capacity(nodes.len());
-        for (i, node) in nodes.iter().enumerate() {
-            if stale[i] {
-                let (table, participant) = self.score_one(node, ctx.query);
-                entry.nodes[i] = table;
-                participants.push(participant);
-            } else {
-                let table = &mut entry.nodes[i];
-                for cluster in &mut table.clusters {
-                    // Summaries are epoch-stable, so cluster ids and
-                    // rects match what the table was built from.
-                    let k_rect = &node
-                        .summaries()
-                        .iter()
-                        .find(|s| s.cluster_id == cluster.cluster_id)
-                        .expect("fresh node keeps its cluster ids")
-                        .rect;
-                    for &d in &changed_dims {
-                        cluster.ratios[d] = rect.interval(d).overlap_ratio(k_rect.interval(d));
-                    }
-                }
-                participants.push(self.rank_table(node.id(), table));
-            }
-        }
-        let selection = self.inner.rank_and_cap(participants.into_iter().flatten());
-        entry.bounds = bounds;
-        entry.selection = selection.clone();
-        state.stats.hits += 1;
-        state.stats.delta_hits += 1;
-        state.stats.invalidations += n_stale as u64;
-        telemetry::counter!("qens_cache_hits_total").add(1);
-        if n_stale > 0 {
-            telemetry::counter!("qens_cache_invalidations_total").add(n_stale as u64);
-            telemetry::journal::cache_invalidated(ctx.query.id(), n_stale as u64);
-        }
-        telemetry::trace::instant(
-            "selection.cache_hit",
-            &[
-                ("delta_dims", changed_dims.len() as u64),
-                ("stale_nodes", n_stale as u64),
-            ],
-        );
+        let selection = match &self.path {
+            Path::Scan(scan) => scan.select_with_pool(ctx, pool),
+            Path::Index(indexed) => indexed.select_with_pool(ctx, pool),
+        };
+        self.insert(key, selection.clone());
         selection
     }
 
-    /// Full scoring of the whole network: the uncached kernel, but
-    /// recording the per-dimension ratio tables alongside.
-    fn score_all(
-        &self,
-        ctx: &SelectionContext<'_>,
-        pool: &ThreadPool,
-    ) -> (Vec<NodeScores>, Vec<Option<Participant>>) {
-        let scored: Vec<(NodeScores, Option<Participant>)> =
-            pool.map_indexed(ctx.network.nodes(), NODE_CHUNK, |_, node| {
-                self.score_one(node, ctx.query)
-            });
-        scored.into_iter().unzip()
-    }
-
-    /// Indexed variant of [`CachedQueryDriven::score_all`]: candidates
-    /// are scored exactly like the plain path; every pruned node gets a
-    /// synthesised table with all-zero per-dimension ratios — the exact
-    /// bits [`CachedQueryDriven::score_one`] would have produced, since
-    /// a pruned node's every cluster is disjoint from the query in
-    /// every dimension — so later delta/invalidation passes over the
-    /// entry behave identically to a full-kernel miss.
-    fn score_all_indexed(
-        &self,
-        ctx: &SelectionContext<'_>,
-        pool: &ThreadPool,
-        index: &SelectionIndex,
-    ) -> (Vec<NodeScores>, Vec<Option<Participant>>) {
-        let nodes = ctx.network.nodes();
-        let candidates = index.candidates(ctx.network, ctx.query, pool);
-        let mut is_candidate = vec![false; nodes.len()];
-        for &i in &candidates {
-            is_candidate[i as usize] = true;
+    /// The memoised answer for `key` on the fleet as it is now, counted
+    /// as a hit or a miss. Drops the table first if the fleet drifted.
+    fn lookup(&self, ctx: &SelectionContext<'_>, key: &[u64]) -> Option<Selection> {
+        let mut memo = self.state.lock().expect("cache lock poisoned");
+        let moved = memo.seen.refresh(ctx.network) as u64;
+        // An empty table has nothing to invalidate (the first lookup
+        // ever sees the whole fleet as new).
+        if moved > 0 && !memo.answers.is_empty() {
+            memo.answers.clear();
+            memo.order.clear();
+            memo.stats.invalidations += moved;
+            telemetry::counter!("qens_cache_invalidations_total").add(moved);
+            telemetry::gauge!("qens_cache_entries").set(0.0);
+            telemetry::journal::cache_invalidated(ctx.query.id(), moved);
         }
-        let dim = ctx.query.dim();
-        let scored: Vec<(NodeScores, Option<Participant>)> =
-            pool.map_indexed(nodes, NODE_CHUNK, |i, node| {
-                if is_candidate[i] {
-                    self.score_one(node, ctx.query)
-                } else {
-                    let table = NodeScores {
-                        node: node.id(),
-                        epoch: node.summary_epoch(),
-                        clusters: node
-                            .summaries()
-                            .iter()
-                            .map(|s| ClusterScores {
-                                cluster_id: s.cluster_id,
-                                size: s.size,
-                                ratios: vec![0.0; dim],
-                            })
-                            .collect(),
-                    };
-                    (table, None)
-                }
-            });
-        scored.into_iter().unzip()
-    }
-
-    /// Scores one node from scratch, returning its ratio table and
-    /// participant entry. Mirrors [`QueryDriven::score_node`] — same
-    /// quantisation guard, same per-dimension ratios in the same order —
-    /// with the table as a by-product.
-    fn score_one(
-        &self,
-        node: &edgesim::EdgeNode,
-        query: &geom::Query,
-    ) -> (NodeScores, Option<Participant>) {
-        assert!(
-            node.is_quantized(),
-            "node {} has no cluster summaries; call EdgeNetwork::quantize_all first",
-            node.id()
-        );
-        let _trace_score = telemetry::trace::wall_span_args(
-            "selection.score_node",
-            &[("node", node.id().0 as u64)],
-        );
-        let rect = query.region();
-        let dim = rect.dim();
-        let clusters: Vec<ClusterScores> = node
-            .summaries()
-            .iter()
-            .map(|s| ClusterScores {
-                cluster_id: s.cluster_id,
-                size: s.size,
-                ratios: (0..dim)
-                    .map(|d| rect.interval(d).overlap_ratio(s.rect.interval(d)))
-                    .collect(),
-            })
-            .collect();
-        telemetry::counter!("qens_selection_overlap_evals_total").add(clusters.len() as u64);
-        let table = NodeScores {
-            node: node.id(),
-            epoch: node.summary_epoch(),
-            clusters,
-        };
-        let participant = self.rank_table(node.id(), &table);
-        (table, participant)
-    }
-
-    /// Eq. 2–4 from a ratio table: per-cluster `h_ik` is the mean of the
-    /// per-dimension ratios accumulated in dimension order — the exact
-    /// summation [`geom::HyperRect::overlap_rate`] performs — then the
-    /// shared [`QueryDriven::rank_clusters`] filter/sort/rank runs.
-    fn rank_table(&self, node: NodeId, table: &NodeScores) -> Option<Participant> {
-        let (ranking, supporting) = self.inner.rank_clusters(
-            table.clusters.len(),
-            table.clusters.iter().map(|c| {
-                let h = c.ratios.iter().sum::<f64>() / c.ratios.len() as f64;
-                (c.cluster_id, c.size, h)
-            }),
-        );
-        self.inner.participant_for(node, ranking, supporting)
-    }
-
-    /// Installs (or replaces) an entry, evicting FIFO at capacity.
-    fn insert(
-        &self,
-        state: &mut CacheState,
-        key: u64,
-        bounds: Vec<f64>,
-        nodes: Vec<NodeScores>,
-        selection: Selection,
-    ) {
-        if state
-            .entries
-            .insert(
-                key,
-                CacheEntry {
-                    bounds,
-                    nodes,
-                    selection,
-                },
-            )
-            .is_none()
-        {
-            state.order.push_back(key);
-            state.stats.entries += 1;
-            telemetry::counter!("qens_cache_entries_total").add(1);
+        let answer = memo.answers.get(key).cloned();
+        if answer.is_some() {
+            memo.stats.hits += 1;
+            telemetry::counter!("qens_cache_hits_total").add(1);
+            telemetry::trace::instant("selection.cache_hit", &[]);
+        } else {
+            memo.stats.misses += 1;
+            telemetry::counter!("qens_cache_misses_total").add(1);
+            telemetry::trace::instant("selection.cache_miss", &[]);
         }
-        while state.entries.len() > self.config.capacity {
-            let Some(oldest) = state.order.pop_front() else {
-                break;
-            };
-            state.entries.remove(&oldest);
-            state.stats.evictions += 1;
+        answer
+    }
+
+    /// Stores an answer, evicting FIFO at capacity. Two selects that
+    /// missed on the same rectangle side by side both arrive here with
+    /// the same answer; the second changes nothing.
+    fn insert(&self, key: Key, selection: Selection) {
+        let mut memo = self.state.lock().expect("cache lock poisoned");
+        if memo.answers.insert(key.clone(), selection).is_some() {
+            return;
         }
-        telemetry::gauge!("qens_cache_entries").set(state.entries.len() as f64);
+        memo.order.push_back(key);
+        memo.stats.entries += 1;
+        telemetry::counter!("qens_cache_entries_total").add(1);
+        if memo.order.len() > self.config.capacity {
+            let oldest = memo.order.pop_front().expect("order is non-empty");
+            memo.answers.remove(&oldest);
+            memo.stats.evictions += 1;
+        }
+        telemetry::gauge!("qens_cache_entries").set(memo.answers.len() as f64);
     }
 }
 
 impl SelectionPolicy for CachedQueryDriven {
-    /// Same display name as the wrapped policy: the cache changes *how*
-    /// a selection is computed, never *what* is selected, so result
+    /// Same display name as the wrapped policy: the memo changes *how*
+    /// a selection is obtained, never *what* is selected, so result
     /// tables must not fork on it.
     fn name(&self) -> &'static str {
-        self.inner.name()
+        self.inner().name()
     }
 
     fn select(&self, ctx: &SelectionContext<'_>) -> Selection {
@@ -579,7 +297,7 @@ impl SelectionPolicy for CachedQueryDriven {
     }
 
     fn overhead(&self, ctx: &SelectionContext<'_>) -> SelectionOverhead {
-        self.inner.overhead(ctx)
+        self.inner().overhead(ctx)
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
@@ -590,7 +308,7 @@ impl SelectionPolicy for CachedQueryDriven {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgesim::EdgeNetwork;
+    use edgesim::{EdgeNetwork, NodeId};
     use geom::Query;
     use linalg::Matrix;
     use mlkit::DenseDataset;
@@ -601,12 +319,11 @@ mod tests {
         DenseDataset::new(Matrix::from_rows(&rows), y)
     }
 
-    fn network() -> EdgeNetwork {
-        let mut net = EdgeNetwork::from_datasets(vec![
-            ("near".into(), node_dataset(0.0)),
-            ("mid".into(), node_dataset(10.0)),
-            ("far".into(), node_dataset(100.0)),
-        ]);
+    fn network(n: usize) -> EdgeNetwork {
+        let datasets = (0..n)
+            .map(|i| (format!("n{i}"), node_dataset(i as f64 * 10.0)))
+            .collect();
+        let mut net = EdgeNetwork::from_datasets(datasets);
         net.quantize_all(3, 5);
         net
     }
@@ -628,7 +345,7 @@ mod tests {
 
     #[test]
     fn exact_repeat_hits_and_matches_uncached() {
-        let net = network();
+        let net = network(3);
         let plain = QueryDriven::top_l(3);
         let cached = CachedQueryDriven::with_defaults(plain.clone());
         let query = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 15.0]);
@@ -641,79 +358,67 @@ mod tests {
         let stats = cached.stats();
         assert_eq!((stats.misses, stats.hits, stats.delta_hits), (1, 1, 0));
         assert_eq!(cached.len(), 1);
+        // One ulp off is another rectangle: the path runs again.
+        let nudged =
+            Query::from_boundary_vec(1, &[0.0, f64::from_bits(15.0f64.to_bits() + 1), 0.0, 15.0]);
+        let ctx = SelectionContext::new(&net, &nudged);
+        assert_bitwise_eq(&plain.select(&ctx), &cached.select(&ctx));
+        assert_eq!((cached.stats().misses, cached.len()), (2, 2));
     }
 
     #[test]
-    fn drifted_query_delta_rescored_bitwise_equal() {
-        let net = network();
-        let plain = QueryDriven::top_l(3);
-        // Huge buckets: every drift below lands in the same entry.
-        let cached = CachedQueryDriven::new(
-            plain.clone(),
-            CacheConfig {
-                bucket_width: 1000.0,
-                capacity: 8,
-            },
-        );
-        // Drift one dimension, then both, re-checking bit-identity.
-        let steps = [
-            [0.0, 15.0, 0.0, 15.0],
-            [0.2, 15.2, 0.0, 15.0], // dim 0 moved
-            [0.2, 15.2, 0.3, 14.8], // dim 1 moved
-            [0.9, 16.0, 0.5, 15.5], // both moved
-        ];
-        for (i, b) in steps.iter().enumerate() {
-            let query = Query::from_boundary_vec(i as u64, b);
-            let ctx = SelectionContext::new(&net, &query);
-            assert_bitwise_eq(&plain.select(&ctx), &cached.select(&ctx));
-        }
-        let stats = cached.stats();
-        assert_eq!(stats.misses, 1, "only the first query misses");
-        assert_eq!(stats.hits, 3);
-        assert_eq!(stats.delta_hits, 3);
-        assert_eq!(stats.invalidations, 0);
-        assert!(stats.hit_rate() > 0.7);
-    }
-
-    #[test]
-    fn absorb_invalidates_only_the_changed_node() {
-        let mut net = network();
+    fn absorb_drops_the_table_and_counts_the_changed_node() {
+        let mut net = network(3);
         let plain = QueryDriven::top_l(3);
         let cached = CachedQueryDriven::with_defaults(plain.clone());
-        let query = Query::from_boundary_vec(0, &[0.0, 25.0, 0.0, 25.0]);
-        cached.select(&SelectionContext::new(&net, &query));
+        let near = Query::from_boundary_vec(0, &[0.0, 25.0, 0.0, 25.0]);
+        let far = Query::from_boundary_vec(1, &[15.0, 30.0, 15.0, 30.0]);
+        cached.select(&SelectionContext::new(&net, &near));
+        cached.select(&SelectionContext::new(&net, &far));
         // New samples shift node 1's summaries once re-quantised.
         let extra = DenseDataset::new(Matrix::from_rows(&[vec![5.0], vec![6.0]]), vec![5.0, 6.0]);
         net.node_mut(NodeId(1)).absorb(&extra);
         net.node_mut(NodeId(1)).quantize(3, 5);
-        let ctx = SelectionContext::new(&net, &query);
+        let ctx = SelectionContext::new(&net, &near);
         assert_bitwise_eq(&plain.select(&ctx), &cached.select(&ctx));
         let stats = cached.stats();
-        assert_eq!(stats.invalidations, 1, "exactly node 1 was re-scored");
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.invalidations, 1, "one node's summaries moved");
+        assert_eq!((stats.misses, stats.hits), (3, 0));
+        assert_eq!(cached.len(), 1, "both old answers went, the new one is in");
+        // The drift was seen once: the replay hits.
+        assert_bitwise_eq(&plain.select(&ctx), &cached.select(&ctx));
+        let stats = cached.stats();
+        assert_eq!((stats.invalidations, stats.hits), (1, 1));
     }
 
     #[test]
     fn capacity_evicts_fifo() {
-        let net = network();
+        let net = network(3);
         let cached = CachedQueryDriven::new(
             QueryDriven::top_l(3),
             CacheConfig {
-                bucket_width: 0.001, // every query its own bucket
                 capacity: 2,
+                ..CacheConfig::default()
             },
         );
-        for i in 0..5u64 {
+        let query = |i: u64| {
             let off = i as f64 * 10.0;
-            let query = Query::from_boundary_vec(i, &[off, off + 5.0, off, off + 5.0]);
-            cached.select(&SelectionContext::new(&net, &query));
+            Query::from_boundary_vec(i, &[off, off + 5.0, off, off + 5.0])
+        };
+        for i in 0..5 {
+            cached.select(&SelectionContext::new(&net, &query(i)));
         }
         assert_eq!(cached.len(), 2);
         let stats = cached.stats();
         assert_eq!(stats.entries, 5);
         assert_eq!(stats.evictions, 3);
         assert_eq!(stats.misses, 5);
+        // The two youngest stayed, the oldest went first.
+        cached.select(&SelectionContext::new(&net, &query(4)));
+        cached.select(&SelectionContext::new(&net, &query(3)));
+        assert_eq!(cached.stats().hits, 2);
+        cached.select(&SelectionContext::new(&net, &query(2)));
+        assert_eq!(cached.stats().misses, 6);
     }
 
     #[test]
@@ -750,7 +455,7 @@ mod tests {
 
     #[test]
     fn clear_drops_entries_but_keeps_counters() {
-        let net = network();
+        let net = network(3);
         let cached = CachedQueryDriven::with_defaults(QueryDriven::top_l(3));
         let query = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 15.0]);
         cached.select(&SelectionContext::new(&net, &query));
@@ -760,5 +465,55 @@ mod tests {
         assert_eq!(cached.stats().misses, 1);
         cached.select(&SelectionContext::new(&net, &query));
         assert_eq!(cached.stats().misses, 2);
+    }
+
+    /// The lock covers the lookup and the insert, never the path: four
+    /// threads on one memoised, indexed policy, half their queries
+    /// bit-exact repeats of what another thread asks too.
+    #[test]
+    fn concurrent_selects_share_one_memo_and_agree_with_the_scan() {
+        let net = network(40);
+        let plain = QueryDriven::top_l(5);
+        let cached = CachedQueryDriven::with_index(
+            plain.clone(),
+            CacheConfig::default(),
+            GridConfig {
+                domain_size: 4,
+                cells_per_dim: 0,
+            },
+        );
+        let pool = ThreadPool::new(2);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (net, plain, cached, pool, start) = (&net, &plain, &cached, &pool, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..50u64 {
+                        // Even steps walk eight rectangles every thread
+                        // shares; odd steps are this thread's own.
+                        let off = if i % 2 == 0 {
+                            (i % 16) as f64 * 11.0
+                        } else {
+                            (t * 50 + i) as f64 * 1.75
+                        };
+                        let q = Query::from_boundary_vec(i, &[off, off + 20.0, off, off + 20.0]);
+                        let ctx = SelectionContext::new(net, &q);
+                        let want = crate::reference::select(net, &q, plain.epsilon, plain.cap);
+                        assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, pool));
+                        assert_bitwise_eq(&want, &cached.select_with_pool(&ctx, pool));
+                    }
+                });
+            }
+        });
+        let stats = cached.stats();
+        assert_eq!(stats.hits + stats.misses, 200, "{stats:?}");
+        // Each thread asks each shared rectangle at least three times
+        // and can miss it once at most.
+        assert!(stats.hits >= 4 * 8 * 2, "{stats:?}");
+        assert_eq!(stats.entries, 8 + 100, "one entry per distinct rectangle");
+        let index = cached.index_stats().expect("built with an index");
+        assert_eq!(index.rebuilds, 1);
+        assert_eq!(index.probes, stats.misses, "only misses reach the index");
     }
 }

@@ -34,10 +34,8 @@
 //! index, so whatever makes the index stale drops it too. Nothing is
 //! gathered up front: building the whole table with the index costs a
 //! fleet-wide walk plus 124 MB of fresh pages at 1M nodes × 3
-//! clusters (0.2–0.5 s, measured), a select only needs the few per cent of domains its
-//! query survives in, and
-//! [`crate::cache::CachedQueryDriven::with_index`], which only ever
-//! asks for candidate ids, needs none.
+//! clusters (0.2–0.5 s, measured), and a select only needs the few per
+//! cent of domains its query survives in.
 //!
 //! # Why the results are bit-identical
 //!
@@ -78,7 +76,8 @@
 //!
 //! # Staleness
 //!
-//! The built index snapshots every node's
+//! The index keeps the fleet's epochs as of its build (`FleetEpochs`,
+//! the check the selection memo shares): every node's
 //! [`edgesim::EdgeNode::summary_epoch`] and the network's
 //! [`edgesim::EdgeNetwork::membership_epoch`]; any drift on the next
 //! probe triggers a deterministic bulk rebuild (counted in
@@ -96,13 +95,13 @@ use geom::index::{GridConfig, Probe, SpatialIndex, SpatialIndexBuilder};
 use geom::Interval;
 use par::ThreadPool;
 
+use crate::epochs::FleetEpochs;
 use crate::policy::{Participant, Selection, SelectionContext, SelectionOverhead, SelectionPolicy};
 use crate::query_driven::QueryDriven;
 
-/// Surviving domains per pool task, for the id-only verify and for the
-/// fused verify-and-score alike. Fixed (worker-count independent), so
-/// what each task produces does not depend on the pool.
-pub(crate) const DOMAIN_CHUNK: usize = 4;
+/// Surviving domains per pool task. Fixed (worker-count independent),
+/// so what each task produces does not depend on the pool.
+const DOMAIN_CHUNK: usize = 4;
 
 /// Monotonic index counters, mirrored into the global telemetry registry
 /// as `qens_index_*`.
@@ -203,37 +202,29 @@ impl DomainClusters {
     }
 }
 
-/// The index plus the epochs it was built against.
+/// The index and the cluster table gathered over it.
 #[derive(Debug)]
 struct BuiltIndex {
     index: SpatialIndex,
     /// The cluster table, one cell per domain, each filled by the first
     /// fused select that verifies the domain.
     clusters: Vec<OnceLock<DomainClusters>>,
-    /// Per-node summary epochs at build time, in node order.
-    epochs: Vec<u64>,
-    /// Network membership epoch at build time.
-    membership: u64,
 }
 
 impl BuiltIndex {
     /// Bulk build over the nodes' summary hulls.
-    fn new(nodes: &[EdgeNode], dims: usize, membership: u64, config: GridConfig) -> Self {
+    fn new(nodes: &[EdgeNode], dims: usize, config: GridConfig) -> Self {
         let mut builder = SpatialIndexBuilder::with_capacity(dims, nodes.len());
-        let mut epochs = Vec::with_capacity(nodes.len());
         for node in nodes {
             // summary_rects carries the same "call quantize_all first"
             // guidance as direct scoring, so the indexed path cannot
             // mask an unquantised node.
             builder.push_hull(node.summary_rects());
-            epochs.push(node.summary_epoch());
         }
         let index = builder.build(config);
         Self {
             clusters: (0..index.n_domains()).map(|_| OnceLock::new()).collect(),
             index,
-            epochs,
-            membership,
         }
     }
 }
@@ -241,90 +232,68 @@ impl BuiltIndex {
 #[derive(Debug, Default)]
 struct IndexState {
     built: Option<Arc<BuiltIndex>>,
-    /// Last [`EdgeNetwork::mutation_epoch`] `built` was verified
-    /// against. While the network's counter still matches, no
-    /// `&mut EdgeNode` was handed out since, so the `O(N)` per-node
-    /// epoch walk is provably redundant — at fleet scale that walk
-    /// streams the whole node vector and would dominate the probe
-    /// itself.
-    mutation: u64,
+    /// The fleet as of `built`.
+    seen: FleetEpochs,
     stats: IndexStats,
 }
 
-/// A lazily-(re)built spatial index over one network's summary hulls.
+/// [`QueryDriven`] behind spatial-index candidate generation: identical
+/// selections — participants, rankings, supporting clusters, standby —
+/// at a fraction of the scoring work on large fleets. See the module
+/// docs for the bit-identity argument.
 ///
-/// Shared by [`IndexedQueryDriven`] and the selection cache's indexed
-/// miss path ([`crate::cache::CachedQueryDriven::with_index`]); one
-/// instance indexes one network, with staleness detected through the
-/// summary/membership epochs (feeding contexts over unrelated networks
-/// of the same shape is the same caveat the selection cache documents).
+/// The index is built lazily and rebuilt when the fleet drifts; one
+/// instance indexes one network (feeding it contexts over unrelated
+/// networks of the same shape is the same caveat the selection memo
+/// documents).
 #[derive(Debug)]
-pub struct SelectionIndex {
+pub struct IndexedQueryDriven {
+    inner: QueryDriven,
     config: GridConfig,
     state: Mutex<IndexState>,
 }
 
-impl SelectionIndex {
-    /// An empty index that bulk-builds on first use.
-    pub fn new(config: GridConfig) -> Self {
+impl IndexedQueryDriven {
+    /// Wraps a policy with an index under the given grid configuration;
+    /// the index bulk-builds on first use.
+    pub fn new(inner: QueryDriven, config: GridConfig) -> Self {
         Self {
+            inner,
             config,
             state: Mutex::new(IndexState::default()),
         }
     }
 
-    /// [`SelectionIndex::new`] with [`GridConfig::default`].
-    pub fn with_defaults() -> Self {
-        Self::new(GridConfig::default())
+    /// Wraps with [`GridConfig::default`].
+    pub fn with_defaults(inner: QueryDriven) -> Self {
+        Self::new(inner, GridConfig::default())
+    }
+
+    /// The wrapped policy.
+    pub fn inner(&self) -> &QueryDriven {
+        &self.inner
     }
 
     /// A snapshot of the index counters.
-    pub fn stats(&self) -> IndexStats {
+    pub fn index_stats(&self) -> IndexStats {
         self.state.lock().expect("index lock poisoned").stats
     }
 
     /// The build that is current for `network`, rebuilt first when any
     /// epoch drifted. The lock covers this check and nothing after it.
     fn current(&self, network: &EdgeNetwork, dims: usize) -> Arc<BuiltIndex> {
-        let nodes = network.nodes();
         let mut state = self.state.lock().expect("index lock poisoned");
-        let fresh = state.built.as_ref().filter(|b| {
-            if b.membership != network.membership_epoch() {
-                return false;
-            }
-            // O(1) fast path: no `&mut EdgeNode` was handed out since
-            // the last verification, so no summary epoch can have moved.
-            state.mutation == network.mutation_epoch()
-                || (b.epochs.len() == nodes.len()
-                    && b.epochs
-                        .iter()
-                        .zip(nodes)
-                        .all(|(e, n)| *e == n.summary_epoch()))
-        });
-        let built = match fresh {
-            Some(built) => Arc::clone(built),
-            None => {
-                let span = telemetry::span!("qens_index_build_nanos");
-                let built = Arc::new(BuiltIndex::new(
-                    nodes,
-                    dims,
-                    network.membership_epoch(),
-                    self.config,
-                ));
-                state.built = Some(Arc::clone(&built));
-                state.stats.rebuilds += 1;
-                telemetry::counter!("qens_index_rebuilds_total").add(1);
-                telemetry::trace::instant(
-                    "selection.index_rebuild",
-                    &[("nodes", nodes.len() as u64)],
-                );
-                drop(span);
-                built
-            }
-        };
-        // Fresh either way: a `&mut` that changed no summary re-arms the
-        // fast path here instead of re-walking the fleet on every probe.
-        state.mutation = network.mutation_epoch();
+        let moved = state.seen.refresh(network);
+        if let Some(built) = state.built.as_ref().filter(|_| moved == 0) {
+            return Arc::clone(built);
+        }
+        let _span = telemetry::span!("qens_index_build_nanos");
+        let nodes = network.nodes();
+        let built = Arc::new(BuiltIndex::new(nodes, dims, self.config));
+        state.built = Some(Arc::clone(&built));
+        state.stats.rebuilds += 1;
+        telemetry::counter!("qens_index_rebuilds_total").add(1);
+        telemetry::trace::instant("selection.index_rebuild", &[("nodes", nodes.len() as u64)]);
         built
     }
 
@@ -350,81 +319,14 @@ impl SelectionIndex {
         );
     }
 
-    /// Candidate node ids (ascending) for a query: every node whose
-    /// summary hull intersects the query in at least one dimension.
-    /// The per-domain verify fans out over `pool` on fixed chunks, so
-    /// the list is bit-identical at any worker count.
-    pub(crate) fn candidates(
-        &self,
-        network: &EdgeNetwork,
-        query: &geom::Query,
-        pool: &ThreadPool,
-    ) -> Vec<u32> {
-        let built = self.current(network, query.dim());
-        let probe = built.index.probe(query.region());
-        let mut candidates: Vec<u32> = pool
-            .map_chunks(probe.domains.len(), DOMAIN_CHUNK, |chunk| {
-                let mut out = Vec::new();
-                for &domain in &probe.domains[chunk] {
-                    built
-                        .index
-                        .verify_domain(domain, &probe.q_lo, &probe.q_hi, &mut out);
-                }
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        // Domains hold Morton-ordered slots; the cache's per-node
-        // tables are in node order.
-        candidates.sort_unstable();
-        self.record_probe(&probe, candidates.len() as u64);
-        candidates
-    }
-
     /// Records an `ε <= 0` full-scan fallback.
-    pub(crate) fn record_fallback(&self) {
+    fn record_fallback(&self) {
         self.state
             .lock()
             .expect("index lock poisoned")
             .stats
             .fallbacks += 1;
         telemetry::counter!("qens_index_fallbacks_total").add(1);
-    }
-}
-
-/// [`QueryDriven`] behind spatial-index candidate generation: identical
-/// selections — participants, rankings, supporting clusters, standby —
-/// at a fraction of the scoring work on large fleets. See the module
-/// docs for the bit-identity argument.
-#[derive(Debug)]
-pub struct IndexedQueryDriven {
-    inner: QueryDriven,
-    index: SelectionIndex,
-}
-
-impl IndexedQueryDriven {
-    /// Wraps a policy with an index under the given grid configuration.
-    pub fn new(inner: QueryDriven, config: GridConfig) -> Self {
-        Self {
-            inner,
-            index: SelectionIndex::new(config),
-        }
-    }
-
-    /// Wraps with [`GridConfig::default`].
-    pub fn with_defaults(inner: QueryDriven) -> Self {
-        Self::new(inner, GridConfig::default())
-    }
-
-    /// The wrapped policy.
-    pub fn inner(&self) -> &QueryDriven {
-        &self.inner
-    }
-
-    /// A snapshot of the index counters.
-    pub fn index_stats(&self) -> IndexStats {
-        self.index.stats()
     }
 
     /// [`SelectionPolicy::select`] on an explicit pool handle: probe,
@@ -436,7 +338,7 @@ impl IndexedQueryDriven {
             // `h >= ε` filter, so pruned nodes could legitimately be
             // participants: index pruning would change the result.
             // Delegate wholesale (spans/traces included) to the scan.
-            self.index.record_fallback();
+            self.record_fallback();
             return self.inner.select_with_pool(ctx, pool);
         }
         let _span = telemetry::span!("qens_selection_select_nanos");
@@ -445,7 +347,7 @@ impl IndexedQueryDriven {
             "selection.select_indexed",
             &[("nodes", nodes.len() as u64)],
         );
-        let built = self.index.current(ctx.network, ctx.query.dim());
+        let built = self.current(ctx.network, ctx.query.dim());
         let ids = built.index.slot_ids();
         let region = ctx.query.region();
         let probe = built.index.probe(region);
@@ -482,7 +384,7 @@ impl IndexedQueryDriven {
                 telemetry::counter!("qens_selection_overlap_evals_total").add(evals);
                 (supporting_nodes, candidates)
             });
-        self.index.record_probe(
+        self.record_probe(
             &probe,
             chunks.iter().map(|(_, candidates)| candidates).sum(),
         );
@@ -629,29 +531,21 @@ mod tests {
             cells_per_dim: 0,
         };
         let q = Query::from_boundary_vec(0, &[0.0, 30.0, 0.0, 30.0]);
-        let gathered = |index: &SelectionIndex| {
-            let state = index.state.lock().unwrap();
+        let gathered = |indexed: &IndexedQueryDriven| {
+            let state = indexed.state.lock().unwrap();
             let built = state.built.as_ref().unwrap();
             built.clusters.iter().filter(|c| c.get().is_some()).count()
         };
-        // The cache's miss path asks for candidate ids and nothing else.
-        let index = SelectionIndex::new(grid);
-        index.candidates(&net, &q, &ThreadPool::new(2));
-        assert_eq!(
-            gathered(&index),
-            0,
-            "candidates() must not pay for the table"
-        );
         let indexed = IndexedQueryDriven::new(QueryDriven::top_l(3), grid);
         indexed.select(&SelectionContext::new(&net, &q));
-        let after_one = gathered(&indexed.index);
+        let after_one = gathered(&indexed);
         assert!(
             (1..10).contains(&after_one),
             "a narrow query gathers its own domains only, got {after_one}"
         );
         // The same query again gathers nothing.
         indexed.select(&SelectionContext::new(&net, &q));
-        assert_eq!(gathered(&indexed.index), after_one);
+        assert_eq!(gathered(&indexed), after_one);
     }
 
     #[test]

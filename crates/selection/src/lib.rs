@@ -23,30 +23,33 @@
 //! [`Selection`] structure, so the distributed-learning loop is policy
 //! agnostic.
 //!
-//! [`CachedQueryDriven`] wraps the paper's policy in a selection cache
-//! (quantized-query hashing, per-node epoch invalidation, delta
-//! re-scoring) that returns bit-identical selections at a fraction of
-//! the scoring work on repetitive query streams — see [`cache`].
-
-//! [`IndexedQueryDriven`] instead prunes *candidate generation*: a
+//! [`IndexedQueryDriven`] prunes *candidate generation*: a
 //! deterministic two-level spatial index over per-node summary hulls
 //! ([`geom::index`]) feeds only the nodes that can possibly score into
-//! the unchanged kernel — sublinear selection at fleet scale, bit-
-//! identical to the full scan — see [`indexed`]. The two compose:
-//! [`CachedQueryDriven::with_index`] routes cache misses through the
-//! index.
+//! the Eq. 2–4 kernel — sublinear selection at fleet scale, bit-
+//! identical to the full scan — see [`indexed`].
+//!
+//! [`CachedQueryDriven`] puts a memo of answers in front of either
+//! path: a bit-exact repeat of a rectangle on an unchanged fleet gets
+//! the stored [`Selection`] back, everything else runs the path — see
+//! [`cache`].
+//!
+//! [`reference`] is Eq. 2–5 written out naively, the oracle the tests
+//! compare all of the above against.
 
 pub mod baselines;
 pub mod cache;
+mod epochs;
 pub mod indexed;
 pub mod literature;
 pub mod policy;
 pub mod query_driven;
+pub mod reference;
 
 pub use baselines::{AllNodes, GameTheory, RandomSelection};
 pub use cache::{quantized_key, CacheConfig, CacheStats, CachedQueryDriven};
 pub use geom::index::GridConfig;
-pub use indexed::{IndexStats, IndexedQueryDriven, SelectionIndex};
+pub use indexed::{IndexStats, IndexedQueryDriven};
 pub use literature::{DataCentric, FairStochastic};
 pub use policy::{
     Participant, Selection, SelectionContext, SelectionOverhead, SelectionPolicy,

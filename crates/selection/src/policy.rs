@@ -153,10 +153,10 @@ pub trait SelectionPolicy {
         SelectionOverhead::default()
     }
 
-    /// Cache counters, for policies backed by a selection cache
+    /// Memo counters, for policies behind a selection memo
     /// ([`crate::cache::CachedQueryDriven`]). `None` — the default — for
-    /// uncached policies; the federation stream surfaces a snapshot in
-    /// its result when present.
+    /// the rest; the federation stream surfaces a snapshot in its
+    /// result when present.
     fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
         None
     }

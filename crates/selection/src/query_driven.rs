@@ -7,9 +7,8 @@ use crate::policy::{Participant, Selection, SelectionContext, SelectionPolicy, S
 /// Nodes per pool task when scoring a network. Fixed (independent of the
 /// worker count) so the scored list is identical for any pool; small
 /// because per-node scoring is `O(K·d)` — a few nodes amortise the task
-/// dispatch without starving wide pools on mid-sized networks. Shared
-/// with [`crate::cache`] so cached re-scoring chunks identically.
-pub(crate) const NODE_CHUNK: usize = 8;
+/// dispatch without starving wide pools on mid-sized networks.
+const NODE_CHUNK: usize = 8;
 
 /// How the ranked list is cut down to the participant set (Eq. 5 and the
 /// top-ℓ alternative the paper describes alongside it).
@@ -112,9 +111,9 @@ impl QueryDriven {
     /// `(cluster_id, size, h_ik)`: the ε filter, the overlap-descending
     /// sort, the potential sum (in sorted order) and the ranking rule.
     ///
-    /// Shared by [`QueryDriven::score_node`] and the selection cache's
-    /// delta re-scoring path ([`crate::cache`]) so both produce
-    /// bit-identical `(ranking, supporting)` from identical overlaps.
+    /// Shared by [`QueryDriven::score_node`] and the fused index path
+    /// ([`crate::indexed`]) so both produce bit-identical
+    /// `(ranking, supporting)` from identical overlaps.
     ///
     /// Non-finite overlaps are defensively skipped (and counted via
     /// `qens_selection_nonfinite_scores_total`) instead of reaching the
@@ -165,8 +164,9 @@ impl QueryDriven {
     }
 
     /// Builds the [`Participant`] entry for a scored node, or `None` when
-    /// the node does not support the query. Shared with [`crate::cache`]
-    /// so the cached path keeps the exact participation predicate.
+    /// the node does not support the query. Shared with
+    /// [`crate::indexed`] so the fused path keeps the exact
+    /// participation predicate.
     pub(crate) fn participant_for(
         &self,
         node: edgesim::NodeId,
@@ -206,10 +206,9 @@ impl QueryDriven {
     /// The leader-serial ranking phase: collects the supporting nodes'
     /// entries (in whatever order the caller scored them), sorts
     /// best-ranked first and applies the cap. Shared with
-    /// [`crate::cache`] and [`crate::indexed`], which feed it
-    /// participants rebuilt from cached ratios or scored off the
+    /// [`crate::indexed`], which feeds it participants scored off the
     /// index's cluster table — going through the identical sort and
-    /// split is what makes their selections bit-identical to the scan's.
+    /// split is what makes its selections bit-identical to the scan's.
     ///
     /// The sort key is total: [`QueryDriven::participant_for`] only
     /// lets strictly positive rankings through (so `total_cmp` orders

@@ -1,0 +1,92 @@
+//! Eq. 2–5 of the paper written out naively: the oracle every fast
+//! path (scan, index, memo, pool) is tested against. One loop, no pool,
+//! no telemetry, and deliberately no helper shared with [`QueryDriven`]
+//! or `geom`'s overlap code — if this file and a fast path disagree,
+//! read this file against §III-C first.
+//!
+//! [`QueryDriven`]: crate::QueryDriven
+
+use edgesim::EdgeNetwork;
+use geom::Query;
+
+use crate::policy::{Participant, Selection, SupportingCluster};
+use crate::query_driven::SelectionCap;
+
+/// The five overlap cases of Fig. 3–4 on one dimension. A zero-width
+/// interval overlaps by membership (1 inside or touching, else 0)
+/// rather than by measure, which would be 0/0.
+fn overlap_1d(q_lo: f64, q_hi: f64, k_lo: f64, k_hi: f64) -> f64 {
+    let disjoint = q_hi < k_lo || k_hi < q_lo;
+    if q_hi - q_lo == 0.0 || k_hi - k_lo == 0.0 {
+        return if disjoint { 0.0 } else { 1.0 };
+    }
+    if disjoint {
+        0.0
+    } else if k_lo <= q_lo && q_hi <= k_hi {
+        (q_hi - q_lo) / (k_hi - k_lo) // query inside cluster
+    } else if q_lo <= k_lo && k_hi <= q_hi {
+        (k_hi - k_lo) / (q_hi - q_lo) // cluster inside query
+    } else if q_lo >= k_lo {
+        (k_hi - q_lo) / (q_hi - k_lo) // query sticks out above
+    } else {
+        (q_hi - k_lo) / (k_hi - q_lo) // query sticks out below
+    }
+}
+
+/// The paper's selection for one query: `h_ik` per cluster (Eq. 2),
+/// supporting clusters `h_ik ≥ ε`, potential `p_i` (Eq. 3), ranking
+/// `r_i = p_i · K′/K` (Eq. 4), then the top-ℓ or `r_i ≥ ψ` cut (Eq. 5)
+/// with equal rankings ordered by node id.
+pub fn select(network: &EdgeNetwork, query: &Query, epsilon: f64, cap: SelectionCap) -> Selection {
+    let q = query.region().to_boundary_vec();
+    let dims = q.len() / 2;
+    let mut ranked = Vec::new();
+    for node in network.nodes() {
+        let mut supporting = Vec::new();
+        for cluster in node.summaries() {
+            let k = cluster.rect.to_boundary_vec();
+            let mut sum = 0.0;
+            for d in 0..dims {
+                sum += overlap_1d(q[2 * d], q[2 * d + 1], k[2 * d], k[2 * d + 1]);
+            }
+            let overlap = sum / dims as f64;
+            if overlap >= epsilon {
+                supporting.push(SupportingCluster {
+                    cluster_id: cluster.cluster_id,
+                    overlap,
+                    size: cluster.size,
+                });
+            }
+        }
+        // Training visits the best-overlapping cluster first; equal
+        // overlaps keep summary order (the sort is stable).
+        supporting.sort_by(|a, b| b.overlap.total_cmp(&a.overlap));
+        let mut potential = 0.0;
+        for cluster in &supporting {
+            potential += cluster.overlap;
+        }
+        let ranking = potential * (supporting.len() as f64 / node.summaries().len() as f64);
+        if ranking > 0.0 {
+            ranked.push(Participant {
+                node: node.id(),
+                ranking,
+                supporting_clusters: supporting,
+            });
+        }
+    }
+    ranked.sort_by(|a, b| {
+        b.ranking
+            .total_cmp(&a.ranking)
+            .then(a.node.0.cmp(&b.node.0))
+    });
+    let keep = match cap {
+        SelectionCap::TopL(l) => l.min(ranked.len()),
+        SelectionCap::Threshold(psi) => ranked.iter().filter(|p| p.ranking >= psi).count(),
+        SelectionCap::AllPositive => ranked.len(),
+    };
+    let standby = ranked.split_off(keep);
+    Selection {
+        participants: ranked,
+        standby,
+    }
+}

@@ -65,8 +65,8 @@ pub enum Kind {
     StandbyPromoted,
     /// A round finished below quorum with no standby left to promote.
     QuorumLost,
-    /// Selection-cache entries were re-scored after summary epochs
-    /// moved under them.
+    /// The selection memo was dropped after summary epochs moved
+    /// under it.
     CacheInvalidated,
     /// The serving batcher shed a query that aged past its deadline.
     AdmissionShed,
@@ -285,8 +285,8 @@ pub fn quorum_lost(query: u64, round: u64, survivors: u64) {
     );
 }
 
-/// `stale_nodes` cache tables were re-scored for `query` after their
-/// summary epochs moved.
+/// The selection memo was dropped at `query`'s lookup because
+/// `stale_nodes` nodes' summary epochs had moved.
 pub fn cache_invalidated(query: u64, stale_nodes: u64) {
     record(
         Kind::CacheInvalidated,

@@ -39,12 +39,9 @@
 #      records kernel timings to results/BENCH_qens.json, warns on any
 #      regression against the committed baseline, and *fails* when a
 #      kernel regresses past the gate factor below,
-#  11. selection-cache transparency: `repro fig7` is run with
-#      QENS_CACHE=0 and again with QENS_CACHE=1 (coarse
-#      QENS_CACHE_QUANT so the stream actually hits) and the figure
-#      CSVs must be byte-identical — the cache may change how fast a
-#      selection is computed, never what is selected — plus the cache
-#      integration tests re-run under QENS_THREADS=2,
+#  11. the selection-memo integration tests re-run under QENS_THREADS=2
+#      (what the memo answers must not depend on the pool its misses ran
+#      on),
 #  12. the serving smoke (`repro load --smoke`): spawns a real server on
 #      an ephemeral port, drives it with concurrent keep-alive clients
 #      while scraping /metrics, /cache, /nodes and /events, and asserts
@@ -79,7 +76,12 @@
 #  18. one 3 s run of the repo benchmark's `serve_closed` workload (run
 #      only, nothing under `benchmark/` is edited): fails unless no
 #      operation failed and the keep-alive p50 is under 5 ms — a reply
-#      that leaves as two writes reads 44 ms there.
+#      that leaves as two writes reads 44 ms there,
+#  19. one 3 s run of the repo benchmark's `fleet_churn` workload (run
+#      only): fails unless no operation failed and peak RSS is under
+#      300 MB — the 20k-node fleet alone is ~100 MB, so per-entry memo
+#      state that scales with the fleet (1.4 GB when every entry held
+#      per-node ratio tables) cannot come back unnoticed.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -135,20 +137,7 @@ echo "folded stacks + flamegraph are thread-count stable"
 echo "==> repro bench --check (perf harness, QENS_BENCH_GATE=20 hard gate)"
 QENS_BENCH_GATE=20 cargo run -q -p bench --bin repro --release --offline -- bench --check
 
-echo "==> selection-cache transparency (fig7 byte-identical with QENS_CACHE=0 vs 1)"
-QENS_CACHE=0 cargo run -q -p bench --bin repro --release --offline -- fig7 > /dev/null
-cp results/fig7_lr.csv results/fig7_lr.nocache.csv
-cp results/fig7_nn.csv results/fig7_nn.nocache.csv
-QENS_CACHE=1 QENS_CACHE_QUANT=50 \
-  cargo run -q -p bench --bin repro --release --offline -- fig7 > /dev/null
-cmp results/fig7_lr.csv results/fig7_lr.nocache.csv \
-  || { echo "FAIL: fig7 LR series differs with the selection cache on"; exit 1; }
-cmp results/fig7_nn.csv results/fig7_nn.nocache.csv \
-  || { echo "FAIL: fig7 NN series differs with the selection cache on"; exit 1; }
-rm -f results/fig7_lr.nocache.csv results/fig7_nn.nocache.csv
-echo "fig7 series are cache-transparent"
-
-echo "==> selection-cache tests under QENS_THREADS=2"
+echo "==> selection-memo tests under QENS_THREADS=2"
 QENS_THREADS=2 cargo test -q --offline -p qens --test selection_cache
 
 echo "==> repro load --smoke (live serving: keep-alive clients + concurrent scrapes)"
@@ -208,14 +197,21 @@ echo "fig11 scaling sweep is thread-count stable"
 echo "==> benchmark package unit tests"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> repo benchmark: serve_closed, 3 s (failed_share 0, latency_p50_ms < 5)"
-serve_closed=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-  --workload serve_closed --seconds 3 --trace 0)
-echo "$serve_closed" | grep -E '^serve_closed (throughput_ops_s|latency_p50_ms|peak_rss_mb|failed_share) '
-echo "$serve_closed" | awk '
-  $1 == "serve_closed" && $2 == "failed_share" { seen++; if ($3 + 0 != 0) bad = 1 }
-  $1 == "serve_closed" && $2 == "latency_p50_ms" { seen++; if ($3 + 0 >= 5) bad = 1 }
-  END { exit !(seen == 2 && !bad) }' \
-  || { echo "FAIL: serve_closed has failed operations or a p50 of 5 ms or more"; exit 1; }
+# One 3 s run of a repo-benchmark workload (run only): fails unless no
+# operation failed and the named metric reads below the limit.
+bench_gate() { # workload metric limit
+  local out
+  echo "==> repo benchmark: $1, 3 s (failed_share 0, $2 < $3)"
+  out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$1" --seconds 3 --trace 0)
+  echo "$out" | grep -E "^$1 (throughput_ops_s|latency_p50_ms|peak_rss_mb|failed_share) "
+  echo "$out" | awk -v workload="$1" -v metric="$2" -v limit="$3" '
+    $1 == workload && $2 == "failed_share" { seen++; if ($3 + 0 != 0) bad = 1 }
+    $1 == workload && $2 == metric { seen++; if ($3 + 0 >= limit) bad = 1 }
+    END { exit !(seen == 2 && !bad) }' \
+    || { echo "FAIL: $1 has failed operations or a $2 of $3 or more"; exit 1; }
+}
+bench_gate serve_closed latency_p50_ms 5
+bench_gate fleet_churn peak_rss_mb 300
 
 echo "verify OK"

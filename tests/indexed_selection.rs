@@ -1,16 +1,17 @@
 //! Integration tests for spatial-index candidate generation
-//! ([`qens::selection::IndexedQueryDriven`] and the cache composition
+//! ([`qens::selection::IndexedQueryDriven`] and the memo composition
 //! [`CachedQueryDriven::with_index`]):
 //!
 //! * indexed and full-scan selections must be **bitwise identical** —
 //!   every ranking and every supporting-cluster overlap, participants
 //!   and standby tail alike — at any worker count (`QENS_THREADS` ∈
 //!   {1, 2, 4} in CI) and for every workload kind,
-//! * the cache+index composition must stay exact while still hitting,
+//! * the memo+index composition must stay exact while still hitting,
 //! * summary churn (absorb + re-quantisation) and membership growth
 //!   must each trigger a deterministic rebuild and stay exact,
 //! * the fused verify-and-score path (the cluster table in slot order)
-//!   must agree with the scan on the shapes a flat, offset-addressed
+//!   must agree with the scan *and* with the naive reference
+//!   ([`qens::selection::reference`]) on the shapes a flat, offset-addressed
 //!   table and a top-ℓ cut are known to get wrong: differing and
 //!   changing K, zero-width rectangles, `h_ik == ε`, equal rankings
 //!   across the cut, a hull hit with every cluster disjoint, 32-bit
@@ -25,7 +26,7 @@
 use qens::cluster::ClusterSummary;
 use qens::par::ThreadPool;
 use qens::prelude::*;
-use qens::selection::{GridConfig, IndexedQueryDriven, SelectionCap};
+use qens::selection::{reference, GridConfig, IndexedQueryDriven, SelectionCap};
 use qens::telemetry;
 use qens::workload::generate;
 
@@ -145,9 +146,10 @@ fn indexed_selections_are_bitwise_identical_across_threads_and_workloads() {
     }
 }
 
-/// Cache over index: hits bypass candidate generation entirely, misses
-/// go through it — and the stream is still served bit-identically to
-/// the plain scan.
+/// Memo over index: hits bypass candidate generation entirely, misses
+/// go through it — and the stream (a drifting walk in which every third
+/// query repeats the one before it bit for bit) is still served
+/// bit-identically to the plain scan and the reference.
 #[test]
 fn cache_and_index_compose_exactly() {
     let _g = lock();
@@ -162,27 +164,23 @@ fn cache_and_index_compose_exactly() {
         &space,
     );
     let plain = QueryDriven::top_l(3);
-    let both = CachedQueryDriven::with_index(
-        plain.clone(),
-        CacheConfig {
-            bucket_width: 25.0,
-            ..CacheConfig::default()
-        },
-        GridConfig::default(),
-    );
+    let both =
+        CachedQueryDriven::with_index(plain.clone(), CacheConfig::default(), GridConfig::default());
     let pool = ThreadPool::new(2);
-    for q in &wl.queries {
-        let ctx = SelectionContext::new(&net, q);
-        assert_bitwise_eq(
-            &plain.select_with_pool(&ctx, &pool),
-            &both.select_with_pool(&ctx, &pool),
-            &format!("cache+index query {}", q.id()),
-        );
+    for (i, q) in wl.queries.iter().enumerate() {
+        let q = match i % 3 {
+            2 => Query::from_boundary_vec(q.id(), &wl.queries[i - 1].to_boundary_vec()),
+            _ => q.clone(),
+        };
+        let ctx = SelectionContext::new(&net, &q);
+        let what = format!("memo+index query {}", q.id());
+        let want = reference::select(&net, &q, plain.epsilon, plain.cap);
+        assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, &pool), &what);
+        assert_bitwise_eq(&want, &both.select_with_pool(&ctx, &pool), &what);
     }
     let cache = both.stats();
-    assert!(cache.hits > 0, "drifting stream must hit ({cache:?})");
-    assert!(cache.misses > 0, "fresh cache must miss ({cache:?})");
-    let index = both.index_stats().expect("indexed cache exposes stats");
+    assert_eq!((cache.hits, cache.misses), (40, 80), "{cache:?}");
+    let index = both.index_stats().expect("indexed memo exposes stats");
     assert_eq!(index.rebuilds, 1);
     assert_eq!(
         index.probes, cache.misses,
@@ -437,8 +435,9 @@ fn filler_nodes(first: usize, count: usize) -> Vec<EdgeNode> {
         .collect()
 }
 
-/// Scan and indexed selections of every query agree bit for bit at
-/// pools of 1, 2 and 4 workers.
+/// Scan and indexed selections of every query agree bit for bit with
+/// the naive reference — and so with each other — at pools of 1, 2 and
+/// 4 workers.
 fn assert_indexed_matches_scan(
     net: &EdgeNetwork,
     plain: &QueryDriven,
@@ -449,12 +448,11 @@ fn assert_indexed_matches_scan(
     for threads in [1usize, 2, 4] {
         let pool = ThreadPool::new(threads);
         for q in queries {
+            let want = reference::select(net, q, plain.epsilon, plain.cap);
             let ctx = SelectionContext::new(net, q);
-            assert_bitwise_eq(
-                &plain.select_with_pool(&ctx, &pool),
-                &indexed.select_with_pool(&ctx, &pool),
-                &format!("{what}: query {} at {threads} threads", q.id()),
-            );
+            let what = format!("{what}: query {} at {threads} threads", q.id());
+            assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, &pool), &what);
+            assert_bitwise_eq(&want, &indexed.select_with_pool(&ctx, &pool), &what);
         }
     }
 }

@@ -1,17 +1,22 @@
-//! Integration tests for the selection cache (quantized-query hashing,
-//! per-node epoch invalidation, delta re-scoring):
+//! Integration tests for the selection memo
+//! ([`CachedQueryDriven`]: exact boundary bits → the `Selection` that
+//! was returned, in front of the scan or the indexed path):
 //!
-//! * cached and uncached selections must be **bitwise identical** — every
+//! * memoised and plain selections must be **bitwise identical** — every
 //!   ranking and every supporting-cluster overlap, for every query of a
 //!   200-query stream — at any worker count (`QENS_THREADS` ∈ {1, 2, 4}
-//!   in CI) and for every workload kind,
-//! * summary mutations (`absorb` + re-quantisation) must invalidate
-//!   exactly the changed node and still reproduce the uncached result,
-//! * a drifting analytic focus — the paper's repetitive-stream regime —
-//!   must be served mostly from the cache (hit rate ≥ 50%).
+//!   in CI) and for every workload kind, and identical to the naive
+//!   reference ([`qens::selection::reference`]),
+//! * summary mutations (`absorb` + re-quantisation) must drop the table
+//!   once and still reproduce the plain result,
+//! * over a deterministic schedule of repeats, new queries, summary
+//!   churn, joins and no-op borrows, memo + index, memo alone and index
+//!   alone select what a from-scratch scan selects after every step.
 
+use qens::linalg::rng::{rng_for, Rng};
 use qens::par::{self, ThreadPool};
 use qens::prelude::*;
+use qens::selection::{reference, GridConfig, IndexedQueryDriven};
 use qens::telemetry;
 use qens::workload::generate;
 
@@ -61,11 +66,20 @@ fn assert_bitwise_eq(a: &Selection, b: &Selection, what: &str) {
     }
 }
 
+/// The reference's answer for `query` under `plain`'s ε and cut.
+fn reference_of(net: &EdgeNetwork, plain: &QueryDriven, query: &Query) -> Selection {
+    reference::select(net, query, plain.epsilon, plain.cap)
+}
+
 /// The acceptance contract: for a 200-query drifting stream (and a
-/// uniform and a hotspot stream alongside), the cached policy returns a
+/// uniform and a hotspot stream alongside), with every third query a
+/// bit-exact repeat of the one before it, the memoised policy returns a
 /// bitwise-identical `Selection` for every single query, at 1, 2 and 4
-/// workers, while re-using one warm cache across all thread counts —
-/// entries scored under one pool schedule must serve under another.
+/// workers, on one memo kept across all thread counts. The table is
+/// smaller than a stream, so every pass both hits (the repeats) and
+/// misses (FIFO has dropped the stream's head by the time it comes
+/// round again): answers stored under one pool serve under another, and
+/// the path behind the memo runs under each.
 #[test]
 fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
     let net = network(4);
@@ -97,25 +111,38 @@ fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
     ];
     let plain = QueryDriven::top_l(3);
     for (name, wl) in &kinds {
+        let queries: Vec<Query> = (0..wl.len())
+            .map(|i| match i % 3 {
+                2 => Query::from_boundary_vec(i as u64, &wl.queries[i - 1].to_boundary_vec()),
+                _ => wl.queries[i].clone(),
+            })
+            .collect();
         let cached = CachedQueryDriven::new(
             plain.clone(),
             CacheConfig {
-                bucket_width: 5.0,
+                capacity: 16,
                 ..CacheConfig::default()
             },
         );
         for threads in [1usize, 2, 4] {
             let pool = ThreadPool::new(threads);
-            for q in &wl.queries {
+            let before = cached.stats();
+            for q in &queries {
                 let ctx = SelectionContext::new(&net, q);
-                let want = plain.select_with_pool(&ctx, &pool);
-                let got = cached.select_with_pool(&ctx, &pool);
-                assert_bitwise_eq(
-                    &want,
-                    &got,
-                    &format!("{name} query {} at {threads} threads", q.id()),
-                );
+                let what = format!("{name} query {} at {threads} threads", q.id());
+                let want = reference_of(&net, &plain, q);
+                assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, &pool), &what);
+                assert_bitwise_eq(&want, &cached.select_with_pool(&ctx, &pool), &what);
             }
+            let after = cached.stats();
+            assert!(
+                after.hits - before.hits >= wl.len() as u64 / 3,
+                "{name} at {threads} threads: every repeat hits ({after:?})"
+            );
+            assert!(
+                after.misses - before.misses >= 16,
+                "{name} at {threads} threads: the path must run ({after:?})"
+            );
         }
         let stats = cached.stats();
         assert_eq!(
@@ -123,58 +150,14 @@ fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
             3 * wl.len() as u64,
             "{name}: every lookup is a hit or a miss"
         );
+        assert_eq!(stats.delta_hits, 0);
     }
-}
-
-/// Drifting streams are the cache's reason to exist: the analytic focus
-/// random-walks, so consecutive rectangles land in the same buckets and
-/// are served by delta re-scoring. The paper-scale 200-query stream must
-/// hit at least half the time (it does much better; ≥ 50% is the floor
-/// the ROADMAP promises).
-#[test]
-fn drifting_stream_hit_rate_is_at_least_half() {
-    let net = network(4);
-    let space = net.global_space();
-    // Fixed halfwidth: the rectangles move with the drifting centre
-    // only, so coarse buckets capture the repetition. (Randomised
-    // per-query halfwidths would scatter the keys — that regime is the
-    // bitwise test above, which asserts correctness, not hit rate.)
-    let wl = generate(
-        &space,
-        &WorkloadConfig {
-            n_queries: 200,
-            halfwidth_frac: (0.15, 0.15),
-            kind: WorkloadKind::Drifting {
-                step_frac: 0.02,
-                spread_frac: 0.03,
-            },
-            seed: 4242,
-        },
-    );
-    let cached = CachedQueryDriven::new(
-        QueryDriven::top_l(3),
-        CacheConfig {
-            bucket_width: 25.0,
-            ..CacheConfig::default()
-        },
-    );
-    let pool = par::sized(2);
-    for q in &wl.queries {
-        cached.select_with_pool(&SelectionContext::new(&net, q), &pool);
-    }
-    let stats = cached.stats();
-    assert_eq!(stats.hits + stats.misses, 200);
-    assert!(
-        stats.hit_rate() >= 0.5,
-        "drifting hit rate {:.3} below 0.5 ({stats:?})",
-        stats.hit_rate()
-    );
-    assert!(stats.delta_hits > 0, "drift must exercise the delta path");
 }
 
 /// Mutating one node's data (stream absorb + re-quantisation) bumps its
-/// summary epoch; the next lookup re-scores exactly that node and still
-/// matches the uncached selection bitwise.
+/// summary epoch; the next lookup drops the table, counting the one
+/// node that moved, and every replayed rectangle is recomputed to match
+/// the plain selection bitwise — after which the replay hits again.
 #[test]
 fn absorb_invalidates_one_node_and_stays_exact() {
     let mut net = network(9);
@@ -183,16 +166,18 @@ fn absorb_invalidates_one_node_and_stays_exact() {
     let space = net.global_space();
     let wl = workload_of(WorkloadKind::Uniform, 8, &space);
     let pool = par::sized(2);
-    for q in &wl.queries {
-        let ctx = SelectionContext::new(&net, q);
-        assert_bitwise_eq(
-            &plain.select_with_pool(&ctx, &pool),
-            &cached.select_with_pool(&ctx, &pool),
-            "warmup",
-        );
-    }
+    let replay = |net: &EdgeNetwork, what: &str| {
+        for q in &wl.queries {
+            let ctx = SelectionContext::new(net, q);
+            let want = reference_of(net, &plain, q);
+            assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, &pool), what);
+            assert_bitwise_eq(&want, &cached.select_with_pool(&ctx, &pool), what);
+        }
+    };
+    replay(&net, "warmup");
     let before = cached.stats();
     assert_eq!(before.invalidations, 0, "nothing mutated yet");
+    assert_eq!((before.misses, before.entries), (8, 8));
 
     // Shift node 2's summaries: absorb fresh samples and re-quantise.
     let extra = scenario::heterogeneous_nodes(2, 30, 77)
@@ -203,43 +188,203 @@ fn absorb_invalidates_one_node_and_stays_exact() {
     net.node_mut(NodeId(2)).absorb(&extra);
     net.node_mut(NodeId(2)).quantize(5, 9);
 
-    for q in &wl.queries {
-        let ctx = SelectionContext::new(&net, q);
-        assert_bitwise_eq(
-            &plain.select_with_pool(&ctx, &pool),
-            &cached.select_with_pool(&ctx, &pool),
-            "after absorb",
-        );
-    }
+    replay(&net, "after absorb");
     let after = cached.stats();
-    assert!(
-        after.invalidations > before.invalidations,
-        "epoch bump must trigger per-node invalidation ({after:?})"
+    assert_eq!(
+        after.invalidations, 1,
+        "one node moved and the drift is seen once ({after:?})"
     );
-    // Only replays of already-cached rectangles: no new misses needed.
-    assert_eq!(after.entries, before.entries, "no new entries inserted");
+    assert_eq!(
+        (after.hits, after.misses, after.entries),
+        (0, 16, 16),
+        "no answer computed before the absorb may be served after it"
+    );
+    replay(&net, "replay on the settled fleet");
+    let settled = cached.stats();
+    assert_eq!((settled.hits, settled.misses), (8, 16));
+    assert_eq!(settled.invalidations, 1);
 }
 
-/// The cache's counters must reach the scrape surface: after a stream
-/// that misses, hits exactly, delta-rescored and invalidated, the
-/// Prometheus text exposition carries a sample, HELP and TYPE for every
-/// `qens_cache_*` series, all format-conformant.
+/// What one step of the churn schedule does before it selects.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Nothing: ask the last rectangle again.
+    Repeat,
+    /// Nothing: ask a new rectangle.
+    NewQuery,
+    /// A node absorbs samples and re-quantises.
+    Absorb,
+    /// A node re-quantises to a different K.
+    Requantize,
+    /// A node joins and quantises.
+    Join,
+    /// A `node_mut` borrow that changes nothing.
+    NoOpBorrow,
+}
+
+/// ROADMAP 6(c) as one deterministic schedule: whatever sequence of
+/// repeats, new queries, summary churn, joins and no-op borrows the
+/// fleet goes through, memo + index, memo alone and index alone select
+/// after every step what the reference and a from-scratch scan select;
+/// a repeat with no real drift since is a hit; a no-op borrow drops and
+/// rebuilds nothing; real drift drops each table once, rebuilds each
+/// index once and is journaled once per memo.
+#[test]
+fn memo_and_index_follow_a_churning_fleet_exactly() {
+    use telemetry::journal;
+    const STEPS: u64 = 240;
+    // Query ids no other test of this binary uses: the journal is
+    // process-wide and is filtered by them below.
+    const FIRST_ID: u64 = 7_000_000;
+    let mut net = network(17);
+    let plain = QueryDriven::top_l(3);
+    let grid = GridConfig {
+        domain_size: 2,
+        cells_per_dim: 0,
+    };
+    // Room for every rectangle of the schedule: no eviction here.
+    let both = CachedQueryDriven::with_index(plain.clone(), CacheConfig::default(), grid);
+    let memo = CachedQueryDriven::with_defaults(plain.clone());
+    let index = IndexedQueryDriven::new(plain.clone(), grid);
+    let pool = ThreadPool::new(2);
+    let fresh_data = |seed: u64| {
+        scenario::heterogeneous_nodes(2, 30, seed)
+            .into_iter()
+            .next()
+            .unwrap()
+            .dataset
+    };
+    telemetry::fleet::set_enabled(true);
+
+    let mut rng = rng_for(0x6C, 19);
+    let mut bounds = vec![0.0, 20.0, 0.0, 45.0];
+    // The model: rectangles answered since the last real drift, and the
+    // counters each structure must show.
+    let mut answered: Vec<Vec<u64>> = Vec::new();
+    let (mut hits, mut misses, mut invalidations, mut rebuilds) = (0u64, 0u64, 0u64, 0u64);
+    let mut seen = [0usize; 6];
+    for step in 0..STEPS {
+        let kind = [
+            Step::Repeat,
+            Step::NewQuery,
+            Step::Absorb,
+            Step::Requantize,
+            Step::Join,
+            Step::NoOpBorrow,
+        ][rng.gen_range(0..6usize)];
+        seen[kind as usize] += 1;
+        let victim = NodeId(rng.gen_range(0..net.len()));
+        let moved = match kind {
+            Step::Repeat => 0,
+            Step::NewQuery => {
+                let space = net.global_space();
+                bounds = (0..space.dim())
+                    .flat_map(|d| {
+                        let axis = space.interval(d);
+                        let lo = rng.gen_range(axis.lo()..axis.hi());
+                        [lo, lo + rng.gen_range(0.05..0.4) * axis.length()]
+                    })
+                    .collect();
+                0
+            }
+            Step::Absorb => {
+                net.node_mut(victim).absorb(&fresh_data(step));
+                net.node_mut(victim).quantize(5, step);
+                1
+            }
+            Step::Requantize => {
+                let k = if net.node(victim).k() == 3 { 4 } else { 3 };
+                net.node_mut(victim).quantize(k, step);
+                1
+            }
+            Step::Join => {
+                let id = net.add_node(format!("joiner-{step}"), fresh_data(step), 1.0);
+                net.node_mut(id).quantize(5, step);
+                1
+            }
+            Step::NoOpBorrow => {
+                let capacity = net.node(victim).capacity();
+                net.node_mut(victim).set_capacity(capacity);
+                0
+            }
+        };
+        let key: Vec<u64> = bounds.iter().map(|b| b.to_bits()).collect();
+        if step == 0 {
+            // Each structure's first look at the fleet: a build, not a
+            // drift.
+            rebuilds += 1;
+        } else if moved > 0 {
+            answered.clear();
+            invalidations += moved;
+            rebuilds += 1;
+        }
+        if answered.contains(&key) {
+            hits += 1;
+        } else {
+            misses += 1;
+            answered.push(key);
+        }
+
+        let q = Query::from_boundary_vec(FIRST_ID + step, &bounds);
+        let ctx = SelectionContext::new(&net, &q);
+        let what = format!("step {step} ({kind:?})");
+        let want = reference_of(&net, &plain, &q);
+        assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, &pool), &what);
+        assert_bitwise_eq(&want, &both.select_with_pool(&ctx, &pool), &what);
+        assert_bitwise_eq(&want, &memo.select_with_pool(&ctx, &pool), &what);
+        assert_bitwise_eq(&want, &index.select_with_pool(&ctx, &pool), &what);
+
+        for (name, stats) in [("memo + index", both.stats()), ("memo", memo.stats())] {
+            assert_eq!(
+                (stats.hits, stats.misses, stats.invalidations),
+                (hits, misses, invalidations),
+                "{what}: {name}"
+            );
+        }
+        assert_eq!(index.index_stats().rebuilds, rebuilds, "{what}: index");
+        assert_eq!(
+            both.index_stats().expect("built with an index").rebuilds,
+            rebuilds,
+            "{what}: the index behind the memo"
+        );
+        let journaled: Vec<u64> = journal::tail(None)
+            .iter()
+            .filter(|e| e.kind == journal::Kind::CacheInvalidated && e.query == q.id())
+            .map(|e| e.args()[0].1)
+            .collect();
+        let expected = if step > 0 && moved > 0 {
+            vec![moved; 2]
+        } else {
+            Vec::new()
+        };
+        assert_eq!(journaled, expected, "{what}: one event per memo per drift");
+    }
+    telemetry::fleet::set_enabled(false);
+    assert!(
+        seen.iter().all(|&n| n >= 20),
+        "every kind of step must occur often: {seen:?}"
+    );
+    assert!(
+        hits >= 40 && invalidations >= 60,
+        "{hits} hits, {invalidations} invalidations"
+    );
+}
+
+/// The memo's counters must reach the scrape surface: after a stream
+/// that misses, hits and is invalidated, the Prometheus text exposition
+/// carries a sample, HELP and TYPE for every `qens_cache_*` series, all
+/// format-conformant.
 #[test]
 fn prometheus_export_covers_cache_series() {
     let mut net = network(11);
     telemetry::set_enabled(true);
-    let cached = CachedQueryDriven::new(
-        QueryDriven::top_l(3),
-        CacheConfig {
-            bucket_width: 1e6, // one entry: drift is served by deltas
-            ..CacheConfig::default()
-        },
-    );
+    let cached = CachedQueryDriven::with_defaults(QueryDriven::top_l(3));
     let q0 = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 30.0]);
     let q1 = Query::from_boundary_vec(1, &[0.5, 15.5, 0.0, 30.0]);
     cached.select(&SelectionContext::new(&net, &q0)); // miss + entry
-    cached.select(&SelectionContext::new(&net, &q0)); // exact hit
-    cached.select(&SelectionContext::new(&net, &q1)); // delta hit
+    cached.select(&SelectionContext::new(&net, &q0)); // hit
+    cached.select(&SelectionContext::new(&net, &q1)); // miss + entry
+    cached.select(&SelectionContext::new(&net, &q1)); // hit
     let extra = scenario::heterogeneous_nodes(2, 30, 78)
         .into_iter()
         .next()
@@ -247,7 +392,7 @@ fn prometheus_export_covers_cache_series() {
         .dataset;
     net.node_mut(NodeId(0)).absorb(&extra);
     net.node_mut(NodeId(0)).quantize(5, 11);
-    cached.select(&SelectionContext::new(&net, &q1)); // invalidation
+    cached.select(&SelectionContext::new(&net, &q1)); // invalidation + miss
     let text = telemetry::export::to_prometheus(&telemetry::global().snapshot());
     telemetry::set_enabled(false);
 
@@ -283,5 +428,5 @@ fn prometheus_export_covers_cache_series() {
         );
     }
     let stats = cached.stats();
-    assert!(stats.misses >= 1 && stats.hits >= 2 && stats.invalidations >= 1);
+    assert_eq!((stats.misses, stats.hits, stats.invalidations), (3, 2, 1));
 }
