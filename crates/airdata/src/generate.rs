@@ -20,7 +20,6 @@ use crate::time;
 
 /// Configuration of one generation run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GeneratorConfig {
     /// First timestamp: `(year, month, day)`, hour 0. The UCI span starts
     /// at 2013-03-01.
@@ -60,7 +59,6 @@ impl GeneratorConfig {
 
 /// A generated (or loaded) station series.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StationData {
     /// Station name.
     pub station: String,

@@ -11,7 +11,6 @@ use crate::schema::STATIONS;
 
 /// Broad land-use class of a monitoring site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SiteClass {
     /// Dense inner-city site: high primary pollutants.
     Urban,
@@ -23,7 +22,6 @@ pub enum SiteClass {
 
 /// The generation profile of one station.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StationProfile {
     /// Station name (one of [`STATIONS`]).
     pub name: String,

@@ -89,7 +89,6 @@ pub fn realistic_nodes_multi(
 
 /// Generation spec for one synthetic regression node.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeSpec {
     /// Uniform input range `[lo, hi)`.
     pub x_range: (f64, f64),

@@ -22,7 +22,6 @@ pub const NUM_FEATURES: usize = 11;
 
 /// One numeric feature column of the dataset, in CSV column order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Feature {
     /// PM2.5 concentration (µg/m³) — the usual prediction target.
     Pm25,
@@ -106,7 +105,6 @@ impl Feature {
 
 /// One hourly observation at one station.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Record {
     /// Calendar year.
     pub year: i32,
@@ -117,47 +115,8 @@ pub struct Record {
     /// Hour 0–23.
     pub hour: u32,
     /// Feature values in [`Feature::ALL`] order; `NaN` marks a missing
-    /// measurement (serialised as "NA" in the CSV form and as `null` in
-    /// self-describing formats like JSON, which cannot represent NaN).
-    #[cfg_attr(feature = "serde", serde(with = "nan_as_null"))]
+    /// measurement (serialised as "NA" in the CSV form).
     pub values: [f64; NUM_FEATURES],
-}
-
-/// Serialises the value array with missing (NaN) cells as `None`/`null`,
-/// so records survive formats without NaN support.
-#[cfg(feature = "serde")]
-mod nan_as_null {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    use super::NUM_FEATURES;
-
-    pub fn serialize<S: Serializer>(
-        values: &[f64; NUM_FEATURES],
-        serializer: S,
-    ) -> Result<S::Ok, S::Error> {
-        let opts: Vec<Option<f64>> = values
-            .iter()
-            .map(|v| if v.is_nan() { None } else { Some(*v) })
-            .collect();
-        opts.serialize(serializer)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        deserializer: D,
-    ) -> Result<[f64; NUM_FEATURES], D::Error> {
-        let opts: Vec<Option<f64>> = Vec::deserialize(deserializer)?;
-        if opts.len() != NUM_FEATURES {
-            return Err(serde::de::Error::invalid_length(
-                opts.len(),
-                &"an array of 11 feature values",
-            ));
-        }
-        let mut out = [f64::NAN; NUM_FEATURES];
-        for (o, v) in out.iter_mut().zip(opts) {
-            *o = v.unwrap_or(f64::NAN);
-        }
-        Ok(out)
-    }
 }
 
 impl Record {

@@ -5,8 +5,8 @@
 //! cargo run --release -p bench --bin repro -- fig7    # one experiment
 //! cargo run --release -p bench --bin repro -- all --paper   # full paper scale
 //! cargo run --release -p bench --bin repro -- --smoke # tiny end-to-end check
+//! cargo run --release -p bench --bin repro -- ablations  # design ablations
 //! cargo run --release -p bench --bin repro -- serve   # live /metrics endpoint
-//! cargo run --release -p bench --bin repro -- bench --check  # perf harness
 //! cargo run --release -p bench --bin repro -- profile # flamegraph + SLO report
 //! cargo run --release -p bench --bin repro -- scale   # Fig. 11 fleet-size sweep
 //! ```
@@ -17,7 +17,7 @@
 
 use std::path::PathBuf;
 
-use bench::{figures, report, tables, ExperimentScale};
+use bench::{ablations, figures, report, tables, ExperimentScale};
 use qens::prelude::ModelKind;
 use qens::telemetry;
 
@@ -272,13 +272,30 @@ fn run_extended(scale: ExperimentScale) {
 fn run_fig8_fig9(scale: ExperimentScale) {
     let series = figures::fig8_fig9(scale);
     println!("{}", report::render_fig8_fig9(&series));
-    report::write_csv(
-        &results_dir().join("fig8_fig9.csv"),
-        "query,with_seconds,without_seconds,with_fraction,without_fraction",
-        &report::selectivity_csv_rows(&series),
-    )
-    .expect("write fig8/fig9 csv");
+    report::write_fig8_fig9_csv(&results_dir(), &series).expect("write fig8/fig9 csv");
     println!("(series written to results/fig8_fig9.csv)\n");
+}
+
+/// `repro ablations`: the design ablations at their fixed Quick-scale
+/// configuration (`--paper` does not change them).
+fn run_ablations() {
+    let rows = ablations::run();
+    println!("Ablations: the paper's design choices against their alternatives");
+    let line = |cells: &[String]| {
+        cells
+            .iter()
+            .zip([12, 13, 16, 10, 13, 6, 10])
+            .map(|(c, w)| format!("{c:<w$}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let header: Vec<String> = ablations::CSV_HEADER.split(',').map(String::from).collect();
+    println!("{}", line(&header));
+    for r in &rows {
+        println!("{}", line(&r.csv_fields()));
+    }
+    ablations::write_csv(&results_dir(), &rows).expect("write ablations csv");
+    println!("(rows written to results/ablations.csv)\n");
 }
 
 /// `repro fleet`: the fleet-observability experiment. The scorecard
@@ -403,14 +420,6 @@ fn main() {
         }
         return;
     }
-    if args.first().map(String::as_str) == Some("bench") {
-        let check = args.iter().any(|a| a == "--check");
-        telemetry::set_enabled(true);
-        if !bench::perf::run_bench(check, None) {
-            std::process::exit(1);
-        }
-        return;
-    }
     if args.first().map(String::as_str) == Some("scale") {
         // Fig. 11: fleet-size scaling, scan vs spatial index. The CSV is
         // structural-only (no wall clock), so scripts/verify.sh can
@@ -480,6 +489,7 @@ fn main() {
         "faults" | "fig8_faults" => run_fig8_faults(scale),
         "fleet" | "fig10" => run_fleet_exp(scale),
         "extended" => run_extended(scale),
+        "ablations" => run_ablations(),
         "all" => {
             run_table1(scale);
             run_table2(scale);
@@ -492,12 +502,13 @@ fn main() {
             run_fig8_fig9(scale);
             run_fig8_faults(scale);
             run_extended(scale);
+            run_ablations();
         }
         other => {
             eprintln!(
                 "unknown experiment {other:?}; expected one of \
                  table1|table2|table3|fig1|fig2|fig5|fig6|fig7|fig8|fig9|faults|fleet|extended|\
-                 all [--paper | --smoke], or a tool subcommand: serve|load|bench|profile|scale"
+                 ablations|all [--paper | --smoke], or a tool subcommand: serve|load|profile|scale"
             );
             std::process::exit(2);
         }

@@ -1,6 +1,6 @@
-//! Shared experiment harness for the `repro` binary and the Criterion
-//! benches: one function per table/figure of the paper, each returning
-//! plain data the caller can print or serialise.
+//! Shared experiment harness for the `repro` binary: one function per
+//! table/figure of the paper, each returning plain data the caller can
+//! print or serialise.
 //!
 //! Every experiment takes an [`ExperimentScale`]:
 //! [`ExperimentScale::Quick`] keeps the whole suite tractable on a
@@ -11,10 +11,9 @@
 use qens::linalg::stats;
 use qens::prelude::*;
 
+pub mod ablations;
 pub mod figures;
 pub mod fleet;
-pub mod harness;
-pub mod perf;
 pub mod profile;
 pub mod report;
 pub mod scale;
@@ -33,7 +32,7 @@ pub(crate) fn fleet_test_lock() -> std::sync::MutexGuard<'static, ()> {
 /// Experiment sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
-    /// Small but shape-preserving (default for tests and benches).
+    /// Small but shape-preserving (default for tests and the ablations).
     Quick,
     /// The paper's published parameters.
     Paper,

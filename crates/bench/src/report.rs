@@ -197,9 +197,9 @@ pub fn write_csv(path: &Path, header: &str, rows: &[Vec<String>]) -> io::Result<
     fs::write(path, out)
 }
 
-/// CSV rows of a selectivity series.
-pub fn selectivity_csv_rows(series: &SelectivitySeries) -> Vec<Vec<String>> {
-    (0..series.query_ids.len())
+/// Writes the Fig. 8/9 selectivity series to `fig8_fig9.csv` under `dir`.
+pub fn write_fig8_fig9_csv(dir: &Path, series: &SelectivitySeries) -> io::Result<()> {
+    let rows: Vec<Vec<String>> = (0..series.query_ids.len())
         .map(|i| {
             vec![
                 series.query_ids[i].to_string(),
@@ -209,7 +209,12 @@ pub fn selectivity_csv_rows(series: &SelectivitySeries) -> Vec<Vec<String>> {
                 format!("{:.6}", series.without_fraction[i]),
             ]
         })
-        .collect()
+        .collect();
+    write_csv(
+        &dir.join("fig8_fig9.csv"),
+        "query,with_seconds,without_seconds,with_fraction,without_fraction",
+        &rows,
+    )
 }
 
 #[cfg(test)]

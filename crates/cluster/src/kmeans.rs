@@ -15,7 +15,6 @@ const ROW_CHUNK: usize = par::DEFAULT_CHUNK;
 
 /// Centroid initialisation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum InitMethod {
     /// k-means++ (D² sampling) — the default; gives `O(log k)`-competitive
     /// starting points and much more stable boundaries across seeds.
@@ -26,7 +25,6 @@ pub enum InitMethod {
 
 /// Configuration for a k-means fit.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KMeansConfig {
     /// Number of clusters K (the paper fixes K = 5 for all nodes).
     pub k: usize,
@@ -63,7 +61,6 @@ impl KMeansConfig {
 
 /// A fitted k-means model.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KMeans {
     centroids: Matrix,
     assignments: Vec<usize>,

@@ -14,7 +14,6 @@ use crate::kmeans::{KMeans, KMeansConfig};
 
 /// An incrementally maintained k-means quantisation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MiniBatchKMeans {
     centroids: Matrix,
     /// Per-centroid assignment counts (the inverse learning rates).

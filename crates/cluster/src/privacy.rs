@@ -4,7 +4,7 @@
 //! cluster *summaries* leak the exact extrema and counts of a node's
 //! data. This module adds the standard remedy: Laplace noise on the
 //! rectangle boundaries and member counts before they leave the node, at
-//! a per-summary budget ε. The ablation bench measures what the noise
+//! a per-summary budget ε. `repro ablations` measures what the noise
 //! costs the selection mechanism.
 
 use geom::{HyperRect, Interval};
@@ -15,7 +15,6 @@ use crate::summary::ClusterSummary;
 
 /// Per-summary privacy budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrivacyBudget {
     /// The Laplace ε: larger = less noise = less privacy.
     pub epsilon: f64,

@@ -13,7 +13,6 @@ use crate::kmeans::KMeans;
 
 /// Summary of a single non-empty cluster on a node.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClusterSummary {
     /// Cluster index within the node (0..K).
     pub cluster_id: usize,

@@ -8,7 +8,6 @@ use crate::policy_kind::PolicyKind;
 
 /// One policy's summary row in a comparison (a Fig. 7 bar).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PolicyComparison {
     /// Policy display name.
     pub policy: String,
@@ -49,7 +48,6 @@ pub fn compare_policies(
 
 /// Per-query with/without-selectivity series (Figs. 8 and 9).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SelectivitySeries {
     /// Query ids in issue order.
     pub query_ids: Vec<u64>,

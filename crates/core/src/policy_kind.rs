@@ -8,7 +8,6 @@ use selection::{
 /// A selection policy as configuration — convertible into the trait
 /// object [`PolicyKind::build`] the federation loop consumes.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PolicyKind {
     /// The paper's mechanism (§III-C) with top-ℓ capping.
     QueryDriven {

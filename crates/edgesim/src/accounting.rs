@@ -6,7 +6,6 @@
 
 /// What one query cost across the whole federation.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QueryAccounting {
     /// Query id.
     pub query_id: u64,
@@ -111,7 +110,6 @@ impl QueryAccounting {
 
 /// Aggregates accounting rows across a query stream.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StreamAccounting {
     /// Per-query rows in issue order.
     pub rows: Vec<QueryAccounting>,

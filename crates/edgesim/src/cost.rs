@@ -15,7 +15,6 @@
 /// ([`crate::EdgeNetwork::with_random_links`]) and the federation charges
 /// each participant's transfers at its own link speed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkProfile {
     /// Uplink/downlink bandwidth in bytes/second.
     pub bytes_per_second: f64,
@@ -58,7 +57,6 @@ impl LinkProfile {
 
 /// Cost-model parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostModel {
     /// Seconds one sample-visit (one sample in one epoch) costs on a
     /// capacity-1.0 node.

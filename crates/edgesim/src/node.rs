@@ -9,7 +9,6 @@ use crate::cost::LinkProfile;
 
 /// Identifier of a node within its network (`n_i` in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub usize);
 
 impl std::fmt::Display for NodeId {

@@ -17,7 +17,6 @@ use mlkit::DenseDataset;
 /// Min-max scaler derived from a joint-space bounding rectangle
 /// (features first, label last — the [`crate::EdgeNode::joint`] layout).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpaceScaler {
     bounds: Vec<(f64, f64)>,
 }

@@ -9,7 +9,6 @@
 /// schedule — a plan built from it injects nothing and the round engine
 /// behaves bit-identically to a fault-free run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultSpec {
     /// Seed driving every injected event (mixed with the query id, node
     /// id, round and attempt indices).
@@ -126,7 +125,6 @@ impl FaultSpec {
 
 /// Capped exponential backoff for retried model transfers.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RetryPolicy {
     /// Total transfer attempts per round (first try included); at least 1.
     pub max_attempts: usize,
@@ -165,7 +163,6 @@ impl RetryPolicy {
 /// How many survivors a communication round needs before the leader
 /// aggregates.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Quorum {
     /// At least this many reporting participants (floored at 1).
     AtLeast(usize),
@@ -197,7 +194,6 @@ impl Quorum {
 
 /// The federation's complete reaction policy to injected faults.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultTolerance {
     /// Transfer retry/backoff policy.
     pub retry: RetryPolicy,

@@ -6,7 +6,6 @@
 /// attempt counts, simulated seconds — never wall-clock time, so a trace
 /// is bit-identical across runs and thread counts for a given seed.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultEvent {
     /// A participant silently missed one round.
     Dropout {
@@ -173,7 +172,6 @@ impl FaultEvent {
 /// simulated-time, not wall-time), so the order — and therefore the
 /// JSON export — is bit-identical across runs and thread counts.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultTrace {
     /// Events in leader observation order.
     pub events: Vec<FaultEvent>,

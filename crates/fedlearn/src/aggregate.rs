@@ -4,7 +4,6 @@ use mlkit::{Model, Regressor};
 
 /// Which aggregation rule the leader applies to the returned local models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Aggregation {
     /// **Model Averaging** (Eq. 6): the prediction is the unweighted mean
     /// of the local models' predictions.
@@ -14,7 +13,7 @@ pub enum Aggregation {
     WeightedAveraging,
     /// FedAvg-style extension: average the *weight vectors* (sample-count
     /// weighted) into a single model. Not in the paper's evaluation;
-    /// used by the aggregation ablation bench.
+    /// used by the aggregation ablation (`repro ablations`).
     FedAvgWeights,
 }
 
@@ -31,7 +30,6 @@ impl Aggregation {
 
 /// The leader's aggregated predictor.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GlobalModel {
     /// A prediction-averaging ensemble: `ŷ(q) = Σ λ_i ŷ_i(q)` with
     /// `Σ λ_i = 1` (uniform λ for Eq. 6, ranking-proportional for Eq. 7).

@@ -2,7 +2,6 @@
 
 /// Why a query round could not complete.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FederationError {
     /// The selection policy returned no participants (nothing overlaps
     /// the query region under the configured thresholds).

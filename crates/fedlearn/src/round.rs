@@ -20,9 +20,8 @@ use crate::error::FederationError;
 /// ([`StageOrder::Interleaved`]: every epoch cycles through all
 /// clusters). Sequential is the default; interleaved protects non-linear
 /// models from intra-node forgetting at high epoch counts (see the
-/// `ablation_stage_order` bench).
+/// `stage_order` rows of `repro ablations`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StageOrder {
     /// E epochs on cluster 1, then E on cluster 2, ... (§IV-B).
     Sequential,
@@ -32,7 +31,6 @@ pub enum StageOrder {
 
 /// Configuration of the distributed-learning mechanism.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FederationConfig {
     /// Architecture broadcast to participants.
     pub model: ModelKind,

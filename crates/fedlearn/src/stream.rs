@@ -10,7 +10,6 @@ use crate::round::{run_query, FederationConfig};
 
 /// One query's result row.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QueryResult {
     /// The query id.
     pub query_id: u64,
@@ -31,7 +30,6 @@ pub struct QueryResult {
 
 /// The aggregate outcome of a workload run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StreamResult {
     /// Policy display name.
     pub policy: String,

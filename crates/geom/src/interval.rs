@@ -6,7 +6,6 @@
 /// naturally when a cluster contains a single sample or a constant
 /// feature.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Interval {
     lo: f64,
     hi: f64,
@@ -19,7 +18,6 @@ pub struct Interval {
 /// case — cluster strictly inside the query — is stated in the text as
 /// "five overlapping cases" and recovered here by symmetry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OverlapCase {
     /// Fig. 3a: both query boundaries lie inside the cluster boundaries.
     QueryInsideCluster,

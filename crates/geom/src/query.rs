@@ -9,7 +9,6 @@ use crate::rect::HyperRect;
 /// `q = [q_1^min, q_1^max, …, q_d^min, q_d^max]`; [`Query::region`]
 /// exposes it as a [`HyperRect`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Query {
     id: u64,
     region: HyperRect,

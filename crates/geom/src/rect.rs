@@ -7,7 +7,6 @@ use crate::interval::Interval;
 /// Both cluster summaries (per-dimension min/max of the members) and
 /// analytics queries are hyper-rectangles in the paper's formulation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HyperRect {
     dims: Vec<Interval>,
 }
@@ -172,7 +171,7 @@ impl HyperRect {
     /// Volume-fraction overlap: `vol(q ∩ k) / vol(hull(q, k))`.
     ///
     /// This is the natural multiplicative alternative to the paper's
-    /// additive Eq. 2 and is used only by the ablation benches. It is much
+    /// additive Eq. 2 and is used only by `repro ablations`. It is much
     /// harsher: one disjoint dimension zeroes the whole score.
     pub fn volume_overlap(&self, cluster: &HyperRect) -> f64 {
         match self.intersection(cluster) {

@@ -13,7 +13,6 @@ use crate::ops;
 /// properties of the model architecture, so a mismatch is a programming
 /// error rather than a recoverable condition.
 #[derive(Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,
     cols: usize,

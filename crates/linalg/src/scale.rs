@@ -12,7 +12,6 @@ use crate::Matrix;
 /// Columns with zero standard deviation are passed through shifted by their
 /// mean only, so constant features do not produce NaNs.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,
@@ -103,7 +102,6 @@ impl StandardScaler {
 ///
 /// Constant columns map to `0.0`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MinMaxScaler {
     bounds: Vec<(f64, f64)>,
 }

@@ -6,7 +6,6 @@ use linalg::{rng, Matrix};
 /// A dense supervised dataset: `x` has one sample per row, `y` one target
 /// per sample (`ξ = (x, y)` in the paper's notation).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DenseDataset {
     x: Matrix,
     y: Vec<f64>,

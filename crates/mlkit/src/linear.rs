@@ -10,7 +10,6 @@ use crate::model::Regressor;
 /// seed at all and mirrors Keras' default for a single dense unit closely
 /// enough for the paper's purposes.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinearRegression {
     w: Vec<f64>,
     b: f64,

@@ -5,7 +5,6 @@
 /// Table III uses MSE for both models; MAE and Huber are provided for the
 /// extension benches.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Loss {
     /// Mean squared error, `(ŷ − y)²` per sample (averaged over a batch).
     Mse,

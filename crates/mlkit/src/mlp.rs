@@ -11,7 +11,6 @@ use crate::model::Regressor;
 /// ReLU and what Keras does by default up to the distribution family),
 /// driven by an explicit seed.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mlp {
     dim: usize,
     hidden: usize,

@@ -50,7 +50,6 @@ pub trait Regressor {
 
 /// Which of the paper's two architectures to build (Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ModelKind {
     /// "LR": a single dense unit — linear regression.
     Linear,
@@ -86,7 +85,6 @@ impl ModelKind {
 
 /// A clonable, serialisable regressor: one of the two paper architectures.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Model {
     /// Linear regression.
     Linear(LinearRegression),

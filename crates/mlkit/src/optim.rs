@@ -3,7 +3,6 @@
 /// Optimiser configuration; [`OptimizerKind::build`] instantiates the
 /// stateful [`Optimizer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OptimizerKind {
     /// Plain stochastic gradient descent.
     Sgd {
@@ -63,7 +62,6 @@ impl OptimizerKind {
 
 /// A stateful first-order optimiser bound to one parameter vector.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Optimizer {
     kind: OptimizerKind,
     /// First-moment / velocity buffer.

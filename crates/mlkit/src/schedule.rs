@@ -7,7 +7,6 @@
 /// A learning-rate schedule: maps `(epoch, base_lr)` to the rate used
 /// in that epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LrSchedule {
     /// The base rate throughout (the paper's setting).
     Constant,

@@ -10,7 +10,6 @@ use crate::schedule::LrSchedule;
 
 /// Hyper-parameters of a training run (Table III).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrainConfig {
     /// Epochs over the training split.
     pub epochs: usize,
@@ -84,7 +83,6 @@ impl TrainConfig {
 
 /// What a training run measured.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrainReport {
     /// Mean training loss after each epoch.
     pub train_loss: Vec<f64>,

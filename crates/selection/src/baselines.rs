@@ -12,7 +12,6 @@ use crate::policy::{Participant, Selection, SelectionContext, SelectionOverhead,
 /// The draw is deterministic in `(seed, query id)` so repeated runs of a
 /// workload reproduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RandomSelection {
     /// Number of nodes to draw.
     pub l: usize,
@@ -49,7 +48,6 @@ impl SelectionPolicy for RandomSelection {
 
 /// All-node selection: every node participates with all its data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AllNodes;
 
 impl SelectionPolicy for AllNodes {
@@ -85,7 +83,6 @@ impl SelectionPolicy for AllNodes {
 /// general. This is the "needs a training round before selecting" cost
 /// the paper criticises (it shows up in the Fig. 8 timing).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GameTheory {
     /// Index of the leader node in the network.
     pub leader: usize,

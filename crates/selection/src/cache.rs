@@ -64,7 +64,6 @@ impl CacheConfig {
 /// Monotonic memo counters, mirrored into the global telemetry registry
 /// as `qens_cache_{hits,misses,invalidations,entries}_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Lookups answered from the memo: bit-exact repeats on an
     /// unchanged fleet.

@@ -106,7 +106,6 @@ const DOMAIN_CHUNK: usize = 4;
 /// Monotonic index counters, mirrored into the global telemetry registry
 /// as `qens_index_*`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IndexStats {
     /// Bulk (re)builds, including the initial one.
     pub rebuilds: u64,

@@ -20,7 +20,6 @@ use crate::policy::{Participant, Selection, SelectionContext, SelectionPolicy};
 /// selected. Nothing about the query enters the score — that is exactly
 /// the gap the paper's mechanism fills.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DataCentric {
     /// Number of nodes to select.
     pub l: usize,

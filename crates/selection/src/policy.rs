@@ -38,7 +38,6 @@ impl<'a> SelectionContext<'a> {
 
 /// A cluster that supports the query on some node (`h_ik >= ε`).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SupportingCluster {
     /// Cluster id within the node.
     pub cluster_id: usize,
@@ -50,7 +49,6 @@ pub struct SupportingCluster {
 
 /// One selected participant.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Participant {
     /// The node.
     pub node: NodeId,
@@ -76,7 +74,6 @@ impl Participant {
 
 /// The outcome of a selection round, ordered best-ranked first.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Selection {
     /// Selected participants (possibly empty when nothing overlaps the
     /// query).
@@ -131,7 +128,6 @@ impl Selection {
 /// "the slowest" mechanism — this struct is how that cost reaches the
 /// Fig. 8 accounting.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SelectionOverhead {
     /// Extra sample-visits per node: `(node, visits)`.
     pub per_node_visits: Vec<(NodeId, usize)>,

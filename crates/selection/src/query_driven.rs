@@ -13,7 +13,6 @@ const NODE_CHUNK: usize = 8;
 /// How the ranked list is cut down to the participant set (Eq. 5 and the
 /// top-ℓ alternative the paper describes alongside it).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SelectionCap {
     /// Keep the ℓ best-ranked nodes (with positive ranking).
     TopL(usize),
@@ -26,7 +25,6 @@ pub enum SelectionCap {
 /// Ranking formula. [`RankingRule::PaperEq4`] is the contribution; the
 /// other two are the ablations DESIGN.md calls out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RankingRule {
     /// `r_i = p_i · K'/K` (Eq. 4).
     PaperEq4,
@@ -42,7 +40,6 @@ pub enum RankingRule {
 /// is `O(N · K · d)` arithmetic and no data moves, matching the paper's
 /// "negligible calculations and communication" claim.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QueryDriven {
     /// Overlap threshold ε: clusters with `h_ik >= ε` support the query.
     pub epsilon: f64,

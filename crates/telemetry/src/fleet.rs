@@ -29,8 +29,9 @@
 //! `FederationBuilder::fleet(true)`. The disabled fast path of every
 //! update is a single relaxed atomic load, so `QENS_FLEET=0` runs are
 //! bitwise identical to a build without this module. An update on the
-//! enabled path is one mutex lock plus a `BTreeMap` probe — the
-//! `fleet_scorecard_update` leg of `BENCH_qens.json` pins its cost.
+//! enabled path is one mutex lock plus a `BTreeMap` probe; the repo
+//! benchmark's `telemetry.overhead_share` counts it with every other
+//! telemetry cost of a served query.
 //!
 //! # Cardinality policy
 //!

@@ -7,7 +7,6 @@ use linalg::rng::Rng;
 /// The distribution family driving query centres (the "dynamic workload"
 /// of Savva et al. \[18\]).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WorkloadKind {
     /// Centres uniform over the whole space — the paper's baseline
     /// "randomly created over the whole data space".
@@ -42,7 +41,6 @@ pub enum WorkloadKind {
 
 /// Workload configuration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadConfig {
     /// Number of queries to issue (the paper uses 200).
     pub n_queries: usize,
@@ -69,7 +67,6 @@ impl WorkloadConfig {
 
 /// A generated stream of queries plus the space it was generated over.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QueryWorkload {
     /// The global data space queried.
     pub space: HyperRect,

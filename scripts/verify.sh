@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate for the qens workspace.
 #
-# Runs entirely offline (no crates-io access is required — the default
-# feature set of every crate is dependency-free):
+# Runs entirely offline (no crates-io access is required — every crate
+# is dependency-free):
 #
 #   1. release build of the whole workspace,
 #   2. the full test suite, three times in a row at the default test
@@ -35,49 +35,45 @@
 #   9. profiler seed-stability: `repro profile` is run under
 #      QENS_THREADS=1 and QENS_THREADS=4 and the logical-clock folded
 #      stacks and SVG flamegraph must be byte-identical,
-#  10. the perf harness (`repro bench --check`) under QENS_BENCH_GATE:
-#      records kernel timings to results/BENCH_qens.json, warns on any
-#      regression against the committed baseline, and *fails* when a
-#      kernel regresses past the gate factor below,
-#  11. the selection-memo integration tests re-run under QENS_THREADS=2
+#  10. the selection-memo integration tests re-run under QENS_THREADS=2
 #      (what the memo answers must not depend on the pool its misses ran
 #      on),
-#  12. the serving smoke (`repro load --smoke`): spawns a real server on
+#  11. the serving smoke (`repro load --smoke`): spawns a real server on
 #      an ephemeral port, drives it with concurrent keep-alive clients
 #      while scraping /metrics, /cache, /nodes and /events, and asserts
 #      the telemetry ledger matches the queries served,
-#  13. load-generator seed-stability: the full `repro load` sweep is run
+#  12. load-generator seed-stability: the full `repro load` sweep is run
 #      under QENS_THREADS=1 and QENS_THREADS=4 and the fig9 saturation
 #      CSV must be byte-identical (service times come from simulated
 #      seconds and the queueing model runs on a logical clock, so thread
 #      count must not leak into the report),
-#  14. fleet-observability seed-stability: `repro fleet` is run under
+#  13. fleet-observability seed-stability: `repro fleet` is run under
 #      QENS_THREADS=1 and QENS_THREADS=4 and both results/fleet.json
 #      (scorecards + skew + logical journal tail) and
 #      results/fig10_fleet_skew.csv must be byte-identical — every
 #      scorecard field in the export is integer or leader-serial
 #      simulated time, so the fleet registry honours the same
 #      determinism contract as the fault and trace subsystems,
-#  15. spatial-index transparency: `repro fig7` and the fault/trace
+#  14. spatial-index transparency: `repro fig7` and the fault/trace
 #      smoke are run with QENS_INDEX=0 and again with QENS_INDEX=1 and
 #      the figure CSVs plus results/fault_trace.json must be
 #      byte-identical — the index may change how a selection is
 #      computed, never what is selected — plus the indexed-selection
 #      integration tests re-run under QENS_THREADS=2,
-#  16. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
+#  15. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
 #      nodes, scan vs indexed, bit-identity asserted inside the sweep)
 #      is run under QENS_THREADS=1 and QENS_THREADS=4 and
 #      results/fig11_scale.csv must be byte-identical (the CSV is
 #      structural counters + selection hashes, never wall clock),
-#  17. the repo benchmark's own unit tests (`benchmark/` is a workspace
+#  16. the repo benchmark's own unit tests (`benchmark/` is a workspace
 #      of its own, so step 2 never sees them); this runs them only —
 #      `BENCHMARK.json` and `benchmark/` are the driver's contract and
 #      are measured by the driver, not here,
-#  18. one 3 s run of the repo benchmark's `serve_closed` workload (run
+#  17. one 3 s run of the repo benchmark's `serve_closed` workload (run
 #      only, nothing under `benchmark/` is edited): fails unless no
 #      operation failed and the keep-alive p50 is under 5 ms — a reply
 #      that leaves as two writes reads 44 ms there,
-#  19. one 3 s run of the repo benchmark's `fleet_churn` workload (run
+#  18. one 3 s run of the repo benchmark's `fleet_churn` workload (run
 #      only): fails unless no operation failed and peak RSS is under
 #      300 MB — the 20k-node fleet alone is ~100 MB, so per-entry memo
 #      state that scales with the fleet (1.4 GB when every entry held
@@ -133,9 +129,6 @@ cmp results/profile.svg results/profile.svg.t1 \
   || { echo "FAIL: SVG flamegraph differs between QENS_THREADS=1 and 4"; exit 1; }
 rm -f results/profile.folded.t1 results/profile.svg.t1
 echo "folded stacks + flamegraph are thread-count stable"
-
-echo "==> repro bench --check (perf harness, QENS_BENCH_GATE=20 hard gate)"
-QENS_BENCH_GATE=20 cargo run -q -p bench --bin repro --release --offline -- bench --check
 
 echo "==> selection-memo tests under QENS_THREADS=2"
 QENS_THREADS=2 cargo test -q --offline -p qens --test selection_cache
