@@ -309,12 +309,7 @@ fn run_fleet_exp(scale: ExperimentScale) {
 fn run_fig8_faults(scale: ExperimentScale) {
     let rows = figures::fig8_faults(scale);
     println!("{}", report::render_fault_sweep(&rows));
-    report::write_csv(
-        &results_dir().join("fig8_faults.csv"),
-        "dropout,policy,mean_loss,completed,failed,replacements,dropped,mean_sim_seconds",
-        &report::fault_sweep_csv_rows(&rows),
-    )
-    .expect("write fig8_faults csv");
+    report::write_fig8_faults_csv(&results_dir(), &rows).expect("write fig8_faults csv");
     // The headline claim: the standby-backed mechanism still trains
     // models at heavy dropout instead of collapsing.
     let ours_heavy = rows

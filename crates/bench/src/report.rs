@@ -141,9 +141,10 @@ pub fn render_fault_sweep(rows: &[crate::figures::FaultSweepRow]) -> String {
     out
 }
 
-/// CSV rows of a fault sweep.
-pub fn fault_sweep_csv_rows(rows: &[crate::figures::FaultSweepRow]) -> Vec<Vec<String>> {
-    rows.iter()
+/// Writes the fault sweep to `fig8_faults.csv` under `dir`.
+pub fn write_fig8_faults_csv(dir: &Path, rows: &[crate::figures::FaultSweepRow]) -> io::Result<()> {
+    let rows: Vec<Vec<String>> = rows
+        .iter()
         .map(|r| {
             vec![
                 format!("{:.2}", r.dropout),
@@ -156,7 +157,12 @@ pub fn fault_sweep_csv_rows(rows: &[crate::figures::FaultSweepRow]) -> Vec<Vec<S
                 format!("{:.6}", r.mean_sim_seconds),
             ]
         })
-        .collect()
+        .collect();
+    write_csv(
+        &dir.join("fig8_faults.csv"),
+        "dropout,policy,mean_loss,completed,failed,replacements,dropped,mean_sim_seconds",
+        &rows,
+    )
 }
 
 /// Renders the Fig. 8/9 per-query series.

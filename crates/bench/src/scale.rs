@@ -38,7 +38,8 @@ use qens::edgesim::{EdgeNetwork, EdgeNode, NodeId};
 use qens::geom::{HyperRect, Interval};
 use qens::linalg::rng::{self as lrng, Rng};
 use qens::selection::{
-    GridConfig, IndexedQueryDriven, QueryDriven, Selection, SelectionContext, SelectionPolicy,
+    GridConfig, IndexedQueryDriven, Participant, QueryDriven, Ranked, Selection, SelectionContext,
+    SelectionPolicy,
 };
 use qens::workload::{self, WorkloadConfig, WorkloadKind};
 
@@ -163,9 +164,15 @@ pub struct ScaleRow {
 
 /// Folds one selection into an FNV-1a accumulator: node ids, ranking
 /// bits and supporting-cluster structure for participants and standby
-/// alike. Bitwise — two paths produce equal hashes iff their selections
-/// are bit-identical in every float.
-fn fold_selection(mut h: u64, qid: u64, sel: &Selection) -> u64 {
+/// alike, each standby entry as `promote` turns it into a participant.
+/// Bitwise — two paths produce equal hashes iff their selections are
+/// bit-identical in every float.
+fn fold_selection(
+    mut h: u64,
+    qid: u64,
+    sel: &Selection,
+    promote: impl Fn(&Ranked) -> Participant,
+) -> u64 {
     const PRIME: u64 = 0x100_0000_01b3;
     let mut eat = |v: u64| {
         for byte in v.to_le_bytes() {
@@ -174,7 +181,8 @@ fn fold_selection(mut h: u64, qid: u64, sel: &Selection) -> u64 {
         }
     };
     eat(qid);
-    for (tag, list) in [(1u64, &sel.participants), (2u64, &sel.standby)] {
+    let standby: Vec<Participant> = sel.standby.iter().map(promote).collect();
+    for (tag, list) in [(1u64, &sel.participants), (2u64, &standby)] {
         eat(tag);
         eat(list.len() as u64);
         for p in list {
@@ -234,8 +242,8 @@ pub fn run_sweep(sizes: &[usize]) -> Vec<ScaleRow> {
                 "indexed selection diverged from the full scan at {n} nodes, query {}",
                 q.id()
             );
-            scan_hash = fold_selection(scan_hash, q.id(), &s);
-            indexed_hash = fold_selection(indexed_hash, q.id(), &i);
+            scan_hash = fold_selection(scan_hash, q.id(), &s, |r| scan.promote(&ctx, r));
+            indexed_hash = fold_selection(indexed_hash, q.id(), &i, |r| indexed.promote(&ctx, r));
             participants += s.participants.len() as u64;
             standby += s.standby.len() as u64;
         }

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use bench::ablations::{self, AblationRow};
-use bench::{figures, report, ExperimentScale};
+use bench::{figures, report, scale, ExperimentScale};
 
 fn ablation_rows() -> &'static [AblationRow] {
     static ROWS: OnceLock<Vec<AblationRow>> = OnceLock::new();
@@ -20,15 +20,27 @@ fn ablation_rows() -> &'static [AblationRow] {
 /// with `results/<name>`; a mismatch names the first differing line and
 /// the `repro` command that regenerates the file.
 fn assert_golden(name: &str, repro_args: &str, write: impl FnOnce(&Path) -> io::Result<()>) {
+    assert_same(name, repro_args, &committed(name), &fresh(name, write));
+}
+
+/// `name` as `write` writes it into a fresh temp dir.
+fn fresh(name: &str, write: impl FnOnce(&Path) -> io::Result<()>) -> String {
     let dir = std::env::temp_dir().join(format!("qens_golden_{}_{name}", std::process::id()));
     write(&dir).expect("write fresh artifact");
     let fresh = std::fs::read_to_string(dir.join(name)).expect("read fresh artifact");
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
-    let committed_path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "results", name]
+    fresh
+}
+
+/// `results/<name>` as committed.
+fn committed(name: &str) -> String {
+    let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "results", name]
         .iter()
         .collect();
-    let committed = std::fs::read_to_string(&committed_path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", committed_path.display()));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+fn assert_same(name: &str, repro_args: &str, committed: &str, fresh: &str) {
     if fresh == committed {
         return;
     }
@@ -64,6 +76,32 @@ fn fig8_fig9_csv_matches_a_fresh_run() {
     assert_golden("fig8_fig9.csv", "fig8_fig9", |dir| {
         report::write_fig8_fig9_csv(dir, &figures::fig8_fig9(ExperimentScale::Quick))
     });
+}
+
+#[test]
+fn fig8_faults_csv_matches_a_fresh_run() {
+    assert_golden("fig8_faults.csv", "faults", |dir| {
+        report::write_fig8_faults_csv(dir, &figures::fig8_faults(ExperimentScale::Quick))
+    });
+}
+
+/// The 1k–100k rows only: the 1M-node fleet costs minutes in a debug
+/// build, so `scripts/verify.sh` regenerates that row in release.
+#[test]
+fn fig11_scale_csv_matches_a_fresh_run_up_to_100k_nodes() {
+    let name = "fig11_scale.csv";
+    let sizes = &scale::FLEET_SIZES[..3];
+    let fresh = fresh(name, |dir| {
+        let rows = scale::csv_rows(&scale::run_sweep(sizes));
+        report::write_csv(&dir.join(name), scale::CSV_HEADER, &rows)
+    });
+    // The header, then a scan and an indexed row per fleet size.
+    let committed: String = committed(name)
+        .lines()
+        .take(1 + 2 * sizes.len())
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_same(name, "scale", &committed, &fresh);
 }
 
 fn row(ablation: &str, parameter: &str, value: &str) -> &'static AblationRow {

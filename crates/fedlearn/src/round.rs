@@ -763,7 +763,7 @@ pub fn run_query(
             let mut promoted: Vec<usize> = Vec::new();
             while promoted.len() < deficit {
                 let Some(p) = standby_queue.next() else { break };
-                let member = build_member(p);
+                let member = build_member(&policy.promote(&ctx, p));
                 // Standbys without training data are skipped — they
                 // could never report a model.
                 if member.has_data() {

@@ -28,7 +28,9 @@ use par::ThreadPool;
 
 use crate::epochs::FleetEpochs;
 use crate::indexed::{IndexStats, IndexedQueryDriven};
-use crate::policy::{Selection, SelectionContext, SelectionOverhead, SelectionPolicy};
+use crate::policy::{
+    Participant, Ranked, Selection, SelectionContext, SelectionOverhead, SelectionPolicy,
+};
 use crate::query_driven::QueryDriven;
 
 /// Tuning knobs for [`CachedQueryDriven`] and the serving batcher.
@@ -299,6 +301,10 @@ impl SelectionPolicy for CachedQueryDriven {
         self.inner().overhead(ctx)
     }
 
+    fn promote(&self, ctx: &SelectionContext<'_>, standby: &Ranked) -> Participant {
+        self.inner().promote(ctx, standby)
+    }
+
     fn cache_stats(&self) -> Option<CacheStats> {
         Some(self.stats())
     }
@@ -329,12 +335,10 @@ mod tests {
 
     fn assert_bitwise_eq(a: &Selection, b: &Selection) {
         assert_eq!(a, b);
-        for (x, y) in a
-            .participants
-            .iter()
-            .chain(&a.standby)
-            .zip(b.participants.iter().chain(&b.standby))
-        {
+        for (x, y) in a.standby.iter().zip(&b.standby) {
+            assert_eq!(x.ranking.to_bits(), y.ranking.to_bits());
+        }
+        for (x, y) in a.participants.iter().zip(&b.participants) {
             assert_eq!(x.ranking.to_bits(), y.ranking.to_bits());
             for (cx, cy) in x.supporting_clusters.iter().zip(&y.supporting_clusters) {
                 assert_eq!(cx.overlap.to_bits(), cy.overlap.to_bits());

@@ -8,10 +8,10 @@
 //! selection into **candidate generation** — a
 //! [`geom::index::SpatialIndex`] over per-node summary hulls with a
 //! two-level domain-then-node hierarchy — and **exact verification**:
-//! each surviving domain's hull hits are scored on the spot, from that
+//! each surviving domain's hull hits are ranked on the spot, from that
 //! domain's block of a cluster table kept in the index's Morton slot
-//! order, through the shared `rank_clusters` / `participant_for` /
-//! `rank_and_cap`.
+//! order, through the shared `rank_clusters` into `(node, r_i)` entries
+//! that the shared `rank_and_cap` sorts and cuts.
 //!
 //! # The cluster table
 //!
@@ -49,7 +49,7 @@
 //! exactly `0.0` for every disjoint (or touching-but-degenerate) pair.
 //! With `ε > 0` each such cluster fails `h_ik >= ε`, leaving the node
 //! with zero supporting clusters and ranking `0.0` — precisely the
-//! nodes `QueryDriven::participant_for` maps to `None` in a full scan.
+//! nodes a full scan leaves out of its ranked list.
 //!
 //! *Candidates score the same bits.* The table stores copies of the
 //! summaries' own `Interval`s; a candidate's `h_ik` is
@@ -67,8 +67,16 @@
 //! and `rank_and_cap` sorts by a **total** order (ranking descending,
 //! then the unique node id ascending) in which no two entries compare
 //! equal, so every input permutation — and therefore every thread
-//! count — gives the same participants, rankings, supporting clusters
-//! and standby tail as the scan.
+//! count — gives the same ranked list, cut and standby tail as the
+//! scan.
+//!
+//! *Clusters come from one place.* The table only ranks. A node's
+//! supporting clusters are built once it is above the cut (in
+//! `rank_and_cap`) or promoted from the standby tail (through
+//! [`SelectionPolicy::promote`]), and both go through
+//! [`QueryDriven::score_node`] on the node's own summaries — the scan's
+//! code, not a copy of it. The standby tail is `(node, r_i)` pairs, so
+//! the table's narrowed `(cluster_id, size)` never leaves this module.
 //!
 //! `ε <= 0` (e.g. ablations ranking by cluster-count only) breaks the
 //! first step — a zero-overlap cluster then *satisfies* `h >= ε` — so
@@ -96,8 +104,10 @@ use geom::Interval;
 use par::ThreadPool;
 
 use crate::epochs::FleetEpochs;
-use crate::policy::{Participant, Selection, SelectionContext, SelectionOverhead, SelectionPolicy};
-use crate::query_driven::QueryDriven;
+use crate::policy::{
+    Participant, Ranked, Selection, SelectionContext, SelectionOverhead, SelectionPolicy,
+};
+use crate::query_driven::{count_scored, QueryDriven};
 
 /// Surviving domains per pool task. Fixed (worker-count independent),
 /// so what each task produces does not depend on the pool.
@@ -350,10 +360,10 @@ impl IndexedQueryDriven {
         let ids = built.index.slot_ids();
         let region = ctx.query.region();
         let probe = built.index.probe(region);
-        let chunks: Vec<(Vec<Participant>, u64)> =
+        let chunks: Vec<(Vec<Ranked>, u64)> =
             pool.map_chunks(probe.domains.len(), DOMAIN_CHUNK, |chunk| {
-                let mut supporting_nodes = Vec::new();
-                let (mut candidates, mut evals) = (0u64, 0u64);
+                let (mut ranked, mut supporting) = (Vec::new(), Vec::new());
+                let (mut candidates, mut evals, mut kept) = (0u64, 0u64, 0u64);
                 for &domain in &probe.domains[chunk] {
                     let clusters = built.clusters[domain as usize]
                         .get_or_init(|| DomainClusters::gather(&built.index, domain, nodes));
@@ -371,27 +381,24 @@ impl IndexedQueryDriven {
                             let overlaps = clusters.overlaps(slot - first_slot, &nodes[id], region);
                             candidates += 1;
                             evals += overlaps.len() as u64;
-                            let (ranking, supporting) =
-                                self.inner.rank_clusters(overlaps.len(), overlaps);
-                            supporting_nodes.extend(self.inner.participant_for(
-                                NodeId(id),
-                                ranking,
-                                supporting,
-                            ));
+                            let ranking =
+                                self.inner
+                                    .rank_clusters(overlaps.len(), overlaps, &mut supporting);
+                            kept += supporting.len() as u64;
+                            if ranking > 0.0 {
+                                ranked.push(Ranked {
+                                    node: NodeId(id),
+                                    ranking,
+                                });
+                            }
                         });
                 }
-                telemetry::counter!("qens_selection_overlap_evals_total").add(evals);
-                (supporting_nodes, candidates)
+                count_scored(evals, kept);
+                (ranked, candidates)
             });
-        self.record_probe(
-            &probe,
-            chunks.iter().map(|(_, candidates)| candidates).sum(),
-        );
-        self.inner.rank_and_cap(
-            chunks
-                .into_iter()
-                .flat_map(|(supporting_nodes, _)| supporting_nodes),
-        )
+        let (ranked, candidates): (Vec<Vec<Ranked>>, Vec<u64>) = chunks.into_iter().unzip();
+        self.record_probe(&probe, candidates.iter().sum());
+        self.inner.rank_and_cap(ctx, ranked.concat())
     }
 }
 
@@ -409,6 +416,10 @@ impl SelectionPolicy for IndexedQueryDriven {
 
     fn overhead(&self, ctx: &SelectionContext<'_>) -> SelectionOverhead {
         self.inner.overhead(ctx)
+    }
+
+    fn promote(&self, ctx: &SelectionContext<'_>, standby: &Ranked) -> Participant {
+        self.inner.promote(ctx, standby)
     }
 }
 
@@ -438,12 +449,10 @@ mod tests {
 
     fn assert_bitwise_eq(a: &Selection, b: &Selection) {
         assert_eq!(a, b);
-        for (x, y) in a
-            .participants
-            .iter()
-            .chain(&a.standby)
-            .zip(b.participants.iter().chain(&b.standby))
-        {
+        for (x, y) in a.standby.iter().zip(&b.standby) {
+            assert_eq!(x.ranking.to_bits(), y.ranking.to_bits());
+        }
+        for (x, y) in a.participants.iter().zip(&b.participants) {
             assert_eq!(x.ranking.to_bits(), y.ranking.to_bits());
             for (cx, cy) in x.supporting_clusters.iter().zip(&y.supporting_clusters) {
                 assert_eq!(cx.overlap.to_bits(), cy.overlap.to_bits());

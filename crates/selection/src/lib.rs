@@ -52,7 +52,7 @@ pub use geom::index::GridConfig;
 pub use indexed::{IndexStats, IndexedQueryDriven};
 pub use literature::{DataCentric, FairStochastic};
 pub use policy::{
-    Participant, Selection, SelectionContext, SelectionOverhead, SelectionPolicy,
+    Participant, Ranked, Selection, SelectionContext, SelectionOverhead, SelectionPolicy,
     SupportingCluster, WithoutSelectivity,
 };
 pub use query_driven::{QueryDriven, RankingRule, SelectionCap};

@@ -72,6 +72,19 @@ impl Participant {
     }
 }
 
+/// A node that supports the query, as the leader ranks it: its id and
+/// its ranking `r_i`, without the supporting clusters. The leader ranks
+/// and cuts on these scalars and builds a [`Participant`] only for a
+/// node that trains — selected, or promoted from
+/// [`Selection::standby`] by [`SelectionPolicy::promote`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Ranked {
+    /// The node.
+    pub node: NodeId,
+    /// Its ranking `r_i` (Eq. 4).
+    pub ranking: f64,
+}
+
 /// The outcome of a selection round, ordered best-ranked first.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Selection {
@@ -79,11 +92,13 @@ pub struct Selection {
     /// query).
     pub participants: Vec<Participant>,
     /// The ranked tail *behind* the participant cut, best-ranked first:
-    /// nodes that supported the query but were trimmed by the cap.
-    /// Fault-tolerant federations promote from this list when selected
-    /// participants fail. Baselines without a ranking leave it empty —
-    /// they have no principled replacement order.
-    pub standby: Vec<Participant>,
+    /// nodes that supported the query but were trimmed by the cap, as
+    /// `(node, r_i)` only. Fault-tolerant federations promote from this
+    /// list when selected participants fail, and
+    /// [`SelectionPolicy::promote`] gives a promoted node its supporting
+    /// clusters. Baselines without a ranking leave it empty — they have
+    /// no principled replacement order.
+    pub standby: Vec<Ranked>,
 }
 
 impl Selection {
@@ -143,6 +158,19 @@ pub trait SelectionPolicy {
     /// Selects participants for a query.
     fn select(&self, ctx: &SelectionContext<'_>) -> Selection;
 
+    /// The participant a standby entry of this policy's selection for
+    /// `ctx` becomes when a round promotes it: the same node and ranking,
+    /// with the supporting clusters it would have carried had it made the
+    /// cut. Defaults to no clusters — train on the whole local dataset,
+    /// the baselines' behaviour.
+    fn promote(&self, _ctx: &SelectionContext<'_>, standby: &Ranked) -> Participant {
+        Participant {
+            node: standby.node,
+            ranking: standby.ranking,
+            supporting_clusters: Vec::new(),
+        }
+    }
+
     /// Pre-selection work the mechanism performs (see
     /// [`SelectionOverhead`]). Defaults to none.
     fn overhead(&self, _ctx: &SelectionContext<'_>) -> SelectionOverhead {
@@ -175,10 +203,16 @@ impl<P: SelectionPolicy> SelectionPolicy for WithoutSelectivity<P> {
 
     fn select(&self, ctx: &SelectionContext<'_>) -> Selection {
         let mut sel = self.0.select(ctx);
-        for p in sel.participants.iter_mut().chain(sel.standby.iter_mut()) {
+        for p in &mut sel.participants {
             p.supporting_clusters.clear();
         }
         sel
+    }
+
+    fn promote(&self, ctx: &SelectionContext<'_>, standby: &Ranked) -> Participant {
+        let mut p = self.0.promote(ctx, standby);
+        p.supporting_clusters.clear();
+        p
     }
 
     fn overhead(&self, ctx: &SelectionContext<'_>) -> SelectionOverhead {
@@ -229,6 +263,34 @@ mod tests {
         };
         assert_eq!(sel.lambda_weights(), vec![0.5, 0.5]);
         assert!(Selection::default().lambda_weights().is_empty());
+    }
+
+    #[test]
+    fn without_selectivity_promotes_onto_the_whole_dataset() {
+        let dataset = |x0: f64| {
+            let xs: Vec<f64> = (0..60).map(|i| x0 + i as f64 / 3.0).collect();
+            let rows: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
+            mlkit::DenseDataset::new(linalg::Matrix::from_rows(&rows), xs)
+        };
+        let mut net = edgesim::EdgeNetwork::from_datasets(vec![
+            ("a".into(), dataset(0.0)),
+            ("b".into(), dataset(5.0)),
+            ("c".into(), dataset(10.0)),
+        ]);
+        net.quantize_all(3, 5);
+        let query = geom::Query::from_boundary_vec(0, &[0.0, 30.0, 0.0, 30.0]);
+        let ctx = SelectionContext::new(&net, &query);
+        let inner = crate::QueryDriven::top_l(1);
+        let bare = WithoutSelectivity(inner.clone());
+        let sel = bare.select(&ctx);
+        assert_eq!(sel.standby, inner.select(&ctx).standby);
+        assert!(!sel.standby.is_empty());
+        for r in &sel.standby {
+            let promoted = bare.promote(&ctx, r);
+            assert_eq!((promoted.node, promoted.ranking), (r.node, r.ranking));
+            assert!(promoted.supporting_clusters.is_empty());
+            assert!(!inner.promote(&ctx, r).supporting_clusters.is_empty());
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use par::ThreadPool;
 
-use crate::policy::{Participant, Selection, SelectionContext, SelectionPolicy, SupportingCluster};
+use crate::policy::{
+    Participant, Ranked, Selection, SelectionContext, SelectionPolicy, SupportingCluster,
+};
 
 /// Nodes per pool task when scoring a network. Fixed (independent of the
 /// worker count) so the scored list is identical for any pool; small
@@ -78,39 +80,23 @@ impl QueryDriven {
         node: &edgesim::EdgeNode,
         query: &geom::Query,
     ) -> (f64, Vec<SupportingCluster>) {
-        // The quantisation check must run *before* any summary access:
-        // if it came second, a summaries() implementation that itself
-        // panics on an unquantized node would mask the friendly
-        // "call quantize_all first" guidance below.
-        assert!(
-            node.is_quantized(),
-            "node {} has no cluster summaries; call EdgeNetwork::quantize_all first",
-            node.id()
-        );
-        // Scoring may run on pool workers, so the per-node span is
-        // wall-mode only (inert on the logical clock).
-        let _trace_score = telemetry::trace::wall_span_args(
-            "selection.score_node",
-            &[("node", node.id().0 as u64)],
-        );
-        let summaries = node.summaries();
-        let k_total = summaries.len();
-        telemetry::counter!("qens_selection_overlap_evals_total").add(k_total as u64);
-        self.rank_clusters(
-            k_total,
-            summaries
-                .iter()
-                .map(|s| (s.cluster_id, s.size, query.region().overlap_rate(&s.rect))),
-        )
+        let mut supporting = Vec::new();
+        let overlaps = summary_overlaps(node, query);
+        let ranking = self.rank_clusters(overlaps.len(), overlaps, &mut supporting);
+        (ranking, supporting)
     }
 
     /// Eq. 3/4 over already-evaluated per-cluster overlaps
     /// `(cluster_id, size, h_ik)`: the ε filter, the overlap-descending
     /// sort, the potential sum (in sorted order) and the ranking rule.
+    /// Leaves the supporting clusters in `supporting` (cleared first, so
+    /// a kernel reuses one buffer across nodes) and returns the ranking;
+    /// the node supports the query iff the ranking is positive, which
+    /// under every rule needs at least one supporting cluster.
     ///
-    /// Shared by [`QueryDriven::score_node`] and the fused index path
-    /// ([`crate::indexed`]) so both produce bit-identical
-    /// `(ranking, supporting)` from identical overlaps.
+    /// The one Eq. 3/4 kernel: the scan, the fused index path
+    /// ([`crate::indexed`]) and [`QueryDriven::score_node`] all call it,
+    /// so identical overlaps give bit-identical rankings and clusters.
     ///
     /// Non-finite overlaps are defensively skipped (and counted via
     /// `qens_selection_nonfinite_scores_total`) instead of reaching the
@@ -120,27 +106,24 @@ impl QueryDriven {
         &self,
         k_total: usize,
         clusters: impl IntoIterator<Item = (usize, usize, f64)>,
-    ) -> (f64, Vec<SupportingCluster>) {
+        supporting: &mut Vec<SupportingCluster>,
+    ) -> f64 {
+        supporting.clear();
         let mut nonfinite = 0u64;
-        let mut supporting: Vec<SupportingCluster> = clusters
-            .into_iter()
-            .filter_map(|(cluster_id, size, h)| {
-                if !h.is_finite() {
-                    nonfinite += 1;
-                    return None;
-                }
-                (h >= self.epsilon).then_some(SupportingCluster {
-                    cluster_id,
-                    overlap: h,
-                    size,
-                })
+        supporting.extend(clusters.into_iter().filter_map(|(cluster_id, size, h)| {
+            if !h.is_finite() {
+                nonfinite += 1;
+                return None;
+            }
+            (h >= self.epsilon).then_some(SupportingCluster {
+                cluster_id,
+                overlap: h,
+                size,
             })
-            .collect();
+        }));
         if nonfinite > 0 {
             telemetry::counter!("qens_selection_nonfinite_scores_total").add(nonfinite);
         }
-        telemetry::counter!("qens_selection_supporting_clusters_total")
-            .add(supporting.len() as u64);
         supporting.sort_by(|a, b| {
             b.overlap
                 .partial_cmp(&a.overlap)
@@ -152,38 +135,21 @@ impl QueryDriven {
         } else {
             supporting.len() as f64 / k_total as f64
         };
-        let ranking = match self.rule {
+        match self.rule {
             RankingRule::PaperEq4 => potential * fraction,
             RankingRule::PotentialOnly => potential,
             RankingRule::CountOnly => fraction,
-        };
-        (ranking, supporting)
-    }
-
-    /// Builds the [`Participant`] entry for a scored node, or `None` when
-    /// the node does not support the query. Shared with
-    /// [`crate::indexed`] so the fused path keeps the exact
-    /// participation predicate.
-    pub(crate) fn participant_for(
-        &self,
-        node: edgesim::NodeId,
-        ranking: f64,
-        supporting: Vec<SupportingCluster>,
-    ) -> Option<Participant> {
-        (ranking > 0.0 && !supporting.is_empty()).then_some(Participant {
-            node,
-            ranking,
-            supporting_clusters: supporting,
-        })
+        }
     }
 
     /// [`SelectionPolicy::select`] on an explicit pool handle: the
-    /// leader's `O(N·K·d)` Eq. 2–4 kernel scores nodes on fixed chunks
-    /// of the node list, each result written back to its node index, so
-    /// the ranked list (and the subsequent deterministic sort) is
-    /// bit-identical for any worker count. Telemetry counters inside
-    /// [`QueryDriven::score_node`] are relaxed atomic adds, so their
-    /// totals are scheduling-independent too.
+    /// leader's `O(N·K·d)` Eq. 2–4 kernel ranks nodes on fixed chunks
+    /// of the node list, one supporting-cluster scratch buffer per
+    /// chunk, and keeps `(node, r_i)` for every node that supports the
+    /// query; [`QueryDriven::rank_and_cap`] sorts and cuts. The chunks
+    /// come back in node order, so the ranked list is bit-identical for
+    /// any worker count. Telemetry counters are relaxed atomic adds,
+    /// so their totals are scheduling-independent too.
     pub fn select_with_pool(&self, ctx: &SelectionContext<'_>, pool: &ThreadPool) -> Selection {
         let _span = telemetry::span!("qens_selection_select_nanos");
         let nodes = ctx.network.nodes();
@@ -192,53 +158,73 @@ impl QueryDriven {
         // instant below) may record on the logical clock.
         let _trace_span =
             telemetry::trace::span_args("selection.select", &[("nodes", nodes.len() as u64)]);
-        let scored_by_node: Vec<Option<Participant>> =
-            pool.map_indexed(nodes, NODE_CHUNK, |_, node| {
-                let (ranking, supporting) = self.score_node(node, ctx.query);
-                self.participant_for(node.id(), ranking, supporting)
-            });
-        self.rank_and_cap(scored_by_node.into_iter().flatten())
+        let chunks: Vec<Vec<Ranked>> = pool.map_chunks(nodes.len(), NODE_CHUNK, |chunk| {
+            let (mut ranked, mut supporting) = (Vec::new(), Vec::new());
+            let (mut evals, mut kept) = (0u64, 0u64);
+            for node in &nodes[chunk] {
+                // Scoring runs on pool workers, so the per-node span is
+                // wall-mode only (inert on the logical clock).
+                let _trace_score = telemetry::trace::wall_span_args(
+                    "selection.score_node",
+                    &[("node", node.id().0 as u64)],
+                );
+                let overlaps = summary_overlaps(node, ctx.query);
+                evals += overlaps.len() as u64;
+                let ranking = self.rank_clusters(overlaps.len(), overlaps, &mut supporting);
+                kept += supporting.len() as u64;
+                if ranking > 0.0 {
+                    ranked.push(Ranked {
+                        node: node.id(),
+                        ranking,
+                    });
+                }
+            }
+            count_scored(evals, kept);
+            ranked
+        });
+        self.rank_and_cap(ctx, chunks.concat())
     }
 
-    /// The leader-serial ranking phase: collects the supporting nodes'
-    /// entries (in whatever order the caller scored them), sorts
-    /// best-ranked first and applies the cap. Shared with
-    /// [`crate::indexed`], which feeds it participants scored off the
-    /// index's cluster table — going through the identical sort and
+    /// The leader-serial ranking phase: takes the supporting nodes'
+    /// `(node, r_i)` entries (in whatever order the caller scored them),
+    /// sorts best-ranked first, applies the cap and builds a
+    /// [`Participant`] — supporting clusters and all, through
+    /// [`QueryDriven::score_node`] — for the entries above the cut only.
+    /// Shared with [`crate::indexed`], which feeds it entries ranked off
+    /// the index's cluster table — going through the identical sort and
     /// split is what makes its selections bit-identical to the scan's.
     ///
-    /// The sort key is total: [`QueryDriven::participant_for`] only
-    /// lets strictly positive rankings through (so `total_cmp` orders
-    /// them exactly as `partial_cmp` would, with no NaN case to panic
-    /// on) and node ids are unique, so no two entries compare equal and
-    /// the result does not depend on the input order — which is why an
-    /// unstable sort is enough and why the indexed path need not score
-    /// in ascending node id.
-    pub(crate) fn rank_and_cap(&self, scored: impl IntoIterator<Item = Participant>) -> Selection {
-        let mut scored: Vec<Participant> = scored.into_iter().collect();
+    /// The sort key is total: the kernels only let strictly positive
+    /// rankings through (so `total_cmp` orders them exactly as
+    /// `partial_cmp` would, with no NaN case to panic on) and node ids
+    /// are unique, so no two entries compare equal and the result does
+    /// not depend on the input order — which is why an unstable sort is
+    /// enough and why the indexed path need not score in ascending node
+    /// id.
+    pub(crate) fn rank_and_cap(
+        &self,
+        ctx: &SelectionContext<'_>,
+        mut ranked: Vec<Ranked>,
+    ) -> Selection {
         // Ranking phase (sort + cap split) — leader-serial, so the span
         // may record on the logical clock and the profiler can separate
         // scoring time from ranking time.
         let rank_span =
-            telemetry::trace::span_args("selection.rank", &[("scored", scored.len() as u64)]);
+            telemetry::trace::span_args("selection.rank", &[("scored", ranked.len() as u64)]);
         // Best-ranked first; node id breaks ties deterministically.
-        scored.sort_unstable_by(|a, b| b.ranking.total_cmp(&a.ranking).then(a.node.cmp(&b.node)));
+        ranked.sort_unstable_by(|a, b| b.ranking.total_cmp(&a.ranking).then(a.node.cmp(&b.node)));
         // The cap splits the ranked list into participants and the
         // standby tail. The tail keeps the ranking order, so a
         // fault-tolerant federation promoting standby[0], standby[1], …
         // follows exactly the ranking the paper's Eq. 4 produced.
-        let (participants, standby) = match self.cap {
-            SelectionCap::TopL(l) => {
-                let standby = scored.split_off(l.min(scored.len()));
-                (scored, standby)
-            }
-            SelectionCap::Threshold(psi) => {
-                let cut = scored.partition_point(|p| p.ranking >= psi);
-                let standby = scored.split_off(cut);
-                (scored, standby)
-            }
-            SelectionCap::AllPositive => (scored, Vec::new()),
+        let cut = match self.cap {
+            SelectionCap::TopL(l) => l.min(ranked.len()),
+            SelectionCap::Threshold(psi) => ranked.partition_point(|r| r.ranking >= psi),
+            SelectionCap::AllPositive => ranked.len(),
         };
+        let participants: Vec<Participant> =
+            ranked.drain(..cut).map(|r| self.promote(ctx, &r)).collect();
+        let standby = ranked;
         rank_span.finish();
         telemetry::counter!("qens_selection_participants_total").add(participants.len() as u64);
         // Rankings live in [0, K]; record micro-units so the log-scale
@@ -273,6 +259,53 @@ impl SelectionPolicy for QueryDriven {
     fn select(&self, ctx: &SelectionContext<'_>) -> Selection {
         self.select_with_pool(ctx, par::global())
     }
+
+    /// Re-scores the node with [`QueryDriven::score_node`]: the same
+    /// arithmetic on the same summaries, so the clusters are exactly the
+    /// ones the node would have carried above the cut.
+    fn promote(&self, ctx: &SelectionContext<'_>, standby: &Ranked) -> Participant {
+        let (ranking, supporting_clusters) =
+            self.score_node(ctx.network.node(standby.node), ctx.query);
+        debug_assert_eq!(
+            ranking.to_bits(),
+            standby.ranking.to_bits(),
+            "node {} re-scored to a different ranking",
+            standby.node
+        );
+        Participant {
+            node: standby.node,
+            ranking: standby.ranking,
+            supporting_clusters,
+        }
+    }
+}
+
+/// The `(cluster_id, size, h_ik)` of every summary of `node` against
+/// `query`, in summary order, as [`QueryDriven::rank_clusters`] takes
+/// them.
+fn summary_overlaps<'a>(
+    node: &'a edgesim::EdgeNode,
+    query: &'a geom::Query,
+) -> impl ExactSizeIterator<Item = (usize, usize, f64)> + 'a {
+    // The quantisation check must run *before* any summary access: if
+    // it came second, a summaries() implementation that itself panics on
+    // an unquantized node would mask the friendly "call quantize_all
+    // first" guidance below.
+    assert!(
+        node.is_quantized(),
+        "node {} has no cluster summaries; call EdgeNetwork::quantize_all first",
+        node.id()
+    );
+    node.summaries()
+        .iter()
+        .map(|s| (s.cluster_id, s.size, query.region().overlap_rate(&s.rect)))
+}
+
+/// Counts one kernel chunk's work: `evals` per-cluster overlaps
+/// evaluated, `supporting` of them at or above ε.
+pub(crate) fn count_scored(evals: u64, supporting: u64) {
+    telemetry::counter!("qens_selection_overlap_evals_total").add(evals);
+    telemetry::counter!("qens_selection_supporting_clusters_total").add(supporting);
 }
 
 #[cfg(test)]
@@ -339,10 +372,17 @@ mod tests {
         }
         .select(&ctx);
         assert!(all.standby.is_empty(), "AllPositive trims nothing");
-        let capped = QueryDriven::top_l(1).select(&ctx);
-        // participants ++ standby reproduces the uncapped ranked list.
+        let capped_policy = QueryDriven::top_l(1);
+        let capped = capped_policy.select(&ctx);
+        // participants ++ promoted standby reproduces the uncapped
+        // ranked list, clusters and all.
         let mut rejoined = capped.participants.clone();
-        rejoined.extend(capped.standby.iter().cloned());
+        rejoined.extend(
+            capped
+                .standby
+                .iter()
+                .map(|r| capped_policy.promote(&ctx, r)),
+        );
         assert_eq!(rejoined, all.participants);
         // Standby stays ranking-sorted and below the selected cohort.
         for w in capped.standby.windows(2) {

@@ -9,7 +9,7 @@
 use edgesim::EdgeNetwork;
 use geom::Query;
 
-use crate::policy::{Participant, Selection, SupportingCluster};
+use crate::policy::{Participant, Ranked, Selection, SupportingCluster};
 use crate::query_driven::SelectionCap;
 
 /// The five overlap cases of Fig. 3–4 on one dimension. A zero-width
@@ -33,11 +33,12 @@ fn overlap_1d(q_lo: f64, q_hi: f64, k_lo: f64, k_hi: f64) -> f64 {
     }
 }
 
-/// The paper's selection for one query: `h_ik` per cluster (Eq. 2),
-/// supporting clusters `h_ik ≥ ε`, potential `p_i` (Eq. 3), ranking
-/// `r_i = p_i · K′/K` (Eq. 4), then the top-ℓ or `r_i ≥ ψ` cut (Eq. 5)
-/// with equal rankings ordered by node id.
-pub fn select(network: &EdgeNetwork, query: &Query, epsilon: f64, cap: SelectionCap) -> Selection {
+/// Every node that supports the query, best-ranked first, each with its
+/// supporting clusters: `h_ik` per cluster (Eq. 2), supporting clusters
+/// `h_ik ≥ ε`, potential `p_i` (Eq. 3), ranking `r_i = p_i · K′/K`
+/// (Eq. 4), equal rankings ordered by node id. What a standby entry
+/// must become when a round promotes it is its entry here.
+pub fn ranked(network: &EdgeNetwork, query: &Query, epsilon: f64) -> Vec<Participant> {
     let q = query.region().to_boundary_vec();
     let dims = q.len() / 2;
     let mut ranked = Vec::new();
@@ -79,14 +80,29 @@ pub fn select(network: &EdgeNetwork, query: &Query, epsilon: f64, cap: Selection
             .total_cmp(&a.ranking)
             .then(a.node.0.cmp(&b.node.0))
     });
+    ranked
+}
+
+/// The paper's selection for one query: [`ranked`], then the top-ℓ or
+/// `r_i ≥ ψ` cut (Eq. 5); the tail behind the cut keeps node and
+/// ranking only.
+pub fn select(network: &EdgeNetwork, query: &Query, epsilon: f64, cap: SelectionCap) -> Selection {
+    let mut participants = ranked(network, query, epsilon);
     let keep = match cap {
-        SelectionCap::TopL(l) => l.min(ranked.len()),
-        SelectionCap::Threshold(psi) => ranked.iter().filter(|p| p.ranking >= psi).count(),
-        SelectionCap::AllPositive => ranked.len(),
+        SelectionCap::TopL(l) => l.min(participants.len()),
+        SelectionCap::Threshold(psi) => participants.iter().filter(|p| p.ranking >= psi).count(),
+        SelectionCap::AllPositive => participants.len(),
     };
-    let standby = ranked.split_off(keep);
+    let standby = participants
+        .split_off(keep)
+        .into_iter()
+        .map(|p| Ranked {
+            node: p.node,
+            ranking: p.ranking,
+        })
+        .collect();
     Selection {
-        participants: ranked,
+        participants,
         standby,
     }
 }

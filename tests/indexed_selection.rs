@@ -26,7 +26,9 @@
 use qens::cluster::ClusterSummary;
 use qens::par::ThreadPool;
 use qens::prelude::*;
-use qens::selection::{reference, GridConfig, IndexedQueryDriven, SelectionCap};
+use qens::selection::{
+    reference, GridConfig, IndexedQueryDriven, Participant, SelectionCap, SelectionPolicy,
+};
 use qens::telemetry;
 use qens::workload::generate;
 
@@ -60,27 +62,35 @@ fn workload_of(kind: WorkloadKind, n_queries: usize, space: &HyperRect) -> Query
 
 fn assert_bitwise_eq(a: &Selection, b: &Selection, what: &str) {
     assert_eq!(a, b, "{what}: selections diverge");
-    for (x, y) in a
-        .participants
-        .iter()
-        .chain(&a.standby)
-        .zip(b.participants.iter().chain(&b.standby))
-    {
+    for (x, y) in a.standby.iter().zip(&b.standby) {
         assert_eq!(
             x.ranking.to_bits(),
             y.ranking.to_bits(),
-            "{what}: ranking bits diverge on node {}",
+            "{what}: standby ranking bits diverge on node {}",
             x.node
         );
-        for (cx, cy) in x.supporting_clusters.iter().zip(&y.supporting_clusters) {
-            assert_eq!(
-                cx.overlap.to_bits(),
-                cy.overlap.to_bits(),
-                "{what}: overlap bits diverge on node {} cluster {}",
-                x.node,
-                cx.cluster_id
-            );
-        }
+    }
+    for (x, y) in a.participants.iter().zip(&b.participants) {
+        assert_participant_bitwise_eq(x, y, what);
+    }
+}
+
+fn assert_participant_bitwise_eq(x: &Participant, y: &Participant, what: &str) {
+    assert_eq!(x, y, "{what}: participants diverge");
+    assert_eq!(
+        x.ranking.to_bits(),
+        y.ranking.to_bits(),
+        "{what}: ranking bits diverge on node {}",
+        x.node
+    );
+    for (cx, cy) in x.supporting_clusters.iter().zip(&y.supporting_clusters) {
+        assert_eq!(
+            cx.overlap.to_bits(),
+            cy.overlap.to_bits(),
+            "{what}: overlap bits diverge on node {} cluster {}",
+            x.node,
+            cx.cluster_id
+        );
     }
 }
 
@@ -468,6 +478,44 @@ fn sliding_queries() -> Vec<Query> {
         .collect()
 }
 
+/// The standby tail is `(node, r_i)` only, so what a round trains a
+/// promoted node on comes from `promote`: for every standby entry of
+/// the scan, the index and the memo (over the index, so the second pass
+/// is served from stored answers), at pools of 1 and 4 workers, it is
+/// the oracle's eager entry for that node bit for bit — node, ranking,
+/// cluster ids, overlaps and sizes.
+#[test]
+fn promoted_standbys_match_the_oracles_entry() {
+    let _g = lock();
+    let net = EdgeNetwork::from_nodes(filler_nodes(0, 160));
+    let plain = QueryDriven::top_l(2);
+    let index = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
+    let memo = CachedQueryDriven::with_index(plain.clone(), CacheConfig::default(), SMALL_DOMAINS);
+    let mut promoted = 0usize;
+    for threads in [1usize, 4] {
+        let pool = ThreadPool::new(threads);
+        for q in &sliding_queries() {
+            let ctx = SelectionContext::new(&net, q);
+            let oracle = reference::ranked(&net, q, plain.epsilon);
+            let runs: [(&str, Selection, &dyn SelectionPolicy); 3] = [
+                ("scan", plain.select_with_pool(&ctx, &pool), &plain),
+                ("index", index.select_with_pool(&ctx, &pool), &index),
+                ("memo", memo.select_with_pool(&ctx, &pool), &memo),
+            ];
+            for (name, sel, policy) in &runs {
+                let what = format!("{name}: query {} at {threads} threads", q.id());
+                assert_eq!(sel.len() + sel.standby.len(), oracle.len(), "{what}");
+                for (r, want) in sel.standby.iter().zip(&oracle[sel.len()..]) {
+                    assert_participant_bitwise_eq(&policy.promote(&ctx, r), want, &what);
+                    promoted += 1;
+                }
+            }
+        }
+    }
+    assert!(memo.stats().hits > 0, "the second pass must hit");
+    assert!(promoted >= 100, "only {promoted} standbys promoted");
+}
+
 /// Nodes report different K, and a re-quantise changes one node's K:
 /// the table's per-slot offsets must be those of the *current*
 /// summaries, not of the build before.
@@ -625,13 +673,17 @@ fn equal_rankings_straddling_the_cut_break_by_node_id() {
         let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
         assert_indexed_matches_scan(&net, &plain, &indexed, std::slice::from_ref(&q), "ties");
         let sel = indexed.select(&SelectionContext::new(&net, &q));
-        let ranked: Vec<&qens::selection::Participant> =
-            sel.participants.iter().chain(&sel.standby).collect();
-        let top = ranked[0].ranking;
+        let ranked: Vec<(usize, f64)> = sel
+            .participants
+            .iter()
+            .map(|p| (p.node.0, p.ranking))
+            .chain(sel.standby.iter().map(|r| (r.node.0, r.ranking)))
+            .collect();
+        let top = ranked[0].1;
         let tied: Vec<usize> = ranked
             .iter()
-            .take_while(|p| p.ranking.to_bits() == top.to_bits())
-            .map(|p| p.node.0)
+            .take_while(|(_, ranking)| ranking.to_bits() == top.to_bits())
+            .map(|&(node, _)| node)
             .collect();
         assert_eq!(tied, twins, "ℓ = {l}: ties must come out in id order");
         assert_eq!(sel.participants.len(), l.min(ranked.len()));

@@ -42,12 +42,15 @@ fn workload_of(kind: WorkloadKind, n_queries: usize, space: &HyperRect) -> Query
 
 fn assert_bitwise_eq(a: &Selection, b: &Selection, what: &str) {
     assert_eq!(a, b, "{what}: selections diverge");
-    for (x, y) in a
-        .participants
-        .iter()
-        .chain(&a.standby)
-        .zip(b.participants.iter().chain(&b.standby))
-    {
+    for (x, y) in a.standby.iter().zip(&b.standby) {
+        assert_eq!(
+            x.ranking.to_bits(),
+            y.ranking.to_bits(),
+            "{what}: standby ranking bits diverge on node {}",
+            x.node
+        );
+    }
+    for (x, y) in a.participants.iter().zip(&b.participants) {
         assert_eq!(
             x.ranking.to_bits(),
             y.ranking.to_bits(),
