@@ -33,13 +33,27 @@
 //! payload in slot order (so that what a query touches is contiguous)
 //! takes the slots themselves and [`SpatialIndex::slot_ids`].
 //!
-//! Everything is bulk-built and immutable; determinism is structural:
-//! the Morton sort has a total key (quantised key, then push id), cells
-//! are filled in ascending domain order, the probe's dedupe is a
-//! boolean mark array scanned in ascending order, and the per-item loop
-//! walks slots ascending. No hashing, no pointers, no iteration-order
+//! The index is bulk-built, then patched one item at a time:
+//! [`SpatialIndex::update`] moves an item to a new rectangle without
+//! moving its slot. It overwrites the item's bounds, recomputes its
+//! domain's aggregate exactly and adds the domain to every grid cell the
+//! new aggregate touches. Cells only grow — a cell may keep listing a
+//! domain that shrank away from it — which stays exact because the
+//! probe re-checks every listed domain against its aggregate, and the
+//! grid's miss-test range (not its binning origin) widens to cover the
+//! new bounds, so an item moved past the build-time range stays
+//! reachable. What a patch cannot restore is the Morton grouping: a
+//! domain whose item moved far prunes less until the next bulk build.
+//!
+//! Determinism is structural: the Morton sort has a total key
+//! (quantised key, then push id), cells list their domains in ascending
+//! order (a patch inserts in place), the probe's dedupe is a boolean
+//! mark array scanned in ascending order, and the per-item loop walks
+//! slots ascending. No hashing, no pointers, no iteration-order
 //! dependence — the same inputs always produce the same candidate list,
-//! bit for bit, on any machine and any thread count.
+//! bit for bit, on any machine and any thread count. The candidate
+//! *set* does not even depend on the layout: a patched index and a
+//! fresh build over the same rectangles return the same candidates.
 
 use crate::rect::HyperRect;
 
@@ -67,25 +81,42 @@ impl Default for GridConfig {
 /// Per-dimension 1-D uniform grid over the indexed domains.
 #[derive(Debug, Clone)]
 struct Grid1D {
-    /// Lower edge of the indexed range in this dimension.
+    /// Where cell 0 starts: the lower edge of the range at build time.
+    /// Fixed for the index's life, so a cell always means the same span.
+    origin: f64,
+    /// Lower and upper edge of every domain aggregate, for the probe's
+    /// fast miss test. Starts as the build-time range and only widens,
+    /// when [`SpatialIndex::update`] moves an aggregate past it.
     lo: f64,
-    /// Upper edge (kept for the probe's fast miss test).
     hi: f64,
     /// Cell width (`> 0`; degenerate ranges collapse to one cell).
     width: f64,
-    /// `cells[c]` = domains whose aggregated interval touches cell `c`,
-    /// ascending.
+    /// `cells[c]` = domains whose aggregated interval touches (or, after
+    /// a patch, once touched) cell `c`, ascending.
     cells: Vec<Vec<u32>>,
 }
 
 impl Grid1D {
     /// The cell containing `x`, clamped to the valid range. Monotone in
-    /// `x`, and the *same* function bins build values and probe bounds —
-    /// that shared monotone binning is what makes the probed cell range
-    /// a superset of every intersecting domain's cells.
+    /// `x`, and the *same* function bins build values, patched values
+    /// and probe bounds — that shared monotone binning is what makes the
+    /// probed cell range a superset of every intersecting domain's
+    /// cells, including values beyond the build-time range, which clamp
+    /// into the end cells.
     fn bin(&self, x: f64) -> usize {
-        let c = ((x - self.lo) / self.width).floor();
+        let c = ((x - self.origin) / self.width).floor();
         (c.max(0.0) as usize).min(self.cells.len() - 1)
+    }
+
+    /// Lists domain `g` in every cell its aggregate `[lo, hi]` touches,
+    /// keeping each cell ascending.
+    fn insert(&mut self, g: u32, lo: f64, hi: f64) {
+        let (first, last) = (self.bin(lo), self.bin(hi));
+        for cell in &mut self.cells[first..=last] {
+            if let Err(at) = cell.binary_search(&g) {
+                cell.insert(at, g);
+            }
+        }
     }
 }
 
@@ -108,7 +139,8 @@ pub struct Probe {
     pub domains_pruned: u64,
 }
 
-/// An immutable two-level spatial index; see the module docs.
+/// A two-level spatial index, bulk-built and patched in place; see the
+/// module docs.
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
     dims: usize,
@@ -120,6 +152,11 @@ pub struct SpatialIndex {
     item_hi: Vec<Vec<f64>>,
     /// Slot → original push-order id.
     ids: Vec<u32>,
+    /// Push-order id → slot, the inverse of `ids`, for
+    /// [`SpatialIndex::update`]. Empty until the first update: an index
+    /// that is never patched (a static million-node fleet) does not pay
+    /// its 4 bytes per item.
+    slot_of: Vec<u32>,
     /// Per-dimension aggregated domain bounds: `domain_lo[d][g]`.
     domain_lo: Vec<Vec<f64>>,
     domain_hi: Vec<Vec<f64>>,
@@ -316,17 +353,14 @@ impl SpatialIndexBuilder {
                     (1, 1.0)
                 };
                 let mut grid = Grid1D {
+                    origin: lo,
                     lo,
                     hi,
                     width,
                     cells: vec![Vec::new(); cells_n],
                 };
                 for g in 0..n_domains {
-                    let first = grid.bin(domain_lo[d][g]);
-                    let last = grid.bin(domain_hi[d][g]);
-                    for cell in &mut grid.cells[first..=last] {
-                        cell.push(g as u32);
-                    }
+                    grid.insert(g as u32, domain_lo[d][g], domain_hi[d][g]);
                 }
                 grid
             })
@@ -339,6 +373,7 @@ impl SpatialIndexBuilder {
             item_lo,
             item_hi,
             ids,
+            slot_of: Vec::new(),
             domain_lo,
             domain_hi,
             grids,
@@ -383,6 +418,61 @@ impl SpatialIndex {
     /// stored at that Morton slot.
     pub fn slot_ids(&self) -> &[u32] {
         &self.ids
+    }
+
+    /// Moves item `id` (its push-order id) to `rect` in place and
+    /// returns the domain that holds it: the item keeps its slot, its
+    /// domain's aggregate is recomputed exactly from the domain's items,
+    /// and the grid learns every cell the new aggregate touches (see the
+    /// module docs for why the cells it no longer touches may keep it).
+    /// `O(domain_size · dims)` plus the touched cells, against the bulk
+    /// build's sort of every item; the first update also inverts the
+    /// slot → id permutation, once, in `O(len)`.
+    ///
+    /// # Panics
+    /// Panics on a dimensionality mismatch or an id that was never
+    /// pushed.
+    pub fn update(&mut self, id: u32, rect: &HyperRect) -> u32 {
+        assert_eq!(
+            rect.dim(),
+            self.dims,
+            "rect dim {} != index dim {}",
+            rect.dim(),
+            self.dims
+        );
+        assert!((id as usize) < self.len, "item {id} was never pushed");
+        if self.slot_of.is_empty() {
+            self.slot_of = vec![0; self.len];
+            for (slot, &item) in self.ids.iter().enumerate() {
+                self.slot_of[item as usize] = slot as u32;
+            }
+        }
+        let slot = self.slot_of[id as usize] as usize;
+        let domain = (slot / self.domain_size) as u32;
+        let (start, end) = self.domain_items(domain);
+        let g = domain as usize;
+        for d in 0..self.dims {
+            let iv = rect.interval(d);
+            self.item_lo[d][slot] = iv.lo();
+            self.item_hi[d][slot] = iv.hi();
+            // The build's own fold over the same slots: the aggregate is
+            // what a build over these bounds with this layout would hold.
+            let lo = self.item_lo[d][start..end]
+                .iter()
+                .copied()
+                .fold(f64::INFINITY, f64::min);
+            let hi = self.item_hi[d][start..end]
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max);
+            self.domain_lo[d][g] = lo;
+            self.domain_hi[d][g] = hi;
+            let grid = &mut self.grids[d];
+            grid.lo = grid.lo.min(lo);
+            grid.hi = grid.hi.max(hi);
+            grid.insert(domain, lo, hi);
+        }
+        domain
     }
 
     /// Grid-level probe: returns every domain with at least one
@@ -730,6 +820,102 @@ mod tests {
             let mapped: Vec<u32> = slots.iter().map(|&s| index.slot_ids()[s]).collect();
             assert_eq!(ids, mapped);
         }
+    }
+
+    /// A random rectangle centred within `reach` of the middle of the
+    /// `random_rects` space, half-widths up to 3 (zero one time in five,
+    /// for point and segment items).
+    fn moved_rect(rng: &mut TestRng, reach: f64) -> HyperRect {
+        let mut half = || {
+            let h = rng.next_f64() * 3.0;
+            if h < 0.6 {
+                0.0
+            } else {
+                h
+            }
+        };
+        let (hx, hy) = (half(), half());
+        let cx = 50.0 + (rng.next_f64() - 0.5) * 2.0 * reach;
+        let cy = 50.0 + (rng.next_f64() - 0.5) * 2.0 * reach;
+        rect2(cx - hx, cx + hx, cy - hy, cy + hy)
+    }
+
+    /// Random `update` sequences keep the index exact: after every move
+    /// the candidates are the brute-force per-axis union over the
+    /// current rectangles — with one move in four landing far outside
+    /// the build-time range, for one-item and all-in-one domains, and
+    /// for a grid that starts as one degenerate cell.
+    #[test]
+    fn random_updates_keep_candidates_exact() {
+        let cases = [
+            ("default", random_rects(300, 31), GridConfig::default()),
+            (
+                "domain_size 1",
+                random_rects(120, 37),
+                GridConfig {
+                    domain_size: 1,
+                    cells_per_dim: 0,
+                },
+            ),
+            (
+                "domain_size 500",
+                random_rects(300, 41),
+                GridConfig {
+                    domain_size: 500,
+                    cells_per_dim: 3,
+                },
+            ),
+            (
+                "one degenerate cell",
+                vec![rect2(5.0, 5.0, 5.0, 5.0); 40],
+                GridConfig {
+                    domain_size: 4,
+                    cells_per_dim: 0,
+                },
+            ),
+        ];
+        for (name, mut rects, config) in cases {
+            let mut index = build(&rects, config);
+            let n_domains = index.n_domains();
+            let mut rng = TestRng(0x5EED ^ rects.len() as u64);
+            for step in 0..200 {
+                let id = (rng.next_f64() * rects.len() as f64) as usize;
+                let reach = if step % 4 == 0 { 2000.0 } else { 60.0 };
+                rects[id] = moved_rect(&mut rng, reach);
+                let domain = index.update(id as u32, &rects[id]);
+                let (start, end) = index.domain_items(domain);
+                assert!(
+                    index.slot_ids()[start..end].contains(&(id as u32)),
+                    "{name}: update reported a domain not holding item {id}"
+                );
+                // Two queries near the data, one anywhere a far move can
+                // land, and the moved item's own rectangle.
+                let mut queries: Vec<HyperRect> = [60.0, 60.0, 2500.0]
+                    .iter()
+                    .map(|&reach| {
+                        let q = moved_rect(&mut rng, reach);
+                        let (x, y) = (q.interval(0), q.interval(1));
+                        let w = rng.next_f64() * 30.0;
+                        rect2(x.lo(), x.hi() + w, y.lo(), y.hi() + w)
+                    })
+                    .collect();
+                queries.push(rects[id].clone());
+                for q in &queries {
+                    let (cands, probe) = index.candidates(q);
+                    assert_eq!(cands, brute_force(&rects, q), "{name}: step {step}, {q:?}");
+                    assert_eq!(
+                        probe.domains.len() + probe.domains_pruned as usize,
+                        n_domains
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "never pushed")]
+    fn update_of_an_unknown_item_rejected() {
+        build(&random_rects(10, 1), GridConfig::default()).update(10, &rect2(0.0, 1.0, 0.0, 1.0));
     }
 
     #[test]

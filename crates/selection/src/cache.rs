@@ -241,7 +241,7 @@ impl CachedQueryDriven {
     /// as a hit or a miss. Drops the table first if the fleet drifted.
     fn lookup(&self, ctx: &SelectionContext<'_>, key: &[u64]) -> Option<Selection> {
         let mut memo = self.state.lock().expect("cache lock poisoned");
-        let moved = memo.seen.refresh(ctx.network) as u64;
+        let moved = memo.seen.refresh(ctx.network).count as u64;
         // An empty table has nothing to invalidate (the first lookup
         // ever sees the whole fleet as new).
         if moved > 0 && !memo.answers.is_empty() {

@@ -84,17 +84,42 @@
 //!
 //! # Staleness
 //!
-//! The index keeps the fleet's epochs as of its build (`FleetEpochs`,
-//! the check the selection memo shares): every node's
+//! The index keeps the fleet's epochs as of its last refresh
+//! (`FleetEpochs`, the check the selection memo shares): every node's
 //! [`edgesim::EdgeNode::summary_epoch`] and the network's
-//! [`edgesim::EdgeNetwork::membership_epoch`]; any drift on the next
-//! probe triggers a deterministic bulk rebuild (counted in
-//! `qens_index_rebuilds_total`, timed by the `qens_index_build_nanos`
-//! histogram) that drops the cluster table with the index it belongs
-//! to; the blocks a later query needs are gathered again from the new
-//! summaries. Only that check and the counters run under the index's lock: a
-//! select works on an `Arc` snapshot of the build it verified, so
-//! concurrent selects on one policy probe and score side by side.
+//! [`edgesim::EdgeNetwork::membership_epoch`]. What the next probe does
+//! about drift depends on its kind:
+//!
+//! * **Patch** — membership unchanged and no more nodes moved than the
+//!   index has domains (a node absorbed data or re-quantised, to any
+//!   K), so the repair costs at most about one bulk pass: each moved
+//!   node's hull is written over its slot with
+//!   [`SpatialIndex::update`], and only its domain's cluster block is
+//!   dropped, to be gathered again from the new summaries by the next
+//!   select that verifies the domain. Counted in
+//!   `qens_index_patches_total`.
+//! * **Rebuild** — a node joined, or more nodes moved than there are
+//!   domains (`quantize_all`): a deterministic bulk build over the
+//!   current hulls that restores the Morton order and drops the whole
+//!   cluster table. Counted in `qens_index_rebuilds_total`, timed by
+//!   the `qens_index_build_nanos` histogram.
+//!
+//! A patched index selects exactly what a rebuilt one selects. The
+//! layout decides only which domains a probe visits; the candidates are
+//! the nodes whose *current* hull meets the query on some axis whatever
+//! the layout (the geometry module's exactness argument), each is scored
+//! from a block gathered from its current summaries (every block that
+//! held a moved node's old ones was dropped), and `rank_and_cap`'s total
+//! order makes the scoring order invisible. What a patch gives up is
+//! pruning power: a moved node widens its domain's aggregate until the
+//! next rebuild.
+//!
+//! Only that check, the repair and the counters run under the index's
+//! lock: a select works on an `Arc` snapshot of the build it verified,
+//! so concurrent selects on one policy probe and score side by side.
+//! The repair goes through [`Arc::make_mut`] and every block sits
+//! behind its own `Arc`, so should a select still hold the old snapshot,
+//! the repair copies block pointers, not blocks.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -119,6 +144,9 @@ const DOMAIN_CHUNK: usize = 4;
 pub struct IndexStats {
     /// Bulk (re)builds, including the initial one.
     pub rebuilds: u64,
+    /// Refreshes that repaired the build in place instead (one per
+    /// refresh, however many nodes it re-indexed).
+    pub patches: u64,
     /// Queries that went through the index.
     pub probes: u64,
     /// Grid cells visited across all probes.
@@ -212,12 +240,13 @@ impl DomainClusters {
 }
 
 /// The index and the cluster table gathered over it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct BuiltIndex {
     index: SpatialIndex,
     /// The cluster table, one cell per domain, each filled by the first
-    /// fused select that verifies the domain.
-    clusters: Vec<OnceLock<DomainClusters>>,
+    /// fused select that verifies the domain. A block is shared, not
+    /// copied, when a patch has to clone the build.
+    clusters: Vec<OnceLock<Arc<DomainClusters>>>,
 }
 
 impl BuiltIndex {
@@ -235,6 +264,14 @@ impl BuiltIndex {
             clusters: (0..index.n_domains()).map(|_| OnceLock::new()).collect(),
             index,
         }
+    }
+
+    /// Re-indexes node `id` from its current summaries in its slot and
+    /// drops its domain's block, the only one holding the old ones.
+    fn patch(&mut self, id: usize, node: &EdgeNode) {
+        let id = u32::try_from(id).expect("the index numbers its items in 32 bits");
+        let domain = self.index.update(id, &node.summary_bounds());
+        self.clusters[domain as usize] = OnceLock::new();
     }
 }
 
@@ -288,16 +325,34 @@ impl IndexedQueryDriven {
         self.state.lock().expect("index lock poisoned").stats
     }
 
-    /// The build that is current for `network`, rebuilt first when any
-    /// epoch drifted. The lock covers this check and nothing after it.
+    /// The build that is current for `network`: patched in place when a
+    /// few nodes moved, rebuilt when membership changed or many moved
+    /// (see the module docs). The lock covers this and nothing after it.
     fn current(&self, network: &EdgeNetwork, dims: usize) -> Arc<BuiltIndex> {
-        let mut state = self.state.lock().expect("index lock poisoned");
-        let moved = state.seen.refresh(network);
-        if let Some(built) = state.built.as_ref().filter(|_| moved == 0) {
-            return Arc::clone(built);
+        let mut guard = self.state.lock().expect("index lock poisoned");
+        let state = &mut *guard;
+        let drift = state.seen.refresh(network);
+        let nodes = network.nodes();
+        if let Some(built) = state.built.as_mut() {
+            match drift.nodes {
+                _ if drift.count == 0 => return Arc::clone(built),
+                Some(moved) if moved.len() <= built.index.n_domains() => {
+                    let patched = Arc::make_mut(built);
+                    for &id in &moved {
+                        patched.patch(id, &nodes[id]);
+                    }
+                    state.stats.patches += 1;
+                    telemetry::counter!("qens_index_patches_total").add(1);
+                    telemetry::trace::instant(
+                        "selection.index_patch",
+                        &[("nodes", moved.len() as u64)],
+                    );
+                    return Arc::clone(built);
+                }
+                _ => {}
+            }
         }
         let _span = telemetry::span!("qens_index_build_nanos");
-        let nodes = network.nodes();
         let built = Arc::new(BuiltIndex::new(nodes, dims, self.config));
         state.built = Some(Arc::clone(&built));
         state.stats.rebuilds += 1;
@@ -363,10 +418,11 @@ impl IndexedQueryDriven {
         let chunks: Vec<(Vec<Ranked>, u64)> =
             pool.map_chunks(probe.domains.len(), DOMAIN_CHUNK, |chunk| {
                 let (mut ranked, mut supporting) = (Vec::new(), Vec::new());
-                let (mut candidates, mut evals, mut kept) = (0u64, 0u64, 0u64);
+                let (mut candidates, mut evals, mut kept, mut nonfinite) = (0u64, 0u64, 0u64, 0u64);
                 for &domain in &probe.domains[chunk] {
-                    let clusters = built.clusters[domain as usize]
-                        .get_or_init(|| DomainClusters::gather(&built.index, domain, nodes));
+                    let clusters = built.clusters[domain as usize].get_or_init(|| {
+                        Arc::new(DomainClusters::gather(&built.index, domain, nodes))
+                    });
                     let (first_slot, _) = built.index.domain_items(domain);
                     built
                         .index
@@ -378,7 +434,9 @@ impl IndexedQueryDriven {
                                 "selection.score_node",
                                 &[("node", id as u64)],
                             );
-                            let overlaps = clusters.overlaps(slot - first_slot, &nodes[id], region);
+                            let overlaps = clusters
+                                .overlaps(slot - first_slot, &nodes[id], region)
+                                .inspect(|&(_, _, h)| nonfinite += u64::from(!h.is_finite()));
                             candidates += 1;
                             evals += overlaps.len() as u64;
                             let ranking =
@@ -393,7 +451,7 @@ impl IndexedQueryDriven {
                             }
                         });
                 }
-                count_scored(evals, kept);
+                count_scored(evals, kept, nonfinite);
                 (ranked, candidates)
             });
         let (ranked, candidates): (Vec<Vec<Ranked>>, Vec<u64>) = chunks.into_iter().unzip();
@@ -481,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_epoch_drift_triggers_rebuild() {
+    fn summary_epoch_drift_patches_in_place() {
         let mut net = network(6);
         let plain = QueryDriven::top_l(3);
         let indexed = IndexedQueryDriven::with_defaults(plain.clone());
@@ -492,10 +550,89 @@ mod tests {
         net.node_mut(NodeId(2)).quantize(2, 99);
         let ctx = SelectionContext::new(&net, &q);
         assert_bitwise_eq(&plain.select(&ctx), &indexed.select(&ctx));
-        assert_eq!(indexed.index_stats().rebuilds, 2);
-        // Unchanged network: no further rebuilds.
+        let stats = indexed.index_stats();
+        assert_eq!((stats.rebuilds, stats.patches), (1, 1));
+        // Unchanged network: nothing further.
         indexed.select(&ctx);
-        assert_eq!(indexed.index_stats().rebuilds, 2);
+        let stats = indexed.index_stats();
+        assert_eq!((stats.rebuilds, stats.patches), (1, 1));
+        // Every node moved, more than the one domain: a rebuild.
+        net.quantize_all(3, 7);
+        let ctx = SelectionContext::new(&net, &q);
+        assert_bitwise_eq(&plain.select(&ctx), &indexed.select(&ctx));
+        let stats = indexed.index_stats();
+        assert_eq!((stats.rebuilds, stats.patches), (2, 1));
+    }
+
+    /// One node re-quantises to a different K: the build is repaired,
+    /// not replaced — same layout, only that node's domain block dropped
+    /// — and the regathered block carries the node's new offsets, which
+    /// the next select scores.
+    #[test]
+    fn a_requantise_to_a_new_k_patches_one_block_and_scores_the_new_offsets() {
+        let mut net = network(40);
+        let plain = QueryDriven {
+            cap: SelectionCap::AllPositive,
+            ..QueryDriven::top_l(40)
+        };
+        let indexed = IndexedQueryDriven::new(
+            plain.clone(),
+            GridConfig {
+                domain_size: 4,
+                cells_per_dim: 0,
+            },
+        );
+        let snapshot = |indexed: &IndexedQueryDriven| {
+            let state = indexed.state.lock().unwrap();
+            Arc::clone(state.built.as_ref().unwrap())
+        };
+        // Covers every node, so every block is gathered.
+        let everything = Query::from_boundary_vec(0, &[-10.0, 500.0, -10.0, 500.0]);
+        indexed.select(&SelectionContext::new(&net, &everything));
+        let before = snapshot(&indexed);
+        assert!(before.clusters.iter().all(|c| c.get().is_some()));
+
+        // Node 13's data lies on the diagonal of [156, 176]².
+        let victim = 13;
+        let k_before = net.node(NodeId(victim)).k();
+        net.node_mut(NodeId(victim)).quantize(k_before + 2, 17);
+        let k_after = net.node(NodeId(victim)).k();
+        assert_ne!(k_after, k_before);
+        let q = Query::from_boundary_vec(1, &[150.0, 180.0, 150.0, 180.0]);
+        let ctx = SelectionContext::new(&net, &q);
+        let sel = indexed.select(&ctx);
+        assert_bitwise_eq(&plain.select(&ctx), &sel);
+        let stats = indexed.index_stats();
+        assert_eq!((stats.rebuilds, stats.patches), (1, 1));
+
+        let after = snapshot(&indexed);
+        // `before` was still held, so the patch cloned the build: the
+        // layout is the same, and every block but the victim's is the
+        // same allocation.
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert_eq!(after.index.slot_ids(), before.index.slot_ids());
+        let slot = after
+            .index
+            .slot_ids()
+            .iter()
+            .position(|&id| id as usize == victim)
+            .unwrap();
+        let domain = slot / after.index.domain_size();
+        for (g, (old, new)) in before.clusters.iter().zip(&after.clusters).enumerate() {
+            let shared = Arc::ptr_eq(old.get().unwrap(), new.get().unwrap());
+            assert_eq!(shared, g != domain, "domain {g}");
+        }
+        let block = after.clusters[domain].get().unwrap();
+        let i = slot % after.index.domain_size();
+        assert_eq!((block.offsets[i + 1] - block.offsets[i]) as usize, k_after);
+        // The ranking came off the regathered block: K' / K over the new K.
+        let (want, _) = plain.score_node(net.node(NodeId(victim)), &q);
+        let got = sel
+            .participants
+            .iter()
+            .find(|p| p.node == NodeId(victim))
+            .expect("the query selects the victim");
+        assert_eq!(got.ranking.to_bits(), want.to_bits());
     }
 
     #[test]

@@ -98,10 +98,13 @@ impl QueryDriven {
     /// ([`crate::indexed`]) and [`QueryDriven::score_node`] all call it,
     /// so identical overlaps give bit-identical rankings and clusters.
     ///
-    /// Non-finite overlaps are defensively skipped (and counted via
-    /// `qens_selection_nonfinite_scores_total`) instead of reaching the
-    /// `partial_cmp` sorts downstream — a poisoned summary must cost one
-    /// cluster, not panic the whole selection.
+    /// Non-finite overlaps are defensively skipped instead of reaching
+    /// the `partial_cmp` sorts downstream — a poisoned summary must cost
+    /// one cluster, not panic the whole selection. The kernels count
+    /// them (`qens_selection_nonfinite_scores_total`, in
+    /// [`count_scored`]), once per scored cluster: re-scoring a node
+    /// through [`QueryDriven::score_node`] for the cut or a promotion
+    /// counts nothing again.
     pub(crate) fn rank_clusters(
         &self,
         k_total: usize,
@@ -109,21 +112,13 @@ impl QueryDriven {
         supporting: &mut Vec<SupportingCluster>,
     ) -> f64 {
         supporting.clear();
-        let mut nonfinite = 0u64;
         supporting.extend(clusters.into_iter().filter_map(|(cluster_id, size, h)| {
-            if !h.is_finite() {
-                nonfinite += 1;
-                return None;
-            }
-            (h >= self.epsilon).then_some(SupportingCluster {
+            (h.is_finite() && h >= self.epsilon).then_some(SupportingCluster {
                 cluster_id,
                 overlap: h,
                 size,
             })
         }));
-        if nonfinite > 0 {
-            telemetry::counter!("qens_selection_nonfinite_scores_total").add(nonfinite);
-        }
         supporting.sort_by(|a, b| {
             b.overlap
                 .partial_cmp(&a.overlap)
@@ -160,7 +155,7 @@ impl QueryDriven {
             telemetry::trace::span_args("selection.select", &[("nodes", nodes.len() as u64)]);
         let chunks: Vec<Vec<Ranked>> = pool.map_chunks(nodes.len(), NODE_CHUNK, |chunk| {
             let (mut ranked, mut supporting) = (Vec::new(), Vec::new());
-            let (mut evals, mut kept) = (0u64, 0u64);
+            let (mut evals, mut kept, mut nonfinite) = (0u64, 0u64, 0u64);
             for node in &nodes[chunk] {
                 // Scoring runs on pool workers, so the per-node span is
                 // wall-mode only (inert on the logical clock).
@@ -168,7 +163,8 @@ impl QueryDriven {
                     "selection.score_node",
                     &[("node", node.id().0 as u64)],
                 );
-                let overlaps = summary_overlaps(node, ctx.query);
+                let overlaps = summary_overlaps(node, ctx.query)
+                    .inspect(|&(_, _, h)| nonfinite += u64::from(!h.is_finite()));
                 evals += overlaps.len() as u64;
                 let ranking = self.rank_clusters(overlaps.len(), overlaps, &mut supporting);
                 kept += supporting.len() as u64;
@@ -179,7 +175,7 @@ impl QueryDriven {
                     });
                 }
             }
-            count_scored(evals, kept);
+            count_scored(evals, kept, nonfinite);
             ranked
         });
         self.rank_and_cap(ctx, chunks.concat())
@@ -302,10 +298,14 @@ fn summary_overlaps<'a>(
 }
 
 /// Counts one kernel chunk's work: `evals` per-cluster overlaps
-/// evaluated, `supporting` of them at or above ε.
-pub(crate) fn count_scored(evals: u64, supporting: u64) {
+/// evaluated, `supporting` of them at or above ε, `nonfinite` of them
+/// skipped as NaN or infinite.
+pub(crate) fn count_scored(evals: u64, supporting: u64, nonfinite: u64) {
     telemetry::counter!("qens_selection_overlap_evals_total").add(evals);
     telemetry::counter!("qens_selection_supporting_clusters_total").add(supporting);
+    if nonfinite > 0 {
+        telemetry::counter!("qens_selection_nonfinite_scores_total").add(nonfinite);
+    }
 }
 
 #[cfg(test)]

@@ -179,7 +179,7 @@ pub fn help_text(name: &str) -> &'static str {
         ),
         (
             "qens_index_",
-            "spatial-index candidate generation metric (cells probed, domains pruned, candidates, rebuilds).",
+            "spatial-index candidate generation metric (cells probed, domains pruned, candidates, rebuilds, in-place patches).",
         ),
         ("qens_cluster_", "k-means clustering stage metric."),
         ("qens_selection_", "query-driven node selection metric."),

@@ -7,8 +7,9 @@
 //!   and standby tail alike — at any worker count (`QENS_THREADS` ∈
 //!   {1, 2, 4} in CI) and for every workload kind,
 //! * the memo+index composition must stay exact while still hitting,
-//! * summary churn (absorb + re-quantisation) and membership growth
-//!   must each trigger a deterministic rebuild and stay exact,
+//! * summary churn (absorb + re-quantisation) must patch the index in
+//!   place and membership growth must rebuild it, each exactly once,
+//!   and both must stay exact,
 //! * the fused verify-and-score path (the cluster table in slot order)
 //!   must agree with the scan *and* with the naive reference
 //!   ([`qens::selection::reference`]) on the shapes a flat, offset-addressed
@@ -17,6 +18,8 @@
 //!   across the cut, a hull hit with every cluster disjoint, 32-bit
 //!   overflow of an id or size — and count exactly the candidates and
 //!   overlap evaluations the per-candidate `score_node` loop counted,
+//! * a poisoned (NaN-overlap) cluster is skipped and counted once per
+//!   scored cluster on both paths, however its node is later used,
 //! * a federation under a 0.2-dropout fault plan must produce the same
 //!   selections, fault trace and final cohort with the index on or off,
 //! * the `qens_index_*` counters must reach the Prometheus scrape
@@ -198,12 +201,12 @@ fn cache_and_index_compose_exactly() {
     );
 }
 
-/// Summary churn (absorb + re-quantisation) bumps one node's epoch;
-/// membership growth bumps the network's epoch. Each must trigger
-/// exactly one deterministic rebuild, and every selection before and
-/// after must still match the scan bitwise.
+/// Summary churn (absorb + re-quantisation) bumps one node's epoch and
+/// must patch the index in place, once; membership growth bumps the
+/// network's epoch and must rebuild it, once. Every selection before
+/// and after must still match the reference and the scan bitwise.
 #[test]
-fn churn_rebuilds_the_index_and_stays_exact() {
+fn churn_patches_the_index_and_joins_rebuild_it() {
     let _g = lock();
     let mut net = network(9);
     let plain = QueryDriven::top_l(3);
@@ -214,15 +217,17 @@ fn churn_rebuilds_the_index_and_stays_exact() {
     let run_all = |net: &EdgeNetwork, what: &str| {
         for q in &wl.queries {
             let ctx = SelectionContext::new(net, q);
-            assert_bitwise_eq(
-                &plain.select_with_pool(&ctx, &pool),
-                &indexed.select_with_pool(&ctx, &pool),
-                what,
-            );
+            let want = reference::select(net, q, plain.epsilon, plain.cap);
+            assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, &pool), what);
+            assert_bitwise_eq(&want, &indexed.select_with_pool(&ctx, &pool), what);
         }
     };
+    let counts = || {
+        let stats = indexed.index_stats();
+        (stats.rebuilds, stats.patches)
+    };
     run_all(&net, "before churn");
-    assert_eq!(indexed.index_stats().rebuilds, 1);
+    assert_eq!(counts(), (1, 0));
 
     // Summary churn: node 2 absorbs fresh samples and re-quantises.
     let extra = scenario::heterogeneous_nodes(2, 30, 77)
@@ -233,11 +238,7 @@ fn churn_rebuilds_the_index_and_stays_exact() {
     net.node_mut(NodeId(2)).absorb(&extra);
     net.node_mut(NodeId(2)).quantize(5, 9);
     run_all(&net, "after absorb");
-    assert_eq!(
-        indexed.index_stats().rebuilds,
-        2,
-        "summary-epoch drift must rebuild once"
-    );
+    assert_eq!(counts(), (1, 1), "summary-epoch drift must patch once");
 
     // Membership churn: a node joins the fleet (and is quantised, as
     // the index requires of every member).
@@ -249,11 +250,7 @@ fn churn_rebuilds_the_index_and_stays_exact() {
     let id = net.add_node("late-joiner", late, 1.0);
     net.node_mut(id).quantize(5, 13);
     run_all(&net, "after join");
-    assert_eq!(
-        indexed.index_stats().rebuilds,
-        3,
-        "membership drift must rebuild once"
-    );
+    assert_eq!(counts(), (2, 1), "membership drift must rebuild once");
 }
 
 /// `FederationBuilder::index(..)` is observationally transparent under
@@ -315,13 +312,15 @@ fn fault_plan_is_index_transparent() {
 #[test]
 fn prometheus_export_covers_index_series() {
     let _g = lock();
-    let net = network(11);
+    let mut net = network(11);
     telemetry::set_enabled(true);
     let indexed = IndexedQueryDriven::new(QueryDriven::top_l(3), GridConfig::default());
     let q0 = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 30.0]);
     let q1 = Query::from_boundary_vec(1, &[0.5, 15.5, 0.0, 30.0]);
     indexed.select(&SelectionContext::new(&net, &q0)); // build + probe
     indexed.select(&SelectionContext::new(&net, &q1)); // probe
+    net.node_mut(NodeId(1)).quantize(4, 11);
+    indexed.select(&SelectionContext::new(&net, &q1)); // patch + probe
                                                        // ε <= 0 is the full-scan safety valve; one hit on the fallback
                                                        // counter keeps that path observable too.
     let eps0 = IndexedQueryDriven::new(
@@ -338,6 +337,7 @@ fn prometheus_export_covers_index_series() {
 
     for series in [
         "qens_index_rebuilds_total",
+        "qens_index_patches_total",
         "qens_index_cells_probed_total",
         "qens_index_domains_pruned_total",
         "qens_index_candidates_total",
@@ -372,27 +372,33 @@ fn prometheus_export_covers_index_series() {
         );
     }
     let stats = indexed.index_stats();
-    assert_eq!(stats.rebuilds, 1);
-    assert_eq!(stats.probes, 2);
+    assert_eq!((stats.rebuilds, stats.patches), (1, 1));
+    assert_eq!(stats.probes, 3);
 }
 
-/// Probing and rebuilding must leave trace instants on the logical
-/// clock, so fleet-scale candidate generation is visible in Perfetto
-/// next to the selection spans.
+/// Probing, rebuilding and patching must leave trace instants on the
+/// logical clock, so fleet-scale candidate generation is visible in
+/// Perfetto next to the selection spans.
 #[test]
 fn trace_records_index_instants() {
     let _g = lock();
-    let net = network(5);
+    let mut net = network(5);
     telemetry::trace::set_mode(Some(telemetry::trace::Clock::Logical));
     telemetry::trace::clear();
     let indexed = IndexedQueryDriven::new(QueryDriven::top_l(3), GridConfig::default());
     let q = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 30.0]);
+    indexed.select(&SelectionContext::new(&net, &q));
+    net.node_mut(NodeId(0)).quantize(4, 5);
     indexed.select(&SelectionContext::new(&net, &q));
     let doc = telemetry::trace::export_chrome(None);
     telemetry::trace::set_mode(None);
     assert!(
         doc.contains("selection.index_rebuild"),
         "trace must record the bulk build"
+    );
+    assert!(
+        doc.contains("selection.index_patch"),
+        "trace must record the patch"
     );
     assert!(
         doc.contains("selection.index_probe"),
@@ -516,9 +522,10 @@ fn promoted_standbys_match_the_oracles_entry() {
     assert!(promoted >= 100, "only {promoted} standbys promoted");
 }
 
-/// Nodes report different K, and a re-quantise changes one node's K:
+/// Nodes report different K, and a re-quantise changes two nodes' K:
 /// the table's per-slot offsets must be those of the *current*
-/// summaries, not of the build before.
+/// summaries, not of the build before — whether the index was patched
+/// (the re-quantise) or rebuilt (the join).
 #[test]
 fn differing_and_changing_k_rebuilds_the_offsets() {
     let _g = lock();
@@ -543,7 +550,8 @@ fn differing_and_changing_k_rebuilds_the_offsets() {
     net.node_mut(NodeId(4)).quantize(1, 5);
     assert_ne!(net.node(NodeId(1)).k(), ks[1]);
     assert_indexed_matches_scan(&net, &plain, &indexed, &queries, "changed K");
-    assert_eq!(indexed.index_stats().rebuilds, 2);
+    let stats = indexed.index_stats();
+    assert_eq!((stats.rebuilds, stats.patches), (1, 1));
 
     // A joiner grows the table by one slot.
     let late = scenario::heterogeneous_nodes(2, 50, 79)
@@ -555,7 +563,8 @@ fn differing_and_changing_k_rebuilds_the_offsets() {
     net.node_mut(id).quantize(3, 2);
     let queries = workload_of(WorkloadKind::Uniform, 12, &net.global_space()).queries;
     assert_indexed_matches_scan(&net, &plain, &indexed, &queries, "after add_node");
-    assert_eq!(indexed.index_stats().rebuilds, 3);
+    let stats = indexed.index_stats();
+    assert_eq!((stats.rebuilds, stats.patches), (2, 1));
     let in_some_selection = queries.iter().any(|q| {
         indexed
             .select(&SelectionContext::new(&net, q))
@@ -820,3 +829,77 @@ fn candidate_and_overlap_eval_counts_match_the_per_candidate_loop() {
 /// `score_node` each) reported for the stream above.
 const PINNED_CANDIDATES: u64 = 2304;
 const PINNED_EVALS: u64 = 5912;
+
+/// A cluster whose rectangle and the query's both span ±1e308 on an
+/// axis has an infinite length there, so its overlap is ∞/∞ = NaN. Each
+/// path skips it and counts it in `qens_selection_nonfinite_scores_total`
+/// once per cluster its kernel scored — not again when the node is
+/// re-scored for the cut or promoted from standby — and nothing panics.
+#[test]
+fn poisoned_clusters_are_counted_once_per_scored_cluster() {
+    let _g = lock();
+    const HUGE: f64 = 1e308;
+    // Every fourth node carries a poisoned cluster beside one that
+    // supports the query, so poisoned nodes are selected and standby.
+    let mut nodes = filler_nodes(0, 60);
+    let mut poisoned = 0u64;
+    for id in (0..60).step_by(4) {
+        let y = 40.0 + (id % 7) as f64;
+        nodes[id] = summary_node(
+            id,
+            &[
+                [-HUGE, HUGE, y, y + 10.0],
+                [(id * 3) as f64, (id * 3) as f64 + 3.0, y + 2.0, y + 6.0],
+            ],
+        );
+        poisoned += 1;
+    }
+    let net = EdgeNetwork::from_nodes(nodes);
+    let q = Query::from_boundary_vec(0, &[-HUGE, HUGE, 40.0, 60.0]);
+    let ctx = SelectionContext::new(&net, &q);
+    let nonfinite = || {
+        telemetry::global()
+            .snapshot()
+            .counter("qens_selection_nonfinite_scores_total")
+            .unwrap_or(0)
+    };
+    for cap in [SelectionCap::AllPositive, SelectionCap::TopL(2)] {
+        let plain = QueryDriven {
+            cap,
+            ..QueryDriven::top_l(1)
+        };
+        let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
+        let want = reference::select(&net, &q, plain.epsilon, plain.cap);
+        let poisoned_in = |sel: &Selection| {
+            sel.participants
+                .iter()
+                .map(|p| p.node)
+                .chain(sel.standby.iter().map(|r| r.node))
+                .filter(|n| n.0 % 4 == 0)
+                .count()
+        };
+        assert!(poisoned_in(&want) > 0, "{cap:?}: poisoned nodes must rank");
+
+        telemetry::set_enabled(true);
+        telemetry::global().reset();
+        let scan = plain.select(&ctx);
+        let after_scan = nonfinite();
+        let index = indexed.select(&ctx);
+        let after_index = nonfinite();
+        for r in scan.standby.iter().chain(&index.standby) {
+            plain.promote(&ctx, r);
+            indexed.promote(&ctx, r);
+        }
+        let after_promote = nonfinite();
+        telemetry::set_enabled(false);
+
+        assert_bitwise_eq(&want, &scan, &format!("{cap:?}: scan"));
+        assert_bitwise_eq(&want, &index, &format!("{cap:?}: index"));
+        // The query spans every hull on x: every node is an index
+        // candidate, so both paths scored every poisoned cluster once.
+        assert_eq!(indexed.index_stats().candidates, net.len() as u64);
+        assert_eq!(after_scan, poisoned, "{cap:?}: scan");
+        assert_eq!(after_index - after_scan, poisoned, "{cap:?}: index");
+        assert_eq!(after_promote, after_index, "{cap:?}: promotion");
+    }
+}

@@ -11,7 +11,9 @@
 //!   once and still reproduce the plain result,
 //! * over a deterministic schedule of repeats, new queries, summary
 //!   churn, joins and no-op borrows, memo + index, memo alone and index
-//!   alone select what a from-scratch scan selects after every step.
+//!   alone select what a from-scratch scan selects after every step,
+//!   with summary churn patching the index in place and joins
+//!   rebuilding it.
 
 use qens::linalg::rng::{rng_for, Rng};
 use qens::par::{self, ThreadPool};
@@ -229,9 +231,10 @@ enum Step {
 /// repeats, new queries, summary churn, joins and no-op borrows the
 /// fleet goes through, memo + index, memo alone and index alone select
 /// after every step what the reference and a from-scratch scan select;
-/// a repeat with no real drift since is a hit; a no-op borrow drops and
-/// rebuilds nothing; real drift drops each table once, rebuilds each
-/// index once and is journaled once per memo.
+/// a repeat with no real drift since is a hit; a no-op borrow drops,
+/// patches and rebuilds nothing; real drift drops each table once and is
+/// journaled once per memo, and each index patches once for an absorb
+/// or a re-quantise and rebuilds once for a join.
 #[test]
 fn memo_and_index_follow_a_churning_fleet_exactly() {
     use telemetry::journal;
@@ -264,7 +267,8 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
     // The model: rectangles answered since the last real drift, and the
     // counters each structure must show.
     let mut answered: Vec<Vec<u64>> = Vec::new();
-    let (mut hits, mut misses, mut invalidations, mut rebuilds) = (0u64, 0u64, 0u64, 0u64);
+    let (mut hits, mut misses, mut invalidations) = (0u64, 0u64, 0u64);
+    let (mut rebuilds, mut patches) = (0u64, 0u64);
     let mut seen = [0usize; 6];
     for step in 0..STEPS {
         let kind = [
@@ -319,7 +323,10 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
         } else if moved > 0 {
             answered.clear();
             invalidations += moved;
-            rebuilds += 1;
+            match kind {
+                Step::Join => rebuilds += 1,
+                _ => patches += 1,
+            }
         }
         if answered.contains(&key) {
             hits += 1;
@@ -344,12 +351,19 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
                 "{what}: {name}"
             );
         }
-        assert_eq!(index.index_stats().rebuilds, rebuilds, "{what}: index");
-        assert_eq!(
-            both.index_stats().expect("built with an index").rebuilds,
-            rebuilds,
-            "{what}: the index behind the memo"
-        );
+        for (name, stats) in [
+            ("index", index.index_stats()),
+            (
+                "the index behind the memo",
+                both.index_stats().expect("built with an index"),
+            ),
+        ] {
+            assert_eq!(
+                (stats.rebuilds, stats.patches),
+                (rebuilds, patches),
+                "{what}: {name}"
+            );
+        }
         let journaled: Vec<u64> = journal::tail(None)
             .iter()
             .filter(|e| e.kind == journal::Kind::CacheInvalidated && e.query == q.id())
@@ -368,8 +382,8 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
         "every kind of step must occur often: {seen:?}"
     );
     assert!(
-        hits >= 40 && invalidations >= 60,
-        "{hits} hits, {invalidations} invalidations"
+        hits >= 40 && invalidations >= 60 && patches >= 40 && rebuilds >= 20,
+        "{hits} hits, {invalidations} invalidations, {patches} patches, {rebuilds} rebuilds"
     );
 }
 
