@@ -239,24 +239,7 @@ fn run_fig7(scale: ExperimentScale) {
     ] {
         let rows = figures::fig7(scale, model);
         println!("{}", report::render_fig7(label, &rows));
-        let csv_rows: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.policy.clone(),
-                    format!("{:.6}", r.mean_loss.unwrap_or(f64::NAN)),
-                    format!("{:.6}", r.mean_data_fraction),
-                    format!("{:.6}", r.mean_sim_seconds),
-                    r.failed_queries.to_string(),
-                ]
-            })
-            .collect();
-        report::write_csv(
-            &results_dir().join(format!("fig7_{}.csv", label.to_lowercase())),
-            "policy,mean_loss,mean_data_fraction,mean_sim_seconds,failed",
-            &csv_rows,
-        )
-        .expect("write fig7 csv");
+        report::write_fig7_csv(&results_dir(), label, &rows).expect("write fig7 csv");
     }
     println!("(series written to results/fig7_lr.csv, results/fig7_nn.csv)\n");
 }

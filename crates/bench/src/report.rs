@@ -116,6 +116,28 @@ pub fn render_fig7(model: &str, rows: &[PolicyComparison]) -> String {
     out
 }
 
+/// Writes one model's Fig. 7 series to `fig7_<label>.csv` under `dir`
+/// (`label` is `LR` or `NN`, lower-cased in the file name).
+pub fn write_fig7_csv(dir: &Path, label: &str, rows: &[PolicyComparison]) -> io::Result<()> {
+    let rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.policy.clone(),
+                format!("{:.6}", r.mean_loss.unwrap_or(f64::NAN)),
+                format!("{:.6}", r.mean_data_fraction),
+                format!("{:.6}", r.mean_sim_seconds),
+                r.failed_queries.to_string(),
+            ]
+        })
+        .collect();
+    write_csv(
+        &dir.join(format!("fig7_{}.csv", label.to_lowercase())),
+        "policy,mean_loss,mean_data_fraction,mean_sim_seconds,failed",
+        &rows,
+    )
+}
+
 /// Renders the "Fig. 8 under faults" dropout-sweep table.
 pub fn render_fault_sweep(rows: &[crate::figures::FaultSweepRow]) -> String {
     let mut out = String::from(

@@ -10,6 +10,7 @@ use std::sync::OnceLock;
 
 use bench::ablations::{self, AblationRow};
 use bench::{figures, report, scale, ExperimentScale};
+use qens::prelude::ModelKind;
 
 fn ablation_rows() -> &'static [AblationRow] {
     static ROWS: OnceLock<Vec<AblationRow>> = OnceLock::new();
@@ -68,6 +69,16 @@ fn assert_same(name: &str, repro_args: &str, committed: &str, fresh: &str) {
 fn ablations_csv_matches_a_fresh_run() {
     assert_golden("ablations.csv", "ablations", |dir| {
         ablations::write_csv(dir, ablation_rows())
+    });
+}
+
+/// The LR series only: the NN series costs 10–11 s in the debug test
+/// profile, so `scripts/verify.sh` regenerates both in release.
+#[test]
+fn fig7_lr_csv_matches_a_fresh_run() {
+    assert_golden("fig7_lr.csv", "fig7", |dir| {
+        let rows = figures::fig7(ExperimentScale::Quick, ModelKind::Linear);
+        report::write_fig7_csv(dir, "LR", &rows)
     });
 }
 

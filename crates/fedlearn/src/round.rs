@@ -1124,31 +1124,31 @@ mod tests {
     /// End-to-end version of the invariant above. Real timing on a busy
     /// (possibly single-core) CI box is noisy, so the comparison keeps a
     /// generous margin: serial wall must be at least half the pooled
-    /// wall. The exact sum-vs-max semantics are pinned by the unit test
-    /// on [`round_wall_seconds`].
+    /// wall, each the fastest of three runs so one descheduled run does
+    /// not decide it. The exact sum-vs-max semantics are pinned by the
+    /// unit test on [`round_wall_seconds`].
     #[test]
     fn serial_wall_clock_dominates_pooled_wall_clock() {
         let net = network(true);
         let q = leader_query();
         let cfg = fast_cfg(13).with_thread_count(4);
-        let pooled = run_query(&net, &q, &QueryDriven::top_l(3), &cfg).unwrap();
-        let ser = run_query(
-            &net,
-            &q,
-            &QueryDriven::top_l(3),
-            &FederationConfig {
-                parallel: false,
-                ..cfg
-            },
-        )
-        .unwrap();
-        assert!(pooled.accounting.wall_seconds > 0.0);
-        assert!(ser.accounting.wall_seconds > 0.0);
+        let fastest = |cfg: &FederationConfig| {
+            (0..3)
+                .map(|_| {
+                    let r = run_query(&net, &q, &QueryDriven::top_l(3), cfg).unwrap();
+                    assert!(r.accounting.wall_seconds > 0.0);
+                    r.accounting.wall_seconds
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let pooled = fastest(&cfg);
+        let ser = fastest(&FederationConfig {
+            parallel: false,
+            ..cfg
+        });
         assert!(
-            ser.accounting.wall_seconds >= pooled.accounting.wall_seconds * 0.5,
-            "serial wall {} vs pooled wall {}",
-            ser.accounting.wall_seconds,
-            pooled.accounting.wall_seconds
+            ser >= pooled * 0.5,
+            "serial wall {ser} vs pooled wall {pooled}"
         );
     }
 

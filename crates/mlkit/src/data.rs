@@ -81,44 +81,34 @@ impl DenseDataset {
         DenseDataset::new(x, y)
     }
 
-    /// Deterministically shuffles the samples.
-    pub fn shuffled(&self, seed: u64) -> DenseDataset {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(&mut rng::rng_for(seed, 0xDA7A));
-        self.select(&idx)
+    /// Shuffles `rows` in place with the `seed` stream — the one
+    /// permutation [`split`](Self::split) and every training epoch draw.
+    /// Fisher–Yates moves positions only, so the order it gives a list
+    /// of row indices does not depend on the indices themselves.
+    pub fn permutation(rows: &mut [usize], seed: u64) {
+        rows.shuffle(&mut rng::rng_for(seed, 0xDA7A));
     }
 
-    /// Splits into `(train, validation)` with the given validation
-    /// fraction, after a deterministic shuffle.
+    /// Splits the row indices into `(train, validation)` lists with the
+    /// given validation fraction, after a deterministic shuffle; the rows
+    /// themselves stay where they are.
     ///
     /// The split never leaves the training side empty unless the dataset
     /// itself has fewer than 2 samples.
     ///
     /// # Panics
     /// Panics if `val_fraction` is outside `[0, 1)`.
-    pub fn split(&self, val_fraction: f64, seed: u64) -> (DenseDataset, DenseDataset) {
+    pub fn split(&self, val_fraction: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
         assert!(
             (0.0..1.0).contains(&val_fraction),
             "val_fraction {val_fraction} outside [0,1)"
         );
-        let shuffled = self.shuffled(seed);
-        let n = shuffled.len();
+        let n = self.len();
+        let mut train: Vec<usize> = (0..n).collect();
+        Self::permutation(&mut train, seed);
         let n_val = ((n as f64 * val_fraction).round() as usize).min(n.saturating_sub(1));
-        let split_at = n - n_val;
-        let train_idx: Vec<usize> = (0..split_at).collect();
-        let val_idx: Vec<usize> = (split_at..n).collect();
-        (shuffled.select(&train_idx), shuffled.select(&val_idx))
-    }
-
-    /// Yields `(x_batch, y_batch)` index ranges of at most `batch_size`
-    /// samples, in order.
-    pub fn batches(&self, batch_size: usize) -> impl Iterator<Item = DenseDataset> + '_ {
-        assert!(batch_size > 0, "batch_size must be positive");
-        (0..self.len()).step_by(batch_size).map(move |start| {
-            let end = (start + batch_size).min(self.len());
-            let idx: Vec<usize> = (start..end).collect();
-            self.select(&idx)
-        })
+        let val = train.split_off(n - n_val);
+        (train, val)
     }
 }
 
@@ -158,19 +148,18 @@ mod tests {
 
     #[test]
     fn shuffle_is_a_permutation_and_deterministic() {
-        let ds = toy(20);
-        let a = ds.shuffled(9);
-        let b = ds.shuffled(9);
+        let mut a: Vec<usize> = (0..20).collect();
+        let mut b = a.clone();
+        DenseDataset::permutation(&mut a, 9);
+        DenseDataset::permutation(&mut b, 9);
         assert_eq!(a, b);
-        let mut ys = a.y().to_vec();
-        ys.sort_by(|p, q| p.partial_cmp(q).unwrap());
-        let mut want = ds.y().to_vec();
-        want.sort_by(|p, q| p.partial_cmp(q).unwrap());
-        assert_eq!(ys, want);
-        // Pairs stay aligned after shuffling: y == 10 * x[0] everywhere.
-        for (row, &y) in a.x().row_iter().zip(a.y()) {
-            assert_eq!(y, row[0] * 10.0);
-        }
+        assert_ne!(a, (0..20).collect::<Vec<_>>());
+        // The same draw moves any index list the same way.
+        let mut odd: Vec<usize> = (0..20).map(|i| 2 * i + 1).collect();
+        DenseDataset::permutation(&mut odd, 9);
+        assert_eq!(odd, a.iter().map(|i| 2 * i + 1).collect::<Vec<_>>());
+        a.sort_unstable();
+        assert_eq!(a, (0..20).collect::<Vec<_>>());
     }
 
     #[test]
@@ -192,17 +181,6 @@ mod tests {
         let one = toy(1);
         let (train, val) = one.split(0.5, 3);
         assert_eq!((train.len(), val.len()), (1, 0));
-    }
-
-    #[test]
-    fn batches_cover_everything_in_order() {
-        let ds = toy(7);
-        let batches: Vec<DenseDataset> = ds.batches(3).collect();
-        assert_eq!(batches.len(), 3);
-        assert_eq!(batches[0].len(), 3);
-        assert_eq!(batches[2].len(), 1);
-        let all: Vec<f64> = batches.iter().flat_map(|b| b.y().to_vec()).collect();
-        assert_eq!(all, ds.y());
     }
 
     #[test]

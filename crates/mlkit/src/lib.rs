@@ -10,8 +10,8 @@
 //! cluster as a mini-batch stage) - with flat weight vectors exposed for
 //! federated aggregation.
 //!
-//! * [`data`] - `DenseDataset` (feature matrix + target vector), splits,
-//!   batching.
+//! * [`data`] - `DenseDataset` (feature matrix + target vector), the
+//!   seeded row permutation and the train/validation split as row lists.
 //! * [`loss`] - MSE / MAE / Huber with gradients.
 //! * [`metrics`] - MSE, RMSE, MAE, R².
 //! * [`optim`] - SGD, momentum, Adam.
@@ -20,7 +20,9 @@
 //! * [`linear`] - linear regression (Table III "LR": Dense 1, lr 0.03).
 //! * [`mlp`] - one-hidden-layer MLP (Table III "NN": Dense 64 ReLU, lr 0.001).
 //! * [`mod@train`] - epoch/batch training loops, validation split, incremental
-//!   per-cluster training.
+//!   per-cluster training. The loops borrow the rows they train on: each
+//!   epoch walks a permutation of row indices in mini-batch slices, with
+//!   one weight vector and one gradient buffer per run.
 
 pub mod data;
 pub mod linear;

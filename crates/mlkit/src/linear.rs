@@ -82,37 +82,42 @@ impl Regressor for LinearRegression {
         self.b = rest[0];
     }
 
-    fn grad_batch(&self, batch: &DenseDataset, loss: Loss) -> (Vec<f64>, f64) {
-        assert!(!batch.is_empty(), "gradient of an empty batch");
+    fn grad_rows(&self, data: &DenseDataset, rows: &[usize], loss: Loss, grad: &mut [f64]) -> f64 {
+        assert!(!rows.is_empty(), "gradient of an empty batch");
         assert_eq!(
-            batch.dim(),
+            data.dim(),
             self.dim(),
             "batch width {} != model dim {}",
-            batch.dim(),
+            data.dim(),
             self.dim()
         );
-        let n = batch.len() as f64;
-        let mut grad = vec![0.0; self.num_weights()];
+        assert_eq!(
+            grad.len(),
+            self.num_weights(),
+            "gradient buffer length mismatch"
+        );
+        grad.fill(0.0);
+        let (gw, gb) = grad.split_at_mut(self.w.len());
         let mut total_loss = 0.0;
-        for (row, &y) in batch.x().row_iter().zip(batch.y()) {
+        for &i in rows {
+            let row = data.x().row(i);
+            let y = data.y()[i];
             let pred = self.predict_row(row);
             total_loss += loss.value(pred, y);
             let g = loss.gradient(pred, y);
-            let (gw, gb) = grad.split_at_mut(self.w.len());
             linalg::ops::axpy(g, row, gw);
             gb[0] += g;
         }
-        let inv = 1.0 / n;
-        for g in &mut grad {
-            *g *= inv;
-        }
-        (grad, total_loss * inv)
+        let inv = 1.0 / rows.len() as f64;
+        linalg::ops::scale(inv, grad);
+        total_loss * inv
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::full_grad;
     use crate::optim::OptimizerKind;
     use linalg::Matrix;
 
@@ -135,7 +140,7 @@ mod tests {
         let mut model = LinearRegression::new(2);
         let mut opt = OptimizerKind::Sgd { lr: 0.1 }.build(model.num_weights());
         for _ in 0..500 {
-            let (grad, _) = model.grad_batch(&data, Loss::Mse);
+            let (grad, _) = full_grad(&model, &data);
             let mut w = model.weights();
             opt.step(&mut w, &grad);
             model.set_weights(&w);
@@ -151,7 +156,7 @@ mod tests {
         let data = linear_data(20, &[1.0, 2.0, 3.0], -1.0, 9);
         let mut model = LinearRegression::new(3);
         model.set_weights(&[0.5, -0.5, 1.0, 0.2]);
-        let (grad, _) = model.grad_batch(&data, Loss::Mse);
+        let (grad, _) = full_grad(&model, &data);
         let eps = 1e-6;
         let base = model.weights();
         for i in 0..base.len() {
@@ -194,7 +199,7 @@ mod tests {
     fn wrong_width_batch_panics() {
         let m = LinearRegression::new(2);
         let data = linear_data(5, &[1.0], 0.0, 0);
-        m.grad_batch(&data, Loss::Mse);
+        full_grad(&m, &data);
     }
 
     #[test]

@@ -1,9 +1,27 @@
 //! One-hidden-layer MLP — the paper's "NN" model (Table III: Dense 64,
 //! ReLU, MSE).
 
+use std::cell::RefCell;
+
 use crate::data::DenseDataset;
 use crate::loss::Loss;
 use crate::model::Regressor;
+
+thread_local! {
+    /// Hidden activations of the sample being forwarded: one buffer per
+    /// thread, so neither a prediction nor a gradient step allocates per
+    /// sample.
+    static HIDDEN: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's hidden-activation buffer, `hidden` long.
+fn with_hidden<R>(hidden: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    HIDDEN.with(|h| {
+        let mut h = h.borrow_mut();
+        h.resize(hidden, 0.0);
+        f(&mut h)
+    })
+}
 
 /// `ŷ = w2 · relu(W1 x + b1) + b2`.
 ///
@@ -60,23 +78,22 @@ impl Mlp {
         self.hidden
     }
 
-    /// Forward pass returning the hidden activations and the output.
-    fn forward(&self, x: &[f64]) -> (Vec<f64>, f64) {
+    /// Forward pass: writes the hidden activations into `h` and returns
+    /// the output.
+    fn forward(&self, x: &[f64], h: &mut [f64]) -> f64 {
         debug_assert_eq!(x.len(), self.dim);
-        let mut h = vec![0.0; self.hidden];
         for (j, hj) in h.iter_mut().enumerate() {
             let row = &self.w1[j * self.dim..(j + 1) * self.dim];
             let z = linalg::ops::dot(row, x) + self.b1[j];
             *hj = z.max(0.0); // ReLU
         }
-        let out = linalg::ops::dot(&self.w2, &h) + self.b2;
-        (h, out)
+        linalg::ops::dot(&self.w2, h) + self.b2
     }
 }
 
 impl Regressor for Mlp {
     fn predict_row(&self, x: &[f64]) -> f64 {
-        self.forward(x).1
+        with_hidden(self.hidden, |h| self.forward(x, h))
     }
 
     fn num_weights(&self) -> usize {
@@ -103,53 +120,58 @@ impl Regressor for Mlp {
         self.b2 = b2[0];
     }
 
-    fn grad_batch(&self, batch: &DenseDataset, loss: Loss) -> (Vec<f64>, f64) {
-        assert!(!batch.is_empty(), "gradient of an empty batch");
+    fn grad_rows(&self, data: &DenseDataset, rows: &[usize], loss: Loss, grad: &mut [f64]) -> f64 {
+        assert!(!rows.is_empty(), "gradient of an empty batch");
         assert_eq!(
-            batch.dim(),
+            data.dim(),
             self.dim,
             "batch width {} != model dim {}",
-            batch.dim(),
+            data.dim(),
             self.dim
         );
-        let n = batch.len() as f64;
-        let mut g_w1 = vec![0.0; self.w1.len()];
-        let mut g_b1 = vec![0.0; self.hidden];
-        let mut g_w2 = vec![0.0; self.hidden];
-        let mut g_b2 = 0.0;
+        assert_eq!(
+            grad.len(),
+            self.num_weights(),
+            "gradient buffer length mismatch"
+        );
+        grad.fill(0.0);
+        let (g_w1, rest) = grad.split_at_mut(self.w1.len());
+        let (g_b1, rest) = rest.split_at_mut(self.hidden);
+        let (g_w2, g_b2) = rest.split_at_mut(self.hidden);
         let mut total_loss = 0.0;
 
-        for (x, &y) in batch.x().row_iter().zip(batch.y()) {
-            let (h, pred) = self.forward(x);
-            total_loss += loss.value(pred, y);
-            let g_out = loss.gradient(pred, y);
-            // Output layer.
-            linalg::ops::axpy(g_out, &h, &mut g_w2);
-            g_b2 += g_out;
-            // Hidden layer: dL/dz_j = g_out * w2_j * 1[h_j > 0].
-            for j in 0..self.hidden {
-                if h[j] > 0.0 {
-                    let gz = g_out * self.w2[j];
-                    g_b1[j] += gz;
-                    let row = &mut g_w1[j * self.dim..(j + 1) * self.dim];
-                    linalg::ops::axpy(gz, x, row);
+        with_hidden(self.hidden, |h| {
+            for &i in rows {
+                let x = data.x().row(i);
+                let y = data.y()[i];
+                let pred = self.forward(x, h);
+                total_loss += loss.value(pred, y);
+                let g_out = loss.gradient(pred, y);
+                // Output layer.
+                linalg::ops::axpy(g_out, h, g_w2);
+                g_b2[0] += g_out;
+                // Hidden layer: dL/dz_j = g_out * w2_j * 1[h_j > 0].
+                for j in 0..self.hidden {
+                    if h[j] > 0.0 {
+                        let gz = g_out * self.w2[j];
+                        g_b1[j] += gz;
+                        let row = &mut g_w1[j * self.dim..(j + 1) * self.dim];
+                        linalg::ops::axpy(gz, x, row);
+                    }
                 }
             }
-        }
+        });
 
-        let inv = 1.0 / n;
-        let mut grad = Vec::with_capacity(self.num_weights());
-        grad.extend(g_w1.iter().map(|g| g * inv));
-        grad.extend(g_b1.iter().map(|g| g * inv));
-        grad.extend(g_w2.iter().map(|g| g * inv));
-        grad.push(g_b2 * inv);
-        (grad, total_loss * inv)
+        let inv = 1.0 / rows.len() as f64;
+        linalg::ops::scale(inv, grad);
+        total_loss * inv
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::full_grad;
     use crate::optim::OptimizerKind;
     use linalg::Matrix;
 
@@ -172,7 +194,7 @@ mod tests {
     fn train_full_batch(model: &mut Mlp, data: &DenseDataset, lr: f64, steps: usize) {
         let mut opt = OptimizerKind::adam(lr).build(model.num_weights());
         for _ in 0..steps {
-            let (grad, _) = model.grad_batch(data, Loss::Mse);
+            let (grad, _) = full_grad(model, data);
             let mut w = model.weights();
             opt.step(&mut w, &grad);
             model.set_weights(&w);
@@ -189,7 +211,7 @@ mod tests {
         let mut lin = crate::linear::LinearRegression::new(2);
         let mut opt = OptimizerKind::Sgd { lr: 0.05 }.build(lin.num_weights());
         for _ in 0..800 {
-            let (grad, _) = lin.grad_batch(&data, Loss::Mse);
+            let (grad, _) = full_grad(&lin, &data);
             let mut w = lin.weights();
             opt.step(&mut w, &grad);
             lin.set_weights(&w);
@@ -205,7 +227,7 @@ mod tests {
     fn gradient_matches_finite_difference() {
         let data = toy_nonlinear(10, 4);
         let model = Mlp::new(2, 5, 11);
-        let (grad, _) = model.grad_batch(&data, Loss::Mse);
+        let (grad, _) = full_grad(&model, &data);
         let base = model.weights();
         let eps = 1e-6;
         for i in (0..base.len()).step_by(3) {

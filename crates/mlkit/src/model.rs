@@ -34,12 +34,15 @@ pub trait Regressor {
     /// Panics if `w.len() != num_weights()`.
     fn set_weights(&mut self, w: &[f64]);
 
-    /// Computes `(flat gradient, mean loss)` of `loss` over a batch.
+    /// Writes the mean gradient of `loss` over the listed `rows` of
+    /// `data` into `grad` (flat, in [`weights`](Self::weights) order) and
+    /// returns the mean loss. Rows are accumulated in the order listed;
+    /// nothing is copied or allocated.
     ///
     /// # Panics
-    /// Panics if the batch is empty or its width differs from the model's
-    /// input dimension.
-    fn grad_batch(&self, batch: &DenseDataset, loss: Loss) -> (Vec<f64>, f64);
+    /// Panics if `rows` is empty, `data`'s width differs from the model's
+    /// input dimension or `grad.len() != num_weights()`.
+    fn grad_rows(&self, data: &DenseDataset, rows: &[usize], loss: Loss, grad: &mut [f64]) -> f64;
 
     /// Mean loss over a dataset without computing gradients.
     fn evaluate(&self, data: &DenseDataset, loss: Loss) -> f64 {
@@ -139,12 +142,22 @@ impl Regressor for Model {
         }
     }
 
-    fn grad_batch(&self, batch: &DenseDataset, loss: Loss) -> (Vec<f64>, f64) {
+    fn grad_rows(&self, data: &DenseDataset, rows: &[usize], loss: Loss, grad: &mut [f64]) -> f64 {
         match self {
-            Model::Linear(m) => m.grad_batch(batch, loss),
-            Model::Neural(m) => m.grad_batch(batch, loss),
+            Model::Linear(m) => m.grad_rows(data, rows, loss, grad),
+            Model::Neural(m) => m.grad_rows(data, rows, loss, grad),
         }
     }
+}
+
+/// The full-batch gradient and mean MSE of `model` over every row of
+/// `data`.
+#[cfg(test)]
+pub(crate) fn full_grad(model: &impl Regressor, data: &DenseDataset) -> (Vec<f64>, f64) {
+    let rows: Vec<usize> = (0..data.len()).collect();
+    let mut grad = vec![0.0; model.num_weights()];
+    let loss = model.grad_rows(data, &rows, Loss::Mse, &mut grad);
+    (grad, loss)
 }
 
 #[cfg(test)]

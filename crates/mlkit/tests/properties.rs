@@ -25,6 +25,14 @@ fn random_model(rng: &mut impl Rng, dim: usize) -> Model {
     kind.build(dim, rng.gen_range(0..1000u64))
 }
 
+/// The gradient and mean MSE over every row of `data`.
+fn full_grad(model: &Model, data: &DenseDataset) -> (Vec<f64>, f64) {
+    let rows: Vec<usize> = (0..data.len()).collect();
+    let mut grad = vec![0.0; model.num_weights()];
+    let loss = model.grad_rows(data, &rows, Loss::Mse, &mut grad);
+    (grad, loss)
+}
+
 /// weights()/set_weights() is an exact round trip for both models.
 #[test]
 fn weight_round_trip() {
@@ -47,7 +55,7 @@ fn gradient_check() {
     for _ in 0..CASES {
         let model = random_model(&mut rng, 2);
         let data = random_dataset(&mut rng, 2);
-        let (grad, loss_val) = model.grad_batch(&data, Loss::Mse);
+        let (grad, loss_val) = full_grad(&model, &data);
         assert!(loss_val >= 0.0);
         let base = model.weights();
         let eps = 1e-5;
@@ -84,7 +92,7 @@ fn sgd_step_descends_for_linear() {
         let data = random_dataset(&mut rng, 2);
         let mut model = ModelKind::Linear.build(2, 0);
         let before = model.evaluate(&data, Loss::Mse);
-        let (grad, _) = model.grad_batch(&data, Loss::Mse);
+        let (grad, _) = full_grad(&model, &data);
         let gn: f64 = grad.iter().map(|g| g * g).sum();
         if gn <= 1e-12 {
             continue; // zero gradient: nothing to descend (proptest's prop_assume)
@@ -100,7 +108,7 @@ fn sgd_step_descends_for_linear() {
     }
 }
 
-/// Split + concat preserves the multiset of (x, y) pairs.
+/// The split's two row lists partition the dataset's rows.
 #[test]
 fn split_is_lossless() {
     let mut rng = rng_for(0x314, 4);
@@ -109,36 +117,10 @@ fn split_is_lossless() {
         let frac = rng.gen_range(0.05..0.9);
         let seed = rng.gen_range(0..100u64);
         let (train, val) = data.split(frac, seed);
-        assert_eq!(train.len() + val.len(), data.len());
-        let key = |p: &(Vec<f64>, f64)| {
-            let mut s = String::new();
-            for v in &p.0 {
-                s.push_str(&format!("{v:.12};"));
-            }
-            s.push_str(&format!("{:.12}", p.1));
-            s
-        };
-        let mut got: Vec<(Vec<f64>, f64)> = train
-            .x()
-            .row_iter()
-            .zip(train.y())
-            .map(|(r, &y)| (r.to_vec(), y))
-            .chain(
-                val.x()
-                    .row_iter()
-                    .zip(val.y())
-                    .map(|(r, &y)| (r.to_vec(), y)),
-            )
-            .collect();
-        let mut want: Vec<(Vec<f64>, f64)> = data
-            .x()
-            .row_iter()
-            .zip(data.y())
-            .map(|(r, &y)| (r.to_vec(), y))
-            .collect();
-        got.sort_by_key(key);
-        want.sort_by_key(key);
-        assert_eq!(got, want);
+        assert!(!train.is_empty());
+        let mut rows: Vec<usize> = train.into_iter().chain(val).collect();
+        rows.sort_unstable();
+        assert_eq!(rows, (0..data.len()).collect::<Vec<_>>());
     }
 }
 

@@ -1,0 +1,153 @@
+//! Bit-level pins on the three training loops. Every case trains LR or a
+//! `hidden: 8` MLP through `train`, `train_incremental` or
+//! `train_interleaved` on 203 rows (a ragged count, so the last
+//! mini-batch of every epoch and every stage is short) and compares the
+//! `to_bits()` of the final weights, of every training and validation
+//! loss, and the sample-visit count against recorded constants. A change
+//! to how the loops walk, batch or accumulate rows that moves a single
+//! float bit fails here, whatever it does to the loss.
+
+use linalg::Matrix;
+use mlkit::{
+    train, train_incremental, train_interleaved, DenseDataset, ModelKind, Regressor, TrainConfig,
+    TrainReport,
+};
+
+const ROWS: usize = 203;
+
+fn data() -> DenseDataset {
+    let mut rng = linalg::rng::rng_for(29, 203);
+    let rows: Vec<Vec<f64>> = (0..ROWS)
+        .map(|_| {
+            vec![
+                linalg::rng::normal(&mut rng, 0.0, 1.0),
+                linalg::rng::normal(&mut rng, 0.0, 1.0),
+            ]
+        })
+        .collect();
+    let y: Vec<f64> = rows
+        .iter()
+        .map(|r| 1.5 * r[0] - 0.5 * r[1] * r[1] + 0.3 + linalg::rng::normal(&mut rng, 0.0, 0.05))
+        .collect();
+    DenseDataset::new(Matrix::from_rows(&rows), y)
+}
+
+/// Two ragged supporting clusters around an empty one.
+fn stages(data: &DenseDataset) -> Vec<DenseDataset> {
+    let a: Vec<usize> = (0..61).collect();
+    let b: Vec<usize> = (61..ROWS).collect();
+    vec![data.select(&a), DenseDataset::empty(2), data.select(&b)]
+}
+
+/// The digest of no values: the runs that record no validation loss.
+const NONE: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// A change to how the loops hold or walk rows must leave every constant
+/// here as it is; only a deliberate change to what training computes may
+/// re-record them.
+#[rustfmt::skip]
+const LR_PINS: &[(&str, u64, u64, u64, usize)] = &[
+    ("LR/train/paper", 0xaf7b918b7482bfa3, 0x108b7c3750b83146, 0x662713800507e236, 16200),
+    ("LR/incremental/paper", 0x6f327518fc5e3e77, 0xe2c1a759dd2d9e38, 0x49376aba7e2d5e6e, 16300),
+    ("LR/interleaved/paper", 0x59942079526dd993, 0x6b6ed8d9ad1eb8a6, NONE, 20300),
+    ("LR/train/decay_clip", 0x4f44ec4b8459e483, 0xeb28ae03d15408fe, 0xe10b92a8b736469f, 16200),
+    ("LR/incremental/decay_clip", 0x7837ce134829af50, 0xe5be186b5d0ba549, 0x4ba4d3f8f9846982, 16300),
+    ("LR/interleaved/decay_clip", 0xb406488f78824ca8, 0xe986158ae0f8450c, NONE, 20300),
+    ("LR/train/no_val", 0xb2a1a45cf17c5139, 0x5ce99149f001f7ad, NONE, 20300),
+    ("LR/incremental/no_val", 0x8420cfcec17c0807, 0xe2539e01cf2d094a, NONE, 20300),
+    ("LR/interleaved/no_val", 0x59942079526dd993, 0x6b6ed8d9ad1eb8a6, NONE, 20300),
+];
+
+#[rustfmt::skip]
+const NN_PINS: &[(&str, u64, u64, u64, usize)] = &[
+    ("NN/train/paper", 0xdcc871cadebdfa38, 0x7e3d798bc9e8fce7, 0x22f636bc97e76b7f, 16200),
+    ("NN/incremental/paper", 0xe57fbcfa49ec1aba, 0x18b4dcb1dd0dd34d, 0x6cb4f806164f656a, 16300),
+    ("NN/interleaved/paper", 0xf9d707771831e58d, 0xee6b9e4c89bcf1bc, NONE, 20300),
+    ("NN/train/decay_clip", 0x2f45ecb1615c049c, 0x96e7627d64f79ad5, 0x01e58d2fca21a81f, 16200),
+    ("NN/incremental/decay_clip", 0xe5f3ff3444e844b8, 0x699f788a6f36182a, 0xd1b1bc5771e7d489, 16300),
+    ("NN/interleaved/decay_clip", 0x08d474d882147b95, 0xd42b4b73e956453a, NONE, 20300),
+    ("NN/train/no_val", 0xa43b02afd3fedc32, 0xa93d3ef6f9882853, NONE, 20300),
+    ("NN/incremental/no_val", 0x348d826cfaed2759, 0xe8b827283a1278db, NONE, 20300),
+    ("NN/interleaved/no_val", 0xf9d707771831e58d, 0xee6b9e4c89bcf1bc, NONE, 20300),
+];
+
+/// FNV-1a over the bit patterns, in order.
+fn digest(values: &[f64]) -> u64 {
+    values.iter().fold(NONE, |h, v| {
+        v.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// `(case, weights, train_loss, val_loss, samples_seen)`: the digests of
+/// the three float sequences and the visit count.
+type Pin = (String, u64, u64, u64, usize);
+
+fn pins(kind: ModelKind, paper: TrainConfig) -> Vec<Pin> {
+    let data = data();
+    let stages = stages(&data);
+    let configs = [
+        ("paper", paper.clone()),
+        (
+            "decay_clip",
+            TrainConfig {
+                weight_decay: 0.1,
+                grad_clip: Some(1.0),
+                ..paper.clone()
+            },
+        ),
+        (
+            "no_val",
+            TrainConfig {
+                validation_split: 0.0,
+                ..paper
+            },
+        ),
+    ];
+    let mut out = Vec::new();
+    for (label, cfg) in &configs {
+        for (name, run) in [("train", 0), ("incremental", 1), ("interleaved", 2)] {
+            let mut model = kind.build(2, 11);
+            let report: TrainReport = match run {
+                0 => train(&mut model, &data, cfg),
+                1 => train_incremental(&mut model, &stages, cfg),
+                _ => train_interleaved(&mut model, &stages, cfg),
+            };
+            out.push((
+                format!("{}/{name}/{label}", kind.name()),
+                digest(&model.weights()),
+                digest(&report.train_loss),
+                digest(&report.val_loss),
+                report.samples_seen,
+            ));
+        }
+    }
+    out
+}
+
+fn check(got: Vec<Pin>, want: &[(&str, u64, u64, u64, usize)]) {
+    let want: Vec<Pin> = want
+        .iter()
+        .map(|&(c, w, t, v, s)| (c.to_string(), w, t, v, s))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(c, w, t, v, s)| format!("    (\"{c}\", {w:#018x}, {t:#018x}, {v:#018x}, {s}),\n"))
+        .collect();
+    assert_eq!(got, want, "training bits moved; this run gives\n{table}");
+}
+
+#[test]
+fn linear_regression_training_is_bit_pinned() {
+    check(pins(ModelKind::Linear, TrainConfig::paper_lr(5)), LR_PINS);
+}
+
+#[test]
+fn mlp_training_is_bit_pinned() {
+    check(
+        pins(ModelKind::Neural { hidden: 8 }, TrainConfig::paper_nn(5)),
+        NN_PINS,
+    );
+}

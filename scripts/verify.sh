@@ -54,14 +54,17 @@
 #      scorecard field in the export is integer or leader-serial
 #      simulated time, so the fleet registry honours the same
 #      determinism contract as the fault and trace subsystems,
-#  14. spatial-index transparency: `repro fig7` and the fault/trace
-#      smoke are run with the index off and again with QENS_INDEX=1 and
-#      the figure CSVs plus results/fault_trace.json must be
-#      byte-identical — the index may change how a selection is
-#      computed, never what is selected — plus the indexed-selection
-#      integration tests re-run under QENS_THREADS=2; the plain smoke
-#      runs last, so the results/trace.json it leaves is the committed
-#      one,
+#  14. spatial-index transparency and the fig7 series: `repro fig7` and
+#      the fault/trace smoke are run with the index off and again with
+#      QENS_INDEX=1 and the figure CSVs plus results/fault_trace.json
+#      must be byte-identical — the index may change how a selection is
+#      computed, never what is selected — and both fig7 CSVs must also
+#      match the checked-out copies byte for byte, so a training change
+#      that moved both sides alike still fails (tier-1 covers the LR
+#      series only; the NN series is too slow for the debug profile);
+#      plus the indexed-selection integration tests re-run under
+#      QENS_THREADS=2; the plain smoke runs last, so the
+#      results/trace.json it leaves is the committed one,
 #  15. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
 #      nodes, scan vs indexed, bit-identity asserted inside the sweep)
 #      is run under QENS_THREADS=1 and QENS_THREADS=4 and
@@ -164,7 +167,9 @@ cmp results/fig10_fleet_skew.csv results/fig10_fleet_skew.t1.csv \
 rm -f results/fleet.t1.json results/fig10_fleet_skew.t1.csv
 echo "fleet scorecards + journal are thread-count stable"
 
-echo "==> spatial-index transparency (fig7 + fault trace byte-identical with QENS_INDEX=0 vs 1)"
+echo "==> spatial-index transparency (fig7 + fault trace byte-identical with QENS_INDEX=0 vs 1; fig7 as committed)"
+cp results/fig7_lr.csv results/fig7_lr.committed.csv
+cp results/fig7_nn.csv results/fig7_nn.committed.csv
 QENS_INDEX=0 cargo run -q -p bench --bin repro --release --offline -- fig7 > /dev/null
 cp results/fig7_lr.csv results/fig7_lr.noindex.csv
 cp results/fig7_nn.csv results/fig7_nn.noindex.csv
@@ -173,7 +178,11 @@ cmp results/fig7_lr.csv results/fig7_lr.noindex.csv \
   || { echo "FAIL: fig7 LR series differs with the spatial index on"; exit 1; }
 cmp results/fig7_nn.csv results/fig7_nn.noindex.csv \
   || { echo "FAIL: fig7 NN series differs with the spatial index on"; exit 1; }
-rm -f results/fig7_lr.noindex.csv results/fig7_nn.noindex.csv
+cmp results/fig7_lr.csv results/fig7_lr.committed.csv \
+  || { echo "FAIL: fig7 LR series differs from results/fig7_lr.csv as committed"; exit 1; }
+cmp results/fig7_nn.csv results/fig7_nn.committed.csv \
+  || { echo "FAIL: fig7 NN series differs from results/fig7_nn.csv as committed"; exit 1; }
+rm -f results/fig7_{lr,nn}.noindex.csv results/fig7_{lr,nn}.committed.csv
 QENS_INDEX=1 cargo run -q -p bench --bin repro --release --offline -- --smoke > /dev/null
 cp results/fault_trace.json results/fault_trace.index.json
 # The default smoke (index off) runs last: its results/trace.json is the
@@ -182,7 +191,7 @@ cargo run -q -p bench --bin repro --release --offline -- --smoke > /dev/null
 cmp results/fault_trace.json results/fault_trace.index.json \
   || { echo "FAIL: fault trace differs with the spatial index on"; exit 1; }
 rm -f results/fault_trace.index.json
-echo "fig7 series + fault trace are index-transparent"
+echo "fig7 series + fault trace are index-transparent; fig7 matches the committed series"
 
 echo "==> indexed-selection tests under QENS_THREADS=2"
 QENS_THREADS=2 cargo test -q --offline -p qens --test indexed_selection
