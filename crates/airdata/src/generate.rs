@@ -15,7 +15,7 @@ use linalg::rng as lrng;
 use linalg::Matrix;
 
 use crate::profile::StationProfile;
-use crate::schema::{Feature, Record, NUM_FEATURES};
+use crate::schema::{Feature, Record};
 use crate::time;
 
 /// Configuration of one generation run.
@@ -36,16 +36,6 @@ pub struct GeneratorConfig {
 }
 
 impl GeneratorConfig {
-    /// The dataset-faithful configuration: full four-year hourly span.
-    pub fn full(seed: u64) -> Self {
-        Self {
-            start: (2013, 3, 1),
-            hours: time::DATASET_HOURS,
-            seed,
-            missing_rate: 0.02,
-        }
-    }
-
     /// A shorter span for tests and quick experiments.
     pub fn short(hours: u64, seed: u64) -> Self {
         Self {
@@ -67,16 +57,6 @@ pub struct StationData {
 }
 
 impl StationData {
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when there are no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// One feature as a column (NaN where missing).
     pub fn feature_column(&self, f: Feature) -> Vec<f64> {
         self.records.iter().map(|r| r.get(f)).collect()
@@ -91,19 +71,6 @@ impl StationData {
             data.extend(features.iter().map(|&f| r.get(f)));
         }
         Matrix::from_vec(self.records.len(), features.len(), data)
-    }
-
-    /// Fraction of missing cells across all features.
-    pub fn missing_fraction(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        let missing: usize = self
-            .records
-            .iter()
-            .map(|r| r.values.iter().filter(|v| v.is_nan()).count())
-            .sum();
-        missing as f64 / (self.records.len() * NUM_FEATURES) as f64
     }
 }
 
@@ -255,6 +222,7 @@ pub fn generate_all(config: &GeneratorConfig) -> Vec<StationData> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::NUM_FEATURES;
     use linalg::stats;
 
     fn gen(name: &str, hours: u64, seed: u64) -> StationData {
@@ -271,7 +239,7 @@ mod tests {
     #[test]
     fn generates_requested_length_and_timestamps() {
         let s = gen("Dongsi", 50, 1);
-        assert_eq!(s.len(), 50);
+        assert_eq!(s.records.len(), 50);
         assert_eq!(
             (
                 s.records[0].year,
@@ -369,8 +337,16 @@ mod tests {
 
     #[test]
     fn missing_rate_is_respected() {
+        let missing_fraction = |s: &StationData| {
+            let missing: usize = s
+                .records
+                .iter()
+                .map(|r| r.values.iter().filter(|v| v.is_nan()).count())
+                .sum();
+            missing as f64 / (s.records.len() * NUM_FEATURES) as f64
+        };
         let s = gen("Huairou", 24 * 100, 13);
-        let frac = s.missing_fraction();
+        let frac = missing_fraction(&s);
         assert!((0.01..0.035).contains(&frac), "missing fraction {frac}");
         let clean = generate_station(
             &StationProfile::of("Huairou"),
@@ -379,7 +355,7 @@ mod tests {
                 ..GeneratorConfig::short(100, 13)
             },
         );
-        assert_eq!(clean.missing_fraction(), 0.0);
+        assert_eq!(missing_fraction(&clean), 0.0);
     }
 
     #[test]

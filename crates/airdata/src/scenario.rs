@@ -2,7 +2,7 @@
 //!
 //! Three builders cover everything the evaluation needs:
 //!
-//! * [`realistic_nodes`] — the §V-A setting: 10 of the 12 air-quality
+//! * [`realistic_nodes_multi`] — the §V-A setting: 10 of the 12 air-quality
 //!   stations, one input feature (PM10) and one label (PM2.5) per node.
 //! * [`homogeneous_nodes`] — the §II "similar participants" setting
 //!   behind Table I / Fig. 1: every node samples the same relation, so
@@ -32,25 +32,12 @@ pub struct NodeData {
 }
 
 /// The paper's realistic setting: `n_nodes ≤ 12` stations, each node's
-/// dataset pairing one input feature with one label feature.
+/// dataset pairing the `inputs` features with one label feature. The
+/// paper uses one input (PM10 → PM2.5); its formulation is d-dimensional
+/// throughout (queries are `2d`-boundary vectors), so the joint space is
+/// `inputs.len() + 1` dimensional.
 ///
 /// Missing values are forward-filled before extraction.
-///
-/// # Panics
-/// Panics if `n_nodes` is 0 or exceeds 12.
-pub fn realistic_nodes(
-    n_nodes: usize,
-    hours: u64,
-    seed: u64,
-    input: Feature,
-    label: Feature,
-) -> Vec<NodeData> {
-    realistic_nodes_multi(n_nodes, hours, seed, &[input], label)
-}
-
-/// Multi-feature variant of [`realistic_nodes`]: the paper's formulation
-/// is d-dimensional throughout (queries are `2d`-boundary vectors), this
-/// builds nodes whose joint space is `inputs.len() + 1` dimensional.
 ///
 /// # Panics
 /// Panics if `n_nodes` is outside `1..=12`, `inputs` is empty, or the
@@ -248,7 +235,7 @@ mod tests {
 
     #[test]
     fn realistic_nodes_have_expected_shape() {
-        let nodes = realistic_nodes(10, 500, 3, Feature::Pm10, Feature::Pm25);
+        let nodes = realistic_nodes_multi(10, 500, 3, &[Feature::Pm10], Feature::Pm25);
         assert_eq!(nodes.len(), 10);
         for n in &nodes {
             assert_eq!(n.dataset.len(), 500);
@@ -267,7 +254,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "12 stations")]
     fn too_many_realistic_nodes_rejected() {
-        realistic_nodes(13, 10, 0, Feature::Pm10, Feature::Pm25);
+        realistic_nodes_multi(13, 10, 0, &[Feature::Pm10], Feature::Pm25);
     }
 
     #[test]

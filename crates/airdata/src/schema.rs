@@ -1,7 +1,7 @@
 //! Schema of the Beijing Multi-Site Air-Quality dataset.
 
 /// The 12 monitoring stations of the UCI dataset. The paper selects 10
-/// files; [`crate::scenario::realistic_nodes`] does the same.
+/// files; [`crate::scenario::realistic_nodes_multi`] does the same.
 pub const STATIONS: [&str; 12] = [
     "Aotizhongxin",
     "Changping",

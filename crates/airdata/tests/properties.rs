@@ -49,7 +49,7 @@ fn generator_invariants() {
             bitwise_eq(&a, &b),
             "same config must regenerate identically"
         );
-        assert_eq!(a.len() as u64, cfg.hours);
+        assert_eq!(a.records.len() as u64, cfg.hours);
         for r in &a.records {
             assert!((1..=12).contains(&r.month));
             assert!((1..=31).contains(&r.day));

@@ -281,9 +281,9 @@ fn forgetting() -> Vec<AblationRow> {
     let continued = |node: usize| {
         let mut m = base.clone();
         qens::mlkit::train(&mut m, &scaler.transform_dataset(nodes[node].data()), &cfg);
-        m.evaluate(&leader_data, Loss::Mse)
+        m.evaluate(&leader_data)
     };
-    let before = base.evaluate(&leader_data, Loss::Mse);
+    let before = base.evaluate(&leader_data);
     let compatible = continued(1);
     let incompatible = continued(4);
     let row = |stage: &str, loss: f64| AblationRow {

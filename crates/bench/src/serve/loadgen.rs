@@ -16,7 +16,8 @@
 //!
 //! No wall clock anywhere: the emitted saturation table
 //! (`results/fig9_saturation.csv`) is byte-identical across runs and
-//! thread counts, which `scripts/verify.sh` enforces with a byte diff.
+//! thread counts, which the `fig9_saturation_csv_matches_a_fresh_run`
+//! golden test checks against the committed file.
 //! The open-loop sweep is the paper-style saturation curve: offered
 //! load vs. completed throughput, p50/p99 latency and shed rate, with
 //! admission control (the bounded queue) visibly bounding p99 once the

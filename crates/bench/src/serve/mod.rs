@@ -1241,6 +1241,45 @@ mod tests {
     }
 
     #[test]
+    fn a_peer_reset_inside_a_request_counts_an_io_error() {
+        let server = test_server(None);
+        let io_errors = || {
+            telemetry::global()
+                .snapshot()
+                .counter("qens_serve_io_errors_total")
+                .unwrap_or(0)
+        };
+        let before = io_errors();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        use std::io::Write as _;
+        let body = "{\"id\": 11, \"bounds\": [0, 20, 0, 45]}";
+        write!(
+            stream,
+            "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        // Wait for the reply but leave it unread: closing a socket with
+        // unread bytes sends a reset, not a FIN. The reset lands while the
+        // server reads the header block of the next keep-alive request.
+        stream.peek(&mut [0u8; 1]).unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.1\r\nHost").unwrap();
+        drop(stream);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while io_errors() == before {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a reset connection never reached qens_serve_io_errors_total"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let (status, body) = get(server.addr(), "/healthz").unwrap();
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+        server.request_shutdown();
+        server.wait().unwrap();
+    }
+
+    #[test]
     fn zero_queue_depth_rejects_with_429_and_retry_after() {
         let server = test_server(Some(AdmissionConfig {
             queue_depth: 0,

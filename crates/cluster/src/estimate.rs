@@ -54,84 +54,6 @@ pub fn node_cardinality(summaries: &[ClusterSummary], query: &Query) -> f64 {
         .sum()
 }
 
-/// Aggregate estimates over a query region computed from summaries only
-/// — the leader-side answer to "what would this query's data look like"
-/// before any node is contacted (the aggregate-query-estimation line the
-/// paper builds on).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggregateEstimate {
-    /// Estimated number of samples in the region.
-    pub count: f64,
-    /// Estimated per-dimension mean of those samples.
-    pub mean: Vec<f64>,
-    /// Estimated per-dimension sum.
-    pub sum: Vec<f64>,
-    /// Per-dimension lower bound of the covered region (min estimate).
-    pub min: Vec<f64>,
-    /// Per-dimension upper bound of the covered region (max estimate).
-    pub max: Vec<f64>,
-}
-
-/// Estimates COUNT/SUM/AVG/MIN/MAX of the samples a query touches,
-/// from summaries alone.
-///
-/// Per contributing cluster, members are modelled uniform within the
-/// cluster rectangle: the expected position of a member that falls in
-/// the intersection is the intersection's centre, and the extremes are
-/// the intersection bounds. Returns `None` when no cluster intersects
-/// the query (estimated count 0).
-pub fn aggregate_estimate(
-    summaries: &[ClusterSummary],
-    query: &Query,
-) -> Option<AggregateEstimate> {
-    let d = query.dim();
-    let mut count = 0.0;
-    let mut sum = vec![0.0; d];
-    let mut min = vec![f64::INFINITY; d];
-    let mut max = vec![f64::NEG_INFINITY; d];
-    for s in summaries {
-        let c = cluster_cardinality(s, query);
-        if c <= 0.0 {
-            continue;
-        }
-        count += c;
-        let inter = s
-            .rect
-            .intersection(query.region())
-            .expect("positive cardinality implies intersection");
-        for (dim, iv) in inter.intervals().iter().enumerate() {
-            sum[dim] += c * iv.center();
-            min[dim] = min[dim].min(iv.lo());
-            max[dim] = max[dim].max(iv.hi());
-        }
-    }
-    if count <= 0.0 {
-        return None;
-    }
-    let mean = sum.iter().map(|s| s / count).collect();
-    Some(AggregateEstimate {
-        count,
-        mean,
-        sum,
-        min,
-        max,
-    })
-}
-
-/// Relative error of an estimate against the true count (0 when both
-/// are zero).
-pub fn relative_error(estimate: f64, truth: usize) -> f64 {
-    if truth == 0 {
-        if estimate == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (estimate - truth as f64).abs() / truth as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +99,7 @@ mod tests {
         let q = Query::from_boundary_vec(0, &[2.0, 7.0, 3.0, 9.0]);
         let est = node_cardinality(&sums, &q);
         let truth = q.filter_indices(data.row_iter()).len();
-        let err = relative_error(est, truth);
+        let err = (est - truth as f64).abs() / truth as f64;
         assert!(err < 0.2, "estimate {est} vs truth {truth} (err {err})");
     }
 
@@ -214,64 +136,5 @@ mod tests {
         assert!((node_cardinality(&sums, &covering) - 3.0).abs() < 1e-9);
         let missing = Query::from_boundary_vec(0, &[0.0, 2.0, 6.0, 10.0]);
         assert_eq!(node_cardinality(&sums, &missing), 0.0);
-    }
-
-    #[test]
-    fn relative_error_edge_cases() {
-        assert_eq!(relative_error(0.0, 0), 0.0);
-        assert_eq!(relative_error(5.0, 0), f64::INFINITY);
-        assert_eq!(relative_error(8.0, 10), 0.2);
-    }
-
-    #[test]
-    fn aggregate_estimate_on_uniform_data_is_accurate() {
-        let data = uniform_square(3000, 9);
-        let model = KMeans::fit(&data, &KMeansConfig::with_k(6, 2));
-        let sums = summarize(&data, &model);
-        let q = Query::from_boundary_vec(0, &[2.0, 8.0, 1.0, 6.0]);
-        let est = aggregate_estimate(&sums, &q).expect("query overlaps data");
-
-        // Ground truth.
-        let idx = q.filter_indices(data.row_iter());
-        let truth_count = idx.len() as f64;
-        let truth_mean_x = idx.iter().map(|&i| data.row(i)[0]).sum::<f64>() / truth_count;
-        let truth_mean_y = idx.iter().map(|&i| data.row(i)[1]).sum::<f64>() / truth_count;
-
-        assert!(
-            (est.count - truth_count).abs() < 0.2 * truth_count,
-            "count {} vs {}",
-            est.count,
-            truth_count
-        );
-        assert!(
-            (est.mean[0] - truth_mean_x).abs() < 0.5,
-            "mean x {} vs {}",
-            est.mean[0],
-            truth_mean_x
-        );
-        assert!(
-            (est.mean[1] - truth_mean_y).abs() < 0.5,
-            "mean y {} vs {}",
-            est.mean[1],
-            truth_mean_y
-        );
-        // Min/max bounds bracket the true extremes of the region.
-        assert!(
-            est.min[0] <= 2.5 && est.max[0] >= 7.5,
-            "x bounds {:?}..{:?}",
-            est.min[0],
-            est.max[0]
-        );
-        // SUM is consistent with COUNT * MEAN.
-        assert!((est.sum[0] - est.count * est.mean[0]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn aggregate_estimate_none_when_disjoint() {
-        let data = uniform_square(100, 4);
-        let model = KMeans::fit(&data, &KMeansConfig::with_k(3, 1));
-        let sums = summarize(&data, &model);
-        let q = Query::from_boundary_vec(0, &[50.0, 60.0, 50.0, 60.0]);
-        assert_eq!(aggregate_estimate(&sums, &q), None);
     }
 }

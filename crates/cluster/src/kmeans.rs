@@ -13,17 +13,9 @@ use par::ThreadPool;
 /// from the worker count) so partial-reduction order is deterministic.
 const ROW_CHUNK: usize = par::DEFAULT_CHUNK;
 
-/// Centroid initialisation strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InitMethod {
-    /// k-means++ (D² sampling) — the default; gives `O(log k)`-competitive
-    /// starting points and much more stable boundaries across seeds.
-    KMeansPlusPlus,
-    /// Uniformly random distinct samples (Forgy). Kept for ablations.
-    Random,
-}
-
-/// Configuration for a k-means fit.
+/// Configuration for a k-means fit. Centroids start from k-means++ (D²
+/// sampling), which gives `O(log k)`-competitive starting points and
+/// stable boundaries across seeds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KMeansConfig {
     /// Number of clusters K (the paper fixes K = 5 for all nodes).
@@ -34,8 +26,6 @@ pub struct KMeansConfig {
     pub tol: f64,
     /// RNG seed for initialisation.
     pub seed: u64,
-    /// Initialisation strategy.
-    pub init: InitMethod,
 }
 
 impl KMeansConfig {
@@ -46,7 +36,6 @@ impl KMeansConfig {
             max_iters: 100,
             tol: 1e-8,
             seed,
-            init: InitMethod::KMeansPlusPlus,
         }
     }
 
@@ -66,7 +55,6 @@ pub struct KMeans {
     assignments: Vec<usize>,
     inertia: f64,
     iterations: usize,
-    converged: bool,
 }
 
 impl KMeans {
@@ -102,10 +90,7 @@ impl KMeans {
         let mut rng = rng::rng_for(config.seed, 0xC1_15_7E_12);
 
         let init_span = telemetry::trace::span("cluster.kmeans.init");
-        let mut centroids = match config.init {
-            InitMethod::KMeansPlusPlus => init_plus_plus(data, k, &mut rng),
-            InitMethod::Random => init_random(data, k, &mut rng),
-        };
+        let mut centroids = init_plus_plus(data, k, &mut rng);
         init_span.finish();
 
         let mut assignments = vec![0usize; data.rows()];
@@ -154,7 +139,6 @@ impl KMeans {
             assignments,
             inertia,
             iterations,
-            converged,
         }
     }
 
@@ -182,11 +166,6 @@ impl KMeans {
     /// Lloyd iterations executed.
     pub fn iterations(&self) -> usize {
         self.iterations
-    }
-
-    /// Whether the fit converged before `max_iters`.
-    pub fn converged(&self) -> bool {
-        self.converged
     }
 
     /// Index of the nearest centroid to `point`.
@@ -227,24 +206,14 @@ fn nearest_centroid(centroids: &Matrix, point: &[f64]) -> (usize, f64) {
 
 /// Lloyd assignment over fixed row chunks: each pool task fills a
 /// disjoint slice of `assignments`. Elementwise, so trivially
-/// worker-count independent. Public for the `kernels` bench's
-/// serial-vs-pooled comparison.
-pub fn assign_chunked(
-    data: &Matrix,
-    centroids: &Matrix,
-    assignments: &mut [usize],
-    pool: &ThreadPool,
-) {
+/// worker-count independent.
+fn assign(data: &Matrix, centroids: &Matrix, assignments: &mut [usize], pool: &ThreadPool) {
     assert_eq!(assignments.len(), data.rows(), "one assignment per row");
     pool.for_each_chunk(assignments, ROW_CHUNK, |offset, part| {
         for (j, slot) in part.iter_mut().enumerate() {
             *slot = nearest_centroid(centroids, data.row(offset + j)).0;
         }
     });
-}
-
-fn assign(data: &Matrix, centroids: &Matrix, assignments: &mut [usize], pool: &ThreadPool) {
-    assign_chunked(data, centroids, assignments, pool);
 }
 
 /// Quantisation loss (Eq. 1) as ordered per-chunk partial sums: chunk
@@ -321,19 +290,6 @@ fn recompute_centroids(
     sums
 }
 
-fn init_random(data: &Matrix, k: usize, rng: &mut impl Rng) -> Matrix {
-    // Sample k distinct row indices (Floyd's algorithm would be overkill:
-    // k is tiny; rejection sampling over a Vec suffices).
-    let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    while chosen.len() < k {
-        let i = rng.gen_range(0..data.rows());
-        if !chosen.contains(&i) {
-            chosen.push(i);
-        }
-    }
-    data.select_rows(&chosen)
-}
-
 fn init_plus_plus(data: &Matrix, k: usize, rng: &mut impl Rng) -> Matrix {
     let n = data.rows();
     let mut chosen: Vec<usize> = Vec::with_capacity(k);
@@ -398,7 +354,7 @@ mod tests {
     fn recovers_separated_blobs() {
         let (data, labels) = blobs(42, 60);
         let model = KMeans::fit(&data, &KMeansConfig::with_k(3, 7));
-        assert!(model.converged());
+        assert!(model.iterations() < 100, "no convergence");
         // Every blob must map to a single distinct cluster.
         let mut blob_to_cluster = [usize::MAX; 3];
         for (i, &lab) in labels.iter().enumerate() {
@@ -449,7 +405,7 @@ mod tests {
         let data = Matrix::from_rows(&[vec![0.0, 2.0], vec![2.0, 4.0], vec![4.0, 0.0]]);
         let m = KMeans::fit(&data, &KMeansConfig::with_k(1, 0));
         assert_eq!(m.centroids().row(0), &[2.0, 2.0]);
-        assert!(m.converged());
+        assert!(m.iterations() < 100, "no convergence");
     }
 
     #[test]
@@ -506,21 +462,9 @@ mod tests {
         let m = KMeans::fit(&data, &KMeansConfig::with_k(3, 2));
         let pool = par::ThreadPool::new(3);
         let mut assignments = vec![0usize; data.rows()];
-        assign_chunked(&data, m.centroids(), &mut assignments, &pool);
+        assign(&data, m.centroids(), &mut assignments, &pool);
         for (i, row) in data.row_iter().enumerate() {
             assert_eq!(assignments[i], m.predict(row));
         }
-    }
-
-    #[test]
-    fn random_init_also_converges() {
-        let (data, _) = blobs(13, 40);
-        let cfg = KMeansConfig {
-            init: InitMethod::Random,
-            ..KMeansConfig::with_k(3, 21)
-        };
-        let m = KMeans::fit(&data, &cfg);
-        assert!(m.inertia().is_finite());
-        assert_eq!(m.k(), 3);
     }
 }

@@ -1,8 +1,6 @@
-//! Clustering quality measures: quantisation loss, silhouette, elbow.
+//! Clustering quality: the quantisation loss of Eq. 1.
 
 use linalg::{ops, Matrix};
-
-use crate::kmeans::{KMeans, KMeansConfig};
 
 /// Quantisation loss (the paper's Eq. 1) of arbitrary centroids against a
 /// dataset: `Σ_k Σ_j ||ξ_j − u_k||²` with each sample charged to its
@@ -18,87 +16,10 @@ pub fn quantization_loss(data: &Matrix, centroids: &Matrix) -> f64 {
         .sum()
 }
 
-/// Mean silhouette coefficient of a fitted model, in `[-1, 1]`.
-///
-/// Samples in singleton clusters contribute 0 (the standard convention).
-/// Returns 0 when the model has a single cluster (silhouette undefined).
-pub fn silhouette(data: &Matrix, model: &KMeans) -> f64 {
-    let k = model.k();
-    if k < 2 || data.rows() < 2 {
-        return 0.0;
-    }
-    let assignments = model.assignments();
-    let sizes = model.sizes();
-    let n = data.rows();
-    let mut total = 0.0;
-    for i in 0..n {
-        let own = assignments[i];
-        if sizes[own] <= 1 {
-            continue; // contributes 0
-        }
-        // Mean distance to every cluster.
-        let mut dist_sum = vec![0.0_f64; k];
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            dist_sum[assignments[j]] += ops::distance(data.row(i), data.row(j));
-        }
-        let a = dist_sum[own] / (sizes[own] - 1) as f64;
-        let b = (0..k)
-            .filter(|&c| c != own && sizes[c] > 0)
-            .map(|c| dist_sum[c] / sizes[c] as f64)
-            .fold(f64::INFINITY, f64::min);
-        if b.is_finite() {
-            total += (b - a) / a.max(b);
-        }
-    }
-    total / n as f64
-}
-
-/// Elbow heuristic: fits k-means for each candidate `k` and returns
-/// `(k, inertia)` pairs plus the chosen elbow — the `k` after which the
-/// relative inertia improvement first drops below `min_gain`.
-pub fn elbow(
-    data: &Matrix,
-    candidates: &[usize],
-    seed: u64,
-    min_gain: f64,
-) -> (Vec<(usize, f64)>, usize) {
-    assert!(
-        !candidates.is_empty(),
-        "elbow needs at least one candidate k"
-    );
-    let curve: Vec<(usize, f64)> = candidates
-        .iter()
-        .map(|&k| {
-            (
-                k,
-                KMeans::fit(data, &KMeansConfig::with_k(k, seed)).inertia(),
-            )
-        })
-        .collect();
-    let mut chosen = curve[0].0;
-    for w in curve.windows(2) {
-        let (_, prev) = w[0];
-        let (k_next, next) = w[1];
-        let gain = if prev > 0.0 {
-            (prev - next) / prev
-        } else {
-            0.0
-        };
-        if gain >= min_gain {
-            chosen = k_next;
-        } else {
-            break;
-        }
-    }
-    (curve, chosen)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kmeans::{KMeans, KMeansConfig};
     use linalg::rng::{normal, rng_for};
 
     fn blobs(k: usize, per: usize, sep: f64, seed: u64) -> Matrix {
@@ -125,45 +46,5 @@ mod tests {
     fn quantization_loss_zero_when_centroids_cover_points() {
         let data = Matrix::from_rows(&[vec![0.0], vec![1.0]]);
         assert_eq!(quantization_loss(&data, &data), 0.0);
-    }
-
-    #[test]
-    fn silhouette_high_for_separated_blobs() {
-        let data = blobs(3, 25, 10.0, 6);
-        let model = KMeans::fit(&data, &KMeansConfig::with_k(3, 5));
-        let s = silhouette(&data, &model);
-        assert!(s > 0.8, "silhouette {s} too low for well-separated blobs");
-    }
-
-    #[test]
-    fn silhouette_low_when_overclustered() {
-        let data = blobs(1, 60, 0.0, 7);
-        let model = KMeans::fit(&data, &KMeansConfig::with_k(4, 5));
-        let s = silhouette(&data, &model);
-        assert!(
-            s < 0.6,
-            "splitting one blob into 4 should score poorly, got {s}"
-        );
-    }
-
-    #[test]
-    fn silhouette_degenerate_cases_are_zero() {
-        let data = blobs(1, 10, 0.0, 8);
-        let one = KMeans::fit(&data, &KMeansConfig::with_k(1, 0));
-        assert_eq!(silhouette(&data, &one), 0.0);
-        let tiny = Matrix::from_rows(&[vec![1.0]]);
-        let m = KMeans::fit(&tiny, &KMeansConfig::with_k(1, 0));
-        assert_eq!(silhouette(&tiny, &m), 0.0);
-    }
-
-    #[test]
-    fn elbow_finds_true_blob_count() {
-        let data = blobs(3, 40, 12.0, 10);
-        let (curve, chosen) = elbow(&data, &[1, 2, 3, 4, 5, 6], 3, 0.25);
-        assert_eq!(chosen, 3, "curve: {curve:?}");
-        // Inertia must be non-increasing along the curve.
-        for w in curve.windows(2) {
-            assert!(w[1].1 <= w[0].1 + 1e-9);
-        }
     }
 }

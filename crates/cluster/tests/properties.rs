@@ -82,20 +82,6 @@ fn fit_is_deterministic() {
     }
 }
 
-/// Silhouette stays within its defined range.
-#[test]
-fn silhouette_bounded() {
-    let mut rng = rng_for(0xC1, 5);
-    for _ in 0..CASES {
-        let data = random_dataset(&mut rng, 25, 2);
-        let k = rng.gen_range(2..5usize);
-        let seed = rng.gen_range(0..50u64);
-        let m = KMeans::fit(&data, &KMeansConfig::with_k(k, seed));
-        let s = quality::silhouette(&data, &m);
-        assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&s), "silhouette {s}");
-    }
-}
-
 /// Cardinality estimates are bounded by the node's total samples and
 /// agree exactly on the all-covering query.
 #[test]

@@ -18,7 +18,7 @@ pub use fedlearn::{
     StreamResult,
 };
 pub use geom::{HyperRect, Interval, OverlapCase, Query};
-pub use mlkit::{DenseDataset, Loss, Model, ModelKind, Regressor, TrainConfig};
+pub use mlkit::{DenseDataset, Model, ModelKind, Regressor, TrainConfig};
 pub use selection::{
     AllNodes, CacheConfig, CacheStats, CachedQueryDriven, DataCentric, FairStochastic, GameTheory,
     QueryDriven, RandomSelection, Selection, SelectionContext, SelectionPolicy, WithoutSelectivity,

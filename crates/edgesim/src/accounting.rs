@@ -140,11 +140,6 @@ impl StreamAccounting {
             .sum::<f64>()
             / self.rows.len() as f64
     }
-
-    /// Total samples used over the stream.
-    pub fn total_samples_used(&self) -> usize {
-        self.rows.iter().map(|r| r.samples_used).sum()
-    }
 }
 
 #[cfg(test)]
@@ -185,6 +180,5 @@ mod tests {
         s.push(row(1, 30, 100, 4.0));
         assert!((s.mean_sim_seconds() - 3.0).abs() < 1e-12);
         assert!((s.mean_data_fraction() - 0.2).abs() < 1e-12);
-        assert_eq!(s.total_samples_used(), 40);
     }
 }

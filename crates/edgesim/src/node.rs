@@ -116,13 +116,7 @@ impl EdgeNode {
         }
     }
 
-    /// Replaces the node's uplink profile.
-    pub fn with_link(mut self, link: LinkProfile) -> Self {
-        self.set_link(link);
-        self
-    }
-
-    /// In-place variant of [`EdgeNode::with_link`]. Touches *only* the
+    /// Replaces the node's uplink profile in place. Touches *only* the
     /// link: capacity, data and any cached quantisation survive, which
     /// is what keeps [`crate::EdgeNetwork`]'s builder methods
     /// order-independent.
@@ -263,11 +257,6 @@ impl EdgeNode {
     /// `summary_epoch() == e`.
     pub fn summary_epoch(&self) -> u64 {
         self.summary_epoch
-    }
-
-    /// The fitted quantisation, if any.
-    pub fn kmeans(&self) -> Option<&KMeans> {
-        self.kmeans.as_ref()
     }
 
     /// Cluster summaries (empty before quantisation). This is the node's
@@ -416,7 +405,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "no local data")]
     fn empty_node_rejected() {
-        EdgeNode::new(NodeId(0), "empty", DenseDataset::empty(1), 1.0);
+        EdgeNode::new(
+            NodeId(0),
+            "empty",
+            DenseDataset::new(Matrix::zeros(0, 1), Vec::new()),
+            1.0,
+        );
     }
 
     #[test]
@@ -471,7 +465,7 @@ mod tests {
     fn absorb_empty_is_a_noop() {
         let mut n = node();
         n.quantize(3, 1);
-        n.absorb(&DenseDataset::empty(1));
+        n.absorb(&DenseDataset::new(Matrix::zeros(0, 1), Vec::new()));
         assert!(n.is_quantized());
         assert_eq!(n.len(), 60);
     }
@@ -485,7 +479,7 @@ mod tests {
         n.quantize(3, 1);
         assert_eq!(n.summary_epoch(), 1);
         // Empty absorb changes nothing.
-        n.absorb(&DenseDataset::empty(1));
+        n.absorb(&DenseDataset::new(Matrix::zeros(0, 1), Vec::new()));
         assert_eq!(n.summary_epoch(), 1);
         // Link/capacity tweaks are invisible to the leader's summaries.
         n.set_capacity(2.0);

@@ -173,21 +173,11 @@ pub struct SpatialIndexBuilder {
 }
 
 impl SpatialIndexBuilder {
-    /// A builder for `dims`-dimensional rectangles.
+    /// A builder for `dims`-dimensional rectangles with capacity reserved
+    /// for `n` items, so pushing exactly `n` rectangles never reallocates.
     ///
     /// # Panics
     /// Panics if `dims == 0`.
-    pub fn new(dims: usize) -> Self {
-        assert!(dims > 0, "spatial index needs at least one dimension");
-        Self {
-            dims,
-            lo: vec![Vec::new(); dims],
-            hi: vec![Vec::new(); dims],
-        }
-    }
-
-    /// Like [`SpatialIndexBuilder::new`] with capacity reserved for `n`
-    /// items, so pushing exactly `n` rectangles never reallocates.
     pub fn with_capacity(dims: usize, n: usize) -> Self {
         assert!(dims > 0, "spatial index needs at least one dimension");
         Self {
@@ -777,8 +767,8 @@ mod tests {
     #[test]
     fn push_hull_equals_pushing_the_folded_hull() {
         let rects = random_rects(90, 13);
-        let mut folded = SpatialIndexBuilder::new(2);
-        let mut direct = SpatialIndexBuilder::new(2);
+        let mut folded = SpatialIndexBuilder::with_capacity(2, 0);
+        let mut direct = SpatialIndexBuilder::with_capacity(2, 0);
         for group in rects.chunks(3) {
             folded.push(
                 &group[1..]
@@ -921,19 +911,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "hull of zero rectangles")]
     fn empty_hull_rejected() {
-        SpatialIndexBuilder::new(2).push_hull(std::iter::empty());
+        SpatialIndexBuilder::with_capacity(2, 0).push_hull(std::iter::empty());
     }
 
     #[test]
     #[should_panic(expected = "zero items")]
     fn empty_build_rejected() {
-        SpatialIndexBuilder::new(2).build(GridConfig::default());
+        SpatialIndexBuilder::with_capacity(2, 0).build(GridConfig::default());
     }
 
     #[test]
     #[should_panic(expected = "rect dim")]
     fn wrong_dim_rejected() {
-        let mut b = SpatialIndexBuilder::new(2);
+        let mut b = SpatialIndexBuilder::with_capacity(2, 0);
         b.push(&HyperRect::new(vec![Interval::new(0.0, 1.0)]));
     }
 }

@@ -1,29 +1,25 @@
 //! Dense linear-algebra substrate for the `qens` workspace.
 //!
 //! The paper's pipeline (k-means quantisation, linear regression, a small
-//! multi-layer perceptron, feature scaling) only needs dense `f64` matrices
-//! and a handful of vector kernels, so this crate implements exactly that —
+//! multi-layer perceptron) only needs dense `f64` matrices and a handful
+//! of vector kernels, so this crate implements exactly that —
 //! no BLAS, no external numerics dependency. Everything is deterministic:
 //! all random initialisation is driven by caller-supplied seeds.
 //!
 //! # Layout
 //!
-//! * [`Matrix`] — row-major dense matrix with the usual structural and
-//!   arithmetic operations.
-//! * [`ops`] — slice-level kernels (dot, axpy, scaled add) shared by the
-//!   matrix code and by hot loops in `mlkit`/`cluster`.
-//! * [`stats`] — descriptive statistics over slices and matrix columns
-//!   (mean, variance, min/max, Pearson correlation, OLS slope).
-//! * [`scale`] — feature scalers (standard score and min-max) with
-//!   fit/transform/inverse-transform.
+//! * [`Matrix`] — row-major dense matrix: rows, row selection and
+//!   stacking, in-place accumulation.
+//! * [`ops`] — slice-level kernels (dot, axpy, scale, distances) shared by
+//!   the matrix code and by hot loops in `mlkit`/`cluster`.
+//! * [`stats`] — descriptive statistics over slices (mean, variance,
+//!   min/max, Pearson correlation, OLS slope).
 //! * [`rng`] — seed plumbing helpers so each subsystem derives independent
 //!   yet reproducible RNG streams.
 
 pub mod matrix;
 pub mod ops;
 pub mod rng;
-pub mod scale;
 pub mod stats;
 
 pub use matrix::Matrix;
-pub use scale::{MinMaxScaler, StandardScaler};

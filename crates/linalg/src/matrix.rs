@@ -105,18 +105,6 @@ impl Matrix {
         (self.rows, self.cols)
     }
 
-    /// Total number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the matrix has zero elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Borrow the underlying row-major buffer.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {

@@ -5,7 +5,7 @@
 //! proptest suite, but reproducible bit-for-bit and dependency-free.
 
 use linalg::rng::{rng_for, Rng};
-use linalg::{matrix::Matrix, ops, scale::MinMaxScaler, scale::StandardScaler, stats};
+use linalg::{matrix::Matrix, ops, stats};
 
 const CASES: usize = 200;
 
@@ -102,32 +102,6 @@ fn triangle_inequality() {
         let direct = ops::distance(&a, &b);
         let via = ops::distance(&a, &mid) + ops::distance(&mid, &b);
         assert!(via <= direct + 1e-6 * direct.max(1.0));
-    }
-}
-
-#[test]
-fn standard_scaler_round_trip() {
-    let mut rng = rng_for(0xA110, 7);
-    for _ in 0..CASES {
-        let m = random_matrix(&mut rng, 16, 8);
-        let sc = StandardScaler::fit(&m);
-        let back = sc.inverse_transform(&sc.transform(&m));
-        for (a, b) in back.as_slice().iter().zip(m.as_slice()) {
-            assert!((a - b).abs() <= 1e-6 * b.abs().max(1.0));
-        }
-    }
-}
-
-#[test]
-fn minmax_scaler_output_in_unit_interval() {
-    let mut rng = rng_for(0xA110, 8);
-    for _ in 0..CASES {
-        let m = random_matrix(&mut rng, 16, 8);
-        let sc = MinMaxScaler::fit(&m);
-        let t = sc.transform(&m);
-        for &x in t.as_slice() {
-            assert!((-1e-12..=1.0 + 1e-12).contains(&x), "{x} outside [0,1]");
-        }
     }
 }
 

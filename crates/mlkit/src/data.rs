@@ -27,14 +27,6 @@ impl DenseDataset {
         Self { x, y }
     }
 
-    /// An empty dataset of the given feature width.
-    pub fn empty(dim: usize) -> Self {
-        Self {
-            x: Matrix::zeros(0, dim),
-            y: Vec::new(),
-        }
-    }
-
     /// Feature matrix.
     #[inline]
     pub fn x(&self) -> &Matrix {
@@ -128,7 +120,7 @@ mod tests {
         assert_eq!(ds.len(), 5);
         assert_eq!(ds.dim(), 2);
         assert!(!ds.is_empty());
-        assert!(DenseDataset::empty(3).is_empty());
+        assert!(ds.select(&[]).is_empty());
     }
 
     #[test]

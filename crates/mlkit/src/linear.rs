@@ -1,7 +1,6 @@
 //! Linear regression — the paper's "LR" model (Table III: Dense 1).
 
 use crate::data::DenseDataset;
-use crate::loss::Loss;
 use crate::model::Regressor;
 
 /// `ŷ = w · x + b`, trained by gradient descent.
@@ -82,7 +81,7 @@ impl Regressor for LinearRegression {
         self.b = rest[0];
     }
 
-    fn grad_rows(&self, data: &DenseDataset, rows: &[usize], loss: Loss, grad: &mut [f64]) -> f64 {
+    fn grad_rows(&self, data: &DenseDataset, rows: &[usize], grad: &mut [f64]) -> f64 {
         assert!(!rows.is_empty(), "gradient of an empty batch");
         assert_eq!(
             data.dim(),
@@ -102,9 +101,9 @@ impl Regressor for LinearRegression {
         for &i in rows {
             let row = data.x().row(i);
             let y = data.y()[i];
-            let pred = self.predict_row(row);
-            total_loss += loss.value(pred, y);
-            let g = loss.gradient(pred, y);
+            let e = self.predict_row(row) - y;
+            total_loss += e * e;
+            let g = 2.0 * e;
             linalg::ops::axpy(g, row, gw);
             gb[0] += g;
         }
@@ -148,7 +147,7 @@ mod tests {
         assert!((model.coefficients()[0] - 2.0).abs() < 1e-3);
         assert!((model.coefficients()[1] + 1.5).abs() < 1e-3);
         assert!((model.intercept() - 0.7).abs() < 1e-3);
-        assert!(model.evaluate(&data, Loss::Mse) < 1e-5);
+        assert!(model.evaluate(&data) < 1e-5);
     }
 
     #[test]
@@ -168,7 +167,7 @@ mod tests {
             mp.set_weights(&plus);
             let mut mm = model.clone();
             mm.set_weights(&minus);
-            let num = (mp.evaluate(&data, Loss::Mse) - mm.evaluate(&data, Loss::Mse)) / (2.0 * eps);
+            let num = (mp.evaluate(&data) - mm.evaluate(&data)) / (2.0 * eps);
             assert!(
                 (num - grad[i]).abs() < 1e-4,
                 "param {i}: {num} vs {}",

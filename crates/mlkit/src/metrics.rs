@@ -1,6 +1,4 @@
-//! Regression evaluation metrics.
-
-use linalg::stats;
+//! Regression evaluation metric.
 
 /// Mean squared error. The paper's "expected loss" / "error rate"
 /// (Tables I–II, Fig. 7) is MSE on held-out query data.
@@ -18,44 +16,6 @@ pub fn mse(predictions: &[f64], targets: &[f64]) -> f64 {
         / predictions.len() as f64
 }
 
-/// Root mean squared error.
-pub fn rmse(predictions: &[f64], targets: &[f64]) -> f64 {
-    mse(predictions, targets).sqrt()
-}
-
-/// Mean absolute error.
-pub fn mae(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), targets.len(), "mae length mismatch");
-    assert!(!predictions.is_empty(), "mae of empty slices");
-    predictions
-        .iter()
-        .zip(targets)
-        .map(|(&p, &t)| (p - t).abs())
-        .sum::<f64>()
-        / predictions.len() as f64
-}
-
-/// Coefficient of determination R². 1 is a perfect fit; 0 matches the
-/// mean predictor; negative is worse than the mean predictor. Returns 0
-/// when the targets are constant (undefined denominator).
-pub fn r2(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), targets.len(), "r2 length mismatch");
-    assert!(!predictions.is_empty(), "r2 of empty slices");
-    let ss_tot: f64 = {
-        let m = stats::mean(targets);
-        targets.iter().map(|&t| (t - m) * (t - m)).sum()
-    };
-    if ss_tot == 0.0 {
-        return 0.0;
-    }
-    let ss_res: f64 = predictions
-        .iter()
-        .zip(targets)
-        .map(|(&p, &t)| (p - t) * (p - t))
-        .sum();
-    1.0 - ss_res / ss_tot
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,9 +24,6 @@ mod tests {
     fn perfect_predictions() {
         let y = [1.0, 2.0, 3.0];
         assert_eq!(mse(&y, &y), 0.0);
-        assert_eq!(rmse(&y, &y), 0.0);
-        assert_eq!(mae(&y, &y), 0.0);
-        assert_eq!(r2(&y, &y), 1.0);
     }
 
     #[test]
@@ -74,27 +31,6 @@ mod tests {
         let p = [2.0, 4.0];
         let t = [0.0, 0.0];
         assert_eq!(mse(&p, &t), 10.0);
-        assert!((rmse(&p, &t) - 10.0_f64.sqrt()).abs() < 1e-12);
-        assert_eq!(mae(&p, &t), 3.0);
-    }
-
-    #[test]
-    fn r2_of_mean_predictor_is_zero() {
-        let t = [1.0, 2.0, 3.0, 4.0];
-        let p = [2.5; 4];
-        assert!(r2(&p, &t).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r2_constant_targets_is_defined() {
-        assert_eq!(r2(&[1.0, 2.0], &[5.0, 5.0]), 0.0);
-    }
-
-    #[test]
-    fn r2_worse_than_mean_is_negative() {
-        let t = [1.0, 2.0];
-        let p = [10.0, -10.0];
-        assert!(r2(&p, &t) < 0.0);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use std::cell::RefCell;
 
 use crate::data::DenseDataset;
-use crate::loss::Loss;
 use crate::model::Regressor;
 
 thread_local! {
@@ -68,16 +67,6 @@ impl Mlp {
         }
     }
 
-    /// Input dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Hidden-layer width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
     /// Forward pass: writes the hidden activations into `h` and returns
     /// the output.
     fn forward(&self, x: &[f64], h: &mut [f64]) -> f64 {
@@ -120,7 +109,7 @@ impl Regressor for Mlp {
         self.b2 = b2[0];
     }
 
-    fn grad_rows(&self, data: &DenseDataset, rows: &[usize], loss: Loss, grad: &mut [f64]) -> f64 {
+    fn grad_rows(&self, data: &DenseDataset, rows: &[usize], grad: &mut [f64]) -> f64 {
         assert!(!rows.is_empty(), "gradient of an empty batch");
         assert_eq!(
             data.dim(),
@@ -144,9 +133,9 @@ impl Regressor for Mlp {
             for &i in rows {
                 let x = data.x().row(i);
                 let y = data.y()[i];
-                let pred = self.forward(x, h);
-                total_loss += loss.value(pred, y);
-                let g_out = loss.gradient(pred, y);
+                let e = self.forward(x, h) - y;
+                total_loss += e * e;
+                let g_out = 2.0 * e;
                 // Output layer.
                 linalg::ops::axpy(g_out, h, g_w2);
                 g_b2[0] += g_out;
@@ -206,7 +195,7 @@ mod tests {
         let data = toy_nonlinear(300, 3);
         let mut mlp = Mlp::new(2, 24, 7);
         train_full_batch(&mut mlp, &data, 0.01, 800);
-        let mlp_loss = mlp.evaluate(&data, Loss::Mse);
+        let mlp_loss = mlp.evaluate(&data);
 
         let mut lin = crate::linear::LinearRegression::new(2);
         let mut opt = OptimizerKind::Sgd { lr: 0.05 }.build(lin.num_weights());
@@ -216,7 +205,7 @@ mod tests {
             opt.step(&mut w, &grad);
             lin.set_weights(&w);
         }
-        let lin_loss = lin.evaluate(&data, Loss::Mse);
+        let lin_loss = lin.evaluate(&data);
         assert!(
             mlp_loss < lin_loss * 0.5,
             "mlp {mlp_loss} should beat linear {lin_loss} on a quadratic target"
@@ -239,8 +228,7 @@ mod tests {
             let mut wm = base.clone();
             wm[i] -= eps;
             minus.set_weights(&wm);
-            let num =
-                (plus.evaluate(&data, Loss::Mse) - minus.evaluate(&data, Loss::Mse)) / (2.0 * eps);
+            let num = (plus.evaluate(&data) - minus.evaluate(&data)) / (2.0 * eps);
             assert!(
                 (num - grad[i]).abs() < 1e-4,
                 "param {i}: {num} vs {}",

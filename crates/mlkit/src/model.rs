@@ -5,7 +5,6 @@ use linalg::Matrix;
 
 use crate::data::DenseDataset;
 use crate::linear::LinearRegression;
-use crate::loss::Loss;
 use crate::mlp::Mlp;
 
 /// A trainable regression model with a flat parameter vector.
@@ -34,20 +33,19 @@ pub trait Regressor {
     /// Panics if `w.len() != num_weights()`.
     fn set_weights(&mut self, w: &[f64]);
 
-    /// Writes the mean gradient of `loss` over the listed `rows` of
-    /// `data` into `grad` (flat, in [`weights`](Self::weights) order) and
-    /// returns the mean loss. Rows are accumulated in the order listed;
-    /// nothing is copied or allocated.
+    /// Writes the mean gradient of the squared error over the listed
+    /// `rows` of `data` into `grad` (flat, in [`weights`](Self::weights)
+    /// order) and returns the mean squared error. Rows are accumulated in
+    /// the order listed; nothing is copied or allocated.
     ///
     /// # Panics
     /// Panics if `rows` is empty, `data`'s width differs from the model's
     /// input dimension or `grad.len() != num_weights()`.
-    fn grad_rows(&self, data: &DenseDataset, rows: &[usize], loss: Loss, grad: &mut [f64]) -> f64;
+    fn grad_rows(&self, data: &DenseDataset, rows: &[usize], grad: &mut [f64]) -> f64;
 
-    /// Mean loss over a dataset without computing gradients.
-    fn evaluate(&self, data: &DenseDataset, loss: Loss) -> f64 {
-        let preds = self.predict(data.x());
-        loss.mean(&preds, data.y())
+    /// Mean squared error over a dataset without computing gradients.
+    fn evaluate(&self, data: &DenseDataset) -> f64 {
+        crate::metrics::mse(&self.predict(data.x()), data.y())
     }
 }
 
@@ -95,24 +93,6 @@ pub enum Model {
     Neural(Mlp),
 }
 
-impl Model {
-    /// The architecture tag of this model.
-    pub fn kind(&self) -> ModelKind {
-        match self {
-            Model::Linear(_) => ModelKind::Linear,
-            Model::Neural(m) => ModelKind::Neural { hidden: m.hidden() },
-        }
-    }
-
-    /// Input feature dimension.
-    pub fn dim(&self) -> usize {
-        match self {
-            Model::Linear(m) => m.dim(),
-            Model::Neural(m) => m.dim(),
-        }
-    }
-}
-
 impl Regressor for Model {
     fn predict_row(&self, x: &[f64]) -> f64 {
         match self {
@@ -142,10 +122,10 @@ impl Regressor for Model {
         }
     }
 
-    fn grad_rows(&self, data: &DenseDataset, rows: &[usize], loss: Loss, grad: &mut [f64]) -> f64 {
+    fn grad_rows(&self, data: &DenseDataset, rows: &[usize], grad: &mut [f64]) -> f64 {
         match self {
-            Model::Linear(m) => m.grad_rows(data, rows, loss, grad),
-            Model::Neural(m) => m.grad_rows(data, rows, loss, grad),
+            Model::Linear(m) => m.grad_rows(data, rows, grad),
+            Model::Neural(m) => m.grad_rows(data, rows, grad),
         }
     }
 }
@@ -156,7 +136,7 @@ impl Regressor for Model {
 pub(crate) fn full_grad(model: &impl Regressor, data: &DenseDataset) -> (Vec<f64>, f64) {
     let rows: Vec<usize> = (0..data.len()).collect();
     let mut grad = vec![0.0; model.num_weights()];
-    let loss = model.grad_rows(data, &rows, Loss::Mse, &mut grad);
+    let loss = model.grad_rows(data, &rows, &mut grad);
     (grad, loss)
 }
 
@@ -167,11 +147,11 @@ mod tests {
     #[test]
     fn kinds_round_trip_through_build() {
         let lr = ModelKind::Linear.build(3, 0);
-        assert_eq!(lr.kind(), ModelKind::Linear);
-        assert_eq!(lr.dim(), 3);
+        assert!(matches!(lr, Model::Linear(_)));
+        assert_eq!(lr.num_weights(), 3 + 1);
         let nn = ModelKind::PAPER_NN.build(3, 0);
-        assert_eq!(nn.kind(), ModelKind::Neural { hidden: 64 });
-        assert_eq!(nn.dim(), 3);
+        assert!(matches!(nn, Model::Neural(_)));
+        assert_eq!(nn.num_weights(), 64 * 3 + 64 + 64 + 1);
     }
 
     #[test]

@@ -9,13 +9,6 @@ pub enum OptimizerKind {
         /// Learning rate.
         lr: f64,
     },
-    /// SGD with classical momentum.
-    Momentum {
-        /// Learning rate.
-        lr: f64,
-        /// Momentum coefficient (typically 0.9).
-        beta: f64,
-    },
     /// Adam (Kingma & Ba) with the usual defaults.
     Adam {
         /// Learning rate.
@@ -53,9 +46,7 @@ impl OptimizerKind {
     /// The configured learning rate.
     pub fn learning_rate(&self) -> f64 {
         match *self {
-            OptimizerKind::Sgd { lr }
-            | OptimizerKind::Momentum { lr, .. }
-            | OptimizerKind::Adam { lr, .. } => lr,
+            OptimizerKind::Sgd { lr } | OptimizerKind::Adam { lr, .. } => lr,
         }
     }
 }
@@ -64,7 +55,7 @@ impl OptimizerKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Optimizer {
     kind: OptimizerKind,
-    /// First-moment / velocity buffer.
+    /// First-moment buffer (Adam only).
     m: Vec<f64>,
     /// Second-moment buffer (Adam only).
     v: Vec<f64>,
@@ -92,12 +83,6 @@ impl Optimizer {
                     *p -= lr * g;
                 }
             }
-            OptimizerKind::Momentum { lr, beta } => {
-                for ((p, m), &g) in params.iter_mut().zip(&mut self.m).zip(grads) {
-                    *m = beta * *m + g;
-                    *p -= lr * *m;
-                }
-            }
             OptimizerKind::Adam {
                 lr,
                 beta1,
@@ -120,22 +105,6 @@ impl Optimizer {
                     *p -= lr * m_hat / (v_hat.sqrt() + eps);
                 }
             }
-        }
-    }
-
-    /// The optimiser's configuration.
-    pub fn kind(&self) -> OptimizerKind {
-        self.kind
-    }
-
-    /// Changes the learning rate in place (moment state is preserved) —
-    /// how learning-rate schedules drive a live optimiser.
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        match &mut self.kind {
-            OptimizerKind::Sgd { lr: l }
-            | OptimizerKind::Momentum { lr: l, .. }
-            | OptimizerKind::Adam { lr: l, .. } => *l = lr,
         }
     }
 
@@ -166,18 +135,6 @@ mod tests {
     fn sgd_converges_on_quadratic() {
         let x = minimise(OptimizerKind::Sgd { lr: 0.1 }, 200);
         assert!((x - 3.0).abs() < 1e-6, "x = {x}");
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        let x = minimise(
-            OptimizerKind::Momentum {
-                lr: 0.05,
-                beta: 0.9,
-            },
-            300,
-        );
-        assert!((x - 3.0).abs() < 1e-4, "x = {x}");
     }
 
     #[test]
@@ -215,16 +172,6 @@ mod tests {
         let mut opt = OptimizerKind::Sgd { lr: 0.1 }.build(2);
         let mut p = vec![0.0];
         opt.step(&mut p, &[0.0]);
-    }
-
-    #[test]
-    fn set_learning_rate_preserves_state() {
-        let mut opt = OptimizerKind::Momentum { lr: 0.1, beta: 0.9 }.build(1);
-        let mut p = vec![0.0];
-        opt.step(&mut p, &[1.0]); // velocity = 1, p = -0.1
-        opt.set_learning_rate(0.2);
-        opt.step(&mut p, &[0.0]); // velocity = 0.9, p -= 0.2*0.9
-        assert!((p[0] - (-0.1 - 0.18)).abs() < 1e-12, "p = {}", p[0]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use linalg::rng::{rng_for, Rng};
 use linalg::Matrix;
-use mlkit::{DenseDataset, Loss, Model, ModelKind, Regressor};
+use mlkit::{DenseDataset, Model, ModelKind, Regressor};
 
 const CASES: usize = 48;
 
@@ -29,7 +29,7 @@ fn random_model(rng: &mut impl Rng, dim: usize) -> Model {
 fn full_grad(model: &Model, data: &DenseDataset) -> (Vec<f64>, f64) {
     let rows: Vec<usize> = (0..data.len()).collect();
     let mut grad = vec![0.0; model.num_weights()];
-    let loss = model.grad_rows(data, &rows, Loss::Mse, &mut grad);
+    let loss = model.grad_rows(data, &rows, &mut grad);
     (grad, loss)
 }
 
@@ -69,8 +69,7 @@ fn gradient_check() {
             let mut wm = base.clone();
             wm[i] -= eps;
             minus.set_weights(&wm);
-            let num =
-                (plus.evaluate(&data, Loss::Mse) - minus.evaluate(&data, Loss::Mse)) / (2.0 * eps);
+            let num = (plus.evaluate(&data) - minus.evaluate(&data)) / (2.0 * eps);
             // ReLU kinks can make single coordinates locally non-smooth;
             // tolerate a small absolute band scaled by the loss magnitude.
             let tol = 1e-3 * (1.0 + loss_val.abs());
@@ -91,7 +90,7 @@ fn sgd_step_descends_for_linear() {
     for _ in 0..CASES {
         let data = random_dataset(&mut rng, 2);
         let mut model = ModelKind::Linear.build(2, 0);
-        let before = model.evaluate(&data, Loss::Mse);
+        let before = model.evaluate(&data);
         let (grad, _) = full_grad(&model, &data);
         let gn: f64 = grad.iter().map(|g| g * g).sum();
         if gn <= 1e-12 {
@@ -103,7 +102,7 @@ fn sgd_step_descends_for_linear() {
             *wi -= lr * g;
         }
         model.set_weights(&w);
-        let after = model.evaluate(&data, Loss::Mse);
+        let after = model.evaluate(&data);
         assert!(after <= before + 1e-9, "{before} -> {after}");
     }
 }
@@ -121,27 +120,5 @@ fn split_is_lossless() {
         let mut rows: Vec<usize> = train.into_iter().chain(val).collect();
         rows.sort_unstable();
         assert_eq!(rows, (0..data.len()).collect::<Vec<_>>());
-    }
-}
-
-/// Metrics invariants: rmse² == mse, mae <= rmse, r2 <= 1.
-#[test]
-fn metric_relations() {
-    let mut rng = rng_for(0x314, 5);
-    for _ in 0..CASES {
-        let n = rng.gen_range(1..50usize);
-        let p: Vec<f64> = (0..n).map(|_| rng.gen_range(-100.0..100.0)).collect();
-        let t_seed = rng.gen_range(0..50u64);
-        let mut trng = rng_for(t_seed, 1);
-        let t: Vec<f64> = p
-            .iter()
-            .map(|_| linalg::rng::normal(&mut trng, 0.0, 10.0))
-            .collect();
-        let mse = mlkit::metrics::mse(&p, &t);
-        let rmse = mlkit::metrics::rmse(&p, &t);
-        let mae = mlkit::metrics::mae(&p, &t);
-        assert!((rmse * rmse - mse).abs() <= 1e-9 * mse.max(1.0));
-        assert!(mae <= rmse + 1e-9);
-        assert!(mlkit::metrics::r2(&p, &t) <= 1.0 + 1e-9);
     }
 }

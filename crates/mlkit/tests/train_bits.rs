@@ -36,7 +36,7 @@ fn data() -> DenseDataset {
 fn stages(data: &DenseDataset) -> Vec<DenseDataset> {
     let a: Vec<usize> = (0..61).collect();
     let b: Vec<usize> = (61..ROWS).collect();
-    vec![data.select(&a), DenseDataset::empty(2), data.select(&b)]
+    vec![data.select(&a), data.select(&[]), data.select(&b)]
 }
 
 /// The digest of no values: the runs that record no validation loss.
@@ -50,9 +50,6 @@ const LR_PINS: &[(&str, u64, u64, u64, usize)] = &[
     ("LR/train/paper", 0xaf7b918b7482bfa3, 0x108b7c3750b83146, 0x662713800507e236, 16200),
     ("LR/incremental/paper", 0x6f327518fc5e3e77, 0xe2c1a759dd2d9e38, 0x49376aba7e2d5e6e, 16300),
     ("LR/interleaved/paper", 0x59942079526dd993, 0x6b6ed8d9ad1eb8a6, NONE, 20300),
-    ("LR/train/decay_clip", 0x4f44ec4b8459e483, 0xeb28ae03d15408fe, 0xe10b92a8b736469f, 16200),
-    ("LR/incremental/decay_clip", 0x7837ce134829af50, 0xe5be186b5d0ba549, 0x4ba4d3f8f9846982, 16300),
-    ("LR/interleaved/decay_clip", 0xb406488f78824ca8, 0xe986158ae0f8450c, NONE, 20300),
     ("LR/train/no_val", 0xb2a1a45cf17c5139, 0x5ce99149f001f7ad, NONE, 20300),
     ("LR/incremental/no_val", 0x8420cfcec17c0807, 0xe2539e01cf2d094a, NONE, 20300),
     ("LR/interleaved/no_val", 0x59942079526dd993, 0x6b6ed8d9ad1eb8a6, NONE, 20300),
@@ -63,9 +60,6 @@ const NN_PINS: &[(&str, u64, u64, u64, usize)] = &[
     ("NN/train/paper", 0xdcc871cadebdfa38, 0x7e3d798bc9e8fce7, 0x22f636bc97e76b7f, 16200),
     ("NN/incremental/paper", 0xe57fbcfa49ec1aba, 0x18b4dcb1dd0dd34d, 0x6cb4f806164f656a, 16300),
     ("NN/interleaved/paper", 0xf9d707771831e58d, 0xee6b9e4c89bcf1bc, NONE, 20300),
-    ("NN/train/decay_clip", 0x2f45ecb1615c049c, 0x96e7627d64f79ad5, 0x01e58d2fca21a81f, 16200),
-    ("NN/incremental/decay_clip", 0xe5f3ff3444e844b8, 0x699f788a6f36182a, 0xd1b1bc5771e7d489, 16300),
-    ("NN/interleaved/decay_clip", 0x08d474d882147b95, 0xd42b4b73e956453a, NONE, 20300),
     ("NN/train/no_val", 0xa43b02afd3fedc32, 0xa93d3ef6f9882853, NONE, 20300),
     ("NN/incremental/no_val", 0x348d826cfaed2759, 0xe8b827283a1278db, NONE, 20300),
     ("NN/interleaved/no_val", 0xf9d707771831e58d, 0xee6b9e4c89bcf1bc, NONE, 20300),
@@ -90,14 +84,6 @@ fn pins(kind: ModelKind, paper: TrainConfig) -> Vec<Pin> {
     let stages = stages(&data);
     let configs = [
         ("paper", paper.clone()),
-        (
-            "decay_clip",
-            TrainConfig {
-                weight_decay: 0.1,
-                grad_clip: Some(1.0),
-                ..paper.clone()
-            },
-        ),
         (
             "no_val",
             TrainConfig {

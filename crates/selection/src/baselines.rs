@@ -125,7 +125,7 @@ impl GameTheory {
         ctx.network
             .nodes()
             .iter()
-            .map(|n| probe.evaluate(&scaler.transform_dataset(n.data()), self.probe_config.loss))
+            .map(|n| probe.evaluate(&scaler.transform_dataset(n.data())))
             .collect()
     }
 }

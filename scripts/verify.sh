@@ -12,7 +12,9 @@
 #      --test-threads=1 and fails only when a sibling lands inside it,
 #   3. the full test suite again under QENS_THREADS=2, exercising the
 #      env-configured global `par` pool (the determinism suite injects
-#      pools explicitly; this pass covers the environment path),
+#      pools explicitly; this pass covers the environment path) — it also
+#      re-runs the golden tests, so the committed fig9 saturation CSV is
+#      regenerated at a second pool size,
 #   4. clippy with warnings denied,
 #   5. rustfmt check,
 #   6. the repro smoke path, which runs the selection→train→aggregate
@@ -42,19 +44,14 @@
 #      an ephemeral port, drives it with concurrent keep-alive clients
 #      while scraping /metrics, /cache, /nodes and /events, and asserts
 #      the telemetry ledger matches the queries served,
-#  12. load-generator seed-stability: the full `repro load` sweep is run
-#      under QENS_THREADS=1 and QENS_THREADS=4 and the fig9 saturation
-#      CSV must be byte-identical (service times come from simulated
-#      seconds and the queueing model runs on a logical clock, so thread
-#      count must not leak into the report),
-#  13. fleet-observability seed-stability: `repro fleet` is run under
+#  12. fleet-observability seed-stability: `repro fleet` is run under
 #      QENS_THREADS=1 and QENS_THREADS=4 and both results/fleet.json
 #      (scorecards + skew + logical journal tail) and
 #      results/fig10_fleet_skew.csv must be byte-identical — every
 #      scorecard field in the export is integer or leader-serial
 #      simulated time, so the fleet registry honours the same
 #      determinism contract as the fault and trace subsystems,
-#  14. spatial-index transparency and the fig7 series: `repro fig7` and
+#  13. spatial-index transparency and the fig7 series: `repro fig7` and
 #      the fault/trace smoke are run with the index off and again with
 #      QENS_INDEX=1 and the figure CSVs plus results/fault_trace.json
 #      must be byte-identical — the index may change how a selection is
@@ -65,20 +62,20 @@
 #      plus the indexed-selection integration tests re-run under
 #      QENS_THREADS=2; the plain smoke runs last, so the
 #      results/trace.json it leaves is the committed one,
-#  15. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
+#  14. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
 #      nodes, scan vs indexed, bit-identity asserted inside the sweep)
 #      is run under QENS_THREADS=1 and QENS_THREADS=4 and
 #      results/fig11_scale.csv must be byte-identical (the CSV is
 #      structural counters + selection hashes, never wall clock),
-#  16. the repo benchmark's own unit tests (`benchmark/` is a workspace
+#  15. the repo benchmark's own unit tests (`benchmark/` is a workspace
 #      of its own, so step 2 never sees them); this runs them only —
 #      `BENCHMARK.json` and `benchmark/` are the driver's contract and
 #      are measured by the driver, not here,
-#  17. one 3 s run of the repo benchmark's `serve_closed` workload (run
+#  16. one 3 s run of the repo benchmark's `serve_closed` workload (run
 #      only, nothing under `benchmark/` is edited): fails unless no
 #      operation failed and the keep-alive p50 is under 5 ms — a reply
 #      that leaves as two writes reads 44 ms there,
-#  18. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
+#  17. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
 #      only). The plain run fails unless no operation failed and peak
 #      RSS is under 300 MB: the 20k-node fleet alone is ~100 MB, so
 #      per-entry memo state that scales with the fleet (1.4 GB when
@@ -145,15 +142,6 @@ QENS_THREADS=2 cargo test -q --offline -p qens --test selection_cache
 
 echo "==> repro load --smoke (live serving: keep-alive clients + concurrent scrapes)"
 cargo run -q -p bench --bin repro --release --offline -- load --smoke
-
-echo "==> load-generator seed-stability (fig9 byte-identical at QENS_THREADS=1 vs 4)"
-QENS_THREADS=1 cargo run -q -p bench --bin repro --release --offline -- load > /dev/null
-cp results/fig9_saturation.csv results/fig9_saturation.t1.csv
-QENS_THREADS=4 cargo run -q -p bench --bin repro --release --offline -- load > /dev/null
-cmp results/fig9_saturation.csv results/fig9_saturation.t1.csv \
-  || { echo "FAIL: fig9 saturation sweep differs between QENS_THREADS=1 and 4"; exit 1; }
-rm -f results/fig9_saturation.t1.csv
-echo "fig9 saturation sweep is thread-count stable"
 
 echo "==> fleet-observability seed-stability (fleet.json + fig10 byte-identical at QENS_THREADS=1 vs 4)"
 QENS_THREADS=1 cargo run -q -p bench --bin repro --release --offline -- fleet > /dev/null

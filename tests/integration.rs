@@ -189,7 +189,7 @@ fn csv_round_trip_feeds_the_same_pipeline() {
     let ds = DenseDataset::new(x, y);
     assert_eq!(ds.len(), 300);
     // The same scenario helper path accepts it.
-    let nodes = scenario::realistic_nodes(2, 100, 1, Feature::Pm10, Feature::Pm25);
+    let nodes = scenario::realistic_nodes_multi(2, 100, 1, &[Feature::Pm10], Feature::Pm25);
     assert_eq!(nodes.len(), 2);
 }
 
