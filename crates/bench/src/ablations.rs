@@ -14,7 +14,7 @@ use std::path::Path;
 
 use qens::fedlearn::{run_stream, FederationConfig};
 use qens::prelude::*;
-use qens::selection::RankingRule;
+use qens::selection::{RankingRule, SelectionCap};
 
 use crate::{
     heterogeneous_federation, paper_federation, report, ExperimentScale, EPSILON, L_SELECT, SEED,
@@ -138,10 +138,7 @@ fn workload_config(n_queries: usize) -> WorkloadConfig {
 
 /// The paper's policy: ε = 0.05, Eq. 4, top-ℓ.
 fn top_l() -> QueryDriven {
-    QueryDriven {
-        epsilon: EPSILON,
-        ..QueryDriven::top_l(L_SELECT)
-    }
+    QueryDriven::new(EPSILON, SelectionCap::TopL(L_SELECT), RankingRule::PaperEq4)
 }
 
 /// Eq. 4's `r_i = p_i · K'/K` against its two halves, 25 queries.
@@ -155,7 +152,7 @@ fn ranking() -> Vec<AblationRow> {
     ]
     .into_iter()
     .map(|(name, rule)| {
-        let policy = QueryDriven { rule, ..top_l() };
+        let policy = QueryDriven::new(EPSILON, SelectionCap::TopL(L_SELECT), rule);
         let res = run_stream(fed.network(), &wl, &policy, &lr_config());
         AblationRow::stream("ranking", "rule", name, &res)
     })
@@ -217,10 +214,7 @@ fn thresholds() -> Vec<AblationRow> {
     let mut rows: Vec<AblationRow> = [0.01, 0.05, 0.1, 0.2, 0.4]
         .into_iter()
         .map(|eps| {
-            let policy = QueryDriven {
-                epsilon: eps,
-                ..top_l()
-            };
+            let policy = QueryDriven::new(eps, SelectionCap::TopL(L_SELECT), RankingRule::PaperEq4);
             let res = run_stream(fed.network(), &wl, &policy, &lr_config());
             AblationRow::stream("thresholds", "epsilon", eps, &res)
         })

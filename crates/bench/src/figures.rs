@@ -1,6 +1,7 @@
 //! Figure reproductions: Figs. 1, 2, 5, 6, 7, 8, 9.
 
 use qens::prelude::*;
+use qens::selection::{RankingRule, SelectionCap};
 
 use crate::{
     heterogeneous_federation, homogeneous_federation, node_pattern, paper_federation,
@@ -28,10 +29,11 @@ fn participant_pair(fed: &Federation, random_idx: usize) -> ParticipantPair {
     let leader_space = fed.network().nodes()[0].data_space().to_boundary_vec();
     let q = Query::from_boundary_vec(0, &leader_space);
     let ctx = SelectionContext::new(fed.network(), &q);
-    let ranked = QueryDriven {
-        epsilon: EPSILON,
-        ..QueryDriven::top_l(fed.network().len())
-    }
+    let ranked = QueryDriven::new(
+        EPSILON,
+        SelectionCap::TopL(fed.network().len()),
+        RankingRule::PaperEq4,
+    )
     .select(&ctx);
     let selected_idx = ranked
         .participants
@@ -124,10 +126,11 @@ pub fn fig6(scale: ExperimentScale) -> (Vec<f64>, Vec<DataNeed>) {
     let fed = heterogeneous_federation(scale);
     // A query over part of the leader pattern, brushing node 6's range.
     let query = fed.query_from_bounds(0, &[0.0, 12.0, 0.0, 28.0]);
-    let policy = QueryDriven {
-        epsilon: EPSILON,
-        ..QueryDriven::top_l(usize::MAX)
-    };
+    let policy = QueryDriven::new(
+        EPSILON,
+        SelectionCap::TopL(usize::MAX),
+        RankingRule::PaperEq4,
+    );
     let needs = [0usize, 1, 6]
         .iter()
         .map(|&i| {

@@ -3,15 +3,16 @@
 //! The paper's experiments stop at tens of nodes; ROADMAP item 1 asks
 //! what happens at fleet scale. This module sweeps a synthetic
 //! shared-space fleet across 1k / 10k / 100k / 1M nodes and runs the
-//! same seeded query stream through both selection paths:
+//! same seeded query stream through both candidate sources of
+//! [`QueryDriven`]:
 //!
-//! * `scan` — the plain [`QueryDriven`] kernel (every node scored), and
-//! * `indexed` — [`IndexedQueryDriven`], the spatial-index candidate
-//!   generator feeding the identical kernel.
+//! * `scan` — every node scored, and
+//! * `indexed` — [`QueryDriven::indexed`], only the nodes the spatial
+//!   index cannot rule out scored, by the same loop.
 //!
 //! Every query asserts the two selections are **bit-identical** before
 //! anything is recorded, so the committed artifact doubles as an
-//! equivalence proof at scales the unit tests cannot afford.
+//! equivalence check at scales the oracle cannot afford.
 //!
 //! `results/fig11_scale.csv` carries *structural* columns only — node
 //! counts, probe counters, participant totals and an FNV selection
@@ -38,8 +39,7 @@ use qens::edgesim::{EdgeNetwork, EdgeNode, NodeId};
 use qens::geom::{HyperRect, Interval};
 use qens::linalg::rng::{self as lrng, Rng};
 use qens::selection::{
-    GridConfig, IndexedQueryDriven, Participant, QueryDriven, Ranked, Selection, SelectionContext,
-    SelectionPolicy,
+    GridConfig, Participant, QueryDriven, Ranked, Selection, SelectionContext, SelectionPolicy,
 };
 use qens::workload::{self, WorkloadConfig, WorkloadKind};
 
@@ -137,7 +137,7 @@ pub fn scale_workload() -> workload::QueryWorkload {
     )
 }
 
-/// One CSV row of the sweep (one fleet size × one path).
+/// One CSV row of the sweep (one fleet size × one candidate source).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleRow {
     /// Fleet size.
@@ -146,7 +146,7 @@ pub struct ScaleRow {
     pub path: &'static str,
     /// Queries run.
     pub queries: usize,
-    /// Nodes the Eq. 2–4 kernel actually scored across all queries.
+    /// Nodes the scoring loop actually scored across all queries.
     pub scored_nodes: u64,
     /// Grid cells visited (indexed path; 0 for scan).
     pub cells_probed: u64,
@@ -165,7 +165,7 @@ pub struct ScaleRow {
 /// Folds one selection into an FNV-1a accumulator: node ids, ranking
 /// bits and supporting-cluster structure for participants and standby
 /// alike, each standby entry as `promote` turns it into a participant.
-/// Bitwise — two paths produce equal hashes iff their selections are
+/// Bitwise — two sources produce equal hashes iff their selections are
 /// bit-identical in every float.
 fn fold_selection(
     mut h: u64,
@@ -220,8 +220,7 @@ pub fn run_sweep(sizes: &[usize]) -> Vec<ScaleRow> {
         );
 
         let scan = QueryDriven::top_l(crate::L_SELECT);
-        let indexed =
-            IndexedQueryDriven::new(QueryDriven::top_l(crate::L_SELECT), GridConfig::default());
+        let indexed = QueryDriven::top_l(crate::L_SELECT).indexed(GridConfig::default());
 
         let mut scan_hash = FNV_OFFSET;
         let mut indexed_hash = FNV_OFFSET;

@@ -724,7 +724,9 @@ fn serve_query(
             false,
         );
     }
-    let dim = state.fed.network().global_space().to_boundary_vec().len() / 2;
+    // The joint dimension, as `SelectionContext::new` checks it: the
+    // global space would walk every row of every node per request.
+    let dim = state.fed.network().nodes()[0].joint_dim();
     let (id, bounds) = match parse_query_body(body, dim) {
         Ok(parsed) => parsed,
         Err(reason) => {

@@ -56,6 +56,12 @@ fn keep_alive_pipelines_a_query_stream_over_one_socket() {
         assert!(body.contains(&format!("\"query_id\":{i}")));
         assert!(body.contains("\"sim_seconds\":"));
     }
+    // 3-d bounds against the 2-d joint space: a 400 naming the count.
+    let (status, body) = ka
+        .request("POST", "/query", "{\"bounds\": [0, 20, 0, 45, 0, 1]}")
+        .expect("mis-dimensioned query");
+    assert_eq!(status, 400, "got: {body}");
+    assert!(body.contains("expected 4 bounds"), "got: {body}");
     // The same socket still serves scrapes.
     let (status, body) = ka.request("GET", "/metrics", "").expect("scrape");
     assert_eq!(status, 200);

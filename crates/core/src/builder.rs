@@ -57,7 +57,7 @@ pub struct FederationBuilder {
     link_range: Option<((f64, f64), (f64, f64))>,
     selection_cache: bool,
     cache: selection::CacheConfig,
-    selection_index: Option<bool>,
+    selection_index: bool,
     admission: Option<AdmissionConfig>,
 }
 
@@ -95,7 +95,7 @@ impl FederationBuilder {
             link_range: None,
             selection_cache: false,
             cache: selection::CacheConfig::default(),
-            selection_index: None,
+            selection_index: false,
             admission: None,
         }
     }
@@ -328,16 +328,16 @@ impl FederationBuilder {
         self
     }
 
-    /// Turns spatial-index candidate generation on (or off) for
-    /// query-driven policies run through this federation, overriding the
-    /// `QENS_INDEX` environment variable. Indexed selections are
-    /// bit-identical to full scans (see [`selection::IndexedQueryDriven`]);
-    /// only the work to compute them changes — sublinear in fleet size
+    /// Picks the candidate source of query-driven policies run through
+    /// this federation: a spatial index over the nodes' summary hulls
+    /// (`true`, see [`selection::QueryDriven::indexed`]), or every node
+    /// (`false`, the default). The selections are bit-identical; only
+    /// the work to compute them changes — sublinear in fleet size
     /// instead of scoring every node. Composes with
     /// [`FederationBuilder::selection_cache`]: the memo then sits in
-    /// front of the indexed path. Off by default.
+    /// front of the indexed policy.
     pub fn index(mut self, on: bool) -> Self {
-        self.selection_index = Some(on);
+        self.selection_index = on;
         self
     }
 
@@ -420,18 +420,12 @@ impl FederationBuilder {
             faults: self.faults,
             tolerance: self.tolerance,
         };
-        let index_enabled =
-            self.selection_index
-                .unwrap_or_else(|| match std::env::var("QENS_INDEX") {
-                    Ok(v) => !matches!(v.as_str(), "" | "0" | "false" | "off" | "no"),
-                    Err(_) => false,
-                });
         Federation {
             network,
             config,
             seed: self.seed,
             cache: self.selection_cache.then_some(self.cache),
-            index: index_enabled,
+            index: self.selection_index,
             admission: self.admission.unwrap_or_else(AdmissionConfig::from_env),
         }
     }
@@ -447,8 +441,7 @@ pub struct Federation {
     /// Selection-memo configuration for query-driven policies, `None`
     /// when the memo is off.
     cache: Option<selection::CacheConfig>,
-    /// Spatial-index candidate generation for query-driven policies
-    /// (builder flag / `QENS_INDEX`).
+    /// Spatial-index candidate generation for query-driven policies.
     index: bool,
     /// Admission control for the serving front end (builder override or
     /// the `QENS_SERVE_*` environment, resolved at build time).
@@ -524,7 +517,7 @@ impl Federation {
     }
 
     /// Whether spatial-index candidate generation is in force for
-    /// query-driven policies (builder flag / `QENS_INDEX`).
+    /// query-driven policies.
     pub fn index_enabled(&self) -> bool {
         self.index
     }

@@ -2,7 +2,7 @@
 
 use selection::{
     AllNodes, CacheConfig, CachedQueryDriven, DataCentric, FairStochastic, GameTheory, GridConfig,
-    IndexedQueryDriven, QueryDriven, RandomSelection, SelectionPolicy, WithoutSelectivity,
+    QueryDriven, RandomSelection, SelectionPolicy, WithoutSelectivity,
 };
 
 /// A selection policy as configuration — convertible into the trait
@@ -79,18 +79,18 @@ impl PolicyKind {
         PolicyKind::QueryDriven { epsilon: 0.05, l }
     }
 
-    /// Builds the runtime policy object: the plain scan, no memo.
+    /// Builds the runtime policy object: every node scored, no memo.
     pub fn build(&self) -> Box<dyn SelectionPolicy> {
         self.build_with(None, None)
     }
 
     /// Builds the runtime policy object. For the query-driven variants
-    /// `index` puts spatial-index candidate generation
-    /// ([`selection::indexed`]) in front of the Eq. 2–4 kernel and
-    /// `memo` puts a memo of answers ([`selection::cache`]) in front of
-    /// whichever path that leaves; selections are bit-identical either
-    /// way, only the work changes. Policies that never score summaries
-    /// (random, game-theory, …) ignore both.
+    /// `index` makes spatial-index candidate generation
+    /// ([`selection::indexed`]) the policy's candidate source and `memo`
+    /// puts a memo of answers ([`selection::cache`]) in front of it;
+    /// selections are bit-identical either way, only the work changes.
+    /// Policies that never score summaries (random, game-theory, …)
+    /// ignore both.
     pub fn build_with(
         &self,
         memo: Option<CacheConfig>,
@@ -98,10 +98,11 @@ impl PolicyKind {
     ) -> Box<dyn SelectionPolicy> {
         let kernel = match *self {
             PolicyKind::QueryDriven { epsilon, l }
-            | PolicyKind::QueryDrivenNoSelectivity { epsilon, l } => QueryDriven {
+            | PolicyKind::QueryDrivenNoSelectivity { epsilon, l } => QueryDriven::new(
                 epsilon,
-                ..QueryDriven::top_l(l)
-            },
+                selection::SelectionCap::TopL(l),
+                selection::RankingRule::PaperEq4,
+            ),
             PolicyKind::QueryDrivenThreshold { epsilon, psi } => {
                 QueryDriven::threshold(epsilon, psi)
             }
@@ -116,13 +117,13 @@ impl PolicyKind {
             }
         };
         let selective = !matches!(self, PolicyKind::QueryDrivenNoSelectivity { .. });
-        match (memo, index) {
-            (Some(cfg), Some(grid)) => {
-                boxed(CachedQueryDriven::with_index(kernel, cfg, grid), selective)
-            }
-            (Some(cfg), None) => boxed(CachedQueryDriven::new(kernel, cfg), selective),
-            (None, Some(grid)) => boxed(IndexedQueryDriven::new(kernel, grid), selective),
-            (None, None) => boxed(kernel, selective),
+        let kernel = match index {
+            Some(grid) => kernel.indexed(grid),
+            None => kernel,
+        };
+        match memo {
+            Some(cfg) => boxed(CachedQueryDriven::new(kernel, cfg), selective),
+            None => boxed(kernel, selective),
         }
     }
 

@@ -3,11 +3,11 @@
 //! [`CachedQueryDriven`] remembers the [`Selection`] it returned for a
 //! rectangle and hands it back when the *same bits* are asked again of
 //! an unchanged fleet. The key is `f64::to_bits` of every bound, so a
-//! hit is a repeat, never a neighbour; every other lookup runs the one
-//! path the policy was built with — the scan ([`QueryDriven`]) or the
-//! fused index path ([`IndexedQueryDriven`]) — and stores what it
-//! returned. The memo holds nothing per node and knows nothing of
-//! Eq. 2–4, so it cannot disagree with the path behind it.
+//! hit is a repeat, never a neighbour; every other lookup runs the
+//! wrapped [`QueryDriven`] — with whichever candidate source it was
+//! built with — and stores what it returned. The memo holds nothing per
+//! node and knows nothing of Eq. 2–4, so it cannot disagree with the
+//! policy behind it.
 //!
 //! Staleness is the check the spatial index uses (`FleetEpochs`: the
 //! membership epoch, the `O(1)` mutation-epoch fast path, the per-node
@@ -17,17 +17,15 @@
 //! less than patching it did (DESIGN.md "Selection cache" has the
 //! measurement that removed delta re-scoring).
 //!
-//! The mutex covers the lookup and the insert, never the path: selects
-//! on one policy compute their misses side by side.
+//! The mutex covers the lookup and the insert, never the selection:
+//! selects on one policy compute their misses side by side.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
-use geom::index::GridConfig;
 use par::ThreadPool;
 
 use crate::epochs::FleetEpochs;
-use crate::indexed::{IndexStats, IndexedQueryDriven};
 use crate::policy::{
     Participant, Ranked, Selection, SelectionContext, SelectionOverhead, SelectionPolicy,
 };
@@ -70,7 +68,7 @@ pub struct CacheStats {
     /// Lookups answered from the memo: bit-exact repeats on an
     /// unchanged fleet.
     pub hits: u64,
-    /// Lookups that ran the selection path and stored its answer.
+    /// Lookups that ran the wrapped policy and stored its answer.
     pub misses: u64,
     /// Always 0: delta re-scoring is gone. Kept only because the repo
     /// benchmark's facade reads the field by name.
@@ -96,16 +94,9 @@ struct Memo {
     stats: CacheStats,
 }
 
-/// The one path that computes what the memo does not hold.
-#[derive(Debug)]
-enum Path {
-    Scan(QueryDriven),
-    Index(IndexedQueryDriven),
-}
-
 /// [`QueryDriven`] behind a memo of its own answers. Implements
-/// [`SelectionPolicy`] with exactly the selections of the path it
-/// wraps: a hit returns a clone of what that path once returned.
+/// [`SelectionPolicy`] with exactly the selections of the policy it
+/// wraps: a hit returns a clone of what that policy once returned.
 ///
 /// One instance memoises for one network: staleness is detected through
 /// the membership and summary epochs, so feeding the same instance
@@ -113,7 +104,7 @@ enum Path {
 /// is detected only when node count or epochs differ.
 #[derive(Debug)]
 pub struct CachedQueryDriven {
-    path: Path,
+    inner: QueryDriven,
     config: CacheConfig,
     state: Mutex<Memo>,
 }
@@ -139,7 +130,12 @@ pub fn quantized_key(bounds: &[f64], bucket_width: f64) -> u64 {
 }
 
 impl CachedQueryDriven {
-    fn over(path: Path, config: CacheConfig) -> Self {
+    /// Memoises `inner`, indexed or not.
+    ///
+    /// # Panics
+    /// Panics if `bucket_width` is not positive-finite or `capacity`
+    /// is 0.
+    pub fn new(inner: QueryDriven, config: CacheConfig) -> Self {
         assert!(
             config.bucket_width.is_finite() && config.bucket_width > 0.0,
             "cache bucket width must be positive and finite, got {}",
@@ -147,19 +143,10 @@ impl CachedQueryDriven {
         );
         assert!(config.capacity > 0, "cache capacity must be non-zero");
         Self {
-            path,
+            inner,
             config,
             state: Mutex::new(Memo::default()),
         }
-    }
-
-    /// Memoises the full scan.
-    ///
-    /// # Panics
-    /// Panics if `bucket_width` is not positive-finite or `capacity`
-    /// is 0.
-    pub fn new(inner: QueryDriven, config: CacheConfig) -> Self {
-        Self::over(Path::Scan(inner), config)
     }
 
     /// Wraps with [`CacheConfig::default`].
@@ -167,32 +154,14 @@ impl CachedQueryDriven {
         Self::new(inner, CacheConfig::default())
     }
 
-    /// Like [`CachedQueryDriven::new`], but what the memo does not hold
-    /// is computed by the fused index path ([`IndexedQueryDriven`]).
-    pub fn with_index(inner: QueryDriven, config: CacheConfig, grid: GridConfig) -> Self {
-        Self::over(Path::Index(IndexedQueryDriven::new(inner, grid)), config)
-    }
-
     /// The wrapped policy.
     pub fn inner(&self) -> &QueryDriven {
-        match &self.path {
-            Path::Scan(scan) => scan,
-            Path::Index(indexed) => indexed.inner(),
-        }
+        &self.inner
     }
 
     /// A snapshot of the memo counters.
     pub fn stats(&self) -> CacheStats {
         self.state.lock().expect("cache lock poisoned").stats
-    }
-
-    /// Counters of the spatial index behind the memo, when there is one
-    /// ([`CachedQueryDriven::with_index`]).
-    pub fn index_stats(&self) -> Option<IndexStats> {
-        match &self.path {
-            Path::Scan(_) => None,
-            Path::Index(indexed) => Some(indexed.index_stats()),
-        }
     }
 
     /// Live entry count.
@@ -217,7 +186,7 @@ impl CachedQueryDriven {
     }
 
     /// [`SelectionPolicy::select`] on an explicit pool handle, which
-    /// only a miss uses: the wrapped path runs on it exactly as it
+    /// only a miss uses: the wrapped policy runs on it exactly as it
     /// would unwrapped.
     pub fn select_with_pool(&self, ctx: &SelectionContext<'_>, pool: &ThreadPool) -> Selection {
         let _trace_span = telemetry::trace::span_args(
@@ -229,10 +198,7 @@ impl CachedQueryDriven {
         if let Some(answer) = self.lookup(ctx, &key) {
             return answer;
         }
-        let selection = match &self.path {
-            Path::Scan(scan) => scan.select_with_pool(ctx, pool),
-            Path::Index(indexed) => indexed.select_with_pool(ctx, pool),
-        };
+        let selection = self.inner.select_with_pool(ctx, pool);
         self.insert(key, selection.clone());
         selection
     }
@@ -313,37 +279,14 @@ impl SelectionPolicy for CachedQueryDriven {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::fixtures::{assert_oracle, network as spaced};
     use edgesim::{EdgeNetwork, NodeId};
     use geom::Query;
     use linalg::Matrix;
     use mlkit::DenseDataset;
 
-    fn node_dataset(x0: f64) -> DenseDataset {
-        let rows: Vec<Vec<f64>> = (0..60).map(|i| vec![x0 + i as f64 / 3.0]).collect();
-        let y: Vec<f64> = rows.iter().map(|r| r[0]).collect();
-        DenseDataset::new(Matrix::from_rows(&rows), y)
-    }
-
     fn network(n: usize) -> EdgeNetwork {
-        let datasets = (0..n)
-            .map(|i| (format!("n{i}"), node_dataset(i as f64 * 10.0)))
-            .collect();
-        let mut net = EdgeNetwork::from_datasets(datasets);
-        net.quantize_all(3, 5);
-        net
-    }
-
-    fn assert_bitwise_eq(a: &Selection, b: &Selection) {
-        assert_eq!(a, b);
-        for (x, y) in a.standby.iter().zip(&b.standby) {
-            assert_eq!(x.ranking.to_bits(), y.ranking.to_bits());
-        }
-        for (x, y) in a.participants.iter().zip(&b.participants) {
-            assert_eq!(x.ranking.to_bits(), y.ranking.to_bits());
-            for (cx, cy) in x.supporting_clusters.iter().zip(&y.supporting_clusters) {
-                assert_eq!(cx.overlap.to_bits(), cy.overlap.to_bits());
-            }
-        }
+        spaced(n, 10.0)
     }
 
     #[test]
@@ -353,19 +296,16 @@ mod tests {
         let cached = CachedQueryDriven::with_defaults(plain.clone());
         let query = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 15.0]);
         let ctx = SelectionContext::new(&net, &query);
-        let want = plain.select(&ctx);
-        let first = cached.select(&ctx);
-        let second = cached.select(&ctx);
-        assert_bitwise_eq(&want, &first);
-        assert_bitwise_eq(&want, &second);
+        assert_oracle(&plain, &ctx, &cached.select(&ctx));
+        assert_oracle(&plain, &ctx, &cached.select(&ctx));
         let stats = cached.stats();
         assert_eq!((stats.misses, stats.hits, stats.delta_hits), (1, 1, 0));
         assert_eq!(cached.len(), 1);
-        // One ulp off is another rectangle: the path runs again.
+        // One ulp off is another rectangle: the policy runs again.
         let nudged =
             Query::from_boundary_vec(1, &[0.0, f64::from_bits(15.0f64.to_bits() + 1), 0.0, 15.0]);
         let ctx = SelectionContext::new(&net, &nudged);
-        assert_bitwise_eq(&plain.select(&ctx), &cached.select(&ctx));
+        assert_oracle(&plain, &ctx, &cached.select(&ctx));
         assert_eq!((cached.stats().misses, cached.len()), (2, 2));
     }
 
@@ -383,13 +323,13 @@ mod tests {
         net.node_mut(NodeId(1)).absorb(&extra);
         net.node_mut(NodeId(1)).quantize(3, 5);
         let ctx = SelectionContext::new(&net, &near);
-        assert_bitwise_eq(&plain.select(&ctx), &cached.select(&ctx));
+        assert_oracle(&plain, &ctx, &cached.select(&ctx));
         let stats = cached.stats();
         assert_eq!(stats.invalidations, 1, "one node's summaries moved");
         assert_eq!((stats.misses, stats.hits), (3, 0));
         assert_eq!(cached.len(), 1, "both old answers went, the new one is in");
         // The drift was seen once: the replay hits.
-        assert_bitwise_eq(&plain.select(&ctx), &cached.select(&ctx));
+        assert_oracle(&plain, &ctx, &cached.select(&ctx));
         let stats = cached.stats();
         assert_eq!((stats.invalidations, stats.hits), (1, 1));
     }
@@ -470,21 +410,18 @@ mod tests {
         assert_eq!(cached.stats().misses, 2);
     }
 
-    /// The lock covers the lookup and the insert, never the path: four
-    /// threads on one memoised, indexed policy, half their queries
+    /// The lock covers the lookup and the insert, never the selection:
+    /// four threads on one memoised, indexed policy, half their queries
     /// bit-exact repeats of what another thread asks too.
     #[test]
     fn concurrent_selects_share_one_memo_and_agree_with_the_scan() {
         let net = network(40);
         let plain = QueryDriven::top_l(5);
-        let cached = CachedQueryDriven::with_index(
-            plain.clone(),
-            CacheConfig::default(),
-            GridConfig {
-                domain_size: 4,
-                cells_per_dim: 0,
-            },
-        );
+        let grid = geom::index::GridConfig {
+            domain_size: 4,
+            cells_per_dim: 0,
+        };
+        let cached = CachedQueryDriven::new(plain.clone().indexed(grid), CacheConfig::default());
         let pool = ThreadPool::new(2);
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
@@ -502,9 +439,8 @@ mod tests {
                         };
                         let q = Query::from_boundary_vec(i, &[off, off + 20.0, off, off + 20.0]);
                         let ctx = SelectionContext::new(net, &q);
-                        let want = crate::reference::select(net, &q, plain.epsilon, plain.cap);
-                        assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, pool));
-                        assert_bitwise_eq(&want, &cached.select_with_pool(&ctx, pool));
+                        assert_oracle(plain, &ctx, &plain.select_with_pool(&ctx, pool));
+                        assert_oracle(plain, &ctx, &cached.select_with_pool(&ctx, pool));
                     }
                 });
             }
@@ -515,7 +451,7 @@ mod tests {
         // and can miss it once at most.
         assert!(stats.hits >= 4 * 8 * 2, "{stats:?}");
         assert_eq!(stats.entries, 8 + 100, "one entry per distinct rectangle");
-        let index = cached.index_stats().expect("built with an index");
+        let index = cached.inner().index_stats();
         assert_eq!(index.rebuilds, 1);
         assert_eq!(index.probes, stats.misses, "only misses reach the index");
     }

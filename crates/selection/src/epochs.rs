@@ -77,15 +77,8 @@ impl FleetEpochs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::fixtures::node_dataset as dataset;
     use edgesim::NodeId;
-    use linalg::Matrix;
-    use mlkit::DenseDataset;
-
-    fn dataset(x0: f64) -> DenseDataset {
-        let rows: Vec<Vec<f64>> = (0..30).map(|i| vec![x0 + i as f64]).collect();
-        let y: Vec<f64> = rows.iter().map(|r| r[0]).collect();
-        DenseDataset::new(Matrix::from_rows(&rows), y)
-    }
 
     #[test]
     fn refresh_counts_real_drift_and_rearms_the_fast_path_on_a_noop() {

@@ -1,145 +1,99 @@
-//! Sublinear selection for the query-driven policy: candidate
-//! generation through a spatial index, Eq. 2–4 scoring off a cluster
-//! table laid out in the index's own order.
+//! The cluster table both candidate sources of [`QueryDriven`] score
+//! from, and the spatial index behind its probed-domain source.
 //!
-//! The plain [`QueryDriven`] kernel scores every node on every query:
-//! `O(N·K·d)` per selection, which a million-node fleet turns into
-//! hundreds of milliseconds of pure arithmetic. This module splits
-//! selection into **candidate generation** — a
-//! [`geom::index::SpatialIndex`] over per-node summary hulls with a
-//! two-level domain-then-node hierarchy — and **exact verification**:
-//! each surviving domain's hull hits are ranked on the spot, from that
-//! domain's block of a cluster table kept in the index's Morton slot
-//! order, through the shared `rank_clusters` into `(node, r_i)` entries
-//! that the shared `rank_and_cap` sorts and cuts.
+//! [`QueryDriven::select_with_pool`] hands the pool *units*: a block of
+//! the cluster table, the node ids of its slots, and the slots to score.
+//! Two sources produce them:
+//!
+//! * **Every node** — fixed chunks of node ids, each chunk's block
+//!   gathered into scratch the pool task owns and dropped with it.
+//!   Nothing is built or kept. The source when no [`GridConfig`] is set
+//!   or `ε <= 0`.
+//! * **Probed domains** — a grid set and `ε > 0`: a
+//!   [`geom::index::SpatialIndex`] over per-node summary hulls drops
+//!   whole domains, then nodes whose hull misses the query; a surviving
+//!   domain's block is gathered once and kept with the index.
+//!
+//! Both go through one scoring loop (`DomainClusters::score`: Eq. 2
+//! off the block, Eq. 3/4 through `rank_clusters`) into `(node, r_i)`
+//! entries that `rank_and_cap` sorts and cuts: how candidates are
+//! generated never changes how they are scored.
 //!
 //! # The cluster table
 //!
-//! Scoring a candidate through `nodes[id] → summaries → rect →
-//! intervals` is five or six dependent cache misses into a heap the
-//! Morton sort has made random with respect to node id; at 1M nodes
-//! that chase, not the arithmetic, was 15 of a 17–20 ms select. The
-//! table holds what Eq. 2–4 reads and nothing else, per cluster and in
-//! slot order, one [`DomainClusters`] block per index domain:
-//! `offsets[i]..offsets[i + 1]` are the clusters of the node at the
-//! domain's `i`-th slot, each with its `d` [`geom::Interval`]s
-//! contiguous (16·d bytes) and its `(cluster_id, size)` (8 bytes) — 40
-//! bytes per cluster at `d = 2`, plus 4 per node for the offsets. A
-//! domain's candidates are neighbours in its block, so a query streams
-//! one contiguous run per surviving domain.
+//! Scoring through `nodes[id] → summaries → rect → intervals` is five or
+//! six dependent cache misses per candidate; at 1M nodes that chase, not
+//! the arithmetic, was 15 of a 17–20 ms select. A [`DomainClusters`]
+//! block holds what Eq. 2–4 reads, per cluster and in slot order: the
+//! `d` intervals (16·d bytes) and a narrowed `(cluster_id, size)` (8
+//! bytes), plus a 4-byte offset per node. The probed source pays the
+//! chase once per domain per build, on the first select that verifies
+//! the domain. It gathers nothing up front, and the every-node source
+//! keeps nothing: the whole table at 1M nodes × 3 clusters is 124 MB of
+//! pages that would stay resident.
 //!
-//! A block is gathered by the first fused select that verifies its
-//! domain — the pointer chase above, paid once per domain per build
-//! instead of once per candidate per query — and lives inside the built
-//! index, so whatever makes the index stale drops it too. Nothing is
-//! gathered up front: building the whole table with the index costs a
-//! fleet-wide walk plus 124 MB of fresh pages at 1M nodes × 3
-//! clusters (0.2–0.5 s, measured), and a select only needs the few per
-//! cent of domains its query survives in.
+//! # Why pruning is exact
 //!
-//! # Why the results are bit-identical
+//! Eq. 2 overlap is the mean of per-axis ratios, so the index prunes
+//! with **per-axis union** semantics: a node is a candidate iff its
+//! summary hull meets the query on at least one axis. Every cluster of a
+//! non-candidate is disjoint from the query on *every* axis, where
+//! [`geom::Interval::overlap_ratio`] is exactly `0.0`; with `ε > 0` no
+//! such cluster supports the query, so the node ranks `0.0` whichever
+//! source scored it. With `ε <= 0` (e.g. the count-only ablation) a
+//! zero-overlap cluster *does* pass `h >= ε`, so such a policy scores
+//! every node.
 //!
-//! *Pruned nodes score zero.* Eq. 2 overlap is *additive* over
-//! dimensions (the mean of per-axis ratios), so the index prunes with
-//! **per-axis union** semantics: a node is a candidate iff at least one
-//! dimension of its summary hull intersects the query's interval in
-//! that dimension. For every non-candidate the hull — and therefore
-//! every cluster rectangle under it — is disjoint from the query in
-//! *every* dimension, and [`geom::Interval::overlap_ratio`] returns
-//! exactly `0.0` for every disjoint (or touching-but-degenerate) pair.
-//! With `ε > 0` each such cluster fails `h_ik >= ε`, leaving the node
-//! with zero supporting clusters and ranking `0.0` — precisely the
-//! nodes a full scan leaves out of its ranked list.
-//!
-//! *Candidates score the same bits.* The table stores copies of the
-//! summaries' own `Interval`s; a candidate's `h_ik` is
-//! `Interval::overlap_ratio` per dimension, summed in dimension order
-//! by the same `Iterator::sum` and divided by `d` — the arithmetic of
-//! [`geom::HyperRect::overlap_rate`] on the same operands — and its
-//! clusters reach `rank_clusters` in summary order, so the ε filter,
-//! the overlap-descending sort, the potential sum and the ranking are
-//! the scan's.
-//!
-//! *Order does not matter.* Candidates are scored in slot order, not
-//! ascending node id, and per fixed chunk of surviving domains rather
-//! than per fixed chunk of nodes. Nothing downstream can see that:
-//! each node's entry is a function of that node and the query alone,
-//! and `rank_and_cap` sorts by a **total** order (ranking descending,
-//! then the unique node id ascending) in which no two entries compare
-//! equal, so every input permutation — and therefore every thread
-//! count — gives the same ranked list, cut and standby tail as the
-//! scan.
-//!
-//! *Clusters come from one place.* The table only ranks. A node's
-//! supporting clusters are built once it is above the cut (in
-//! `rank_and_cap`) or promoted from the standby tail (through
-//! [`SelectionPolicy::promote`]), and both go through
-//! [`QueryDriven::score_node`] on the node's own summaries — the scan's
-//! code, not a copy of it. The standby tail is `(node, r_i)` pairs, so
-//! the table's narrowed `(cluster_id, size)` never leaves this module.
-//!
-//! `ε <= 0` (e.g. ablations ranking by cluster-count only) breaks the
-//! first step — a zero-overlap cluster then *satisfies* `h >= ε` — so
-//! [`IndexedQueryDriven`] detects it and falls back to the full scan.
+//! A block copies the summaries' own intervals and
+//! `DomainClusters::overlaps` repeats [`geom::HyperRect::overlap_rate`]
+//! operation for operation, so a ranking has the bits
+//! [`QueryDriven::score_node`] computes from the node's summaries — which
+//! is how `rank_and_cap` and [`SelectionPolicy::promote`] build the
+//! supporting clusters of the nodes that train. Scoring order is
+//! invisible: each entry depends on its node and the query alone, and
+//! `rank_and_cap` sorts by a **total** order (ranking descending, unique
+//! node id ascending), so any thread count gives the same selection.
 //!
 //! # Staleness
 //!
 //! The index keeps the fleet's epochs as of its last refresh
-//! (`FleetEpochs`, the check the selection memo shares): every node's
-//! [`edgesim::EdgeNode::summary_epoch`] and the network's
-//! [`edgesim::EdgeNetwork::membership_epoch`]. What the next probe does
-//! about drift depends on its kind:
+//! (`FleetEpochs`, the check the selection memo shares). On drift:
 //!
-//! * **Patch** — membership unchanged and no more nodes moved than the
-//!   index has domains (a node absorbed data or re-quantised, to any
-//!   K), so the repair costs at most about one bulk pass: each moved
-//!   node's hull is written over its slot with
-//!   [`SpatialIndex::update`], and only its domain's cluster block is
-//!   dropped, to be gathered again from the new summaries by the next
-//!   select that verifies the domain. Counted in
-//!   `qens_index_patches_total`.
-//! * **Rebuild** — a node joined, or more nodes moved than there are
-//!   domains (`quantize_all`): a deterministic bulk build over the
-//!   current hulls that restores the Morton order and drops the whole
-//!   cluster table. Counted in `qens_index_rebuilds_total`, timed by
-//!   the `qens_index_build_nanos` histogram.
+//! * **Patch** — membership unchanged and no more nodes moved than there
+//!   are domains: each moved node's hull is written over its slot with
+//!   [`SpatialIndex::update`] and only its domain's block is dropped.
+//!   Counted in `qens_index_patches_total`.
+//! * **Rebuild** — a node joined, or more nodes moved (`quantize_all`):
+//!   a bulk build that restores the Morton order and drops the whole
+//!   table. Counted in `qens_index_rebuilds_total`, timed by
+//!   `qens_index_build_nanos`.
 //!
-//! A patched index selects exactly what a rebuilt one selects. The
-//! layout decides only which domains a probe visits; the candidates are
-//! the nodes whose *current* hull meets the query on some axis whatever
-//! the layout (the geometry module's exactness argument), each is scored
-//! from a block gathered from its current summaries (every block that
-//! held a moved node's old ones was dropped), and `rank_and_cap`'s total
-//! order makes the scoring order invisible. What a patch gives up is
-//! pruning power: a moved node widens its domain's aggregate until the
-//! next rebuild.
+//! A patched index selects what a rebuilt one selects: the candidates
+//! are the nodes whose *current* hull meets the query, whatever the
+//! layout, and each is scored from a block gathered from its current
+//! summaries. A patch only gives up pruning power until the next
+//! rebuild.
 //!
 //! Only that check, the repair and the counters run under the index's
-//! lock: a select works on an `Arc` snapshot of the build it verified,
-//! so concurrent selects on one policy probe and score side by side.
-//! The repair goes through [`Arc::make_mut`] and every block sits
-//! behind its own `Arc`, so should a select still hold the old snapshot,
-//! the repair copies block pointers, not blocks.
+//! lock; a select works on an `Arc` snapshot of its build, so concurrent
+//! selects probe and score side by side. Blocks sit behind their own
+//! `Arc`s, so a repair that must copy a held snapshot copies pointers,
+//! not blocks.
+//!
+//! [`SelectionPolicy::promote`]: crate::SelectionPolicy::promote
 
 use std::sync::{Arc, Mutex, OnceLock};
 
 use edgesim::{EdgeNetwork, EdgeNode, NodeId};
 use geom::index::{GridConfig, Probe, SpatialIndex, SpatialIndexBuilder};
 use geom::Interval;
-use par::ThreadPool;
 
 use crate::epochs::FleetEpochs;
-use crate::policy::{
-    Participant, Ranked, Selection, SelectionContext, SelectionOverhead, SelectionPolicy,
-};
-use crate::query_driven::{count_scored, QueryDriven};
-
-/// Surviving domains per pool task. Fixed (worker-count independent),
-/// so what each task produces does not depend on the pool.
-const DOMAIN_CHUNK: usize = 4;
+use crate::policy::{Ranked, SupportingCluster};
+use crate::query_driven::QueryDriven;
 
 /// Monotonic index counters, mirrored into the global telemetry registry
-/// as `qens_index_*`.
+/// as `qens_index_*`. All zero for a policy that scores every node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexStats {
     /// Bulk (re)builds, including the initial one.
@@ -155,17 +109,15 @@ pub struct IndexStats {
     pub domains_pruned: u64,
     /// Candidate nodes handed to the scoring stage.
     pub candidates: u64,
-    /// Selections that bypassed the index (`ε <= 0` full-scan safety).
-    pub fallbacks: u64,
 }
 
-/// What Eq. 2–4 reads of every cluster under one index domain, flat
-/// and in slot order; see the module docs.
+/// What Eq. 2–4 reads of every cluster of some nodes, flat and in slot
+/// order; see the module docs.
 #[derive(Debug)]
-struct DomainClusters {
+pub(crate) struct DomainClusters {
     dims: usize,
     /// `offsets[i]..offsets[i + 1]` index the clusters of the node at
-    /// the domain's `i`-th slot.
+    /// the block's `i`-th slot.
     offsets: Vec<u32>,
     /// `dims` intervals per cluster, contiguous.
     intervals: Vec<Interval>,
@@ -182,10 +134,12 @@ struct DomainClusters {
 const WIDE: u32 = u32::MAX;
 
 impl DomainClusters {
-    fn gather(index: &SpatialIndex, domain: u32, nodes: &[EdgeNode]) -> Self {
-        let dims = index.dims();
-        let (start, end) = index.domain_items(domain);
-        let ids = &index.slot_ids()[start..end];
+    /// The block of the nodes `ids`, in that order.
+    ///
+    /// # Panics
+    /// Panics if one of them is not quantised, with the guidance direct
+    /// scoring gives.
+    pub(crate) fn gather(ids: &[u32], nodes: &[EdgeNode], dims: usize) -> Self {
         // Exact capacities: growth slack on every block of a million
         // nodes' table would be tens of megabytes.
         let clusters: usize = ids.iter().map(|&id| nodes[id as usize].k()).sum();
@@ -195,11 +149,11 @@ impl DomainClusters {
         let narrow = |v: usize| u32::try_from(v).unwrap_or(WIDE);
         offsets.push(0);
         for &id in ids {
-            for summary in nodes[id as usize].summaries() {
+            for summary in crate::query_driven::quantized_summaries(&nodes[id as usize]) {
                 meta.push((narrow(summary.cluster_id), narrow(summary.size)));
                 intervals.extend_from_slice(summary.rect.intervals());
             }
-            offsets.push(u32::try_from(meta.len()).expect("domain cluster count fits 32 bits"));
+            offsets.push(u32::try_from(meta.len()).expect("block cluster count fits 32 bits"));
         }
         Self {
             dims,
@@ -210,9 +164,10 @@ impl DomainClusters {
     }
 
     /// The `(cluster_id, size, h_ik)` triples of the node at the
-    /// domain's `i`-th slot, in summary order, as
-    /// [`QueryDriven::rank_clusters`] takes them. `h_ik` repeats
-    /// [`geom::HyperRect::overlap_rate`] operation for operation.
+    /// block's `i`-th slot, in summary order, as `rank_clusters` takes
+    /// them. `h_ik` repeats [`geom::HyperRect::overlap_rate`] operation
+    /// for operation.
+    #[inline]
     fn overlaps<'a>(
         &'a self,
         i: usize,
@@ -237,15 +192,79 @@ impl DomainClusters {
             (cluster_id, size, sum / self.dims as f64)
         })
     }
+
+    /// The one scoring loop: ranks the nodes at block positions `slots`
+    /// — Eq. 2 per cluster through `DomainClusters::overlaps`, Eq. 3/4
+    /// through `policy`'s `rank_clusters` — and keeps `(node, r_i)` for
+    /// each that supports the query. `ids[i]` is the node at position
+    /// `i`. Inlined, as is `overlaps`: the probed source calls it once
+    /// per verify hit, and out of line `fleet_select` ran ~10 % slower.
+    #[inline]
+    pub(crate) fn score(
+        &self,
+        policy: &QueryDriven,
+        ids: &[u32],
+        slots: impl IntoIterator<Item = usize>,
+        nodes: &[EdgeNode],
+        region: &geom::HyperRect,
+        task: &mut Scored,
+    ) {
+        for i in slots {
+            let id = ids[i] as usize;
+            // Scoring runs on pool workers, so the per-node span is
+            // wall-mode only (inert on the logical clock).
+            let _trace_score =
+                telemetry::trace::wall_span_args("selection.score_node", &[("node", id as u64)]);
+            let overlaps = self
+                .overlaps(i, &nodes[id], region)
+                .inspect(|&(_, _, h)| task.nonfinite += u64::from(!h.is_finite()));
+            task.candidates += 1;
+            task.evals += overlaps.len() as u64;
+            let ranking = policy.rank_clusters(overlaps.len(), overlaps, &mut task.supporting);
+            task.kept += task.supporting.len() as u64;
+            if ranking > 0.0 {
+                task.ranked.push(Ranked {
+                    node: NodeId(id),
+                    ranking,
+                });
+            }
+        }
+    }
+}
+
+/// What one pool task scored: the `(node, r_i)` of every candidate that
+/// supports the query, and the counts behind the `qens_selection_*`
+/// and `qens_index_candidates_total` series.
+#[derive(Default)]
+pub(crate) struct Scored {
+    ranked: Vec<Ranked>,
+    /// Scratch for `rank_clusters`, reused across nodes.
+    supporting: Vec<SupportingCluster>,
+    pub(crate) candidates: u64,
+    evals: u64,
+    kept: u64,
+    nonfinite: u64,
+}
+
+impl Scored {
+    /// Counts the task's work and hands over its entries.
+    pub(crate) fn finish(self) -> Vec<Ranked> {
+        telemetry::counter!("qens_selection_overlap_evals_total").add(self.evals);
+        telemetry::counter!("qens_selection_supporting_clusters_total").add(self.kept);
+        if self.nonfinite > 0 {
+            telemetry::counter!("qens_selection_nonfinite_scores_total").add(self.nonfinite);
+        }
+        self.ranked
+    }
 }
 
 /// The index and the cluster table gathered over it.
 #[derive(Debug, Clone)]
-struct BuiltIndex {
-    index: SpatialIndex,
+pub(crate) struct BuiltIndex {
+    pub(crate) index: SpatialIndex,
     /// The cluster table, one cell per domain, each filled by the first
-    /// fused select that verifies the domain. A block is shared, not
-    /// copied, when a patch has to clone the build.
+    /// select that verifies the domain. A block is shared, not copied,
+    /// when a patch has to clone the build.
     clusters: Vec<OnceLock<Arc<DomainClusters>>>,
 }
 
@@ -255,8 +274,7 @@ impl BuiltIndex {
         let mut builder = SpatialIndexBuilder::with_capacity(dims, nodes.len());
         for node in nodes {
             // summary_rects carries the same "call quantize_all first"
-            // guidance as direct scoring, so the indexed path cannot
-            // mask an unquantised node.
+            // guidance as direct scoring.
             builder.push_hull(node.summary_rects());
         }
         let index = builder.build(config);
@@ -264,6 +282,15 @@ impl BuiltIndex {
             clusters: (0..index.n_domains()).map(|_| OnceLock::new()).collect(),
             index,
         }
+    }
+
+    /// The block of `domain`, gathered on first use.
+    pub(crate) fn block(&self, domain: u32, nodes: &[EdgeNode]) -> &DomainClusters {
+        self.clusters[domain as usize].get_or_init(|| {
+            let (start, end) = self.index.domain_items(domain);
+            let ids = &self.index.slot_ids()[start..end];
+            Arc::new(DomainClusters::gather(ids, nodes, self.index.dims()))
+        })
     }
 
     /// Re-indexes node `id` from its current summaries in its slot and
@@ -283,52 +310,47 @@ struct IndexState {
     stats: IndexStats,
 }
 
-/// [`QueryDriven`] behind spatial-index candidate generation: identical
-/// selections — participants, rankings, supporting clusters, standby —
-/// at a fraction of the scoring work on large fleets. See the module
-/// docs for the bit-identity argument.
+/// The probed-domain source's state: a grid configuration and the index
+/// built under it, lazily and for one network (feeding one policy
+/// contexts over unrelated networks of the same shape is the caveat the
+/// selection memo documents too).
 ///
-/// The index is built lazily and rebuilt when the fleet drifts; one
-/// instance indexes one network (feeding it contexts over unrelated
-/// networks of the same shape is the same caveat the selection memo
-/// documents).
+/// A clone is unbuilt, and two are equal when their grids are: the
+/// build is a cache of the fleet, not part of the configuration.
 #[derive(Debug)]
-pub struct IndexedQueryDriven {
-    inner: QueryDriven,
-    config: GridConfig,
+pub(crate) struct Index {
+    grid: GridConfig,
     state: Mutex<IndexState>,
 }
 
-impl IndexedQueryDriven {
-    /// Wraps a policy with an index under the given grid configuration;
-    /// the index bulk-builds on first use.
-    pub fn new(inner: QueryDriven, config: GridConfig) -> Self {
+impl Clone for Index {
+    fn clone(&self) -> Self {
+        Self::new(self.grid)
+    }
+}
+
+impl PartialEq for Index {
+    fn eq(&self, other: &Self) -> bool {
+        self.grid == other.grid
+    }
+}
+
+impl Index {
+    pub(crate) fn new(grid: GridConfig) -> Self {
         Self {
-            inner,
-            config,
-            state: Mutex::new(IndexState::default()),
+            grid,
+            state: Mutex::default(),
         }
     }
 
-    /// Wraps with [`GridConfig::default`].
-    pub fn with_defaults(inner: QueryDriven) -> Self {
-        Self::new(inner, GridConfig::default())
-    }
-
-    /// The wrapped policy.
-    pub fn inner(&self) -> &QueryDriven {
-        &self.inner
-    }
-
-    /// A snapshot of the index counters.
-    pub fn index_stats(&self) -> IndexStats {
+    pub(crate) fn stats(&self) -> IndexStats {
         self.state.lock().expect("index lock poisoned").stats
     }
 
     /// The build that is current for `network`: patched in place when a
     /// few nodes moved, rebuilt when membership changed or many moved
     /// (see the module docs). The lock covers this and nothing after it.
-    fn current(&self, network: &EdgeNetwork, dims: usize) -> Arc<BuiltIndex> {
+    pub(crate) fn current(&self, network: &EdgeNetwork, dims: usize) -> Arc<BuiltIndex> {
         let mut guard = self.state.lock().expect("index lock poisoned");
         let state = &mut *guard;
         let drift = state.seen.refresh(network);
@@ -353,7 +375,7 @@ impl IndexedQueryDriven {
             }
         }
         let _span = telemetry::span!("qens_index_build_nanos");
-        let built = Arc::new(BuiltIndex::new(nodes, dims, self.config));
+        let built = Arc::new(BuiltIndex::new(nodes, dims, self.grid));
         state.built = Some(Arc::clone(&built));
         state.stats.rebuilds += 1;
         telemetry::counter!("qens_index_rebuilds_total").add(1);
@@ -362,7 +384,7 @@ impl IndexedQueryDriven {
     }
 
     /// Accounts one probe and the candidates its verify let through.
-    fn record_probe(&self, probe: &Probe, candidates: u64) {
+    pub(crate) fn record_probe(&self, probe: &Probe, candidates: u64) {
         {
             let stats = &mut self.state.lock().expect("index lock poisoned").stats;
             stats.probes += 1;
@@ -383,183 +405,56 @@ impl IndexedQueryDriven {
         );
     }
 
-    /// Records an `ε <= 0` full-scan fallback.
-    fn record_fallback(&self) {
-        self.state
-            .lock()
-            .expect("index lock poisoned")
-            .stats
-            .fallbacks += 1;
-        telemetry::counter!("qens_index_fallbacks_total").add(1);
-    }
-
-    /// [`SelectionPolicy::select`] on an explicit pool handle: probe,
-    /// then per fixed chunk of surviving domains verify the hulls and
-    /// score every hit off the cluster table, then the shared rank/cap.
-    pub fn select_with_pool(&self, ctx: &SelectionContext<'_>, pool: &ThreadPool) -> Selection {
-        if self.inner.epsilon <= 0.0 {
-            // With ε <= 0 a zero-overlap cluster still passes the
-            // `h >= ε` filter, so pruned nodes could legitimately be
-            // participants: index pruning would change the result.
-            // Delegate wholesale (spans/traces included) to the scan.
-            self.record_fallback();
-            return self.inner.select_with_pool(ctx, pool);
-        }
-        let _span = telemetry::span!("qens_selection_select_nanos");
-        let nodes = ctx.network.nodes();
-        let _trace_span = telemetry::trace::span_args(
-            "selection.select_indexed",
-            &[("nodes", nodes.len() as u64)],
-        );
-        let built = self.current(ctx.network, ctx.query.dim());
-        let ids = built.index.slot_ids();
-        let region = ctx.query.region();
-        let probe = built.index.probe(region);
-        let chunks: Vec<(Vec<Ranked>, u64)> =
-            pool.map_chunks(probe.domains.len(), DOMAIN_CHUNK, |chunk| {
-                let (mut ranked, mut supporting) = (Vec::new(), Vec::new());
-                let (mut candidates, mut evals, mut kept, mut nonfinite) = (0u64, 0u64, 0u64, 0u64);
-                for &domain in &probe.domains[chunk] {
-                    let clusters = built.clusters[domain as usize].get_or_init(|| {
-                        Arc::new(DomainClusters::gather(&built.index, domain, nodes))
-                    });
-                    let (first_slot, _) = built.index.domain_items(domain);
-                    built
-                        .index
-                        .verify_slots(domain, &probe.q_lo, &probe.q_hi, |slot| {
-                            let id = ids[slot] as usize;
-                            // Wall-mode only, as in the scan: this runs
-                            // on pool workers.
-                            let _trace_score = telemetry::trace::wall_span_args(
-                                "selection.score_node",
-                                &[("node", id as u64)],
-                            );
-                            let overlaps = clusters
-                                .overlaps(slot - first_slot, &nodes[id], region)
-                                .inspect(|&(_, _, h)| nonfinite += u64::from(!h.is_finite()));
-                            candidates += 1;
-                            evals += overlaps.len() as u64;
-                            let ranking =
-                                self.inner
-                                    .rank_clusters(overlaps.len(), overlaps, &mut supporting);
-                            kept += supporting.len() as u64;
-                            if ranking > 0.0 {
-                                ranked.push(Ranked {
-                                    node: NodeId(id),
-                                    ranking,
-                                });
-                            }
-                        });
-                }
-                count_scored(evals, kept, nonfinite);
-                (ranked, candidates)
-            });
-        let (ranked, candidates): (Vec<Vec<Ranked>>, Vec<u64>) = chunks.into_iter().unzip();
-        self.record_probe(&probe, candidates.iter().sum());
-        self.inner.rank_and_cap(ctx, ranked.concat())
-    }
-}
-
-impl SelectionPolicy for IndexedQueryDriven {
-    /// Same display name as the wrapped policy: the index changes *how*
-    /// a selection is computed, never *what* is selected, so result
-    /// tables must not fork on it.
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn select(&self, ctx: &SelectionContext<'_>) -> Selection {
-        self.select_with_pool(ctx, par::global())
-    }
-
-    fn overhead(&self, ctx: &SelectionContext<'_>) -> SelectionOverhead {
-        self.inner.overhead(ctx)
-    }
-
-    fn promote(&self, ctx: &SelectionContext<'_>, standby: &Ranked) -> Participant {
-        self.inner.promote(ctx, standby)
+    #[cfg(test)]
+    fn built(&self) -> Arc<BuiltIndex> {
+        let state = self.state.lock().unwrap();
+        Arc::clone(state.built.as_ref().expect("the index is built"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query_driven::{RankingRule, SelectionCap};
-    use edgesim::{EdgeNetwork, NodeId};
+    use crate::policy::{SelectionContext, SelectionPolicy};
+    use crate::query_driven::{QueryDriven, RankingRule, SelectionCap};
+    use crate::reference::fixtures::network as spaced;
+    use edgesim::NodeId;
     use geom::Query;
-    use linalg::Matrix;
-    use mlkit::DenseDataset;
-
-    fn node_dataset(x0: f64) -> DenseDataset {
-        let rows: Vec<Vec<f64>> = (0..60).map(|i| vec![x0 + i as f64 / 3.0]).collect();
-        let y: Vec<f64> = rows.iter().map(|r| r[0]).collect();
-        DenseDataset::new(Matrix::from_rows(&rows), y)
-    }
+    use par::ThreadPool;
 
     fn network(n: usize) -> EdgeNetwork {
-        let datasets = (0..n)
-            .map(|i| (format!("n{i}"), node_dataset(i as f64 * 12.0)))
-            .collect();
-        let mut net = EdgeNetwork::from_datasets(datasets);
-        net.quantize_all(3, 5);
-        net
+        spaced(n, 12.0)
     }
 
-    fn assert_bitwise_eq(a: &Selection, b: &Selection) {
-        assert_eq!(a, b);
-        for (x, y) in a.standby.iter().zip(&b.standby) {
-            assert_eq!(x.ranking.to_bits(), y.ranking.to_bits());
-        }
-        for (x, y) in a.participants.iter().zip(&b.participants) {
-            assert_eq!(x.ranking.to_bits(), y.ranking.to_bits());
-            for (cx, cy) in x.supporting_clusters.iter().zip(&y.supporting_clusters) {
-                assert_eq!(cx.overlap.to_bits(), cy.overlap.to_bits());
-            }
-        }
-    }
+    const SMALL_DOMAINS: GridConfig = GridConfig {
+        domain_size: 4,
+        cells_per_dim: 0,
+    };
 
-    #[test]
-    fn indexed_matches_scan_bitwise_over_sliding_queries() {
-        let net = network(24);
-        let plain = QueryDriven {
-            cap: SelectionCap::AllPositive,
-            ..QueryDriven::top_l(24)
-        };
-        let indexed = IndexedQueryDriven::with_defaults(plain.clone());
-        for i in 0..40u64 {
-            let off = i as f64 * 7.0;
-            let q = Query::from_boundary_vec(i, &[off, off + 15.0, off, off + 15.0]);
-            let ctx = SelectionContext::new(&net, &q);
-            assert_bitwise_eq(&plain.select(&ctx), &indexed.select(&ctx));
-        }
-        let stats = indexed.index_stats();
-        assert_eq!(stats.rebuilds, 1, "one bulk build serves every query");
-        assert_eq!(stats.probes, 40);
-        assert!(stats.domains_pruned > 0 || net.len() <= 64);
+    /// `policy` selects bit for bit what the oracle selects.
+    fn assert_oracle(policy: &QueryDriven, ctx: &SelectionContext<'_>, pool: &ThreadPool) {
+        crate::reference::fixtures::assert_oracle(policy, ctx, &policy.select_with_pool(ctx, pool));
     }
 
     #[test]
     fn summary_epoch_drift_patches_in_place() {
         let mut net = network(6);
-        let plain = QueryDriven::top_l(3);
-        let indexed = IndexedQueryDriven::with_defaults(plain.clone());
+        let indexed = QueryDriven::top_l(3).indexed(GridConfig::default());
         let q = Query::from_boundary_vec(0, &[0.0, 30.0, 0.0, 30.0]);
         indexed.select(&SelectionContext::new(&net, &q));
         assert_eq!(indexed.index_stats().rebuilds, 1);
         // Re-quantising a node moves its summary epoch.
         net.node_mut(NodeId(2)).quantize(2, 99);
-        let ctx = SelectionContext::new(&net, &q);
-        assert_bitwise_eq(&plain.select(&ctx), &indexed.select(&ctx));
+        assert_oracle(&indexed, &SelectionContext::new(&net, &q), par::global());
         let stats = indexed.index_stats();
         assert_eq!((stats.rebuilds, stats.patches), (1, 1));
         // Unchanged network: nothing further.
-        indexed.select(&ctx);
+        indexed.select(&SelectionContext::new(&net, &q));
         let stats = indexed.index_stats();
         assert_eq!((stats.rebuilds, stats.patches), (1, 1));
         // Every node moved, more than the one domain: a rebuild.
         net.quantize_all(3, 7);
-        let ctx = SelectionContext::new(&net, &q);
-        assert_bitwise_eq(&plain.select(&ctx), &indexed.select(&ctx));
+        assert_oracle(&indexed, &SelectionContext::new(&net, &q), par::global());
         let stats = indexed.index_stats();
         assert_eq!((stats.rebuilds, stats.patches), (2, 1));
     }
@@ -571,25 +466,13 @@ mod tests {
     #[test]
     fn a_requantise_to_a_new_k_patches_one_block_and_scores_the_new_offsets() {
         let mut net = network(40);
-        let plain = QueryDriven {
-            cap: SelectionCap::AllPositive,
-            ..QueryDriven::top_l(40)
-        };
-        let indexed = IndexedQueryDriven::new(
-            plain.clone(),
-            GridConfig {
-                domain_size: 4,
-                cells_per_dim: 0,
-            },
-        );
-        let snapshot = |indexed: &IndexedQueryDriven| {
-            let state = indexed.state.lock().unwrap();
-            Arc::clone(state.built.as_ref().unwrap())
-        };
+        let indexed = QueryDriven::new(0.05, SelectionCap::AllPositive, RankingRule::PaperEq4)
+            .indexed(SMALL_DOMAINS);
+        let index = indexed.index.as_ref().unwrap();
         // Covers every node, so every block is gathered.
         let everything = Query::from_boundary_vec(0, &[-10.0, 500.0, -10.0, 500.0]);
         indexed.select(&SelectionContext::new(&net, &everything));
-        let before = snapshot(&indexed);
+        let before = index.built();
         assert!(before.clusters.iter().all(|c| c.get().is_some()));
 
         // Node 13's data lies on the diagonal of [156, 176]².
@@ -600,12 +483,11 @@ mod tests {
         assert_ne!(k_after, k_before);
         let q = Query::from_boundary_vec(1, &[150.0, 180.0, 150.0, 180.0]);
         let ctx = SelectionContext::new(&net, &q);
-        let sel = indexed.select(&ctx);
-        assert_bitwise_eq(&plain.select(&ctx), &sel);
+        assert_oracle(&indexed, &ctx, par::global());
         let stats = indexed.index_stats();
         assert_eq!((stats.rebuilds, stats.patches), (1, 1));
 
-        let after = snapshot(&indexed);
+        let after = index.built();
         // `before` was still held, so the patch cloned the build: the
         // layout is the same, and every block but the victim's is the
         // same allocation.
@@ -625,85 +507,56 @@ mod tests {
         let block = after.clusters[domain].get().unwrap();
         let i = slot % after.index.domain_size();
         assert_eq!((block.offsets[i + 1] - block.offsets[i]) as usize, k_after);
-        // The ranking came off the regathered block: K' / K over the new K.
-        let (want, _) = plain.score_node(net.node(NodeId(victim)), &q);
-        let got = sel
-            .participants
-            .iter()
-            .find(|p| p.node == NodeId(victim))
-            .expect("the query selects the victim");
-        assert_eq!(got.ranking.to_bits(), want.to_bits());
     }
 
-    #[test]
-    fn membership_growth_triggers_rebuild() {
-        let mut net = network(5);
-        let plain = QueryDriven::top_l(4);
-        let indexed = IndexedQueryDriven::with_defaults(plain.clone());
-        let q = Query::from_boundary_vec(0, &[0.0, 45.0, 0.0, 45.0]);
-        indexed.select(&SelectionContext::new(&net, &q));
-        let id = net.add_node("late", node_dataset(18.0), 1.0);
-        net.node_mut(id).quantize(3, 5);
-        let ctx = SelectionContext::new(&net, &q);
-        assert_bitwise_eq(&plain.select(&ctx), &indexed.select(&ctx));
-        assert_eq!(indexed.index_stats().rebuilds, 2);
-    }
-
+    /// With ε = 0 every cluster "supports" a distant query at zero
+    /// overlap under CountOnly, so pruning would drop real behaviour: a
+    /// policy with a grid falls back to scoring every node and never
+    /// builds its index.
     #[test]
     fn nonpositive_epsilon_falls_back_to_scan() {
         let net = network(8);
-        let plain = QueryDriven {
-            epsilon: 0.0,
-            cap: SelectionCap::TopL(4),
-            rule: RankingRule::CountOnly,
-        };
-        let indexed = IndexedQueryDriven::with_defaults(plain.clone());
-        // Distant query: with ε = 0 every cluster "supports" it at zero
-        // overlap under CountOnly — pruning would drop real behaviour.
+        let plain = QueryDriven::new(0.0, SelectionCap::TopL(4), RankingRule::CountOnly);
+        let indexed = plain.clone().indexed(GridConfig::default());
         let q = Query::from_boundary_vec(0, &[2000.0, 2010.0, 2000.0, 2010.0]);
         let ctx = SelectionContext::new(&net, &q);
-        assert_bitwise_eq(&plain.select(&ctx), &indexed.select(&ctx));
-        let stats = indexed.index_stats();
-        assert_eq!(stats.fallbacks, 1);
-        assert_eq!(stats.rebuilds, 0, "fallback never builds the index");
+        for policy in [&plain, &indexed] {
+            assert_oracle(policy, &ctx, par::global());
+            assert_eq!(policy.select(&ctx).len(), 4, "every node ranks");
+        }
+        assert_eq!(indexed.index_stats(), IndexStats::default());
     }
 
     #[test]
     fn cluster_blocks_are_gathered_only_for_domains_a_fused_select_verifies() {
         let net = network(40);
-        let grid = GridConfig {
-            domain_size: 4,
-            cells_per_dim: 0,
-        };
         let q = Query::from_boundary_vec(0, &[0.0, 30.0, 0.0, 30.0]);
-        let gathered = |indexed: &IndexedQueryDriven| {
-            let state = indexed.state.lock().unwrap();
-            let built = state.built.as_ref().unwrap();
+        let indexed = QueryDriven::top_l(3).indexed(SMALL_DOMAINS);
+        let index = indexed.index.as_ref().unwrap();
+        let gathered = || {
+            let built = index.built();
             built.clusters.iter().filter(|c| c.get().is_some()).count()
         };
-        let indexed = IndexedQueryDriven::new(QueryDriven::top_l(3), grid);
         indexed.select(&SelectionContext::new(&net, &q));
-        let after_one = gathered(&indexed);
+        let after_one = gathered();
         assert!(
             (1..10).contains(&after_one),
             "a narrow query gathers its own domains only, got {after_one}"
         );
         // The same query again gathers nothing.
         indexed.select(&SelectionContext::new(&net, &q));
-        assert_eq!(gathered(&indexed), after_one);
+        assert_eq!(gathered(), after_one);
+        // A clone starts unbuilt and still equals its original.
+        let copy = indexed.clone();
+        assert_eq!(copy, indexed);
+        assert_eq!(copy.index_stats(), IndexStats::default());
     }
 
     #[test]
     fn concurrent_selects_share_one_build_and_agree_with_the_scan() {
         let net = network(40);
         let plain = QueryDriven::top_l(5);
-        let indexed = IndexedQueryDriven::new(
-            plain.clone(),
-            GridConfig {
-                domain_size: 4,
-                cells_per_dim: 0,
-            },
-        );
+        let indexed = plain.clone().indexed(SMALL_DOMAINS);
         let pool = ThreadPool::new(2);
         // All four arrive at the unbuilt index together: one of them
         // builds it (and one the table), the rest wait and share it.
@@ -717,10 +570,8 @@ mod tests {
                         let off = ((t * 25 + i) % 60) as f64 * 7.0;
                         let q = Query::from_boundary_vec(i, &[off, off + 20.0, off, off + 20.0]);
                         let ctx = SelectionContext::new(net, &q);
-                        assert_bitwise_eq(
-                            &plain.select_with_pool(&ctx, pool),
-                            &indexed.select_with_pool(&ctx, pool),
-                        );
+                        assert_oracle(plain, &ctx, pool);
+                        assert_oracle(indexed, &ctx, pool);
                     }
                 });
             }
@@ -732,7 +583,7 @@ mod tests {
 
     #[test]
     fn name_does_not_fork_on_indexing() {
-        let indexed = IndexedQueryDriven::with_defaults(QueryDriven::top_l(3));
+        let indexed = QueryDriven::top_l(3).indexed(GridConfig::default());
         assert_eq!(indexed.name(), "query-driven");
     }
 }

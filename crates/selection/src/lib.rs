@@ -23,16 +23,16 @@
 //! [`Selection`] structure, so the distributed-learning loop is policy
 //! agnostic.
 //!
-//! [`IndexedQueryDriven`] prunes *candidate generation*: a
-//! deterministic two-level spatial index over per-node summary hulls
-//! ([`geom::index`]) feeds only the nodes that can possibly score into
-//! the Eq. 2–4 kernel — sublinear selection at fleet scale, bit-
-//! identical to the full scan — see [`indexed`].
+//! [`QueryDriven`] has two candidate sources and one scoring loop: it
+//! scores every node, or — built with [`QueryDriven::indexed`] — only
+//! the nodes a deterministic two-level spatial index over per-node
+//! summary hulls ([`geom::index`]) cannot rule out, which makes
+//! selection sublinear at fleet scale without changing what is
+//! selected — see [`indexed`].
 //!
-//! [`CachedQueryDriven`] puts a memo of answers in front of either
-//! path: a bit-exact repeat of a rectangle on an unchanged fleet gets
-//! the stored [`Selection`] back, everything else runs the path — see
-//! [`cache`].
+//! [`CachedQueryDriven`] puts a memo of answers in front of it: a
+//! bit-exact repeat of a rectangle on an unchanged fleet gets the stored
+//! [`Selection`] back, everything else runs the policy — see [`cache`].
 //!
 //! [`reference`] is Eq. 2–5 written out naively, the oracle the tests
 //! compare all of the above against.
@@ -49,7 +49,7 @@ pub mod reference;
 pub use baselines::{AllNodes, GameTheory, RandomSelection};
 pub use cache::{quantized_key, CacheConfig, CacheStats, CachedQueryDriven};
 pub use geom::index::GridConfig;
-pub use indexed::{IndexStats, IndexedQueryDriven};
+pub use indexed::IndexStats;
 pub use literature::{DataCentric, FairStochastic};
 pub use policy::{
     Participant, Ranked, Selection, SelectionContext, SelectionOverhead, SelectionPolicy,

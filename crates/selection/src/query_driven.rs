@@ -1,16 +1,24 @@
 //! The paper's query-driven node-selection mechanism (§III-C).
 
+use edgesim::EdgeNode;
+use geom::index::GridConfig;
 use par::ThreadPool;
 
+use crate::indexed::{DomainClusters, Index, IndexStats, Scored};
 use crate::policy::{
     Participant, Ranked, Selection, SelectionContext, SelectionPolicy, SupportingCluster,
 };
 
-/// Nodes per pool task when scoring a network. Fixed (independent of the
-/// worker count) so the scored list is identical for any pool; small
-/// because per-node scoring is `O(K·d)` — a few nodes amortise the task
-/// dispatch without starving wide pools on mid-sized networks.
-const NODE_CHUNK: usize = 8;
+/// Nodes per pool task on the every-node source. Fixed (independent of
+/// the worker count) so what each task produces does not depend on the
+/// pool. Each task gathers its chunk's cluster block into fresh scratch,
+/// which 64 nodes amortise: at 8 per task, the allocations made a 1M-node
+/// select 20–40 % slower than scoring straight off the summaries.
+const NODE_CHUNK: usize = 64;
+
+/// Surviving domains per pool task on the probed source, fixed for the
+/// same reason.
+const DOMAIN_CHUNK: usize = 4;
 
 /// How the ranked list is cut down to the participant set (Eq. 5 and the
 /// top-ℓ alternative the paper describes alongside it).
@@ -40,7 +48,13 @@ pub enum RankingRule {
 ///
 /// Only the nodes' cluster summaries are consulted — the leader-side cost
 /// is `O(N · K · d)` arithmetic and no data moves, matching the paper's
-/// "negligible calculations and communication" claim.
+/// "negligible calculations and communication" claim. With a grid
+/// ([`QueryDriven::indexed`]) and `ε > 0`, a spatial index drops the
+/// nodes that cannot score before any of that arithmetic; the selection
+/// is the same either way (see [`crate::indexed`]).
+///
+/// A clone starts with an unbuilt index, and equality compares ε, the
+/// cap, the rule and the grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryDriven {
     /// Overlap threshold ε: clusters with `h_ik >= ε` support the query.
@@ -49,26 +63,47 @@ pub struct QueryDriven {
     pub cap: SelectionCap,
     /// Ranking formula (Eq. 4 unless running an ablation).
     pub rule: RankingRule,
+    /// The probed-domain candidate source; `None` scores every node.
+    pub(crate) index: Option<Index>,
 }
 
 impl QueryDriven {
+    /// A policy scoring every node.
+    pub fn new(epsilon: f64, cap: SelectionCap, rule: RankingRule) -> Self {
+        Self {
+            epsilon,
+            cap,
+            rule,
+            index: None,
+        }
+    }
+
     /// The paper's configuration with a given ℓ: `ε = 0.05`, Eq. 4
     /// ranking, top-ℓ cut.
     pub fn top_l(l: usize) -> Self {
-        Self {
-            epsilon: 0.05,
-            cap: SelectionCap::TopL(l),
-            rule: RankingRule::PaperEq4,
-        }
+        Self::new(0.05, SelectionCap::TopL(l), RankingRule::PaperEq4)
     }
 
     /// Eq. 5 thresholding: all nodes with `r_i >= psi`.
     pub fn threshold(epsilon: f64, psi: f64) -> Self {
+        Self::new(epsilon, SelectionCap::Threshold(psi), RankingRule::PaperEq4)
+    }
+
+    /// The same policy with spatial-index candidate generation under
+    /// `grid`: while `ε > 0`, each select scores only the nodes whose
+    /// summary hull meets the query on some axis. The index builds on
+    /// first use and follows the fleet's summary epochs; one policy
+    /// indexes one network.
+    pub fn indexed(self, grid: GridConfig) -> Self {
         Self {
-            epsilon,
-            cap: SelectionCap::Threshold(psi),
-            rule: RankingRule::PaperEq4,
+            index: Some(Index::new(grid)),
+            ..self
         }
+    }
+
+    /// A snapshot of the index counters; all zero without a grid.
+    pub fn index_stats(&self) -> IndexStats {
+        self.index.as_ref().map(Index::stats).unwrap_or_default()
     }
 
     /// Scores one node: `(ranking, supporting clusters)`.
@@ -77,11 +112,13 @@ impl QueryDriven {
     /// is also the order incremental training visits them.
     pub fn score_node(
         &self,
-        node: &edgesim::EdgeNode,
+        node: &EdgeNode,
         query: &geom::Query,
     ) -> (f64, Vec<SupportingCluster>) {
         let mut supporting = Vec::new();
-        let overlaps = summary_overlaps(node, query);
+        let overlaps = quantized_summaries(node)
+            .iter()
+            .map(|s| (s.cluster_id, s.size, query.region().overlap_rate(&s.rect)));
         let ranking = self.rank_clusters(overlaps.len(), overlaps, &mut supporting);
         (ranking, supporting)
     }
@@ -94,17 +131,17 @@ impl QueryDriven {
     /// the node supports the query iff the ranking is positive, which
     /// under every rule needs at least one supporting cluster.
     ///
-    /// The one Eq. 3/4 kernel: the scan, the fused index path
-    /// ([`crate::indexed`]) and [`QueryDriven::score_node`] all call it,
-    /// so identical overlaps give bit-identical rankings and clusters.
+    /// The one Eq. 3/4 kernel: the scoring loop and
+    /// [`QueryDriven::score_node`] both call it, so identical overlaps
+    /// give bit-identical rankings and clusters.
     ///
     /// Non-finite overlaps are defensively skipped instead of reaching
     /// the `partial_cmp` sorts downstream — a poisoned summary must cost
-    /// one cluster, not panic the whole selection. The kernels count
-    /// them (`qens_selection_nonfinite_scores_total`, in
-    /// [`count_scored`]), once per scored cluster: re-scoring a node
-    /// through [`QueryDriven::score_node`] for the cut or a promotion
-    /// counts nothing again.
+    /// one cluster, not panic the whole selection. The scoring loop
+    /// counts them (`qens_selection_nonfinite_scores_total`), once per
+    /// scored cluster: re-scoring a node through
+    /// [`QueryDriven::score_node`] for the cut or a promotion counts
+    /// nothing again.
     pub(crate) fn rank_clusters(
         &self,
         k_total: usize,
@@ -137,71 +174,75 @@ impl QueryDriven {
         }
     }
 
-    /// [`SelectionPolicy::select`] on an explicit pool handle: the
-    /// leader's `O(N·K·d)` Eq. 2–4 kernel ranks nodes on fixed chunks
-    /// of the node list, one supporting-cluster scratch buffer per
-    /// chunk, and keeps `(node, r_i)` for every node that supports the
-    /// query; [`QueryDriven::rank_and_cap`] sorts and cuts. The chunks
-    /// come back in node order, so the ranked list is bit-identical for
-    /// any worker count. Telemetry counters are relaxed atomic adds,
-    /// so their totals are scheduling-independent too.
+    /// [`SelectionPolicy::select`] on an explicit pool handle: one of
+    /// two candidate sources ([`crate::indexed`]) feeds fixed chunks of
+    /// nodes or of surviving domains through one scoring loop, and
+    /// [`QueryDriven::rank_and_cap`] sorts and cuts — the same selection
+    /// and counter totals for any worker count.
     pub fn select_with_pool(&self, ctx: &SelectionContext<'_>, pool: &ThreadPool) -> Selection {
         let _span = telemetry::span!("qens_selection_select_nanos");
         let nodes = ctx.network.nodes();
         // Leader-side deterministic trace: the ranked list is
         // bit-identical for any pool, so this span (and the `ranked`
-        // instant below) may record on the logical clock.
+        // instant in rank_and_cap) may record on the logical clock.
         let _trace_span =
             telemetry::trace::span_args("selection.select", &[("nodes", nodes.len() as u64)]);
-        let chunks: Vec<Vec<Ranked>> = pool.map_chunks(nodes.len(), NODE_CHUNK, |chunk| {
-            let (mut ranked, mut supporting) = (Vec::new(), Vec::new());
-            let (mut evals, mut kept, mut nonfinite) = (0u64, 0u64, 0u64);
-            for node in &nodes[chunk] {
-                // Scoring runs on pool workers, so the per-node span is
-                // wall-mode only (inert on the logical clock).
-                let _trace_score = telemetry::trace::wall_span_args(
-                    "selection.score_node",
-                    &[("node", node.id().0 as u64)],
-                );
-                let overlaps = summary_overlaps(node, ctx.query)
-                    .inspect(|&(_, _, h)| nonfinite += u64::from(!h.is_finite()));
-                evals += overlaps.len() as u64;
-                let ranking = self.rank_clusters(overlaps.len(), overlaps, &mut supporting);
-                kept += supporting.len() as u64;
-                if ranking > 0.0 {
-                    ranked.push(Ranked {
-                        node: node.id(),
-                        ranking,
-                    });
-                }
+        let region = ctx.query.region();
+        let dims = ctx.query.dim();
+        // With ε <= 0 a cluster the index prunes still passes `h >= ε`,
+        // so only the every-node source is exact.
+        let tasks: Vec<Scored> = match self.index.as_ref().filter(|_| self.epsilon > 0.0) {
+            // Probed domains: each surviving domain's hull hits, scored
+            // off the block kept with the index as verify finds them.
+            Some(index) => {
+                let built = index.current(ctx.network, dims);
+                let probe = built.index.probe(region);
+                let tasks = pool.map_chunks(probe.domains.len(), DOMAIN_CHUNK, |chunk| {
+                    let mut task = Scored::default();
+                    for &domain in &probe.domains[chunk] {
+                        let (first, end) = built.index.domain_items(domain);
+                        let ids = &built.index.slot_ids()[first..end];
+                        let block = built.block(domain, nodes);
+                        built
+                            .index
+                            .verify_slots(domain, &probe.q_lo, &probe.q_hi, |slot| {
+                                block.score(self, ids, [slot - first], nodes, region, &mut task)
+                            });
+                    }
+                    task
+                });
+                index.record_probe(&probe, tasks.iter().map(|t| t.candidates).sum());
+                tasks
             }
-            count_scored(evals, kept, nonfinite);
-            ranked
-        });
-        self.rank_and_cap(ctx, chunks.concat())
+            // Every node: each chunk's block is gathered into the task's
+            // own scratch and dropped with it.
+            None => pool.map_chunks(nodes.len(), NODE_CHUNK, |chunk| {
+                let ids: Vec<u32> = chunk
+                    .map(|id| u32::try_from(id).expect("node ids fit 32 bits"))
+                    .collect();
+                let block = DomainClusters::gather(&ids, nodes, dims);
+                let mut task = Scored::default();
+                block.score(self, &ids, 0..ids.len(), nodes, region, &mut task);
+                task
+            }),
+        };
+        let ranked: Vec<Vec<Ranked>> = tasks.into_iter().map(Scored::finish).collect();
+        self.rank_and_cap(ctx, ranked.concat())
     }
 
     /// The leader-serial ranking phase: takes the supporting nodes'
-    /// `(node, r_i)` entries (in whatever order the caller scored them),
+    /// `(node, r_i)` entries (in whatever order the sources scored them),
     /// sorts best-ranked first, applies the cap and builds a
     /// [`Participant`] — supporting clusters and all, through
     /// [`QueryDriven::score_node`] — for the entries above the cut only.
-    /// Shared with [`crate::indexed`], which feeds it entries ranked off
-    /// the index's cluster table — going through the identical sort and
-    /// split is what makes its selections bit-identical to the scan's.
     ///
-    /// The sort key is total: the kernels only let strictly positive
-    /// rankings through (so `total_cmp` orders them exactly as
+    /// The sort key is total: the scoring loop only lets strictly
+    /// positive rankings through (so `total_cmp` orders them exactly as
     /// `partial_cmp` would, with no NaN case to panic on) and node ids
     /// are unique, so no two entries compare equal and the result does
     /// not depend on the input order — which is why an unstable sort is
-    /// enough and why the indexed path need not score in ascending node
-    /// id.
-    pub(crate) fn rank_and_cap(
-        &self,
-        ctx: &SelectionContext<'_>,
-        mut ranked: Vec<Ranked>,
-    ) -> Selection {
+    /// enough and why neither source need score in ascending node id.
+    fn rank_and_cap(&self, ctx: &SelectionContext<'_>, mut ranked: Vec<Ranked>) -> Selection {
         // Ranking phase (sort + cap split) — leader-serial, so the span
         // may record on the logical clock and the profiler can separate
         // scoring time from ranking time.
@@ -276,13 +317,8 @@ impl SelectionPolicy for QueryDriven {
     }
 }
 
-/// The `(cluster_id, size, h_ik)` of every summary of `node` against
-/// `query`, in summary order, as [`QueryDriven::rank_clusters`] takes
-/// them.
-fn summary_overlaps<'a>(
-    node: &'a edgesim::EdgeNode,
-    query: &'a geom::Query,
-) -> impl ExactSizeIterator<Item = (usize, usize, f64)> + 'a {
+/// The node's cluster summaries, after checking it has any.
+pub(crate) fn quantized_summaries(node: &EdgeNode) -> &[cluster::ClusterSummary] {
     // The quantisation check must run *before* any summary access: if
     // it came second, a summaries() implementation that itself panics on
     // an unquantized node would mask the friendly "call quantize_all
@@ -293,36 +329,14 @@ fn summary_overlaps<'a>(
         node.id()
     );
     node.summaries()
-        .iter()
-        .map(|s| (s.cluster_id, s.size, query.region().overlap_rate(&s.rect)))
-}
-
-/// Counts one kernel chunk's work: `evals` per-cluster overlaps
-/// evaluated, `supporting` of them at or above ε, `nonfinite` of them
-/// skipped as NaN or infinite.
-pub(crate) fn count_scored(evals: u64, supporting: u64, nonfinite: u64) {
-    telemetry::counter!("qens_selection_overlap_evals_total").add(evals);
-    telemetry::counter!("qens_selection_supporting_clusters_total").add(supporting);
-    if nonfinite > 0 {
-        telemetry::counter!("qens_selection_nonfinite_scores_total").add(nonfinite);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::fixtures::{assert_oracle, node_dataset};
     use edgesim::{EdgeNetwork, NodeId};
     use geom::Query;
-    use linalg::Matrix;
-    use mlkit::DenseDataset;
-
-    /// Node whose joint data occupies `[x0, x0+20] x [x0, x0+20]`
-    /// (y = x), with enough spread for 3 clusters.
-    fn node_dataset(x0: f64) -> DenseDataset {
-        let rows: Vec<Vec<f64>> = (0..60).map(|i| vec![x0 + i as f64 / 3.0]).collect();
-        let y: Vec<f64> = rows.iter().map(|r| r[0]).collect();
-        DenseDataset::new(Matrix::from_rows(&rows), y)
-    }
 
     fn network() -> EdgeNetwork {
         let mut net = EdgeNetwork::from_datasets(vec![
@@ -403,12 +417,8 @@ mod tests {
         let net = network();
         let query = Query::from_boundary_vec(0, &[0.0, 22.0, 0.0, 22.0]);
         let ctx = SelectionContext::new(&net, &query);
-        let all = QueryDriven {
-            epsilon: 0.05,
-            cap: SelectionCap::AllPositive,
-            rule: RankingRule::PaperEq4,
-        }
-        .select(&ctx);
+        let all =
+            QueryDriven::new(0.05, SelectionCap::AllPositive, RankingRule::PaperEq4).select(&ctx);
         assert!(all.len() >= 2);
         let psi = all.participants[0].ranking * 0.99;
         let sel = QueryDriven::threshold(0.05, psi).select(&ctx);
@@ -417,32 +427,6 @@ mod tests {
         for p in &sel.standby {
             assert!(p.ranking < psi && p.ranking > 0.0);
         }
-    }
-
-    #[test]
-    fn threshold_cap_filters_by_psi() {
-        let net = network();
-        // Asymmetric query: mostly over node 0, partially over node 1.
-        let query = Query::from_boundary_vec(0, &[0.0, 22.0, 0.0, 22.0]);
-        let all = QueryDriven {
-            epsilon: 0.05,
-            cap: SelectionCap::AllPositive,
-            rule: RankingRule::PaperEq4,
-        }
-        .select(&SelectionContext::new(&net, &query));
-        assert!(all.len() >= 2);
-        assert!(
-            all.participants[0].ranking > all.participants[1].ranking,
-            "query should rank node 0 strictly above node 1"
-        );
-        let max_rank = all.participants[0].ranking;
-        let sel = QueryDriven::threshold(0.05, max_rank * 0.99)
-            .select(&SelectionContext::new(&net, &query));
-        assert_eq!(
-            sel.len(),
-            1,
-            "psi just under the max ranking keeps only the best node"
-        );
     }
 
     #[test]
@@ -477,24 +461,17 @@ mod tests {
     fn eq4_ranking_multiplies_potential_by_fraction() {
         let net = network();
         let query = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 15.0]);
-        let node = net.node(NodeId(0));
-        let paper = QueryDriven::top_l(3);
-        let (r_paper, sup) = paper.score_node(node, &query);
-        let potential: f64 = sup.iter().map(|c| c.overlap).sum();
-        let fraction = sup.len() as f64 / node.k() as f64;
-        assert!((r_paper - potential * fraction).abs() < 1e-12);
-        let (r_pot, _) = QueryDriven {
-            rule: RankingRule::PotentialOnly,
-            ..paper.clone()
+        let ctx = SelectionContext::new(&net, &query);
+        // The oracle spells each rule out: Eq. 4's `p_i · K'/K` and the
+        // ablations' `p_i` and `K'/K`.
+        for rule in [
+            RankingRule::PaperEq4,
+            RankingRule::PotentialOnly,
+            RankingRule::CountOnly,
+        ] {
+            let policy = QueryDriven::new(0.05, SelectionCap::AllPositive, rule);
+            assert_oracle(&policy, &ctx, &policy.select(&ctx));
         }
-        .score_node(node, &query);
-        assert!((r_pot - potential).abs() < 1e-12);
-        let (r_cnt, _) = QueryDriven {
-            rule: RankingRule::CountOnly,
-            ..paper
-        }
-        .score_node(node, &query);
-        assert!((r_cnt - fraction).abs() < 1e-12);
     }
 
     #[test]
@@ -528,16 +505,13 @@ mod tests {
     fn selection_is_bit_identical_across_pool_sizes() {
         // More nodes than NODE_CHUNK so the pooled path really fans out.
         let mut datasets = Vec::new();
-        for i in 0..20 {
+        for i in 0..150 {
             datasets.push((format!("n{i}"), node_dataset(i as f64 * 1.5)));
         }
         let mut net = EdgeNetwork::from_datasets(datasets);
         net.quantize_all(3, 5);
         let query = Query::from_boundary_vec(0, &[0.0, 30.0, 0.0, 30.0]);
-        let policy = QueryDriven {
-            cap: SelectionCap::AllPositive,
-            ..QueryDriven::top_l(20)
-        };
+        let policy = QueryDriven::new(0.05, SelectionCap::AllPositive, RankingRule::PaperEq4);
         let ctx = SelectionContext::new(&net, &query);
         let serial = policy.select_with_pool(&ctx, &par::ThreadPool::new(1));
         assert!(serial.len() >= 2, "query must rank several nodes");

@@ -1,5 +1,5 @@
 //! Eq. 2–5 of the paper written out naively: the oracle every fast
-//! path (scan, index, memo, pool) is tested against. One loop, no pool,
+//! path (either candidate source, memo, pool) is tested against. One loop, no pool,
 //! no telemetry, and deliberately no helper shared with [`QueryDriven`]
 //! or `geom`'s overlap code — if this file and a fast path disagree,
 //! read this file against §III-C first.
@@ -10,7 +10,7 @@ use edgesim::EdgeNetwork;
 use geom::Query;
 
 use crate::policy::{Participant, Ranked, Selection, SupportingCluster};
-use crate::query_driven::SelectionCap;
+use crate::query_driven::{RankingRule, SelectionCap};
 
 /// The five overlap cases of Fig. 3–4 on one dimension. A zero-width
 /// interval overlaps by membership (1 inside or touching, else 0)
@@ -36,9 +36,15 @@ fn overlap_1d(q_lo: f64, q_hi: f64, k_lo: f64, k_hi: f64) -> f64 {
 /// Every node that supports the query, best-ranked first, each with its
 /// supporting clusters: `h_ik` per cluster (Eq. 2), supporting clusters
 /// `h_ik ≥ ε`, potential `p_i` (Eq. 3), ranking `r_i = p_i · K′/K`
-/// (Eq. 4), equal rankings ordered by node id. What a standby entry
-/// must become when a round promotes it is its entry here.
-pub fn ranked(network: &EdgeNetwork, query: &Query, epsilon: f64) -> Vec<Participant> {
+/// (Eq. 4) or one of the ablations' `p_i` and `K′/K`, equal rankings
+/// ordered by node id. What a standby entry must become when a round
+/// promotes it is its entry here.
+pub fn ranked(
+    network: &EdgeNetwork,
+    query: &Query,
+    epsilon: f64,
+    rule: RankingRule,
+) -> Vec<Participant> {
     let q = query.region().to_boundary_vec();
     let dims = q.len() / 2;
     let mut ranked = Vec::new();
@@ -66,7 +72,12 @@ pub fn ranked(network: &EdgeNetwork, query: &Query, epsilon: f64) -> Vec<Partici
         for cluster in &supporting {
             potential += cluster.overlap;
         }
-        let ranking = potential * (supporting.len() as f64 / node.summaries().len() as f64);
+        let fraction = supporting.len() as f64 / node.summaries().len() as f64;
+        let ranking = match rule {
+            RankingRule::PaperEq4 => potential * fraction,
+            RankingRule::PotentialOnly => potential,
+            RankingRule::CountOnly => fraction,
+        };
         if ranking > 0.0 {
             ranked.push(Participant {
                 node: node.id(),
@@ -86,8 +97,14 @@ pub fn ranked(network: &EdgeNetwork, query: &Query, epsilon: f64) -> Vec<Partici
 /// The paper's selection for one query: [`ranked`], then the top-ℓ or
 /// `r_i ≥ ψ` cut (Eq. 5); the tail behind the cut keeps node and
 /// ranking only.
-pub fn select(network: &EdgeNetwork, query: &Query, epsilon: f64, cap: SelectionCap) -> Selection {
-    let mut participants = ranked(network, query, epsilon);
+pub fn select(
+    network: &EdgeNetwork,
+    query: &Query,
+    epsilon: f64,
+    cap: SelectionCap,
+    rule: RankingRule,
+) -> Selection {
+    let mut participants = ranked(network, query, epsilon, rule);
     let keep = match cap {
         SelectionCap::TopL(l) => l.min(participants.len()),
         SelectionCap::Threshold(psi) => participants.iter().filter(|p| p.ranking >= psi).count(),
@@ -104,5 +121,55 @@ pub fn select(network: &EdgeNetwork, query: &Query, epsilon: f64, cap: Selection
     Selection {
         participants,
         standby,
+    }
+}
+
+/// Unit-test fixtures: a toy fleet and the bitwise check against the
+/// oracle.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use edgesim::EdgeNetwork;
+    use linalg::Matrix;
+    use mlkit::DenseDataset;
+
+    use crate::{QueryDriven, Selection, SelectionContext};
+
+    /// A node whose joint data lies on `y = x` over `[x0, x0 + 20]`,
+    /// with enough spread for 3 clusters.
+    pub(crate) fn node_dataset(x0: f64) -> DenseDataset {
+        let rows: Vec<Vec<f64>> = (0..60).map(|i| vec![x0 + i as f64 / 3.0]).collect();
+        let y: Vec<f64> = rows.iter().map(|r| r[0]).collect();
+        DenseDataset::new(Matrix::from_rows(&rows), y)
+    }
+
+    /// `n` such nodes `spacing` apart, quantised to K = 3.
+    pub(crate) fn network(n: usize, spacing: f64) -> EdgeNetwork {
+        let datasets = (0..n)
+            .map(|i| (format!("n{i}"), node_dataset(i as f64 * spacing)))
+            .collect();
+        let mut net = EdgeNetwork::from_datasets(datasets);
+        net.quantize_all(3, 5);
+        net
+    }
+
+    /// `got` is what the oracle selects for `ctx` under `policy`'s
+    /// configuration, every float bit for bit.
+    pub(crate) fn assert_oracle(policy: &QueryDriven, ctx: &SelectionContext<'_>, got: &Selection) {
+        let want = super::select(
+            ctx.network,
+            ctx.query,
+            policy.epsilon,
+            policy.cap,
+            policy.rule,
+        );
+        assert_eq!(&want, got);
+        let bits = |s: &Selection| -> Vec<u64> {
+            let participants = s.participants.iter().flat_map(|p| {
+                std::iter::once(p.ranking).chain(p.supporting_clusters.iter().map(|c| c.overlap))
+            });
+            let standby = s.standby.iter().map(|r| r.ranking);
+            participants.chain(standby).map(f64::to_bits).collect()
+        };
+        assert_eq!(bits(&want), bits(got));
     }
 }

@@ -6,8 +6,8 @@ use edgesim::EdgeNetwork;
 use geom::Query;
 use linalg::rng::{rng_for, Rng};
 use selection::{
-    AllNodes, DataCentric, FairStochastic, QueryDriven, RandomSelection, SelectionContext,
-    SelectionPolicy, WithoutSelectivity,
+    AllNodes, DataCentric, FairStochastic, QueryDriven, RandomSelection, RankingRule, SelectionCap,
+    SelectionContext, SelectionPolicy, WithoutSelectivity,
 };
 
 const CASES: usize = 24;
@@ -102,10 +102,7 @@ fn growing_the_query_never_drops_a_node() {
         let space = net.global_space();
         let small = Query::new(0, space.clone());
         let big = Query::new(1, space.expanded(10.0));
-        let policy = QueryDriven {
-            epsilon: 1e-9,
-            ..QueryDriven::top_l(net.len())
-        };
+        let policy = QueryDriven::new(1e-9, SelectionCap::TopL(net.len()), RankingRule::PaperEq4);
         let sel_small = policy.select(&SelectionContext::new(&net, &small));
         let sel_big = policy.select(&SelectionContext::new(&net, &big));
         // With epsilon ~ 0, any node supported by the small query is

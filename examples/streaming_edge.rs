@@ -55,10 +55,7 @@ fn main() {
 
     // Mutable copy of the network we evolve over rounds.
     let mut network = fed.network().clone();
-    let policy = QueryDriven {
-        epsilon: 0.05,
-        ..QueryDriven::top_l(3)
-    };
+    let policy = QueryDriven::top_l(3);
 
     for round in 0..5u64 {
         // Fresh data arrives: the drifting node's range walks toward the

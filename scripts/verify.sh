@@ -37,45 +37,35 @@
 #   9. profiler seed-stability: `repro profile` is run under
 #      QENS_THREADS=1 and QENS_THREADS=4 and the logical-clock folded
 #      stacks and SVG flamegraph must be byte-identical,
-#  10. the selection-memo integration tests re-run under QENS_THREADS=2
-#      (what the memo answers must not depend on the pool its misses ran
-#      on),
-#  11. the serving smoke (`repro load --smoke`): spawns a real server on
+#  10. the serving smoke (`repro load --smoke`): spawns a real server on
 #      an ephemeral port, drives it with concurrent keep-alive clients
 #      while scraping /metrics, /cache, /nodes and /events, and asserts
 #      the telemetry ledger matches the queries served,
-#  12. fleet-observability seed-stability: `repro fleet` is run under
+#  11. fleet-observability seed-stability: `repro fleet` is run under
 #      QENS_THREADS=1 and QENS_THREADS=4 and both results/fleet.json
 #      (scorecards + skew + logical journal tail) and
 #      results/fig10_fleet_skew.csv must be byte-identical — every
 #      scorecard field in the export is integer or leader-serial
 #      simulated time, so the fleet registry honours the same
 #      determinism contract as the fault and trace subsystems,
-#  13. spatial-index transparency and the fig7 series: `repro fig7` and
-#      the fault/trace smoke are run with the index off and again with
-#      QENS_INDEX=1 and the figure CSVs plus results/fault_trace.json
-#      must be byte-identical — the index may change how a selection is
-#      computed, never what is selected — and both fig7 CSVs must also
-#      match the checked-out copies byte for byte, so a training change
-#      that moved both sides alike still fails (tier-1 covers the LR
-#      series only; the NN series is too slow for the debug profile);
-#      plus the indexed-selection integration tests re-run under
-#      QENS_THREADS=2; the plain smoke runs last, so the
-#      results/trace.json it leaves is the committed one,
-#  14. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
-#      nodes, scan vs indexed, bit-identity asserted inside the sweep)
+#  12. the fig7 series: both CSVs `repro fig7` writes must match the
+#      checked-out copies byte for byte (tier-1 covers the LR series
+#      only; the NN series is too slow for the debug profile),
+#  13. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
+#      nodes, every node vs the index's probed domains, bit-identity
+#      asserted inside the sweep)
 #      is run under QENS_THREADS=1 and QENS_THREADS=4 and
 #      results/fig11_scale.csv must be byte-identical (the CSV is
 #      structural counters + selection hashes, never wall clock),
-#  15. the repo benchmark's own unit tests (`benchmark/` is a workspace
+#  14. the repo benchmark's own unit tests (`benchmark/` is a workspace
 #      of its own, so step 2 never sees them); this runs them only —
 #      `BENCHMARK.json` and `benchmark/` are the driver's contract and
 #      are measured by the driver, not here,
-#  16. one 3 s run of the repo benchmark's `serve_closed` workload (run
+#  15. one 3 s run of the repo benchmark's `serve_closed` workload (run
 #      only, nothing under `benchmark/` is edited): fails unless no
 #      operation failed and the keep-alive p50 is under 5 ms — a reply
 #      that leaves as two writes reads 44 ms there,
-#  17. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
+#  16. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
 #      only). The plain run fails unless no operation failed and peak
 #      RSS is under 300 MB: the 20k-node fleet alone is ~100 MB, so
 #      per-entry memo state that scales with the fleet (1.4 GB when
@@ -137,9 +127,6 @@ cmp results/profile.svg results/profile.svg.t1 \
 rm -f results/profile.folded.t1 results/profile.svg.t1
 echo "folded stacks + flamegraph are thread-count stable"
 
-echo "==> selection-memo tests under QENS_THREADS=2"
-QENS_THREADS=2 cargo test -q --offline -p qens --test selection_cache
-
 echo "==> repro load --smoke (live serving: keep-alive clients + concurrent scrapes)"
 cargo run -q -p bench --bin repro --release --offline -- load --smoke
 
@@ -155,34 +142,16 @@ cmp results/fig10_fleet_skew.csv results/fig10_fleet_skew.t1.csv \
 rm -f results/fleet.t1.json results/fig10_fleet_skew.t1.csv
 echo "fleet scorecards + journal are thread-count stable"
 
-echo "==> spatial-index transparency (fig7 + fault trace byte-identical with QENS_INDEX=0 vs 1; fig7 as committed)"
+echo "==> fig7 series as committed"
 cp results/fig7_lr.csv results/fig7_lr.committed.csv
 cp results/fig7_nn.csv results/fig7_nn.committed.csv
-QENS_INDEX=0 cargo run -q -p bench --bin repro --release --offline -- fig7 > /dev/null
-cp results/fig7_lr.csv results/fig7_lr.noindex.csv
-cp results/fig7_nn.csv results/fig7_nn.noindex.csv
-QENS_INDEX=1 cargo run -q -p bench --bin repro --release --offline -- fig7 > /dev/null
-cmp results/fig7_lr.csv results/fig7_lr.noindex.csv \
-  || { echo "FAIL: fig7 LR series differs with the spatial index on"; exit 1; }
-cmp results/fig7_nn.csv results/fig7_nn.noindex.csv \
-  || { echo "FAIL: fig7 NN series differs with the spatial index on"; exit 1; }
+cargo run -q -p bench --bin repro --release --offline -- fig7 > /dev/null
 cmp results/fig7_lr.csv results/fig7_lr.committed.csv \
   || { echo "FAIL: fig7 LR series differs from results/fig7_lr.csv as committed"; exit 1; }
 cmp results/fig7_nn.csv results/fig7_nn.committed.csv \
   || { echo "FAIL: fig7 NN series differs from results/fig7_nn.csv as committed"; exit 1; }
-rm -f results/fig7_{lr,nn}.noindex.csv results/fig7_{lr,nn}.committed.csv
-QENS_INDEX=1 cargo run -q -p bench --bin repro --release --offline -- --smoke > /dev/null
-cp results/fault_trace.json results/fault_trace.index.json
-# The default smoke (index off) runs last: its results/trace.json is the
-# committed one, and the indexed run traces a different span.
-cargo run -q -p bench --bin repro --release --offline -- --smoke > /dev/null
-cmp results/fault_trace.json results/fault_trace.index.json \
-  || { echo "FAIL: fault trace differs with the spatial index on"; exit 1; }
-rm -f results/fault_trace.index.json
-echo "fig7 series + fault trace are index-transparent; fig7 matches the committed series"
-
-echo "==> indexed-selection tests under QENS_THREADS=2"
-QENS_THREADS=2 cargo test -q --offline -p qens --test indexed_selection
+rm -f results/fig7_{lr,nn}.committed.csv
+echo "fig7 matches the committed series"
 
 echo "==> scaling-sweep seed-stability (fig11 byte-identical at QENS_THREADS=1 vs 4)"
 QENS_THREADS=1 cargo run -q -p bench --bin repro --release --offline -- scale > /dev/null

@@ -6,6 +6,7 @@
 use qens::airdata::scenario::{nodes_from_specs, NodeSpec};
 use qens::linalg::rng::{rng_for, Rng};
 use qens::prelude::*;
+use qens::selection::{RankingRule, SelectionCap};
 
 const CASES: usize = 16;
 
@@ -156,10 +157,7 @@ fn epsilon_is_monotone() {
         let bounds = fed.network().global_space().to_boundary_vec();
         let q = Query::from_boundary_vec(3, &bounds);
         let count = |eps: f64| {
-            let policy = QueryDriven {
-                epsilon: eps,
-                ..QueryDriven::top_l(10)
-            };
+            let policy = QueryDriven::new(eps, SelectionCap::TopL(10), RankingRule::PaperEq4);
             let ctx = SelectionContext::new(fed.network(), &q);
             policy
                 .select(&ctx)

@@ -1,36 +1,21 @@
-//! Integration tests for spatial-index candidate generation
-//! ([`qens::selection::IndexedQueryDriven`] and the memo composition
-//! [`CachedQueryDriven::with_index`]):
-//!
-//! * indexed and full-scan selections must be **bitwise identical** —
-//!   every ranking and every supporting-cluster overlap, participants
-//!   and standby tail alike — at any worker count (`QENS_THREADS` ∈
-//!   {1, 2, 4} in CI) and for every workload kind,
-//! * the memo+index composition must stay exact while still hitting,
-//! * summary churn (absorb + re-quantisation) must patch the index in
-//!   place and membership growth must rebuild it, each exactly once,
-//!   and both must stay exact,
-//! * the fused verify-and-score path (the cluster table in slot order)
-//!   must agree with the scan *and* with the naive reference
-//!   ([`qens::selection::reference`]) on the shapes a flat, offset-addressed
-//!   table and a top-ℓ cut are known to get wrong: differing and
-//!   changing K, zero-width rectangles, `h_ik == ε`, equal rankings
-//!   across the cut, a hull hit with every cluster disjoint, 32-bit
-//!   overflow of an id or size — and count exactly the candidates and
-//!   overlap evaluations the per-candidate `score_node` loop counted,
-//! * a poisoned (NaN-overlap) cluster is skipped and counted once per
-//!   scored cluster on both paths, however its node is later used,
-//! * a federation under a 0.2-dropout fault plan must produce the same
-//!   selections, fault trace and final cohort with the index on or off,
-//! * the `qens_index_*` counters must reach the Prometheus scrape
-//!   surface format-conformant, and the probe/rebuild trace instants
-//!   must land in the Chrome trace.
+//! Integration tests for the two candidate sources of `QueryDriven` —
+//! every node, and the spatial index's probed domains — and the memo
+//! over the indexed policy. Each is checked against the naive reference
+//! ([`qens::selection::reference`]), bit for bit and at any worker count,
+//! on every workload kind and on the shapes a flat, offset-addressed
+//! cluster table and a top-ℓ cut are known to get wrong: differing and
+//! changing K, zero-width rectangles, `h_ik == ε`, equal rankings across
+//! the cut, a hull hit with every cluster disjoint, 32-bit overflow of
+//! an id or size, NaN overlaps. Around that: the index patches on
+//! summary churn and rebuilds on a join, counts candidates as the
+//! per-candidate loop did, is transparent to a fault-plan federation,
+//! and reaches the Prometheus scrape and the Chrome trace.
 
 use qens::cluster::ClusterSummary;
 use qens::par::ThreadPool;
 use qens::prelude::*;
 use qens::selection::{
-    reference, GridConfig, IndexedQueryDriven, Participant, SelectionCap, SelectionPolicy,
+    reference, GridConfig, Participant, Ranked, RankingRule, SelectionCap, SelectionPolicy,
 };
 use qens::telemetry;
 use qens::workload::generate;
@@ -63,91 +48,79 @@ fn workload_of(kind: WorkloadKind, n_queries: usize, space: &HyperRect) -> Query
     )
 }
 
+/// Every float of these participants and standby rankings as bits:
+/// `==` alone would let a `-0.0` pass for `0.0`.
+fn bits<'a>(
+    participants: impl IntoIterator<Item = &'a Participant>,
+    standby: &[Ranked],
+) -> Vec<u64> {
+    let ranked = participants.into_iter().flat_map(|p| {
+        std::iter::once(p.ranking).chain(p.supporting_clusters.iter().map(|c| c.overlap))
+    });
+    ranked
+        .chain(standby.iter().map(|r| r.ranking))
+        .map(f64::to_bits)
+        .collect()
+}
+
 fn assert_bitwise_eq(a: &Selection, b: &Selection, what: &str) {
     assert_eq!(a, b, "{what}: selections diverge");
-    for (x, y) in a.standby.iter().zip(&b.standby) {
-        assert_eq!(
-            x.ranking.to_bits(),
-            y.ranking.to_bits(),
-            "{what}: standby ranking bits diverge on node {}",
-            x.node
-        );
-    }
-    for (x, y) in a.participants.iter().zip(&b.participants) {
-        assert_participant_bitwise_eq(x, y, what);
-    }
-}
-
-fn assert_participant_bitwise_eq(x: &Participant, y: &Participant, what: &str) {
-    assert_eq!(x, y, "{what}: participants diverge");
-    assert_eq!(
-        x.ranking.to_bits(),
-        y.ranking.to_bits(),
-        "{what}: ranking bits diverge on node {}",
-        x.node
+    let (x, y) = (
+        bits(&a.participants, &a.standby),
+        bits(&b.participants, &b.standby),
     );
-    for (cx, cy) in x.supporting_clusters.iter().zip(&y.supporting_clusters) {
-        assert_eq!(
-            cx.overlap.to_bits(),
-            cy.overlap.to_bits(),
-            "{what}: overlap bits diverge on node {} cluster {}",
-            x.node,
-            cx.cluster_id
-        );
+    assert_eq!(x, y, "{what}: float bits diverge");
+}
+
+/// What the oracle selects for `q` under `policy`'s configuration.
+fn oracle(net: &EdgeNetwork, policy: &QueryDriven, q: &Query) -> Selection {
+    reference::select(net, q, policy.epsilon, policy.cap, policy.rule)
+}
+
+/// Each policy selects what the oracle selects for every query, bit for
+/// bit, at pools of 1, 2 and 4 workers.
+fn assert_oracle(net: &EdgeNetwork, policies: &[&QueryDriven], queries: &[Query], what: &str) {
+    for threads in [1usize, 2, 4] {
+        let pool = ThreadPool::new(threads);
+        for q in queries {
+            let ctx = SelectionContext::new(net, q);
+            for policy in policies {
+                let what = format!("{what}: query {} at {threads} threads", q.id());
+                let got = policy.select_with_pool(&ctx, &pool);
+                assert_bitwise_eq(&oracle(net, policy, q), &got, &what);
+            }
+        }
     }
 }
 
-/// The acceptance contract (ISSUE 10): for a uniform, a drifting and a
-/// hotspot stream, the indexed policy returns a bitwise-identical
-/// `Selection` for every query at 1, 2 and 4 workers, re-using one
-/// built index across all thread counts — candidates generated under
-/// one pool schedule must serve under another.
+/// For a uniform, a drifting and a hotspot stream, both sources return
+/// the oracle's `Selection` for every query at 1, 2 and 4 workers, the
+/// indexed one re-using one built index across all thread counts —
+/// candidates generated under one pool schedule must serve under
+/// another.
 #[test]
 fn indexed_selections_are_bitwise_identical_across_threads_and_workloads() {
     let _g = lock();
     let net = network(4);
     let space = net.global_space();
-    let kinds: Vec<(&str, QueryWorkload)> = vec![
-        ("uniform", workload_of(WorkloadKind::Uniform, 60, &space)),
-        (
-            "drifting",
-            workload_of(
-                WorkloadKind::Drifting {
-                    step_frac: 0.02,
-                    spread_frac: 0.03,
-                },
-                200,
-                &space,
-            ),
-        ),
-        (
-            "hotspot",
-            workload_of(
-                WorkloadKind::Hotspot {
-                    hotspots: 3,
-                    spread_frac: 0.05,
-                },
-                60,
-                &space,
-            ),
-        ),
-    ];
+    let drifting = WorkloadKind::Drifting {
+        step_frac: 0.02,
+        spread_frac: 0.03,
+    };
+    let hotspot = WorkloadKind::Hotspot {
+        hotspots: 3,
+        spread_frac: 0.05,
+    };
+    let kinds = [
+        ("uniform", WorkloadKind::Uniform, 60),
+        ("drifting", drifting, 200),
+        ("hotspot", hotspot, 60),
+    ]
+    .map(|(name, kind, n)| (name, workload_of(kind, n, &space)));
     let plain = QueryDriven::top_l(3);
     for (name, wl) in &kinds {
-        let indexed = IndexedQueryDriven::new(plain.clone(), GridConfig::default());
-        for threads in [1usize, 2, 4] {
-            let pool = ThreadPool::new(threads);
-            for q in &wl.queries {
-                let ctx = SelectionContext::new(&net, q);
-                let want = plain.select_with_pool(&ctx, &pool);
-                let got = indexed.select_with_pool(&ctx, &pool);
-                assert_bitwise_eq(
-                    &want,
-                    &got,
-                    &format!("{name} query {} at {threads} threads", q.id()),
-                );
-            }
-        }
+        let indexed = plain.clone().indexed(GridConfig::default());
+        assert_oracle(&net, &[&plain, &indexed], &wl.queries, name);
         let stats = indexed.index_stats();
         assert_eq!(stats.rebuilds, 1, "{name}: one bulk build, no churn");
         assert_eq!(
@@ -155,14 +128,13 @@ fn indexed_selections_are_bitwise_identical_across_threads_and_workloads() {
             3 * wl.len() as u64,
             "{name}: every selection probes the index"
         );
-        assert_eq!(stats.fallbacks, 0, "{name}: ε > 0 never falls back");
     }
 }
 
 /// Memo over index: hits bypass candidate generation entirely, misses
 /// go through it — and the stream (a drifting walk in which every third
 /// query repeats the one before it bit for bit) is still served
-/// bit-identically to the plain scan and the reference.
+/// bit-identically to the reference.
 #[test]
 fn cache_and_index_compose_exactly() {
     let _g = lock();
@@ -177,8 +149,7 @@ fn cache_and_index_compose_exactly() {
         &space,
     );
     let plain = QueryDriven::top_l(3);
-    let both =
-        CachedQueryDriven::with_index(plain.clone(), CacheConfig::default(), GridConfig::default());
+    let both = CachedQueryDriven::new(plain.indexed(GridConfig::default()), CacheConfig::default());
     let pool = ThreadPool::new(2);
     for (i, q) in wl.queries.iter().enumerate() {
         let q = match i % 3 {
@@ -187,13 +158,15 @@ fn cache_and_index_compose_exactly() {
         };
         let ctx = SelectionContext::new(&net, &q);
         let what = format!("memo+index query {}", q.id());
-        let want = reference::select(&net, &q, plain.epsilon, plain.cap);
-        assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, &pool), &what);
-        assert_bitwise_eq(&want, &both.select_with_pool(&ctx, &pool), &what);
+        assert_bitwise_eq(
+            &oracle(&net, both.inner(), &q),
+            &both.select_with_pool(&ctx, &pool),
+            &what,
+        );
     }
     let cache = both.stats();
     assert_eq!((cache.hits, cache.misses), (40, 80), "{cache:?}");
-    let index = both.index_stats().expect("indexed memo exposes stats");
+    let index = both.inner().index_stats();
     assert_eq!(index.rebuilds, 1);
     assert_eq!(
         index.probes, cache.misses,
@@ -204,23 +177,17 @@ fn cache_and_index_compose_exactly() {
 /// Summary churn (absorb + re-quantisation) bumps one node's epoch and
 /// must patch the index in place, once; membership growth bumps the
 /// network's epoch and must rebuild it, once. Every selection before
-/// and after must still match the reference and the scan bitwise.
+/// and after must still match the reference bitwise.
 #[test]
 fn churn_patches_the_index_and_joins_rebuild_it() {
     let _g = lock();
     let mut net = network(9);
     let plain = QueryDriven::top_l(3);
-    let indexed = IndexedQueryDriven::new(plain.clone(), GridConfig::default());
+    let indexed = plain.clone().indexed(GridConfig::default());
     let space = net.global_space();
     let wl = workload_of(WorkloadKind::Uniform, 8, &space);
-    let pool = ThreadPool::new(2);
     let run_all = |net: &EdgeNetwork, what: &str| {
-        for q in &wl.queries {
-            let ctx = SelectionContext::new(net, q);
-            let want = reference::select(net, q, plain.epsilon, plain.cap);
-            assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, &pool), what);
-            assert_bitwise_eq(&want, &indexed.select_with_pool(&ctx, &pool), what);
-        }
+        assert_oracle(net, &[&plain, &indexed], &wl.queries, what);
     };
     let counts = || {
         let stats = indexed.index_stats();
@@ -306,7 +273,7 @@ fn fault_plan_is_index_transparent() {
 }
 
 /// The index counters must reach the scrape surface: after a stream
-/// that builds, probes, prunes and falls back, the Prometheus text
+/// that builds, probes, prunes and patches, the Prometheus text
 /// exposition carries a sample, HELP and TYPE for every `qens_index_*`
 /// counter, all format-conformant.
 #[test]
@@ -314,24 +281,13 @@ fn prometheus_export_covers_index_series() {
     let _g = lock();
     let mut net = network(11);
     telemetry::set_enabled(true);
-    let indexed = IndexedQueryDriven::new(QueryDriven::top_l(3), GridConfig::default());
+    let indexed = QueryDriven::top_l(3).indexed(GridConfig::default());
     let q0 = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 30.0]);
     let q1 = Query::from_boundary_vec(1, &[0.5, 15.5, 0.0, 30.0]);
     indexed.select(&SelectionContext::new(&net, &q0)); // build + probe
     indexed.select(&SelectionContext::new(&net, &q1)); // probe
     net.node_mut(NodeId(1)).quantize(4, 11);
     indexed.select(&SelectionContext::new(&net, &q1)); // patch + probe
-                                                       // ε <= 0 is the full-scan safety valve; one hit on the fallback
-                                                       // counter keeps that path observable too.
-    let eps0 = IndexedQueryDriven::new(
-        QueryDriven {
-            epsilon: 0.0,
-            ..QueryDriven::top_l(3)
-        },
-        GridConfig::default(),
-    );
-    eps0.select(&SelectionContext::new(&net, &q0));
-    assert_eq!(eps0.index_stats().fallbacks, 1);
     let text = telemetry::export::to_prometheus(&telemetry::global().snapshot());
     telemetry::set_enabled(false);
 
@@ -341,7 +297,6 @@ fn prometheus_export_covers_index_series() {
         "qens_index_cells_probed_total",
         "qens_index_domains_pruned_total",
         "qens_index_candidates_total",
-        "qens_index_fallbacks_total",
     ] {
         assert!(
             text.lines().any(|l| l.starts_with(series)),
@@ -385,7 +340,7 @@ fn trace_records_index_instants() {
     let mut net = network(5);
     telemetry::trace::set_mode(Some(telemetry::trace::Clock::Logical));
     telemetry::trace::clear();
-    let indexed = IndexedQueryDriven::new(QueryDriven::top_l(3), GridConfig::default());
+    let indexed = QueryDriven::top_l(3).indexed(GridConfig::default());
     let q = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 30.0]);
     indexed.select(&SelectionContext::new(&net, &q));
     net.node_mut(NodeId(0)).quantize(4, 5);
@@ -405,8 +360,8 @@ fn trace_records_index_instants() {
         "trace must record the probe"
     );
     assert!(
-        doc.contains("selection.select_indexed"),
-        "trace must record the indexed selection span"
+        doc.contains("\"name\":\"selection.select\""),
+        "trace must record the selection span, whichever the source"
     );
 }
 
@@ -427,7 +382,7 @@ fn summary_node(id: usize, rects: &[[f64; 4]]) -> EdgeNode {
 }
 
 /// Small domains, so that a few hundred nodes make dozens of domains
-/// and the fused path really fans out over `DOMAIN_CHUNK` tasks.
+/// and the probed source really fans out over `DOMAIN_CHUNK` tasks.
 const SMALL_DOMAINS: GridConfig = GridConfig {
     domain_size: 4,
     cells_per_dim: 0,
@@ -451,28 +406,6 @@ fn filler_nodes(first: usize, count: usize) -> Vec<EdgeNode> {
         .collect()
 }
 
-/// Scan and indexed selections of every query agree bit for bit with
-/// the naive reference — and so with each other — at pools of 1, 2 and
-/// 4 workers.
-fn assert_indexed_matches_scan(
-    net: &EdgeNetwork,
-    plain: &QueryDriven,
-    indexed: &IndexedQueryDriven,
-    queries: &[Query],
-    what: &str,
-) {
-    for threads in [1usize, 2, 4] {
-        let pool = ThreadPool::new(threads);
-        for q in queries {
-            let want = reference::select(net, q, plain.epsilon, plain.cap);
-            let ctx = SelectionContext::new(net, q);
-            let what = format!("{what}: query {} at {threads} threads", q.id());
-            assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, &pool), &what);
-            assert_bitwise_eq(&want, &indexed.select_with_pool(&ctx, &pool), &what);
-        }
-    }
-}
-
 /// Queries sliding over `[0, 200]²`, narrow and wide.
 fn sliding_queries() -> Vec<Query> {
     (0..24u64)
@@ -486,7 +419,7 @@ fn sliding_queries() -> Vec<Query> {
 
 /// The standby tail is `(node, r_i)` only, so what a round trains a
 /// promoted node on comes from `promote`: for every standby entry of
-/// the scan, the index and the memo (over the index, so the second pass
+/// either source and the memo (over the index, so the second pass
 /// is served from stored answers), at pools of 1 and 4 workers, it is
 /// the oracle's eager entry for that node bit for bit — node, ranking,
 /// cluster ids, overlaps and sizes.
@@ -495,14 +428,14 @@ fn promoted_standbys_match_the_oracles_entry() {
     let _g = lock();
     let net = EdgeNetwork::from_nodes(filler_nodes(0, 160));
     let plain = QueryDriven::top_l(2);
-    let index = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
-    let memo = CachedQueryDriven::with_index(plain.clone(), CacheConfig::default(), SMALL_DOMAINS);
+    let index = plain.clone().indexed(SMALL_DOMAINS);
+    let memo = CachedQueryDriven::new(index.clone(), CacheConfig::default());
     let mut promoted = 0usize;
     for threads in [1usize, 4] {
         let pool = ThreadPool::new(threads);
         for q in &sliding_queries() {
             let ctx = SelectionContext::new(&net, q);
-            let oracle = reference::ranked(&net, q, plain.epsilon);
+            let oracle = reference::ranked(&net, q, plain.epsilon, plain.rule);
             let runs: [(&str, Selection, &dyn SelectionPolicy); 3] = [
                 ("scan", plain.select_with_pool(&ctx, &pool), &plain),
                 ("index", index.select_with_pool(&ctx, &pool), &index),
@@ -512,7 +445,12 @@ fn promoted_standbys_match_the_oracles_entry() {
                 let what = format!("{name}: query {} at {threads} threads", q.id());
                 assert_eq!(sel.len() + sel.standby.len(), oracle.len(), "{what}");
                 for (r, want) in sel.standby.iter().zip(&oracle[sel.len()..]) {
-                    assert_participant_bitwise_eq(&policy.promote(&ctx, r), want, &what);
+                    let got = policy.promote(&ctx, r);
+                    assert_eq!(
+                        (&got, bits([&got], &[])),
+                        (want, bits([want], &[])),
+                        "{what}"
+                    );
                     promoted += 1;
                 }
             }
@@ -535,13 +473,10 @@ fn differing_and_changing_k_rebuilds_the_offsets() {
     }
     let ks: Vec<usize> = net.nodes().iter().map(EdgeNode::k).collect();
     assert!(ks.iter().any(|k| *k != ks[0]), "nodes must differ in K");
-    let plain = QueryDriven {
-        cap: SelectionCap::AllPositive,
-        ..QueryDriven::top_l(3)
-    };
-    let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
+    let plain = QueryDriven::new(0.05, SelectionCap::AllPositive, RankingRule::PaperEq4);
+    let indexed = plain.clone().indexed(SMALL_DOMAINS);
     let queries = workload_of(WorkloadKind::Uniform, 12, &net.global_space()).queries;
-    assert_indexed_matches_scan(&net, &plain, &indexed, &queries, "differing K");
+    assert_oracle(&net, &[&plain, &indexed], &queries, "differing K");
     assert_eq!(indexed.index_stats().rebuilds, 1);
 
     // More clusters on one node, fewer on another: every later slot's
@@ -549,7 +484,7 @@ fn differing_and_changing_k_rebuilds_the_offsets() {
     net.node_mut(NodeId(1)).quantize(ks[1] + 3, 5);
     net.node_mut(NodeId(4)).quantize(1, 5);
     assert_ne!(net.node(NodeId(1)).k(), ks[1]);
-    assert_indexed_matches_scan(&net, &plain, &indexed, &queries, "changed K");
+    assert_oracle(&net, &[&plain, &indexed], &queries, "changed K");
     let stats = indexed.index_stats();
     assert_eq!((stats.rebuilds, stats.patches), (1, 1));
 
@@ -562,7 +497,7 @@ fn differing_and_changing_k_rebuilds_the_offsets() {
     let id = net.add_node("late", late, 1.0);
     net.node_mut(id).quantize(3, 2);
     let queries = workload_of(WorkloadKind::Uniform, 12, &net.global_space()).queries;
-    assert_indexed_matches_scan(&net, &plain, &indexed, &queries, "after add_node");
+    assert_oracle(&net, &[&plain, &indexed], &queries, "after add_node");
     let stats = indexed.index_stats();
     assert_eq!((stats.rebuilds, stats.patches), (2, 1));
     let in_some_selection = queries.iter().any(|q| {
@@ -589,11 +524,8 @@ fn zero_width_cluster_rectangles_score_like_the_scan() {
     ];
     nodes.extend(filler_nodes(3, 120));
     let net = EdgeNetwork::from_nodes(nodes);
-    let plain = QueryDriven {
-        cap: SelectionCap::AllPositive,
-        ..QueryDriven::top_l(3)
-    };
-    let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
+    let plain = QueryDriven::new(0.05, SelectionCap::AllPositive, RankingRule::PaperEq4);
+    let indexed = plain.clone().indexed(SMALL_DOMAINS);
     let mut queries = sliding_queries();
     for (i, b) in [
         [45.0, 75.0, 50.0, 65.0], // covers the point and crosses both segments
@@ -606,7 +538,7 @@ fn zero_width_cluster_rectangles_score_like_the_scan() {
     {
         queries.push(Query::from_boundary_vec(100 + i as u64, b));
     }
-    assert_indexed_matches_scan(&net, &plain, &indexed, &queries, "zero width");
+    assert_oracle(&net, &[&plain, &indexed], &queries, "zero width");
     let covering = indexed.select(&SelectionContext::new(&net, &queries[24]));
     for node in 0..3 {
         assert!(
@@ -616,7 +548,7 @@ fn zero_width_cluster_rectangles_score_like_the_scan() {
     }
 }
 
-/// `h_ik == ε` exactly supports the query (`>=`), on both paths.
+/// `h_ik == ε` exactly supports the query (`>=`), on both sources.
 #[test]
 fn overlap_exactly_epsilon_supports_on_both_paths() {
     let _g = lock();
@@ -626,13 +558,9 @@ fn overlap_exactly_epsilon_supports_on_both_paths() {
     // Dimension 0: query inside cluster, 1/10; dimension 1: disjoint, 0.
     // The mean is 0.1 / 2, which is the double 0.05.
     let q = Query::from_boundary_vec(0, &[4.0, 5.0, 150.0, 151.0]);
-    let at = QueryDriven {
-        epsilon: 0.05,
-        cap: SelectionCap::AllPositive,
-        ..QueryDriven::top_l(1)
-    };
-    let indexed = IndexedQueryDriven::new(at.clone(), SMALL_DOMAINS);
-    assert_indexed_matches_scan(&net, &at, &indexed, std::slice::from_ref(&q), "h == ε");
+    let at = QueryDriven::new(0.05, SelectionCap::AllPositive, RankingRule::PaperEq4);
+    let indexed = at.clone().indexed(SMALL_DOMAINS);
+    assert_oracle(&net, &[&at, &indexed], std::slice::from_ref(&q), "h == ε");
     let sel = indexed.select(&SelectionContext::new(&net, &q));
     let p = sel
         .participants
@@ -645,12 +573,13 @@ fn overlap_exactly_epsilon_supports_on_both_paths() {
     );
 
     // One ulp above ε and the same cluster no longer supports.
-    let above = QueryDriven {
-        epsilon: f64::from_bits(0.05f64.to_bits() + 1),
-        ..at
-    };
-    let indexed = IndexedQueryDriven::new(above.clone(), SMALL_DOMAINS);
-    assert_indexed_matches_scan(&net, &above, &indexed, std::slice::from_ref(&q), "h < ε");
+    let above = QueryDriven::new(
+        f64::from_bits(0.05f64.to_bits() + 1),
+        SelectionCap::AllPositive,
+        RankingRule::PaperEq4,
+    );
+    let indexed = above.clone().indexed(SMALL_DOMAINS);
+    assert_oracle(&net, &[&above, &indexed], std::slice::from_ref(&q), "h < ε");
     let sel = indexed.select(&SelectionContext::new(&net, &q));
     assert!(sel.participants.iter().all(|p| p.node != NodeId(0)));
 }
@@ -679,8 +608,8 @@ fn equal_rankings_straddling_the_cut_break_by_node_id() {
     let q = Query::from_boundary_vec(0, &[101.0, 109.0, 101.0, 109.0]);
     for l in [1usize, 3, 4, 6, 9] {
         let plain = QueryDriven::top_l(l);
-        let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
-        assert_indexed_matches_scan(&net, &plain, &indexed, std::slice::from_ref(&q), "ties");
+        let indexed = plain.clone().indexed(SMALL_DOMAINS);
+        assert_oracle(&net, &[&plain, &indexed], std::slice::from_ref(&q), "ties");
         let sel = indexed.select(&SelectionContext::new(&net, &q));
         let ranked: Vec<(usize, f64)> = sel
             .participants
@@ -710,9 +639,9 @@ fn query_in_the_gap_between_clusters_is_a_candidate_but_not_a_participant() {
         summary_node(2, &[[300.0, 310.0, 300.0, 310.0]]),
     ]);
     let plain = QueryDriven::top_l(3);
-    let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
+    let indexed = plain.clone().indexed(SMALL_DOMAINS);
     let q = Query::from_boundary_vec(0, &[42.0, 48.0, 42.0, 48.0]);
-    assert_indexed_matches_scan(&net, &plain, &indexed, std::slice::from_ref(&q), "gap");
+    assert_oracle(&net, &[&plain, &indexed], std::slice::from_ref(&q), "gap");
     let before = indexed.index_stats().candidates;
     let sel = indexed.select(&SelectionContext::new(&net, &q));
     assert_eq!(
@@ -753,9 +682,9 @@ fn cluster_ids_and_sizes_beyond_32_bits_survive_the_table() {
     nodes.extend(filler_nodes(1, 40));
     let net = EdgeNetwork::from_nodes(nodes);
     let plain = QueryDriven::top_l(2);
-    let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
+    let indexed = plain.clone().indexed(SMALL_DOMAINS);
     let q = Query::from_boundary_vec(0, &[11.0, 21.0, 11.0, 21.0]);
-    assert_indexed_matches_scan(&net, &plain, &indexed, std::slice::from_ref(&q), "wide");
+    assert_oracle(&net, &[&plain, &indexed], std::slice::from_ref(&q), "wide");
     let sel = indexed.select(&SelectionContext::new(&net, &q));
     let mut got: Vec<(usize, usize)> = sel.participants[0]
         .supporting_clusters
@@ -774,7 +703,7 @@ fn cluster_ids_and_sizes_beyond_32_bits_survive_the_table() {
     );
 }
 
-/// The fused path counts what the per-candidate `score_node` loop
+/// The probed source counts what the per-candidate `score_node` loop
 /// counted: one candidate per hull hit, one overlap evaluation per
 /// cluster of a candidate — in `IndexStats` and in the exported series.
 /// The expected totals are derived from the hulls by brute force, and
@@ -802,7 +731,7 @@ fn candidate_and_overlap_eval_counts_match_the_per_candidate_loop() {
 
     for threads in [1usize, 2, 4] {
         let pool = ThreadPool::new(threads);
-        let indexed = IndexedQueryDriven::new(QueryDriven::top_l(3), SMALL_DOMAINS);
+        let indexed = QueryDriven::top_l(3).indexed(SMALL_DOMAINS);
         telemetry::set_enabled(true);
         telemetry::global().reset();
         for q in &queries {
@@ -832,7 +761,7 @@ const PINNED_EVALS: u64 = 5912;
 
 /// A cluster whose rectangle and the query's both span ±1e308 on an
 /// axis has an infinite length there, so its overlap is ∞/∞ = NaN. Each
-/// path skips it and counts it in `qens_selection_nonfinite_scores_total`
+/// source skips it and counts it in `qens_selection_nonfinite_scores_total`
 /// once per cluster its kernel scored — not again when the node is
 /// re-scored for the cut or promoted from standby — and nothing panics.
 #[test]
@@ -864,12 +793,9 @@ fn poisoned_clusters_are_counted_once_per_scored_cluster() {
             .unwrap_or(0)
     };
     for cap in [SelectionCap::AllPositive, SelectionCap::TopL(2)] {
-        let plain = QueryDriven {
-            cap,
-            ..QueryDriven::top_l(1)
-        };
-        let indexed = IndexedQueryDriven::new(plain.clone(), SMALL_DOMAINS);
-        let want = reference::select(&net, &q, plain.epsilon, plain.cap);
+        let plain = QueryDriven::new(0.05, cap, RankingRule::PaperEq4);
+        let indexed = plain.clone().indexed(SMALL_DOMAINS);
+        let want = oracle(&net, &plain, &q);
         let poisoned_in = |sel: &Selection| {
             sel.participants
                 .iter()
@@ -896,7 +822,7 @@ fn poisoned_clusters_are_counted_once_per_scored_cluster() {
         assert_bitwise_eq(&want, &scan, &format!("{cap:?}: scan"));
         assert_bitwise_eq(&want, &index, &format!("{cap:?}: index"));
         // The query spans every hull on x: every node is an index
-        // candidate, so both paths scored every poisoned cluster once.
+        // candidate, so both sources scored every poisoned cluster once.
         assert_eq!(indexed.index_stats().candidates, net.len() as u64);
         assert_eq!(after_scan, poisoned, "{cap:?}: scan");
         assert_eq!(after_index - after_scan, poisoned, "{cap:?}: index");

@@ -1,24 +1,24 @@
 //! Integration tests for the selection memo
 //! ([`CachedQueryDriven`]: exact boundary bits → the `Selection` that
-//! was returned, in front of the scan or the indexed path):
+//! was returned, in front of a `QueryDriven` with either candidate
+//! source):
 //!
-//! * memoised and plain selections must be **bitwise identical** — every
-//!   ranking and every supporting-cluster overlap, for every query of a
-//!   200-query stream — at any worker count (`QENS_THREADS` ∈ {1, 2, 4}
-//!   in CI) and for every workload kind, and identical to the naive
-//!   reference ([`qens::selection::reference`]),
+//! * memoised selections must be **bitwise identical** to the naive
+//!   reference ([`qens::selection::reference`]) — every ranking and
+//!   every supporting-cluster overlap, for every query of a 200-query
+//!   stream — at any worker count and for every workload kind,
 //! * summary mutations (`absorb` + re-quantisation) must drop the table
-//!   once and still reproduce the plain result,
+//!   once and still reproduce the reference,
 //! * over a deterministic schedule of repeats, new queries, summary
-//!   churn, joins and no-op borrows, memo + index, memo alone and index
-//!   alone select what a from-scratch scan selects after every step,
-//!   with summary churn patching the index in place and joins
-//!   rebuilding it.
+//!   churn, joins and no-op borrows, memo + index, memo alone and each
+//!   candidate source alone select what the reference selects after
+//!   every step, with summary churn patching the index in place and
+//!   joins rebuilding it.
 
 use qens::linalg::rng::{rng_for, Rng};
 use qens::par::{self, ThreadPool};
 use qens::prelude::*;
-use qens::selection::{reference, GridConfig, IndexedQueryDriven};
+use qens::selection::{reference, GridConfig};
 use qens::telemetry;
 use qens::workload::generate;
 
@@ -73,7 +73,7 @@ fn assert_bitwise_eq(a: &Selection, b: &Selection, what: &str) {
 
 /// The reference's answer for `query` under `plain`'s ε and cut.
 fn reference_of(net: &EdgeNetwork, plain: &QueryDriven, query: &Query) -> Selection {
-    reference::select(net, query, plain.epsilon, plain.cap)
+    reference::select(net, query, plain.epsilon, plain.cap, plain.rule)
 }
 
 /// The acceptance contract: for a 200-query drifting stream (and a
@@ -84,7 +84,7 @@ fn reference_of(net: &EdgeNetwork, plain: &QueryDriven, query: &Query) -> Select
 /// smaller than a stream, so every pass both hits (the repeats) and
 /// misses (FIFO has dropped the stream's head by the time it comes
 /// round again): answers stored under one pool serve under another, and
-/// the path behind the memo runs under each.
+/// the policy behind the memo runs under each.
 #[test]
 fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
     let net = network(4);
@@ -146,7 +146,7 @@ fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
             );
             assert!(
                 after.misses - before.misses >= 16,
-                "{name} at {threads} threads: the path must run ({after:?})"
+                "{name} at {threads} threads: the policy must run ({after:?})"
             );
         }
         let stats = cached.stats();
@@ -162,7 +162,7 @@ fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
 /// Mutating one node's data (stream absorb + re-quantisation) bumps its
 /// summary epoch; the next lookup drops the table, counting the one
 /// node that moved, and every replayed rectangle is recomputed to match
-/// the plain selection bitwise — after which the replay hits again.
+/// the reference bitwise — after which the replay hits again.
 #[test]
 fn absorb_invalidates_one_node_and_stays_exact() {
     let mut net = network(9);
@@ -229,8 +229,8 @@ enum Step {
 
 /// ROADMAP 6(c) as one deterministic schedule: whatever sequence of
 /// repeats, new queries, summary churn, joins and no-op borrows the
-/// fleet goes through, memo + index, memo alone and index alone select
-/// after every step what the reference and a from-scratch scan select;
+/// fleet goes through, memo + index, memo alone and each candidate
+/// source alone select after every step what the reference selects;
 /// a repeat with no real drift since is a hit; a no-op borrow drops,
 /// patches and rebuilds nothing; real drift drops each table once and is
 /// journaled once per memo, and each index patches once for an absorb
@@ -249,9 +249,9 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
         cells_per_dim: 0,
     };
     // Room for every rectangle of the schedule: no eviction here.
-    let both = CachedQueryDriven::with_index(plain.clone(), CacheConfig::default(), grid);
+    let index = plain.clone().indexed(grid);
+    let both = CachedQueryDriven::new(index.clone(), CacheConfig::default());
     let memo = CachedQueryDriven::with_defaults(plain.clone());
-    let index = IndexedQueryDriven::new(plain.clone(), grid);
     let pool = ThreadPool::new(2);
     let fresh_data = |seed: u64| {
         scenario::heterogeneous_nodes(2, 30, seed)
@@ -353,10 +353,7 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
         }
         for (name, stats) in [
             ("index", index.index_stats()),
-            (
-                "the index behind the memo",
-                both.index_stats().expect("built with an index"),
-            ),
+            ("the index behind the memo", both.inner().index_stats()),
         ] {
             assert_eq!(
                 (stats.rebuilds, stats.patches),
