@@ -73,13 +73,27 @@ fn ablations_csv_matches_a_fresh_run() {
     });
 }
 
-/// The LR series only: the NN series costs 10–11 s in the debug test
-/// profile, so `scripts/verify.sh` regenerates both in release.
 #[test]
 fn fig7_lr_csv_matches_a_fresh_run() {
     assert_golden("fig7_lr.csv", "fig7", |dir| {
         let rows = figures::fig7(ExperimentScale::Quick, ModelKind::Linear);
         report::write_fig7_csv(dir, "LR", &rows)
+    });
+}
+
+/// The NN series runs `run_stream` → `run_query` per policy, so it pins
+/// the round engine's ensemble path on the paper's MLP.
+#[test]
+fn fig7_nn_csv_matches_a_fresh_run() {
+    assert_golden("fig7_nn.csv", "fig7", |dir| {
+        let scale = ExperimentScale::Quick;
+        let rows = figures::fig7(
+            scale,
+            ModelKind::Neural {
+                hidden: scale.nn_hidden(),
+            },
+        );
+        report::write_fig7_csv(dir, "NN", &rows)
     });
 }
 

@@ -413,7 +413,6 @@ impl FederationBuilder {
             train,
             aggregation,
             model_seed: self.seed,
-            parallel: true,
             threads: self.threads,
             stage_order: self.stage_order,
             rounds: self.rounds,
@@ -556,11 +555,10 @@ impl Federation {
         )
     }
 
-    /// Runs a batch of queries through one shared federation wave when
-    /// the configuration allows it ([`fedlearn::batchable`]), falling
-    /// back to per-query rounds otherwise. Outcomes are bit-identical to
-    /// [`Federation::run_query`] either way; only the wave scheduling
-    /// changes.
+    /// Runs a batch of queries through one round engine whose training
+    /// waves the queries share ([`fedlearn::run_batch`]), under any
+    /// fault, deadline or round configuration. Outcomes are bit-identical
+    /// to [`Federation::run_query`]; only the wave scheduling changes.
     ///
     /// Like [`Federation::run_query`] this builds a fresh policy per
     /// call: index and memo are shared by the queries of this one batch

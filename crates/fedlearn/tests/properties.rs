@@ -105,11 +105,9 @@ fn parallel_matches_serial() {
         let seed = rng.gen_range(0..50u64);
         let net = build(&specs, seed);
         let q = Query::new(0, net.global_space());
-        let par_cfg = fast_cfg(seed, Aggregation::WeightedAveraging, StageOrder::Sequential);
-        let ser_cfg = FederationConfig {
-            parallel: false,
-            ..par_cfg.clone()
-        };
+        let par_cfg = fast_cfg(seed, Aggregation::WeightedAveraging, StageOrder::Sequential)
+            .with_thread_count(4);
+        let ser_cfg = par_cfg.clone().with_thread_count(1);
         let par = run_query(&net, &q, &QueryDriven::top_l(3), &par_cfg);
         let ser = run_query(&net, &q, &QueryDriven::top_l(3), &ser_cfg);
         match (par, ser) {

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Increments are relaxed atomics — order-independent and therefore
 /// deterministic in total regardless of thread interleaving, which is
-/// what lets the `parallel: true` federation path aggregate per-stage
-/// telemetry identically to the serial path.
+/// what lets a federation round on a pool of several workers aggregate
+/// per-stage telemetry identically to one trained inline.
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,

@@ -48,24 +48,21 @@
 #      scorecard field in the export is integer or leader-serial
 #      simulated time, so the fleet registry honours the same
 #      determinism contract as the fault and trace subsystems,
-#  12. the fig7 series: both CSVs `repro fig7` writes must match the
-#      checked-out copies byte for byte (tier-1 covers the LR series
-#      only; the NN series is too slow for the debug profile),
-#  13. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
+#  12. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
 #      nodes, every node vs the index's probed domains, bit-identity
 #      asserted inside the sweep)
 #      is run under QENS_THREADS=1 and QENS_THREADS=4 and
 #      results/fig11_scale.csv must be byte-identical (the CSV is
 #      structural counters + selection hashes, never wall clock),
-#  14. the repo benchmark's own unit tests (`benchmark/` is a workspace
+#  13. the repo benchmark's own unit tests (`benchmark/` is a workspace
 #      of its own, so step 2 never sees them); this runs them only —
 #      `BENCHMARK.json` and `benchmark/` are the driver's contract and
 #      are measured by the driver, not here,
-#  15. one 3 s run of the repo benchmark's `serve_closed` workload (run
+#  14. one 3 s run of the repo benchmark's `serve_closed` workload (run
 #      only, nothing under `benchmark/` is edited): fails unless no
 #      operation failed and the keep-alive p50 is under 5 ms — a reply
 #      that leaves as two writes reads 44 ms there,
-#  16. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
+#  15. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
 #      only). The plain run fails unless no operation failed and peak
 #      RSS is under 300 MB: the 20k-node fleet alone is ~100 MB, so
 #      per-entry memo state that scales with the fleet (1.4 GB when
@@ -141,17 +138,6 @@ cmp results/fig10_fleet_skew.csv results/fig10_fleet_skew.t1.csv \
   || { echo "FAIL: fig10 skew heatmap differs between QENS_THREADS=1 and 4"; exit 1; }
 rm -f results/fleet.t1.json results/fig10_fleet_skew.t1.csv
 echo "fleet scorecards + journal are thread-count stable"
-
-echo "==> fig7 series as committed"
-cp results/fig7_lr.csv results/fig7_lr.committed.csv
-cp results/fig7_nn.csv results/fig7_nn.committed.csv
-cargo run -q -p bench --bin repro --release --offline -- fig7 > /dev/null
-cmp results/fig7_lr.csv results/fig7_lr.committed.csv \
-  || { echo "FAIL: fig7 LR series differs from results/fig7_lr.csv as committed"; exit 1; }
-cmp results/fig7_nn.csv results/fig7_nn.committed.csv \
-  || { echo "FAIL: fig7 NN series differs from results/fig7_nn.csv as committed"; exit 1; }
-rm -f results/fig7_{lr,nn}.committed.csv
-echo "fig7 matches the committed series"
 
 echo "==> scaling-sweep seed-stability (fig11 byte-identical at QENS_THREADS=1 vs 4)"
 QENS_THREADS=1 cargo run -q -p bench --bin repro --release --offline -- scale > /dev/null

@@ -128,7 +128,7 @@ fn selections_are_identical_across_pool_sizes() {
 
 /// Layer 3: the full federation round — global model, query loss and the
 /// deterministic ledger columns — is bit-identical whether participants
-/// train serially, on a 1-thread pool, or on 4 workers.
+/// train inline on a 1-thread pool or on 2 or 4 workers.
 #[test]
 fn full_rounds_are_bit_identical_across_thread_counts() {
     let _g = telemetry_lock();
@@ -138,10 +138,6 @@ fn full_rounds_are_bit_identical_across_thread_counts() {
     let policy = QueryDriven::top_l(3);
 
     let configs: Vec<FederationConfig> = vec![
-        FederationConfig {
-            parallel: false,
-            ..f.config().clone()
-        },
         f.config().clone().with_thread_count(1),
         f.config().clone().with_thread_count(2),
         f.config().clone().with_thread_count(4),

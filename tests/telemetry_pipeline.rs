@@ -2,8 +2,9 @@
 //!
 //! * the resource ledger (`QueryAccounting`) and the telemetry counters
 //!   must tell the same story,
-//! * parallel and serial federation must produce identical models AND
-//!   identical counter totals (the determinism guard),
+//! * federation on a pool of four and inline on a pool of one must
+//!   produce identical models AND identical counter totals (the
+//!   determinism guard),
 //! * per-query scopes must attribute deltas to the right query id,
 //! * concurrent recording must be lossless,
 //! * disabled mode must record nothing.
@@ -30,29 +31,46 @@ fn small_fed(seed: u64) -> Federation {
 }
 
 /// The telemetry counters and the accounting rows agree exactly: every
-/// resource the ledger reports is mirrored in `qens_edgesim_*` totals.
+/// resource the ledger reports is mirrored in `qens_edgesim_*` totals —
+/// for a `run_query` loop and again for the same queries as one batch.
 #[test]
 fn accounting_rows_agree_with_counters() {
     let _g = lock();
     telemetry::set_enabled(true);
-    telemetry::global().reset();
 
     let fed = small_fed(11);
     let global = fed.network().global_space();
     let y = global.interval(1);
     // A mix of full-space and partial queries; some may legally fail.
     let bounds = [(0.0, 40.0), (-100.0, 100.0), (5.0, 12.0), (-5.0, 60.0)];
-    let mut rows = Vec::new();
-    for (i, (lo, hi)) in bounds.iter().enumerate() {
-        let q = fed.query_from_bounds(i as u64, &[*lo, *hi, y.lo(), y.hi()]);
-        if let Ok(out) = fed.run_query(&q, &PolicyKind::query_driven(3)) {
-            rows.push(out.accounting);
-        }
-    }
-    assert!(!rows.is_empty(), "at least one query must complete");
+    let queries: Vec<Query> = bounds
+        .iter()
+        .enumerate()
+        .map(|(i, (lo, hi))| fed.query_from_bounds(i as u64, &[*lo, *hi, y.lo(), y.hi()]))
+        .collect();
+    let policy = PolicyKind::query_driven(3);
 
-    let snap = telemetry::global().snapshot();
+    telemetry::global().reset();
+    let outcomes: Vec<_> = queries.iter().map(|q| fed.run_query(q, &policy)).collect();
+    assert_rows_match_counters(outcomes);
+
+    telemetry::global().reset();
+    assert_rows_match_counters(fed.run_batch(&queries, &policy));
     telemetry::set_enabled(false);
+}
+
+/// Asserts the registry's `qens_edgesim_*` totals equal the summed
+/// ledgers of the completed outcomes.
+fn assert_rows_match_counters(
+    outcomes: Vec<Result<qens::fedlearn::RoundOutcome, FederationError>>,
+) {
+    let rows: Vec<_> = outcomes
+        .into_iter()
+        .flatten()
+        .map(|out| out.accounting)
+        .collect();
+    assert!(!rows.is_empty(), "at least one query must complete");
+    let snap = telemetry::global().snapshot();
 
     let sum = |f: fn(&qens::edgesim::QueryAccounting) -> u64| rows.iter().map(f).sum::<u64>();
     assert_eq!(
@@ -94,9 +112,10 @@ fn accounting_rows_agree_with_counters() {
     );
 }
 
-/// The determinism guard: a parallel federation round and a serial one
-/// produce the same model (same loss) and, because counters are
-/// order-independent, bit-identical counter totals and histogram counts.
+/// The determinism guard: a federation round on four pool workers and
+/// one trained inline on a pool of one produce the same model (same
+/// loss) and, because counters are order-independent, bit-identical
+/// counter totals and histogram counts.
 #[test]
 fn parallel_and_serial_runs_are_telemetry_identical() {
     let _g = lock();
@@ -104,15 +123,8 @@ fn parallel_and_serial_runs_are_telemetry_identical() {
 
     let fed = small_fed(23);
     let q = fed.query_from_bounds(0, &fed.network().global_space().to_boundary_vec());
-    let par_cfg = fed.config().clone();
-    assert!(
-        par_cfg.parallel,
-        "default config must exercise the threaded path"
-    );
-    let ser_cfg = qens::fedlearn::FederationConfig {
-        parallel: false,
-        ..par_cfg.clone()
-    };
+    let par_cfg = fed.config().clone().with_thread_count(4);
+    let ser_cfg = fed.config().clone().with_thread_count(1);
 
     let mut runs = Vec::new();
     for cfg in [par_cfg, ser_cfg] {
