@@ -7,6 +7,7 @@
 //! cargo run --release -p bench --bin repro -- --smoke # tiny end-to-end check
 //! cargo run --release -p bench --bin repro -- ablations  # design ablations
 //! cargo run --release -p bench --bin repro -- serve   # live /metrics endpoint
+//! cargo run --release -p bench --bin repro -- serve --trace logical  # ... traced
 //! cargo run --release -p bench --bin repro -- profile # flamegraph + SLO report
 //! cargo run --release -p bench --bin repro -- scale   # Fig. 11 fleet-size sweep
 //! ```
@@ -14,7 +15,12 @@
 //! Printed rows state the measured values next to the paper's; CSV series
 //! land in `results/`, alongside `results/telemetry.json` — the full
 //! metric snapshot (per-query deltas included) of the run.
+//!
+//! The one environment setting is `QENS_THREADS` (the global pool's
+//! worker count). Any other `QENS_*` variable, or a `QENS_THREADS` that
+//! does not parse, stops the run with exit code 2 before it starts.
 
+use std::ffi::OsStr;
 use std::path::PathBuf;
 
 use bench::{ablations, figures, report, tables, ExperimentScale};
@@ -308,7 +314,34 @@ fn run_fig8_faults(scale: ExperimentScale) {
     println!("(series written to results/fig8_faults.csv)\n");
 }
 
+/// The startup check over the environment's `(name, value)` pairs:
+/// `QENS_THREADS` must parse, and no other `QENS_*` name may be set —
+/// the libraries read nothing else, so such a variable would silently do
+/// nothing. The error names the offending variable.
+fn check_env<K: AsRef<OsStr>, V: AsRef<OsStr>>(
+    vars: impl IntoIterator<Item = (K, V)>,
+) -> Result<(), String> {
+    for (name, value) in vars {
+        let name = name.as_ref().to_string_lossy();
+        if name == qens::par::THREADS_ENV {
+            let value = value.as_ref().to_string_lossy();
+            qens::par::parse_threads(&value).map_err(|e| format!("{name}: {e}"))?;
+        } else if name.starts_with("QENS_") {
+            return Err(format!(
+                "{name} is set, but the only environment setting is {}; unset it \
+                 (trace a server with `repro serve --trace wall|logical`)",
+                qens::par::THREADS_ENV
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn main() {
+    if let Err(e) = check_env(std::env::vars_os()) {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `load` owns its own --smoke flag (live-server smoke), so it must
     // dispatch before the global --smoke fast path.
@@ -382,10 +415,21 @@ fn main() {
                         });
                     opts.duration = Some(seconds);
                 }
+                "--trace" => {
+                    let clock = match it.next().map(String::as_str) {
+                        Some("wall") => telemetry::trace::Clock::Wall,
+                        Some("logical") => telemetry::trace::Clock::Logical,
+                        _ => {
+                            eprintln!("serve: --trace needs wall or logical");
+                            std::process::exit(2);
+                        }
+                    };
+                    opts.trace = Some(clock);
+                }
                 other => {
                     eprintln!(
-                        "serve: unknown flag {other:?}; expected \
-                         [--addr host:port] [--once] [--duration seconds]"
+                        "serve: unknown flag {other:?}; expected [--addr host:port] \
+                         [--once] [--duration seconds] [--trace wall|logical]"
                     );
                     std::process::exit(2);
                 }
@@ -492,4 +536,29 @@ fn main() {
         }
     }
     write_telemetry();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_env;
+
+    #[test]
+    fn any_other_qens_variable_is_rejected_by_name() {
+        let err = check_env([("QENS_THREADS", "2"), ("QENS_TRACE", "wall")]).unwrap_err();
+        assert!(err.starts_with("QENS_TRACE "), "{err}");
+    }
+
+    #[test]
+    fn threads_must_parse() {
+        for bad in ["0", "abc", ""] {
+            let err = check_env([("QENS_THREADS", bad)]).unwrap_err();
+            assert!(err.starts_with("QENS_THREADS: "), "{bad:?}: {err}");
+        }
+        assert_eq!(check_env([("QENS_THREADS", "3")]), Ok(()));
+    }
+
+    #[test]
+    fn names_without_the_prefix_are_ignored() {
+        assert_eq!(check_env([("PATH", "/bin"), ("XQENS_TRACE", "1")]), Ok(()));
+    }
 }

@@ -84,6 +84,9 @@ pub struct ServeOptions {
     /// Exit (gracefully, draining in-flight queries) after this many
     /// seconds; `None` serves until `POST /shutdown` or Ctrl-C.
     pub duration: Option<f64>,
+    /// Trace clock for the live server (`repro serve --trace`); `None`
+    /// leaves tracing as it is. `--once` picks its own clock.
+    pub trace: Option<telemetry::trace::Clock>,
 }
 
 impl Default for ServeOptions {
@@ -92,6 +95,7 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:9464".to_string(),
             once: false,
             duration: None,
+            trace: None,
         }
     }
 }
@@ -417,7 +421,7 @@ fn respond(
         ("GET", "/metrics") => {
             let mut body = telemetry::export::to_prometheus(&telemetry::global().snapshot());
             // The fleet's labeled per-node series (top-K + "other") and
-            // skew gauges ride along; silent while QENS_FLEET is off.
+            // skew gauges ride along; silent while the fleet layer is off.
             telemetry::fleet::to_prometheus(&mut body, telemetry::fleet::PROM_TOP_K);
             write_response(
                 stream,
@@ -818,6 +822,9 @@ pub fn seed_observable_workload() {
 pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
     if opts.once {
         return serve_once();
+    }
+    if opts.trace.is_some() {
+        telemetry::trace::set_mode(opts.trace);
     }
     let handle = spawn(&opts.addr, demo_federation())?;
     println!(

@@ -4,13 +4,14 @@
 //! shape tests then pin every ablation finding EXPERIMENTS.md states,
 //! over the same rows (computed once per test binary).
 
-use std::io;
-use std::path::{Path, PathBuf};
+mod common;
+
 use std::sync::OnceLock;
 
 use bench::ablations::{self, AblationRow};
 use bench::serve::loadgen::{self, LoadOptions};
 use bench::{figures, report, scale, ExperimentScale};
+use common::{assert_golden, assert_same, committed, fresh};
 use qens::prelude::ModelKind;
 
 fn ablation_rows() -> &'static [AblationRow] {
@@ -18,64 +19,16 @@ fn ablation_rows() -> &'static [AblationRow] {
     ROWS.get_or_init(ablations::run)
 }
 
-/// Writes `name` through `write` into a fresh temp dir and compares it
-/// with `results/<name>`; a mismatch names the first differing line and
-/// the `repro` command that regenerates the file.
-fn assert_golden(name: &str, repro_args: &str, write: impl FnOnce(&Path) -> io::Result<()>) {
-    assert_same(name, repro_args, &committed(name), &fresh(name, write));
-}
-
-/// `name` as `write` writes it into a fresh temp dir.
-fn fresh(name: &str, write: impl FnOnce(&Path) -> io::Result<()>) -> String {
-    let dir = std::env::temp_dir().join(format!("qens_golden_{}_{name}", std::process::id()));
-    write(&dir).expect("write fresh artifact");
-    let fresh = std::fs::read_to_string(dir.join(name)).expect("read fresh artifact");
-    std::fs::remove_dir_all(&dir).expect("remove temp dir");
-    fresh
-}
-
-/// `results/<name>` as committed.
-fn committed(name: &str) -> String {
-    let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "results", name]
-        .iter()
-        .collect();
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-fn assert_same(name: &str, repro_args: &str, committed: &str, fresh: &str) {
-    if fresh == committed {
-        return;
-    }
-    let (old, new): (Vec<&str>, Vec<&str>) = (committed.lines().collect(), fresh.lines().collect());
-    let line = (0..old.len().max(new.len()))
-        .find(|&i| old.get(i) != new.get(i))
-        .unwrap_or(old.len());
-    let at = |lines: &[&str]| {
-        lines
-            .get(line)
-            .copied()
-            .unwrap_or("<end of file>")
-            .to_string()
-    };
-    panic!(
-        "results/{name} is stale: first difference at line {}\n  committed: {}\n  fresh:     {}\n\
-         regenerate it with `cargo run --release -p bench --bin repro -- {repro_args}`",
-        line + 1,
-        at(&old),
-        at(&new),
-    );
-}
-
 #[test]
 fn ablations_csv_matches_a_fresh_run() {
-    assert_golden("ablations.csv", "ablations", |dir| {
+    assert_golden(&["ablations.csv"], "ablations", |dir| {
         ablations::write_csv(dir, ablation_rows())
     });
 }
 
 #[test]
 fn fig7_lr_csv_matches_a_fresh_run() {
-    assert_golden("fig7_lr.csv", "fig7", |dir| {
+    assert_golden(&["fig7_lr.csv"], "fig7", |dir| {
         let rows = figures::fig7(ExperimentScale::Quick, ModelKind::Linear);
         report::write_fig7_csv(dir, "LR", &rows)
     });
@@ -85,7 +38,7 @@ fn fig7_lr_csv_matches_a_fresh_run() {
 /// the round engine's ensemble path on the paper's MLP.
 #[test]
 fn fig7_nn_csv_matches_a_fresh_run() {
-    assert_golden("fig7_nn.csv", "fig7", |dir| {
+    assert_golden(&["fig7_nn.csv"], "fig7", |dir| {
         let scale = ExperimentScale::Quick;
         let rows = figures::fig7(
             scale,
@@ -99,14 +52,14 @@ fn fig7_nn_csv_matches_a_fresh_run() {
 
 #[test]
 fn fig8_fig9_csv_matches_a_fresh_run() {
-    assert_golden("fig8_fig9.csv", "fig8_fig9", |dir| {
+    assert_golden(&["fig8_fig9.csv"], "fig8_fig9", |dir| {
         report::write_fig8_fig9_csv(dir, &figures::fig8_fig9(ExperimentScale::Quick))
     });
 }
 
 #[test]
 fn fig8_faults_csv_matches_a_fresh_run() {
-    assert_golden("fig8_faults.csv", "faults", |dir| {
+    assert_golden(&["fig8_faults.csv"], "faults", |dir| {
         report::write_fig8_faults_csv(dir, &figures::fig8_faults(ExperimentScale::Quick))
     });
 }
@@ -126,10 +79,11 @@ fn fig9_saturation_csv_matches_a_fresh_run() {
 fn fig11_scale_csv_matches_a_fresh_run_up_to_100k_nodes() {
     let name = "fig11_scale.csv";
     let sizes = &scale::FLEET_SIZES[..3];
-    let fresh = fresh(name, |dir| {
+    let fresh = fresh(&[name], |dir| {
         let rows = scale::csv_rows(&scale::run_sweep(sizes));
         report::write_csv(&dir.join(name), scale::CSV_HEADER, &rows)
-    });
+    })
+    .remove(0);
     // The header, then a scan and an indexed row per fleet size.
     let committed: String = committed(name)
         .lines()

@@ -180,8 +180,8 @@ fn duration_brings_serve_home() {
     let started = std::time::Instant::now();
     serve::serve(&ServeOptions {
         addr: "127.0.0.1:0".to_string(),
-        once: false,
         duration: Some(0.2),
+        ..ServeOptions::default()
     })
     .expect("serve with duration");
     let elapsed = started.elapsed();

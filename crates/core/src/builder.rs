@@ -2,7 +2,7 @@
 
 use airdata::scenario;
 use airdata::Feature;
-use edgesim::{CostModel, EdgeNetwork};
+use edgesim::EdgeNetwork;
 use faults::{FaultSpec, FaultTolerance};
 use fedlearn::{run_query, run_stream, FederationConfig, RoundOutcome, StreamResult};
 use fedlearn::{Aggregation, FederationError, StageOrder};
@@ -44,7 +44,6 @@ pub struct FederationBuilder {
     model: ModelKind,
     epochs: Option<usize>,
     aggregation: Aggregation,
-    cost: CostModel,
     capacity_range: Option<(f64, f64)>,
     rounds: usize,
     stage_order: StageOrder,
@@ -58,7 +57,7 @@ pub struct FederationBuilder {
     selection_cache: bool,
     cache: selection::CacheConfig,
     selection_index: bool,
-    admission: Option<AdmissionConfig>,
+    admission: AdmissionConfig,
 }
 
 impl Default for FederationBuilder {
@@ -82,7 +81,6 @@ impl FederationBuilder {
             model: ModelKind::Linear,
             epochs: None,
             aggregation: Aggregation::WeightedAveraging,
-            cost: CostModel::default(),
             capacity_range: None,
             rounds: 1,
             stage_order: StageOrder::Sequential,
@@ -96,7 +94,7 @@ impl FederationBuilder {
             selection_cache: false,
             cache: selection::CacheConfig::default(),
             selection_index: false,
-            admission: None,
+            admission: AdmissionConfig::default(),
         }
     }
 
@@ -108,24 +106,6 @@ impl FederationBuilder {
             hours,
             inputs: vec![Feature::Pm10],
             label: Feature::Pm25,
-        };
-        self
-    }
-
-    /// Like [`FederationBuilder::air_quality_nodes`] with explicit
-    /// input/label features.
-    pub fn air_quality_features(
-        mut self,
-        n: usize,
-        hours: u64,
-        input: Feature,
-        label: Feature,
-    ) -> Self {
-        self.source = NodeSource::AirQuality {
-            n_nodes: n,
-            hours,
-            inputs: vec![input],
-            label,
         };
         self
     }
@@ -217,12 +197,6 @@ impl FederationBuilder {
         self
     }
 
-    /// Replaces the simulated cost model.
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Draws heterogeneous compute capacities from `[lo, hi]`.
     pub fn capacities(mut self, lo: f64, hi: f64) -> Self {
         self.capacity_range = Some((lo, hi));
@@ -257,9 +231,8 @@ impl FederationBuilder {
     }
 
     /// Turns the global telemetry registry on (or off) when the
-    /// federation is built, overriding the `QENS_TELEMETRY` environment
-    /// variable. Left untouched when never called, so an already-enabled
-    /// registry keeps recording. Snapshots are read via
+    /// federation is built. Left untouched when never called, so an
+    /// already-enabled registry keeps recording. Snapshots are read via
     /// [`telemetry::global`] and exported with [`telemetry::export`].
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = Some(on);
@@ -269,20 +242,19 @@ impl FederationBuilder {
     /// Turns the fleet observability layer (per-node scorecards, skew
     /// analytics and the structured event journal — see
     /// [`telemetry::fleet`] / [`telemetry::journal`]) on or off when the
-    /// federation is built, overriding the `QENS_FLEET` environment
-    /// variable. Off by default: scorecards cost one mutex hop per
-    /// round-loop event, and disabled runs are bitwise identical to a
-    /// build without the layer. Left untouched when never called.
+    /// federation is built. Off by default: scorecards cost one mutex
+    /// hop per round-loop event, and disabled runs are bitwise identical
+    /// to a build without the layer. Left untouched when never called.
     pub fn fleet(mut self, on: bool) -> Self {
         self.fleet = Some(on);
         self
     }
 
     /// Turns structured query tracing on (with the given clock) or off
-    /// when the federation is built, overriding `QENS_TRACE`. Pass
-    /// `Some(Clock::Logical)` for the deterministic tick clock (traces
-    /// byte-identical across thread counts) or `Some(Clock::Wall)` for
-    /// profiler-style nanosecond timestamps. Export the buffer with
+    /// when the federation is built. Pass `Some(Clock::Logical)` for the
+    /// deterministic tick clock (traces byte-identical across thread
+    /// counts) or `Some(Clock::Wall)` for profiler-style nanosecond
+    /// timestamps. Export the buffer with
     /// [`telemetry::trace::export_chrome`] / `write_chrome`.
     pub fn trace(mut self, clock: Option<telemetry::trace::Clock>) -> Self {
         self.trace = Some(clock);
@@ -342,12 +314,15 @@ impl FederationBuilder {
     }
 
     /// Pins the serving front end's admission control (queue depth,
-    /// staleness deadline, batch cap, body cap), overriding the
-    /// `QENS_SERVE_*` environment variables. Only consulted by the
-    /// serving subsystem (`repro serve` / `repro load`); batch
-    /// experiments never touch it.
+    /// staleness deadline, batch cap, body cap) in place of
+    /// [`AdmissionConfig::default`]. `batch_max` is floored at 1. Only
+    /// consulted by the serving subsystem (`repro serve` / `repro
+    /// load`); batch experiments never touch it.
     pub fn admission(mut self, cfg: AdmissionConfig) -> Self {
-        self.admission = Some(cfg);
+        self.admission = AdmissionConfig {
+            batch_max: cfg.batch_max.max(1),
+            ..cfg
+        };
         self
     }
 
@@ -387,7 +362,7 @@ impl FederationBuilder {
             }
             NodeSource::Datasets(d) => d,
         };
-        let mut network = EdgeNetwork::from_datasets(datasets).with_cost_model(self.cost);
+        let mut network = EdgeNetwork::from_datasets(datasets);
         if let Some((lo, hi)) = self.capacity_range {
             network = network.with_random_capacities(lo, hi, self.seed);
         }
@@ -425,7 +400,7 @@ impl FederationBuilder {
             seed: self.seed,
             cache: self.selection_cache.then_some(self.cache),
             index: self.selection_index,
-            admission: self.admission.unwrap_or_else(AdmissionConfig::from_env),
+            admission: self.admission,
         }
     }
 }
@@ -442,8 +417,8 @@ pub struct Federation {
     cache: Option<selection::CacheConfig>,
     /// Spatial-index candidate generation for query-driven policies.
     index: bool,
-    /// Admission control for the serving front end (builder override or
-    /// the `QENS_SERVE_*` environment, resolved at build time).
+    /// Admission control for the serving front end (the builder's
+    /// [`FederationBuilder::admission`] or the default).
     admission: AdmissionConfig,
 }
 
@@ -595,6 +570,7 @@ impl Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgesim::CostModel;
 
     #[test]
     fn default_builder_matches_paper_setup() {
@@ -643,13 +619,9 @@ mod tests {
         let fed = FederationBuilder::new()
             .homogeneous_nodes(4, 50)
             .capacities(0.5, 2.0)
-            .cost_model(CostModel {
-                seconds_per_sample_visit: 1e-3,
-                ..CostModel::default()
-            })
             .epochs(2)
             .build();
-        assert!((fed.network().cost_model().seconds_per_sample_visit - 1e-3).abs() < 1e-15);
+        assert_eq!(*fed.network().cost_model(), CostModel::default());
         assert!(fed.network().nodes().iter().any(|n| n.capacity() != 1.0));
     }
 

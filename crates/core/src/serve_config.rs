@@ -7,8 +7,9 @@
 //! batcher sheds it with 503, how many compatible queries one federation
 //! wave may coalesce, and how large a request body the parser accepts at
 //! all. The config lives in `core` (not `bench`) because the builder
-//! resolves it alongside the cache config and experiments pass it
-//! programmatically.
+//! carries it alongside the cache config: callers pin it with
+//! `FederationBuilder::admission`, and a federation that never does
+//! gets [`AdmissionConfig::default`]. No environment variable is read.
 
 /// Back-pressure and batching knobs for the serving front end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,57 +45,6 @@ impl Default for AdmissionConfig {
     }
 }
 
-impl AdmissionConfig {
-    /// Builds a config from raw environment-variable values. Separated
-    /// from [`AdmissionConfig::from_env`] so tests can exercise the
-    /// parsing without mutating process-wide environment state.
-    ///
-    /// Unset, empty or unparseable values keep the defaults. For the
-    /// deadline, `"none"`/`"off"` (or unset) means no deadline; a parsed
-    /// number — including 0 — is honoured, because 0 is the
-    /// shed-everything test hook.
-    pub fn from_parts(
-        queue: Option<&str>,
-        deadline_ms: Option<&str>,
-        batch: Option<&str>,
-        body_cap: Option<&str>,
-    ) -> Self {
-        let mut cfg = Self::default();
-        if let Some(n) = queue.and_then(|v| v.trim().parse::<usize>().ok()) {
-            cfg.queue_depth = n;
-        }
-        if let Some(v) = deadline_ms {
-            let v = v.trim();
-            if !matches!(v, "" | "none" | "off") {
-                if let Ok(ms) = v.parse::<u64>() {
-                    cfg.deadline_ms = Some(ms);
-                }
-            }
-        }
-        if let Some(n) = batch.and_then(|v| v.trim().parse::<usize>().ok()) {
-            cfg.batch_max = n.max(1);
-        }
-        if let Some(n) = body_cap.and_then(|v| v.trim().parse::<usize>().ok()) {
-            cfg.body_cap_bytes = n;
-        }
-        cfg
-    }
-
-    /// Reads `QENS_SERVE_QUEUE`, `QENS_SERVE_DEADLINE_MS`,
-    /// `QENS_SERVE_BATCH` and `QENS_SERVE_BODY_CAP` on top of the
-    /// defaults (parsing rules in [`AdmissionConfig::from_parts`]).
-    pub fn from_env() -> Self {
-        let get = |k: &str| std::env::var(k).ok();
-        let (q, d, b, c) = (
-            get("QENS_SERVE_QUEUE"),
-            get("QENS_SERVE_DEADLINE_MS"),
-            get("QENS_SERVE_BATCH"),
-            get("QENS_SERVE_BODY_CAP"),
-        );
-        Self::from_parts(q.as_deref(), d.as_deref(), b.as_deref(), c.as_deref())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,18 +58,33 @@ mod tests {
         assert!(cfg.body_cap_bytes >= 16 * 1024);
     }
 
+    fn admitted(cfg: Option<AdmissionConfig>) -> AdmissionConfig {
+        let mut builder = crate::FederationBuilder::new().homogeneous_nodes(2, 20);
+        if let Some(cfg) = cfg {
+            builder = builder.admission(cfg);
+        }
+        builder.build().admission()
+    }
+
     #[test]
     fn from_parts_parses_each_knob() {
-        let cfg = AdmissionConfig::from_parts(Some("5"), Some("250"), Some("3"), Some("1024"));
-        assert_eq!(cfg.queue_depth, 5);
-        assert_eq!(cfg.deadline_ms, Some(250));
-        assert_eq!(cfg.batch_max, 3);
-        assert_eq!(cfg.body_cap_bytes, 1024);
+        let pinned = AdmissionConfig {
+            queue_depth: 5,
+            deadline_ms: Some(250),
+            batch_max: 3,
+            body_cap_bytes: 1024,
+        };
+        assert_eq!(admitted(Some(pinned)), pinned);
     }
 
     #[test]
     fn zero_hooks_are_honoured_but_batch_is_floored() {
-        let cfg = AdmissionConfig::from_parts(Some("0"), Some("0"), Some("0"), None);
+        let cfg = admitted(Some(AdmissionConfig {
+            queue_depth: 0,
+            deadline_ms: Some(0),
+            batch_max: 0,
+            ..AdmissionConfig::default()
+        }));
         assert_eq!(cfg.queue_depth, 0, "queue 0 = reject-everything hook");
         assert_eq!(
             cfg.deadline_ms,
@@ -131,12 +96,6 @@ mod tests {
 
     #[test]
     fn garbage_and_off_fall_back_to_defaults() {
-        let cfg =
-            AdmissionConfig::from_parts(Some("not-a-number"), Some("off"), Some(""), Some("-1"));
-        assert_eq!(cfg, AdmissionConfig::default());
-        assert_eq!(
-            AdmissionConfig::from_parts(None, None, None, None),
-            AdmissionConfig::default()
-        );
+        assert_eq!(admitted(None), AdmissionConfig::default());
     }
 }

@@ -156,12 +156,6 @@ impl EdgeNetwork {
         self
     }
 
-    /// Replaces the cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Quantises every node (§III-C; the paper uses `k = 5` everywhere
     /// "to avoid biases"). Each node derives its own k-means seed.
     pub fn quantize_all(&mut self, k: usize, seed: u64) {

@@ -111,12 +111,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutably borrow the underlying row-major buffer.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Consumes the matrix, returning its buffer.
     pub fn into_vec(self) -> Vec<f64> {
         self.data
@@ -255,20 +249,6 @@ impl Matrix {
             self.cols,
             self.data.iter().map(|&x| f(x)).collect(),
         )
-    }
-
-    /// Element-wise map in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
-    /// Multiplies every element by `s` in place.
-    pub fn scale_inplace(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
-        }
     }
 
     /// `self += alpha * other`, in place.

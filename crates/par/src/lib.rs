@@ -74,17 +74,27 @@ pub const DEFAULT_CHUNK: usize = 1024;
 /// must not try to spawn a million OS threads).
 pub const MAX_THREADS: usize = 512;
 
-/// The worker count the global pool uses: `QENS_THREADS` when set to a
-/// positive integer (clamped to [`MAX_THREADS`]), otherwise
+/// The one environment variable the workspace reads: the global pool's
+/// worker count.
+pub const THREADS_ENV: &str = "QENS_THREADS";
+
+/// Parses a worker count: a positive integer, clamped to
+/// [`MAX_THREADS`]. Surrounding whitespace is ignored.
+pub fn parse_threads(v: &str) -> Result<usize, String> {
+    match v.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n.min(MAX_THREADS)),
+        _ => Err(format!("expected a positive integer, got {v:?}")),
+    }
+}
+
+/// The worker count the global pool uses: `QENS_THREADS` when it
+/// passes [`parse_threads`], otherwise
 /// [`std::thread::available_parallelism`], otherwise 1.
 pub fn default_threads() -> usize {
-    match std::env::var("QENS_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n.min(MAX_THREADS),
-            _ => hardware_threads(),
-        },
-        Err(_) => hardware_threads(),
-    }
+    std::env::var(THREADS_ENV)
+        .ok()
+        .and_then(|v| parse_threads(&v).ok())
+        .unwrap_or_else(hardware_threads)
 }
 
 fn hardware_threads() -> usize {
@@ -127,6 +137,16 @@ mod tests {
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
         assert!(default_threads() <= MAX_THREADS);
+    }
+
+    #[test]
+    fn parse_threads_accepts_clamps_and_rejects() {
+        assert_eq!(parse_threads("4"), Ok(4));
+        assert_eq!(parse_threads(" 2 "), Ok(2));
+        assert_eq!(parse_threads("600"), Ok(MAX_THREADS));
+        assert!(parse_threads("0").is_err());
+        assert!(parse_threads("x").is_err());
+        assert!(parse_threads("").is_err());
     }
 
     #[test]

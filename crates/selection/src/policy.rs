@@ -125,14 +125,6 @@ impl Selection {
             .map(|p| p.ranking / total)
             .collect()
     }
-
-    /// Total training samples over all participants.
-    pub fn total_training_samples(&self, network: &EdgeNetwork) -> usize {
-        self.participants
-            .iter()
-            .map(|p| p.training_samples(network))
-            .sum()
-    }
 }
 
 /// Work a policy performs *before* training can start.

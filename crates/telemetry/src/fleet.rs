@@ -25,10 +25,10 @@
 //!
 //! # Enablement and cost
 //!
-//! Off by default; enable with `QENS_FLEET=1`, [`set_enabled`], or
+//! Off by default; enable with [`set_enabled`] or
 //! `FederationBuilder::fleet(true)`. The disabled fast path of every
-//! update is a single relaxed atomic load, so `QENS_FLEET=0` runs are
-//! bitwise identical to a build without this module. An update on the
+//! update is a single relaxed atomic load, so runs with the layer off
+//! are bitwise identical to a build without this module. An update on the
 //! enabled path is one mutex lock plus a `BTreeMap` probe; the repo
 //! benchmark's `telemetry.overhead_share` counts it with every other
 //! telemetry cost of a served query.
@@ -43,7 +43,7 @@
 //! matter the fleet size.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::json::{write_f64, write_key, write_u64};
@@ -52,35 +52,20 @@ use crate::json::{write_f64, write_key, write_u64};
 /// rest fold into the `node="other"` aggregate.
 pub const PROM_TOP_K: usize = 8;
 
-/// Tri-state enablement flag: 0 = uninitialised (consult `QENS_FLEET`),
-/// 1 = disabled, 2 = enabled. One relaxed load on the hot path.
-static STATE: AtomicU8 = AtomicU8::new(0);
+/// Whether scorecard/journal recording is live; off until
+/// [`set_enabled`] turns it on. One relaxed load on the hot path.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether scorecard/journal recording is live.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_from_env(),
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_from_env() -> bool {
-    let on = match std::env::var("QENS_FLEET") {
-        Ok(v) => !matches!(v.as_str(), "" | "0" | "false" | "off" | "no"),
-        Err(_) => false,
-    };
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Turns fleet recording on or off globally, overriding `QENS_FLEET`.
-/// Does **not** clear already-recorded scorecards — call [`reset`] for
-/// a fresh registry.
+/// Turns fleet recording on or off globally. Does **not** clear
+/// already-recorded scorecards — call [`reset`] for a fresh registry.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// One node's lifetime counters. All integer fields saturate only at
@@ -514,7 +499,7 @@ const PROM_FAMILIES: [PromFamily; 4] = [
 /// for the top-`top_k` nodes by selection count with every other node
 /// folded into `node="other"`, plus fleet-level skew gauges and journal
 /// counters. Appends nothing while recording is disabled, so a
-/// `QENS_FLEET=0` scrape is byte-identical to the pre-fleet exposition.
+/// scrape with the layer off is byte-identical to the pre-fleet exposition.
 pub fn to_prometheus(out: &mut String, top_k: usize) {
     if !enabled() {
         return;

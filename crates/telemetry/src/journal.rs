@@ -17,13 +17,13 @@
 //!   live-debugging context, excluded from the logical export.
 //!
 //! The ring holds [`DEFAULT_CAPACITY`] events (override with
-//! `QENS_JOURNAL_CAP` or [`set_capacity`]); once full, the *oldest*
-//! event is overwritten — a journal answers "what just happened", so
-//! the tail survives, and [`overwritten`] counts what the ring forgot.
+//! [`set_capacity`]); once full, the *oldest* event is overwritten — a
+//! journal answers "what just happened", so the tail survives, and
+//! [`overwritten`] counts what the ring forgot.
 //!
-//! Recording is gated on [`crate::fleet::enabled`] (`QENS_FLEET`): the
-//! disabled fast path is one relaxed atomic load, and a disabled run
-//! records nothing — byte-identical to a build without this module.
+//! Recording is gated on [`crate::fleet::enabled`]: the disabled fast
+//! path is one relaxed atomic load, and a disabled run records nothing
+//! — byte-identical to a build without this module.
 //!
 //! # Export
 //!
@@ -136,17 +136,9 @@ impl Ring {
     }
 }
 
-fn capacity_from_env() -> usize {
-    std::env::var("QENS_JOURNAL_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CAPACITY)
-}
-
 fn ring() -> MutexGuard<'static, Ring> {
     static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
-    RING.get_or_init(|| Mutex::new(Ring::new(capacity_from_env())))
+    RING.get_or_init(|| Mutex::new(Ring::new(DEFAULT_CAPACITY)))
         .lock()
         .unwrap_or_else(|p| p.into_inner())
 }

@@ -25,9 +25,9 @@
 //! # Enablement
 //!
 //! Telemetry is **disabled by default** and the disabled path is a
-//! single relaxed atomic load per recording call. Enable it with the
-//! `QENS_TELEMETRY=1` environment variable or programmatically via
-//! [`set_enabled`] (e.g. the `FederationBuilder::telemetry(true)` flag).
+//! single relaxed atomic load per recording call. Only code turns it on:
+//! [`set_enabled`], e.g. through the `FederationBuilder::telemetry(true)`
+//! flag. No environment variable is read.
 //!
 //! # Example
 //!
@@ -43,7 +43,7 @@
 //! assert!(json.contains("qens_doc_example_nanos"));
 //! ```
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 pub mod export;
 pub mod fleet;
@@ -61,37 +61,19 @@ pub use metrics::{Counter, Gauge};
 pub use registry::{global, QueryScope, QuerySnapshot, Registry, Snapshot};
 pub use span::SpanGuard;
 
-/// Tri-state enablement flag: 0 = uninitialised (consult the
-/// environment), 1 = disabled, 2 = enabled. A single relaxed load on the
-/// hot path.
-static STATE: AtomicU8 = AtomicU8::new(0);
+/// Whether recording is live; off until [`set_enabled`] turns it on.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether recording is live. The disabled fast path is one relaxed
 /// atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_from_env(),
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_from_env() -> bool {
-    let on = match std::env::var("QENS_TELEMETRY") {
-        Ok(v) => !matches!(v.as_str(), "" | "0" | "false" | "off" | "no"),
-        Err(_) => false,
-    };
-    // Racy writes all agree (the env cannot change between them unless a
-    // test calls set_enabled, which wins by writing the same cell).
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Turns recording on or off globally, overriding `QENS_TELEMETRY`.
+/// Turns recording on or off globally.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Looks up (once per call site) the named [`Counter`] in the global
@@ -99,9 +81,9 @@ pub fn set_enabled(on: bool) {
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
-        static __QENS_COUNTER: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
+        static __COUNTER: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
             ::std::sync::OnceLock::new();
-        &**__QENS_COUNTER.get_or_init(|| $crate::global().counter($name))
+        &**__COUNTER.get_or_init(|| $crate::global().counter($name))
     }};
 }
 
@@ -109,9 +91,9 @@ macro_rules! counter {
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
-        static __QENS_GAUGE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Gauge>> =
+        static __GAUGE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Gauge>> =
             ::std::sync::OnceLock::new();
-        &**__QENS_GAUGE.get_or_init(|| $crate::global().gauge($name))
+        &**__GAUGE.get_or_init(|| $crate::global().gauge($name))
     }};
 }
 
@@ -119,9 +101,9 @@ macro_rules! gauge {
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{
-        static __QENS_HIST: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
+        static __HIST: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
             ::std::sync::OnceLock::new();
-        &**__QENS_HIST.get_or_init(|| $crate::global().histogram($name))
+        &**__HIST.get_or_init(|| $crate::global().histogram($name))
     }};
 }
 
@@ -130,9 +112,9 @@ macro_rules! histogram {
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {{
-        static __QENS_SPAN_HIST: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
+        static __SPAN_HIST: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
             ::std::sync::OnceLock::new();
-        $crate::SpanGuard::enter(&__QENS_SPAN_HIST, $name)
+        $crate::SpanGuard::enter(&__SPAN_HIST, $name)
     }};
 }
 

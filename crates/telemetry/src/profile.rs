@@ -368,8 +368,7 @@ pub fn to_svg(profile: &Profile, title: &str, unit: &str) -> String {
 // Slow-query flight recorder
 // ---------------------------------------------------------------------------
 
-/// Default retained-query capacity of the global flight recorder
-/// (override with `QENS_FLIGHT_K`).
+/// Retained-query capacity of the global flight recorder.
 pub const DEFAULT_FLIGHT_K: usize = 8;
 
 /// One retained slow query: its id, end-to-end duration (nanoseconds on
@@ -408,11 +407,6 @@ impl FlightRecorder {
             cap,
             entries: Vec::new(),
         }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     /// The retained queries, slowest first.
@@ -458,17 +452,10 @@ impl FlightRecorder {
     }
 }
 
-fn flight_cap_from_env() -> usize {
-    std::env::var("QENS_FLIGHT_K")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_FLIGHT_K)
-}
-
 fn recorder() -> MutexGuard<'static, FlightRecorder> {
     static RECORDER: OnceLock<Mutex<FlightRecorder>> = OnceLock::new();
     RECORDER
-        .get_or_init(|| Mutex::new(FlightRecorder::new(flight_cap_from_env())))
+        .get_or_init(|| Mutex::new(FlightRecorder::new(DEFAULT_FLIGHT_K)))
         .lock()
         .unwrap_or_else(|p| p.into_inner())
 }
@@ -563,34 +550,6 @@ impl Default for SloConfig {
             objective_nanos: 250_000_000, // 250 ms
             target: 0.99,
             window: 64,
-        }
-    }
-}
-
-impl SloConfig {
-    /// Reads `QENS_SLO_MS`, `QENS_SLO_TARGET` and `QENS_SLO_WINDOW`,
-    /// falling back to the defaults for anything unset or unparsable.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        let objective_nanos = std::env::var("QENS_SLO_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|ms| ms.is_finite() && *ms > 0.0)
-            .map_or(d.objective_nanos, |ms| (ms * 1e6) as u64);
-        let target = std::env::var("QENS_SLO_TARGET")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0)
-            .unwrap_or(d.target);
-        let window = std::env::var("QENS_SLO_WINDOW")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|w| *w > 0)
-            .unwrap_or(d.window);
-        Self {
-            objective_nanos,
-            target,
-            window,
         }
     }
 }
@@ -710,7 +669,7 @@ impl SloTracker {
 
 fn slo() -> MutexGuard<'static, SloTracker> {
     static SLO: OnceLock<Mutex<SloTracker>> = OnceLock::new();
-    SLO.get_or_init(|| Mutex::new(SloTracker::new(SloConfig::from_env())))
+    SLO.get_or_init(|| Mutex::new(SloTracker::new(SloConfig::default())))
         .lock()
         .unwrap_or_else(|p| p.into_inner())
 }
@@ -1069,8 +1028,7 @@ mod tests {
 
     #[test]
     fn slo_config_env_parsing_rejects_nonsense() {
-        // from_env falls back to defaults for unset vars; direct field
-        // checks cover the parse guards.
+        // The global tracker runs on these defaults.
         let d = SloConfig::default();
         assert_eq!(d.objective_nanos, 250_000_000);
         assert!((d.target - 0.99).abs() < 1e-12);

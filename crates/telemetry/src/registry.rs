@@ -440,11 +440,6 @@ impl QueryScope {
             active,
         }
     }
-
-    /// Whether this scope will file a per-query snapshot.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
 }
 
 impl Drop for QueryScope {

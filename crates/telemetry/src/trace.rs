@@ -32,7 +32,7 @@
 //!   [`wall_span`]/[`wall_instant`] (worker/hot-path code) are inert.
 //!   Because the leader's event sequence is a pure function of the
 //!   simulation (never of thread scheduling), a logical trace — and its
-//!   byte-stable JSON export — is bit-identical for any `QENS_THREADS`,
+//!   byte-stable JSON export — is bit-identical for any pool size,
 //!   mirroring the `faults::FaultTrace` stability contract.
 //!
 //! # Enablement and cost
@@ -40,9 +40,10 @@
 //! Tracing is **off by default**; the disabled fast path of every entry
 //! point is a single relaxed atomic load — no clock read, no
 //! allocation, no lock (the same inertness contract as
-//! [`crate::SpanGuard`]). Enable with `QENS_TRACE=wall|logical` or
-//! [`set_mode`]. The buffer is bounded ([`MAX_TRACE_EVENTS`]); once
-//! full, new events are counted in [`dropped`] and discarded.
+//! [`crate::SpanGuard`]). Only code turns it on: [`set_mode`], e.g.
+//! through `FederationBuilder::trace` or `repro serve --trace`. The
+//! buffer is bounded ([`MAX_TRACE_EVENTS`]); once full, new events are
+//! counted in [`dropped`] and discarded.
 //!
 //! # Export
 //!
@@ -76,8 +77,7 @@ pub enum Clock {
     Logical,
 }
 
-/// Tri-state-plus mode flag: 0 = uninitialised (consult the
-/// environment), 1 = off, 2 = wall, 3 = logical.
+/// The mode flag: 0 = off (the start state), 1 = wall, 2 = logical.
 static MODE: AtomicU8 = AtomicU8::new(0);
 
 /// The id of the query whose [`query_span`] is currently open
@@ -90,40 +90,21 @@ static CURRENT_QUERY: AtomicU64 = AtomicU64::new(u64::MAX);
 #[inline]
 pub fn mode() -> Option<Clock> {
     match MODE.load(Ordering::Relaxed) {
-        2 => Some(Clock::Wall),
-        3 => Some(Clock::Logical),
-        1 => None,
-        _ => init_from_env(),
+        1 => Some(Clock::Wall),
+        2 => Some(Clock::Logical),
+        _ => None,
     }
 }
 
-#[cold]
-fn init_from_env() -> Option<Clock> {
-    let m = match std::env::var("QENS_TRACE") {
-        Ok(v) => match v.as_str() {
-            "wall" | "1" | "true" | "on" | "yes" => Some(Clock::Wall),
-            "logical" | "tick" => Some(Clock::Logical),
-            _ => None,
-        },
-        Err(_) => None,
-    };
-    MODE.store(encode_mode(m), Ordering::Relaxed);
-    m
-}
-
-fn encode_mode(m: Option<Clock>) -> u8 {
-    match m {
-        None => 1,
-        Some(Clock::Wall) => 2,
-        Some(Clock::Logical) => 3,
-    }
-}
-
-/// Turns tracing on (with the given clock) or off, overriding
-/// `QENS_TRACE`. Does **not** clear already-buffered events — call
-/// [`clear`] for a fresh trace.
+/// Turns tracing on (with the given clock) or off. Does **not** clear
+/// already-buffered events — call [`clear`] for a fresh trace.
 pub fn set_mode(m: Option<Clock>) {
-    MODE.store(encode_mode(m), Ordering::Relaxed);
+    let code = match m {
+        None => 0,
+        Some(Clock::Wall) => 1,
+        Some(Clock::Logical) => 2,
+    };
+    MODE.store(code, Ordering::Relaxed);
 }
 
 /// Whether any event would be recorded right now.

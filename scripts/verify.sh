@@ -10,22 +10,17 @@
 #      state (telemetry registry, trace buffer) without taking their
 #      file's lock: such a test passes alone and under
 #      --test-threads=1 and fails only when a sibling lands inside it,
-#   3. the full test suite again under QENS_THREADS=2, exercising the
-#      env-configured global `par` pool (the determinism suite injects
-#      pools explicitly; this pass covers the environment path) — it also
-#      re-runs the golden tests, so the committed fig9 saturation CSV is
-#      regenerated at a second pool size,
-#   4. clippy with warnings denied,
-#   5. rustfmt check,
-#   6. the repro smoke path, which runs the selection→train→aggregate
+#   3. clippy with warnings denied,
+#   4. rustfmt check,
+#   5. the repro smoke path, which runs the selection→train→aggregate
 #      pipeline end to end and asserts a non-empty telemetry snapshot
 #      spanning cluster/selection/mlkit/fedlearn/edgesim — and, under a
 #      nonzero-dropout fault plan, writes results/fault_trace.json,
-#   7. fault + trace seed-stability: the smoke run is repeated under
+#   6. fault + trace seed-stability: the smoke run is repeated under
 #      QENS_THREADS=1 and QENS_THREADS=2 and both the fault trace and
 #      the logical-clock Chrome trace must be byte-identical (the
 #      faults and telemetry::trace determinism contracts),
-#   8. the live-observability self-test (`repro serve --once`): binds an
+#   7. the live-observability self-test (`repro serve --once`): binds an
 #      ephemeral port, probes /healthz, /metrics, /trace, /profile,
 #      /profile.svg, /slowest, /slo, /cache, /nodes, /nodes/<id> and
 #      /events over a plain TcpStream, asserts non-empty qens_* metric
@@ -34,35 +29,35 @@
 #      POST /query over a keep-alive socket, and exercises the
 #      404/400/405/413 error paths plus the graceful-drain shutdown
 #      contract,
-#   9. profiler seed-stability: `repro profile` is run under
+#   8. profiler seed-stability: `repro profile` is run under
 #      QENS_THREADS=1 and QENS_THREADS=4 and the logical-clock folded
 #      stacks and SVG flamegraph must be byte-identical,
-#  10. the serving smoke (`repro load --smoke`): spawns a real server on
+#   9. the serving smoke (`repro load --smoke`): spawns a real server on
 #      an ephemeral port, drives it with concurrent keep-alive clients
 #      while scraping /metrics, /cache, /nodes and /events, and asserts
 #      the telemetry ledger matches the queries served,
-#  11. fleet-observability seed-stability: `repro fleet` is run under
+#  10. fleet-observability seed-stability: `repro fleet` is run under
 #      QENS_THREADS=1 and QENS_THREADS=4 and both results/fleet.json
 #      (scorecards + skew + logical journal tail) and
 #      results/fig10_fleet_skew.csv must be byte-identical — every
 #      scorecard field in the export is integer or leader-serial
 #      simulated time, so the fleet registry honours the same
 #      determinism contract as the fault and trace subsystems,
-#  12. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
+#  11. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
 #      nodes, every node vs the index's probed domains, bit-identity
 #      asserted inside the sweep)
 #      is run under QENS_THREADS=1 and QENS_THREADS=4 and
 #      results/fig11_scale.csv must be byte-identical (the CSV is
 #      structural counters + selection hashes, never wall clock),
-#  13. the repo benchmark's own unit tests (`benchmark/` is a workspace
+#  12. the repo benchmark's own unit tests (`benchmark/` is a workspace
 #      of its own, so step 2 never sees them); this runs them only —
 #      `BENCHMARK.json` and `benchmark/` are the driver's contract and
 #      are measured by the driver, not here,
-#  14. one 3 s run of the repo benchmark's `serve_closed` workload (run
+#  13. one 3 s run of the repo benchmark's `serve_closed` workload (run
 #      only, nothing under `benchmark/` is edited): fails unless no
 #      operation failed and the keep-alive p50 is under 5 ms — a reply
 #      that leaves as two writes reads 44 ms there,
-#  15. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
+#  14. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
 #      only). The plain run fails unless no operation failed and peak
 #      RSS is under 300 MB: the 20k-node fleet alone is ~100 MB, so
 #      per-entry memo state that scales with the fleet (1.4 GB when
@@ -84,9 +79,6 @@ echo "==> cargo test -q --offline, 3x at default test parallelism (racy-test can
 for run in 1 2 3; do
   cargo test -q --offline || { echo "FAIL: test suite failed on run $run of 3"; exit 1; }
 done
-
-echo "==> QENS_THREADS=2 cargo test -q --offline (global pool path)"
-QENS_THREADS=2 cargo test -q --offline
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings

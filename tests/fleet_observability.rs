@@ -10,7 +10,7 @@
 //!   counters,
 //! * registry totals must agree with the `QueryAccounting` ledger on
 //!   streams where every query completed,
-//! * a disabled fleet (`QENS_FLEET=0` / `FederationBuilder::fleet(false)`)
+//! * a disabled fleet (`FederationBuilder::fleet(false)`)
 //!   must record nothing and leave query results bitwise unchanged.
 //!
 //! The registry and journal are process-global, so every test

@@ -14,10 +14,9 @@
 //!   pool's own scheduling metrics are explicitly *not* part of the
 //!   contract — inline vs pooled task counts legitimately differ).
 //!
-//! The `QENS_THREADS` env path (the global pool) is covered separately
-//! by `scripts/verify.sh`, which re-runs the whole test suite under
-//! `QENS_THREADS=2`; here we inject pools explicitly so tests stay
-//! race-free under the parallel test harness.
+//! The global pool reads `QENS_THREADS` only for its size; here we
+//! inject pools of explicit sizes so the tests neither depend on the
+//! caller's shell nor race under the parallel test harness.
 
 use qens::cluster::{KMeans, KMeansConfig};
 use qens::fedlearn::{run_query, FederationConfig, GlobalModel};
