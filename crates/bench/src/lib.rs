@@ -18,6 +18,7 @@ pub mod profile;
 pub mod report;
 pub mod scale;
 pub mod serve;
+pub mod smoke;
 pub mod tables;
 
 /// Serializes tests that mutate the process-global fleet registry and

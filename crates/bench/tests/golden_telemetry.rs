@@ -1,7 +1,8 @@
-//! Golden tests for the telemetry artifacts `repro fleet` and `repro
-//! profile` write. Those runs write the process-global fleet registry,
-//! journal and trace buffer, as `golden_results`' fig9 run does, so they
-//! get a process of their own; [`serial`] keeps them off each other.
+//! Golden tests for the telemetry artifacts `repro fleet`, `repro
+//! profile` and `repro --smoke` write. Those runs write the
+//! process-global fleet registry, journal and trace buffer, as
+//! `golden_results`' fig9 run does, so they get a process of their own;
+//! [`serial`] keeps them off each other.
 
 mod common;
 
@@ -33,5 +34,13 @@ fn profile_folded_and_svg_match_a_fresh_run() {
             ..ProfileOptions::default()
         };
         run_profile(&opts).map(drop)
+    });
+}
+
+#[test]
+fn trace_json_and_fault_trace_match_a_fresh_run() {
+    let _g = serial();
+    assert_golden(&["trace.json", "fault_trace.json"], "--smoke", |dir| {
+        bench::smoke::write_fault_and_trace(dir).map(drop)
     });
 }
