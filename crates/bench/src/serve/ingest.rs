@@ -166,11 +166,7 @@ pub fn batcher_loop(state: Arc<ServerState>) {
                 .record(job.enqueued.elapsed().as_micros() as u64);
             if admission.deadline_ms.is_some_and(|d| d == 0 || age_ms > d) {
                 telemetry::counter!("qens_serve_shed_total").incr();
-                telemetry::trace::instant(
-                    "serve.shed",
-                    &[("query", job.query.id()), ("age_ms", age_ms)],
-                );
-                telemetry::journal::admission_shed(job.query.id(), age_ms);
+                telemetry::emit(&telemetry::Event::AdmissionShed(job.query.id(), age_ms));
                 let _ = job.reply.send(Reply {
                     status: "503 Service Unavailable",
                     content_type: "application/json",

@@ -10,6 +10,7 @@ use geom::Query;
 use linalg::rng as lrng;
 use mlkit::{DenseDataset, Model, ModelKind, Regressor, TrainConfig};
 use selection::{Participant, Selection, SelectionContext, SelectionPolicy};
+use telemetry::Event;
 
 use crate::aggregate::{Aggregation, GlobalModel};
 use crate::error::FederationError;
@@ -328,7 +329,7 @@ pub fn run_batch(
             // No QueryObserver here, so the fleet registry counts the
             // batch's queries itself.
             for query in queries {
-                telemetry::fleet::query_observed(query.id());
+                telemetry::emit(&Event::QueryObserved(query.id()));
             }
             let _run_span = telemetry::span!("qens_fedlearn_run_batch_nanos");
             let _trace_batch =
@@ -411,6 +412,71 @@ struct Flight<'a> {
     attempters: Vec<(usize, f64)>,
 }
 
+impl Flight<'_> {
+    /// Records one fault: pushes it to the fault trace, books it in the
+    /// accounting ledger and emits its telemetry event.
+    fn fault(&mut self, fault: FaultEvent) {
+        let q = self.ctx.query.id();
+        let a = &mut self.accounting;
+        let u = |x: usize| x as u64;
+        let event = match fault {
+            FaultEvent::Dropout { node, round } => {
+                a.dropped_participants += 1;
+                Event::Dropout(q, u(node), u(round))
+            }
+            FaultEvent::Crash { node, round } => {
+                a.dropped_participants += 1;
+                Event::Crash(q, u(node), u(round))
+            }
+            FaultEvent::Straggler {
+                node,
+                round,
+                slowdown,
+            } => Event::Straggled(u(node), u(round), slowdown),
+            FaultEvent::LinkLoss {
+                node,
+                round,
+                attempt,
+            } => {
+                a.retries += 1;
+                Event::LinkLoss(u(node), u(round), u(attempt))
+            }
+            FaultEvent::RetrySuccess {
+                node,
+                round,
+                retries,
+            } => Event::RetrySuccess(u(node), u(round), u(retries)),
+            FaultEvent::TransferFailed {
+                node,
+                round,
+                attempts,
+            } => {
+                a.dropped_participants += 1;
+                Event::TransferFailed(q, u(node), u(round), u(attempts))
+            }
+            FaultEvent::DeadlineMiss { node, round, .. } => {
+                a.deadline_misses += 1;
+                a.dropped_participants += 1;
+                Event::DeadlineMiss(q, u(node), u(round))
+            }
+            FaultEvent::Replacement { standby, round } => {
+                a.replacements += 1;
+                Event::Promoted(q, u(standby), u(round))
+            }
+            FaultEvent::QuorumLost {
+                round,
+                survivors,
+                required,
+            } => {
+                let cohort = self.cohort.iter().map(|m| u(m.participant.node.0));
+                Event::QuorumLost(q, u(round), u(survivors), u(required), cohort.collect())
+            }
+        };
+        self.trace.push(fault);
+        telemetry::emit(&event);
+    }
+}
+
 /// One communication round's ledger, accumulated across the initial
 /// cohort's pass and any promoted-standby passes.
 #[derive(Default)]
@@ -427,13 +493,10 @@ impl RoundLedger {
     /// Charges one report's simulated seconds and wire bytes.
     fn charge(&mut self, node_idx: usize, seconds: f64, wall_seconds: f64, bytes: usize) {
         self.per_node_seconds.push(seconds);
-        telemetry::fleet::trained(node_idx as u64, seconds, (wall_seconds * 1e9) as u64);
         self.bytes += bytes;
-        telemetry::fleet::transferred(node_idx as u64, bytes as u64);
-        telemetry::trace::instant(
-            "edgesim.transfer",
-            &[("node", node_idx as u64), ("bytes", bytes as u64)],
-        );
+        let wall_nanos = (wall_seconds * 1e9) as u64;
+        let event = Event::Charged(node_idx as u64, seconds, wall_nanos, bytes as u64);
+        telemetry::emit(&event);
     }
 }
 
@@ -541,16 +604,12 @@ fn prepare<'a>(
             query_id: query.id(),
         });
     }
-    // Fleet scorecards: credit each selected node (leader-serial, so the
-    // registry and journal are deterministic at any thread count). The
-    // enabled() guard keeps the summary_epoch lookups off the fast path.
-    if telemetry::fleet::enabled() {
-        telemetry::fleet::observe_fleet(network.len());
-        for (rank, p) in selection.participants.iter().enumerate() {
-            let epoch = network.node(p.node).summary_epoch();
-            telemetry::fleet::selected(query.id(), p.node.0 as u64, epoch);
-            telemetry::journal::node_selected(query.id(), p.node.0 as u64, rank as u64);
-        }
+    // Credit each selected node (leader-serial, so the scorecards and
+    // the journal are deterministic at any thread count).
+    telemetry::emit(&Event::FleetObserved(network.len() as u64));
+    for (rank, p) in selection.participants.iter().enumerate() {
+        let (node, epoch) = (p.node.0 as u64, network.node(p.node).summary_epoch());
+        telemetry::emit(&Event::Selected(query.id(), node, rank as u64, epoch));
     }
     let overhead = env.policy.overhead(&ctx);
     // The leader's initial global model, broadcast to every participant.
@@ -628,58 +687,34 @@ fn fates(f: &mut Flight, round: usize) {
         "fedlearn.fates",
         &[("round", round as u64), ("pending", f.pending.len() as u64)],
     );
-    let query_id = f.ctx.query.id();
     f.attempters.clear();
-    for &ci in &f.pending {
-        let node_idx = f.cohort[ci].participant.node.0;
+    for ci in std::mem::take(&mut f.pending) {
+        let node = f.cohort[ci].participant.node.0;
         let fate = f
             .plan
             .as_ref()
             .map_or(ParticipantFate::Participates { slowdown: 1.0 }, |p| {
-                p.fate(node_idx, round)
+                p.fate(node, round)
             });
-        let (event, name, reason) = match fate {
+        let event = match fate {
             ParticipantFate::Participates { slowdown } => {
-                if slowdown > 1.0 {
-                    f.trace.push(FaultEvent::Straggler {
-                        node: node_idx,
-                        round,
-                        slowdown,
-                    });
-                    telemetry::trace::instant(
-                        "fault.straggler",
-                        &[
-                            ("node", node_idx as u64),
-                            ("round", round as u64),
-                            ("slowdown_milli", (slowdown * 1000.0) as u64),
-                        ],
-                    );
-                    telemetry::fleet::straggled(node_idx as u64);
-                }
                 f.attempters.push((ci, slowdown));
-                continue;
+                if slowdown <= 1.0 {
+                    continue;
+                }
+                FaultEvent::Straggler {
+                    node,
+                    round,
+                    slowdown,
+                }
             }
             ParticipantFate::Crashed => {
                 f.ledger.crashed.push(ci);
-                let event = FaultEvent::Crash {
-                    node: node_idx,
-                    round,
-                };
-                (event, "fault.crash", "crash")
+                FaultEvent::Crash { node, round }
             }
-            ParticipantFate::Dropped => {
-                let event = FaultEvent::Dropout {
-                    node: node_idx,
-                    round,
-                };
-                (event, "fault.dropout", "dropout")
-            }
+            ParticipantFate::Dropped => FaultEvent::Dropout { node, round },
         };
-        f.trace.push(event);
-        telemetry::trace::instant(name, &[("node", node_idx as u64), ("round", round as u64)]);
-        f.accounting.dropped_participants += 1;
-        telemetry::fleet::dropped(node_idx as u64);
-        telemetry::journal::node_dropped(query_id, node_idx as u64, round as u64, reason);
+        f.fault(event);
     }
     fates_span.finish();
 }
@@ -811,10 +846,9 @@ fn deliver(env: &Env, f: &mut Flight, round: usize, reports: Vec<LocalResult>, p
 /// deadline; a report that arrives in time joins the round's survivors.
 fn deliver_one(env: &Env, f: &mut Flight, round: usize, ci: usize, slowdown: f64, r: LocalResult) {
     let tolerance = &env.config.tolerance;
-    let query_id = f.ctx.query.id();
-    let member = &f.cohort[ci];
-    let node = env.network.node(member.participant.node);
-    let node_idx = member.participant.node.0;
+    let participant = &f.cohort[ci].participant;
+    let (node_idx, ranking) = (participant.node.0, participant.ranking);
+    let node = env.network.node(participant.node);
     let model_bytes = f.model_bytes;
     f.ledger.samples_used += r.samples_used;
     f.ledger.sample_visits += r.sample_visits;
@@ -825,58 +859,33 @@ fn deliver_one(env: &Env, f: &mut Flight, round: usize, ci: usize, slowdown: f64
         * slowdown;
 
     // Upload attempts under the retry budget: each lost attempt is an
-    // independent deterministic draw.
-    let mut failed = 0usize;
-    let mut delivered = f.plan.is_none();
-    if let Some(p) = f.plan.as_ref() {
-        for attempt in 0..tolerance.retry.max_attempts.max(1) {
-            if !p.transfer_attempt_fails(node_idx, round, attempt) {
-                delivered = true;
-                break;
-            }
-            f.trace.push(FaultEvent::LinkLoss {
-                node: node_idx,
-                round,
-                attempt,
-            });
-            telemetry::trace::instant(
-                "fault.link_loss",
-                &[
-                    ("node", node_idx as u64),
-                    ("round", round as u64),
-                    ("attempt", attempt as u64),
-                ],
-            );
-            failed += 1;
-        }
-    }
-    f.accounting.retries += failed;
-    if failed > 0 {
-        telemetry::fleet::retried(node_idx as u64, failed as u64);
+    // independent deterministic draw, and the first one through ends
+    // the run of losses.
+    let attempts = tolerance.retry.max_attempts.max(1);
+    let failed = f.plan.as_ref().map_or(0, |p| {
+        (0..attempts)
+            .take_while(|&attempt| p.transfer_attempt_fails(node_idx, round, attempt))
+            .count()
+    });
+    for attempt in 0..failed {
+        f.fault(FaultEvent::LinkLoss {
+            node: node_idx,
+            round,
+            attempt,
+        });
     }
     let retry_penalty = node
         .link()
         .retry_penalty_seconds(model_bytes, failed, &tolerance.retry);
-    if !delivered {
+    if failed == attempts {
         // Retry budget exhausted: the report never reached the leader.
         // Charge the broadcast plus every lost upload; there is no model
         // to aggregate.
-        f.trace.push(FaultEvent::TransferFailed {
+        f.fault(FaultEvent::TransferFailed {
             node: node_idx,
             round,
             attempts: failed,
         });
-        telemetry::trace::instant(
-            "fault.transfer_failed",
-            &[
-                ("node", node_idx as u64),
-                ("round", round as u64),
-                ("attempts", failed as u64),
-            ],
-        );
-        f.accounting.dropped_participants += 1;
-        telemetry::fleet::dropped(node_idx as u64);
-        telemetry::journal::node_dropped(query_id, node_idx as u64, round as u64, "transfer");
         let charged = train_sim + node.link().transfer_seconds(model_bytes) + retry_penalty;
         f.ledger.charge(
             node_idx,
@@ -887,19 +896,11 @@ fn deliver_one(env: &Env, f: &mut Flight, round: usize, ci: usize, slowdown: f64
         return;
     }
     if failed > 0 {
-        f.trace.push(FaultEvent::RetrySuccess {
+        f.fault(FaultEvent::RetrySuccess {
             node: node_idx,
             round,
             retries: failed,
         });
-        telemetry::trace::instant(
-            "fault.retry_success",
-            &[
-                ("node", node_idx as u64),
-                ("round", round as u64),
-                ("retries", failed as u64),
-            ],
-        );
     }
     // Fault-free identity: slowdown is 1.0 and the penalty 0.0 here, so
     // `finish` reduces bit-exactly to the `training + transfer(2·bytes)`
@@ -909,26 +910,18 @@ fn deliver_one(env: &Env, f: &mut Flight, round: usize, ci: usize, slowdown: f64
     if let Some(deadline) = tolerance.straggler_deadline_seconds.filter(|&d| finish > d) {
         // The leader stopped waiting at the deadline; the (completed)
         // work is discarded for this round.
-        f.trace.push(FaultEvent::DeadlineMiss {
+        f.fault(FaultEvent::DeadlineMiss {
             node: node_idx,
             round,
             deadline_seconds: deadline,
             finish_seconds: finish,
         });
-        telemetry::trace::instant(
-            "fault.deadline_miss",
-            &[("node", node_idx as u64), ("round", round as u64)],
-        );
-        f.accounting.deadline_misses += 1;
-        f.accounting.dropped_participants += 1;
-        telemetry::fleet::dropped(node_idx as u64);
-        telemetry::journal::straggler_deadline(query_id, node_idx as u64, round as u64);
         f.ledger.charge(node_idx, deadline, r.wall_seconds, bytes);
         return;
     }
     f.ledger.charge(node_idx, finish, r.wall_seconds, bytes);
     f.ledger.survivors.push(Survivor {
-        ranking: member.participant.ranking,
+        ranking,
         samples_used: r.samples_used,
         model: r.model,
     });
@@ -943,7 +936,6 @@ fn promote(env: &Env, f: &mut Flight, round: usize) -> Result<bool, FederationEr
     if survivors >= f.required {
         return Ok(false);
     }
-    let query_id = f.ctx.query.id();
     let promote_span = telemetry::trace::span_args("fedlearn.promote", &[("round", round as u64)]);
     let deficit = f.required - survivors;
     let mut promoted: Vec<usize> = Vec::new();
@@ -952,21 +944,12 @@ fn promote(env: &Env, f: &mut Flight, round: usize) -> Result<bool, FederationEr
             break;
         };
         f.next_standby += 1;
+        let standby = p.node.0;
         let member = env.member(&env.policy.promote(&f.ctx, p));
         // Standbys without training data are skipped — they could never
         // report a model.
         if member.has_data() {
-            f.trace.push(FaultEvent::Replacement {
-                standby: p.node.0,
-                round,
-            });
-            telemetry::trace::instant(
-                "fault.replacement",
-                &[("standby", p.node.0 as u64), ("round", round as u64)],
-            );
-            f.accounting.replacements += 1;
-            telemetry::fleet::promoted(p.node.0 as u64);
-            telemetry::journal::standby_promoted(query_id, p.node.0 as u64, round as u64);
+            f.fault(FaultEvent::Replacement { standby, round });
             f.cohort.push(member);
             promoted.push(f.cohort.len() - 1);
         }
@@ -976,25 +959,13 @@ fn promote(env: &Env, f: &mut Flight, round: usize) -> Result<bool, FederationEr
         f.pending = promoted;
         return Ok(true);
     }
-    f.trace.push(FaultEvent::QuorumLost {
+    f.fault(FaultEvent::QuorumLost {
         round,
         survivors,
         required: f.required,
     });
-    telemetry::trace::instant(
-        "fault.quorum_lost",
-        &[
-            ("round", round as u64),
-            ("survivors", survivors as u64),
-            ("required", f.required as u64),
-        ],
-    );
-    telemetry::journal::quorum_lost(query_id, round as u64, survivors as u64);
-    for m in &f.cohort {
-        telemetry::fleet::quorum_lost(m.participant.node.0 as u64);
-    }
     Err(FederationError::QuorumLost {
-        query_id,
+        query_id: f.ctx.query.id(),
         round,
         survivors,
         required: f.required,
@@ -1047,7 +1018,7 @@ fn close_round(env: &Env, f: &mut Flight, round: usize) {
 fn finish(env: &Env, f: Flight) -> RoundOutcome {
     let final_cohort: Vec<Participant> = f.cohort.into_iter().map(|m| m.participant).collect();
     for p in &final_cohort {
-        telemetry::fleet::participated(p.node.0 as u64);
+        telemetry::emit(&Event::Participated(p.node.0 as u64));
     }
     // Satellite coupling: the simulator ledger and the telemetry counters
     // must tell the same story (asserted in tests/telemetry_pipeline.rs).

@@ -216,7 +216,7 @@ impl CachedQueryDriven {
             memo.stats.invalidations += moved;
             telemetry::counter!("qens_cache_invalidations_total").add(moved);
             telemetry::gauge!("qens_cache_entries").set(0.0);
-            telemetry::journal::cache_invalidated(ctx.query.id(), moved);
+            telemetry::emit(&telemetry::Event::CacheInvalidated(ctx.query.id(), moved));
         }
         let answer = memo.answers.get(key).cloned();
         if answer.is_some() {

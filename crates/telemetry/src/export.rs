@@ -541,10 +541,9 @@ mod tests {
         crate::fleet::set_enabled(true);
         crate::fleet::reset();
         crate::journal::clear();
-        crate::fleet::observe_fleet(5);
-        crate::fleet::selected(1, 0, 0);
-        crate::fleet::selected(1, 3, 0);
-        crate::journal::node_selected(1, 0, 0);
+        crate::emit(&crate::Event::FleetObserved(5));
+        crate::emit(&crate::Event::Selected(1, 0, 0, 0));
+        crate::emit(&crate::Event::Selected(1, 3, 1, 0));
         let mut text = String::new();
         crate::fleet::to_prometheus(&mut text, crate::fleet::PROM_TOP_K);
         assert!(!text.is_empty());
@@ -567,7 +566,7 @@ mod tests {
             let sample_at = text.find(line).unwrap();
             assert!(help_at < type_at && type_at < sample_at);
         }
-        assert!(text.contains("qens_journal_events_total 1"));
+        assert!(text.contains("qens_journal_events_total 2"));
         crate::fleet::reset();
         crate::journal::clear();
     }

@@ -18,6 +18,9 @@
 //! * [`Registry`] — the thread-safe global name → metric table, plus
 //!   per-query scopes ([`QueryScope`]) capturing the delta a single
 //!   query contributed to every metric.
+//! * [`Event`] — one fleet or fault occurrence, emitted once through
+//!   [`emit`]; the trace instants, the [`fleet`] scorecards and the
+//!   [`journal`] are folds of that stream.
 //!
 //! Metric names follow `qens_<crate>_<name>` with a unit suffix
 //! (`_total` for counters, `_nanos`/`_micros`/`_bytes` for histograms).
@@ -45,6 +48,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+pub mod event;
 pub mod export;
 pub mod fleet;
 pub mod histogram;
@@ -56,6 +60,7 @@ pub mod registry;
 pub mod span;
 pub mod trace;
 
+pub use event::{emit, Event};
 pub use histogram::{BucketCount, Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
 pub use registry::{global, QueryScope, QuerySnapshot, Registry, Snapshot};

@@ -29,10 +29,12 @@
 //! `par.task`); on the **logical** clock they are deterministic ticks,
 //! so the folded export and the SVG are *byte-identical for any
 //! `QENS_THREADS`* — the same contract as the Chrome trace export,
-//! which is what lets `scripts/verify.sh` diff `results/profile.folded`
-//! across thread counts. The SLO tracker always measures wall time (an
-//! objective over logical ticks would be meaningless) and is therefore
-//! excluded from the byte-stability contract.
+//! which is what lets `crates/bench/tests/golden_telemetry.rs` diff
+//! `results/profile.folded` and `profile.svg` against a fresh run and
+//! `scripts/verify.sh` diff them across thread counts. The SLO tracker
+//! always measures wall time (an objective over logical ticks would be
+//! meaningless) and is therefore excluded from the byte-stability
+//! contract.
 //!
 //! # Feeding the profiler
 //!
@@ -800,7 +802,7 @@ impl QueryObserver {
     pub fn begin(query_id: u64) -> Self {
         // The fleet registry counts queries here — every run_query path
         // opens exactly one observer (batch waves count their own).
-        crate::fleet::query_observed(query_id);
+        crate::emit(&crate::Event::QueryObserved(query_id));
         let active = crate::enabled() || trace::is_enabled();
         Self {
             query_id,

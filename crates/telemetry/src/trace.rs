@@ -29,7 +29,7 @@
 //! * **Logical** — the timestamp is a deterministic tick (0, 1, 2, …)
 //!   assigned in recording order, and **only deterministic call sites
 //!   record**: [`span`]/[`instant`] (leader-serial code) record,
-//!   [`wall_span`]/[`wall_instant`] (worker/hot-path code) are inert.
+//!   [`wall_span_args`] (worker/hot-path code) is inert.
 //!   Because the leader's event sequence is a pure function of the
 //!   simulation (never of thread scheduling), a logical trace — and its
 //!   byte-stable JSON export — is bit-identical for any pool size,
@@ -440,12 +440,6 @@ pub fn span_args(name: &'static str, args: &[(&'static str, u64)]) -> TraceSpan 
 /// hot paths). Recorded only in wall mode; inert in logical mode so
 /// logical traces stay thread-count independent.
 #[inline]
-pub fn wall_span(name: &'static str) -> TraceSpan {
-    wall_span_args(name, &[])
-}
-
-/// [`wall_span`] with arguments.
-#[inline]
 pub fn wall_span_args(name: &'static str, args: &[(&'static str, u64)]) -> TraceSpan {
     TraceSpan::begin(name, args, true)
 }
@@ -483,22 +477,6 @@ pub fn instant(name: &'static str, args: &[(&'static str, u64)]) {
         current_parent(),
         Args::from_slice(args),
     );
-}
-
-/// Records a point event from a scheduling-dependent call site (wall
-/// mode only).
-#[inline]
-pub fn wall_instant(name: &'static str, args: &[(&'static str, u64)]) {
-    if mode() == Some(Clock::Wall) {
-        record(
-            Clock::Wall,
-            Phase::Instant,
-            name,
-            0,
-            current_parent(),
-            Args::from_slice(args),
-        );
-    }
 }
 
 fn write_event(out: &mut String, e: &TraceEvent, clock: Clock) {
@@ -575,8 +553,9 @@ fn write_event(out: &mut String, e: &TraceEvent, clock: Clock) {
 /// export one query's events only.
 ///
 /// Key order, number formatting and event order are all fixed, so two
-/// identical buffers export byte-identically — the logical-clock
-/// seed-stability check in `scripts/verify.sh` diffs exactly this.
+/// identical buffers export byte-identically — `results/trace.json` is
+/// exactly this, byte-diffed by `crates/bench/tests/golden_telemetry.rs`
+/// and across thread counts by `scripts/verify.sh`.
 pub fn export_chrome(query: Option<u64>) -> String {
     let c = collector();
     // The clock tag in the export comes from the *current* mode; a
@@ -714,7 +693,6 @@ mod tests {
         assert_eq!(s.id(), 0);
         drop(s);
         instant("qens.test.off.instant", &[("x", 1)]);
-        wall_instant("qens.test.off.wall", &[]);
         assert_eq!(events_len(), 0);
         assert_eq!(dropped(), 0);
     }
@@ -723,10 +701,9 @@ mod tests {
     fn logical_mode_skips_wall_only_sites() {
         let _g = locked(Some(Clock::Logical));
         let a = span("a");
-        let w = wall_span("w");
+        let w = wall_span_args("w", &[]);
         assert!(a.is_recording());
         assert!(!w.is_recording());
-        wall_instant("wi", &[]);
         drop(w);
         drop(a);
         let events = snapshot_events();
@@ -808,7 +785,7 @@ mod tests {
     fn wall_mode_records_worker_sites_with_nanos() {
         let _g = locked(Some(Clock::Wall));
         {
-            let _s = wall_span("hot");
+            let _s = wall_span_args("hot", &[]);
             std::hint::black_box(1 + 1);
         }
         let events = snapshot_events();
@@ -857,10 +834,10 @@ mod tests {
         let (to_worker, from_main) = std::sync::mpsc::channel::<()>();
         let (to_main, from_worker) = std::sync::mpsc::channel::<()>();
         let worker = std::thread::spawn(move || {
-            drop(wall_span("before.clear")); // takes an id
+            drop(wall_span_args("before.clear", &[])); // takes an id
             to_main.send(()).unwrap();
             from_main.recv().unwrap();
-            let _outer = wall_span("worker.outer");
+            let _outer = wall_span_args("worker.outer", &[]);
             to_main.send(()).unwrap();
             from_main.recv().unwrap();
         });
@@ -870,7 +847,7 @@ mod tests {
         from_worker.recv().unwrap();
         // Opened while the worker's span is open, on a thread (a fresh
         // one, spawned here) that has no id yet.
-        std::thread::spawn(|| drop(wall_span("fresh.inner")))
+        std::thread::spawn(|| drop(wall_span_args("fresh.inner", &[])))
             .join()
             .unwrap();
         to_worker.send(()).unwrap();

@@ -19,7 +19,9 @@
 #   6. fault + trace seed-stability: the smoke run is repeated under
 #      QENS_THREADS=1 and QENS_THREADS=2 and both the fault trace and
 #      the logical-clock Chrome trace must be byte-identical (the
-#      faults and telemetry::trace determinism contracts),
+#      faults and telemetry::trace determinism contracts); step 2's
+#      golden_telemetry.rs checks both against results/ at the default
+#      pool size only, so this leg is the one that varies the pool,
 #   7. the live-observability self-test (`repro serve --once`): binds an
 #      ephemeral port, probes /healthz, /metrics, /trace, /profile,
 #      /profile.svg, /slowest, /slo, /cache, /nodes, /nodes/<id> and

@@ -237,7 +237,7 @@ enum Step {
 /// or a re-quantise and rebuilds once for a join.
 #[test]
 fn memo_and_index_follow_a_churning_fleet_exactly() {
-    use telemetry::journal;
+    use telemetry::{journal, Event};
     const STEPS: u64 = 240;
     // Query ids no other test of this binary uses: the journal is
     // process-wide and is filtered by them below.
@@ -363,8 +363,10 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
         }
         let journaled: Vec<u64> = journal::tail(None)
             .iter()
-            .filter(|e| e.kind == journal::Kind::CacheInvalidated && e.query == q.id())
-            .map(|e| e.args()[0].1)
+            .filter_map(|e| match e.event {
+                Event::CacheInvalidated(query, stale) if query == q.id() => Some(stale),
+                _ => None,
+            })
             .collect();
         let expected = if step > 0 && moved > 0 {
             vec![moved; 2]
