@@ -13,8 +13,8 @@
 //! ```
 //!
 //! Printed rows state the measured values next to the paper's; CSV series
-//! land in `results/`, alongside `results/telemetry.json` — the full
-//! metric snapshot (per-query deltas included) of the run.
+//! land in `results/`, alongside `results/telemetry.json` — the
+//! process-wide metric snapshot of the run.
 //!
 //! The one environment setting is `QENS_THREADS` (the global pool's
 //! worker count). Any other `QENS_*` variable, or a `QENS_THREADS` that
@@ -31,21 +31,19 @@ fn results_dir() -> PathBuf {
     PathBuf::from("results")
 }
 
-/// Writes the global telemetry snapshot (plus the per-query ring) to
-/// `results/telemetry.json` and returns the snapshot for inspection.
+/// Writes the global telemetry snapshot to `results/telemetry.json` and
+/// returns the snapshot for inspection.
 fn write_telemetry() -> telemetry::Snapshot {
     let snap = telemetry::global().snapshot();
-    let queries = telemetry::global().query_snapshots();
-    let doc = telemetry::export::to_json(&snap, &queries);
+    let doc = telemetry::export::to_json(&snap);
     let dir = results_dir();
     std::fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join("telemetry.json");
     std::fs::write(&path, doc).expect("write telemetry.json");
     println!(
-        "(telemetry: {} counters, {} histograms, {} per-query snapshots -> {})",
+        "(telemetry: {} counters, {} histograms -> {})",
         snap.counters.len(),
         snap.histograms.len(),
-        queries.len(),
         path.display()
     );
     snap
@@ -87,25 +85,25 @@ fn run_smoke() {
             "smoke run missing {metric}"
         );
     }
+    let run_query = snap
+        .histogram("qens_fedlearn_run_query_nanos")
+        .expect("smoke run timed run_query");
     assert_eq!(
-        telemetry::global().query_snapshots().len(),
-        2,
-        "expected one per-query snapshot per smoke query"
+        run_query.count, 2,
+        "expected one run_query timing per smoke query"
     );
-    if let Some(h) = snap.histogram("qens_fedlearn_run_query_nanos") {
-        println!(
-            "run_query latency: p50 {:.0} ns, p95 {:.0} ns, p99 {:.0} ns over {} queries",
-            h.p50(),
-            h.p95(),
-            h.p99(),
-            h.count
-        );
-    }
+    println!(
+        "run_query latency: p50 {:.0} ns, p95 {:.0} ns, p99 {:.0} ns over {} queries",
+        run_query.p50(),
+        run_query.p95(),
+        run_query.p99(),
+        run_query.count
+    );
 
     // Fault and trace smoke: results/fault_trace.json and
     // results/trace.json. `golden_telemetry.rs` regenerates and byte-diffs
-    // both at the default pool size, `scripts/verify.sh` at QENS_THREADS=1
-    // vs 2.
+    // both at the default pool size, `repro_cli.rs` through this binary
+    // at QENS_THREADS=1 and 4.
     let dir = results_dir();
     let out = bench::smoke::write_fault_and_trace(&dir).expect("write smoke traces");
     println!(

@@ -272,16 +272,11 @@ pub fn run_query(
         query_id: query.id(),
         reason,
     })?;
-    // Per-query attribution: every metric recorded until the scope drops
-    // is credited to this query id in the registry's query ring, and every
-    // trace event is stamped with the query id (the root of the tree).
-    // The profile observer is declared first so it drops *last* — after
-    // the query span's End event is buffered — and can hand the complete
-    // span tree to the flight recorder and the latency to the SLO tracker.
-    let _profile_obs = telemetry::profile::QueryObserver::begin(query.id());
-    let _query_scope = telemetry::QueryScope::begin(query.id());
+    // The observer roots the query's trace tree and, on drop, hands the
+    // finished tree to the flight recorder and the latency to the SLO
+    // tracker.
+    let _observer = telemetry::profile::QueryObserver::begin(query.id());
     let _run_span = telemetry::span!("qens_fedlearn_run_query_nanos");
-    let _trace_query = telemetry::trace::query_span(query.id());
     let mut outcomes = run_rounds(network, std::slice::from_ref(query), policy, config);
     outcomes.pop().expect("one query, one outcome")
 }
@@ -299,10 +294,10 @@ pub fn run_query(
 /// is bit-identical to calling [`run_query`] on that query alone, under
 /// faults, deadlines and multi-round refinement too.
 ///
-/// Telemetry differences vs. the unbatched path are attribution-only:
-/// a batch of several records no per-query [`telemetry::QueryScope`]
-/// (the waves are shared, so per-query metric attribution would lie)
-/// and fills `qens_fedlearn_run_batch_nanos` instead of
+/// Telemetry differences vs. the unbatched path: a batch of several
+/// opens one `fedlearn.batch` trace span instead of a `query` root per
+/// query, feeds neither the flight recorder nor the SLO tracker, and
+/// fills `qens_fedlearn_run_batch_nanos` instead of
 /// `qens_fedlearn_run_query_nanos`. Counters and the accounting ledger
 /// are untouched.
 pub fn run_batch(

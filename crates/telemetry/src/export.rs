@@ -3,9 +3,9 @@
 
 use crate::histogram::HistogramSnapshot;
 use crate::json::{write_f64, write_key, write_str, write_u64};
-use crate::registry::{QuerySnapshot, Snapshot};
+use crate::registry::Snapshot;
 
-/// Renders a snapshot (plus the per-query ring) as a JSON document:
+/// Renders a snapshot as a JSON document:
 ///
 /// ```json
 /// {
@@ -16,37 +16,20 @@ use crate::registry::{QuerySnapshot, Snapshot};
 ///      "max": 30, "mean": 10.0, "p50": ..., "p90": ..., "p95": ...,
 ///      "p99": ...,
 ///      "buckets": [{"lo": 0, "hi": 0, "count": 1}, ...]}
-///   ],
-///   "queries": [{"query_id": 7, "counters": {...}, ...}]
+///   ]
 /// }
 /// ```
 ///
 /// Only non-empty histogram buckets are emitted, so documents stay small.
-pub fn to_json(snapshot: &Snapshot, queries: &[QuerySnapshot]) -> String {
+pub fn to_json(snapshot: &Snapshot) -> String {
     let mut out = String::with_capacity(4096);
     out.push('{');
     write_metrics_body(&mut out, snapshot);
-    out.push(',');
-    write_key(&mut out, "queries");
-    out.push('[');
-    for (i, q) in queries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        write_key(&mut out, "query_id");
-        write_u64(&mut out, q.query_id);
-        out.push(',');
-        write_metrics_body(&mut out, &q.metrics);
-        out.push('}');
-    }
-    out.push(']');
     out.push('}');
     out
 }
 
-/// The shared `"counters": {...}, "gauges": {...}, "histograms": [...]`
-/// section used both at the top level and inside each query entry.
+/// The `"counters": {...}, "gauges": {...}, "histograms": [...]` body.
 fn write_metrics_body(out: &mut String, s: &Snapshot) {
     write_key(out, "counters");
     out.push('{');
@@ -183,7 +166,7 @@ pub fn help_text(name: &str) -> &'static str {
         ),
         ("qens_cluster_", "k-means clustering stage metric."),
         ("qens_selection_", "query-driven node selection metric."),
-        ("qens_fed_", "federated round engine metric."),
+        ("qens_fedlearn_", "federated round engine metric."),
         ("qens_fault_", "injected-fault handling metric."),
         ("qens_edgesim_", "edge network simulation metric."),
         (
@@ -344,26 +327,13 @@ mod tests {
     fn json_contains_all_sections() {
         let _g = crate::test_lock();
         let r = sample_registry();
-        let doc = to_json(&r.snapshot(), &[]);
+        let doc = to_json(&r.snapshot());
         assert!(doc.starts_with('{') && doc.ends_with('}'));
         assert!(doc.contains(r#""qens_test_export_total":4"#));
         assert!(doc.contains(r#""qens_test_export_ratio":0.25"#));
         assert!(doc.contains(r#""name":"qens_test_export_nanos""#));
         assert!(doc.contains(r#""count":2"#));
         assert!(doc.contains(r#""p95":"#));
-        assert!(doc.contains(r#""queries":[]"#));
-    }
-
-    #[test]
-    fn json_embeds_query_snapshots() {
-        let _g = crate::test_lock();
-        let r = sample_registry();
-        let queries = vec![crate::QuerySnapshot {
-            query_id: 7,
-            metrics: r.snapshot(),
-        }];
-        let doc = to_json(&r.snapshot(), &queries);
-        assert!(doc.contains(r#""query_id":7"#));
     }
 
     #[test]
@@ -530,6 +500,32 @@ mod tests {
         );
         assert_eq!(help_text("qens_unknown_nanos"), help_text("x_nanos"));
         assert_eq!(help_text("weird"), "Workspace metric.");
+    }
+
+    /// One series each family really registers gets that family's line,
+    /// not the generic unit-suffix fallback. (The `qens_fleet_`,
+    /// `qens_journal_` and `qens_trace_` series all have lines of their
+    /// own, checked above.)
+    #[test]
+    fn registered_series_get_their_family_help() {
+        for (series, family) in [
+            ("qens_cache_hits_total", "selection-cache metric"),
+            ("qens_index_patches_total", "spatial-index candidate"),
+            ("qens_cluster_kmeans_fit_nanos", "k-means clustering"),
+            ("qens_selection_select_nanos", "query-driven node selection"),
+            ("qens_fedlearn_rounds_total", "federated round engine"),
+            ("qens_fedlearn_run_query_nanos", "federated round engine"),
+            ("qens_fault_retries_total", "injected-fault handling"),
+            ("qens_edgesim_query_bytes", "edge network simulation"),
+            ("qens_serve_wait_micros", "query serving front-end"),
+            ("qens_par_queue_wait_nanos", "deterministic thread-pool"),
+            ("qens_node_selected_total", "per-node fleet scorecard"),
+            ("qens_mlkit_train_nanos", "local training kernel"),
+            ("qens_slo_good_total", "latency SLO tracking"),
+        ] {
+            let help = help_text(series);
+            assert!(help.starts_with(family), "{series}: {help:?}");
+        }
     }
 
     /// The fleet's appended exposition obeys the same conformance rules

@@ -119,56 +119,28 @@ impl Histogram {
     /// recording).
     pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
         let mut buckets = Vec::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c > 0 {
-                buckets.push(BucketCount::at(i, c));
+        for (index, b) in self.buckets.iter().enumerate() {
+            let count = b.load(Ordering::Relaxed);
+            if count > 0 {
+                let (lo, hi) = bucket_bounds(index);
+                buckets.push(BucketCount {
+                    index,
+                    lo,
+                    hi,
+                    count,
+                });
             }
         }
-        let count = buckets.iter().map(|b| b.count).sum();
-        let (min, max) = self.extrema();
+        let min = self.min.load(Ordering::Relaxed);
         HistogramSnapshot {
             name: name.to_string(),
-            count,
+            count: buckets.iter().map(|b| b.count).sum(),
             sum: self.sum.load(Ordering::Relaxed),
-            min,
-            max,
+            min: if min == u64::MAX { 0 } else { min },
+            max: self.max.load(Ordering::Relaxed),
             buckets,
         }
     }
-
-    /// `(min, max)` as a snapshot reports them: both 0 when empty.
-    pub(crate) fn extrema(&self) -> (u64, u64) {
-        let min = self.min.load(Ordering::Relaxed);
-        (
-            if min == u64::MAX { 0 } else { min },
-            self.max.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The raw bucket counts, then the sum: what a query scope
-    /// subtracts, without the name and the `Vec` a snapshot carries.
-    pub(crate) fn cells(&self) -> [u64; NUM_BUCKETS + 1] {
-        std::array::from_fn(|i| match self.buckets.get(i) {
-            Some(bucket) => bucket.load(Ordering::Relaxed),
-            None => self.sum.load(Ordering::Relaxed),
-        })
-    }
-}
-
-/// Pairs each item of `later` with the item of `earlier` that has the
-/// same key, in one walk over both; each slice ascends by key.
-pub(crate) fn pair_sorted<'a, T, K: Ord + ?Sized>(
-    later: &'a [T],
-    earlier: &'a [T],
-    key: impl Fn(&T) -> &K,
-) -> impl Iterator<Item = (&'a T, Option<&'a T>)> {
-    let mut rest = earlier;
-    later.iter().map(move |item| {
-        let behind = rest.iter().take_while(|e| key(e) < key(item)).count();
-        rest = &rest[behind..];
-        (item, rest.first().filter(|e| key(e) == key(item)))
-    })
 }
 
 /// One occupied bucket in a [`HistogramSnapshot`].
@@ -182,19 +154,6 @@ pub struct BucketCount {
     pub hi: u64,
     /// Samples that fell in this bucket.
     pub count: u64,
-}
-
-impl BucketCount {
-    /// `count` samples in bucket `index`, with that bucket's bounds.
-    pub(crate) fn at(index: usize, count: u64) -> Self {
-        let (lo, hi) = bucket_bounds(index);
-        Self {
-            index,
-            lo,
-            hi,
-            count,
-        }
-    }
 }
 
 /// An immutable point-in-time view of a [`Histogram`].
@@ -265,30 +224,6 @@ impl HistogramSnapshot {
             0.0
         } else {
             self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The per-bucket difference `self - earlier` (for query-scoped
-    /// deltas). `min`/`max` are re-derived from the surviving buckets'
-    /// bounds, since extrema are not invertible.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let buckets: Vec<BucketCount> = pair_sorted(&self.buckets, &earlier.buckets, |b| &b.index)
-            .filter_map(|(b, before)| {
-                let d = b.count.saturating_sub(before.map_or(0, |e| e.count));
-                (d > 0).then(|| BucketCount {
-                    count: d,
-                    ..b.clone()
-                })
-            })
-            .collect();
-        let count = buckets.iter().map(|b| b.count).sum();
-        HistogramSnapshot {
-            name: self.name.clone(),
-            count,
-            sum: self.sum.saturating_sub(earlier.sum),
-            min: buckets.first().map_or(0, |b| b.lo),
-            max: buckets.last().map_or(0, |b| b.hi),
-            buckets,
         }
     }
 }
@@ -406,22 +341,5 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.sum(), u64::MAX);
         assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn delta_since_subtracts_bucket_counts() {
-        let _g = crate::test_lock();
-        crate::set_enabled(true);
-        let h = Histogram::new();
-        h.record(10);
-        h.record(1000);
-        let before = h.snapshot("t");
-        h.record(10);
-        h.record(70);
-        let after = h.snapshot("t");
-        let d = after.delta_since(&before);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 80);
-        assert_eq!(d.buckets.iter().map(|b| b.count).sum::<u64>(), 2);
     }
 }

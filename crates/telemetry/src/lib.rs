@@ -15,9 +15,9 @@
 //!   with p50/p90/p99 queries (durations are recorded in nanoseconds).
 //! * [`SpanGuard`] — RAII timer; records elapsed nanos into a histogram
 //!   on drop.
-//! * [`Registry`] — the thread-safe global name → metric table, plus
-//!   per-query scopes ([`QueryScope`]) capturing the delta a single
-//!   query contributed to every metric.
+//! * [`Registry`] — the thread-safe global name → metric table. It
+//!   keeps process totals only: a query's cost is its `QueryAccounting`
+//!   ledger and its time is its [`trace`] tree.
 //! * [`Event`] — one fleet or fault occurrence, emitted once through
 //!   [`emit`]; the trace instants, the [`fleet`] scorecards and the
 //!   [`journal`] are folds of that stream.
@@ -42,7 +42,7 @@
 //! }
 //! let snap = telemetry::global().snapshot();
 //! assert_eq!(snap.counter("qens_doc_items_total"), Some(3));
-//! let json = telemetry::export::to_json(&snap, &[]);
+//! let json = telemetry::export::to_json(&snap);
 //! assert!(json.contains("qens_doc_example_nanos"));
 //! ```
 
@@ -63,7 +63,7 @@ pub mod trace;
 pub use event::{emit, Event};
 pub use histogram::{BucketCount, Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
-pub use registry::{global, QueryScope, QuerySnapshot, Registry, Snapshot};
+pub use registry::{global, Registry, Snapshot};
 pub use span::SpanGuard;
 
 /// Whether recording is live; off until [`set_enabled`] turns it on.

@@ -39,10 +39,9 @@
 //! # Feeding the profiler
 //!
 //! [`QueryObserver::begin`] is the single integration point: the
-//! federation leader opens one per query (before the trace query span,
-//! so it drops after the span's `End` event is buffered) and the drop
-//! handler updates the SLO tracker and offers the query's span tree to
-//! the flight recorder. Everything is inert while both telemetry and
+//! federation leader opens one per query, it opens the trace `query`
+//! span, and its drop closes that span before it updates the SLO
+//! tracker and offers the query's span tree to the flight recorder. Everything is inert while both telemetry and
 //! tracing are disabled.
 
 use std::collections::BTreeMap;
@@ -223,7 +222,7 @@ fn flame_tree(profile: &Profile) -> FlameNode {
 
 /// FNV-1a over the frame name: the deterministic seed of the warm
 /// flamegraph palette below.
-pub(crate) fn fnv1a(name: &str) -> u64 {
+fn fnv1a(name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {
         h ^= u64::from(b);
@@ -784,21 +783,23 @@ pub fn reset() {
 // Per-query integration point
 // ---------------------------------------------------------------------------
 
-/// RAII observer of one query's end-to-end latency.
+/// RAII guard around one query: the root of its trace tree and the
+/// observer of its end-to-end latency.
 ///
-/// Open it **before** the trace [`trace::query_span`] so it drops
-/// *after* the span's `End` event has been buffered; the drop handler
-/// then feeds the SLO tracker and offers the query's complete span tree
-/// to the flight recorder. Inert (no clock read) while both telemetry
-/// and tracing are disabled.
+/// `begin` opens the trace `query` span, so every event until the drop
+/// is stamped with the query id. The drop closes that span first, so
+/// its `End` event is buffered, then feeds the SLO tracker and offers
+/// the query's complete span tree to the flight recorder. Inert (no
+/// clock read) while both telemetry and tracing are disabled.
 #[derive(Debug)]
 pub struct QueryObserver {
     query_id: u64,
     start: Option<Instant>,
+    span: Option<trace::TraceSpan>,
 }
 
 impl QueryObserver {
-    /// Starts observing `query_id`.
+    /// Starts observing `query_id` and opens its trace `query` span.
     pub fn begin(query_id: u64) -> Self {
         // The fleet registry counts queries here — every run_query path
         // opens exactly one observer (batch waves count their own).
@@ -807,12 +808,14 @@ impl QueryObserver {
         Self {
             query_id,
             start: active.then(Instant::now),
+            span: Some(trace::query_span(query_id)),
         }
     }
 }
 
 impl Drop for QueryObserver {
     fn drop(&mut self) {
+        drop(self.span.take());
         let Some(start) = self.start else { return };
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         observe_query(nanos);

@@ -16,7 +16,8 @@
 //!   promoted, bytes charged).
 //! * Every event may carry up to [`MAX_ARGS`] static-key `u64`
 //!   arguments (node index, round, bytes, …) and is stamped with the
-//!   id of the query whose [`query_span`] is currently open.
+//!   id of the query whose `query` span is currently open (the root
+//!   span [`crate::profile::QueryObserver::begin`] opens).
 //!
 //! # Clocks
 //!
@@ -80,7 +81,7 @@ pub enum Clock {
 /// The mode flag: 0 = off (the start state), 1 = wall, 2 = logical.
 static MODE: AtomicU8 = AtomicU8::new(0);
 
-/// The id of the query whose [`query_span`] is currently open
+/// The id of the query whose `query` span is currently open
 /// (`u64::MAX` = none). Written by the leader; workers read it so
 /// wall-mode events are attributed to the right query.
 static CURRENT_QUERY: AtomicU64 = AtomicU64::new(u64::MAX);
@@ -445,13 +446,14 @@ pub fn wall_span_args(name: &'static str, args: &[(&'static str, u64)]) -> Trace
 }
 
 /// Opens the root span of one query's pipeline and stamps every event
-/// until it drops with `query_id`. Deterministic call sites only (the
-/// leader runs one query at a time).
-pub fn query_span(query_id: u64) -> TraceSpan {
+/// until it drops with `query_id`. Only
+/// [`crate::profile::QueryObserver`] opens it, on the leader, which runs
+/// one query at a time.
+pub(crate) fn query_span(query_id: u64) -> TraceSpan {
     // Stamp the query id *before* the Begin event records, so the root
-    // "query" span is itself attributed to its query — per-query
-    // snapshots ([`snapshot_query`]) would otherwise miss their root
-    // Begin and hand the profiler an unbalanced tree.
+    // "query" span is itself attributed to its query — the tree
+    // [`snapshot_query`] hands the flight recorder would otherwise miss
+    // its root Begin and be unbalanced.
     if mode().is_some() {
         CURRENT_QUERY.store(query_id, Ordering::Relaxed);
     }

@@ -15,14 +15,11 @@
 #   5. the repro smoke path, which runs the selection→train→aggregate
 #      pipeline end to end and asserts a non-empty telemetry snapshot
 #      spanning cluster/selection/mlkit/fedlearn/edgesim — and, under a
-#      nonzero-dropout fault plan, writes results/fault_trace.json,
-#   6. fault + trace seed-stability: the smoke run is repeated under
-#      QENS_THREADS=1 and QENS_THREADS=2 and both the fault trace and
-#      the logical-clock Chrome trace must be byte-identical (the
-#      faults and telemetry::trace determinism contracts); step 2's
-#      golden_telemetry.rs checks both against results/ at the default
-#      pool size only, so this leg is the one that varies the pool,
-#   7. the live-observability self-test (`repro serve --once`): binds an
+#      nonzero-dropout fault plan, writes results/fault_trace.json
+#      (step 2's repro_cli.rs runs this binary at QENS_THREADS=1 and 4
+#      and byte-diffs that file and results/trace.json against the
+#      committed ones),
+#   6. the live-observability self-test (`repro serve --once`): binds an
 #      ephemeral port, probes /healthz, /metrics, /trace, /profile,
 #      /profile.svg, /slowest, /slo, /cache, /nodes, /nodes/<id> and
 #      /events over a plain TcpStream, asserts non-empty qens_* metric
@@ -31,35 +28,35 @@
 #      POST /query over a keep-alive socket, and exercises the
 #      404/400/405/413 error paths plus the graceful-drain shutdown
 #      contract,
-#   8. profiler seed-stability: `repro profile` is run under
+#   7. profiler seed-stability: `repro profile` is run under
 #      QENS_THREADS=1 and QENS_THREADS=4 and the logical-clock folded
 #      stacks and SVG flamegraph must be byte-identical,
-#   9. the serving smoke (`repro load --smoke`): spawns a real server on
+#   8. the serving smoke (`repro load --smoke`): spawns a real server on
 #      an ephemeral port, drives it with concurrent keep-alive clients
 #      while scraping /metrics, /cache, /nodes and /events, and asserts
 #      the telemetry ledger matches the queries served,
-#  10. fleet-observability seed-stability: `repro fleet` is run under
+#   9. fleet-observability seed-stability: `repro fleet` is run under
 #      QENS_THREADS=1 and QENS_THREADS=4 and both results/fleet.json
 #      (scorecards + skew + logical journal tail) and
 #      results/fig10_fleet_skew.csv must be byte-identical — every
 #      scorecard field in the export is integer or leader-serial
 #      simulated time, so the fleet registry honours the same
 #      determinism contract as the fault and trace subsystems,
-#  11. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
+#  10. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
 #      nodes, every node vs the index's probed domains, bit-identity
 #      asserted inside the sweep)
 #      is run under QENS_THREADS=1 and QENS_THREADS=4 and
 #      results/fig11_scale.csv must be byte-identical (the CSV is
 #      structural counters + selection hashes, never wall clock),
-#  12. the repo benchmark's own unit tests (`benchmark/` is a workspace
+#  11. the repo benchmark's own unit tests (`benchmark/` is a workspace
 #      of its own, so step 2 never sees them); this runs them only —
 #      `BENCHMARK.json` and `benchmark/` are the driver's contract and
 #      are measured by the driver, not here,
-#  13. one 3 s run of the repo benchmark's `serve_closed` workload (run
+#  12. one 3 s run of the repo benchmark's `serve_closed` workload (run
 #      only, nothing under `benchmark/` is edited): fails unless no
 #      operation failed and the keep-alive p50 is under 5 ms — a reply
 #      that leaves as two writes reads 44 ms there,
-#  14. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
+#  13. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
 #      only). The plain run fails unless no operation failed and peak
 #      RSS is under 300 MB: the 20k-node fleet alone is ~100 MB, so
 #      per-entry memo state that scales with the fleet (1.4 GB when
@@ -90,18 +87,6 @@ cargo fmt --check
 
 echo "==> repro --smoke (pipeline + telemetry + fault-engine health)"
 cargo run -q -p bench --bin repro --release --offline -- --smoke
-
-echo "==> fault + trace seed-stability (byte-identical at QENS_THREADS=1 vs 2)"
-QENS_THREADS=1 cargo run -q -p bench --bin repro --release --offline -- --smoke
-cp results/fault_trace.json results/fault_trace.t1.json
-cp results/trace.json results/trace.t1.json
-QENS_THREADS=2 cargo run -q -p bench --bin repro --release --offline -- --smoke
-cmp results/fault_trace.json results/fault_trace.t1.json \
-  || { echo "FAIL: fault trace differs between QENS_THREADS=1 and 2"; exit 1; }
-cmp results/trace.json results/trace.t1.json \
-  || { echo "FAIL: logical Chrome trace differs between QENS_THREADS=1 and 2"; exit 1; }
-rm -f results/fault_trace.t1.json results/trace.t1.json
-echo "fault + Chrome traces are thread-count stable"
 
 echo "==> repro serve --once (live endpoint + error-path self-test)"
 cargo run -q -p bench --bin repro --release --offline -- serve --once

@@ -7,6 +7,8 @@
 //!   queries, in an identical order, at any `QENS_THREADS`,
 //! * the SLO tracker's rolling windows must stay consistent across
 //!   ring-buffer wrap-arounds,
+//! * `run_query`'s one query guard must time, classify and root the
+//!   trace tree of every query exactly once,
 //! * the new Prometheus series (`qens_build_info`,
 //!   `qens_uptime_seconds`, `qens_slo_*`) must conform to the text
 //!   exposition format.
@@ -122,6 +124,66 @@ fn flight_recorder_retains_identical_slow_queries_across_worker_counts() {
             pair[0].1 > pair[1].1 || (pair[0].1 == pair[1].1 && pair[0].0 < pair[1].0),
             "entries must be ordered by duration desc, then query id asc: {:?}",
             serial.2
+        );
+    }
+}
+
+/// `run_query` opens one query guard (the observer, which roots the
+/// trace tree) and one timer; three queries must each be timed once,
+/// classified once and traced as one balanced tree under `query`.
+#[test]
+fn each_query_is_timed_classified_and_traced_once() {
+    let _g = lock();
+    let fed = FederationBuilder::new()
+        .heterogeneous_nodes(4, 60)
+        .clusters_per_node(3)
+        .seed(7)
+        .epochs(2)
+        .telemetry(true)
+        .build();
+    telemetry::global().reset();
+    trace::set_mode(Some(trace::Clock::Logical));
+    trace::clear();
+    profile::reset();
+    for qid in 0..3u64 {
+        let q = fed.query_from_bounds(qid, &[0.0, 20.0, 0.0, 45.0]);
+        fed.run_query(&q, &PolicyKind::query_driven(2))
+            .expect("query runs");
+    }
+    trace::set_mode(None);
+    let snap = telemetry::global().snapshot();
+    let ids = trace::query_ids();
+    let trees: Vec<_> = ids.iter().map(|&id| trace::snapshot_query(id)).collect();
+    let mut recorded = profile::slowest();
+    recorded.sort_by_key(|e| e.query_id);
+    telemetry::set_enabled(false);
+    trace::clear();
+    profile::reset();
+
+    let timed = snap.histogram("qens_fedlearn_run_query_nanos");
+    assert_eq!(timed.map(|h| h.count), Some(3));
+    let verdicts =
+        ["qens_slo_good_total", "qens_slo_bad_total"].map(|name| snap.counter(name).unwrap_or(0));
+    assert_eq!(verdicts.iter().sum::<u64>(), 3, "{verdicts:?}");
+    assert_eq!(ids, [0, 1, 2]);
+    for (id, events) in ids.iter().zip(&trees) {
+        trace::validate_structure(events).unwrap_or_else(|e| panic!("query {id}: {e}"));
+        let root = &events[0];
+        assert_eq!(
+            (root.name, root.phase),
+            ("query", trace::Phase::Begin),
+            "query {id} must open with its query span"
+        );
+    }
+    // The span closes before the tree reaches the flight recorder.
+    assert_eq!(recorded.len(), 3);
+    for (entry, (id, events)) in recorded.iter().zip(ids.iter().zip(&trees)) {
+        assert_eq!(entry.query_id, *id);
+        assert!(
+            entry.events == *events,
+            "query {id}: the flight recorder holds {} of its {} events",
+            entry.events.len(),
+            events.len()
         );
     }
 }
