@@ -1536,6 +1536,80 @@ pub(crate) mod tests {
         }
     }
 
+    /// The reserve runs out before the fleet does: a top-ℓ selection
+    /// keeps only `RESERVE_PER_SLOT · ℓ` standbys even when more nodes
+    /// support the query. Crashing the participant and the first
+    /// standby is covered by promoting `standby[0]`, then `standby[1]`,
+    /// in ranking order; crashing the second standby too needs a third
+    /// promotion the reserve cannot make, so the round ends `QuorumLost`
+    /// although supporting nodes remain.
+    #[test]
+    fn reserve_exhaustion_is_quorum_lost_with_supporters_left() {
+        let net = network(false);
+        let q = leader_query();
+        let policy = QueryDriven::top_l(1);
+        let supporting = selection::reference::ranked(&net, &q, policy.epsilon, policy.rule);
+        let reserve = selection::RESERVE_PER_SLOT;
+        assert!(
+            supporting.len() > 1 + reserve,
+            "need supporters beyond the reserve"
+        );
+        let baseline = run_query(&net, &q, &policy, &fast_cfg(5)).unwrap();
+        let standby: Vec<usize> = baseline
+            .selection
+            .standby
+            .iter()
+            .map(|r| r.node.0)
+            .collect();
+        let ranked: Vec<usize> = supporting.iter().map(|p| p.node.0).collect();
+        assert_eq!(
+            standby,
+            ranked[1..1 + reserve],
+            "the reserve is the ranking's next 2ℓ"
+        );
+
+        let crash = |nodes: &[usize]| {
+            let spec = nodes
+                .iter()
+                .fold(FaultSpec::none(), |spec, &node| spec.with_crash(node, 0));
+            fast_cfg(5)
+                .with_faults(spec)
+                .with_tolerance(FaultTolerance::full_strength())
+        };
+        let selected = baseline.selection.participants[0].node.0;
+        let covered = run_query(&net, &q, &policy, &crash(&[selected, standby[0]])).unwrap();
+        let promoted: Vec<usize> = covered
+            .fault_trace
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                FaultEvent::Replacement { standby, round: 0 } => Some(standby),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(promoted, standby, "promotions follow the ranking");
+        assert_eq!(covered.accounting.replacements, reserve);
+        assert_eq!(covered.final_cohort.len(), 1);
+        assert_eq!(covered.final_cohort[0].node.0, standby[1]);
+
+        let err = run_query(
+            &net,
+            &q,
+            &policy,
+            &crash(&[selected, standby[0], standby[1]]),
+        )
+        .unwrap_err();
+        match err {
+            FederationError::QuorumLost {
+                round,
+                survivors,
+                required,
+                ..
+            } => assert_eq!((round, survivors, required), (0, 0, 1)),
+            other => panic!("expected QuorumLost, got {other:?}"),
+        }
+    }
+
     /// Lossy links: retries are charged to the ledger and the trace, and
     /// the federation still completes under the default retry budget.
     #[test]

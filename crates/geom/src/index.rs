@@ -55,6 +55,7 @@
 //! *set* does not even depend on the layout: a patched index and a
 //! fresh build over the same rectangles return the same candidates.
 
+use crate::interval::Interval;
 use crate::rect::HyperRect;
 
 /// Tuning knobs for [`SpatialIndexBuilder::build`].
@@ -404,6 +405,13 @@ impl SpatialIndex {
         (start, (start + self.domain_size).min(self.len))
     }
 
+    /// The aggregated bounds of `domain` on axis `d`: the hull of its
+    /// items' intervals there, as of the last build or update.
+    pub fn domain_interval(&self, domain: u32, d: usize) -> Interval {
+        let g = domain as usize;
+        Interval::new(self.domain_lo[d][g], self.domain_hi[d][g])
+    }
+
     /// Slot → original push-order id: `slot_ids()[slot]` is the item
     /// stored at that Morton slot.
     pub fn slot_ids(&self) -> &[u32] {
@@ -569,7 +577,6 @@ impl SpatialIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::Interval;
 
     /// xorshift64*: enough randomness for test geometry, zero deps.
     struct TestRng(u64);

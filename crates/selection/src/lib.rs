@@ -55,4 +55,4 @@ pub use policy::{
     Participant, Ranked, Selection, SelectionContext, SelectionOverhead, SelectionPolicy,
     SupportingCluster, WithoutSelectivity,
 };
-pub use query_driven::{QueryDriven, RankingRule, SelectionCap};
+pub use query_driven::{QueryDriven, RankingRule, SelectionCap, RESERVE_PER_SLOT};

@@ -91,13 +91,20 @@ pub struct Selection {
     /// Selected participants (possibly empty when nothing overlaps the
     /// query).
     pub participants: Vec<Participant>,
-    /// The ranked tail *behind* the participant cut, best-ranked first:
-    /// nodes that supported the query but were trimmed by the cap, as
-    /// `(node, r_i)` only. Fault-tolerant federations promote from this
-    /// list when selected participants fail, and
+    /// The ranked reserve *behind* the participant cut, best-ranked
+    /// first: nodes that supported the query but were trimmed by the
+    /// cap, as `(node, r_i)` only. Under [`SelectionCap::TopL`]`(ℓ)` it
+    /// holds the next [`RESERVE_PER_SLOT`]` · ℓ` nodes of the ranking and
+    /// no more; under `Threshold` and `AllPositive` every supporting
+    /// node below the cut. Fault-tolerant federations promote from this
+    /// list, in order, when selected participants fail, and
     /// [`SelectionPolicy::promote`] gives a promoted node its supporting
-    /// clusters. Baselines without a ranking leave it empty — they have
-    /// no principled replacement order.
+    /// clusters; a round that needs more promotions than it holds loses
+    /// its quorum. Baselines without a ranking leave it empty — they
+    /// have no principled replacement order.
+    ///
+    /// [`SelectionCap::TopL`]: crate::SelectionCap::TopL
+    /// [`RESERVE_PER_SLOT`]: crate::RESERVE_PER_SLOT
     pub standby: Vec<Ranked>,
 }
 

@@ -16,9 +16,15 @@ use crate::policy::{
 /// select 20–40 % slower than scoring straight off the summaries.
 const NODE_CHUNK: usize = 64;
 
-/// Surviving domains per pool task on the probed source, fixed for the
-/// same reason.
-const DOMAIN_CHUNK: usize = 4;
+/// How deep the standby reserve is under [`SelectionCap::TopL`]: a
+/// `TopL(ℓ)` selection keeps the `RESERVE_PER_SLOT · ℓ` best-ranked
+/// supporting nodes behind its cut as [`Selection::standby`], and
+/// nothing below them. Two per slot covers every promotion the
+/// committed fault figures make (`fig8_faults.csv` is the same as with
+/// the whole tail), and bounding the tail is what lets the probed
+/// source stop scoring once no domain left can reach the `3ℓ`-th best
+/// ranking ([`crate::indexed`]).
+pub const RESERVE_PER_SLOT: usize = 2;
 
 /// How the ranked list is cut down to the participant set (Eq. 5 and the
 /// top-ℓ alternative the paper describes alongside it).
@@ -30,6 +36,19 @@ pub enum SelectionCap {
     Threshold(f64),
     /// Keep every node with positive ranking.
     AllPositive,
+}
+
+impl SelectionCap {
+    /// How many ranked entries a selection under this cap keeps,
+    /// participants and standby together: `ℓ + RESERVE_PER_SLOT · ℓ`
+    /// under `TopL(ℓ)`, and `None` — every supporting node — under the
+    /// other two, whose cut is not a count.
+    pub(crate) fn kept(self) -> Option<usize> {
+        match self {
+            SelectionCap::TopL(l) => Some(l.saturating_mul(1 + RESERVE_PER_SLOT)),
+            SelectionCap::Threshold(_) | SelectionCap::AllPositive => None,
+        }
+    }
 }
 
 /// Ranking formula. [`RankingRule::PaperEq4`] is the contribution; the
@@ -176,9 +195,10 @@ impl QueryDriven {
 
     /// [`SelectionPolicy::select`] on an explicit pool handle: one of
     /// two candidate sources ([`crate::indexed`]) feeds fixed chunks of
-    /// nodes or of surviving domains through one scoring loop, and
-    /// [`QueryDriven::rank_and_cap`] sorts and cuts — the same selection
-    /// and counter totals for any worker count.
+    /// nodes, or of the surviving domains whose rank bound can make the
+    /// cut, through one scoring loop, and [`QueryDriven::rank_and_cap`]
+    /// cuts and sorts — the same selection and counter totals for any
+    /// worker count.
     pub fn select_with_pool(&self, ctx: &SelectionContext<'_>, pool: &ThreadPool) -> Selection {
         let _span = telemetry::span!("qens_selection_select_nanos");
         let nodes = ctx.network.nodes();
@@ -192,25 +212,12 @@ impl QueryDriven {
         // With ε <= 0 a cluster the index prunes still passes `h >= ε`,
         // so only the every-node source is exact.
         let tasks: Vec<Scored> = match self.index.as_ref().filter(|_| self.epsilon > 0.0) {
-            // Probed domains: each surviving domain's hull hits, scored
-            // off the block kept with the index as verify finds them.
+            // Probed domains, best rank bound first, scored only while
+            // one can still make the kept entries.
             Some(index) => {
                 let built = index.current(ctx.network, dims);
                 let probe = built.index.probe(region);
-                let tasks = pool.map_chunks(probe.domains.len(), DOMAIN_CHUNK, |chunk| {
-                    let mut task = Scored::default();
-                    for &domain in &probe.domains[chunk] {
-                        let (first, end) = built.index.domain_items(domain);
-                        let ids = &built.index.slot_ids()[first..end];
-                        let block = built.block(domain, nodes);
-                        built
-                            .index
-                            .verify_slots(domain, &probe.q_lo, &probe.q_hi, |slot| {
-                                block.score(self, ids, [slot - first], nodes, region, &mut task)
-                            });
-                    }
-                    task
-                });
+                let tasks = built.score_probe(self, &probe, nodes, region, pool);
                 index.record_probe(&probe, tasks.iter().map(|t| t.candidates).sum());
                 tasks
             }
@@ -232,25 +239,36 @@ impl QueryDriven {
 
     /// The leader-serial ranking phase: takes the supporting nodes'
     /// `(node, r_i)` entries (in whatever order the sources scored them),
-    /// sorts best-ranked first, applies the cap and builds a
-    /// [`Participant`] — supporting clusters and all, through
-    /// [`QueryDriven::score_node`] — for the entries above the cut only.
+    /// keeps the best [`SelectionCap::kept`] of them best-ranked first,
+    /// applies the cap and builds a [`Participant`] — supporting clusters
+    /// and all, through [`QueryDriven::score_node`] — for the entries
+    /// above the cut only. Under `TopL(ℓ)` the rest is the
+    /// `RESERVE_PER_SLOT · ℓ`-deep standby reserve; under the other caps
+    /// it is every supporting node below the cut.
     ///
     /// The sort key is total: the scoring loop only lets strictly
     /// positive rankings through (so `total_cmp` orders them exactly as
     /// `partial_cmp` would, with no NaN case to panic on) and node ids
     /// are unique, so no two entries compare equal and the result does
-    /// not depend on the input order — which is why an unstable sort is
-    /// enough and why neither source need score in ascending node id.
+    /// not depend on the input order — which is why unstable selection
+    /// and sorting are enough, why neither source need score in
+    /// ascending node id, and why the probed source may skip any node
+    /// that cannot reach the kept entries.
     fn rank_and_cap(&self, ctx: &SelectionContext<'_>, mut ranked: Vec<Ranked>) -> Selection {
-        // Ranking phase (sort + cap split) — leader-serial, so the span
-        // may record on the logical clock and the profiler can separate
-        // scoring time from ranking time.
+        // Ranking phase (select + sort + cap split) — leader-serial, so
+        // the span may record on the logical clock and the profiler can
+        // separate scoring time from ranking time.
         let rank_span =
             telemetry::trace::span_args("selection.rank", &[("scored", ranked.len() as u64)]);
         // Best-ranked first; node id breaks ties deterministically.
-        ranked.sort_unstable_by(|a, b| b.ranking.total_cmp(&a.ranking).then(a.node.cmp(&b.node)));
-        // The cap splits the ranked list into participants and the
+        let order =
+            |a: &Ranked, b: &Ranked| b.ranking.total_cmp(&a.ranking).then(a.node.cmp(&b.node));
+        if let Some(kept) = self.cap.kept().filter(|&kept| kept < ranked.len()) {
+            ranked.select_nth_unstable_by(kept, order);
+            ranked.truncate(kept);
+        }
+        ranked.sort_unstable_by(order);
+        // The cap splits the kept list into participants and the
         // standby tail. The tail keeps the ranking order, so a
         // fault-tolerant federation promoting standby[0], standby[1], …
         // follows exactly the ranking the paper's Eq. 4 produced.

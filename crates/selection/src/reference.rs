@@ -10,7 +10,7 @@ use edgesim::EdgeNetwork;
 use geom::Query;
 
 use crate::policy::{Participant, Ranked, Selection, SupportingCluster};
-use crate::query_driven::{RankingRule, SelectionCap};
+use crate::query_driven::{RankingRule, SelectionCap, RESERVE_PER_SLOT};
 
 /// The five overlap cases of Fig. 3–4 on one dimension. A zero-width
 /// interval overlaps by membership (1 inside or touching, else 0)
@@ -96,7 +96,8 @@ pub fn ranked(
 
 /// The paper's selection for one query: [`ranked`], then the top-ℓ or
 /// `r_i ≥ ψ` cut (Eq. 5); the tail behind the cut keeps node and
-/// ranking only.
+/// ranking only, and under top-ℓ only its first
+/// [`RESERVE_PER_SLOT`]` · ℓ` entries.
 pub fn select(
     network: &EdgeNetwork,
     query: &Query,
@@ -110,9 +111,14 @@ pub fn select(
         SelectionCap::Threshold(psi) => participants.iter().filter(|p| p.ranking >= psi).count(),
         SelectionCap::AllPositive => participants.len(),
     };
+    let reserve = match cap {
+        SelectionCap::TopL(l) => l.saturating_mul(RESERVE_PER_SLOT),
+        SelectionCap::Threshold(_) | SelectionCap::AllPositive => usize::MAX,
+    };
     let standby = participants
         .split_off(keep)
         .into_iter()
+        .take(reserve)
         .map(|p| Ranked {
             node: p.node,
             ranking: p.ranking,

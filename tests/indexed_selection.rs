@@ -16,6 +16,7 @@ use qens::par::ThreadPool;
 use qens::prelude::*;
 use qens::selection::{
     reference, GridConfig, Participant, Ranked, RankingRule, SelectionCap, SelectionPolicy,
+    RESERVE_PER_SLOT,
 };
 use qens::telemetry;
 use qens::workload::generate;
@@ -422,7 +423,8 @@ fn sliding_queries() -> Vec<Query> {
 /// either source and the memo (over the index, so the second pass
 /// is served from stored answers), at pools of 1 and 4 workers, it is
 /// the oracle's eager entry for that node bit for bit — node, ranking,
-/// cluster ids, overlaps and sizes.
+/// cluster ids, overlaps and sizes. The tail is the `2ℓ`-deep reserve:
+/// the oracle's full ranking cut after `3ℓ` entries.
 #[test]
 fn promoted_standbys_match_the_oracles_entry() {
     let _g = lock();
@@ -443,7 +445,8 @@ fn promoted_standbys_match_the_oracles_entry() {
             ];
             for (name, sel, policy) in &runs {
                 let what = format!("{name}: query {} at {threads} threads", q.id());
-                assert_eq!(sel.len() + sel.standby.len(), oracle.len(), "{what}");
+                let kept = oracle.len().min((1 + RESERVE_PER_SLOT) * 2);
+                assert_eq!(sel.len() + sel.standby.len(), kept, "{what}");
                 for (r, want) in sel.standby.iter().zip(&oracle[sel.len()..]) {
                     let got = policy.promote(&ctx, r);
                     assert_eq!(
@@ -584,8 +587,11 @@ fn overlap_exactly_epsilon_supports_on_both_paths() {
     assert!(sel.participants.iter().all(|p| p.node != NodeId(0)));
 }
 
-/// Equal rankings on both sides of the ℓ cut: the node id decides, and
-/// it decides the same way whatever order the candidates were scored in.
+/// Equal rankings on both sides of the ℓ cut and of the reserve behind
+/// it: the node id decides, and it decides the same way whatever order
+/// the candidates were scored in — so the `3ℓ` kept twins are the
+/// lowest ids even where the probed source skips a domain holding a
+/// higher one.
 #[test]
 fn equal_rankings_straddling_the_cut_break_by_node_id() {
     let _g = lock();
@@ -623,7 +629,12 @@ fn equal_rankings_straddling_the_cut_break_by_node_id() {
             .take_while(|(_, ranking)| ranking.to_bits() == top.to_bits())
             .map(|&(node, _)| node)
             .collect();
-        assert_eq!(tied, twins, "ℓ = {l}: ties must come out in id order");
+        let kept = twins.len().min((1 + RESERVE_PER_SLOT) * l);
+        assert_eq!(
+            tied,
+            twins[..kept],
+            "ℓ = {l}: ties must come out in id order"
+        );
         assert_eq!(sel.participants.len(), l.min(ranked.len()));
     }
 }
@@ -704,66 +715,85 @@ fn cluster_ids_and_sizes_beyond_32_bits_survive_the_table() {
 }
 
 /// The probed source counts what the per-candidate `score_node` loop
-/// counted: one candidate per hull hit, one overlap evaluation per
-/// cluster of a candidate — in `IndexStats` and in the exported series.
-/// The expected totals are derived from the hulls by brute force, and
-/// pinned to the literal values the per-candidate loop reported for
-/// this stream before the table existed.
+/// counted for every node it scores: one candidate per scored hull hit,
+/// one overlap evaluation per cluster of a candidate — in `IndexStats`
+/// and in the exported series, the same at 1, 2 and 4 workers. Every
+/// hull hit is a candidate only while the domain's rank bound reaches
+/// ε: the hull-hit totals are derived by brute force and pinned to what
+/// the per-candidate loop reported for this stream before the table
+/// existed, and the scored totals, under `AllPositive` (only domains
+/// that cannot support the query are skipped) and under `TopL(3)`
+/// (domains that cannot reach the 9th best ranking are skipped too),
+/// are pinned below them.
 #[test]
 fn candidate_and_overlap_eval_counts_match_the_per_candidate_loop() {
     let _g = lock();
     let net = EdgeNetwork::from_nodes(filler_nodes(0, 400));
     let queries = sliding_queries();
-    let (mut want_candidates, mut want_evals) = (0u64, 0u64);
+    let (mut hull_candidates, mut hull_evals) = (0u64, 0u64);
     for q in &queries {
         for node in net.nodes() {
             let hull = node.summary_bounds();
             if (0..hull.dim()).any(|d| hull.interval(d).intersects(q.region().interval(d))) {
-                want_candidates += 1;
-                want_evals += node.k() as u64;
+                hull_candidates += 1;
+                hull_evals += node.k() as u64;
             }
         }
     }
     assert_eq!(
-        (want_candidates, want_evals),
+        (hull_candidates, hull_evals),
         (PINNED_CANDIDATES, PINNED_EVALS)
     );
 
-    for threads in [1usize, 2, 4] {
-        let pool = ThreadPool::new(threads);
-        let indexed = QueryDriven::top_l(3).indexed(SMALL_DOMAINS);
-        telemetry::set_enabled(true);
-        telemetry::global().reset();
-        for q in &queries {
-            indexed.select_with_pool(&SelectionContext::new(&net, q), &pool);
+    for (cap, want) in [
+        (SelectionCap::AllPositive, PINNED_ALL_POSITIVE),
+        (SelectionCap::TopL(3), PINNED_TOP_3),
+    ] {
+        for threads in [1usize, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let indexed = QueryDriven::new(0.05, cap, RankingRule::PaperEq4).indexed(SMALL_DOMAINS);
+            telemetry::set_enabled(true);
+            telemetry::global().reset();
+            for q in &queries {
+                let ctx = SelectionContext::new(&net, q);
+                let got = indexed.select_with_pool(&ctx, &pool);
+                assert_bitwise_eq(&oracle(&net, &indexed, q), &got, &format!("{cap:?}"));
+            }
+            let snap = telemetry::global().snapshot();
+            telemetry::set_enabled(false);
+            let what = format!("{cap:?} at {threads} threads");
+            let stats = indexed.index_stats();
+            assert_eq!(stats.probes, queries.len() as u64);
+            assert_eq!(
+                (
+                    stats.candidates,
+                    snap.counter("qens_index_candidates_total"),
+                    snap.counter("qens_selection_overlap_evals_total")
+                ),
+                (want.0, Some(want.0), Some(want.1)),
+                "{what}"
+            );
         }
-        let snap = telemetry::global().snapshot();
-        telemetry::set_enabled(false);
-        assert_eq!(indexed.index_stats().candidates, want_candidates);
-        assert_eq!(indexed.index_stats().probes, queries.len() as u64);
-        assert_eq!(
-            snap.counter("qens_index_candidates_total"),
-            Some(want_candidates),
-            "{threads} threads"
-        );
-        assert_eq!(
-            snap.counter("qens_selection_overlap_evals_total"),
-            Some(want_evals),
-            "{threads} threads"
-        );
     }
 }
 
 /// What commit 732a758 (candidates re-sorted to ascending id, one
-/// `score_node` each) reported for the stream above.
+/// `score_node` each) reported for the stream above: every hull hit.
 const PINNED_CANDIDATES: u64 = 2304;
 const PINNED_EVALS: u64 = 5912;
+/// `(candidates, overlap evaluations)` the probed source scores for the
+/// stream above under each cap.
+const PINNED_ALL_POSITIVE: (u64, u64) = (1574, 4108);
+const PINNED_TOP_3: (u64, u64) = (1324, 3664);
 
 /// A cluster whose rectangle and the query's both span ±1e308 on an
 /// axis has an infinite length there, so its overlap is ∞/∞ = NaN. Each
 /// source skips it and counts it in `qens_selection_nonfinite_scores_total`
 /// once per cluster its kernel scored — not again when the node is
 /// re-scored for the cut or promoted from standby — and nothing panics.
+/// The rank bound of a poisoned domain is NaN-safe (1 on that axis), so
+/// the probed source scores every poisoned node under either cap, while
+/// it skips domains that cannot support the query or reach the cut.
 #[test]
 fn poisoned_clusters_are_counted_once_per_scored_cluster() {
     let _g = lock();
@@ -821,9 +851,15 @@ fn poisoned_clusters_are_counted_once_per_scored_cluster() {
 
         assert_bitwise_eq(&want, &scan, &format!("{cap:?}: scan"));
         assert_bitwise_eq(&want, &index, &format!("{cap:?}: index"));
-        // The query spans every hull on x: every node is an index
-        // candidate, so both sources scored every poisoned cluster once.
-        assert_eq!(indexed.index_stats().candidates, net.len() as u64);
+        // The query spans every hull on x, so every node is a hull hit,
+        // but only the domains whose bound reaches ε (and, under top-ℓ,
+        // the kept rankings) are scored; both sources scored every
+        // poisoned cluster once.
+        let scored = indexed.index_stats().candidates;
+        assert!(
+            scored >= poisoned && scored < net.len() as u64,
+            "{cap:?}: {scored}"
+        );
         assert_eq!(after_scan, poisoned, "{cap:?}: scan");
         assert_eq!(after_index - after_scan, poisoned, "{cap:?}: index");
         assert_eq!(after_promote, after_index, "{cap:?}: promotion");
