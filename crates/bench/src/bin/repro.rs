@@ -249,7 +249,7 @@ fn run_ablations() {
 /// `repro fleet`: the fleet-observability experiment. The scorecard
 /// registry and journal record on the logical clock, so the artifacts
 /// (`results/fleet.json`, `results/fig10_fleet_skew.csv`) are
-/// byte-identical at any `QENS_THREADS` — `scripts/verify.sh` checks.
+/// byte-identical at any `QENS_THREADS` — `tests/repro_cli.rs` checks.
 fn run_fleet_exp(scale: ExperimentScale) {
     bench::fleet::run_and_write(scale, &results_dir()).expect("write fleet artifacts");
 }

@@ -15,7 +15,7 @@
 //!
 //! Both artifacts are pure functions of the seeds: every scorecard field
 //! they contain is integer or leader-serial simulated time, and the
-//! journal is exported on the logical clock — `scripts/verify.sh` runs
+//! journal is exported on the logical clock — `tests/repro_cli.rs` runs
 //! this twice (`QENS_THREADS=1` vs `4`) and byte-diffs the outputs.
 
 use std::path::Path;

@@ -10,8 +10,8 @@
 //!    spans only. Written to `results/profile.folded` (flamegraph.pl
 //!    folded format) and `results/profile.svg` (a self-contained
 //!    flamegraph). Both artifacts are **byte-identical for any
-//!    `QENS_THREADS`** — `scripts/verify.sh` diffs them across thread
-//!    counts, which turns the profile itself into a CI regression
+//!    `QENS_THREADS`** — `tests/repro_cli.rs` diffs them at two pool
+//!    sizes, which turns the profile itself into a CI regression
 //!    artifact: any change to the span layout of the pipeline shows up
 //!    as a diff.
 //!
@@ -125,7 +125,7 @@ fn print_slowest(unit: &str) {
 ///
 /// # Panics
 /// If the workload produces an empty profile or a malformed SVG — this
-/// is a verify.sh gate, so a broken profiler must fail loudly.
+/// is a tier-1 gate, so a broken profiler must fail loudly.
 pub fn run_profile(opts: &ProfileOptions) -> std::io::Result<(PathBuf, PathBuf)> {
     telemetry::set_enabled(true);
 

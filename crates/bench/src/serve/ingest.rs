@@ -198,7 +198,7 @@ pub fn batcher_loop(state: Arc<ServerState>) {
             let queries: Vec<Query> = group.iter().map(|j| j.query.clone()).collect();
             telemetry::counter!("qens_serve_batches_total").incr();
             telemetry::counter!("qens_serve_batched_queries_total").add(queries.len() as u64);
-            let span = telemetry::trace::span_args(
+            let span = telemetry::span(
                 "serve.batch",
                 &[("bucket", key), ("queries", queries.len() as u64)],
             );

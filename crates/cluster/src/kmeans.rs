@@ -78,18 +78,17 @@ impl KMeans {
     pub fn fit_with_pool(data: &Matrix, config: &KMeansConfig, pool: &ThreadPool) -> Self {
         assert!(config.k > 0, "k must be positive");
         assert!(data.rows() > 0, "cannot cluster an empty dataset");
-        let _fit_span = telemetry::span!("qens_cluster_kmeans_fit_nanos");
         telemetry::counter!("qens_cluster_kmeans_fits_total").incr();
         let k = config.k.min(data.rows());
-        // Deterministic leader-side trace: the fit runs on the caller's
+        // Deterministic leader-side span: the fit runs on the caller's
         // thread and its iteration count is bit-identical for any pool.
-        let _trace_fit = telemetry::trace::span_args(
+        let _fit_span = telemetry::span(
             "cluster.kmeans",
             &[("k", k as u64), ("rows", data.rows() as u64)],
         );
         let mut rng = rng::rng_for(config.seed, 0xC1_15_7E_12);
 
-        let init_span = telemetry::trace::span("cluster.kmeans.init");
+        let init_span = telemetry::span("cluster.kmeans.init", &[]);
         let mut centroids = init_plus_plus(data, k, &mut rng);
         init_span.finish();
 
@@ -99,18 +98,14 @@ impl KMeans {
 
         for it in 0..config.max_iters {
             iterations = it + 1;
-            let _iter_span =
-                telemetry::trace::span_args("cluster.kmeans.iter", &[("iter", it as u64)]);
+            let _iter_span = telemetry::span("cluster.kmeans.iter", &[("iter", it as u64)]);
             {
-                let _s = telemetry::span!("qens_cluster_kmeans_assign_nanos");
-                let _t = telemetry::trace::span("cluster.kmeans.assign");
+                let _s = telemetry::span("cluster.kmeans.assign", &[]);
                 assign(data, &centroids, &mut assignments, pool);
             }
-            let update_span = telemetry::span!("qens_cluster_kmeans_update_nanos");
-            let trace_update = telemetry::trace::span("cluster.kmeans.update");
+            let update_span = telemetry::span("cluster.kmeans.update", &[]);
             let new_centroids =
                 recompute_centroids(data, &assignments, k, &centroids, &mut rng, pool);
-            trace_update.finish();
             update_span.finish();
             let movement: f64 = (0..k)
                 .map(|c| ops::squared_distance(centroids.row(c), new_centroids.row(c)))
@@ -130,7 +125,7 @@ impl KMeans {
             ],
         );
         // Final assignment against the final centroids.
-        let finalize_span = telemetry::trace::span("cluster.kmeans.finalize");
+        let finalize_span = telemetry::span("cluster.kmeans.finalize", &[]);
         assign(data, &centroids, &mut assignments, pool);
         let inertia = compute_inertia(data, &centroids, &assignments, pool);
         finalize_span.finish();

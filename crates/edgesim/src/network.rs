@@ -159,8 +159,7 @@ impl EdgeNetwork {
     /// Quantises every node (§III-C; the paper uses `k = 5` everywhere
     /// "to avoid biases"). Each node derives its own k-means seed.
     pub fn quantize_all(&mut self, k: usize, seed: u64) {
-        let _span = telemetry::span!("qens_edgesim_quantize_all_nanos");
-        let _trace = telemetry::trace::span_args(
+        let _span = telemetry::span(
             "edgesim.quantize_all",
             &[("k", k as u64), ("nodes", self.nodes.len() as u64)],
         );

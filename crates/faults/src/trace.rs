@@ -199,8 +199,8 @@ impl FaultTrace {
     }
 
     /// Deterministic JSON export: an array of fixed-key-order objects.
-    /// Two runs with the same seed produce byte-identical output — the
-    /// seed-stability check in `scripts/verify.sh` diffs exactly this.
+    /// Two runs with the same seed produce byte-identical output —
+    /// `crates/bench/tests/repro_cli.rs` diffs exactly this.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, e) in self.events.iter().enumerate() {

@@ -276,7 +276,6 @@ pub fn run_query(
     // finished tree to the flight recorder and the latency to the SLO
     // tracker.
     let _observer = telemetry::profile::QueryObserver::begin(query.id());
-    let _run_span = telemetry::span!("qens_fedlearn_run_query_nanos");
     let mut outcomes = run_rounds(network, std::slice::from_ref(query), policy, config);
     outcomes.pop().expect("one query, one outcome")
 }
@@ -295,11 +294,12 @@ pub fn run_query(
 /// faults, deadlines and multi-round refinement too.
 ///
 /// Telemetry differences vs. the unbatched path: a batch of several
-/// opens one `fedlearn.batch` trace span instead of a `query` root per
-/// query, feeds neither the flight recorder nor the SLO tracker, and
-/// fills `qens_fedlearn_run_batch_nanos` instead of
-/// `qens_fedlearn_run_query_nanos`. Counters and the accounting ledger
-/// are untouched.
+/// opens one `fedlearn.batch` span instead of a query observer per
+/// query. So it traces one `fedlearn.batch` node instead of a `query`
+/// root per query, feeds neither the flight recorder nor the SLO
+/// tracker, and fills `qens_fedlearn_run_batch_nanos` once instead of
+/// `qens_fedlearn_run_query_nanos` once per query. Counters and the
+/// accounting ledger are untouched.
 pub fn run_batch(
     network: &EdgeNetwork,
     queries: &[Query],
@@ -326,9 +326,7 @@ pub fn run_batch(
             for query in queries {
                 telemetry::emit(&Event::QueryObserved(query.id()));
             }
-            let _run_span = telemetry::span!("qens_fedlearn_run_batch_nanos");
-            let _trace_batch =
-                telemetry::trace::span_args("fedlearn.batch", &[("queries", queries.len() as u64)]);
+            let _span = telemetry::span("fedlearn.batch", &[("queries", queries.len() as u64)]);
             run_rounds(network, queries, policy, config)
         }
     }
@@ -528,7 +526,7 @@ fn run_rounds<'a>(
         if flights.is_empty() {
             break;
         }
-        let _round_span = telemetry::trace::span_args("fedlearn.round", &[("round", round as u64)]);
+        let _round_span = telemetry::span("fedlearn.round", &[("round", round as u64)]);
         for f in &mut flights {
             f.pending = (0..f.cohort.len()).collect();
         }
@@ -584,7 +582,7 @@ fn prepare<'a>(
 ) -> Result<Flight<'a>, FederationError> {
     let network = env.network;
     let ctx = SelectionContext::new(network, query);
-    let select_span = telemetry::trace::span("fedlearn.select");
+    let select_span = telemetry::span("fedlearn.select", &[]);
     let selection = env.policy.select(&ctx);
     select_span.finish();
     telemetry::trace::instant(
@@ -678,7 +676,7 @@ fn prepare<'a>(
 /// which is exactly what makes the trace bit-identical across runs and
 /// thread counts.
 fn fates(f: &mut Flight, round: usize) {
-    let fates_span = telemetry::trace::span_args(
+    let fates_span = telemetry::span(
         "fedlearn.fates",
         &[("round", round as u64), ("pending", f.pending.len() as u64)],
     );
@@ -736,7 +734,7 @@ fn train_wave(
                 .map(move |&(ci, _)| (f.ctx.query.id(), &f.broadcast, &f.cohort[ci]))
         })
         .collect();
-    let train_wave_span = telemetry::trace::span_args(
+    let train_wave_span = telemetry::span(
         "fedlearn.train_wave",
         &[("round", round as u64), ("attempters", jobs.len() as u64)],
     );
@@ -785,10 +783,9 @@ fn train(
     telemetry::counter!("qens_fedlearn_participants_total").incr();
     telemetry::counter!("qens_fedlearn_stages_total").add(member.stages.len() as u64);
     telemetry::counter!("qens_fedlearn_samples_used_total").add(samples_used as u64);
-    let train_span = telemetry::span!("qens_fedlearn_train_nanos");
-    // Worker-side span: wall mode only (participants may train on pool
-    // threads, so the event order is scheduling-dependent).
-    let _trace_train = telemetry::trace::wall_span_args(
+    // Worker-side span: traced in wall mode only (participants may train
+    // on pool threads, so the event order is scheduling-dependent).
+    let train_span = telemetry::wall_span(
         "fedlearn.train",
         &[
             ("node", node.id().0 as u64),
@@ -827,7 +824,7 @@ thread_local! {
 fn deliver(env: &Env, f: &mut Flight, round: usize, reports: Vec<LocalResult>, pooled: bool) {
     let walls: Vec<f64> = reports.iter().map(|r| r.wall_seconds).collect();
     f.accounting.wall_seconds += round_wall_seconds(pooled, &walls);
-    let transfer_wave_span = telemetry::trace::span_args(
+    let transfer_wave_span = telemetry::span(
         "fedlearn.transfer_wave",
         &[("round", round as u64), ("reports", walls.len() as u64)],
     );
@@ -931,7 +928,7 @@ fn promote(env: &Env, f: &mut Flight, round: usize) -> Result<bool, FederationEr
     if survivors >= f.required {
         return Ok(false);
     }
-    let promote_span = telemetry::trace::span_args("fedlearn.promote", &[("round", round as u64)]);
+    let promote_span = telemetry::span("fedlearn.promote", &[("round", round as u64)]);
     let deficit = f.required - survivors;
     let mut promoted: Vec<usize> = Vec::new();
     while promoted.len() < deficit {
@@ -974,13 +971,11 @@ fn close_round(env: &Env, f: &mut Flight, round: usize) {
     let lambdas: Vec<f64> = ledger.survivors.iter().map(|s| s.ranking).collect();
     let samples: Vec<usize> = ledger.survivors.iter().map(|s| s.samples_used).collect();
     let models: Vec<Model> = ledger.survivors.into_iter().map(|s| s.model).collect();
-    let agg_span = telemetry::span!("qens_fedlearn_aggregate_nanos");
-    let trace_agg = telemetry::trace::span_args(
+    let agg_span = telemetry::span(
         "fedlearn.aggregate",
         &[("survivors", models.len() as u64), ("round", round as u64)],
     );
     let aggregation = GlobalModel::aggregate(env.config.aggregation, models, &lambdas, &samples);
-    trace_agg.finish();
     agg_span.finish();
     telemetry::counter!("qens_fedlearn_rounds_total").incr();
     telemetry::counter!("qens_fedlearn_model_bytes_total").add(ledger.bytes as u64);

@@ -166,7 +166,7 @@ pub fn train<M: Regressor>(
     config: &TrainConfig,
 ) -> TrainReport {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
-    let _span = telemetry::span!("qens_mlkit_train_nanos");
+    let _span = telemetry::wall_span("mlkit.train", &[("rows", data.len() as u64)]);
     telemetry::counter!("qens_mlkit_train_calls_total").incr();
     assert!(
         data.x().all_finite() && data.y().iter().all(|v| v.is_finite()),
@@ -231,7 +231,7 @@ pub fn train_incremental<M: Regressor>(
             seed: config.seed.wrapping_add(i as u64 * 7919),
             ..config.clone()
         };
-        let _stage_span = telemetry::span!("qens_mlkit_stage_nanos");
+        let _stage_span = telemetry::wall_span("mlkit.stage", &[("stage", i as u64)]);
         telemetry::counter!("qens_mlkit_stage_samples_total").add(stage.len() as u64);
         let rep = train(model, stage, &stage_cfg);
         match &mut combined {
@@ -267,7 +267,7 @@ pub fn train_interleaved<M: Regressor>(
         !nonempty.is_empty(),
         "train_interleaved requires at least one non-empty stage"
     );
-    let _span = telemetry::span!("qens_mlkit_train_nanos");
+    let _span = telemetry::wall_span("mlkit.train", &[("stages", nonempty.len() as u64)]);
     telemetry::counter!("qens_mlkit_train_calls_total").incr();
     for stage in &nonempty {
         telemetry::counter!("qens_mlkit_stage_samples_total").add(stage.len() as u64);

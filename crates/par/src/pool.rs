@@ -157,8 +157,7 @@ impl ThreadPool {
         // a single-thread pool never reaches this point (it trains
         // inline above), so a logical-clock event here would break the
         // QENS_THREADS byte-identity contract.
-        let _scope_span =
-            telemetry::trace::wall_span_args("par.scope", &[("tasks", tasks.len() as u64)]);
+        let _scope_span = telemetry::wall_span("par.scope", &[("tasks", tasks.len() as u64)]);
 
         // Dispatch tracing (queue wait vs execute) is wall-mode only:
         // completion order is scheduling-dependent by design, so the
@@ -181,7 +180,7 @@ impl ThreadPool {
                         let _task_span = enqueued_at.map(|t| {
                             let wait = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
                             telemetry::histogram!("qens_par_queue_wait_nanos").record(wait);
-                            telemetry::trace::wall_span_args("par.task", &[("queue_nanos", wait)])
+                            telemetry::wall_span("par.task", &[("queue_nanos", wait)])
                         });
                         if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
                             scope.record_panic(payload);

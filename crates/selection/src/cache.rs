@@ -189,7 +189,7 @@ impl CachedQueryDriven {
     /// only a miss uses: the wrapped policy runs on it exactly as it
     /// would unwrapped.
     pub fn select_with_pool(&self, ctx: &SelectionContext<'_>, pool: &ThreadPool) -> Selection {
-        let _trace_span = telemetry::trace::span_args(
+        let _span = telemetry::span(
             "selection.select_cached",
             &[("nodes", ctx.network.len() as u64)],
         );

@@ -116,7 +116,8 @@
 //!   Counted in `qens_index_patches_total`.
 //! * **Rebuild** — a node joined, or more nodes moved (`quantize_all`):
 //!   a bulk build that restores the Morton order and drops the whole
-//!   table. Counted in `qens_index_rebuilds_total`, timed by
+//!   table. Counted in `qens_index_rebuilds_total`, timed by a
+//!   `selection.index_build` wall span, which fills
 //!   `qens_index_build_nanos`.
 //!
 //! A patched index selects what a rebuilt one selects: the candidates
@@ -345,8 +346,7 @@ impl DomainClusters {
             let id = ids[i] as usize;
             // Scoring runs on pool workers, so the per-node span is
             // wall-mode only (inert on the logical clock).
-            let _trace_score =
-                telemetry::trace::wall_span_args("selection.score_node", &[("node", id as u64)]);
+            let _span = telemetry::wall_span("selection.score_node", &[("node", id as u64)]);
             let overlaps = self
                 .overlaps(i, &nodes[id], region)
                 .inspect(|&(_, _, h)| task.nonfinite += u64::from(!h.is_finite()));
@@ -648,7 +648,7 @@ impl Index {
                 _ => {}
             }
         }
-        let _span = telemetry::span!("qens_index_build_nanos");
+        let _span = telemetry::wall_span("selection.index_build", &[]);
         let built = Arc::new(BuiltIndex::new(nodes, dims, self.grid));
         state.built = Some(Arc::clone(&built));
         state.stats.rebuilds += 1;

@@ -200,13 +200,11 @@ impl QueryDriven {
     /// cuts and sorts — the same selection and counter totals for any
     /// worker count.
     pub fn select_with_pool(&self, ctx: &SelectionContext<'_>, pool: &ThreadPool) -> Selection {
-        let _span = telemetry::span!("qens_selection_select_nanos");
         let nodes = ctx.network.nodes();
-        // Leader-side deterministic trace: the ranked list is
+        // Leader-side deterministic span: the ranked list is
         // bit-identical for any pool, so this span (and the `ranked`
         // instant in rank_and_cap) may record on the logical clock.
-        let _trace_span =
-            telemetry::trace::span_args("selection.select", &[("nodes", nodes.len() as u64)]);
+        let _span = telemetry::span("selection.select", &[("nodes", nodes.len() as u64)]);
         let region = ctx.query.region();
         let dims = ctx.query.dim();
         // With ε <= 0 a cluster the index prunes still passes `h >= ε`,
@@ -258,8 +256,7 @@ impl QueryDriven {
         // Ranking phase (select + sort + cap split) — leader-serial, so
         // the span may record on the logical clock and the profiler can
         // separate scoring time from ranking time.
-        let rank_span =
-            telemetry::trace::span_args("selection.rank", &[("scored", ranked.len() as u64)]);
+        let rank_span = telemetry::span("selection.rank", &[("scored", ranked.len() as u64)]);
         // Best-ranked first; node id breaks ties deterministically.
         let order =
             |a: &Ranked, b: &Ranked| b.ranking.total_cmp(&a.ranking).then(a.node.cmp(&b.node));

@@ -69,11 +69,6 @@ impl Histogram {
         if !crate::enabled() {
             return;
         }
-        self.record_unconditional(v);
-    }
-
-    /// Records regardless of the enablement flag.
-    pub fn record_unconditional(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         // Saturating sum: a long-running histogram must never wrap.

@@ -26,13 +26,6 @@ impl Counter {
         if !crate::enabled() {
             return;
         }
-        self.add_unconditional(n);
-    }
-
-    /// Adds `n` regardless of the enablement flag (used by the registry
-    /// when replaying deltas; instrumentation should call [`Counter::add`]).
-    #[inline]
-    pub fn add_unconditional(&self, n: u64) {
         // Saturating add via CAS loop: overflow would otherwise wrap and
         // silently destroy a long-running deployment's totals.
         let mut cur = self.value.load(Ordering::Relaxed);

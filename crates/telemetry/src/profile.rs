@@ -31,18 +31,19 @@
 //! `QENS_THREADS`* — the same contract as the Chrome trace export,
 //! which is what lets `crates/bench/tests/golden_telemetry.rs` diff
 //! `results/profile.folded` and `profile.svg` against a fresh run and
-//! `scripts/verify.sh` diff them across thread counts. The SLO tracker
-//! always measures wall time (an objective over logical ticks would be
-//! meaningless) and is therefore excluded from the byte-stability
-//! contract.
+//! `crates/bench/tests/repro_cli.rs` diff them at `QENS_THREADS=1` and
+//! `4`. The SLO tracker always measures wall time (an objective over
+//! logical ticks would be meaningless) and is therefore excluded from
+//! the byte-stability contract.
 //!
 //! # Feeding the profiler
 //!
 //! [`QueryObserver::begin`] is the single integration point: the
 //! federation leader opens one per query, it opens the trace `query`
-//! span, and its drop closes that span before it updates the SLO
-//! tracker and offers the query's span tree to the flight recorder. Everything is inert while both telemetry and
-//! tracing are disabled.
+//! span, and its drop closes that span before it times the query into
+//! `qens_fedlearn_run_query_nanos` (while telemetry is on), updates the
+//! SLO tracker and offers the query's span tree to the flight recorder.
+//! Everything is inert while both telemetry and tracing are disabled.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -788,14 +789,16 @@ pub fn reset() {
 ///
 /// `begin` opens the trace `query` span, so every event until the drop
 /// is stamped with the query id. The drop closes that span first, so
-/// its `End` event is buffered, then feeds the SLO tracker and offers
-/// the query's complete span tree to the flight recorder. Inert (no
-/// clock read) while both telemetry and tracing are disabled.
+/// its `End` event is buffered, then records the query's nanoseconds
+/// into `qens_fedlearn_run_query_nanos` while telemetry is on, feeds
+/// the SLO tracker and offers the query's complete span tree to the
+/// flight recorder. Inert (no clock read) while both telemetry and
+/// tracing are disabled.
 #[derive(Debug)]
 pub struct QueryObserver {
     query_id: u64,
     start: Option<Instant>,
-    span: Option<trace::TraceSpan>,
+    span: Option<trace::Span>,
 }
 
 impl QueryObserver {
@@ -818,6 +821,9 @@ impl Drop for QueryObserver {
         drop(self.span.take());
         let Some(start) = self.start else { return };
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if crate::enabled() {
+            crate::histogram!("qens_fedlearn_run_query_nanos").record(nanos);
+        }
         observe_query(nanos);
         let Some(clock) = trace::mode() else { return };
         let events = trace::snapshot_query(self.query_id);

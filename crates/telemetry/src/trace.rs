@@ -9,9 +9,10 @@
 //!
 //! # Event model
 //!
-//! * [`TraceSpan`] — an RAII begin/end pair with a process-unique span
-//!   id; the parent is whatever span is open on the recording thread
-//!   (a thread-local stack), so nesting falls out of scope structure.
+//! * [`Span`] — an RAII begin/end pair with a process-unique span id;
+//!   the parent is whatever span is open on the recording thread (a
+//!   thread-local stack), so nesting falls out of scope structure. The
+//!   same guard fills its name's `_nanos` histogram, if it has one.
 //! * [`instant`] — a zero-duration point event (fault fired, standby
 //!   promoted, bytes charged).
 //! * Every event may carry up to [`MAX_ARGS`] static-key `u64`
@@ -30,7 +31,7 @@
 //! * **Logical** — the timestamp is a deterministic tick (0, 1, 2, …)
 //!   assigned in recording order, and **only deterministic call sites
 //!   record**: [`span`]/[`instant`] (leader-serial code) record,
-//!   [`wall_span_args`] (worker/hot-path code) is inert.
+//!   [`wall_span`] (worker/hot-path code) is inert.
 //!   Because the leader's event sequence is a pure function of the
 //!   simulation (never of thread scheduling), a logical trace — and its
 //!   byte-stable JSON export — is bit-identical for any pool size,
@@ -40,8 +41,9 @@
 //!
 //! Tracing is **off by default**; the disabled fast path of every entry
 //! point is a single relaxed atomic load — no clock read, no
-//! allocation, no lock (the same inertness contract as
-//! [`crate::SpanGuard`]). Only code turns it on: [`set_mode`], e.g.
+//! allocation, no lock. A [`Span`] adds one more load, of the telemetry
+//! flag, and is just as inert while both are off. Only code turns
+//! tracing on: [`set_mode`], e.g.
 //! through `FederationBuilder::trace` or `repro serve --trace`. The
 //! buffer is bounded ([`MAX_TRACE_EVENTS`]); once full, new events are
 //! counted in [`dropped`] and discarded.
@@ -55,10 +57,11 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::json::{write_key, write_str, write_u64};
+use crate::Histogram;
 
 /// Maximum `(key, value)` arguments one event can carry.
 pub const MAX_ARGS: usize = 4;
@@ -332,61 +335,77 @@ fn current_parent() -> u64 {
     SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
 }
 
-/// RAII span guard: emits a `Begin` event on creation and the matching
-/// `End` on drop. Inert (no clock read, no allocation) when its
-/// constructor decided not to record.
+/// Trace name → the `_nanos` histogram a span of that name also fills
+/// while telemetry is on. Spans of any other name only trace.
+const SERIES: [(&str, &str); 11] = [
+    ("cluster.kmeans", "qens_cluster_kmeans_fit_nanos"),
+    ("cluster.kmeans.assign", "qens_cluster_kmeans_assign_nanos"),
+    ("cluster.kmeans.update", "qens_cluster_kmeans_update_nanos"),
+    ("edgesim.quantize_all", "qens_edgesim_quantize_all_nanos"),
+    ("fedlearn.aggregate", "qens_fedlearn_aggregate_nanos"),
+    ("fedlearn.batch", "qens_fedlearn_run_batch_nanos"),
+    ("fedlearn.train", "qens_fedlearn_train_nanos"),
+    ("mlkit.stage", "qens_mlkit_stage_nanos"),
+    ("mlkit.train", "qens_mlkit_train_nanos"),
+    ("selection.index_build", "qens_index_build_nanos"),
+    ("selection.select", "qens_selection_select_nanos"),
+];
+
+/// The histogram [`SERIES`] maps `name` to, looked up in the registry
+/// once per table slot.
+fn series(name: &str) -> Option<&'static Histogram> {
+    static SLOTS: [OnceLock<Arc<Histogram>>; SERIES.len()] =
+        [const { OnceLock::new() }; SERIES.len()];
+    let slot = SERIES.iter().position(|&(span, _)| span == name)?;
+    Some(SLOTS[slot].get_or_init(|| crate::global().histogram(SERIES[slot].1)))
+}
+
+/// RAII timing guard with two sinks: a trace `Begin` on creation and
+/// the matching `End` on drop while tracing records its site, and the
+/// elapsed nanoseconds into the `_nanos` histogram its name maps to while
+/// telemetry is on. With both off it is inert: no clock read, no
+/// registry access, nothing on drop.
 #[derive(Debug)]
-pub struct TraceSpan {
+pub struct Span {
     name: &'static str,
     id: u64,
     clock: Option<Clock>,
     /// Clear [`CURRENT_QUERY`] on drop (root query spans only).
     owns_query: bool,
+    timer: Option<(&'static Histogram, Instant)>,
 }
 
-impl TraceSpan {
-    const INERT: TraceSpan = TraceSpan {
-        name: "",
-        id: 0,
-        clock: None,
-        owns_query: false,
-    };
-
+impl Span {
     fn begin(name: &'static str, args: &[(&'static str, u64)], wall_only: bool) -> Self {
-        let Some(clock) = mode() else {
-            return Self::INERT;
+        let timer = if crate::enabled() { series(name) } else { None };
+        let mut span = Self {
+            name,
+            id: 0,
+            clock: None,
+            owns_query: false,
+            timer: timer.map(|hist| (hist, Instant::now())),
         };
-        if wall_only && clock == Clock::Logical {
-            return Self::INERT;
-        }
-        let id = alloc_span_id();
-        let parent = current_parent();
+        let Some(clock) = mode().filter(|&c| !(wall_only && c == Clock::Logical)) else {
+            return span;
+        };
+        span.id = alloc_span_id();
         record(
             clock,
             Phase::Begin,
             name,
-            id,
-            parent,
+            span.id,
+            current_parent(),
             Args::from_slice(args),
         );
-        SPAN_STACK.with(|s| s.borrow_mut().push(id));
+        SPAN_STACK.with(|s| s.borrow_mut().push(span.id));
         crate::counter!("qens_trace_spans_total").incr();
-        Self {
-            name,
-            id,
-            clock: Some(clock),
-            owns_query: false,
-        }
+        span.clock = Some(clock);
+        span
     }
 
-    /// Whether this span will emit an `End` event on drop.
+    /// Whether this span will record anything on drop.
     pub fn is_recording(&self) -> bool {
-        self.clock.is_some()
-    }
-
-    /// The span id (0 when inert).
-    pub fn id(&self) -> u64 {
-        self.id
+        self.clock.is_some() || self.timer.is_some()
     }
 
     /// Ends the span now instead of at scope end.
@@ -395,8 +414,11 @@ impl TraceSpan {
     }
 }
 
-impl Drop for TraceSpan {
+impl Drop for Span {
     fn drop(&mut self) {
+        if let Some((hist, start)) = self.timer {
+            hist.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        }
         let Some(clock) = self.clock else { return };
         SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
@@ -408,13 +430,12 @@ impl Drop for TraceSpan {
                 stack.retain(|&x| x != self.id);
             }
         });
-        let parent = current_parent();
         record(
             clock,
             Phase::End,
             self.name,
             self.id,
-            parent,
+            current_parent(),
             Args::default(),
         );
         if self.owns_query {
@@ -425,31 +446,26 @@ impl Drop for TraceSpan {
 
 /// Opens a span from a **deterministic** call site (leader-serial code
 /// whose execution order is a pure function of the simulation).
-/// Recorded in both wall and logical modes.
+/// Traced in both wall and logical modes.
 #[inline]
-pub fn span(name: &'static str) -> TraceSpan {
-    span_args(name, &[])
-}
-
-/// [`span`] with arguments.
-#[inline]
-pub fn span_args(name: &'static str, args: &[(&'static str, u64)]) -> TraceSpan {
-    TraceSpan::begin(name, args, false)
+pub fn span(name: &'static str, args: &[(&'static str, u64)]) -> Span {
+    Span::begin(name, args, false)
 }
 
 /// Opens a span from a scheduling-dependent call site (pool workers,
-/// hot paths). Recorded only in wall mode; inert in logical mode so
-/// logical traces stay thread-count independent.
+/// hot paths). Traced only in wall mode, so logical traces stay
+/// thread-count independent; the histogram side is the same as
+/// [`span`]'s.
 #[inline]
-pub fn wall_span_args(name: &'static str, args: &[(&'static str, u64)]) -> TraceSpan {
-    TraceSpan::begin(name, args, true)
+pub fn wall_span(name: &'static str, args: &[(&'static str, u64)]) -> Span {
+    Span::begin(name, args, true)
 }
 
 /// Opens the root span of one query's pipeline and stamps every event
 /// until it drops with `query_id`. Only
 /// [`crate::profile::QueryObserver`] opens it, on the leader, which runs
 /// one query at a time.
-pub(crate) fn query_span(query_id: u64) -> TraceSpan {
+pub(crate) fn query_span(query_id: u64) -> Span {
     // Stamp the query id *before* the Begin event records, so the root
     // "query" span is itself attributed to its query — the tree
     // [`snapshot_query`] hands the flight recorder would otherwise miss
@@ -457,8 +473,8 @@ pub(crate) fn query_span(query_id: u64) -> TraceSpan {
     if mode().is_some() {
         CURRENT_QUERY.store(query_id, Ordering::Relaxed);
     }
-    let mut s = TraceSpan::begin("query", &[("query", query_id)], false);
-    if s.is_recording() {
+    let mut s = span("query", &[("query", query_id)]);
+    if s.clock.is_some() {
         s.owns_query = true;
     } else {
         CURRENT_QUERY.store(u64::MAX, Ordering::Relaxed);
@@ -557,7 +573,7 @@ fn write_event(out: &mut String, e: &TraceEvent, clock: Clock) {
 /// Key order, number formatting and event order are all fixed, so two
 /// identical buffers export byte-identically — `results/trace.json` is
 /// exactly this, byte-diffed by `crates/bench/tests/golden_telemetry.rs`
-/// and across thread counts by `scripts/verify.sh`.
+/// and at two pool sizes by `crates/bench/tests/repro_cli.rs`.
 pub fn export_chrome(query: Option<u64>) -> String {
     let c = collector();
     // The clock tag in the export comes from the *current* mode; a
@@ -690,9 +706,9 @@ mod tests {
     #[test]
     fn disabled_trace_is_inert() {
         let _g = locked(None);
-        let s = span("qens.test.off");
+        let s = span("qens.test.off", &[]);
         assert!(!s.is_recording());
-        assert_eq!(s.id(), 0);
+        assert_eq!(s.id, 0);
         drop(s);
         instant("qens.test.off.instant", &[("x", 1)]);
         assert_eq!(events_len(), 0);
@@ -702,8 +718,8 @@ mod tests {
     #[test]
     fn logical_mode_skips_wall_only_sites() {
         let _g = locked(Some(Clock::Logical));
-        let a = span("a");
-        let w = wall_span_args("w", &[]);
+        let a = span("a", &[]);
+        let w = wall_span("w", &[]);
         assert!(a.is_recording());
         assert!(!w.is_recording());
         drop(w);
@@ -718,14 +734,63 @@ mod tests {
         set_mode(None);
     }
 
+    /// Every switch setting × both constructors × a mapped and an
+    /// unmapped name: the trace sees a pair only where its clock admits
+    /// the site, the histogram a sample only while telemetry is on and
+    /// the name is mapped, the registry no series while telemetry is
+    /// off, and with both off the guard holds no timestamp.
+    #[test]
+    fn one_guard_feeds_the_trace_and_the_histogram() {
+        let _g = crate::test_lock();
+        let (mapped, series_name) = SERIES[0];
+        let series = || {
+            crate::global()
+                .snapshot()
+                .histogram(series_name)
+                .map(|h| h.count)
+        };
+        // Telemetry off first, so the series is still unregistered.
+        for telemetry in [false, true] {
+            for clock in [None, Some(Clock::Wall), Some(Clock::Logical)] {
+                for wall_only in [false, true] {
+                    for name in [mapped, "qens.test.unmapped"] {
+                        let case = format!(
+                            "telemetry {telemetry}, clock {clock:?}, wall_only {wall_only}, {name}"
+                        );
+                        crate::set_enabled(telemetry);
+                        set_mode(clock);
+                        clear();
+                        let before = series().unwrap_or(0);
+                        let guard = if wall_only {
+                            wall_span(name, &[])
+                        } else {
+                            span(name, &[])
+                        };
+                        let traced = clock.is_some_and(|c| !(wall_only && c == Clock::Logical));
+                        let timed = telemetry && name == mapped;
+                        assert_eq!(guard.clock.is_some(), traced, "{case}");
+                        assert_eq!(guard.timer.is_some(), timed, "{case}");
+                        drop(guard);
+                        assert_eq!(events_len(), if traced { 2 } else { 0 }, "{case}");
+                        let after = series();
+                        assert_eq!(after.is_some(), telemetry, "{case}");
+                        assert_eq!(after.unwrap_or(0) - before, u64::from(timed), "{case}");
+                    }
+                }
+            }
+        }
+        crate::set_enabled(false);
+        set_mode(None);
+    }
+
     #[test]
     fn spans_nest_and_instants_inherit_the_parent() {
         let _g = locked(Some(Clock::Logical));
-        let root = span("root");
-        let root_id = root.id();
+        let root = span("root", &[]);
+        let root_id = root.id;
         {
-            let child = span_args("child", &[("k", 7)]);
-            assert_ne!(child.id(), root_id);
+            let child = span("child", &[("k", 7)]);
+            assert_ne!(child.id, root_id);
             instant("point", &[("v", 3)]);
         }
         drop(root);
@@ -763,7 +828,7 @@ mod tests {
         let _g = locked(Some(Clock::Logical));
         {
             let _q = query_span(9);
-            let _s = span_args("work", &[("bytes", 128)]);
+            let _s = span("work", &[("bytes", 128)]);
             instant("fault.dropout", &[("node", 2), ("round", 0)]);
         }
         let a = export_chrome(None);
@@ -787,7 +852,7 @@ mod tests {
     fn wall_mode_records_worker_sites_with_nanos() {
         let _g = locked(Some(Clock::Wall));
         {
-            let _s = wall_span_args("hot", &[]);
+            let _s = wall_span("hot", &[]);
             std::hint::black_box(1 + 1);
         }
         let events = snapshot_events();
@@ -836,10 +901,10 @@ mod tests {
         let (to_worker, from_main) = std::sync::mpsc::channel::<()>();
         let (to_main, from_worker) = std::sync::mpsc::channel::<()>();
         let worker = std::thread::spawn(move || {
-            drop(wall_span_args("before.clear", &[])); // takes an id
+            drop(wall_span("before.clear", &[])); // takes an id
             to_main.send(()).unwrap();
             from_main.recv().unwrap();
-            let _outer = wall_span_args("worker.outer", &[]);
+            let _outer = wall_span("worker.outer", &[]);
             to_main.send(()).unwrap();
             from_main.recv().unwrap();
         });
@@ -849,7 +914,7 @@ mod tests {
         from_worker.recv().unwrap();
         // Opened while the worker's span is open, on a thread (a fresh
         // one, spawned here) that has no id yet.
-        std::thread::spawn(|| drop(wall_span_args("fresh.inner", &[])))
+        std::thread::spawn(|| drop(wall_span("fresh.inner", &[])))
             .join()
             .unwrap();
         to_worker.send(()).unwrap();

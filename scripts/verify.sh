@@ -16,9 +16,9 @@
 #      pipeline end to end and asserts a non-empty telemetry snapshot
 #      spanning cluster/selection/mlkit/fedlearn/edgesim — and, under a
 #      nonzero-dropout fault plan, writes results/fault_trace.json
-#      (step 2's repro_cli.rs runs this binary at QENS_THREADS=1 and 4
-#      and byte-diffs that file and results/trace.json against the
-#      committed ones),
+#      (step 2's crates/bench/tests/repro_cli.rs runs this binary, and
+#      `repro profile` and `repro fleet`, at QENS_THREADS=1 and 4 and
+#      byte-diffs what they write against the committed results/),
 #   6. the live-observability self-test (`repro serve --once`): binds an
 #      ephemeral port, probes /healthz, /metrics, /trace, /profile,
 #      /profile.svg, /slowest, /slo, /cache, /nodes, /nodes/<id> and
@@ -28,35 +28,25 @@
 #      POST /query over a keep-alive socket, and exercises the
 #      404/400/405/413 error paths plus the graceful-drain shutdown
 #      contract,
-#   7. profiler seed-stability: `repro profile` is run under
-#      QENS_THREADS=1 and QENS_THREADS=4 and the logical-clock folded
-#      stacks and SVG flamegraph must be byte-identical,
-#   8. the serving smoke (`repro load --smoke`): spawns a real server on
+#   7. the serving smoke (`repro load --smoke`): spawns a real server on
 #      an ephemeral port, drives it with concurrent keep-alive clients
 #      while scraping /metrics, /cache, /nodes and /events, and asserts
 #      the telemetry ledger matches the queries served,
-#   9. fleet-observability seed-stability: `repro fleet` is run under
-#      QENS_THREADS=1 and QENS_THREADS=4 and both results/fleet.json
-#      (scorecards + skew + logical journal tail) and
-#      results/fig10_fleet_skew.csv must be byte-identical — every
-#      scorecard field in the export is integer or leader-serial
-#      simulated time, so the fleet registry honours the same
-#      determinism contract as the fault and trace subsystems,
-#  10. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
+#   8. scaling-sweep seed-stability: `repro scale` (Fig. 11: 1k → 1M
 #      nodes, every node vs the index's probed domains, bit-identity
 #      asserted inside the sweep)
 #      is run under QENS_THREADS=1 and QENS_THREADS=4 and
 #      results/fig11_scale.csv must be byte-identical (the CSV is
 #      structural counters + selection hashes, never wall clock),
-#  11. the repo benchmark's own unit tests (`benchmark/` is a workspace
+#   9. the repo benchmark's own unit tests (`benchmark/` is a workspace
 #      of its own, so step 2 never sees them); this runs them only —
 #      `BENCHMARK.json` and `benchmark/` are the driver's contract and
 #      are measured by the driver, not here,
-#  12. one 3 s run of the repo benchmark's `serve_closed` workload (run
+#  10. one 3 s run of the repo benchmark's `serve_closed` workload (run
 #      only, nothing under `benchmark/` is edited): fails unless no
 #      operation failed and the keep-alive p50 is under 5 ms — a reply
 #      that leaves as two writes reads 44 ms there,
-#  13. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
+#  11. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
 #      only). The plain run fails unless no operation failed and peak
 #      RSS is under 300 MB: the 20k-node fleet alone is ~100 MB, so
 #      per-entry memo state that scales with the fleet (1.4 GB when
@@ -91,32 +81,8 @@ cargo run -q -p bench --bin repro --release --offline -- --smoke
 echo "==> repro serve --once (live endpoint + error-path self-test)"
 cargo run -q -p bench --bin repro --release --offline -- serve --once
 
-echo "==> profiler seed-stability (byte-identical at QENS_THREADS=1 vs 4)"
-QENS_THREADS=1 cargo run -q -p bench --bin repro --release --offline -- profile
-cp results/profile.folded results/profile.folded.t1
-cp results/profile.svg results/profile.svg.t1
-QENS_THREADS=4 cargo run -q -p bench --bin repro --release --offline -- profile
-cmp results/profile.folded results/profile.folded.t1 \
-  || { echo "FAIL: folded stacks differ between QENS_THREADS=1 and 4"; exit 1; }
-cmp results/profile.svg results/profile.svg.t1 \
-  || { echo "FAIL: SVG flamegraph differs between QENS_THREADS=1 and 4"; exit 1; }
-rm -f results/profile.folded.t1 results/profile.svg.t1
-echo "folded stacks + flamegraph are thread-count stable"
-
 echo "==> repro load --smoke (live serving: keep-alive clients + concurrent scrapes)"
 cargo run -q -p bench --bin repro --release --offline -- load --smoke
-
-echo "==> fleet-observability seed-stability (fleet.json + fig10 byte-identical at QENS_THREADS=1 vs 4)"
-QENS_THREADS=1 cargo run -q -p bench --bin repro --release --offline -- fleet > /dev/null
-cp results/fleet.json results/fleet.t1.json
-cp results/fig10_fleet_skew.csv results/fig10_fleet_skew.t1.csv
-QENS_THREADS=4 cargo run -q -p bench --bin repro --release --offline -- fleet > /dev/null
-cmp results/fleet.json results/fleet.t1.json \
-  || { echo "FAIL: fleet scorecards differ between QENS_THREADS=1 and 4"; exit 1; }
-cmp results/fig10_fleet_skew.csv results/fig10_fleet_skew.t1.csv \
-  || { echo "FAIL: fig10 skew heatmap differs between QENS_THREADS=1 and 4"; exit 1; }
-rm -f results/fleet.t1.json results/fig10_fleet_skew.t1.csv
-echo "fleet scorecards + journal are thread-count stable"
 
 echo "==> scaling-sweep seed-stability (fig11 byte-identical at QENS_THREADS=1 vs 4)"
 QENS_THREADS=1 cargo run -q -p bench --bin repro --release --offline -- scale > /dev/null

@@ -7,11 +7,21 @@
 //!   same workload under the same seed,
 //! * errors are per-slot: a query with no participants fails alone
 //!   while its batch mates still train,
-//! * the admission-control config rides the builder end to end.
+//! * the admission-control config rides the builder end to end,
+//! * a batch is timed once, as a batch.
 
 use qens::prelude::*;
+use qens::telemetry;
 
-fn cached_federation(seed: u64) -> Federation {
+/// Serialises the tests that run queries: one switches the
+/// process-global telemetry on and counts exact histogram samples,
+/// which a sibling's queries would leak into.
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn builder(seed: u64) -> FederationBuilder {
     FederationBuilder::new()
         .heterogeneous_nodes(5, 80)
         .clusters_per_node(4)
@@ -19,7 +29,6 @@ fn cached_federation(seed: u64) -> Federation {
         .epochs(3)
         .selection_cache(true)
         .selection_cache_bucket(20.0)
-        .build()
 }
 
 /// A workload with deliberate bucket structure: repeats (same cache
@@ -37,8 +46,9 @@ fn bucketed_queries(fed: &Federation) -> Vec<Query> {
 
 #[test]
 fn run_batch_is_bit_identical_to_run_query_for_a_workload() {
+    let _g = lock();
     let policy = PolicyKind::query_driven(3);
-    let fed = cached_federation(21);
+    let fed = builder(21).build();
     let queries = bucketed_queries(&fed);
     let batched = fed.run_batch(&queries, &policy);
     assert_eq!(batched.len(), queries.len());
@@ -86,8 +96,9 @@ fn run_batch_is_bit_identical_to_run_query_for_a_workload() {
 
 #[test]
 fn batch_errors_are_per_slot() {
+    let _g = lock();
     let policy = PolicyKind::query_driven(3);
-    let fed = cached_federation(33);
+    let fed = builder(33).build();
     let queries = vec![
         fed.query_from_bounds(0, &[0.0, 20.0, 0.0, 45.0]),
         // Far outside every node's data region: no participants.
@@ -105,6 +116,22 @@ fn batch_errors_are_per_slot() {
         outcomes[1]
     );
     assert!(outcomes[2].is_ok(), "second neighbour must train");
+}
+
+/// `qens_fedlearn_run_batch_nanos` gets one sample per batch of
+/// several queries, and `qens_fedlearn_run_query_nanos` none.
+#[test]
+fn a_batch_is_timed_once_as_a_batch() {
+    let _g = lock();
+    let fed = builder(21).telemetry(true).build();
+    telemetry::global().reset();
+    let outcomes = fed.run_batch(&bucketed_queries(&fed), &PolicyKind::query_driven(3));
+    let snap = telemetry::global().snapshot();
+    telemetry::set_enabled(false);
+    assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+    let samples = |name| snap.histogram(name).map_or(0, |h| h.count);
+    assert_eq!(samples("qens_fedlearn_run_batch_nanos"), 1);
+    assert_eq!(samples("qens_fedlearn_run_query_nanos"), 0);
 }
 
 #[test]

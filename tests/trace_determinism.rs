@@ -130,7 +130,7 @@ fn disabled_tracing_records_nothing() {
         0,
         "disabled tracing must buffer no events"
     );
-    let span = trace::span("never.recorded");
+    let span = telemetry::span("never.recorded", &[]);
     assert!(!span.is_recording(), "disabled spans must be inert");
     drop(span);
     assert_eq!(trace::events_len(), 0);
