@@ -1,7 +1,8 @@
 //! Bit-level pins on the three training loops. Every case trains LR or a
 //! `hidden: 8` MLP through `train`, `train_incremental` or
 //! `train_interleaved` on 203 rows (a ragged count, so the last
-//! mini-batch of every epoch and every stage is short) and compares the
+//! mini-batch of every epoch and every stage is short), LR at widths 1,
+//! 2 and 5 and the MLP at width 2, and compares the
 //! `to_bits()` of the final weights, of every training and validation
 //! loss, and the sample-visit count against recorded constants. A change
 //! to how the loops walk, batch or accumulate rows that moves a single
@@ -32,6 +33,31 @@ fn data() -> DenseDataset {
     DenseDataset::new(Matrix::from_rows(&rows), y)
 }
 
+/// `ROWS` rows of `width` features: every benchmark federation trains
+/// width 1, and width 5 runs `dot`'s four-wide chunk plus its tail.
+fn data_of_width(width: usize) -> DenseDataset {
+    let mut rng = linalg::rng::rng_for(31, width as u64);
+    let rows: Vec<Vec<f64>> = (0..ROWS)
+        .map(|_| {
+            (0..width)
+                .map(|_| linalg::rng::normal(&mut rng, 0.0, 1.0))
+                .collect()
+        })
+        .collect();
+    let y: Vec<f64> = rows
+        .iter()
+        .map(|r| {
+            let linear: f64 = r
+                .iter()
+                .enumerate()
+                .map(|(k, v)| (k as f64 - 1.5) * v)
+                .sum();
+            linear - 0.4 * r[0] * r[0] + 0.3 + linalg::rng::normal(&mut rng, 0.0, 0.05)
+        })
+        .collect();
+    DenseDataset::new(Matrix::from_rows(&rows), y)
+}
+
 /// Two ragged supporting clusters around an empty one.
 fn stages(data: &DenseDataset) -> Vec<DenseDataset> {
     let a: Vec<usize> = (0..61).collect();
@@ -53,6 +79,26 @@ const LR_PINS: &[(&str, u64, u64, u64, usize)] = &[
     ("LR/train/no_val", 0xb2a1a45cf17c5139, 0x5ce99149f001f7ad, NONE, 20300),
     ("LR/incremental/no_val", 0x8420cfcec17c0807, 0xe2539e01cf2d094a, NONE, 20300),
     ("LR/interleaved/no_val", 0x59942079526dd993, 0x6b6ed8d9ad1eb8a6, NONE, 20300),
+];
+
+#[rustfmt::skip]
+const LR_WIDTH_1_PINS: &[(&str, u64, u64, u64, usize)] = &[
+    ("LR/d1/train/paper", 0xc868cd844e8f7ccb, 0x05480eaa7d058258, 0x159e695d01dcd20d, 16200),
+    ("LR/d1/incremental/paper", 0xca3e87ac470ca0af, 0x08ef49d1eb96c803, 0x5e9fa6d3b29ddebe, 16300),
+    ("LR/d1/interleaved/paper", 0xbfc3afbfd1d3def8, 0x919dd8941ffcd881, NONE, 20300),
+    ("LR/d1/train/no_val", 0x955a2f46e3fb2c35, 0x74d3578b9f525e0d, NONE, 20300),
+    ("LR/d1/incremental/no_val", 0x54a36609ddb72050, 0xd172f7c1ac34c91f, NONE, 20300),
+    ("LR/d1/interleaved/no_val", 0xbfc3afbfd1d3def8, 0x919dd8941ffcd881, NONE, 20300),
+];
+
+#[rustfmt::skip]
+const LR_WIDTH_5_PINS: &[(&str, u64, u64, u64, usize)] = &[
+    ("LR/d5/train/paper", 0x025b894107ef2fe3, 0xaabc36e1cb523b73, 0xb212db940df3a5e4, 16200),
+    ("LR/d5/incremental/paper", 0xb0abeef5faf65a94, 0xa94b12a8024e202c, 0xfb31169c99c29c55, 16300),
+    ("LR/d5/interleaved/paper", 0x160477ad53483e61, 0x7c98aeaeb20c2b63, NONE, 20300),
+    ("LR/d5/train/no_val", 0xff8323c1875742fc, 0x01aaa1a3b4137862, NONE, 20300),
+    ("LR/d5/incremental/no_val", 0x81cbd0d98b9089c9, 0xae2a205c7ac991a9, NONE, 20300),
+    ("LR/d5/interleaved/no_val", 0x160477ad53483e61, 0x7c98aeaeb20c2b63, NONE, 20300),
 ];
 
 #[rustfmt::skip]
@@ -79,9 +125,9 @@ fn digest(values: &[f64]) -> u64 {
 /// the three float sequences and the visit count.
 type Pin = (String, u64, u64, u64, usize);
 
-fn pins(kind: ModelKind, paper: TrainConfig) -> Vec<Pin> {
-    let data = data();
-    let stages = stages(&data);
+/// Every case of `kind` over `data`, named `<model><tag>/<loop>/<config>`.
+fn pins(kind: ModelKind, paper: TrainConfig, data: &DenseDataset, tag: &str) -> Vec<Pin> {
+    let stages = stages(data);
     let configs = [
         ("paper", paper.clone()),
         (
@@ -95,14 +141,14 @@ fn pins(kind: ModelKind, paper: TrainConfig) -> Vec<Pin> {
     let mut out = Vec::new();
     for (label, cfg) in &configs {
         for (name, run) in [("train", 0), ("incremental", 1), ("interleaved", 2)] {
-            let mut model = kind.build(2, 11);
+            let mut model = kind.build(data.dim(), 11);
             let report: TrainReport = match run {
-                0 => train(&mut model, &data, cfg),
+                0 => train(&mut model, data, cfg),
                 1 => train_incremental(&mut model, &stages, cfg),
                 _ => train_interleaved(&mut model, &stages, cfg),
             };
             out.push((
-                format!("{}/{name}/{label}", kind.name()),
+                format!("{}{tag}/{name}/{label}", kind.name()),
                 digest(&model.weights()),
                 digest(&report.train_loss),
                 digest(&report.val_loss),
@@ -127,13 +173,26 @@ fn check(got: Vec<Pin>, want: &[(&str, u64, u64, u64, usize)]) {
 
 #[test]
 fn linear_regression_training_is_bit_pinned() {
-    check(pins(ModelKind::Linear, TrainConfig::paper_lr(5)), LR_PINS);
+    let pinned = pins(ModelKind::Linear, TrainConfig::paper_lr(5), &data(), "");
+    check(pinned, LR_PINS);
+}
+
+#[test]
+fn linear_regression_training_is_bit_pinned_at_width_1() {
+    let data = data_of_width(1);
+    let pinned = pins(ModelKind::Linear, TrainConfig::paper_lr(5), &data, "/d1");
+    check(pinned, LR_WIDTH_1_PINS);
+}
+
+#[test]
+fn linear_regression_training_is_bit_pinned_at_width_5() {
+    let data = data_of_width(5);
+    let pinned = pins(ModelKind::Linear, TrainConfig::paper_lr(5), &data, "/d5");
+    check(pinned, LR_WIDTH_5_PINS);
 }
 
 #[test]
 fn mlp_training_is_bit_pinned() {
-    check(
-        pins(ModelKind::Neural { hidden: 8 }, TrainConfig::paper_nn(5)),
-        NN_PINS,
-    );
+    let nn = ModelKind::Neural { hidden: 8 };
+    check(pins(nn, TrainConfig::paper_nn(5), &data(), ""), NN_PINS);
 }
