@@ -107,13 +107,6 @@ impl Optimizer {
             }
         }
     }
-
-    /// Resets all accumulated state (moments, step counter).
-    pub fn reset(&mut self) {
-        self.m.fill(0.0);
-        self.v.fill(0.0);
-        self.t = 0;
-    }
 }
 
 #[cfg(test)]
@@ -149,21 +142,6 @@ mod tests {
         let mut opt = OptimizerKind::Sgd { lr: 0.5 }.build(2);
         opt.step(&mut p, &[2.0, -4.0]);
         assert_eq!(p, vec![0.0, 4.0]);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut opt = OptimizerKind::adam(0.1).build(1);
-        let mut p = vec![0.0];
-        opt.step(&mut p, &[1.0]);
-        let after_one = p[0];
-        opt.reset();
-        let mut q = vec![0.0];
-        opt.step(&mut q, &[1.0]);
-        assert_eq!(
-            q[0], after_one,
-            "reset optimiser must repeat its first step"
-        );
     }
 
     #[test]

@@ -135,19 +135,6 @@ impl Descent {
     }
 }
 
-/// Mean squared error of `model` over the listed `rows` of `data` —
-/// what [`Regressor::evaluate`] gives on a copy of those rows, summed the
-/// same way, without the copy or a predictions vector.
-fn rows_loss(model: &impl Regressor, data: &DenseDataset, rows: &[usize]) -> f64 {
-    rows.iter()
-        .map(|&i| {
-            let e = model.predict_row(data.x().row(i)) - data.y()[i];
-            e * e
-        })
-        .sum::<f64>()
-        / rows.len() as f64
-}
-
 /// Trains `model` on `data` for `config.epochs` epochs of mini-batch
 /// descent, with an optional validation split.
 ///
@@ -194,7 +181,7 @@ pub fn train<M: Regressor>(
         report.train_loss.push(descent.mean_epoch_loss());
 
         if !val_rows.is_empty() {
-            report.val_loss.push(rows_loss(model, data, &val_rows));
+            report.val_loss.push(model.loss_rows(data, &val_rows));
         }
     }
     report.samples_seen = descent.samples_seen;
