@@ -1,5 +1,7 @@
 //! The node population the leader coordinates.
 
+use std::sync::OnceLock;
+
 use geom::HyperRect;
 use mlkit::DenseDataset;
 
@@ -34,6 +36,10 @@ pub struct EdgeNetwork {
     /// *not* imply a change — the exact per-node comparison stays the
     /// arbiter; this only gates when that walk is worth paying.
     mutation_epoch: u64,
+    /// [`EdgeNetwork::global_space`], folded on first use after a change
+    /// and cleared wherever the rows can change: `node_mut` and
+    /// `add_node`.
+    global_space: OnceLock<HyperRect>,
 }
 
 impl EdgeNetwork {
@@ -53,6 +59,7 @@ impl EdgeNetwork {
             cost: CostModel::default(),
             membership_epoch: 0,
             mutation_epoch: 0,
+            global_space: OnceLock::new(),
         }
     }
 
@@ -73,6 +80,7 @@ impl EdgeNetwork {
             cost: CostModel::default(),
             membership_epoch: 0,
             mutation_epoch: 0,
+            global_space: OnceLock::new(),
         }
     }
 
@@ -90,6 +98,7 @@ impl EdgeNetwork {
         let id = NodeId(self.nodes.len());
         self.nodes.push(EdgeNode::new(id, name, data, capacity));
         self.membership_epoch += 1;
+        self.global_space.take();
         id
     }
 
@@ -202,6 +211,7 @@ impl EdgeNetwork {
     /// Panics if the id is out of range.
     pub fn node_mut(&mut self, id: NodeId) -> &mut EdgeNode {
         self.mutation_epoch += 1;
+        self.global_space.take();
         &mut self.nodes[id.0]
     }
 
@@ -226,11 +236,16 @@ impl EdgeNetwork {
     }
 
     /// The hull of every node's joint data space — the "whole data space"
-    /// the paper's query workload is generated over.
+    /// the paper's query workload is generated over. The fold over every
+    /// row runs once per change to the rows, not once per call.
     pub fn global_space(&self) -> HyperRect {
-        let mut it = self.nodes.iter().map(EdgeNode::data_space);
-        let first = it.next().expect("network is non-empty");
-        it.fold(first, |acc, s| acc.hull(&s))
+        self.global_space
+            .get_or_init(|| {
+                let mut it = self.nodes.iter().map(EdgeNode::data_space);
+                let first = it.next().expect("network is non-empty");
+                it.fold(first, |acc, s| acc.hull(&s))
+            })
+            .clone()
     }
 }
 
@@ -277,6 +292,26 @@ mod tests {
         // x spans -50..129, y spans -50..138.
         assert_eq!(space.interval(0).lo(), -50.0);
         assert_eq!(space.interval(0).hi(), 119.0);
+    }
+
+    /// The hull a fresh network folds from its nodes' rows.
+    fn folded_space(net: &EdgeNetwork) -> HyperRect {
+        let rows = net.nodes().iter().flat_map(|n| n.joint().row_iter());
+        HyperRect::bounding_points(rows).unwrap()
+    }
+
+    #[test]
+    fn global_space_follows_absorb_and_add_node() {
+        let mut net = network();
+        let before = net.global_space();
+        let far = DenseDataset::new(Matrix::from_rows(&[vec![1_000.0]]), vec![-900.0]);
+        net.node_mut(NodeId(1)).absorb(&far);
+        let after = net.global_space();
+        assert_ne!(after, before, "the absorbed row lies outside the old hull");
+        assert_eq!(after, folded_space(&net));
+        net.add_node("d", dataset(-5_000.0, 4), 1.0);
+        assert_eq!(net.global_space(), folded_space(&net));
+        assert_eq!(net.global_space().interval(0).lo(), -5_000.0);
     }
 
     #[test]
