@@ -403,7 +403,7 @@ fn main() {
     }
     if args.first().map(String::as_str) == Some("scale") {
         // Fig. 11: fleet-size scaling, scan vs spatial index. The CSV is
-        // structural-only (no wall clock), so scripts/verify.sh can
+        // structural-only (no wall clock), so tests/repro_cli.rs can
         // byte-diff it across QENS_THREADS values.
         if let Err(e) = bench::scale::run_scale(&results_dir()) {
             eprintln!("scale: {e}");

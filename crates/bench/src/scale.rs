@@ -17,7 +17,7 @@
 //! `results/fig11_scale.csv` carries *structural* columns only — node
 //! counts, probe counters, participant totals and an FNV selection
 //! hash, never wall-clock — so the file is byte-identical at any
-//! `QENS_THREADS` (`scripts/verify.sh` diffs two runs). Wall-clock
+//! `QENS_THREADS` (`tests/repro_cli.rs` diffs two runs). Wall-clock
 //! observations go to stdout where they belong.
 //!
 //! # The fleet constructor

@@ -73,8 +73,8 @@ fn fig9_saturation_csv_matches_a_fresh_run() {
     assert_same(name, "load", &committed(name), &fresh);
 }
 
-/// The 1k–100k rows only: the 1M-node fleet costs minutes in a debug
-/// build, so `scripts/verify.sh` regenerates that row in release.
+/// The 1k–100k rows only, in process; `repro_cli.rs` runs the whole
+/// sweep, 1M-node row included, through the built binary.
 #[test]
 fn fig11_scale_csv_matches_a_fresh_run_up_to_100k_nodes() {
     let name = "fig11_scale.csv";

@@ -1,8 +1,8 @@
 //! `repro` through the real binary: its refusals exit 2 before any work
 //! starts, naming the culprit on stderr; `repro --smoke`, `repro
-//! profile` and `repro fleet` write the committed artifacts at any
-//! global pool size; and `repro --smoke` registers a pinned list of
-//! metric series.
+//! profile`, `repro fleet` and `repro scale` write the committed
+//! artifacts at any global pool size; and `repro --smoke` registers a
+//! pinned list of metric series.
 
 mod common;
 
@@ -83,6 +83,13 @@ fn profile_matches_the_committed_files_at_pool_sizes_1_and_4() {
 #[test]
 fn fleet_matches_the_committed_files_at_pool_sizes_1_and_4() {
     assert_pool_size_free(&["fleet"], &["fleet.json", "fig10_fleet_skew.csv"]);
+}
+
+/// Nor does the whole Fig. 11 sweep, its 1M-node row included: the CSV
+/// holds structural counters and selection hashes, never wall time.
+#[test]
+fn scale_matches_the_committed_file_at_pool_sizes_1_and_4() {
+    assert_pool_size_free(&["scale"], &["fig11_scale.csv"]);
 }
 
 /// The series `repro --smoke` registers, by kind, sorted; the SLO
