@@ -24,11 +24,11 @@
 //!
 //! [`synthetic_fleet`] builds **summary-only** nodes
 //! ([`EdgeNode::from_summaries`]): each node carries its cluster
-//! summaries and a one-row representative dataset instead of a cloned
-//! training matrix. That is exactly the leader's view of a real fleet —
-//! the leader never holds remote datasets, only the quantised synopses
-//! the nodes shipped (§III-B) — and it is what makes a million-node
-//! sweep fit in memory: the per-node footprint is a few hundred bytes,
+//! summaries and no rows at all — no node-local part. That is exactly
+//! the leader's view of a real fleet — the leader never holds remote
+//! datasets, only the quantised synopses the nodes shipped (§III-B) —
+//! and it is what makes a million-node sweep fit in memory: the
+//! per-node footprint is the 96-byte leader view plus its summaries,
 //! not a dataset clone.
 
 use std::path::Path;
@@ -332,9 +332,11 @@ mod tests {
         for (x, y) in a.nodes().iter().zip(b.nodes()) {
             assert!(x.is_quantized());
             assert_eq!(x.summaries(), y.summaries());
-            // Summary-only: the representative dataset is one row, not a
-            // cloned training set.
-            assert_eq!(x.data().len(), 1);
+            // Summary-only: no rows at all, the joint space read off the
+            // summaries.
+            assert_eq!(x.len(), 0);
+            assert!(x.is_empty());
+            assert_eq!(x.joint_dim(), 2);
         }
         // Different seed, different fleet.
         let c = synthetic_fleet(64, 3, 10);

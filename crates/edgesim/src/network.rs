@@ -235,14 +235,24 @@ impl EdgeNetwork {
         self.nodes.iter().map(EdgeNode::len).sum()
     }
 
-    /// The hull of every node's joint data space — the "whole data space"
-    /// the paper's query workload is generated over. The fold over every
-    /// row runs once per change to the rows, not once per call.
+    /// The hull of every row the network's nodes hold — the "whole data
+    /// space" the paper's query workload is generated over. Summary-only
+    /// nodes hold no rows and add nothing. The fold over every row runs
+    /// once per change to the rows, not once per call.
+    ///
+    /// # Panics
+    /// Panics if every node is summary-only.
     pub fn global_space(&self) -> HyperRect {
         self.global_space
             .get_or_init(|| {
-                let mut it = self.nodes.iter().map(EdgeNode::data_space);
-                let first = it.next().expect("network is non-empty");
+                let mut it = self
+                    .nodes
+                    .iter()
+                    .filter(|n| !n.is_empty())
+                    .map(EdgeNode::data_space);
+                let first = it
+                    .next()
+                    .expect("no node holds rows: every node is summary-only");
                 it.fold(first, |acc, s| acc.hull(&s))
             })
             .clone()
@@ -312,6 +322,45 @@ mod tests {
         net.add_node("d", dataset(-5_000.0, 4), 1.0);
         assert_eq!(net.global_space(), folded_space(&net));
         assert_eq!(net.global_space().interval(0).lo(), -5_000.0);
+    }
+
+    /// A summary-only node adds nothing to the global space until it
+    /// absorbs rows of its own.
+    #[test]
+    fn global_space_folds_only_the_rows_nodes_hold() {
+        let summary = cluster::ClusterSummary {
+            cluster_id: 0,
+            size: 9,
+            representative: vec![500.0, 500.0],
+            rect: HyperRect::from_boundary_vec(&[400.0, 600.0, 400.0, 600.0]),
+        };
+        let data_node = EdgeNode::new(NodeId(0), "rows", dataset(0.0, 30), 1.0);
+        let summary_node = EdgeNode::from_summaries(NodeId(1), "summary", 1.0, vec![summary]);
+        let mut net = EdgeNetwork::from_nodes(vec![data_node, summary_node]);
+        assert_eq!(net.total_samples(), 30);
+        assert_eq!(net.global_space(), net.node(NodeId(0)).data_space());
+        let far = DenseDataset::new(Matrix::from_rows(&[vec![1_000.0]]), vec![-900.0]);
+        net.node_mut(NodeId(1)).absorb(&far);
+        assert_eq!(net.total_samples(), 31);
+        assert_eq!(net.global_space(), folded_space(&net));
+    }
+
+    #[test]
+    #[should_panic(expected = "every node is summary-only")]
+    fn global_space_of_a_summary_only_network_panics() {
+        let summary = cluster::ClusterSummary {
+            cluster_id: 0,
+            size: 9,
+            representative: vec![1.0, 1.0],
+            rect: HyperRect::from_boundary_vec(&[0.0, 2.0, 0.0, 2.0]),
+        };
+        EdgeNetwork::from_nodes(vec![EdgeNode::from_summaries(
+            NodeId(0),
+            "s",
+            1.0,
+            vec![summary],
+        )])
+        .global_space();
     }
 
     #[test]

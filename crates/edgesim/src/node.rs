@@ -17,8 +17,19 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// A participant edge node: local dataset, compute capacity and (after
-/// [`EdgeNode::quantize`]) its cluster summaries.
+/// A participant edge node.
+///
+/// The node is two parts, along the paper's boundary (§III-A): the
+/// leader works from cluster summaries, the node keeps its data.
+///
+/// * The **leader view**, held inline: id, name, compute capacity, uplink,
+///   the cluster summaries and their epoch. Selection, ranking and the
+///   spatial index read nothing else.
+/// * The **node-local part**, boxed and optional: the local dataset, its
+///   joint matrix and the k-means model behind the summaries. Nodes built
+///   by [`EdgeNode::new`] have one; summary-only nodes
+///   ([`EdgeNode::from_summaries`]) have none until they
+///   [`EdgeNode::absorb`] rows of their own.
 ///
 /// The node's *joint space* is the concatenation of its feature columns
 /// and the label column — the d-dimensional space the paper clusters and
@@ -31,15 +42,34 @@ pub struct EdgeNode {
     /// reference node).
     capacity: f64,
     link: LinkProfile,
-    data: DenseDataset,
-    joint: Matrix,
-    kmeans: Option<KMeans>,
     summaries: Vec<ClusterSummary>,
     /// Version counter of the leader-visible summaries. Bumped whenever
     /// they change ([`EdgeNode::quantize`], [`EdgeNode::quantize_private`])
     /// or become stale ([`EdgeNode::absorb`]); selection caches compare it
     /// against the epoch they scored at to invalidate per node.
     summary_epoch: u64,
+    /// The rows the node keeps and never ships; `None` on a summary-only
+    /// node.
+    local: Option<Box<NodeLocal>>,
+}
+
+/// The node-local part of an [`EdgeNode`].
+#[derive(Debug, Clone)]
+struct NodeLocal {
+    data: DenseDataset,
+    joint: Matrix,
+    kmeans: Option<KMeans>,
+}
+
+impl NodeLocal {
+    fn new(data: DenseDataset) -> Box<Self> {
+        let joint = build_joint(&data);
+        Box::new(Self {
+            data,
+            joint,
+            kmeans: None,
+        })
+    }
 }
 
 impl EdgeNode {
@@ -50,32 +80,32 @@ impl EdgeNode {
     pub fn new(id: NodeId, name: impl Into<String>, data: DenseDataset, capacity: f64) -> Self {
         assert!(!data.is_empty(), "edge node with no local data");
         assert!(capacity > 0.0, "capacity must be positive, got {capacity}");
-        let joint = build_joint(&data);
         Self {
             id,
             name: name.into(),
             capacity,
             link: LinkProfile::default(),
-            data,
-            joint,
-            kmeans: None,
             summaries: Vec::new(),
             summary_epoch: 0,
+            local: Some(NodeLocal::new(data)),
         }
     }
 
     /// Creates a node directly from leader-visible cluster summaries,
     /// skipping raw data and k-means entirely. This is the shared-space
     /// synthetic-fleet path: a million-node fleet for selection-scaling
-    /// experiments needs only the `O(K·d)` summaries per node, not a
-    /// cloned dataset each — the node carries a single-sample dataset at
-    /// the first summary's representative so data-derived accessors
-    /// ([`EdgeNode::data_space`], [`EdgeNode::joint_dim`]) stay total.
+    /// experiments needs only the `O(K·d)` summaries per node. The node
+    /// has no node-local part: [`EdgeNode::len`] is 0,
+    /// [`EdgeNode::joint_dim`] comes from the summaries, and every
+    /// accessor that reads rows ([`EdgeNode::data`],
+    /// [`EdgeNode::joint`], [`EdgeNode::data_space`],
+    /// [`EdgeNode::full_dataset`], [`EdgeNode::cluster_dataset`],
+    /// [`EdgeNode::exact_query_cardinality`], [`EdgeNode::quantize`])
+    /// panics with a message that names the node.
     ///
-    /// Summary-only nodes fully support selection and ranking (which
-    /// read nothing but summaries); local training
-    /// ([`EdgeNode::cluster_dataset`]) still requires a quantised
-    /// dataset and panics as before.
+    /// Summary-only nodes fully support selection and ranking, which
+    /// read nothing but summaries. Rows absorbed later
+    /// ([`EdgeNode::absorb`]) become the node's first local data.
     ///
     /// # Panics
     /// Panics if `summaries` is empty, dimensionalities disagree, the
@@ -97,23 +127,25 @@ impl EdgeNode {
             assert_eq!(s.rect.dim(), d, "summary rect dim mismatch");
             assert_eq!(s.representative.len(), d, "representative dim mismatch");
         }
-        let rep = &summaries[0].representative;
-        let data = DenseDataset::new(
-            Matrix::from_rows(&[rep[..d - 1].to_vec()]),
-            vec![rep[d - 1]],
-        );
-        let joint = build_joint(&data);
         Self {
             id,
             name: name.into(),
             capacity,
             link: LinkProfile::default(),
-            data,
-            joint,
-            kmeans: None,
             summaries,
             summary_epoch: 1,
+            local: None,
         }
+    }
+
+    /// The node-local part.
+    ///
+    /// # Panics
+    /// Panics on a summary-only node, naming it.
+    fn local(&self) -> &NodeLocal {
+        self.local
+            .as_deref()
+            .unwrap_or_else(|| no_local_rows(self.id))
     }
 
     /// Replaces the node's uplink profile in place. Touches *only* the
@@ -166,42 +198,63 @@ impl EdgeNode {
     }
 
     /// The node's local supervised dataset.
+    ///
+    /// # Panics
+    /// Panics on a summary-only node.
     pub fn data(&self) -> &DenseDataset {
-        &self.data
+        &self.local().data
     }
 
-    /// Number of local samples `m`.
+    /// Number of local samples `m` (0 on a summary-only node).
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.local.as_ref().map_or(0, |local| local.data.len())
     }
 
-    /// True when the node has no samples (never true post-construction).
+    /// True when the node holds no samples: a summary-only node that
+    /// has absorbed none.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// The joint (features + label) matrix the node clusters over.
+    ///
+    /// # Panics
+    /// Panics on a summary-only node.
     pub fn joint(&self) -> &Matrix {
-        &self.joint
+        &self.local().joint
     }
 
-    /// Dimensionality of the joint space (features + 1).
+    /// Dimensionality of the joint space (features + 1), from the rows
+    /// or, on a summary-only node, from the summaries.
     pub fn joint_dim(&self) -> usize {
-        self.joint.cols()
+        match &self.local {
+            Some(local) => local.joint.cols(),
+            None => self.summaries[0].rect.dim(),
+        }
     }
 
     /// Bounding box of the node's whole joint data space.
+    ///
+    /// # Panics
+    /// Panics on a summary-only node.
     pub fn data_space(&self) -> HyperRect {
-        HyperRect::bounding_points(self.joint.row_iter())
+        HyperRect::bounding_points(self.local().joint.row_iter())
             .expect("non-empty node always has a bounding box")
     }
 
     /// Quantises the local data space with k-means (§III-C, Eq. 1) and
     /// caches the cluster summaries the node would ship to its leader.
+    ///
+    /// # Panics
+    /// Panics on a summary-only node.
     pub fn quantize(&mut self, k: usize, seed: u64) {
-        let model = KMeans::fit(&self.joint, &KMeansConfig::with_k(k, seed));
-        self.summaries = summary::summarize(&self.joint, &model);
-        self.kmeans = Some(model);
+        let local = self
+            .local
+            .as_deref_mut()
+            .unwrap_or_else(|| no_local_rows(self.id));
+        let model = KMeans::fit(&local.joint, &KMeansConfig::with_k(k, seed));
+        self.summaries = summary::summarize(&local.joint, &model);
+        local.kmeans = Some(model);
         self.summary_epoch += 1;
     }
 
@@ -220,7 +273,7 @@ impl EdgeNode {
     /// [`EdgeNode::quantize`] has run or the node was built from
     /// summaries directly ([`EdgeNode::from_summaries`]).
     pub fn is_quantized(&self) -> bool {
-        self.kmeans.is_some() || !self.summaries.is_empty()
+        !self.summaries.is_empty()
     }
 
     /// The cluster summary rectangles, in summary order — the node's
@@ -273,34 +326,47 @@ impl EdgeNode {
     /// The members of cluster `cluster_id` as a training dataset.
     ///
     /// # Panics
-    /// Panics if the node is not quantised.
+    /// Panics on a summary-only node, or if the node's own rows are not
+    /// quantised.
     pub fn cluster_dataset(&self, cluster_id: usize) -> DenseDataset {
-        let model = self.kmeans.as_ref().expect("node not quantised");
-        self.data.select(&model.members(cluster_id))
+        let local = self.local();
+        let model = local.kmeans.as_ref().expect("node not quantised");
+        local.data.select(&model.members(cluster_id))
     }
 
     /// The whole local dataset as a single training stage (the "without
     /// query-driven selectivity" baseline of Figs. 8–9).
+    ///
+    /// # Panics
+    /// Panics on a summary-only node.
     pub fn full_dataset(&self) -> DenseDataset {
-        self.data.clone()
+        self.data().clone()
     }
 
-    /// Absorbs newly collected samples into the node's local dataset.
+    /// Absorbs newly collected samples into the node's local dataset; on
+    /// a summary-only node they become its first local data.
     ///
     /// The cached quantisation becomes stale and is dropped — call
     /// [`EdgeNode::quantize`] (or use mini-batch maintenance at the
     /// application level) before the node participates again.
     ///
     /// # Panics
-    /// Panics if the new data's width differs from the local data's.
+    /// Panics if the new data's width differs from the joint space's
+    /// feature count.
     pub fn absorb(&mut self, new: &DenseDataset) {
-        assert_eq!(new.dim(), self.data.dim(), "absorbed data width mismatch");
+        assert_eq!(
+            new.dim() + 1,
+            self.joint_dim(),
+            "absorbed data width mismatch"
+        );
         if new.is_empty() {
             return;
         }
-        self.data = self.data.concat(new);
-        self.joint = build_joint(&self.data);
-        self.kmeans = None;
+        let data = match &self.local {
+            Some(local) => local.data.concat(new),
+            None => new.clone(),
+        };
+        self.local = Some(NodeLocal::new(data));
         self.summaries.clear();
         self.summary_epoch += 1;
     }
@@ -318,9 +384,17 @@ impl EdgeNode {
 
     /// Exact number of local samples inside the query region (what the
     /// node itself can compute).
+    ///
+    /// # Panics
+    /// Panics on a summary-only node.
     pub fn exact_query_cardinality(&self, query: &geom::Query) -> usize {
-        query.filter_indices(self.joint.row_iter()).len()
+        query.filter_indices(self.joint().row_iter()).len()
     }
+}
+
+/// The one panic of every accessor that reads a summary-only node's rows.
+fn no_local_rows(id: NodeId) -> ! {
+    panic!("node {id} is summary-only: it holds no local rows")
 }
 
 /// Concatenates features and label into the joint clustering matrix.
@@ -521,8 +595,8 @@ mod tests {
         node().summary_bounds();
     }
 
-    #[test]
-    fn from_summaries_builds_a_selectable_node() {
+    /// A summary-only node with two clusters over a 2-D joint space.
+    fn summary_only() -> EdgeNode {
         let summaries = vec![
             ClusterSummary {
                 cluster_id: 0,
@@ -537,12 +611,18 @@ mod tests {
                 rect: HyperRect::from_boundary_vec(&[7.0, 9.0, 8.0, 10.0]),
             },
         ];
-        let n = EdgeNode::from_summaries(NodeId(7), "synthetic", 1.5, summaries);
+        EdgeNode::from_summaries(NodeId(7), "synthetic", 1.5, summaries)
+    }
+
+    #[test]
+    fn from_summaries_builds_a_selectable_node() {
+        let n = summary_only();
         assert!(n.is_quantized(), "summary-only nodes count as quantised");
         assert_eq!(n.k(), 2);
         assert_eq!(n.summary_epoch(), 1);
-        assert_eq!(n.joint_dim(), 2);
-        assert_eq!(n.len(), 1, "carries only the representative sample");
+        assert_eq!(n.joint_dim(), 2, "taken from the summaries");
+        assert_eq!(n.len(), 0, "a summary-only node holds no rows");
+        assert!(n.is_empty());
         assert_eq!(
             n.summary_bounds().to_boundary_vec(),
             vec![1.0, 9.0, 2.0, 10.0]
@@ -556,6 +636,85 @@ mod tests {
         ));
         assert!(!n.is_quantized());
         assert_eq!(n.summary_epoch(), 2);
+    }
+
+    /// Absorbed rows are a summary-only node's first local data: the
+    /// next quantisation clusters exactly those rows and nothing else.
+    #[test]
+    fn absorb_into_a_summary_only_node_starts_its_local_data() {
+        let mut n = summary_only();
+        let xs: Vec<Vec<f64>> = (0..12).map(|i| vec![20.0 + i as f64]).collect();
+        let ys: Vec<f64> = (0..12).map(|i| 40.0 + 2.0 * i as f64).collect();
+        let new = DenseDataset::new(Matrix::from_rows(&xs), ys);
+        n.absorb(&new);
+        assert_eq!(n.len(), 12);
+        assert_eq!(n.data(), &new);
+        assert_eq!(n.summary_epoch(), 2, "absorb stales the summaries");
+        n.quantize(3, 1);
+        assert_eq!(n.summary_epoch(), 3);
+        let covered: usize = n.summaries().iter().map(|s| s.size).sum();
+        assert_eq!(covered, 12);
+        let hull = n.summary_bounds();
+        assert_eq!(hull, n.data_space(), "no row but the absorbed ones");
+        assert_eq!(hull.to_boundary_vec(), vec![20.0, 31.0, 40.0, 62.0]);
+        let trained: usize = n
+            .summaries()
+            .iter()
+            .map(|s| n.cluster_dataset(s.cluster_id).len())
+            .sum();
+        assert_eq!(trained, 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "absorbed data width mismatch")]
+    fn absorb_into_a_summary_only_node_checks_the_width() {
+        summary_only().absorb(&DenseDataset::new(
+            Matrix::from_rows(&[vec![0.0, 1.0]]),
+            vec![0.0],
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "node n7 is summary-only: it holds no local rows")]
+    fn summary_only_data_panics() {
+        summary_only().data();
+    }
+
+    #[test]
+    #[should_panic(expected = "node n7 is summary-only: it holds no local rows")]
+    fn summary_only_joint_panics() {
+        summary_only().joint();
+    }
+
+    #[test]
+    #[should_panic(expected = "node n7 is summary-only: it holds no local rows")]
+    fn summary_only_data_space_panics() {
+        summary_only().data_space();
+    }
+
+    #[test]
+    #[should_panic(expected = "node n7 is summary-only: it holds no local rows")]
+    fn summary_only_full_dataset_panics() {
+        summary_only().full_dataset();
+    }
+
+    #[test]
+    #[should_panic(expected = "node n7 is summary-only: it holds no local rows")]
+    fn summary_only_cluster_dataset_panics() {
+        summary_only().cluster_dataset(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "node n7 is summary-only: it holds no local rows")]
+    fn summary_only_exact_query_cardinality_panics() {
+        let q = geom::Query::from_boundary_vec(0, &[0.0, 10.0, 0.0, 10.0]);
+        summary_only().exact_query_cardinality(&q);
+    }
+
+    #[test]
+    #[should_panic(expected = "node n7 is summary-only: it holds no local rows")]
+    fn summary_only_quantize_panics() {
+        summary_only().quantize(2, 1);
     }
 
     #[test]
