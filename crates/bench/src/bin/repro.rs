@@ -296,59 +296,49 @@ fn check_env<K: AsRef<OsStr>, V: AsRef<OsStr>>(
     Ok(())
 }
 
+/// `value` as a count of at least 1; otherwise exits 2 naming
+/// `command` and `flag`.
+fn positive_count(command: &str, flag: &str, value: Option<&String>) -> usize {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            eprintln!("{command}: {flag} needs a positive integer");
+            std::process::exit(2);
+        })
+}
+
 fn main() {
     if let Err(e) = check_env(std::env::vars_os()) {
         eprintln!("repro: {e}");
         std::process::exit(2);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `load` owns its own --smoke flag (live-server smoke), so it must
-    // dispatch before the global --smoke fast path.
     if args.first().map(String::as_str) == Some("load") {
         let mut opts = bench::serve::loadgen::LoadOptions::default();
         let mut it = args.iter().skip(1);
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--smoke" => opts.smoke = true,
                 "--seed" => {
                     opts.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                         eprintln!("load: --seed needs an integer");
                         std::process::exit(2);
                     });
                 }
-                "--queries" => {
-                    opts.queries = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("load: --queries needs a positive integer");
-                        std::process::exit(2);
-                    });
-                }
+                "--queries" => opts.queries = positive_count("load", "--queries", it.next()),
                 other => {
-                    eprintln!(
-                        "load: unknown flag {other:?}; expected \
-                         [--seed N] [--queries N] [--smoke]"
-                    );
+                    eprintln!("load: unknown flag {other:?}; expected [--seed N] [--queries N]");
                     std::process::exit(2);
                 }
             }
         }
         telemetry::set_enabled(true);
-        if opts.smoke {
-            if let Err(e) = bench::serve::loadgen::smoke(&opts) {
-                eprintln!("load --smoke: {e}");
-                std::process::exit(1);
-            }
-        } else {
-            let csv = bench::serve::loadgen::run_load(&opts);
-            let dir = results_dir();
-            std::fs::create_dir_all(&dir).expect("create results dir");
-            let path = dir.join("fig9_saturation.csv");
-            std::fs::write(&path, csv).expect("write fig9_saturation.csv");
-            println!("(saturation table -> {})", path.display());
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "--smoke") {
-        run_smoke();
+        let csv = bench::serve::loadgen::run_load(&opts);
+        let dir = results_dir();
+        std::fs::create_dir_all(&dir).expect("create results dir");
+        let path = dir.join("fig9_saturation.csv");
+        std::fs::write(&path, csv).expect("write fig9_saturation.csv");
+        println!("(saturation table -> {})", path.display());
         return;
     }
     if args.first().map(String::as_str) == Some("serve") {
@@ -356,7 +346,6 @@ fn main() {
         let mut it = args.iter().skip(1);
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--once" => opts.once = true,
                 "--addr" => {
                     opts.addr = it
                         .next()
@@ -388,7 +377,7 @@ fn main() {
                 other => {
                     eprintln!(
                         "serve: unknown flag {other:?}; expected [--addr host:port] \
-                         [--once] [--duration seconds] [--trace wall|logical]"
+                         [--duration seconds] [--trace wall|logical]"
                     );
                     std::process::exit(2);
                 }
@@ -402,6 +391,10 @@ fn main() {
         return;
     }
     if args.first().map(String::as_str) == Some("scale") {
+        if let Some(other) = args.get(1) {
+            eprintln!("scale: unknown flag {other:?}; it takes none");
+            std::process::exit(2);
+        }
         // Fig. 11: fleet-size scaling, scan vs spatial index. The CSV is
         // structural-only (no wall clock), so tests/repro_cli.rs can
         // byte-diff it across QENS_THREADS values.
@@ -417,10 +410,7 @@ fn main() {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--queries" => {
-                    opts.queries = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("profile: --queries needs a positive integer");
-                        std::process::exit(2);
-                    });
+                    opts.queries = positive_count("profile", "--queries", it.next()) as u64;
                 }
                 "--out" => {
                     opts.out_dir = it.next().map(PathBuf::from).unwrap_or_else(|| {
@@ -440,6 +430,12 @@ fn main() {
             eprintln!("profile: {e}");
             std::process::exit(1);
         }
+        return;
+    }
+    // `--smoke` belongs to the experiments, not to a tool subcommand:
+    // each of those refuses it as an unknown flag above.
+    if args.iter().any(|a| a == "--smoke") {
+        run_smoke();
         return;
     }
     let scale = if args.iter().any(|a| a == "--paper") {

@@ -308,7 +308,8 @@ pub fn post(addr: &str, path: &str, body: &str) -> std::io::Result<(u16, String)
 
 /// Sends raw bytes and returns the status of whatever came back (0 when
 /// the server sent nothing) — for probing the malformed-request paths.
-pub fn probe_raw(addr: &str, request: &[u8]) -> std::io::Result<(u16, String)> {
+#[cfg(test)]
+pub(crate) fn probe_raw(addr: &str, request: &[u8]) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.write_all(request)?;
     // Half-close our sending side so a server blocked on a read sees
@@ -320,9 +321,9 @@ pub fn probe_raw(addr: &str, request: &[u8]) -> std::io::Result<(u16, String)> {
     Ok(split_response(&response))
 }
 
-/// A client that keeps one socket open across requests — both the
-/// serve-side keep-alive test and the load generator's closed-loop
-/// clients use this. Responses are framed by their `Content-Length`.
+/// A client that keeps one socket open across requests — the serving
+/// tests' keep-alive clients. Responses are framed by their
+/// `Content-Length`.
 pub struct KeepAliveClient {
     stream: TcpStream,
     reader: BufReader<TcpStream>,

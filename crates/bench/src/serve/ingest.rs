@@ -133,7 +133,8 @@ pub(super) fn json_escape(s: &str) -> String {
 ///
 /// Runs until shutdown is requested *and* the queue is empty, so
 /// requests admitted before a shutdown still get real answers (the
-/// graceful-drain contract `serve --once` asserts).
+/// graceful-drain contract `tests/serve_http.rs`'s
+/// `graceful_drain_answers_in_flight_queries` asserts).
 pub fn batcher_loop(state: Arc<ServerState>) {
     // The policy (and its selection memo) lives for the whole server:
     // built here because boxed policies are not Send, and shared across

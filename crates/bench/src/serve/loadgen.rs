@@ -48,9 +48,6 @@ pub struct LoadOptions {
     pub seed: u64,
     /// Workload size: queries measured and replayed per simulated run.
     pub queries: usize,
-    /// Live-server smoke mode: spawn an ephemeral server, drive it with
-    /// concurrent HTTP clients + scrapers, assert, shut down.
-    pub smoke: bool,
 }
 
 impl Default for LoadOptions {
@@ -58,7 +55,6 @@ impl Default for LoadOptions {
         Self {
             seed: 42,
             queries: 160,
-            smoke: false,
         }
     }
 }
@@ -403,110 +399,6 @@ pub fn run_load(opts: &LoadOptions) -> String {
     csv
 }
 
-/// Live-server smoke: an ephemeral server under concurrent query
-/// clients and metric scrapers, then a graceful shutdown. Asserts the
-/// serving path end to end; wall-clock, so nothing here lands in the
-/// deterministic CSV.
-pub fn smoke(opts: &LoadOptions) -> std::io::Result<()> {
-    use super::http::{get, post, KeepAliveClient};
-
-    telemetry::set_enabled(true);
-    let handle = super::spawn("127.0.0.1:0", super::demo_federation())?;
-    let addr = handle.addr().to_string();
-    let fed = super::demo_federation();
-    let workload = fed.anchored_workload(24, 4, opts.seed);
-    let bodies: Vec<String> = workload
-        .queries
-        .iter()
-        .map(|q| {
-            let bounds: Vec<String> = q.to_boundary_vec().iter().map(|b| format!("{b}")).collect();
-            format!(
-                "{{\"id\": {}, \"bounds\": [{}]}}",
-                q.id(),
-                bounds.join(", ")
-            )
-        })
-        .collect();
-
-    const CLIENTS: usize = 4;
-    let mut client_threads = Vec::new();
-    for c in 0..CLIENTS {
-        let addr = addr.clone();
-        let bodies: Vec<String> = bodies.iter().skip(c).step_by(CLIENTS).cloned().collect();
-        client_threads.push(std::thread::spawn(move || -> std::io::Result<usize> {
-            let mut ok = 0usize;
-            let mut ka = KeepAliveClient::connect(&addr)?;
-            for body in &bodies {
-                let (status, reply) = ka.request("POST", "/query", body)?;
-                assert!(
-                    status == 200,
-                    "smoke query must succeed, got {status}: {reply}"
-                );
-                assert!(reply.contains("\"participants\":["), "reply: {reply}");
-                ok += 1;
-            }
-            Ok(ok)
-        }));
-    }
-    // Scrape while the query stream is in flight.
-    let scraper = {
-        let addr = addr.clone();
-        std::thread::spawn(move || -> std::io::Result<()> {
-            for _ in 0..8 {
-                let (status, body) = get(&addr, "/metrics")?;
-                assert_eq!(status, 200, "/metrics during load");
-                assert!(body.contains("# HELP"), "torn /metrics scrape");
-                let (status, body) = get(&addr, "/cache")?;
-                assert_eq!(status, 200, "/cache during load");
-                assert!(body.contains("\"hit_rate\":"), "torn /cache scrape");
-                let (status, body) = get(&addr, "/nodes")?;
-                assert_eq!(status, 200, "/nodes during load");
-                assert!(body.contains("\"skew\":{"), "torn /nodes scrape");
-                let (status, body) = get(&addr, "/events?n=16")?;
-                assert_eq!(status, 200, "/events during load");
-                assert!(
-                    body.is_empty() || body.starts_with('{'),
-                    "torn /events scrape: {body}"
-                );
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            Ok(())
-        })
-    };
-    let mut answered = 0usize;
-    for t in client_threads {
-        answered += t.join().expect("client thread panicked")?;
-    }
-    scraper.join().expect("scraper thread panicked")?;
-
-    let (cache_status, cache_body) = get(&addr, "/cache")?;
-    assert_eq!(cache_status, 200);
-    // After the stream: the fleet endpoints must reflect the served
-    // queries (every query selected someone, so selections > 0 and the
-    // journal has selection events).
-    let (nodes_status, nodes_body) = get(&addr, "/nodes")?;
-    assert_eq!(nodes_status, 200);
-    assert!(
-        !nodes_body.contains("\"total_selections\":0,"),
-        "served queries must register selections: {nodes_body}"
-    );
-    let (events_status, events_body) = get(&addr, "/events?n=8")?;
-    assert_eq!(events_status, 200);
-    assert!(
-        events_body.contains("\"kind\":\"node_selected\""),
-        "served queries must journal selections: {events_body}"
-    );
-    let (shutdown_status, _) = post(&addr, "/shutdown", "")?;
-    assert_eq!(shutdown_status, 200, "loopback shutdown must be accepted");
-    handle.wait()?;
-    println!(
-        "load --smoke OK: {answered} queries over {CLIENTS} keep-alive clients with \
-         concurrent /metrics + /cache + /nodes + /events scrapes; cache: {}",
-        cache_body.trim()
-    );
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,7 +471,6 @@ mod tests {
         let opts = LoadOptions {
             seed: 42,
             queries: 48,
-            smoke: false,
         };
         let a = run_load(&opts);
         let b = run_load(&opts);

@@ -39,9 +39,8 @@
 //!
 //! `repro serve` binds and serves until `--duration` elapses or a
 //! loopback client posts `/shutdown` — both drain in-flight queries
-//! before exit. `repro serve --once` is the self-test mode
-//! `scripts/verify.sh` runs: it probes every endpoint (plus the error
-//! and admission paths) and exits.
+//! before exit. The endpoints are checked over real sockets by this
+//! module's tests, `tests/serve_http.rs` and `tests/serve_concurrent.rs`.
 
 pub mod http;
 pub mod ingest;
@@ -79,13 +78,11 @@ const ENDPOINT_LIST: &str = "/healthz, /metrics, /trace, /profile, /profile.svg,
 pub struct ServeOptions {
     /// `host:port` to bind; port 0 asks the OS for an ephemeral port.
     pub addr: String,
-    /// Self-test mode: probe every endpoint once, assert, exit.
-    pub once: bool,
     /// Exit (gracefully, draining in-flight queries) after this many
     /// seconds; `None` serves until `POST /shutdown` or Ctrl-C.
     pub duration: Option<f64>,
     /// Trace clock for the live server (`repro serve --trace`); `None`
-    /// leaves tracing as it is. `--once` picks its own clock.
+    /// leaves tracing as it is.
     pub trace: Option<telemetry::trace::Clock>,
 }
 
@@ -93,7 +90,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:9464".to_string(),
-            once: false,
             duration: None,
             trace: None,
         }
@@ -785,44 +781,9 @@ fn serve_query(
     }
 }
 
-/// A tiny faulty + traced workload so the observability endpoints have
-/// something to show: guarantees at least one `qens_fault_*` counter
-/// (retries / dropped participants) and `qens_trace_*` counters in
-/// `/metrics`, and a non-empty span tree in `/trace`.
-pub fn seed_observable_workload() {
-    telemetry::trace::set_mode(Some(telemetry::trace::Clock::Wall));
-    telemetry::trace::clear();
-    let fed = FederationBuilder::new()
-        .heterogeneous_nodes(4, 60)
-        .clusters_per_node(3)
-        .seed(7)
-        .epochs(2)
-        .telemetry(true)
-        .faults(
-            FaultSpec::unreliable_edge(7)
-                .with_dropout(0.3)
-                .with_link_loss(0.6),
-        )
-        .fault_tolerance(FaultTolerance::full_strength())
-        .build();
-    for qid in 0..3u64 {
-        let q = fed.query_from_bounds(qid, &[0.0, 20.0, 0.0, 45.0]);
-        // Quorum loss under a hostile plan is acceptable here — every
-        // attempt still records metrics and trace events.
-        let _ = fed.run_query(&q, &PolicyKind::query_driven(2));
-    }
-}
-
-/// Runs the endpoint. Blocking; returns in `--once` mode, when
-/// `--duration` elapses, or after a loopback `POST /shutdown`.
-///
-/// # Panics
-/// In `--once` mode, panics if any endpoint misbehaves — that is the
-/// point (verify.sh treats the panic as a failed gate).
+/// Runs the endpoint. Blocking; returns when `--duration` elapses or
+/// after a loopback `POST /shutdown`.
 pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
-    if opts.once {
-        return serve_once();
-    }
     if opts.trace.is_some() {
         telemetry::trace::set_mode(opts.trace);
     }
@@ -839,237 +800,6 @@ pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
         });
     }
     handle.wait()
-}
-
-/// The `--once` self-test: ephemeral port, every endpoint plus the
-/// error, admission and drain paths probed, hard asserts.
-fn serve_once() -> std::io::Result<()> {
-    use http::{get, post, probe_raw, KeepAliveClient, MAX_REQUEST_BYTES};
-
-    seed_observable_workload();
-    let handle = spawn("127.0.0.1:0", demo_federation())?;
-    let addr = handle.addr().to_string();
-
-    let (health_status, health_body) = get(&addr, "/healthz")?;
-    assert_eq!(health_status, 200, "/healthz must return 200");
-    assert!(health_body.contains("ok"), "/healthz body must say ok");
-
-    let (metrics_status, metrics_body) = get(&addr, "/metrics")?;
-    assert_eq!(metrics_status, 200, "/metrics must return 200");
-    assert!(
-        metrics_body.lines().any(|l| l.starts_with("qens_")),
-        "/metrics must expose qens_* series"
-    );
-    assert!(
-        metrics_body.contains("qens_fault_"),
-        "/metrics must expose at least one qens_fault_* series"
-    );
-    assert!(
-        metrics_body.contains("qens_trace_"),
-        "/metrics must expose at least one qens_trace_* series"
-    );
-    assert!(
-        metrics_body.contains("qens_build_info{") && metrics_body.contains("qens_uptime_seconds"),
-        "/metrics must carry the build_info and uptime self-description"
-    );
-    assert!(
-        metrics_body.contains("# HELP") && metrics_body.contains("# TYPE"),
-        "/metrics must carry HELP/TYPE metadata"
-    );
-
-    let (trace_status, trace_body) = get(&addr, "/trace")?;
-    assert_eq!(trace_status, 200, "/trace must return 200");
-    assert!(
-        trace_body.contains("\"traceEvents\"") && trace_body.contains("\"ph\":\"B\""),
-        "/trace must contain a non-empty Chrome trace"
-    );
-
-    let (profile_status, profile_body) = get(&addr, "/profile")?;
-    assert_eq!(profile_status, 200, "/profile must return 200");
-    assert!(
-        profile_body.lines().any(|l| l.starts_with("query")),
-        "/profile must contain folded stacks rooted at the query span"
-    );
-    assert!(
-        profile_body.contains("query;fedlearn.round"),
-        "/profile must attribute time to pipeline phases"
-    );
-
-    let (svg_status, svg_body) = get(&addr, "/profile.svg")?;
-    assert_eq!(svg_status, 200, "/profile.svg must return 200");
-    assert!(
-        svg_body.starts_with("<svg ") && svg_body.trim_end().ends_with("</svg>"),
-        "/profile.svg must be a complete SVG document"
-    );
-
-    let (slowest_status, slowest_body) = get(&addr, "/slowest")?;
-    assert_eq!(slowest_status, 200, "/slowest must return 200");
-    assert!(
-        slowest_body.starts_with("{\"slowest\":[") && slowest_body.contains("\"query_id\""),
-        "/slowest must list the flight recorder's retained queries"
-    );
-
-    let (slo_status, slo_body) = get(&addr, "/slo")?;
-    assert_eq!(slo_status, 200, "/slo must return 200");
-    assert!(
-        slo_body.contains("\"objective_nanos\"") && slo_body.contains("\"burn_rate_1x\""),
-        "/slo must expose the objective and burn rates"
-    );
-
-    // The query front end: a valid rectangle returns the selection and
-    // the federated answer.
-    let (q_status, q_body) = post(&addr, "/query", "{\"id\": 1, \"bounds\": [0, 20, 0, 45]}")?;
-    assert_eq!(q_status, 200, "POST /query must return 200, body: {q_body}");
-    assert!(
-        q_body.contains("\"query_id\":1")
-            && q_body.contains("\"participants\":[")
-            && q_body.contains("\"loss\":"),
-        "/query must return the selection plus the federated answer, got: {q_body}"
-    );
-
-    let (bad_status, bad_body) = post(&addr, "/query", "{\"bounds\": [0, 20, 0]}")?;
-    assert_eq!(bad_status, 400, "odd bounds must 400, got: {bad_body}");
-    let (bad_status, _) = post(&addr, "/query", "not json at all")?;
-    assert_eq!(bad_status, 400, "non-JSON bodies must 400");
-
-    // Admission: a body over the cap is refused unread with 413.
-    let huge = format!(
-        "{{\"bounds\": [0, 20, 0, 45], \"pad\": \"{}\"}}",
-        "x".repeat(handle.state().admission.body_cap_bytes + 1)
-    );
-    let (huge_status, _) = post(&addr, "/query", &huge)?;
-    assert_eq!(huge_status, 413, "oversized bodies must 413");
-
-    // The cache endpoint reflects the selection cache the query above
-    // just exercised — and its hit rate is always a number (0.0 before
-    // any lookup, never NaN).
-    let (cache_status, cache_body) = get(&addr, "/cache")?;
-    assert_eq!(cache_status, 200, "/cache must return 200");
-    assert!(
-        cache_body.contains("\"hits\":") && cache_body.contains("\"hit_rate\":"),
-        "/cache must expose hit/miss statistics, got: {cache_body}"
-    );
-    let hit_rate: f64 = cache_body
-        .split("\"hit_rate\":")
-        .nth(1)
-        .and_then(|r| r.trim_end_matches(['}', '\n']).parse().ok())
-        .expect("hit_rate must parse as a number");
-    assert!(
-        hit_rate.is_finite() && (0.0..=1.0).contains(&hit_rate),
-        "hit_rate must be a finite ratio, got {hit_rate}"
-    );
-
-    // Fleet observability: the query above ran a federation round, so
-    // the scorecards, the per-node series and the journal are live.
-    let (nodes_status, nodes_body) = get(&addr, "/nodes")?;
-    assert_eq!(nodes_status, 200, "/nodes must return 200");
-    assert!(
-        nodes_body.contains("\"fleet_size\":")
-            && nodes_body.contains("\"nodes\":[")
-            && nodes_body.contains("\"skew\":{")
-            && nodes_body.contains("\"gini\":"),
-        "/nodes must expose scorecards plus skew analytics, got: {nodes_body}"
-    );
-    assert!(
-        nodes_body.contains("\"selected\":"),
-        "/nodes must reflect the served query's selections: {nodes_body}"
-    );
-    let hot = nodes_body
-        .split("\"node\":")
-        .nth(1)
-        .and_then(|r| r.split([',', '}']).next())
-        .expect("/nodes lists at least one scorecard");
-    let (card_status, card_body) = get(&addr, &format!("/nodes/{}", hot.trim()))?;
-    assert_eq!(card_status, 200, "/nodes/<id> must return 200");
-    assert!(
-        card_body.contains("\"selected\":") && card_body.contains("\"train_wall_nanos\":"),
-        "/nodes/<id> must serve one scorecard with live wall time, got: {card_body}"
-    );
-    let (missing_card_status, _) = get(&addr, "/nodes/9999")?;
-    assert_eq!(missing_card_status, 404, "unknown node ids must 404");
-
-    let (events_status, events_body) = get(&addr, "/events?n=32")?;
-    assert_eq!(events_status, 200, "/events must return 200");
-    assert!(
-        events_body.contains("\"kind\":\"node_selected\""),
-        "/events must contain the served query's selection events, got: {events_body}"
-    );
-    assert!(
-        events_body
-            .lines()
-            .all(|l| l.is_empty() || l.starts_with('{')),
-        "/events must be JSON lines"
-    );
-
-    // The fleet series ride along on /metrics once queries have run.
-    let (metrics2_status, metrics2_body) = get(&addr, "/metrics")?;
-    assert_eq!(metrics2_status, 200);
-    assert!(
-        metrics2_body.contains("qens_node_selected_total{")
-            && metrics2_body.contains("qens_fleet_selection_gini")
-            && metrics2_body.contains("qens_journal_events_total"),
-        "/metrics must carry the fleet + journal series after queries ran"
-    );
-
-    // Keep-alive: two requests over one socket.
-    let mut ka = KeepAliveClient::connect(&addr)?;
-    let (s1, _) = ka.request("GET", "/healthz", "")?;
-    let (s2, b2) = ka.request("POST", "/query", "{\"id\": 2, \"bounds\": [0, 20, 0, 45]}")?;
-    assert_eq!((s1, s2), (200, 200), "keep-alive pair must both succeed");
-    assert!(b2.contains("\"query_id\":2"));
-    drop(ka);
-
-    // Method discipline.
-    let (method_status, method_body) = get(&addr, "/query")?;
-    assert_eq!(method_status, 405, "GET /query must 405");
-    assert!(method_body.contains("POST"), "405 must point at POST");
-
-    let (missing_status, missing_body) = get(&addr, "/nope")?;
-    assert_eq!(missing_status, 404, "unknown paths must 404");
-    assert!(
-        missing_body.contains("/profile"),
-        "the 404 body must list the available endpoints"
-    );
-
-    // Error paths: an oversized request line and a truncated one must
-    // both get a 400, not kill a worker.
-    let mut oversized = Vec::from(&b"GET /"[..]);
-    oversized.resize(MAX_REQUEST_BYTES + 64, b'a');
-    oversized.extend_from_slice(b" HTTP/1.1\r\n\r\n");
-    let (oversized_status, _) = probe_raw(&addr, &oversized)?;
-    assert_eq!(oversized_status, 400, "oversized request lines must 400");
-
-    let (truncated_status, _) = probe_raw(&addr, b"GET /metrics")?;
-    assert_eq!(truncated_status, 400, "truncated request lines must 400");
-
-    // Graceful drain: a query in flight when /shutdown lands must still
-    // get its real answer before the server exits.
-    let addr2 = addr.clone();
-    let in_flight = std::thread::spawn(move || {
-        post(&addr2, "/query", "{\"id\": 3, \"bounds\": [0, 10, 0, 25]}").expect("in-flight query")
-    });
-    std::thread::sleep(Duration::from_millis(30));
-    let (shutdown_status, shutdown_body) = post(&addr, "/shutdown", "")?;
-    assert_eq!(shutdown_status, 200, "loopback shutdown must be accepted");
-    assert!(shutdown_body.contains("draining"));
-    let (drained_status, drained_body) = in_flight.join().expect("in-flight thread");
-    assert!(
-        drained_status == 200,
-        "the in-flight query must drain to a real answer, got {drained_status}: {drained_body}"
-    );
-    handle.wait()?;
-
-    let series = metrics_body
-        .lines()
-        .filter(|l| l.starts_with("qens_"))
-        .count();
-    println!(
-        "serve --once OK: /healthz /metrics ({series} qens_* samples) /trace /profile \
-         /profile.svg /slowest /slo /cache /nodes /nodes/<id> /events all 200; POST /query + \
-         keep-alive + drain OK; 404 + 400s + 405 + 413 error paths exercised"
-    );
-    telemetry::trace::set_mode(None);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1191,8 +921,10 @@ mod tests {
         let (status, body) = get(server.addr(), "/nodes").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"skew\":{"), "got: {body}");
-        let (status, _) = get(server.addr(), "/nodes/not-a-node").unwrap();
-        assert_eq!(status, 404);
+        for unknown in ["/nodes/not-a-node", "/nodes/9999"] {
+            let (status, _) = get(server.addr(), unknown).unwrap();
+            assert_eq!(status, 404, "{unknown}");
+        }
         // One served query populates the scorecards and the journal.
         let (status, _) = post(
             server.addr(),
@@ -1204,7 +936,7 @@ mod tests {
         let (status, body) = get(server.addr(), "/nodes").unwrap();
         assert_eq!(status, 200);
         assert!(
-            body.contains("\"last_selected_query\":21"),
+            body.contains("\"last_selected_query\":21") && body.contains("\"gini\":"),
             "scorecards must attribute the served query: {body}"
         );
         let (status, body) = get(server.addr(), "/nodes/n0").unwrap();
@@ -1219,6 +951,16 @@ mod tests {
             "the n= cap must bound the tail: {body}"
         );
         assert!(body.contains("\"kind\":\"node_selected\""), "got: {body}");
+        // The fleet series ride along on /metrics.
+        let (status, body) = get(server.addr(), "/metrics").unwrap();
+        assert_eq!(status, 200);
+        for series in [
+            "qens_node_selected_total{",
+            "qens_fleet_selection_gini",
+            "qens_journal_events_total",
+        ] {
+            assert!(body.contains(series), "/metrics lacks {series}");
+        }
         server.request_shutdown();
         server.wait().unwrap();
         telemetry::fleet::set_enabled(false);
@@ -1236,7 +978,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 200, "body: {body}");
-        assert!(body.contains("\"query_id\":9") && body.contains("\"participants\":["));
+        assert!(
+            body.contains("\"query_id\":9")
+                && body.contains("\"participants\":[")
+                && body.contains("\"loss\":"),
+            "the reply carries the selection and the federated answer: {body}"
+        );
         // Same bucket again over one keep-alive socket: still correct.
         let mut ka = KeepAliveClient::connect(server.addr()).unwrap();
         let (s1, b1) = ka

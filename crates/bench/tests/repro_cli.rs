@@ -40,6 +40,18 @@ fn serve_trace_needs_a_known_clock() {
     assert_refused(&["serve", "--trace"], &[], "--trace");
 }
 
+/// A zero count and a flag the subcommand does not own (`--smoke`
+/// belongs to the experiments) are refused, not run.
+#[test]
+fn tool_subcommands_refuse_what_they_do_not_take() {
+    assert_refused(&["load", "--queries", "0"], &[], "--queries");
+    assert_refused(&["profile", "--queries", "0"], &[], "--queries");
+    assert_refused(&["serve", "--smoke"], &[], "--smoke");
+    assert_refused(&["serve", "--once"], &[], "--once");
+    assert_refused(&["load", "--smoke"], &[], "--smoke");
+    assert_refused(&["scale", "--smoke"], &[], "--smoke");
+}
+
 #[test]
 fn a_stray_or_malformed_qens_variable_stops_the_run() {
     assert_refused(&["--smoke"], &[("QENS_TRACE", "wall")], "QENS_TRACE");

@@ -1,5 +1,6 @@
 //! Concurrent-scrape correctness: the observability endpoints must stay
-//! consistent while a query stream is in flight.
+//! consistent while a query stream is in flight, and serve the traced
+//! query that follows it.
 //!
 //! One test, its own binary: the assertions compare the global metric
 //! registry against a ledger of what the clients actually did, so
@@ -46,6 +47,8 @@ fn scrapes_stay_consistent_under_a_live_query_stream() {
         .seed(7)
         .epochs(2)
         .telemetry(true)
+        .fleet(true)
+        .trace(Some(telemetry::trace::Clock::Wall))
         .selection_cache(true)
         .selection_cache_bucket(30.0)
         .build();
@@ -82,9 +85,10 @@ fn scrapes_stay_consistent_under_a_live_query_stream() {
         }));
     }
 
-    // The scrapers: hammer /metrics, /slo and /profile while the stream
-    // runs. Each scrape must be well-formed and the headline counter
-    // must never decrease (no torn or interleaved exports).
+    // The scrapers: hammer /metrics, /slo, /profile, /cache, /nodes and
+    // /events while the stream runs. Each scrape must be well-formed and
+    // the headline counter must never decrease (no torn or interleaved
+    // exports).
     let mut scrapers = Vec::new();
     for _ in 0..2 {
         let addr = addr.clone();
@@ -117,6 +121,21 @@ fn scrapes_stay_consistent_under_a_live_query_stream() {
 
                 let (status, _) = http::get(&addr, "/profile").expect("/profile");
                 assert_eq!(status, 200);
+
+                let (status, body) = http::get(&addr, "/cache").expect("/cache");
+                assert_eq!(status, 200);
+                assert!(body.contains("\"hit_rate\":"), "torn /cache body: {body}");
+
+                let (status, body) = http::get(&addr, "/nodes").expect("/nodes");
+                assert_eq!(status, 200);
+                assert!(body.contains("\"skew\":{"), "torn /nodes body: {body}");
+
+                let (status, body) = http::get(&addr, "/events?n=16").expect("/events");
+                assert_eq!(status, 200);
+                assert!(
+                    body.lines().all(|l| l.starts_with('{')),
+                    "torn /events body: {body}"
+                );
 
                 scrapes += 1;
                 std::thread::sleep(std::time::Duration::from_millis(2));
@@ -165,6 +184,45 @@ fn scrapes_stay_consistent_under_a_live_query_stream() {
     );
     // And the federation itself saw exactly the admitted queries.
     assert_eq!(counter("qens_fedlearn_rounds_total"), answered as u64);
+
+    // One query alone in its wave runs under a `query` root span, which
+    // the trace, profile and flight-recorder endpoints then serve.
+    let (status, reply) =
+        http::post(&addr, "/query", "{\"id\": 99, \"bounds\": [0, 20, 0, 45]}").expect("query");
+    assert_eq!(status, 200, "query must succeed, got: {reply}");
+    let (status, body) = http::get(&addr, "/trace").expect("/trace");
+    assert_eq!(status, 200);
+    assert!(
+        body.contains("\"traceEvents\"") && body.contains("\"ph\":\"B\""),
+        "/trace must be a non-empty Chrome trace: {body}"
+    );
+    let (status, body) = http::get(&addr, "/profile").expect("/profile");
+    assert_eq!(status, 200);
+    assert!(
+        body.contains(";query;fedlearn.round "),
+        "/profile must attribute time to the round: {body}"
+    );
+    let (status, body) = http::get(&addr, "/profile.svg").expect("/profile.svg");
+    assert_eq!(status, 200);
+    assert!(
+        body.starts_with("<svg ") && body.trim_end().ends_with("</svg>"),
+        "/profile.svg must be a complete SVG document"
+    );
+    let (status, body) = http::get(&addr, "/slowest").expect("/slowest");
+    assert_eq!(status, 200);
+    assert!(
+        body.starts_with("{\"slowest\":[") && body.contains("\"query_id\":"),
+        "/slowest must list the retained queries: {body}"
+    );
+    let (status, body) = http::get(&addr, "/metrics").expect("/metrics");
+    assert_eq!(status, 200);
+    for series in [
+        "qens_build_info{",
+        "qens_uptime_seconds ",
+        "qens_trace_spans_total ",
+    ] {
+        assert!(body.contains(series), "/metrics lacks {series}");
+    }
 
     handle.request_shutdown();
     handle.wait().expect("graceful shutdown");

@@ -149,6 +149,12 @@ fn cache_endpoint_reflects_the_batcher_cache() {
     ] {
         assert!(body.contains(key), "/cache missing {key}: {body}");
     }
+    let hit_rate: f64 = body
+        .split("\"hit_rate\":")
+        .nth(1)
+        .and_then(|r| r.trim_end_matches(['}', '\n']).parse().ok())
+        .expect("hit_rate parses as a number");
+    assert!((0.0..=1.0).contains(&hit_rate), "hit_rate {hit_rate}");
     server.request_shutdown();
     server.wait().expect("shutdown");
 }
@@ -164,6 +170,7 @@ fn graceful_drain_answers_in_flight_queries() {
     std::thread::sleep(std::time::Duration::from_millis(20));
     let (status, body) = http::post(server.addr(), "/shutdown", "").expect("shutdown");
     assert_eq!(status, 200, "loopback shutdown: {body}");
+    assert!(body.contains("draining"), "got: {body}");
     let (status, body) = in_flight.join().expect("in-flight thread");
     assert_eq!(
         status, 200,

@@ -186,7 +186,7 @@ pub fn query_region_dataset(
     scaler: &SpaceScaler,
 ) -> Option<DenseDataset> {
     let mut parts: Vec<DenseDataset> = Vec::new();
-    for node in network.nodes() {
+    for node in network.nodes().iter().filter(|n| !n.is_empty()) {
         let idx = query.filter_indices(node.joint().row_iter());
         if !idx.is_empty() {
             parts.push(scaler.transform_dataset(&node.data().select(&idx)));
@@ -353,10 +353,13 @@ impl Env<'_> {
     }
 
     /// A participant's training stages, scaled: its supporting clusters,
-    /// or its whole dataset when the policy named none.
+    /// or its whole dataset when the policy named none. A summary-only
+    /// node holds no rows, so it gets none and never joins a cohort.
     fn member(&self, p: &Participant) -> CohortMember {
         let node = self.network.node(p.node);
-        let stages: Vec<DenseDataset> = if p.supporting_clusters.is_empty() {
+        let stages: Vec<DenseDataset> = if node.is_empty() {
+            Vec::new()
+        } else if p.supporting_clusters.is_empty() {
             vec![self.scaler.transform_dataset(&node.full_dataset())]
         } else {
             p.supporting_clusters
@@ -506,6 +509,14 @@ fn run_rounds<'a>(
     policy: &'a dyn SelectionPolicy,
     config: &'a FederationConfig,
 ) -> Vec<Result<RoundOutcome, FederationError>> {
+    // No node holds rows (every node is summary-only): there is no data
+    // space to scale over and nothing any cohort could train on.
+    if network.total_samples() == 0 {
+        return queries
+            .iter()
+            .map(|q| Err(FederationError::NoTrainingData { query_id: q.id() }))
+            .collect();
+    }
     let env = Env {
         network,
         policy,
@@ -606,7 +617,7 @@ fn prepare<'a>(
     }
     let overhead = env.policy.overhead(&ctx);
     // The leader's initial global model, broadcast to every participant.
-    let dim = network.nodes()[0].data().dim();
+    let dim = network.nodes()[0].joint_dim() - 1;
     let broadcast = env.config.model.build(dim, env.config.model_seed);
     let cohort: Vec<CohortMember> = selection
         .participants
@@ -1292,6 +1303,59 @@ pub(crate) mod tests {
                 space.interval(0).lo() + row[0] * (space.interval(0).hi() - space.interval(0).lo());
             assert!((-1e-9..=10.0 + 1e-9).contains(&raw));
         }
+    }
+
+    /// A summary-only node (`EdgeNode::from_summaries`) is selectable
+    /// but holds no rows: a round drops it from the training cohort and
+    /// scores the query on the rows the other nodes hold, wherever it
+    /// sits in the fleet. A fleet of nothing but summaries has no
+    /// training data for any query.
+    #[test]
+    fn summary_only_nodes_are_selected_but_never_train() {
+        use edgesim::{EdgeNode, NodeId};
+        let data = network(true);
+        let q = leader_query();
+        let policy = QueryDriven::top_l(3);
+        let hot = run_query(&data, &q, &policy, &fast_cfg(1)).unwrap();
+        let hot = data.node(hot.selection.participants[0].node).summaries();
+        let ghost = |id| EdgeNode::from_summaries(NodeId(id), "ghost", 1.0, hot.to_vec());
+        for ghost_first in [true, false] {
+            let mut nodes = Vec::new();
+            if ghost_first {
+                nodes.push(ghost(0));
+            }
+            for n in data.nodes() {
+                let mut node = EdgeNode::new(NodeId(nodes.len()), n.name(), n.data().clone(), 1.0);
+                node.quantize(5, 1);
+                nodes.push(node);
+            }
+            let ghost_id = if ghost_first { 0 } else { nodes.len() };
+            if !ghost_first {
+                nodes.push(ghost(ghost_id));
+            }
+            let net = EdgeNetwork::from_nodes(nodes);
+            let out = run_query(&net, &q, &policy, &fast_cfg(1)).unwrap();
+            let picked = |ps: &[Participant]| ps.iter().any(|p| p.node == NodeId(ghost_id));
+            assert!(
+                picked(&out.selection.participants),
+                "ghost_first {ghost_first}"
+            );
+            assert!(!picked(&out.final_cohort), "ghost_first {ghost_first}");
+            assert!(out.query_loss(&net, &q).unwrap().is_finite());
+        }
+        let ghosts = EdgeNetwork::from_nodes((0..3).map(ghost).collect());
+        let queries = [
+            leader_query(),
+            Query::from_boundary_vec(1, &[0.0, 10.0, 0.0, 25.0]),
+        ];
+        let outs = run_batch(&ghosts, &queries, &policy, &fast_cfg(1));
+        assert_eq!(outs.len(), 2);
+        for (out, q) in outs.into_iter().zip(&queries) {
+            let want = FederationError::NoTrainingData { query_id: q.id() };
+            assert_eq!(out.unwrap_err(), want);
+        }
+        let err = run_query(&ghosts, &q, &policy, &fast_cfg(1)).unwrap_err();
+        assert_eq!(err, FederationError::NoTrainingData { query_id: 0 });
     }
 
     // ---------------- fault-injection engine ----------------

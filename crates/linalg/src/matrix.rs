@@ -1,7 +1,6 @@
 //! Row-major dense `f64` matrix.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
 use crate::ops;
 
@@ -73,20 +72,6 @@ impl Matrix {
         }
     }
 
-    /// The identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// A single-column matrix from a slice.
-    pub fn column_vector(v: &[f64]) -> Self {
-        Self::from_vec(v.len(), 1, v.to_vec())
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -109,11 +94,6 @@ impl Matrix {
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Borrow row `r` as a slice.
@@ -166,23 +146,6 @@ impl Matrix {
         Matrix::from_vec(indices.len(), self.cols, data)
     }
 
-    /// Returns a new matrix containing only the listed columns, in order.
-    pub fn select_cols(&self, indices: &[usize]) -> Matrix {
-        for &c in indices {
-            assert!(
-                c < self.cols,
-                "col index {c} out of bounds ({} cols)",
-                self.cols
-            );
-        }
-        let mut data = Vec::with_capacity(indices.len() * self.rows);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            data.extend(indices.iter().map(|&c| row[c]));
-        }
-        Matrix::from_vec(self.rows, indices.len(), data)
-    }
-
     /// Vertically stacks `self` on top of `other`.
     ///
     /// # Panics
@@ -195,62 +158,6 @@ impl Matrix {
         Matrix::from_vec(self.rows + other.rows, self.cols, data)
     }
 
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self * rhs`.
-    ///
-    /// The inner loop runs over a row of `rhs` so that both operands are
-    /// scanned sequentially (ikj ordering), which keeps the kernel memory-
-    /// bound friendly without blocking; the matrices in this workspace are
-    /// at most a few hundred columns wide.
-    ///
-    /// # Panics
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (k, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = rhs.row(k);
-                ops::axpy(aik, b_row, out_row);
-            }
-        }
-        out
-    }
-
-    /// `self * v` for a dense vector `v` (length = `cols`).
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec length mismatch");
-        self.row_iter().map(|row| ops::dot(row, v)).collect()
-    }
-
-    /// Element-wise map into a new matrix.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix::from_vec(
-            self.rows,
-            self.cols,
-            self.data.iter().map(|&x| f(x)).collect(),
-        )
-    }
-
     /// `self += alpha * other`, in place.
     ///
     /// # Panics
@@ -258,33 +165,6 @@ impl Matrix {
     pub fn axpy_inplace(&mut self, alpha: f64, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "axpy_inplace shape mismatch");
         ops::axpy(alpha, &other.data, &mut self.data);
-    }
-
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Largest absolute element, or 0 for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 
     /// True if every element is finite.
@@ -318,62 +198,6 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
             self.cols
         );
         &mut self.data[r * self.cols + c]
-    }
-}
-
-impl Add for &Matrix {
-    type Output = Matrix;
-
-    fn add(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "add shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "sub shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-}
-
-impl AddAssign<&Matrix> for Matrix {
-    fn add_assign(&mut self, rhs: &Matrix) {
-        assert_eq!(self.shape(), rhs.shape(), "add_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b;
-        }
-    }
-}
-
-impl SubAssign<&Matrix> for Matrix {
-    fn sub_assign(&mut self, rhs: &Matrix) {
-        assert_eq!(self.shape(), rhs.shape(), "sub_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a -= b;
-        }
-    }
-}
-
-impl Mul<f64> for &Matrix {
-    type Output = Matrix;
-
-    fn mul(self, s: f64) -> Matrix {
-        self.map(|x| x * s)
     }
 }
 
@@ -423,49 +247,10 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let i = Matrix::identity(3);
-        assert_eq!(a.matmul(&i), a);
-    }
-
-    #[test]
-    fn matvec_matches_matmul_with_column() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let v = [10.0, 20.0];
-        let got = a.matvec(&v);
-        let want = a.matmul(&Matrix::column_vector(&v));
-        assert_eq!(got, want.into_vec());
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().shape(), (3, 2));
-        assert_eq!(a.transpose()[(2, 1)], 6.0);
-    }
-
-    #[test]
     fn select_rows_preserves_order_and_allows_repeats() {
         let a = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0]]);
         let s = a.select_rows(&[2, 0, 2]);
         assert_eq!(s.as_slice(), &[2.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn select_cols_picks_columns() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let s = a.select_cols(&[2, 0]);
-        assert_eq!(s.as_slice(), &[3.0, 1.0, 6.0, 4.0]);
     }
 
     #[test]
@@ -475,16 +260,6 @@ mod tests {
         let v = a.vstack(&b);
         assert_eq!(v.shape(), (3, 2));
         assert_eq!(v.row(2), &[5.0, 6.0]);
-    }
-
-    #[test]
-    fn arithmetic_ops_are_elementwise() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        let b = Matrix::from_rows(&[vec![10.0, 20.0]]);
-        assert_eq!((&a + &b).as_slice(), &[11.0, 22.0]);
-        assert_eq!((&b - &a).as_slice(), &[9.0, 18.0]);
-        assert_eq!((&a * 3.0).as_slice(), &[3.0, 6.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[10.0, 40.0]);
     }
 
     #[test]
@@ -498,11 +273,11 @@ mod tests {
 
     #[test]
     fn norms_and_reductions() {
-        let a = Matrix::from_rows(&[vec![3.0, -4.0]]);
-        assert_eq!(a.frobenius_norm(), 5.0);
-        assert_eq!(a.max_abs(), 4.0);
-        assert_eq!(a.sum(), -1.0);
+        let mut a = Matrix::from_rows(&[vec![3.0, -4.0]]);
         assert!(a.all_finite());
-        assert!(!a.map(|x| x / 0.0).all_finite());
+        a[(0, 1)] = f64::NEG_INFINITY;
+        assert!(!a.all_finite());
+        a[(0, 1)] = f64::NAN;
+        assert!(!a.all_finite());
     }
 }

@@ -78,25 +78,6 @@ pub fn distance(a: &[f64], b: &[f64]) -> f64 {
     squared_distance(a, b).sqrt()
 }
 
-/// Euclidean norm of a slice.
-#[inline]
-pub fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// `out = a - b` elementwise into a fresh vector.
-#[inline]
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "sub length mismatch");
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
-/// Linear interpolation `a + t*(b-a)` elementwise.
-pub fn lerp(a: &[f64], b: &[f64], t: f64) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "lerp length mismatch");
-    a.iter().zip(b).map(|(x, y)| x + t * (y - x)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,29 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn norm_of_unit_axes() {
-        assert_eq!(norm(&[1.0, 0.0, 0.0]), 1.0);
-        assert_eq!(norm(&[0.0; 4]), 0.0);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = [0.0, 10.0];
-        let b = [2.0, 20.0];
-        assert_eq!(lerp(&a, &b, 0.0), a.to_vec());
-        assert_eq!(lerp(&a, &b, 1.0), b.to_vec());
-        assert_eq!(lerp(&a, &b, 0.5), vec![1.0, 15.0]);
-    }
-
-    #[test]
     fn scale_multiplies_in_place() {
         let mut x = vec![1.0, -2.0];
         scale(-3.0, &mut x);
         assert_eq!(x, vec![-3.0, 6.0]);
-    }
-
-    #[test]
-    fn sub_is_elementwise() {
-        assert_eq!(sub(&[5.0, 1.0], &[2.0, 3.0]), vec![3.0, -2.0]);
     }
 }

@@ -1,6 +1,4 @@
-//! Descriptive statistics over slices and matrix columns.
-
-use crate::Matrix;
+//! Descriptive statistics over slices.
 
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -55,32 +53,6 @@ pub fn min_max(xs: &[f64]) -> Option<(f64, f64)> {
     Some((min(xs)?, max(xs)?))
 }
 
-/// Linear-interpolated percentile, `p` in `[0, 100]`.
-///
-/// # Panics
-/// Panics if `p` is outside `[0, 100]`.
-pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
-    assert!((0.0..=100.0).contains(&p), "percentile {p} outside [0,100]");
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
-    if sorted.is_empty() {
-        return None;
-    }
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaNs filtered above"));
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    Some(sorted[lo] + frac * (sorted[hi] - sorted[lo]))
-}
-
-/// Median (50th percentile).
-pub fn median(xs: &[f64]) -> Option<f64> {
-    percentile(xs, 50.0)
-}
-
 /// Population covariance of two equal-length slices.
 pub fn covariance(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len(), "covariance length mismatch");
@@ -123,60 +95,6 @@ pub fn ols_line(xs: &[f64], ys: &[f64]) -> (f64, f64) {
     (slope, intercept)
 }
 
-/// Per-column mean of a matrix.
-pub fn column_means(m: &Matrix) -> Vec<f64> {
-    let mut out = vec![0.0; m.cols()];
-    for row in m.row_iter() {
-        for (o, &x) in out.iter_mut().zip(row) {
-            *o += x;
-        }
-    }
-    if m.rows() > 0 {
-        let inv = 1.0 / m.rows() as f64;
-        for o in &mut out {
-            *o *= inv;
-        }
-    }
-    out
-}
-
-/// Per-column population standard deviation of a matrix.
-pub fn column_std_devs(m: &Matrix) -> Vec<f64> {
-    let means = column_means(m);
-    let mut out = vec![0.0; m.cols()];
-    for row in m.row_iter() {
-        for ((o, &x), &mu) in out.iter_mut().zip(row).zip(&means) {
-            let d = x - mu;
-            *o += d * d;
-        }
-    }
-    if m.rows() > 1 {
-        let inv = 1.0 / m.rows() as f64;
-        for o in &mut out {
-            *o = (*o * inv).sqrt();
-        }
-    } else {
-        out.fill(0.0);
-    }
-    out
-}
-
-/// Per-column `(min, max)` of a matrix.
-///
-/// # Panics
-/// Panics if the matrix has no rows.
-pub fn column_min_max(m: &Matrix) -> Vec<(f64, f64)> {
-    assert!(m.rows() > 0, "column_min_max on an empty matrix");
-    let mut out: Vec<(f64, f64)> = m.row(0).iter().map(|&x| (x, x)).collect();
-    for row in m.row_iter().skip(1) {
-        for (o, &x) in out.iter_mut().zip(row) {
-            o.0 = o.0.min(x);
-            o.1 = o.1.max(x);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,7 +113,6 @@ mod tests {
         assert_eq!(variance(&[3.0]), 0.0);
         assert_eq!(min(&[]), None);
         assert_eq!(max(&[]), None);
-        assert_eq!(median(&[]), None);
     }
 
     #[test]
@@ -203,15 +120,6 @@ mod tests {
         let xs = [f64::NAN, 2.0, -1.0, f64::NAN];
         assert_eq!(min_max(&xs), Some((-1.0, 2.0)));
         assert_eq!(min_max(&[f64::NAN]), None);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), Some(1.0));
-        assert_eq!(percentile(&xs, 100.0), Some(4.0));
-        assert_eq!(median(&xs), Some(2.5));
-        assert_eq!(percentile(&xs, 25.0), Some(1.75));
     }
 
     #[test]
@@ -238,16 +146,5 @@ mod tests {
         let (slope, intercept) = ols_line(&[2.0, 2.0], &[1.0, 3.0]);
         assert_eq!(slope, 0.0);
         assert_eq!(intercept, 2.0);
-    }
-
-    #[test]
-    fn column_stats_match_per_column_slices() {
-        let m = Matrix::from_rows(&[vec![1.0, 10.0], vec![3.0, 30.0], vec![5.0, 20.0]]);
-        assert_eq!(column_means(&m), vec![3.0, 20.0]);
-        let mm = column_min_max(&m);
-        assert_eq!(mm, vec![(1.0, 5.0), (10.0, 30.0)]);
-        let sds = column_std_devs(&m);
-        assert!((sds[0] - std_dev(&[1.0, 3.0, 5.0])).abs() < 1e-12);
-        assert!((sds[1] - std_dev(&[10.0, 30.0, 20.0])).abs() < 1e-12);
     }
 }

@@ -9,39 +9,22 @@
 #      parallelism — the canary for tests that share process-global
 #      state (telemetry registry, trace buffer) without taking their
 #      file's lock: such a test passes alone and under
-#      --test-threads=1 and fails only when a sibling lands inside it,
+#      --test-threads=1 and fails only when a sibling lands inside it.
+#      The suite is also the end-to-end check: it runs the built
+#      `repro` binary (--smoke, profile, fleet, scale, the refusals)
+#      and drives live servers over real sockets (every endpoint, the
+#      error and admission paths, concurrent scrapes, graceful drain),
 #   3. clippy with warnings denied,
 #   4. rustfmt check,
-#   5. the repro smoke path, which runs the selection→train→aggregate
-#      pipeline end to end and asserts a non-empty telemetry snapshot
-#      spanning cluster/selection/mlkit/fedlearn/edgesim — and, under a
-#      nonzero-dropout fault plan, writes results/fault_trace.json
-#      (step 2's crates/bench/tests/repro_cli.rs runs this binary, and
-#      `repro profile`, `repro fleet` and `repro scale` — Fig. 11's
-#      sweep to 1M nodes — at QENS_THREADS=1 and 4 and byte-diffs what
-#      they write against the committed results/),
-#   6. the live-observability self-test (`repro serve --once`): binds an
-#      ephemeral port, probes /healthz, /metrics, /trace, /profile,
-#      /profile.svg, /slowest, /slo, /cache, /nodes, /nodes/<id> and
-#      /events over a plain TcpStream, asserts non-empty qens_* metric
-#      families (including qens_build_info, qens_uptime_seconds and the
-#      qens_node_*/qens_fleet_* scorecard series), round-trips
-#      POST /query over a keep-alive socket, and exercises the
-#      404/400/405/413 error paths plus the graceful-drain shutdown
-#      contract,
-#   7. the serving smoke (`repro load --smoke`): spawns a real server on
-#      an ephemeral port, drives it with concurrent keep-alive clients
-#      while scraping /metrics, /cache, /nodes and /events, and asserts
-#      the telemetry ledger matches the queries served,
-#   8. the repo benchmark's own unit tests (`benchmark/` is a workspace
+#   5. the repo benchmark's own unit tests (`benchmark/` is a workspace
 #      of its own, so step 2 never sees them); this runs them only —
 #      `BENCHMARK.json` and `benchmark/` are the driver's contract and
 #      are measured by the driver, not here,
-#   9. one 3 s run of the repo benchmark's `serve_closed` workload (run
+#   6. one 3 s run of the repo benchmark's `serve_closed` workload (run
 #      only, nothing under `benchmark/` is edited): fails unless no
 #      operation failed and the keep-alive p50 is under 5 ms — a reply
 #      that leaves as two writes reads 44 ms there,
-#  10. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
+#   7. two 3 s runs of the repo benchmark's `fleet_churn` workload (run
 #      only). The plain run fails unless no operation failed and peak
 #      RSS is under 300 MB: the 20k-node fleet alone is ~100 MB, so
 #      per-entry memo state that scales with the fleet (1.4 GB when
@@ -69,15 +52,6 @@ cargo clippy --all-targets --offline -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
-
-echo "==> repro --smoke (pipeline + telemetry + fault-engine health)"
-cargo run -q -p bench --bin repro --release --offline -- --smoke
-
-echo "==> repro serve --once (live endpoint + error-path self-test)"
-cargo run -q -p bench --bin repro --release --offline -- serve --once
-
-echo "==> repro load --smoke (live serving: keep-alive clients + concurrent scrapes)"
-cargo run -q -p bench --bin repro --release --offline -- load --smoke
 
 echo "==> benchmark package unit tests"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml

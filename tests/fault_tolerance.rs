@@ -177,6 +177,12 @@ fn fault_telemetry_counters_mirror_the_ledger() {
     let snap = telemetry::global().snapshot();
     telemetry::set_enabled(false);
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    assert!(
+        snap.counters
+            .iter()
+            .any(|(name, _)| name.starts_with("qens_fault_")),
+        "the plan fired no fault, so no qens_fault_* series exists"
+    );
     assert_eq!(
         counter("qens_fault_retries_total"),
         out.accounting.retries as u64
