@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn missing_values_serialise_as_na() {
         let mut data = sample();
-        data.records[0].set(Feature::Co, f64::NAN);
+        data.records[0].values[Feature::Co.index()] = f64::NAN;
         let csv = to_csv_string(&data);
         let parsed = from_csv_reader(csv.as_bytes()).unwrap();
         assert!(parsed.records[0].get(Feature::Co).is_nan());

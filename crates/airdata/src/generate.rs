@@ -24,8 +24,8 @@ pub struct GeneratorConfig {
     /// First timestamp: `(year, month, day)`, hour 0. The UCI span starts
     /// at 2013-03-01.
     pub start: (i32, u32, u32),
-    /// Number of hourly records (the full dataset has
-    /// [`time::DATASET_HOURS`]).
+    /// Number of hourly records (the full dataset, 2013-03-01T00 to
+    /// 2017-02-28T23, has 35 064).
     pub hours: u64,
     /// Master seed; the station name is mixed in so that each station
     /// gets an independent stream.
@@ -364,7 +364,7 @@ mod tests {
             &StationProfile::of("Changping"),
             &GeneratorConfig {
                 missing_rate: 0.0,
-                ..GeneratorConfig::short(time::DATASET_HOURS, 2)
+                ..GeneratorConfig::short(35_064, 2)
             },
         );
         let temp = s.feature_column(Feature::Temp);

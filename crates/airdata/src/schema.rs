@@ -125,11 +125,6 @@ impl Record {
         self.values[f.index()]
     }
 
-    /// Sets the value of one feature.
-    pub fn set(&mut self, f: Feature, v: f64) {
-        self.values[f.index()] = v;
-    }
-
     /// True when every feature is present (non-NaN).
     pub fn is_complete(&self) -> bool {
         self.values.iter().all(|v| !v.is_nan())
@@ -172,10 +167,10 @@ mod tests {
             hour: 0,
             values: [0.0; NUM_FEATURES],
         };
-        r.set(Feature::O3, 42.0);
+        r.values[Feature::O3.index()] = 42.0;
         assert_eq!(r.get(Feature::O3), 42.0);
         assert!(r.is_complete());
-        r.set(Feature::Co, f64::NAN);
+        r.values[Feature::Co.index()] = f64::NAN;
         assert!(!r.is_complete());
     }
 }

@@ -53,10 +53,6 @@ pub fn day_of_year(year: i32, month: u32, day: u32) -> u32 {
     (days_from_civil(year, month, day) - days_from_civil(year, 1, 1)) as u32
 }
 
-/// Number of hourly records in the dataset's span
-/// (2013-03-01T00 .. 2017-02-28T23 inclusive).
-pub const DATASET_HOURS: u64 = 35_064;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +81,7 @@ mod tests {
     fn dataset_span_is_35064_hours() {
         let start = days_from_civil(2013, 3, 1);
         let end = days_from_civil(2017, 3, 1); // exclusive
-        assert_eq!((end - start) * 24, DATASET_HOURS as i64);
+        assert_eq!((end - start) * 24, 35_064);
     }
 
     #[test]
@@ -94,10 +90,7 @@ mod tests {
         assert_eq!(timestamp_at(2013, 3, 1, 23), (2013, 3, 1, 23));
         assert_eq!(timestamp_at(2013, 3, 1, 24), (2013, 3, 2, 0));
         // Last record of the dataset.
-        assert_eq!(
-            timestamp_at(2013, 3, 1, DATASET_HOURS - 1),
-            (2017, 2, 28, 23)
-        );
+        assert_eq!(timestamp_at(2013, 3, 1, 35_064 - 1), (2017, 2, 28, 23));
     }
 
     #[test]

@@ -314,33 +314,6 @@ fn main() {
         std::process::exit(2);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("load") {
-        let mut opts = bench::serve::loadgen::LoadOptions::default();
-        let mut it = args.iter().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--seed" => {
-                    opts.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("load: --seed needs an integer");
-                        std::process::exit(2);
-                    });
-                }
-                "--queries" => opts.queries = positive_count("load", "--queries", it.next()),
-                other => {
-                    eprintln!("load: unknown flag {other:?}; expected [--seed N] [--queries N]");
-                    std::process::exit(2);
-                }
-            }
-        }
-        telemetry::set_enabled(true);
-        let csv = bench::serve::loadgen::run_load(&opts);
-        let dir = results_dir();
-        std::fs::create_dir_all(&dir).expect("create results dir");
-        let path = dir.join("fig9_saturation.csv");
-        std::fs::write(&path, csv).expect("write fig9_saturation.csv");
-        println!("(saturation table -> {})", path.display());
-        return;
-    }
     if args.first().map(String::as_str) == Some("serve") {
         let mut opts = bench::serve::ServeOptions::default();
         let mut it = args.iter().skip(1);
@@ -356,12 +329,17 @@ fn main() {
                         .clone();
                 }
                 "--duration" => {
-                    let seconds: f64 =
-                        it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                            eprintln!("serve: --duration needs a number of seconds");
+                    let duration = it
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .and_then(|s| std::time::Duration::try_from_secs_f64(s).ok())
+                        .unwrap_or_else(|| {
+                            eprintln!(
+                                "serve: --duration needs a finite, non-negative number of seconds"
+                            );
                             std::process::exit(2);
                         });
-                    opts.duration = Some(seconds);
+                    opts.duration = Some(duration);
                 }
                 "--trace" => {
                     let clock = match it.next().map(String::as_str) {
@@ -448,26 +426,23 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "all".to_string());
-
-    // The reproduction always records: where a query's time goes is part
-    // of the paper's argument (Figs. 8-9).
-    telemetry::set_enabled(true);
-    println!("== qens paper reproduction ({scale:?} scale) ==\n");
-    match exp.as_str() {
-        "table1" => run_table1(scale),
-        "table2" => run_table2(scale),
-        "table3" => run_table3(),
-        "fig1" => run_fig1(scale),
-        "fig2" => run_fig2(scale),
-        "fig5" => run_fig5(scale),
-        "fig6" => run_fig6(scale),
-        "fig7" => run_fig7(scale),
-        "fig8" | "fig9" | "fig8_fig9" => run_fig8_fig9(scale),
-        "faults" | "fig8_faults" => run_fig8_faults(scale),
-        "fleet" | "fig10" => run_fleet_exp(scale),
-        "extended" => run_extended(scale),
-        "ablations" => run_ablations(),
-        "all" => {
+    // Resolved before anything prints, so an unknown name is refused
+    // with an empty stdout like every other refusal.
+    let run: fn(ExperimentScale) = match exp.as_str() {
+        "table1" => run_table1,
+        "table2" => run_table2,
+        "table3" => |_| run_table3(),
+        "fig1" => run_fig1,
+        "fig2" => run_fig2,
+        "fig5" => run_fig5,
+        "fig6" => run_fig6,
+        "fig7" => run_fig7,
+        "fig8" | "fig9" | "fig8_fig9" => run_fig8_fig9,
+        "faults" | "fig8_faults" => run_fig8_faults,
+        "fleet" | "fig10" => run_fleet_exp,
+        "extended" => run_extended,
+        "ablations" => |_| run_ablations(),
+        "all" => |scale| {
             run_table1(scale);
             run_table2(scale);
             run_table3();
@@ -480,16 +455,22 @@ fn main() {
             run_fig8_faults(scale);
             run_extended(scale);
             run_ablations();
-        }
+        },
         other => {
             eprintln!(
                 "unknown experiment {other:?}; expected one of \
                  table1|table2|table3|fig1|fig2|fig5|fig6|fig7|fig8|fig9|faults|fleet|extended|\
-                 ablations|all [--paper | --smoke], or a tool subcommand: serve|load|profile|scale"
+                 ablations|all [--paper | --smoke], or a tool subcommand: serve|profile|scale"
             );
             std::process::exit(2);
         }
-    }
+    };
+
+    // The reproduction always records: where a query's time goes is part
+    // of the paper's argument (Figs. 8-9).
+    telemetry::set_enabled(true);
+    println!("== qens paper reproduction ({scale:?} scale) ==\n");
+    run(scale);
     write_telemetry();
 }
 

@@ -23,12 +23,11 @@
 //!
 //! `POST /query` takes `{"id": 7, "bounds": [x_min, x_max, ..., y_min,
 //! y_max]}` (`id` optional; any other or repeated key is a `400`) and
-//! returns the selection plus the federated answer. Queries flow
-//! through a bounded ingestion queue with explicit admission control —
-//! a full queue answers `429` with `Retry-After`, a stale queue entry is
-//! shed with `503` — and a batcher that coalesces queries sharing a
-//! quantized cache bucket into one federation wave (see [`ingest`]).
-//! Bodies over the admission cap get `413` unread.
+//! returns the selection plus the federated answer (`422` if the round
+//! fails). The connection thread runs the round itself, through the one
+//! policy the server holds (see [`ingest`]), so the four workers bound
+//! how many queries run at once. Bodies over the admission cap get `413`
+//! unread; a query that arrives while the server drains gets `503`.
 //!
 //! Malformed requests never kill the process: empty, truncated,
 //! oversized and non-UTF-8 heads all get a `400` with a body, wrong
@@ -38,30 +37,32 @@
 //! are counted in `qens_serve_io_errors_total`.
 //!
 //! `repro serve` binds and serves until `--duration` elapses or a
-//! loopback client posts `/shutdown` — both drain in-flight queries
+//! loopback client posts `/shutdown` — both answer in-flight queries
 //! before exit. The endpoints are checked over real sockets by this
 //! module's tests, `tests/serve_http.rs` and `tests/serve_concurrent.rs`.
 
 pub mod http;
 pub mod ingest;
-pub mod loadgen;
 
 use std::io::{BufReader, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use qens::geom::Query;
 use qens::prelude::*;
+use qens::selection::SelectionPolicy;
 use qens::telemetry;
 
 use http::{read_request, write_response, ReadOutcome, Request};
-use ingest::{BoundedQueue, QueryJob, Reply};
 
-/// Top-ℓ of the serving policy (shared by the server and the load
-/// generator so their answers agree).
+/// Top-ℓ of the serving policy.
 pub const SERVE_SELECT_L: usize = 3;
+
+/// Accept loops, each serving one connection at a time and answering its
+/// queries itself.
+const N_WORKERS: usize = 4;
 
 /// Requests served per keep-alive connection before the server closes
 /// it (bounds how long one client can pin a worker).
@@ -78,9 +79,9 @@ const ENDPOINT_LIST: &str = "/healthz, /metrics, /trace, /profile, /profile.svg,
 pub struct ServeOptions {
     /// `host:port` to bind; port 0 asks the OS for an ephemeral port.
     pub addr: String,
-    /// Exit (gracefully, draining in-flight queries) after this many
-    /// seconds; `None` serves until `POST /shutdown` or Ctrl-C.
-    pub duration: Option<f64>,
+    /// Exit (gracefully, answering in-flight queries) after this long;
+    /// `None` serves until `POST /shutdown` or Ctrl-C.
+    pub duration: Option<Duration>,
     /// Trace clock for the live server (`repro serve --trace`); `None`
     /// leaves tracing as it is.
     pub trace: Option<telemetry::trace::Clock>,
@@ -96,13 +97,15 @@ impl Default for ServeOptions {
     }
 }
 
-/// Everything the worker and batcher threads share.
+/// Everything the worker threads share.
 pub struct ServerState {
     pub fed: Federation,
     pub admission: AdmissionConfig,
-    pub queue: BoundedQueue<QueryJob>,
-    /// Set on shutdown request: new queries get `503 draining`, the
-    /// batcher exits once the queue is empty.
+    /// The one query-driven policy every `POST /query` runs through,
+    /// built once so its selection memo sees every query.
+    policy: Box<dyn SelectionPolicy>,
+    /// Set on shutdown request: new queries get `503 draining`; queries
+    /// already running are answered.
     draining: AtomicBool,
     /// Set after `draining`, once the drain should also stop the accept
     /// loops.
@@ -120,11 +123,9 @@ impl ServerState {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Begins a graceful shutdown: refuse new queries, let the batcher
-    /// burn the queue down, wake the waiter.
+    /// Begins a graceful shutdown: refuse new queries, wake the waiter.
     pub fn request_shutdown(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        self.queue.notify_all();
         let mut flag = self.shutdown.lock().expect("shutdown flag poisoned");
         *flag = true;
         self.shutdown_cv.notify_all();
@@ -133,8 +134,7 @@ impl ServerState {
 
 /// The federation a standalone `repro serve` answers queries against: a
 /// mid-size heterogeneous network with the selection memo on, so a
-/// repeated rectangle gets its stored selection back, and a coarse
-/// batching bucket, so nearby in-flight queries share a wave.
+/// repeated rectangle gets its stored selection back.
 pub(crate) fn demo_federation() -> Federation {
     FederationBuilder::new()
         .heterogeneous_nodes(6, 120)
@@ -144,16 +144,14 @@ pub(crate) fn demo_federation() -> Federation {
         .telemetry(true)
         .fleet(true)
         .selection_cache(true)
-        .selection_cache_bucket(30.0)
         .build()
 }
 
-/// A running server: bound listener, worker threads, batcher.
+/// A running server: bound listener and worker threads.
 pub struct ServerHandle {
     addr: String,
     state: Arc<ServerState>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    batcher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -171,9 +169,9 @@ impl ServerHandle {
         self.state.request_shutdown();
     }
 
-    /// Blocks until a shutdown is requested, then drains: the batcher
-    /// finishes every admitted query, the accept loops stop, every
-    /// thread is joined.
+    /// Blocks until a shutdown is requested, then drains: the accept
+    /// loops stop, and every worker is joined once it has answered the
+    /// query it is running and closed its connection.
     pub fn wait(mut self) -> std::io::Result<()> {
         {
             let mut flag = self.state.shutdown.lock().expect("shutdown flag poisoned");
@@ -184,9 +182,6 @@ impl ServerHandle {
                     .wait(flag)
                     .expect("shutdown flag poisoned");
             }
-        }
-        if let Some(batcher) = self.batcher.take() {
-            batcher.join().expect("batcher thread panicked");
         }
         self.state.stopping.store(true, Ordering::SeqCst);
         // Unblock every worker's accept() with one throwaway connection
@@ -201,30 +196,24 @@ impl ServerHandle {
     }
 }
 
-/// Binds `addr` and spawns the accept workers plus the batcher.
-/// Non-blocking; drive the result with [`ServerHandle::wait`].
+/// Binds `addr` and spawns the accept workers. Non-blocking; drive the
+/// result with [`ServerHandle::wait`].
 pub fn spawn(addr: &str, fed: Federation) -> std::io::Result<ServerHandle> {
     telemetry::set_enabled(true);
     let admission = fed.admission();
+    let policy = fed.build_policy(&PolicyKind::query_driven(SERVE_SELECT_L));
     let listener = Arc::new(TcpListener::bind(addr)?);
     let local = listener.local_addr()?.to_string();
     let state = Arc::new(ServerState {
         fed,
         admission,
-        queue: BoundedQueue::new(admission.queue_depth),
+        policy,
         draining: AtomicBool::new(false),
         stopping: AtomicBool::new(false),
         shutdown: Mutex::new(false),
         shutdown_cv: Condvar::new(),
         next_id: AtomicU64::new(1 << 32),
     });
-    let batcher = {
-        let state = Arc::clone(&state);
-        std::thread::Builder::new()
-            .name("qens-serve-batcher".into())
-            .spawn(move || ingest::batcher_loop(state))?
-    };
-    const N_WORKERS: usize = 4;
     let mut workers = Vec::with_capacity(N_WORKERS);
     for i in 0..N_WORKERS {
         let listener = Arc::clone(&listener);
@@ -257,7 +246,6 @@ pub fn spawn(addr: &str, fed: Federation) -> std::io::Result<ServerHandle> {
         addr: local,
         state,
         workers,
-        batcher: Some(batcher),
     })
 }
 
@@ -536,8 +524,8 @@ fn respond(
 }
 
 /// Renders the selection memo's registry mirror as JSON (the memo
-/// itself lives inside the batcher's policy object; its counters are
-/// published to the global registry on every lookup).
+/// itself lives inside the server's policy; its counters are published
+/// to the global registry on every lookup).
 pub fn cache_stats_json() -> String {
     let snap = telemetry::global().snapshot();
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
@@ -706,12 +694,12 @@ fn parse_query_body(body: &[u8], dim: usize) -> Result<(Option<u64>, Vec<f64>), 
     Ok((id, bounds))
 }
 
-/// The `POST /query` flow: validate → admit (or 429) → wait for the
-/// batcher's reply (or 503/504).
+/// The `POST /query` flow: refuse while draining → validate → answer on
+/// this thread.
 fn serve_query(
     stream: &mut TcpStream,
     body: &[u8],
-    state: &Arc<ServerState>,
+    state: &ServerState,
     keep_alive: bool,
 ) -> std::io::Result<()> {
     if state.is_draining() {
@@ -741,44 +729,9 @@ fn serve_query(
         }
     };
     let id = id.unwrap_or_else(|| state.next_id.fetch_add(1, Ordering::Relaxed));
-    let query = Query::from_boundary_vec(id, &bounds);
-    telemetry::trace::instant("serve.enqueue", &[("query", id)]);
-    let (tx, rx) = mpsc::channel();
-    let job = QueryJob {
-        query,
-        enqueued: std::time::Instant::now(),
-        reply: tx,
-    };
-    if state.queue.try_push(job).is_err() {
-        telemetry::counter!("qens_serve_rejected_total").incr();
-        return write_response(
-            stream,
-            "429 Too Many Requests",
-            "application/json",
-            "Retry-After: 1\r\n",
-            &format!(
-                "{{\"error\":\"ingestion queue full ({} waiting)\"}}\n",
-                state.admission.queue_depth
-            ),
-            keep_alive,
-        );
-    }
     telemetry::counter!("qens_serve_queries_total").incr();
-    match rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(Reply {
-            status,
-            content_type,
-            body,
-        }) => write_response(stream, status, content_type, "", &body, keep_alive),
-        Err(_) => write_response(
-            stream,
-            "504 Gateway Timeout",
-            "application/json",
-            "",
-            "{\"error\":\"federation round did not finish in time\"}\n",
-            false,
-        ),
-    }
+    let (status, reply) = ingest::answer(state, &Query::from_boundary_vec(id, &bounds));
+    write_response(stream, status, "application/json", "", &reply, keep_alive)
 }
 
 /// Runs the endpoint. Blocking; returns when `--duration` elapses or
@@ -792,12 +745,18 @@ pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
         "serving http://{} ({ENDPOINT_LIST}); POST /shutdown or Ctrl-C to stop",
         handle.addr()
     );
-    if let Some(seconds) = opts.duration {
-        let state = Arc::clone(handle.state());
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_secs_f64(seconds));
-            state.request_shutdown();
-        });
+    if let Some(duration) = opts.duration {
+        // Sleep on the shutdown flag itself: an earlier `/shutdown` ends
+        // the wait, and no timer thread is needed.
+        let state = handle.state();
+        let flag = state.shutdown.lock().expect("shutdown flag poisoned");
+        drop(
+            state
+                .shutdown_cv
+                .wait_timeout_while(flag, duration, |stop| !*stop)
+                .expect("shutdown flag poisoned"),
+        );
+        state.request_shutdown();
     }
     handle.wait()
 }
@@ -816,8 +775,7 @@ mod tests {
             .seed(7)
             .epochs(2)
             .telemetry(true)
-            .selection_cache(true)
-            .selection_cache_bucket(30.0);
+            .selection_cache(true);
         if let Some(a) = admission {
             builder = builder.admission(a);
         } else {
@@ -984,7 +942,8 @@ mod tests {
                 && body.contains("\"loss\":"),
             "the reply carries the selection and the federated answer: {body}"
         );
-        // Same bucket again over one keep-alive socket: still correct.
+        // The same rectangle again over one keep-alive socket: a memo
+        // hit, still correct.
         let mut ka = KeepAliveClient::connect(server.addr()).unwrap();
         let (s1, b1) = ka
             .request("POST", "/query", "{\"id\": 10, \"bounds\": [0, 20, 0, 45]}")
@@ -1036,49 +995,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_queue_depth_rejects_with_429_and_retry_after() {
-        let server = test_server(Some(AdmissionConfig {
-            queue_depth: 0,
-            ..AdmissionConfig::default()
-        }));
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        use std::io::{Read as _, Write as _};
-        let body = "{\"bounds\": [0, 20, 0, 45]}";
-        write!(
-            stream,
-            "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 429"), "got: {response}");
-        assert!(
-            response.contains("Retry-After:"),
-            "429 must carry Retry-After, got: {response}"
-        );
-        server.request_shutdown();
-        server.wait().unwrap();
-    }
-
-    #[test]
-    fn zero_deadline_sheds_with_503() {
-        let server = test_server(Some(AdmissionConfig {
-            deadline_ms: Some(0),
-            ..AdmissionConfig::default()
-        }));
-        let (status, body) = post(server.addr(), "/query", "{\"bounds\": [0, 20, 0, 45]}").unwrap();
-        assert_eq!(status, 503, "zero deadline must shed everything: {body}");
-        assert!(body.contains("shed"));
-        server.request_shutdown();
-        server.wait().unwrap();
-    }
-
-    #[test]
     fn oversized_bodies_get_413_without_being_read() {
         let server = test_server(Some(AdmissionConfig {
             body_cap_bytes: 256,
-            ..AdmissionConfig::default()
         }));
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         use std::io::{Read as _, Write as _};

@@ -9,7 +9,6 @@ mod common;
 use std::sync::OnceLock;
 
 use bench::ablations::{self, AblationRow};
-use bench::serve::loadgen::{self, LoadOptions};
 use bench::{figures, report, scale, ExperimentScale};
 use common::{assert_golden, assert_same, committed, fresh};
 use qens::prelude::ModelKind;
@@ -62,15 +61,6 @@ fn fig8_faults_csv_matches_a_fresh_run() {
     assert_golden(&["fig8_faults.csv"], "faults", |dir| {
         report::write_fig8_faults_csv(dir, &figures::fig8_faults(ExperimentScale::Quick))
     });
-}
-
-/// The saturation sweep `repro load` writes: simulated service times
-/// replayed on a logical clock, so the bytes do not depend on the pool.
-#[test]
-fn fig9_saturation_csv_matches_a_fresh_run() {
-    let name = "fig9_saturation.csv";
-    let fresh = loadgen::run_load(&LoadOptions::default());
-    assert_same(name, "load", &committed(name), &fresh);
 }
 
 /// The 1k–100k rows only, in process; `repro_cli.rs` runs the whole

@@ -40,16 +40,19 @@ fn serve_trace_needs_a_known_clock() {
     assert_refused(&["serve", "--trace"], &[], "--trace");
 }
 
-/// A zero count and a flag the subcommand does not own (`--smoke`
-/// belongs to the experiments) are refused, not run.
+/// A zero count, a duration that is no time span, a flag the
+/// subcommand does not own (`--smoke` belongs to the experiments) and a
+/// subcommand that does not exist are refused, not run.
 #[test]
 fn tool_subcommands_refuse_what_they_do_not_take() {
-    assert_refused(&["load", "--queries", "0"], &[], "--queries");
     assert_refused(&["profile", "--queries", "0"], &[], "--queries");
+    for bad in ["-1", "NaN", "inf", "1e30"] {
+        assert_refused(&["serve", "--duration", bad], &[], "--duration");
+    }
     assert_refused(&["serve", "--smoke"], &[], "--smoke");
     assert_refused(&["serve", "--once"], &[], "--once");
-    assert_refused(&["load", "--smoke"], &[], "--smoke");
     assert_refused(&["scale", "--smoke"], &[], "--smoke");
+    assert_refused(&["load"], &[], "unknown experiment");
 }
 
 #[test]

@@ -50,7 +50,6 @@ fn scrapes_stay_consistent_under_a_live_query_stream() {
         .fleet(true)
         .trace(Some(telemetry::trace::Clock::Wall))
         .selection_cache(true)
-        .selection_cache_bucket(30.0)
         .build();
     let handle = serve::spawn("127.0.0.1:0", fed).expect("spawn server");
     let addr = handle.addr().to_string();
@@ -58,8 +57,8 @@ fn scrapes_stay_consistent_under_a_live_query_stream() {
     let streaming = Arc::new(AtomicBool::new(true));
 
     // The query stream: CLIENTS keep-alive connections, each posting a
-    // mix of repeated and distinct rectangles (so batching and the
-    // cache are both live while the scrapers read).
+    // mix of repeated and distinct rectangles (so queries run side by
+    // side and the cache is live while the scrapers read).
     let mut clients = Vec::new();
     for c in 0..CLIENTS {
         let addr = addr.clone();
@@ -157,27 +156,14 @@ fn scrapes_stay_consistent_under_a_live_query_stream() {
     assert!(scrapes >= 6, "scrapers must actually have scraped");
 
     // The registry totals must match the ledger of what the clients did:
-    // every answered query was admitted exactly once, nothing was shed
-    // or rejected under this (default, deep-queue) admission config.
+    // every answered query was counted exactly once.
     let snap = telemetry::global().snapshot();
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     assert_eq!(
         counter("qens_serve_queries_total"),
         answered as u64,
-        "admitted-query counter must equal the client ledger"
+        "query counter must equal the client ledger"
     );
-    assert_eq!(
-        counter("qens_serve_batched_queries_total"),
-        answered as u64,
-        "every admitted query must have gone through a batch wave"
-    );
-    assert!(counter("qens_serve_batches_total") > 0);
-    assert!(
-        counter("qens_serve_batches_total") <= answered as u64,
-        "batch count cannot exceed query count"
-    );
-    assert_eq!(counter("qens_serve_shed_total"), 0);
-    assert_eq!(counter("qens_serve_rejected_total"), 0);
     assert!(
         counter("qens_serve_requests_total") >= (answered + scrapes * 3) as u64,
         "request counter must cover queries and scrapes"
@@ -185,8 +171,8 @@ fn scrapes_stay_consistent_under_a_live_query_stream() {
     // And the federation itself saw exactly the admitted queries.
     assert_eq!(counter("qens_fedlearn_rounds_total"), answered as u64);
 
-    // One query alone in its wave runs under a `query` root span, which
-    // the trace, profile and flight-recorder endpoints then serve.
+    // A query runs under a `query` root span, which the trace, profile
+    // and flight-recorder endpoints then serve.
     let (status, reply) =
         http::post(&addr, "/query", "{\"id\": 99, \"bounds\": [0, 20, 0, 45]}").expect("query");
     assert_eq!(status, 200, "query must succeed, got: {reply}");
@@ -199,7 +185,7 @@ fn scrapes_stay_consistent_under_a_live_query_stream() {
     let (status, body) = http::get(&addr, "/profile").expect("/profile");
     assert_eq!(status, 200);
     assert!(
-        body.contains(";query;fedlearn.round "),
+        body.lines().any(|l| l.starts_with("query;fedlearn.round ")),
         "/profile must attribute time to the round: {body}"
     );
     let (status, body) = http::get(&addr, "/profile.svg").expect("/profile.svg");

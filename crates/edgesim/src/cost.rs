@@ -95,20 +95,6 @@ impl CostModel {
         self.latency_seconds + bytes as f64 / self.bytes_per_second
     }
 
-    /// Shared-link variant of [`LinkProfile::retry_penalty_seconds`]:
-    /// the extra seconds `failed_attempts` lost transfers cost on the
-    /// default (network-wide) link profile.
-    pub fn retry_penalty_seconds(
-        &self,
-        bytes: usize,
-        failed_attempts: usize,
-        retry: &faults::RetryPolicy,
-    ) -> f64 {
-        (1..=failed_attempts)
-            .map(|k| self.transfer_seconds(bytes) + retry.backoff_before(k))
-            .sum()
-    }
-
     /// Round time when participants work in parallel and the leader waits
     /// for the slowest: `max_i(train_i + transfer_i)`.
     ///
@@ -120,18 +106,6 @@ impl CostModel {
                 self.training_seconds(visits, capacity) + self.transfer_seconds(bytes)
             })
             .fold(0.0, f64::max)
-    }
-
-    /// Total training time summed over participants:
-    /// `sum_i(train_i + transfer_i)`. This is the "time to train the
-    /// models" view of the paper's Fig. 8 (work done, not wall time).
-    pub fn sequential_round_seconds(&self, per_node: &[(usize, f64, usize)]) -> f64 {
-        per_node
-            .iter()
-            .map(|&(visits, capacity, bytes)| {
-                self.training_seconds(visits, capacity) + self.transfer_seconds(bytes)
-            })
-            .sum()
     }
 }
 
@@ -183,10 +157,6 @@ mod tests {
     fn retry_penalty_is_zero_for_no_failures() {
         let retry = faults::RetryPolicy::default();
         assert_eq!(
-            CostModel::default().retry_penalty_seconds(1000, 0, &retry),
-            0.0
-        );
-        assert_eq!(
             LinkProfile::default().retry_penalty_seconds(1000, 0, &retry),
             0.0
         );
@@ -210,12 +180,5 @@ mod tests {
         // Two losses: + wire 1.5 + backoff_before(2) capped at 1.5.
         let two = link.retry_penalty_seconds(100, 2, &retry);
         assert!((two - (2.5 + 3.0)).abs() < 1e-12);
-        // Shared-link CostModel variant agrees with an equivalent profile.
-        let m = CostModel {
-            seconds_per_sample_visit: 1.0,
-            bytes_per_second: 100.0,
-            latency_seconds: 0.5,
-        };
-        assert!((m.retry_penalty_seconds(100, 2, &retry) - two).abs() < 1e-12);
     }
 }

@@ -94,9 +94,10 @@ fn cost_model_is_monotone() {
         let (blo, bhi) = (b1.min(b2), b1.max(b2));
         assert!(m.training_seconds(vlo, cap) <= m.training_seconds(vhi, cap));
         assert!(m.transfer_seconds(blo) <= m.transfer_seconds(bhi));
-        // Parallel time never exceeds sequential time.
+        // The slowest of two nodes is the one with more of both.
         let nodes = [(vlo, cap, blo), (vhi, cap, bhi)];
-        assert!(m.parallel_round_seconds(&nodes) <= m.sequential_round_seconds(&nodes) + 1e-12);
+        let slowest = m.training_seconds(vhi, cap) + m.transfer_seconds(bhi);
+        assert_eq!(m.parallel_round_seconds(&nodes), slowest);
     }
 }
 

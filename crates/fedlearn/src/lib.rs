@@ -15,8 +15,7 @@
 //! * [`round`] - the round engine: selection -> local training ->
 //!   aggregation, for one query ([`run_query`]) or for a batch whose
 //!   queries share each training wave on the [`par`] pool ([`run_batch`],
-//!   the serving batcher's entry point, bit-identical to a [`run_query`]
-//!   loop).
+//!   bit-identical to a [`run_query`] loop).
 //! * [`stream`] - running a whole query workload and summarising it.
 //! * [`error`] - federation error types.
 

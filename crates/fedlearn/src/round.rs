@@ -1749,8 +1749,8 @@ pub(crate) mod tests {
 
     // ---------------- batches ----------------
 
-    /// A small mixed workload: repeated rectangles (batcher-compatible),
-    /// drifted ones, and a partly-overlapping one.
+    /// A small mixed workload: repeated rectangles, drifted ones, and a
+    /// partly-overlapping one.
     fn workload() -> Vec<Query> {
         vec![
             Query::from_boundary_vec(0, &[0.0, 20.0, 0.0, 45.0]),

@@ -50,11 +50,6 @@ impl Interval {
         Self { lo, hi }
     }
 
-    /// The degenerate interval `[x, x]`.
-    pub fn point(x: f64) -> Self {
-        Self::new(x, x)
-    }
-
     /// The smallest interval containing every *finite* value in `xs`.
     ///
     /// Non-finite values (NaN and ±∞) are skipped: an interval's bounds
@@ -251,7 +246,7 @@ mod tests {
             Interval::bounding(&[2.0, f64::NAN, -1.0]),
             Some(Interval::new(-1.0, 2.0))
         );
-        assert_eq!(Interval::bounding(&[5.0]), Some(Interval::point(5.0)));
+        assert_eq!(Interval::bounding(&[5.0]), Some(Interval::new(5.0, 5.0)));
     }
 
     /// Regression: `bounding` used to skip only NaN, so an infinite
@@ -272,7 +267,7 @@ mod tests {
         );
         assert_eq!(
             Interval::bounding(&[1.0, f64::INFINITY]),
-            Some(Interval::point(1.0))
+            Some(Interval::new(1.0, 1.0))
         );
         assert_eq!(
             Interval::bounding(&[f64::NEG_INFINITY, -2.0, 7.0, f64::NAN]),
@@ -305,7 +300,7 @@ mod tests {
         let a = Interval::new(0.0, 1.0);
         let b = Interval::new(1.0, 2.0);
         assert!(a.intersects(&b));
-        assert_eq!(a.intersection(&b), Some(Interval::point(1.0)));
+        assert_eq!(a.intersection(&b), Some(Interval::new(1.0, 1.0)));
         // Measure-zero intersection contributes no overlap.
         assert_eq!(a.overlap_ratio(&b), 0.0);
         assert_eq!(a.jaccard(&b), 0.0);
@@ -370,7 +365,7 @@ mod tests {
 
     #[test]
     fn identical_point_intervals_overlap_fully() {
-        let p = Interval::point(3.0);
+        let p = Interval::new(3.0, 3.0);
         assert_eq!(p.overlap_ratio(&p), 1.0);
         assert_eq!(p.jaccard(&p), 1.0);
     }
@@ -380,7 +375,7 @@ mod tests {
     /// the ratio is 1, not the measure-theoretic 0.
     #[test]
     fn point_query_inside_wide_cluster_overlaps_fully() {
-        let p = Interval::point(5.0);
+        let p = Interval::new(5.0, 5.0);
         let k = Interval::new(0.0, 10.0);
         assert_eq!(p.overlap_case(&k), OverlapCase::QueryInsideCluster);
         assert_eq!(p.overlap_ratio(&k), 1.0);
@@ -396,11 +391,11 @@ mod tests {
     fn single_valued_cluster_dimension_never_yields_nan() {
         let q = Interval::new(0.0, 10.0);
         for (cluster, expected) in [
-            (Interval::point(5.0), 1.0),  // inside
-            (Interval::point(0.0), 1.0),  // on the low bound
-            (Interval::point(10.0), 1.0), // on the high bound
-            (Interval::point(-1.0), 0.0), // outside (below)
-            (Interval::point(11.0), 0.0), // outside (above)
+            (Interval::new(5.0, 5.0), 1.0),   // inside
+            (Interval::new(0.0, 0.0), 1.0),   // on the low bound
+            (Interval::new(10.0, 10.0), 1.0), // on the high bound
+            (Interval::new(-1.0, -1.0), 0.0), // outside (below)
+            (Interval::new(11.0, 11.0), 0.0), // outside (above)
         ] {
             let r = q.overlap_ratio(&cluster);
             assert!(r.is_finite(), "NaN/inf for cluster {cluster:?}");
@@ -411,18 +406,18 @@ mod tests {
         }
         // Point query vs point cluster: 0/0 in every five-case formula.
         assert_eq!(
-            Interval::point(3.0).overlap_ratio(&Interval::point(3.0)),
+            Interval::new(3.0, 3.0).overlap_ratio(&Interval::new(3.0, 3.0)),
             1.0
         );
         assert_eq!(
-            Interval::point(3.0).overlap_ratio(&Interval::point(4.0)),
+            Interval::new(3.0, 3.0).overlap_ratio(&Interval::new(4.0, 4.0)),
             0.0
         );
         // Point sitting exactly on the boundary of a wide interval: the
         // PartialLow/PartialHigh formulas would divide 0 by the width
         // sum only by luck of case classification; the membership rule
         // makes the answer principled.
-        assert_eq!(Interval::point(10.0).overlap_ratio(&q), 1.0);
+        assert_eq!(Interval::new(10.0, 10.0).overlap_ratio(&q), 1.0);
     }
 
     #[test]

@@ -39,14 +39,18 @@ struct ScopeState {
     remaining: Mutex<usize>,
     done: Condvar,
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
+    /// The submitter's trace query while wall tracing is on (`u64::MAX`
+    /// otherwise).
+    query: u64,
 }
 
 impl ScopeState {
-    fn new(tasks: usize) -> Self {
+    fn new(tasks: usize, query: u64) -> Self {
         Self {
             remaining: Mutex::new(tasks),
             done: Condvar::new(),
             panic: Mutex::new(None),
+            query,
         }
     }
 
@@ -164,7 +168,15 @@ impl ThreadPool {
         // logical clock must never see it. The flag is one relaxed load;
         // while tracing is off no clock is read and nothing is recorded.
         let trace_dispatch = telemetry::trace::mode() == Some(telemetry::trace::Clock::Wall);
-        let scope = Arc::new(ScopeState::new(tasks.len()));
+        // A traced scope records its submitter's query: the thread that
+        // runs one of its jobs may be answering another query (see
+        // `traced_task`).
+        let query = if trace_dispatch {
+            telemetry::trace::current_query()
+        } else {
+            u64::MAX
+        };
+        let scope = Arc::new(ScopeState::new(tasks.len(), query));
         {
             let mut state = lock(&self.shared.state);
             for task in tasks {
@@ -172,16 +184,10 @@ impl ThreadPool {
                 let enqueued_at = trace_dispatch.then(std::time::Instant::now);
                 let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
                     {
-                        // Queue wait = enqueue → first instruction of the
-                        // job on whichever thread picked it up; the span
-                        // then times the task body. The scope block ends
-                        // the span *before* `finish_task` can unblock the
-                        // caller (which may immediately export the trace).
-                        let _task_span = enqueued_at.map(|t| {
-                            let wait = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                            telemetry::histogram!("qens_par_queue_wait_nanos").record(wait);
-                            telemetry::wall_span("par.task", &[("queue_nanos", wait)])
-                        });
+                        // The scope block ends the task's span *before*
+                        // `finish_task` can unblock the caller (which may
+                        // immediately export the trace).
+                        let _traced = enqueued_at.map(|t| traced_task(scope.query, t));
                         if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
                             scope.record_panic(payload);
                         }
@@ -342,6 +348,28 @@ impl Drop for ThreadPool {
             let _ = handle.join();
         }
     }
+}
+
+/// Starts a traced pool task of `query`, enqueued at `enqueued_at`: runs
+/// the rest of the task under the query's trace scope and records its
+/// queue wait (enqueue → first instruction of the job, on whichever
+/// thread picked it up), then opens the `par.task` span that times the
+/// task body. The span drops before the scope (tuple fields drop in
+/// order), so it closes on the stack it opened on. Kept out of line so
+/// an untraced job pays nothing for it.
+#[cold]
+#[inline(never)]
+fn traced_task(
+    query: u64,
+    enqueued_at: std::time::Instant,
+) -> (telemetry::Span, telemetry::trace::TaskScope) {
+    let scope = telemetry::trace::task_scope(query);
+    let wait = u64::try_from(enqueued_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    telemetry::histogram!("qens_par_queue_wait_nanos").record(wait);
+    (
+        telemetry::wall_span("par.task", &[("queue_nanos", wait)]),
+        scope,
+    )
 }
 
 fn worker_loop(shared: &Shared) {

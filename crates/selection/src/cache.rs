@@ -31,13 +31,9 @@ use crate::policy::{
 };
 use crate::query_driven::QueryDriven;
 
-/// Tuning knobs for [`CachedQueryDriven`] and the serving batcher.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Tuning knobs for [`CachedQueryDriven`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Bucket width (in data units) of [`CacheConfig::compatibility_key`],
-    /// the serving batcher's coalescing key. The memo itself never
-    /// buckets: it keys on exact bits. Must be positive and finite.
-    pub bucket_width: f64,
     /// Maximum number of memoised answers; the oldest-inserted entry is
     /// evicted first (deterministic FIFO).
     pub capacity: usize,
@@ -45,19 +41,7 @@ pub struct CacheConfig {
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        Self {
-            bucket_width: 1.0,
-            capacity: 256,
-        }
-    }
-}
-
-impl CacheConfig {
-    /// The bucket key of a query under this configuration: the serving
-    /// batcher coalesces in-flight queries with equal keys into one
-    /// shared federation wave.
-    pub fn compatibility_key(&self, query: &geom::Query) -> u64 {
-        quantized_key(&query.region().to_boundary_vec(), self.bucket_width)
+        Self { capacity: 256 }
     }
 }
 
@@ -109,38 +93,12 @@ pub struct CachedQueryDriven {
     state: Mutex<Memo>,
 }
 
-/// FNV-1a over the per-dimension bucket indices of a boundary vector:
-/// the serving batcher's coalescing key (see
-/// [`CacheConfig::compatibility_key`]).
-pub fn quantized_key(bounds: &[f64], bucket_width: f64) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &b in bounds {
-        // Saturating cast: out-of-range buckets collapse to the extreme
-        // bucket rather than wrapping (f64-to-int casts saturate in
-        // Rust). NaN cannot occur (interval bounds are finite).
-        let bucket = (b / bucket_width).floor() as i64;
-        for byte in bucket.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
 impl CachedQueryDriven {
     /// Memoises `inner`, indexed or not.
     ///
     /// # Panics
-    /// Panics if `bucket_width` is not positive-finite or `capacity`
-    /// is 0.
+    /// Panics if `capacity` is 0.
     pub fn new(inner: QueryDriven, config: CacheConfig) -> Self {
-        assert!(
-            config.bucket_width.is_finite() && config.bucket_width > 0.0,
-            "cache bucket width must be positive and finite, got {}",
-            config.bucket_width
-        );
         assert!(config.capacity > 0, "cache capacity must be non-zero");
         Self {
             inner,
@@ -337,13 +295,7 @@ mod tests {
     #[test]
     fn capacity_evicts_fifo() {
         let net = network(3);
-        let cached = CachedQueryDriven::new(
-            QueryDriven::top_l(3),
-            CacheConfig {
-                capacity: 2,
-                ..CacheConfig::default()
-            },
-        );
+        let cached = CachedQueryDriven::new(QueryDriven::top_l(3), CacheConfig { capacity: 2 });
         let query = |i: u64| {
             let off = i as f64 * 10.0;
             Query::from_boundary_vec(i, &[off, off + 5.0, off, off + 5.0])
@@ -362,38 +314,6 @@ mod tests {
         assert_eq!(cached.stats().hits, 2);
         cached.select(&SelectionContext::new(&net, &query(2)));
         assert_eq!(cached.stats().misses, 6);
-    }
-
-    #[test]
-    fn quantized_key_buckets_and_discriminates() {
-        let a = quantized_key(&[0.1, 5.2, 3.3, 8.9], 10.0);
-        let b = quantized_key(&[0.4, 5.9, 3.0, 8.0], 10.0); // same buckets
-        let c = quantized_key(&[11.0, 15.0, 3.3, 8.9], 10.0); // dim 0 moved
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        // Negative bounds bucket below zero, not onto bucket 0.
-        assert_ne!(
-            quantized_key(&[-0.5, 0.5], 1.0),
-            quantized_key(&[0.5, 0.5], 1.0)
-        );
-    }
-
-    #[test]
-    fn compatibility_key_matches_the_table_keying() {
-        let cfg = CacheConfig {
-            bucket_width: 10.0,
-            capacity: 8,
-        };
-        let q = Query::from_boundary_vec(3, &[0.1, 5.2, 3.3, 8.9]);
-        assert_eq!(
-            cfg.compatibility_key(&q),
-            quantized_key(&[0.1, 5.2, 3.3, 8.9], 10.0)
-        );
-        // Same buckets => compatible; a moved bucket => not.
-        let near = Query::from_boundary_vec(4, &[0.4, 5.9, 3.0, 8.0]);
-        let far = Query::from_boundary_vec(5, &[11.0, 15.0, 3.3, 8.9]);
-        assert_eq!(cfg.compatibility_key(&q), cfg.compatibility_key(&near));
-        assert_ne!(cfg.compatibility_key(&q), cfg.compatibility_key(&far));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod query_driven;
 pub mod reference;
 
 pub use baselines::{AllNodes, GameTheory, RandomSelection};
-pub use cache::{quantized_key, CacheConfig, CacheStats, CachedQueryDriven};
+pub use cache::{CacheConfig, CacheStats, CachedQueryDriven};
 pub use geom::index::GridConfig;
 pub use indexed::IndexStats;
 pub use literature::{DataCentric, FairStochastic};

@@ -149,8 +149,10 @@ pub struct SelectionOverhead {
     pub bytes: usize,
 }
 
-/// A node-selection mechanism.
-pub trait SelectionPolicy {
+/// A node-selection mechanism. `Send + Sync` so one built policy (and
+/// its memo) can answer queries on several threads at once, as the
+/// server's connection threads do.
+pub trait SelectionPolicy: Send + Sync {
     /// Display name used in result tables.
     fn name(&self) -> &'static str;
 

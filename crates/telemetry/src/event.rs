@@ -63,9 +63,6 @@ pub enum Event {
     /// `(query, stale_nodes)`: the selection memo was dropped at
     /// `query`'s lookup because `stale_nodes` summary epochs had moved.
     CacheInvalidated(u64, u64),
-    /// `(query, age_ms)`: the serving batcher shed `query` after it aged
-    /// `age_ms` in the ingestion queue.
-    AdmissionShed(u64, u64),
 }
 
 /// Records `event` in every live view: its trace instant while tracing
@@ -119,7 +116,6 @@ fn trace_instant(event: &Event) {
             ],
         ),
         Event::Charged(n, _, _, bytes) => ("edgesim.transfer", &[("node", n), ("bytes", bytes)]),
-        Event::AdmissionShed(q, age_ms) => ("serve.shed", &[("query", q), ("age_ms", age_ms)]),
         Event::Selected(..)
         | Event::Participated(_)
         | Event::QueryObserved(_)
@@ -200,7 +196,6 @@ mod tests {
             Event::QueryObserved(7),
             Event::FleetObserved(4),
             Event::CacheInvalidated(5, 2),
-            Event::AdmissionShed(9, 125),
         ];
         let want = r#"
  | {"tick":0,"kind":"node_selected","query":7,"node":3,"rank":1} | n3: selected=1 last_summary_epoch=2 last_selected_query=7
@@ -217,8 +212,7 @@ Instant edgesim.transfer node=1 bytes=4096 | | n1: rounds_trained=1 bytes_transf
  | | n1: participated=1
  | | queries=1
  | | fleet_size=4
- | {"tick":0,"kind":"cache_invalidated","query":5,"stale_nodes":2} |
-Instant serve.shed query=9 age_ms=125 | {"tick":0,"kind":"admission_shed","query":9,"age_ms":125} |"#;
+ | {"tick":0,"kind":"cache_invalidated","query":5,"stale_nodes":2} |"#;
         let want: Vec<&str> = want.lines().skip(1).collect();
         assert_eq!(want.len(), events.len());
         for (event, want) in events.iter().zip(want) {

@@ -171,7 +171,7 @@ pub fn help_text(name: &str) -> &'static str {
         ("qens_edgesim_", "edge network simulation metric."),
         (
             "qens_serve_",
-            "query serving front-end metric (ingestion queue, admission control, batching).",
+            "query serving front-end metric (requests, queries, refused bodies, I/O errors).",
         ),
         ("qens_par_", "deterministic thread-pool metric."),
         (
@@ -483,8 +483,8 @@ mod tests {
             "injected-fault handling metric."
         );
         assert_eq!(
-            help_text("qens_serve_shed_total"),
-            "query serving front-end metric (ingestion queue, admission control, batching)."
+            help_text("qens_serve_queries_total"),
+            "query serving front-end metric (requests, queries, refused bodies, I/O errors)."
         );
         assert_eq!(
             help_text("qens_node_selected_total"),
@@ -517,7 +517,7 @@ mod tests {
             ("qens_fedlearn_run_query_nanos", "federated round engine"),
             ("qens_fault_retries_total", "injected-fault handling"),
             ("qens_edgesim_query_bytes", "edge network simulation"),
-            ("qens_serve_wait_micros", "query serving front-end"),
+            ("qens_serve_queries_total", "query serving front-end"),
             ("qens_par_queue_wait_nanos", "deterministic thread-pool"),
             ("qens_node_selected_total", "per-node fleet scorecard"),
             ("qens_mlkit_train_nanos", "local training kernel"),

@@ -247,7 +247,7 @@ pub(crate) fn fold(event: &Event) {
         Event::Participated(node) => s.card(node).participated += 1,
         Event::QueryObserved(_) => s.queries += 1,
         Event::FleetObserved(nodes) => s.fleet_size = s.fleet_size.max(nodes),
-        Event::RetrySuccess(..) | Event::CacheInvalidated(..) | Event::AdmissionShed(..) => {}
+        Event::RetrySuccess(..) | Event::CacheInvalidated(..) => {}
     }
 }
 

@@ -90,7 +90,6 @@ fn line(event: &Event) -> Option<Line> {
         Event::CacheInvalidated(q, n) => {
             fleet_level("cache_invalidated", q, [("stale_nodes", n), END])
         }
-        Event::AdmissionShed(q, age) => fleet_level("admission_shed", q, [("age_ms", age), END]),
         Event::Straggled(..)
         | Event::LinkLoss(..)
         | Event::RetrySuccess(..)
@@ -276,19 +275,19 @@ mod tests {
     fn events_carry_typed_fields_and_ticks() {
         let _g = locked();
         let dropout = Event::Dropout(7, 3, 0);
-        let shed = Event::AdmissionShed(9, 125);
+        let invalidated = Event::CacheInvalidated(9, 2);
         emit(&Event::Selected(7, 3, 1, 0));
         // Not an incident: the scorecards take it, the journal does not,
         // and it uses up no tick.
         emit(&Event::Participated(3));
         emit(&dropout);
-        emit(&shed);
+        emit(&invalidated);
         let entries = tail(None);
         assert_eq!(entries.len(), 3);
         assert_eq!(entries[0].tick, 0);
         assert_eq!(entries[1].tick, 1);
         assert_eq!(entries[1].event, dropout);
-        assert_eq!(entries[2].event, shed);
+        assert_eq!(entries[2].event, invalidated);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   promoted, bytes charged).
 //! * Every event may carry up to [`MAX_ARGS`] static-key `u64`
 //!   arguments (node index, round, bytes, …) and is stamped with the
-//!   id of the query whose `query` span is currently open (the root
-//!   span [`crate::profile::QueryObserver::begin`] opens).
+//!   id of the query whose `query` span is open on the recording thread
+//!   (the root span [`crate::profile::QueryObserver::begin`] opens), or
+//!   whose pool task the thread is running ([`task_scope`]).
 //!
 //! # Clocks
 //!
@@ -55,8 +56,8 @@
 //! `chrome://tracing`. Key order is fixed and timestamps are integers
 //! in logical mode, so the export is byte-stable.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -83,11 +84,6 @@ pub enum Clock {
 
 /// The mode flag: 0 = off (the start state), 1 = wall, 2 = logical.
 static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// The id of the query whose `query` span is currently open
-/// (`u64::MAX` = none). Written by the leader; workers read it so
-/// wall-mode events are attributed to the right query.
-static CURRENT_QUERY: AtomicU64 = AtomicU64::new(u64::MAX);
 
 /// The current trace mode (`None` = disabled). One relaxed load on the
 /// hot path.
@@ -219,7 +215,12 @@ thread_local! {
     /// Open-span stack of this thread (for parent assignment).
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
     /// This thread's registration-order id (`u32::MAX` = unassigned).
-    static TID: std::cell::Cell<u32> = const { std::cell::Cell::new(u32::MAX) };
+    static TID: Cell<u32> = const { Cell::new(u32::MAX) };
+    /// The query this thread's events belong to (`u64::MAX` = none): set
+    /// by [`query_span`] on the thread running the query, and by
+    /// [`task_scope`] on whichever thread runs one of its pool tasks, so
+    /// queries answered side by side keep separate trees.
+    static QUERY: Cell<u64> = const { Cell::new(u64::MAX) };
 }
 
 /// Discards every buffered event and resets ticks, span ids, the epoch
@@ -318,7 +319,7 @@ fn record(clock: Clock, phase: Phase, name: &'static str, span: u64, parent: u64
         tid,
         span,
         parent,
-        query: CURRENT_QUERY.load(Ordering::Relaxed),
+        query: QUERY.with(Cell::get),
         args,
     });
     crate::counter!("qens_trace_events_total").incr();
@@ -370,7 +371,7 @@ pub struct Span {
     name: &'static str,
     id: u64,
     clock: Option<Clock>,
-    /// Clear [`CURRENT_QUERY`] on drop (root query spans only).
+    /// Clear the thread's query on drop (root query spans only).
     owns_query: bool,
     timer: Option<(&'static Histogram, Instant)>,
 }
@@ -439,7 +440,7 @@ impl Drop for Span {
             Args::default(),
         );
         if self.owns_query {
-            CURRENT_QUERY.store(u64::MAX, Ordering::Relaxed);
+            QUERY.with(|q| q.set(u64::MAX));
         }
     }
 }
@@ -462,24 +463,58 @@ pub fn wall_span(name: &'static str, args: &[(&'static str, u64)]) -> Span {
 }
 
 /// Opens the root span of one query's pipeline and stamps every event
-/// until it drops with `query_id`. Only
-/// [`crate::profile::QueryObserver`] opens it, on the leader, which runs
-/// one query at a time.
+/// this thread records until it drops with `query_id`. Only
+/// [`crate::profile::QueryObserver`] opens it, on the thread that runs
+/// the query; other threads may run other queries meanwhile.
 pub(crate) fn query_span(query_id: u64) -> Span {
     // Stamp the query id *before* the Begin event records, so the root
     // "query" span is itself attributed to its query — the tree
     // [`snapshot_query`] hands the flight recorder would otherwise miss
     // its root Begin and be unbalanced.
     if mode().is_some() {
-        CURRENT_QUERY.store(query_id, Ordering::Relaxed);
+        QUERY.with(|q| q.set(query_id));
     }
     let mut s = span("query", &[("query", query_id)]);
     if s.clock.is_some() {
         s.owns_query = true;
     } else {
-        CURRENT_QUERY.store(u64::MAX, Ordering::Relaxed);
+        QUERY.with(|q| q.set(u64::MAX));
     }
     s
+}
+
+/// The query the calling thread records for (`u64::MAX` = none). A pool
+/// task captures it when it is submitted and hands it to [`task_scope`].
+pub fn current_query() -> u64 {
+    QUERY.with(Cell::get)
+}
+
+/// Runs the rest of a pool task for `query`, whichever thread picked it
+/// up: a worker, its submitter, or another query's submitter helping to
+/// drain the queue. Until the guard drops, this thread stamps `query` on
+/// its events and starts from an empty span stack, so the task's spans
+/// are roots on this thread's track, as on a worker, and never children
+/// of a span another query left open here.
+pub fn task_scope(query: u64) -> TaskScope {
+    TaskScope {
+        query: QUERY.with(|q| q.replace(query)),
+        stack: SPAN_STACK.with(|s| std::mem::take(&mut *s.borrow_mut())),
+    }
+}
+
+/// The thread's own query and span stack, put back on drop; see
+/// [`task_scope`].
+#[derive(Debug)]
+pub struct TaskScope {
+    query: u64,
+    stack: Vec<u64>,
+}
+
+impl Drop for TaskScope {
+    fn drop(&mut self) {
+        QUERY.with(|q| q.set(self.query));
+        SPAN_STACK.with(|s| *s.borrow_mut() = std::mem::take(&mut self.stack));
+    }
 }
 
 /// Records a point event from a **deterministic** call site (recorded

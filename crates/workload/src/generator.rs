@@ -27,16 +27,6 @@ pub enum WorkloadKind {
         /// Gaussian spread around each hotspot, as a span fraction.
         spread_frac: f64,
     },
-    /// Centres drawn from caller-supplied anchor points (typically actual
-    /// data points sampled from the nodes), guaranteeing every query
-    /// lands where data exists. This is how real analytic workloads
-    /// behave — nobody queries an empty region on purpose.
-    DataAnchored {
-        /// Anchor points (each of the space's dimensionality).
-        anchors: Vec<Vec<f64>>,
-        /// Gaussian jitter around the chosen anchor, as a span fraction.
-        jitter_frac: f64,
-    },
 }
 
 /// Workload configuration.
@@ -115,15 +105,6 @@ pub fn generate(space: &HyperRect, config: &WorkloadConfig) -> QueryWorkload {
         }
         _ => Vec::new(),
     };
-    if let WorkloadKind::DataAnchored { anchors, .. } = &config.kind {
-        assert!(
-            !anchors.is_empty(),
-            "data-anchored workload needs anchor points"
-        );
-        for a in anchors {
-            assert_eq!(a.len(), dim, "anchor dimensionality mismatch");
-        }
-    }
     // Drifting mean starts at the space centre.
     let mut walk = space.center();
 
@@ -163,18 +144,6 @@ pub fn generate(space: &HyperRect, config: &WorkloadConfig) -> QueryWorkload {
                     })
                     .collect()
             }
-            WorkloadKind::DataAnchored {
-                anchors,
-                jitter_frac,
-            } => {
-                let a = &anchors[rng.gen_range(0..anchors.len())];
-                (0..dim)
-                    .map(|d| {
-                        (a[d] + lrng::normal(&mut rng, 0.0, jitter_frac * spans[d]))
-                            .clamp(space.interval(d).lo(), space.interval(d).hi())
-                    })
-                    .collect()
-            }
         };
 
         let intervals: Vec<Interval> = (0..dim)
@@ -208,12 +177,10 @@ pub fn generate(space: &HyperRect, config: &WorkloadConfig) -> QueryWorkload {
 /// The query's extent on one dimension: `centre ± half`, with *both*
 /// bounds clamped into the space and inverted results pinned to a point.
 ///
-/// Clamping only the low bound up and the high bound down (the previous
-/// inline form) is not enough on its own when a centre can sit outside
-/// the space — e.g. a [`WorkloadKind::DataAnchored`] anchor taken from a
-/// node whose data exceeds the queried sub-space: `centre + half` could
-/// then undershoot `space.lo()` and flip the interval. Clamping both
-/// bounds into `[lo, hi]` makes containment unconditional.
+/// Clamping only the low bound up and the high bound down is not enough
+/// on its own when a centre sits outside the space: `centre + half`
+/// could then undershoot `space.lo()` and flip the interval. Clamping
+/// both bounds into `[lo, hi]` makes containment unconditional.
 fn clamped_query_interval(center: f64, half: f64, space: &Interval) -> Interval {
     let lo = (center - half).clamp(space.lo(), space.hi());
     let hi = (center + half).clamp(space.lo(), space.hi());
@@ -251,12 +218,10 @@ mod tests {
         }
     }
 
-    /// Boundary-containment pin for **all four** workload kinds: no
-    /// generated query may extend past `QueryWorkload::space`, even with
-    /// aggressive spreads, near-full-span half-widths (the
-    /// centre ± half overshoot case) and — the hardest case —
-    /// data-anchored centres whose anchors lie entirely *outside* the
-    /// generated space.
+    /// Boundary-containment pin for every workload kind: no generated
+    /// query may extend past `QueryWorkload::space`, even with
+    /// aggressive spreads and near-full-span half-widths (the
+    /// centre ± half overshoot case).
     #[test]
     fn queries_stay_inside_the_space() {
         let kinds = [
@@ -268,17 +233,6 @@ mod tests {
             WorkloadKind::Hotspot {
                 hotspots: 3,
                 spread_frac: 0.3,
-            },
-            WorkloadKind::DataAnchored {
-                // In-space, boundary and far-out-of-space anchors.
-                anchors: vec![
-                    vec![50.0, 0.0],
-                    vec![0.0, -50.0],
-                    vec![100.0, 50.0],
-                    vec![-300.0, 400.0],
-                    vec![1e6, -1e6],
-                ],
-                jitter_frac: 0.2,
             },
         ];
         for kind in kinds {
@@ -324,9 +278,15 @@ mod tests {
             Interval::new(0.0, 2.5)
         );
         // Centre far below the space: both bounds clamp to space.lo().
-        assert_eq!(clamped_query_interval(-50.0, 2.0, &s), Interval::point(0.0));
+        assert_eq!(
+            clamped_query_interval(-50.0, 2.0, &s),
+            Interval::new(0.0, 0.0)
+        );
         // Centre far above: both bounds clamp to space.hi().
-        assert_eq!(clamped_query_interval(50.0, 2.0, &s), Interval::point(10.0));
+        assert_eq!(
+            clamped_query_interval(50.0, 2.0, &s),
+            Interval::new(10.0, 10.0)
+        );
     }
 
     #[test]
@@ -405,51 +365,6 @@ mod tests {
     fn bad_halfwidths_rejected() {
         let cfg = WorkloadConfig {
             halfwidth_frac: (0.5, 0.2),
-            ..WorkloadConfig::paper_default(0)
-        };
-        generate(&space(), &cfg);
-    }
-
-    #[test]
-    fn data_anchored_queries_contain_their_anchor_region() {
-        let anchors = vec![vec![10.0, -40.0], vec![90.0, 40.0]];
-        let cfg = WorkloadConfig {
-            kind: WorkloadKind::DataAnchored {
-                anchors: anchors.clone(),
-                jitter_frac: 0.01,
-            },
-            halfwidth_frac: (0.2, 0.3),
-            ..WorkloadConfig::paper_default(19)
-        };
-        let w = generate(&space(), &cfg);
-        // Every query centre sits near one of the anchors.
-        for q in &w.queries {
-            let c = q.region().center();
-            let near = anchors
-                .iter()
-                .any(|a| (c[0] - a[0]).abs() < 20.0 && (c[1] - a[1]).abs() < 20.0);
-            assert!(near, "query centre {c:?} far from every anchor");
-        }
-        // Both anchors get used.
-        let near_first = w
-            .queries
-            .iter()
-            .filter(|q| (q.region().center()[0] - 10.0).abs() < 20.0)
-            .count();
-        assert!(
-            near_first > 20 && near_first < 180,
-            "anchor mix skewed: {near_first}/200"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "anchor dimensionality mismatch")]
-    fn data_anchored_checks_dimensions() {
-        let cfg = WorkloadConfig {
-            kind: WorkloadKind::DataAnchored {
-                anchors: vec![vec![1.0]],
-                jitter_frac: 0.1,
-            },
             ..WorkloadConfig::paper_default(0)
         };
         generate(&space(), &cfg);

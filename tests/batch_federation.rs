@@ -1,6 +1,5 @@
-//! Integration tests for batched federation serving
-//! ([`Federation::run_batch`], the engine behind the query-serving
-//! batcher):
+//! Integration tests for batched federation runs
+//! ([`Federation::run_batch`]):
 //!
 //! * batched and per-query execution must be **bitwise identical** —
 //!   every selection ranking, every model weight, every loss — for the
@@ -31,9 +30,8 @@ fn builder(seed: u64) -> FederationBuilder {
         .selection_cache_bucket(20.0)
 }
 
-/// A workload with deliberate bucket structure: repeats (same cache
-/// bucket, the coalescing case), a slight drift (same bucket after
-/// quantization) and a distinct sub-region.
+/// A workload with repeats (memo hits), a slight drift and a distinct
+/// sub-region.
 fn bucketed_queries(fed: &Federation) -> Vec<Query> {
     vec![
         fed.query_from_bounds(0, &[0.0, 20.0, 0.0, 45.0]),
@@ -137,9 +135,6 @@ fn a_batch_is_timed_once_as_a_batch() {
 #[test]
 fn admission_config_flows_builder_to_federation() {
     let cfg = AdmissionConfig {
-        queue_depth: 7,
-        deadline_ms: Some(1500),
-        batch_max: 4,
         body_cap_bytes: 1024,
     };
     let fed = FederationBuilder::new()

@@ -122,13 +122,7 @@ fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
                 _ => wl.queries[i].clone(),
             })
             .collect();
-        let cached = CachedQueryDriven::new(
-            plain.clone(),
-            CacheConfig {
-                capacity: 16,
-                ..CacheConfig::default()
-            },
-        );
+        let cached = CachedQueryDriven::new(plain.clone(), CacheConfig { capacity: 16 });
         for threads in [1usize, 2, 4] {
             let pool = ThreadPool::new(threads);
             let before = cached.stats();

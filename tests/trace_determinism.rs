@@ -151,3 +151,74 @@ fn export_filters_by_query_id() {
         "filtered export must only contain the requested query"
     );
 }
+
+/// How many `name` spans begin in `events`.
+fn begins(events: &[trace::TraceEvent], name: &str) -> usize {
+    events
+        .iter()
+        .filter(|e| e.name == name && e.phase == trace::Phase::Begin)
+        .count()
+}
+
+#[test]
+fn concurrent_traced_queries_keep_their_own_trees() {
+    let _g = lock();
+    let fed = FederationBuilder::new()
+        .heterogeneous_nodes(4, 60)
+        .clusters_per_node(3)
+        .seed(7)
+        .epochs(2)
+        .threads(2)
+        .build();
+    let bounds = [0.0, 20.0, 0.0, 45.0];
+    let policy = PolicyKind::query_driven(2);
+    trace::set_mode(Some(trace::Clock::Wall));
+    // Alone, one query's tree holds every pool task of its round; the
+    // same rectangle always submits the same tasks.
+    trace::clear();
+    fed.run_query(&fed.query_from_bounds(999, &bounds), &policy)
+        .expect("query runs");
+    let tasks = begins(&trace::snapshot_query(999), "par.task");
+    assert!(tasks > 0, "the round must use the pool");
+    trace::clear();
+    // Two threads answer queries side by side on one federation, as the
+    // server's connection threads do; each also helps drain the shared
+    // pool, so it may run a task of the other's query.
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let (fed, policy) = (&fed, &policy);
+            s.spawn(move || {
+                for i in 0..20 {
+                    let q = fed.query_from_bounds(100 * t + i, &bounds);
+                    fed.run_query(&q, policy).expect("query runs");
+                }
+            });
+        }
+    });
+    let trees: Vec<(u64, Vec<trace::TraceEvent>)> = (0..2u64)
+        .flat_map(|t| (0..20).map(move |i| 100 * t + i))
+        .map(|id| (id, trace::snapshot_query(id)))
+        .collect();
+    trace::set_mode(None);
+    trace::clear();
+    for (id, events) in trees {
+        let ends = events
+            .iter()
+            .filter(|e| e.name == "query" && e.phase == trace::Phase::End)
+            .count();
+        assert_eq!(
+            (begins(&events, "query"), ends),
+            (1, 1),
+            "query {id} must have exactly one root span"
+        );
+        trace::validate_structure(&events)
+            .unwrap_or_else(|e| panic!("query {id}'s tree is malformed: {e}"));
+        // Wherever a task ran, it is stamped with the query that
+        // submitted it.
+        assert_eq!(
+            begins(&events, "par.task"),
+            tasks,
+            "query {id} must own exactly its own pool tasks"
+        );
+    }
+}
