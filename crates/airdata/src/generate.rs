@@ -211,14 +211,6 @@ pub fn generate_station(profile: &StationProfile, config: &GeneratorConfig) -> S
     }
 }
 
-/// Generates all 12 stations with the same configuration.
-pub fn generate_all(config: &GeneratorConfig) -> Vec<StationData> {
-    StationProfile::all()
-        .iter()
-        .map(|p| generate_station(p, config))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,13 +387,5 @@ mod tests {
             let b = r.get(Feature::Pm10);
             assert!(a == b || (a.is_nan() && b.is_nan()));
         }
-    }
-
-    #[test]
-    fn generate_all_produces_twelve_stations() {
-        let all = generate_all(&GeneratorConfig::short(20, 1));
-        assert_eq!(all.len(), 12);
-        let names: Vec<&str> = all.iter().map(|s| s.station.as_str()).collect();
-        assert_eq!(names, crate::schema::STATIONS.to_vec());
     }
 }

@@ -44,16 +44,6 @@ pub fn forward_fill(data: &mut StationData) -> usize {
     imputed
 }
 
-/// Drops records that still contain missing values (use instead of
-/// [`forward_fill`] when unbiased marginals matter more than length).
-///
-/// Returns the number of records removed.
-pub fn drop_incomplete(data: &mut StationData) -> usize {
-    let before = data.records.len();
-    data.records.retain(|r| r.is_complete());
-    before - data.records.len()
-}
-
 /// Fraction of missing cells remaining.
 pub fn missing_cells(data: &StationData) -> usize {
     data.records
@@ -159,13 +149,5 @@ mod tests {
         forward_fill(&mut data);
         assert!(is_fully_observed(&data));
         assert_eq!(data.records[0].get(Feature::O3), 0.0);
-    }
-
-    #[test]
-    fn drop_incomplete_keeps_only_complete_records() {
-        let mut data = noisy();
-        let removed = drop_incomplete(&mut data);
-        assert!(removed > 0);
-        assert!(is_fully_observed(&data));
     }
 }

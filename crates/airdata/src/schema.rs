@@ -88,11 +88,6 @@ impl Feature {
         }
     }
 
-    /// Parses a CSV header name.
-    pub fn from_csv_name(name: &str) -> Option<Feature> {
-        Feature::ALL.iter().copied().find(|f| f.csv_name() == name)
-    }
-
     /// Physically sensible lower bound used to clamp generated values.
     pub fn floor(self) -> f64 {
         match self {
@@ -148,14 +143,6 @@ mod tests {
         for (i, f) in Feature::ALL.iter().enumerate() {
             assert_eq!(f.index(), i);
         }
-    }
-
-    #[test]
-    fn csv_names_round_trip() {
-        for f in Feature::ALL {
-            assert_eq!(Feature::from_csv_name(f.csv_name()), Some(f));
-        }
-        assert_eq!(Feature::from_csv_name("nope"), None);
     }
 
     #[test]

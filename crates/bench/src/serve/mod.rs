@@ -496,7 +496,7 @@ fn respond(
                 .split_once('?')
                 .map(|(_, q)| q)
                 .and_then(|q| q.split('&').find_map(|kv| kv.strip_prefix("n=")))
-                .and_then(|v| v.parse::<usize>().ok());
+                .and_then(http::parse_unsigned::<usize>);
             let body = telemetry::journal::to_jsonl(telemetry::trace::Clock::Wall, tail);
             write_response(
                 stream,
@@ -545,12 +545,13 @@ pub fn cache_stats_json() -> String {
 }
 
 /// Renders one node's scorecard for `/nodes/<id>`. Accepts a bare index
-/// (`3`) or the node display form (`n3`); `None` for unparseable ids and
-/// indices outside the observed fleet. The deterministic scorecard JSON
+/// (`3`) or the node display form (`n3`); `None` for an id that is
+/// anything but digits after the optional `n` (`+3` and `n+3` too) and
+/// for indices outside the observed fleet. The deterministic scorecard JSON
 /// gets the live-only wall-time field appended — this endpoint reports
 /// what the process measured, not the reproducible export.
 fn node_scorecard_json(id: &str) -> Option<String> {
-    let idx: u64 = id.strip_prefix('n').unwrap_or(id).parse().ok()?;
+    let idx: u64 = http::parse_unsigned(id.strip_prefix('n').unwrap_or(id))?;
     let card = telemetry::fleet::scorecard(idx)?;
     let mut body = String::with_capacity(256);
     card.write_json(&mut body);
@@ -897,18 +898,30 @@ mod tests {
             body.contains("\"last_selected_query\":21") && body.contains("\"gini\":"),
             "scorecards must attribute the served query: {body}"
         );
-        let (status, body) = get(server.addr(), "/nodes/n0").unwrap();
-        assert!(
-            status == 200 && body.contains("\"train_wall_nanos\":"),
-            "node display ids must resolve: {status} {body}"
-        );
+        for id in ["/nodes/n0", "/nodes/3", "/nodes/n3"] {
+            let (status, body) = get(server.addr(), id).unwrap();
+            assert!(
+                status == 200 && body.contains("\"train_wall_nanos\":"),
+                "node ids and display ids must resolve: {id} {status} {body}"
+            );
+        }
+        // Only digits name a node: a sign is not part of an id.
+        for signed in ["/nodes/+3", "/nodes/n+3", "/nodes/-3", "/nodes/n"] {
+            let (status, _) = get(server.addr(), signed).unwrap();
+            assert_eq!(status, 404, "{signed}");
+        }
+        let lines = |body: &str| body.lines().filter(|l| !l.is_empty()).count();
         let (status, body) = get(server.addr(), "/events?n=4").unwrap();
         assert_eq!(status, 200);
-        assert!(
-            body.lines().filter(|l| !l.is_empty()).count() <= 4,
-            "the n= cap must bound the tail: {body}"
-        );
+        assert!(lines(&body) <= 4, "the n= cap must bound the tail: {body}");
         assert!(body.contains("\"kind\":\"node_selected\""), "got: {body}");
+        // A signed n is no number: like any other non-digit n, it is
+        // ignored and the whole journal comes back, not a one-line tail.
+        for n in ["x", "+1"] {
+            let (status, body) = get(server.addr(), &format!("/events?n={n}")).unwrap();
+            assert_eq!(status, 200);
+            assert!(lines(&body) > 1, "n={n}: {body}");
+        }
         // The fleet series ride along on /metrics.
         let (status, body) = get(server.addr(), "/metrics").unwrap();
         assert_eq!(status, 200);

@@ -7,8 +7,7 @@
 //! into its quantisation — and therefore into the summaries it ships to
 //! the leader — at `O(batch · K · d)` cost per update.
 
-use linalg::rng::Rng;
-use linalg::{ops, rng, Matrix};
+use linalg::{ops, Matrix};
 
 use crate::kmeans::{KMeans, KMeansConfig};
 
@@ -18,8 +17,6 @@ pub struct MiniBatchKMeans {
     centroids: Matrix,
     /// Per-centroid assignment counts (the inverse learning rates).
     counts: Vec<u64>,
-    seed: u64,
-    updates: u64,
 }
 
 impl MiniBatchKMeans {
@@ -34,8 +31,6 @@ impl MiniBatchKMeans {
         Self {
             centroids: fitted.centroids().clone(),
             counts,
-            seed,
-            updates: 0,
         }
     }
 
@@ -77,7 +72,6 @@ impl MiniBatchKMeans {
             self.centroids.cols(),
             "batch dimensionality mismatch"
         );
-        self.updates += 1;
         // Assign first (against frozen centroids), then move — the
         // standard two-phase mini-batch step.
         let assignments: Vec<usize> = batch.row_iter().map(|r| self.predict(r)).collect();
@@ -89,25 +83,6 @@ impl MiniBatchKMeans {
                 *ci += eta * (xi - *ci);
             }
         }
-    }
-
-    /// Reseeds a centroid that has gone stale (rarely assigned) onto a
-    /// random sample of `batch`; returns how many were reseeded.
-    ///
-    /// Staleness: assigned to fewer than `min_share` of the points seen.
-    pub fn reseed_stale(&mut self, batch: &Matrix, min_share: f64) -> usize {
-        let total = self.total_count().max(1);
-        let mut rng = rng::rng_for(self.seed, 0x5EED ^ self.updates);
-        let mut reseeded = 0;
-        for c in 0..self.k() {
-            if (self.counts[c] as f64 / total as f64) < min_share {
-                let pick = rng.gen_range(0..batch.rows());
-                self.centroids.row_mut(c).copy_from_slice(batch.row(pick));
-                self.counts[c] = 1;
-                reseeded += 1;
-            }
-        }
-        reseeded
     }
 
     /// Quantisation loss of the current centroids over a dataset.
@@ -175,11 +150,7 @@ mod tests {
         let init = blob_batch(&[[0.0, 0.0]], 30, 4);
         let mut mb = MiniBatchKMeans::new(&init, 2, 5);
         let new_region = blob_batch(&[[50.0, 50.0]], 30, 6);
-        for _ in 0..40 {
-            mb.update(&new_region);
-        }
-        mb.reseed_stale(&new_region, 0.05);
-        for _ in 0..10 {
+        for _ in 0..50 {
             mb.update(&new_region);
         }
         let nearest = (0..mb.k())
@@ -189,16 +160,6 @@ mod tests {
             nearest < 5.0,
             "no centroid migrated to the new region ({nearest})"
         );
-    }
-
-    #[test]
-    fn reseed_stale_touches_only_underused_centroids() {
-        let init = blob_batch(&CENTERS, 20, 8);
-        let mut mb = MiniBatchKMeans::new(&init, 3, 9);
-        // Every centroid has a healthy share: nothing reseeds.
-        assert_eq!(mb.reseed_stale(&init, 0.01), 0);
-        // An absurd share threshold reseeds everything.
-        assert_eq!(mb.reseed_stale(&init, 1.1), 3);
     }
 
     #[test]

@@ -93,7 +93,12 @@ fn cardinality_estimate_bounds() {
         let m = KMeans::fit(&data, &KMeansConfig::with_k(4, seed));
         let sums = summary::summarize(&data, &m);
         let bounds = geom::HyperRect::bounding_points(data.row_iter()).unwrap();
-        let all = Query::new(0, bounds.expanded(1.0));
+        let grown: Vec<f64> = bounds
+            .to_boundary_vec()
+            .chunks(2)
+            .flat_map(|b| [b[0] - 1.0, b[1] + 1.0])
+            .collect();
+        let all = Query::from_boundary_vec(0, &grown);
         let est = estimate::node_cardinality(&sums, &all);
         assert!(
             (est - data.rows() as f64).abs() < 1e-6,

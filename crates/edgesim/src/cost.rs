@@ -94,19 +94,6 @@ impl CostModel {
     pub fn transfer_seconds(&self, bytes: usize) -> f64 {
         self.latency_seconds + bytes as f64 / self.bytes_per_second
     }
-
-    /// Round time when participants work in parallel and the leader waits
-    /// for the slowest: `max_i(train_i + transfer_i)`.
-    ///
-    /// Returns 0 for an empty slice.
-    pub fn parallel_round_seconds(&self, per_node: &[(usize, f64, usize)]) -> f64 {
-        per_node
-            .iter()
-            .map(|&(visits, capacity, bytes)| {
-                self.training_seconds(visits, capacity) + self.transfer_seconds(bytes)
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -133,18 +120,6 @@ mod tests {
         };
         assert!((m.transfer_seconds(100) - 1.5).abs() < 1e-12);
         assert!((m.transfer_seconds(0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_round_is_the_slowest_node() {
-        let m = CostModel {
-            seconds_per_sample_visit: 1.0,
-            bytes_per_second: 1e9,
-            latency_seconds: 0.0,
-        };
-        let t = m.parallel_round_seconds(&[(10, 1.0, 0), (10, 0.5, 0), (5, 1.0, 0)]);
-        assert!((t - 20.0).abs() < 1e-9);
-        assert_eq!(m.parallel_round_seconds(&[]), 0.0);
     }
 
     #[test]

@@ -48,16 +48,6 @@ impl SpaceScaler {
         }
     }
 
-    fn back(&self, d: usize, v: f64) -> f64 {
-        let (lo, hi) = self.bounds[d];
-        let span = hi - lo;
-        if span > 0.0 {
-            v * span + lo
-        } else {
-            lo
-        }
-    }
-
     /// Scales a supervised dataset (features = dims `0..d-1`, label =
     /// dim `d-1`) onto the unit cube.
     ///
@@ -81,16 +71,6 @@ impl SpaceScaler {
         }
         let y: Vec<f64> = data.y().iter().map(|&v| self.fwd(d, v)).collect();
         DenseDataset::new(x, y)
-    }
-
-    /// Scales a label value back to the original units.
-    pub fn inverse_label(&self, v: f64) -> f64 {
-        self.back(self.dim() - 1, v)
-    }
-
-    /// Scales a label value into the unit space.
-    pub fn scale_label(&self, v: f64) -> f64 {
-        self.fwd(self.dim() - 1, v)
     }
 
     /// Converts a *scaled-space* MSE back to original label units
@@ -124,14 +104,6 @@ mod tests {
         let t = scaler().transform_dataset(&toy());
         assert_eq!(t.x().col(0), vec![0.0, 0.5, 1.0]);
         assert_eq!(t.y(), &[0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn label_round_trip() {
-        let s = scaler();
-        for v in [100.0, 150.0, 299.0] {
-            assert!((s.inverse_label(s.scale_label(v)) - v).abs() < 1e-9);
-        }
     }
 
     #[test]

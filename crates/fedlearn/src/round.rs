@@ -1,6 +1,5 @@
-//! The federation round engine (§IV-B): selection → local training →
-//! aggregation, for one query ([`run_query`]) or a batch that shares its
-//! training waves ([`run_batch`]).
+//! The federation round engine (§IV-B): one query's selection → local
+//! training → aggregation ([`run_query`]).
 
 use std::time::Instant;
 
@@ -276,60 +275,7 @@ pub fn run_query(
     // finished tree to the flight recorder and the latency to the SLO
     // tracker.
     let _observer = telemetry::profile::QueryObserver::begin(query.id());
-    let mut outcomes = run_rounds(network, std::slice::from_ref(query), policy, config);
-    outcomes.pop().expect("one query, one outcome")
-}
-
-/// Runs a batch of queries under one policy and configuration,
-/// returning one `Result` per query in input order.
-///
-/// A single query is [`run_query`]. Several go through the same round
-/// engine together: the leader still selects, accounts and aggregates
-/// per query, but each training wave trains the pending participants of
-/// every live query at once. A participant's local model is a pure
-/// function of `(config, query id, node id, round, broadcast model,
-/// stages)`, so how jobs are grouped into waves cannot change any of
-/// them: every outcome — global model, selection, fault trace, ledger —
-/// is bit-identical to calling [`run_query`] on that query alone, under
-/// faults, deadlines and multi-round refinement too.
-///
-/// Telemetry differences vs. the unbatched path: a batch of several
-/// opens one `fedlearn.batch` span instead of a query observer per
-/// query. So it traces one `fedlearn.batch` node instead of a `query`
-/// root per query, feeds neither the flight recorder nor the SLO
-/// tracker, and fills `qens_fedlearn_run_batch_nanos` once instead of
-/// `qens_fedlearn_run_query_nanos` once per query. Counters and the
-/// accounting ledger are untouched.
-pub fn run_batch(
-    network: &EdgeNetwork,
-    queries: &[Query],
-    policy: &dyn SelectionPolicy,
-    config: &FederationConfig,
-) -> Vec<Result<RoundOutcome, FederationError>> {
-    match queries {
-        [] => Vec::new(),
-        [query] => vec![run_query(network, query, policy, config)],
-        _ => {
-            if let Err(reason) = check_config(config) {
-                return queries
-                    .iter()
-                    .map(|q| {
-                        Err(FederationError::UnsupportedConfig {
-                            query_id: q.id(),
-                            reason: reason.clone(),
-                        })
-                    })
-                    .collect();
-            }
-            // No QueryObserver here, so the fleet registry counts the
-            // batch's queries itself.
-            for query in queries {
-                telemetry::emit(&Event::QueryObserved(query.id()));
-            }
-            let _span = telemetry::span("fedlearn.batch", &[("queries", queries.len() as u64)]);
-            run_rounds(network, queries, policy, config)
-        }
-    }
+    run_rounds(network, query, policy, config)
 }
 
 /// What every stage reads and none writes.
@@ -377,11 +323,9 @@ impl Env<'_> {
     }
 }
 
-/// One query in flight through the round engine: everything the stages
+/// The query in flight through the round engine: everything the stages
 /// read and write for it.
 struct Flight<'a> {
-    /// Index of the query in the caller's slice.
-    slot: usize,
     ctx: SelectionContext<'a>,
     selection: Selection,
     /// Standbys already consumed from `selection.standby`.
@@ -401,11 +345,6 @@ struct Flight<'a> {
     model_bytes: usize,
     global: Option<GlobalModel>,
     ledger: RoundLedger,
-    /// Cohort indices the next fate pass decides.
-    pending: Vec<usize>,
-    /// The last fate pass's attempters (cohort index, slowdown), in
-    /// roster order.
-    attempters: Vec<(usize, f64)>,
 }
 
 impl Flight<'_> {
@@ -496,26 +435,24 @@ impl RoundLedger {
     }
 }
 
-/// The round engine (§IV-B) over queries that share one policy and one
-/// configuration: `prepare` each query, then per communication round
-/// `fates` → one [`train_wave`] over every live query → `deliver` →
-/// `promote`, repeated while some query is below quorum and has
-/// standbys left, then `close_round`. Leader-side stages run serially
-/// in query order, so traces and journals are deterministic at any pool
-/// size. Expects a configuration that passed [`check_config`].
-fn run_rounds<'a>(
-    network: &'a EdgeNetwork,
-    queries: &'a [Query],
-    policy: &'a dyn SelectionPolicy,
-    config: &'a FederationConfig,
-) -> Vec<Result<RoundOutcome, FederationError>> {
+/// The round engine (§IV-B): `prepare` the query, then per
+/// communication round `fates` → [`train_wave`] → `deliver` → `promote`,
+/// repeated while the round is below quorum and has standbys left, then
+/// `close_round`. Leader-side stages run serially, so traces and
+/// journals are deterministic at any pool size. Expects a configuration
+/// that passed [`check_config`].
+fn run_rounds(
+    network: &EdgeNetwork,
+    query: &Query,
+    policy: &dyn SelectionPolicy,
+    config: &FederationConfig,
+) -> Result<RoundOutcome, FederationError> {
     // No node holds rows (every node is summary-only): there is no data
     // space to scale over and nothing any cohort could train on.
     if network.total_samples() == 0 {
-        return queries
-            .iter()
-            .map(|q| Err(FederationError::NoTrainingData { query_id: q.id() }))
-            .collect();
+        return Err(FederationError::NoTrainingData {
+            query_id: query.id(),
+        });
     }
     let env = Env {
         network,
@@ -524,73 +461,27 @@ fn run_rounds<'a>(
         scaler: SpaceScaler::from_space(&network.global_space()),
         sized_pool: config.threads.map(par::sized),
     };
-    let mut slots: Vec<Option<Result<RoundOutcome, FederationError>>> =
-        queries.iter().map(|_| None).collect();
-    let mut flights: Vec<Flight> = Vec::with_capacity(queries.len());
-    for (slot, query) in queries.iter().enumerate() {
-        match prepare(&env, slot, query) {
-            Ok(flight) => flights.push(flight),
-            Err(e) => slots[slot] = Some(Err(e)),
-        }
-    }
+    let mut f = prepare(&env, query)?;
     for round in 0..config.rounds {
-        if flights.is_empty() {
-            break;
-        }
         let _round_span = telemetry::span("fedlearn.round", &[("round", round as u64)]);
-        for f in &mut flights {
-            f.pending = (0..f.cohort.len()).collect();
-        }
-        let mut lost: Vec<usize> = Vec::new();
-        let mut live: Vec<usize> = (0..flights.len()).collect();
-        while !live.is_empty() {
-            for &i in &live {
-                fates(&mut flights[i], round);
+        let mut pending: Vec<usize> = (0..f.cohort.len()).collect();
+        loop {
+            let attempters = fates(&mut f, round, pending);
+            let (reports, pooled) = train_wave(&env, &f, &attempters, round);
+            deliver(&env, &mut f, round, attempters, reports, pooled);
+            pending = promote(&env, &mut f, round)?;
+            if pending.is_empty() {
+                break;
             }
-            let (locals, pooled) = train_wave(&env, &flights, &live, round);
-            let mut locals = locals.into_iter();
-            let mut next = Vec::new();
-            for i in live {
-                let f = &mut flights[i];
-                let reports: Vec<LocalResult> = locals.by_ref().take(f.attempters.len()).collect();
-                deliver(&env, f, round, reports, pooled);
-                match promote(&env, f, round) {
-                    Ok(true) => next.push(i),
-                    Ok(false) => {}
-                    Err(e) => {
-                        slots[f.slot] = Some(Err(e));
-                        lost.push(i);
-                    }
-                }
-            }
-            live = next;
         }
-        let mut index = 0;
-        flights.retain(|_| {
-            index += 1;
-            !lost.contains(&(index - 1))
-        });
-        for f in &mut flights {
-            close_round(&env, f, round);
-        }
+        close_round(&env, &mut f, round);
     }
-    for f in flights {
-        let slot = f.slot;
-        slots[slot] = Some(Ok(finish(&env, f)));
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every query slot filled"))
-        .collect()
+    Ok(finish(&env, f))
 }
 
 /// Leader-side prologue for one query: selection, fleet/journal credit,
 /// the training cohort and the selection-overhead ledger.
-fn prepare<'a>(
-    env: &Env<'a>,
-    slot: usize,
-    query: &'a Query,
-) -> Result<Flight<'a>, FederationError> {
+fn prepare<'a>(env: &Env<'a>, query: &'a Query) -> Result<Flight<'a>, FederationError> {
     let network = env.network;
     let ctx = SelectionContext::new(network, query);
     let select_span = telemetry::span("fedlearn.select", &[]);
@@ -663,7 +554,6 @@ fn prepare<'a>(
         .filter(|spec| !spec.is_inert())
         .map(|spec| FaultPlan::for_query(spec.clone(), network.len(), query.id()));
     Ok(Flight {
-        slot,
         ctx,
         selection,
         next_standby: 0,
@@ -676,23 +566,22 @@ fn prepare<'a>(
         broadcast,
         global: None,
         ledger: RoundLedger::default(),
-        pending: Vec::new(),
-        attempters: Vec::new(),
     })
 }
 
-/// Fate pass (serial, roster order) over `f.pending`: crashes and
-/// dropouts leave this round, everyone else becomes an attempter. The
+/// Fate pass (serial, roster order) over the `pending` cohort indices:
+/// crashes and dropouts leave this round, everyone else becomes an
+/// attempter, returned as (cohort index, slowdown) in roster order. The
 /// plan is a pure oracle, so this order affects only the trace layout —
 /// which is exactly what makes the trace bit-identical across runs and
 /// thread counts.
-fn fates(f: &mut Flight, round: usize) {
+fn fates(f: &mut Flight, round: usize, pending: Vec<usize>) -> Vec<(usize, f64)> {
     let fates_span = telemetry::span(
         "fedlearn.fates",
-        &[("round", round as u64), ("pending", f.pending.len() as u64)],
+        &[("round", round as u64), ("pending", pending.len() as u64)],
     );
-    f.attempters.clear();
-    for ci in std::mem::take(&mut f.pending) {
+    let mut attempters = Vec::with_capacity(pending.len());
+    for ci in pending {
         let node = f.cohort[ci].participant.node.0;
         let fate = f
             .plan
@@ -702,7 +591,7 @@ fn fates(f: &mut Flight, round: usize) {
             });
         let event = match fate {
             ParticipantFate::Participates { slowdown } => {
-                f.attempters.push((ci, slowdown));
+                attempters.push((ci, slowdown));
                 if slowdown <= 1.0 {
                     continue;
                 }
@@ -721,48 +610,35 @@ fn fates(f: &mut Flight, round: usize) {
         f.fault(event);
     }
     fates_span.finish();
+    attempters
 }
 
-/// One pool wave training every attempter of every `live` flight, one
-/// job each (chunk size 1), so results land in job order — query, then
-/// attempter — for any worker count. Returns the reports and whether
-/// they trained on the pool. The wave span is leader-side
-/// (deterministic) and covers the pooled and inline branches
-/// identically, so logical-clock profiles attribute training time
-/// regardless of `QENS_THREADS`.
+/// One pool wave training every attempter, one job each (chunk size 1),
+/// so results land in attempter order for any worker count. Returns the
+/// reports and whether they trained on the pool. The wave span is
+/// leader-side (deterministic) and covers the pooled and inline
+/// branches identically, so logical-clock profiles attribute training
+/// time regardless of `QENS_THREADS`.
 fn train_wave(
     env: &Env,
-    flights: &[Flight],
-    live: &[usize],
+    f: &Flight,
+    attempters: &[(usize, f64)],
     round: usize,
 ) -> (Vec<LocalResult>, bool) {
-    let jobs: Vec<(u64, &Model, &CohortMember)> = live
-        .iter()
-        .flat_map(|&i| {
-            let f = &flights[i];
-            f.attempters
-                .iter()
-                .map(move |&(ci, _)| (f.ctx.query.id(), &f.broadcast, &f.cohort[ci]))
-        })
-        .collect();
+    let jobs: Vec<&CohortMember> = attempters.iter().map(|&(ci, _)| &f.cohort[ci]).collect();
     let train_wave_span = telemetry::span(
         "fedlearn.train_wave",
         &[("round", round as u64), ("attempters", jobs.len() as u64)],
     );
-    let config = env.config;
-    let network = env.network;
+    let (config, network) = (env.config, env.network);
+    let (query_id, broadcast) = (f.ctx.query.id(), &f.broadcast);
+    let run = |member| train(network, config, query_id, broadcast, member, round);
     let pool = env.pool();
     let pooled = jobs.len() > 1 && pool.threads() > 1;
     let results = if pooled {
-        pool.map_indexed(&jobs, 1, |_, &(query_id, broadcast, member)| {
-            train(network, config, query_id, broadcast, member, round)
-        })
+        pool.map_indexed(&jobs, 1, |_, &member| run(member))
     } else {
-        jobs.iter()
-            .map(|&(query_id, broadcast, member)| {
-                train(network, config, query_id, broadcast, member, round)
-            })
-            .collect()
+        jobs.into_iter().map(run).collect()
     };
     train_wave_span.finish();
     (results, pooled)
@@ -812,8 +688,6 @@ fn train(
     let wall = start.elapsed().as_secs_f64();
     train_span.finish();
     telemetry::counter!("qens_fedlearn_sample_visits_total").add(report.samples_seen as u64);
-    #[cfg(test)]
-    TRAINED.with(|t| t.borrow_mut().push((query_id, round)));
     LocalResult {
         model,
         samples_used,
@@ -822,24 +696,23 @@ fn train(
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// `(query id, round)` of every job [`train`] ran on this thread:
-    /// all of a call's jobs at a pool size of one.
-    static TRAINED: std::cell::RefCell<Vec<(u64, usize)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Transfer/deadline pass (serial, attempter order) over one flight's
-/// reports from the last wave.
-fn deliver(env: &Env, f: &mut Flight, round: usize, reports: Vec<LocalResult>, pooled: bool) {
+/// Transfer/deadline pass (serial, attempter order) over the last
+/// wave's reports.
+fn deliver(
+    env: &Env,
+    f: &mut Flight,
+    round: usize,
+    attempters: Vec<(usize, f64)>,
+    reports: Vec<LocalResult>,
+    pooled: bool,
+) {
     let walls: Vec<f64> = reports.iter().map(|r| r.wall_seconds).collect();
     f.accounting.wall_seconds += round_wall_seconds(pooled, &walls);
     let transfer_wave_span = telemetry::span(
         "fedlearn.transfer_wave",
         &[("round", round as u64), ("reports", walls.len() as u64)],
     );
-    for ((ci, slowdown), report) in std::mem::take(&mut f.attempters).into_iter().zip(reports) {
+    for ((ci, slowdown), report) in attempters.into_iter().zip(reports) {
         deliver_one(env, f, round, ci, slowdown, report);
     }
     transfer_wave_span.finish();
@@ -931,13 +804,13 @@ fn deliver_one(env: &Env, f: &mut Flight, round: usize, ci: usize, slowdown: f64
 }
 
 /// Quorum check after a pass. Below quorum, promotes ranked standbys to
-/// cover the deficit and queues them for the same round's next pass
-/// (`Ok(true)`); at quorum there is nothing to do (`Ok(false)`); with no
-/// standby left to promote the query has lost its quorum.
-fn promote(env: &Env, f: &mut Flight, round: usize) -> Result<bool, FederationError> {
+/// cover the deficit and returns their cohort indices for the same
+/// round's next pass; at quorum there is nothing to do (no indices);
+/// with no standby left to promote the query has lost its quorum.
+fn promote(env: &Env, f: &mut Flight, round: usize) -> Result<Vec<usize>, FederationError> {
     let survivors = f.ledger.survivors.len();
     if survivors >= f.required {
-        return Ok(false);
+        return Ok(Vec::new());
     }
     let promote_span = telemetry::span("fedlearn.promote", &[("round", round as u64)]);
     let deficit = f.required - survivors;
@@ -959,8 +832,7 @@ fn promote(env: &Env, f: &mut Flight, round: usize) -> Result<bool, FederationEr
     }
     promote_span.finish();
     if !promoted.is_empty() {
-        f.pending = promoted;
-        return Ok(true);
+        return Ok(promoted);
     }
     f.fault(FaultEvent::QuorumLost {
         round,
@@ -1015,7 +887,7 @@ fn close_round(env: &Env, f: &mut Flight, round: usize) {
     f.global = Some(aggregation);
 }
 
-/// The outcome of a flight whose every round closed.
+/// The outcome of a query whose every round closed.
 fn finish(env: &Env, f: Flight) -> RoundOutcome {
     let final_cohort: Vec<Participant> = f.cohort.into_iter().map(|m| m.participant).collect();
     for p in &final_cohort {
@@ -1035,7 +907,7 @@ fn finish(env: &Env, f: Flight) -> RoundOutcome {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use airdata::scenario;
     use selection::{AllNodes, QueryDriven, RandomSelection};
@@ -1115,17 +987,6 @@ pub(crate) mod tests {
             all.accounting.sim_seconds
         );
         assert_eq!(all.accounting.samples_used, net.total_samples());
-    }
-
-    #[test]
-    fn parallel_and_serial_rounds_agree() {
-        let net = network(true);
-        let q = leader_query();
-        let run = |threads| {
-            let cfg = fast_cfg(7).with_thread_count(threads);
-            run_query(&net, &q, &QueryDriven::top_l(3), &cfg).unwrap()
-        };
-        assert_outcomes_identical(&run(4), &run(1));
     }
 
     #[test]
@@ -1344,18 +1205,10 @@ pub(crate) mod tests {
             assert!(out.query_loss(&net, &q).unwrap().is_finite());
         }
         let ghosts = EdgeNetwork::from_nodes((0..3).map(ghost).collect());
-        let queries = [
-            leader_query(),
-            Query::from_boundary_vec(1, &[0.0, 10.0, 0.0, 25.0]),
-        ];
-        let outs = run_batch(&ghosts, &queries, &policy, &fast_cfg(1));
-        assert_eq!(outs.len(), 2);
-        for (out, q) in outs.into_iter().zip(&queries) {
-            let want = FederationError::NoTrainingData { query_id: q.id() };
-            assert_eq!(out.unwrap_err(), want);
+        for q in [q, Query::from_boundary_vec(1, &[0.0, 10.0, 0.0, 25.0])] {
+            let err = run_query(&ghosts, &q, &policy, &fast_cfg(1)).unwrap_err();
+            assert_eq!(err, FederationError::NoTrainingData { query_id: q.id() });
         }
-        let err = run_query(&ghosts, &q, &policy, &fast_cfg(1)).unwrap_err();
-        assert_eq!(err, FederationError::NoTrainingData { query_id: 0 });
     }
 
     // ---------------- fault-injection engine ----------------
@@ -1427,33 +1280,6 @@ pub(crate) mod tests {
         assert_eq!(plain.accounting.retries, 0);
         assert_eq!(plain.accounting.dropped_participants, 0);
         assert_outcomes_identical(&plain, &inert);
-    }
-
-    /// Same seed ⇒ same trace, cohort, accounting and model, for any
-    /// worker count (pinned pools of 1/2/4 workers; a pool of one trains
-    /// inline on the caller's thread).
-    #[test]
-    fn faulty_runs_are_bit_identical_across_thread_counts() {
-        let net = network(true);
-        let q = leader_query();
-        let cfg = fast_cfg(11)
-            .with_faults(FaultSpec::unreliable_edge(42))
-            .with_tolerance(FaultTolerance::full_strength());
-        let reference = run_query(&net, &q, &QueryDriven::top_l(3), &cfg).unwrap();
-        assert!(
-            !reference.fault_trace.is_empty(),
-            "unreliable_edge(42) should fire at least one event"
-        );
-        for threads in [1usize, 2, 4] {
-            let out = run_query(
-                &net,
-                &q,
-                &QueryDriven::top_l(3),
-                &cfg.clone().with_thread_count(threads),
-            )
-            .unwrap();
-            assert_outcomes_identical(&reference, &out);
-        }
     }
 
     /// Degenerate survivor set: certain dropout for everyone and no
@@ -1747,7 +1573,7 @@ pub(crate) mod tests {
         }
     }
 
-    // ---------------- batches ----------------
+    // ---------------- pool sizes ----------------
 
     /// A small mixed workload: repeated rectangles, drifted ones, and a
     /// partly-overlapping one.
@@ -1761,48 +1587,39 @@ pub(crate) mod tests {
         ]
     }
 
-    /// One row of the batch contract table: a configuration under which
-    /// `run_batch` must match a `run_query` loop bit for bit. The
-    /// `batch::tests` module in the crate root runs the rows.
+    /// One row of the pool-size table: a configuration that shapes the
+    /// training waves (none, faults with promotion, several rounds, a
+    /// deadline cut).
     #[derive(Clone, Copy, Debug)]
-    pub(crate) enum BatchCase {
+    enum PoolCase {
         FaultFree,
         UnreliableEdge,
         ThreeRounds,
         StragglerDeadline,
     }
 
-    impl BatchCase {
-        pub(crate) const ALL: [BatchCase; 4] = [
-            BatchCase::FaultFree,
-            BatchCase::UnreliableEdge,
-            BatchCase::ThreeRounds,
-            BatchCase::StragglerDeadline,
-        ];
-    }
-
-    /// The headline contract: a batch is a `run_query` loop, bit for bit
-    /// — models, selections, fault traces and the whole ledger. Runs
-    /// `workload()` under `case` as a `run_query` loop, checks that the
-    /// case exercised its feature, then checks `run_batch` against the
-    /// loop at every pool size in `pools` (`None` is the default pool).
-    pub(crate) fn assert_batch_matches_loop(case: BatchCase, pools: &[Option<usize>]) {
+    /// Runs `workload()` under `case` on the default pool, checks that
+    /// the case exercised its feature, then checks that pinned pools of
+    /// 1, 2 and 4 workers (one trains inline on the caller's thread)
+    /// give the same outcomes bit for bit — models, selections, fault
+    /// traces and the whole ledger — or the same errors.
+    fn assert_pool_sizes_agree(case: PoolCase) {
         let policy = QueryDriven::top_l(3);
         let queries = workload();
         let mut net = network(true);
         type Fired = fn(&RoundOutcome) -> bool;
         let (cfg, fired): (FederationConfig, Fired) = match case {
-            BatchCase::FaultFree => (fast_cfg(7), |o| o.fault_trace.is_empty()),
-            BatchCase::UnreliableEdge => (
+            PoolCase::FaultFree => (fast_cfg(7), |o| o.fault_trace.is_empty()),
+            PoolCase::UnreliableEdge => (
                 fast_cfg(11)
                     .with_faults(FaultSpec::unreliable_edge(42))
                     .with_tolerance(FaultTolerance::full_strength()),
                 |o| !o.fault_trace.is_empty(),
             ),
-            BatchCase::ThreeRounds => (fast_cfg(7).with_rounds(3), |o| {
+            PoolCase::ThreeRounds => (fast_cfg(7).with_rounds(3), |o| {
                 matches!(o.global, GlobalModel::Single(_))
             }),
-            BatchCase::StragglerDeadline => {
+            PoolCase::StragglerDeadline => {
                 // Make the worst-ranked participant of the first query
                 // catastrophically slow, so the deadline cuts it off.
                 let clean = run_query(&net, &queries[0], &policy, &fast_cfg(7)).unwrap();
@@ -1815,96 +1632,51 @@ pub(crate) mod tests {
                 )
             }
         };
-        let solo: Vec<_> = queries
-            .iter()
-            .map(|q| run_query(&net, q, &policy, &cfg))
-            .collect();
+        let run = |threads| {
+            let cfg = FederationConfig {
+                threads,
+                ..cfg.clone()
+            };
+            queries
+                .iter()
+                .map(|q| run_query(&net, q, &policy, &cfg))
+                .collect::<Vec<_>>()
+        };
+        let reference = run(None);
         assert!(
-            solo.iter().flatten().any(fired),
+            reference.iter().flatten().any(fired),
             "{case:?}: the case never exercised its feature"
         );
-        for &pool in pools {
-            let batched = run_batch(
-                &net,
-                &queries,
-                &policy,
-                &FederationConfig {
-                    threads: pool,
-                    ..cfg.clone()
-                },
-            );
-            assert_eq!(batched.len(), queries.len());
-            for (b, s) in batched.iter().zip(&solo) {
-                match (b, s) {
-                    (Ok(b), Ok(s)) => assert_outcomes_identical(b, s),
-                    (Err(eb), Err(es)) => assert_eq!(eb, es),
-                    other => {
-                        panic!("{case:?}, pool {pool:?}: batch and loop diverged: {other:?}")
-                    }
+        for pool in [Some(1), Some(2), Some(4)] {
+            for (out, want) in run(pool).iter().zip(&reference) {
+                match (out, want) {
+                    (Ok(out), Ok(want)) => assert_outcomes_identical(out, want),
+                    (Err(e), Err(want)) => assert_eq!(e, want),
+                    other => panic!("{case:?}, pool {pool:?}: outcomes diverged: {other:?}"),
                 }
             }
         }
     }
 
-    /// Error slots mirror run_query: a query with no participants, or one
-    /// that loses its quorum mid-batch under a fault plan, fails in its
-    /// own slot; its neighbours complete bit-identically to run_query,
-    /// and no later wave trains a job of the failed query.
     #[test]
-    fn error_slots_are_per_query() {
-        let net = network(true);
-        let policy = QueryDriven::top_l(3);
-        let leader = |id| Query::from_boundary_vec(id, &[0.0, 20.0, 0.0, 45.0]);
-        // Node 0 crashes in round 0. The leader queries cover the deficit
-        // from their two standbys; the partial query has one standby, so
-        // it ends one survivor short of the quorum of four.
-        let crash = fast_cfg(3)
-            .with_rounds(3)
-            .with_faults(FaultSpec::none().with_crash(0, 0))
-            .with_tolerance(FaultTolerance::default().with_quorum(Quorum::AtLeast(4)));
-        let cases = [
-            (
-                fast_cfg(3),
-                Query::from_boundary_vec(9, &[1e6, 2e6, 1e6, 2e6]),
-                FederationError::NoParticipants { query_id: 9 },
-            ),
-            (
-                crash,
-                Query::from_boundary_vec(9, &[0.0, 10.0, 0.0, 25.0]),
-                FederationError::QuorumLost {
-                    query_id: 9,
-                    round: 0,
-                    survivors: 3,
-                    required: 4,
-                },
-            ),
-        ];
-        for (cfg, failing, err) in cases {
-            let cfg = cfg.with_thread_count(1);
-            let queries = vec![leader(0), failing, leader(2)];
-            TRAINED.with(|t| t.borrow_mut().clear());
-            let out = run_batch(&net, &queries, &policy, &cfg);
-            let trained = TRAINED.with(|t| t.take());
-            assert_eq!(out[1].as_ref().unwrap_err(), &err);
-            for i in [0, 2] {
-                let solo = run_query(&net, &queries[i], &policy, &cfg).unwrap();
-                assert_outcomes_identical(out[i].as_ref().unwrap(), &solo);
-            }
-            let last_round = |id: u64| {
-                trained
-                    .iter()
-                    .filter(|&&(q, _)| q == id)
-                    .map(|&(_, round)| round)
-                    .max()
-            };
-            assert_eq!(last_round(0), Some(cfg.rounds - 1));
-            assert!(last_round(9) <= Some(0), "the failed query kept training");
-        }
+    fn parallel_and_serial_rounds_agree() {
+        assert_pool_sizes_agree(PoolCase::FaultFree);
+    }
+
+    /// Same seed ⇒ same trace, cohort, accounting and model, for any
+    /// worker count.
+    #[test]
+    fn faulty_runs_are_bit_identical_across_thread_counts() {
+        assert_pool_sizes_agree(PoolCase::UnreliableEdge);
     }
 
     #[test]
-    fn empty_batch_is_empty() {
-        let net = network(true);
-        assert!(run_batch(&net, &[], &QueryDriven::top_l(3), &fast_cfg(1)).is_empty());
+    fn three_round_refinement_agrees_across_pool_sizes() {
+        assert_pool_sizes_agree(PoolCase::ThreeRounds);
+    }
+
+    #[test]
+    fn straggler_deadline_agrees_across_pool_sizes() {
+        assert_pool_sizes_agree(PoolCase::StragglerDeadline);
     }
 }

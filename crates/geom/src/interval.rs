@@ -123,14 +123,6 @@ impl Interval {
         Interval::new(self.lo.min(other.lo), self.hi.max(other.hi))
     }
 
-    /// Grows the interval by `margin` on both sides.
-    ///
-    /// # Panics
-    /// Panics if `margin` is negative enough to invert the interval.
-    pub fn expanded(&self, margin: f64) -> Interval {
-        Interval::new(self.lo - margin, self.hi + margin)
-    }
-
     /// Classifies the relation of a *query* interval (`self`) against a
     /// *cluster* interval per the paper's five cases.
     ///
@@ -437,13 +429,5 @@ mod tests {
                 "ratio {r} for cluster [{lo},{hi}]"
             );
         }
-    }
-
-    #[test]
-    fn expanded_grows_both_sides() {
-        assert_eq!(
-            Interval::new(1.0, 2.0).expanded(0.5),
-            Interval::new(0.5, 2.5)
-        );
     }
 }

@@ -52,22 +52,6 @@ impl Query {
         self.region.to_boundary_vec()
     }
 
-    /// Counts how many of `points` fall inside the query region and
-    /// returns `(inside, total)`.
-    ///
-    /// Used to report per-query data selectivity (Fig. 9).
-    pub fn selectivity<'a>(&self, points: impl Iterator<Item = &'a [f64]>) -> (usize, usize) {
-        let mut inside = 0;
-        let mut total = 0;
-        for p in points {
-            total += 1;
-            if self.region.contains_point(p) {
-                inside += 1;
-            }
-        }
-        (inside, total)
-    }
-
     /// Indices of the `points` that fall inside the query region.
     pub fn filter_indices<'a>(&self, points: impl Iterator<Item = &'a [f64]>) -> Vec<usize> {
         points
@@ -91,32 +75,13 @@ mod tests {
     }
 
     #[test]
-    fn selectivity_counts_inside_points() {
-        let q = Query::from_boundary_vec(0, &[0.0, 1.0, 0.0, 1.0]);
-        let pts: Vec<Vec<f64>> = vec![
-            vec![0.5, 0.5],  // inside
-            vec![1.0, 1.0],  // boundary -> inside
-            vec![2.0, 0.5],  // outside
-            vec![-0.1, 0.5], // outside
-        ];
-        let (inside, total) = q.selectivity(pts.iter().map(|p| p.as_slice()));
-        assert_eq!((inside, total), (2, 4));
-    }
-
-    #[test]
     fn filter_indices_returns_positions() {
         let q = Query::from_boundary_vec(0, &[0.0, 1.0]);
-        let pts: Vec<Vec<f64>> = vec![vec![2.0], vec![0.5], vec![0.9], vec![-1.0]];
+        // A point on the boundary is inside.
+        let pts: Vec<Vec<f64>> = vec![vec![2.0], vec![0.5], vec![0.9], vec![-1.0], vec![1.0]];
         assert_eq!(
             q.filter_indices(pts.iter().map(|p| p.as_slice())),
-            vec![1, 2]
+            vec![1, 2, 4]
         );
-    }
-
-    #[test]
-    fn empty_point_set_has_zero_selectivity() {
-        let q = Query::from_boundary_vec(0, &[0.0, 1.0]);
-        let (inside, total) = q.selectivity(std::iter::empty());
-        assert_eq!((inside, total), (0, 0));
     }
 }

@@ -112,15 +112,6 @@ impl HyperRect {
         self.dims.iter().zip(point).all(|(i, &x)| i.contains(x))
     }
 
-    /// True when the rectangles share at least one point.
-    pub fn intersects(&self, other: &HyperRect) -> bool {
-        assert_eq!(self.dim(), other.dim(), "rect dimensionality mismatch");
-        self.dims
-            .iter()
-            .zip(&other.dims)
-            .all(|(a, b)| a.intersects(b))
-    }
-
     /// The intersection rectangle, or `None` when disjoint on any axis.
     pub fn intersection(&self, other: &HyperRect) -> Option<HyperRect> {
         assert_eq!(self.dim(), other.dim(), "rect dimensionality mismatch");
@@ -143,11 +134,6 @@ impl HyperRect {
                 .map(|(a, b)| a.hull(b))
                 .collect(),
         )
-    }
-
-    /// Grows every side by `margin`.
-    pub fn expanded(&self, margin: f64) -> HyperRect {
-        HyperRect::new(self.dims.iter().map(|i| i.expanded(margin)).collect())
     }
 
     /// The paper's data-overlapping rate (Eq. 2) of `self` (a *query*
@@ -243,7 +229,6 @@ mod tests {
     fn disjoint_on_one_axis_means_disjoint() {
         let a = unit_square();
         let b = HyperRect::from_boundary_vec(&[0.0, 1.0, 5.0, 6.0]);
-        assert!(!a.intersects(&b));
         assert_eq!(a.intersection(&b), None);
         assert_eq!(a.volume_overlap(&b), 0.0);
         // But the additive Eq. 2 rate still credits the overlapping axis.
@@ -264,12 +249,6 @@ mod tests {
         let q = HyperRect::from_boundary_vec(&[0.0, 1.0, 0.0, 1.0]);
         let k = HyperRect::from_boundary_vec(&[0.0, 2.0, 0.0, 1.0]);
         assert!((q.overlap_rate(&k) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expanded_contains_original() {
-        let r = unit_square().expanded(0.5);
-        assert_eq!(r.to_boundary_vec(), vec![-0.5, 1.5, -0.5, 1.5]);
     }
 
     #[test]

@@ -162,8 +162,6 @@ pub trait SliceRandom {
     type Item;
     /// Fisher–Yates shuffle in place.
     fn shuffle<R: Rng>(&mut self, rng: &mut R);
-    /// A uniformly chosen element (`None` when empty).
-    fn choose<R: Rng>(&self, rng: &mut R) -> Option<&Self::Item>;
 }
 
 impl<T> SliceRandom for [T] {
@@ -173,14 +171,6 @@ impl<T> SliceRandom for [T] {
         for i in (1..self.len()).rev() {
             let j = uniform_u64(rng, i as u64 + 1) as usize;
             self.swap(i, j);
-        }
-    }
-
-    fn choose<R: Rng>(&self, rng: &mut R) -> Option<&T> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(&self[uniform_u64(rng, self.len() as u64) as usize])
         }
     }
 }
@@ -335,17 +325,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(xs, sorted, "50 elements staying sorted is ~impossible");
-    }
-
-    #[test]
-    fn choose_returns_member_or_none() {
-        let mut rng = rng_for(4, 1);
-        let empty: [u8; 0] = [];
-        assert!(empty.choose(&mut rng).is_none());
-        let xs = [10, 20, 30];
-        for _ in 0..100 {
-            assert!(xs.contains(xs.choose(&mut rng).unwrap()));
-        }
     }
 
     #[test]

@@ -91,14 +91,6 @@ impl ModelKind {
             ModelKind::Neural { hidden } => Model::Neural(Mlp::new(dim, hidden, seed)),
         }
     }
-
-    /// Short display name matching the paper's tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ModelKind::Linear => "LR",
-            ModelKind::Neural { .. } => "NN",
-        }
-    }
 }
 
 /// A clonable, serialisable regressor: one of the two paper architectures.
@@ -176,12 +168,6 @@ mod tests {
         let nn = ModelKind::PAPER_NN.build(3, 0);
         assert!(matches!(nn, Model::Neural(_)));
         assert_eq!(nn.num_weights(), 64 * 3 + 64 + 64 + 1);
-    }
-
-    #[test]
-    fn names_match_paper_tables() {
-        assert_eq!(ModelKind::Linear.name(), "LR");
-        assert_eq!(ModelKind::PAPER_NN.name(), "NN");
     }
 
     #[test]

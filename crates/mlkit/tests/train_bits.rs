@@ -127,6 +127,10 @@ type Pin = (String, u64, u64, u64, usize);
 
 /// Every case of `kind` over `data`, named `<model><tag>/<loop>/<config>`.
 fn pins(kind: ModelKind, paper: TrainConfig, data: &DenseDataset, tag: &str) -> Vec<Pin> {
+    let model_name = match kind {
+        ModelKind::Linear => "LR",
+        ModelKind::Neural { .. } => "NN",
+    };
     let stages = stages(data);
     let configs = [
         ("paper", paper.clone()),
@@ -148,7 +152,7 @@ fn pins(kind: ModelKind, paper: TrainConfig, data: &DenseDataset, tag: &str) -> 
                 _ => train_interleaved(&mut model, &stages, cfg),
             };
             out.push((
-                format!("{}{tag}/{name}/{label}", kind.name()),
+                format!("{model_name}{tag}/{name}/{label}"),
                 digest(&model.weights()),
                 digest(&report.train_loss),
                 digest(&report.val_loss),

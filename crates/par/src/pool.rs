@@ -140,7 +140,7 @@ impl ThreadPool {
     /// # Panics
     /// If a task panics, the panic is re-raised on the caller after all
     /// tasks of the scope have finished (first payload wins).
-    pub fn run_scoped<'env, I>(&self, tasks: I)
+    fn run_scoped<'env, I>(&self, tasks: I)
     where
         I: IntoIterator<Item = Box<dyn FnOnce() + Send + 'env>>,
     {

@@ -101,7 +101,12 @@ fn growing_the_query_never_drops_a_node() {
         let net = build(&specs, seed);
         let space = net.global_space();
         let small = Query::new(0, space.clone());
-        let big = Query::new(1, space.expanded(10.0));
+        let grown: Vec<f64> = space
+            .to_boundary_vec()
+            .chunks(2)
+            .flat_map(|b| [b[0] - 10.0, b[1] + 10.0])
+            .collect();
+        let big = Query::from_boundary_vec(1, &grown);
         let policy = QueryDriven::new(1e-9, SelectionCap::TopL(net.len()), RankingRule::PaperEq4);
         let sel_small = policy.select(&SelectionContext::new(&net, &small));
         let sel_big = policy.select(&SelectionContext::new(&net, &big));

@@ -804,8 +804,8 @@ pub struct QueryObserver {
 impl QueryObserver {
     /// Starts observing `query_id` and opens its trace `query` span.
     pub fn begin(query_id: u64) -> Self {
-        // The fleet registry counts queries here — every run_query path
-        // opens exactly one observer (batch waves count their own).
+        // The fleet registry counts queries here: every query runs
+        // through `run_query`, which opens exactly one observer.
         crate::emit(&crate::Event::QueryObserved(query_id));
         let active = crate::enabled() || trace::is_enabled();
         Self {

@@ -338,13 +338,12 @@ fn current_parent() -> u64 {
 
 /// Trace name → the `_nanos` histogram a span of that name also fills
 /// while telemetry is on. Spans of any other name only trace.
-const SERIES: [(&str, &str); 11] = [
+const SERIES: [(&str, &str); 10] = [
     ("cluster.kmeans", "qens_cluster_kmeans_fit_nanos"),
     ("cluster.kmeans.assign", "qens_cluster_kmeans_assign_nanos"),
     ("cluster.kmeans.update", "qens_cluster_kmeans_update_nanos"),
     ("edgesim.quantize_all", "qens_edgesim_quantize_all_nanos"),
     ("fedlearn.aggregate", "qens_fedlearn_aggregate_nanos"),
-    ("fedlearn.batch", "qens_fedlearn_run_batch_nanos"),
     ("fedlearn.train", "qens_fedlearn_train_nanos"),
     ("mlkit.stage", "qens_mlkit_stage_nanos"),
     ("mlkit.train", "qens_mlkit_train_nanos"),

@@ -7,7 +7,7 @@
 //! * errors are per-slot: a query with no participants fails alone
 //!   while its batch mates still train,
 //! * the admission-control config rides the builder end to end,
-//! * a batch is timed once, as a batch.
+//! * a batch is timed query by query, as that many `run_query` calls.
 
 use qens::prelude::*;
 use qens::telemetry;
@@ -116,20 +116,30 @@ fn batch_errors_are_per_slot() {
     assert!(outcomes[2].is_ok(), "second neighbour must train");
 }
 
-/// `qens_fedlearn_run_batch_nanos` gets one sample per batch of
-/// several queries, and `qens_fedlearn_run_query_nanos` none.
+/// Each query of a batch is observed on its own: five queries leave five
+/// `qens_fedlearn_run_query_nanos` samples, and no batch-wide timing
+/// series is registered.
 #[test]
-fn a_batch_is_timed_once_as_a_batch() {
+fn a_batch_is_timed_query_by_query() {
     let _g = lock();
     let fed = builder(21).telemetry(true).build();
     telemetry::global().reset();
-    let outcomes = fed.run_batch(&bucketed_queries(&fed), &PolicyKind::query_driven(3));
+    let queries = bucketed_queries(&fed);
+    let outcomes = fed.run_batch(&queries, &PolicyKind::query_driven(3));
     let snap = telemetry::global().snapshot();
     telemetry::set_enabled(false);
     assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
-    let samples = |name| snap.histogram(name).map_or(0, |h| h.count);
-    assert_eq!(samples("qens_fedlearn_run_batch_nanos"), 1);
-    assert_eq!(samples("qens_fedlearn_run_query_nanos"), 0);
+    let samples = snap
+        .histogram("qens_fedlearn_run_query_nanos")
+        .map_or(0, |h| h.count);
+    assert_eq!(samples, queries.len() as u64);
+    let batch_series: Vec<&str> = snap
+        .histograms
+        .iter()
+        .map(|h| h.name.as_str())
+        .filter(|name| name.contains("batch"))
+        .collect();
+    assert!(batch_series.is_empty(), "{batch_series:?}");
 }
 
 #[test]
