@@ -7,23 +7,16 @@
 
 use qens::fedlearn;
 use qens::geom::Query;
+use qens::telemetry::json;
 
 use super::ServerState;
 
-pub(super) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// The JSON body of a 400 or 422 reply: `{"error":"…"}` and a newline.
+pub(super) fn error_body(reason: &str) -> String {
+    let mut body = String::from("{\"error\":");
+    json::write_str(&mut body, reason);
+    body.push_str("}\n");
+    body
 }
 
 /// Runs `query` through the server's policy (and its selection memo) and
@@ -58,10 +51,7 @@ pub(super) fn answer(state: &ServerState, query: &Query) -> (&'static str, Strin
                 ),
             )
         }
-        Err(e) => (
-            "422 Unprocessable Entity",
-            format!("{{\"error\":\"{}\"}}\n", json_escape(&e.to_string())),
-        ),
+        Err(e) => ("422 Unprocessable Entity", error_body(&e.to_string())),
     }
 }
 
@@ -70,9 +60,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_escape_handles_quotes_and_control_bytes() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    fn error_bodies_escape_quotes_and_control_bytes() {
+        assert_eq!(error_body("plain"), "{\"error\":\"plain\"}\n");
+        assert_eq!(
+            error_body("a\"b\\c\nd"),
+            "{\"error\":\"a\\\"b\\\\c\\nd\"}\n"
+        );
+        assert_eq!(error_body("\u{1}"), "{\"error\":\"\\u0001\"}\n");
     }
 }

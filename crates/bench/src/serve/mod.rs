@@ -724,7 +724,7 @@ fn serve_query(
                 "400 Bad Request",
                 "application/json",
                 "",
-                &format!("{{\"error\":\"{}\"}}\n", ingest::json_escape(&reason)),
+                &ingest::error_body(&reason),
                 keep_alive,
             )
         }
@@ -1164,7 +1164,8 @@ mod tests {
                 Err(reason) => {
                     // As the 400's body carries it: no bare quote, no
                     // control byte, so the body stays one JSON string.
-                    let escaped = ingest::json_escape(&reason);
+                    let body = ingest::error_body(&reason);
+                    let escaped = &body["{\"error\":\"".len()..body.len() - "\"}\n".len()];
                     assert!(
                         !escaped.replace("\\\"", "").contains('"')
                             && !escaped.contains(char::is_control),

@@ -55,7 +55,6 @@ pub struct FederationBuilder {
     tolerance: FaultTolerance,
     link_range: Option<((f64, f64), (f64, f64))>,
     selection_cache: bool,
-    cache: selection::CacheConfig,
     selection_index: bool,
     admission: AdmissionConfig,
 }
@@ -92,7 +91,6 @@ impl FederationBuilder {
             tolerance: FaultTolerance::default(),
             link_range: None,
             selection_cache: false,
-            cache: selection::CacheConfig::default(),
             selection_index: false,
             admission: AdmissionConfig::default(),
         }
@@ -392,7 +390,7 @@ impl FederationBuilder {
             network,
             config,
             seed: self.seed,
-            cache: self.selection_cache.then_some(self.cache),
+            cache: self.selection_cache,
             index: self.selection_index,
             admission: self.admission,
         }
@@ -406,9 +404,9 @@ pub struct Federation {
     network: EdgeNetwork,
     config: FederationConfig,
     seed: u64,
-    /// Selection-memo configuration for query-driven policies, `None`
-    /// when the memo is off.
-    cache: Option<selection::CacheConfig>,
+    /// Whether the selection memo sits in front of query-driven
+    /// policies.
+    cache: bool,
     /// Spatial-index candidate generation for query-driven policies.
     index: bool,
     /// Admission control for the serving front end (the builder's
@@ -445,17 +443,6 @@ impl Federation {
     /// Generates a custom workload over the global space.
     pub fn workload(&self, config: &WorkloadConfig) -> QueryWorkload {
         generate(&self.network.global_space(), config)
-    }
-
-    /// The selection-memo configuration in force (`None` = memo off).
-    pub fn cache_config(&self) -> Option<selection::CacheConfig> {
-        self.cache
-    }
-
-    /// Whether spatial-index candidate generation is in force for
-    /// query-driven policies.
-    pub fn index_enabled(&self) -> bool {
-        self.index
     }
 
     /// The serving front end's admission control in force.
@@ -663,12 +650,9 @@ mod tests {
             b.build()
         };
         let plain = build(false);
-        assert!(plain.cache_config().is_none());
+        assert!(!plain.cache);
         let cached = build(true);
-        assert!(
-            cached.cache_config().is_some(),
-            "cache flag sets the config"
-        );
+        assert!(cached.cache, "cache flag turns the memo on");
 
         let wl = plain.workload(&WorkloadConfig {
             n_queries: 6,
@@ -701,11 +685,11 @@ mod tests {
             b.build()
         };
         let plain = build(false, false);
-        assert!(!plain.index_enabled());
+        assert!(!plain.index);
         let indexed = build(true, false);
-        assert!(indexed.index_enabled());
+        assert!(indexed.index);
         let both = build(true, true);
-        assert!(both.index_enabled() && both.cache_config().is_some());
+        assert!(both.index && both.cache);
 
         let wl = plain.workload(&WorkloadConfig {
             n_queries: 6,

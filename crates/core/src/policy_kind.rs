@@ -1,8 +1,8 @@
 //! Serialisable policy configuration.
 
 use selection::{
-    AllNodes, CacheConfig, CachedQueryDriven, DataCentric, FairStochastic, GameTheory, GridConfig,
-    QueryDriven, RandomSelection, SelectionPolicy, WithoutSelectivity,
+    AllNodes, CachedQueryDriven, DataCentric, FairStochastic, GameTheory, GridConfig, QueryDriven,
+    RandomSelection, SelectionPolicy, WithoutSelectivity,
 };
 
 /// A selection policy as configuration — convertible into the trait
@@ -15,13 +15,6 @@ pub enum PolicyKind {
         epsilon: f64,
         /// Participants per query ℓ.
         l: usize,
-    },
-    /// The paper's mechanism with the ψ-threshold cut (Eq. 5).
-    QueryDrivenThreshold {
-        /// Overlap threshold ε.
-        epsilon: f64,
-        /// Ranking threshold ψ.
-        psi: f64,
     },
     /// Query-driven node choice but no per-cluster data selectivity
     /// (the "without query" arm of Figs. 8–9).
@@ -81,7 +74,7 @@ impl PolicyKind {
 
     /// Builds the runtime policy object: every node scored, no memo.
     pub fn build(&self) -> Box<dyn SelectionPolicy> {
-        self.build_with(None, None)
+        self.build_with(false, None)
     }
 
     /// Builds the runtime policy object. For the query-driven variants
@@ -91,11 +84,7 @@ impl PolicyKind {
     /// selections are bit-identical either way, only the work changes.
     /// Policies that never score summaries (random, game-theory, …)
     /// ignore both.
-    pub fn build_with(
-        &self,
-        memo: Option<CacheConfig>,
-        index: Option<GridConfig>,
-    ) -> Box<dyn SelectionPolicy> {
+    pub fn build_with(&self, memo: bool, index: Option<GridConfig>) -> Box<dyn SelectionPolicy> {
         let kernel = match *self {
             PolicyKind::QueryDriven { epsilon, l }
             | PolicyKind::QueryDrivenNoSelectivity { epsilon, l } => QueryDriven::new(
@@ -103,9 +92,6 @@ impl PolicyKind {
                 selection::SelectionCap::TopL(l),
                 selection::RankingRule::PaperEq4,
             ),
-            PolicyKind::QueryDrivenThreshold { epsilon, psi } => {
-                QueryDriven::threshold(epsilon, psi)
-            }
             PolicyKind::Random { l, seed } => return Box::new(RandomSelection { l, seed }),
             PolicyKind::GameTheory { leader, l, seed } => {
                 return Box::new(GameTheory::paper_default(leader, l, seed))
@@ -121,9 +107,10 @@ impl PolicyKind {
             Some(grid) => kernel.indexed(grid),
             None => kernel,
         };
-        match memo {
-            Some(cfg) => boxed(CachedQueryDriven::new(kernel, cfg), selective),
-            None => boxed(kernel, selective),
+        if memo {
+            boxed(CachedQueryDriven::new(kernel), selective)
+        } else {
+            boxed(kernel, selective)
         }
     }
 
@@ -168,7 +155,7 @@ mod tests {
 
     #[test]
     fn cached_builds_keep_names_and_expose_stats() {
-        let memo = Some(CacheConfig::default());
+        let memo = true;
         let no_selectivity = PolicyKind::QueryDrivenNoSelectivity {
             epsilon: 0.05,
             l: 3,
@@ -189,15 +176,10 @@ mod tests {
         // Only memo-backed policies report cache stats.
         let stats = |kind: &PolicyKind, memo| kind.build_with(memo, None).cache_stats();
         assert!(stats(&PolicyKind::query_driven(3), memo).is_some());
-        assert!(stats(&PolicyKind::query_driven(3), None).is_none());
+        assert!(stats(&PolicyKind::query_driven(3), false).is_none());
         assert!(PolicyKind::query_driven(3).build().cache_stats().is_none());
         assert!(stats(&PolicyKind::AllNodes, memo).is_none());
         assert!(stats(&no_selectivity, memo).is_some());
-        let threshold = PolicyKind::QueryDrivenThreshold {
-            epsilon: 0.05,
-            psi: 0.1,
-        };
-        assert!(stats(&threshold, memo).is_some());
     }
 
     #[test]
@@ -205,7 +187,7 @@ mod tests {
         let grid = Some(GridConfig::default());
         // Names must not fork on indexing: result tables key on them.
         assert_eq!(
-            PolicyKind::query_driven(3).build_with(None, grid).name(),
+            PolicyKind::query_driven(3).build_with(false, grid).name(),
             "query-driven"
         );
         assert_eq!(
@@ -213,21 +195,21 @@ mod tests {
                 epsilon: 0.05,
                 l: 3
             }
-            .build_with(None, grid)
+            .build_with(false, grid)
             .name(),
             "without-selectivity"
         );
         assert_eq!(
-            PolicyKind::AllNodes.build_with(None, grid).name(),
+            PolicyKind::AllNodes.build_with(false, grid).name(),
             "all-nodes"
         );
-        let both = PolicyKind::query_driven(3).build_with(Some(CacheConfig::default()), grid);
+        let both = PolicyKind::query_driven(3).build_with(true, grid);
         assert_eq!(both.name(), "query-driven");
         // Memo over index still reports cache stats; the index alone
         // has none.
         assert!(both.cache_stats().is_some());
         assert!(PolicyKind::query_driven(3)
-            .build_with(None, grid)
+            .build_with(false, grid)
             .cache_stats()
             .is_none());
     }

@@ -12,7 +12,7 @@ pub use airdata::Feature;
 pub use edgesim::{
     CostModel, EdgeNetwork, EdgeNode, LinkProfile, NodeId, QueryAccounting, SpaceScaler,
 };
-pub use faults::{FaultEvent, FaultSpec, FaultTolerance, FaultTrace, Quorum, RetryPolicy};
+pub use faults::{FaultSpec, FaultTolerance, FaultTrace, Quorum, RetryPolicy};
 pub use fedlearn::{
     Aggregation, FederationConfig, FederationError, GlobalModel, RoundOutcome, StageOrder,
     StreamResult,
@@ -20,7 +20,7 @@ pub use fedlearn::{
 pub use geom::{HyperRect, Interval, OverlapCase, Query};
 pub use mlkit::{DenseDataset, Model, ModelKind, Regressor, TrainConfig};
 pub use selection::{
-    AllNodes, CacheConfig, CacheStats, CachedQueryDriven, DataCentric, FairStochastic, GameTheory,
-    QueryDriven, RandomSelection, Selection, SelectionContext, SelectionPolicy, WithoutSelectivity,
+    AllNodes, CacheStats, CachedQueryDriven, DataCentric, FairStochastic, GameTheory, QueryDriven,
+    RandomSelection, Selection, SelectionContext, SelectionPolicy, WithoutSelectivity,
 };
 pub use workload::{QueryWorkload, WorkloadConfig, WorkloadKind};

@@ -25,8 +25,11 @@
 //! survivors a round needs) and the combined [`FaultTolerance`]
 //! knob consumed by `fedlearn`'s round engine.
 //!
-//! The crate is std-only and depends only on `linalg` (for the RNG
-//! derivation), so it can sit below `edgesim` in the crate graph.
+//! A fault is recorded as the [`telemetry::Event`] the round engine
+//! emits for it, so the fault trace is one more fold of that event
+//! stream. The crate is std-only and depends on `linalg` (for the RNG
+//! derivation) and `telemetry` (for the event), so it can sit below
+//! `edgesim` in the crate graph.
 
 pub mod plan;
 pub mod spec;
@@ -34,4 +37,4 @@ pub mod trace;
 
 pub use plan::{FaultPlan, ParticipantFate};
 pub use spec::{FaultSpec, FaultTolerance, Quorum, RetryPolicy};
-pub use trace::{FaultEvent, FaultTrace};
+pub use trace::FaultTrace;

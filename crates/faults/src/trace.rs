@@ -1,185 +1,79 @@
 //! The record of what actually fired.
 
-/// One injected-fault (or fault-reaction) event, in simulated time.
-///
-/// Every field is a simulated quantity — node indices, round numbers,
-/// attempt counts, simulated seconds — never wall-clock time, so a trace
-/// is bit-identical across runs and thread counts for a given seed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultEvent {
-    /// A participant silently missed one round.
-    Dropout {
-        /// Node index.
-        node: usize,
-        /// Communication round.
-        round: usize,
-    },
-    /// A participant hit its crash schedule and is permanently dead.
-    Crash {
-        /// Node index.
-        node: usize,
-        /// Communication round.
-        round: usize,
-    },
-    /// A participant trained `slowdown`× slower than its healthy rate.
-    Straggler {
-        /// Node index.
-        node: usize,
-        /// Communication round.
-        round: usize,
-        /// Simulated-time multiplier (> 1).
-        slowdown: f64,
-    },
-    /// One model-transfer attempt was lost on the wire.
-    LinkLoss {
-        /// Node index.
-        node: usize,
-        /// Communication round.
-        round: usize,
-        /// 0-based attempt number that was lost.
-        attempt: usize,
-    },
-    /// A transfer eventually succeeded after `retries` lost attempts.
-    RetrySuccess {
-        /// Node index.
-        node: usize,
-        /// Communication round.
-        round: usize,
-        /// Lost attempts before the success.
-        retries: usize,
-    },
-    /// A transfer exhausted its retry budget; the participant's report
-    /// never reached the leader this round.
-    TransferFailed {
-        /// Node index.
-        node: usize,
-        /// Communication round.
-        round: usize,
-        /// Attempts made (all lost).
-        attempts: usize,
-    },
-    /// The leader stopped waiting for a participant at the straggler
-    /// deadline; its (completed) work was discarded for this round.
-    DeadlineMiss {
-        /// Node index.
-        node: usize,
-        /// Communication round.
-        round: usize,
-        /// The configured deadline in simulated seconds.
-        deadline_seconds: f64,
-        /// When the participant would actually have finished.
-        finish_seconds: f64,
-    },
-    /// A standby node was promoted from the ranked tail to cover a
-    /// failed participant.
-    Replacement {
-        /// The promoted standby's node index.
-        standby: usize,
-        /// Communication round of the promotion.
-        round: usize,
-    },
-    /// The round ended below quorum even after exhausting the standby
-    /// list.
-    QuorumLost {
-        /// Communication round.
-        round: usize,
-        /// Participants that reported.
-        survivors: usize,
-        /// Quorum the round needed.
-        required: usize,
-    },
-}
+use std::fmt::Write;
 
-impl FaultEvent {
-    /// Stable lowercase tag used in the JSON export.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FaultEvent::Dropout { .. } => "dropout",
-            FaultEvent::Crash { .. } => "crash",
-            FaultEvent::Straggler { .. } => "straggler",
-            FaultEvent::LinkLoss { .. } => "link_loss",
-            FaultEvent::RetrySuccess { .. } => "retry_success",
-            FaultEvent::TransferFailed { .. } => "transfer_failed",
-            FaultEvent::DeadlineMiss { .. } => "deadline_miss",
-            FaultEvent::Replacement { .. } => "replacement",
-            FaultEvent::QuorumLost { .. } => "quorum_lost",
-        }
-    }
-
-    /// Serialises one event as a deterministic JSON object (fixed key
-    /// order, floats via `{:?}` — shortest round-trip form).
-    fn to_json(&self) -> String {
-        match self {
-            FaultEvent::Dropout { node, round } => {
-                format!("{{\"kind\":\"dropout\",\"node\":{node},\"round\":{round}}}")
-            }
-            FaultEvent::Crash { node, round } => {
-                format!("{{\"kind\":\"crash\",\"node\":{node},\"round\":{round}}}")
-            }
-            FaultEvent::Straggler {
-                node,
-                round,
-                slowdown,
-            } => format!(
-                "{{\"kind\":\"straggler\",\"node\":{node},\"round\":{round},\"slowdown\":{slowdown:?}}}"
-            ),
-            FaultEvent::LinkLoss {
-                node,
-                round,
-                attempt,
-            } => format!(
-                "{{\"kind\":\"link_loss\",\"node\":{node},\"round\":{round},\"attempt\":{attempt}}}"
-            ),
-            FaultEvent::RetrySuccess {
-                node,
-                round,
-                retries,
-            } => format!(
-                "{{\"kind\":\"retry_success\",\"node\":{node},\"round\":{round},\"retries\":{retries}}}"
-            ),
-            FaultEvent::TransferFailed {
-                node,
-                round,
-                attempts,
-            } => format!(
-                "{{\"kind\":\"transfer_failed\",\"node\":{node},\"round\":{round},\"attempts\":{attempts}}}"
-            ),
-            FaultEvent::DeadlineMiss {
-                node,
-                round,
-                deadline_seconds,
-                finish_seconds,
-            } => format!(
-                "{{\"kind\":\"deadline_miss\",\"node\":{node},\"round\":{round},\
-                 \"deadline_seconds\":{deadline_seconds:?},\"finish_seconds\":{finish_seconds:?}}}"
-            ),
-            FaultEvent::Replacement { standby, round } => {
-                format!("{{\"kind\":\"replacement\",\"standby\":{standby},\"round\":{round}}}")
-            }
-            FaultEvent::QuorumLost {
-                round,
-                survivors,
-                required,
-            } => format!(
-                "{{\"kind\":\"quorum_lost\",\"round\":{round},\"survivors\":{survivors},\"required\":{required}}}"
-            ),
-        }
-    }
-}
+use telemetry::Event;
 
 /// The ordered record of every fault that fired during one query's
-/// federation. Collected serially at the leader (fault decisions are
-/// simulated-time, not wall-time), so the order — and therefore the
-/// JSON export — is bit-identical across runs and thread counts.
+/// federation: the fault variants of [`telemetry::Event`], the same
+/// values the round engine emits to the trace, scorecards and journal.
+/// Collected serially at the leader (fault decisions are simulated-time,
+/// not wall-time), so the order — and therefore the JSON export — is
+/// bit-identical across runs and thread counts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultTrace {
     /// Events in leader observation order.
-    pub events: Vec<FaultEvent>,
+    pub events: Vec<Event>,
+}
+
+/// One fault's JSON row: its `kind` tag, then its exported fields in key
+/// order. `None` for the events that are not faults. `Promoted` keeps
+/// the export's `replacement` tag and `standby` key; `QuorumLost`'s
+/// cohort and every query id stay out of the export.
+fn row(event: &Event) -> Option<(&'static str, Vec<(&'static str, String)>)> {
+    let u = |x: u64| x.to_string();
+    // `{:?}` is the shortest string that parses back to the same float.
+    let f = |x: f64| format!("{x:?}");
+    Some(match *event {
+        Event::Dropout(_, n, r) => ("dropout", vec![("node", u(n)), ("round", u(r))]),
+        Event::Crash(_, n, r) => ("crash", vec![("node", u(n)), ("round", u(r))]),
+        Event::Straggled(n, r, s) => (
+            "straggler",
+            vec![("node", u(n)), ("round", u(r)), ("slowdown", f(s))],
+        ),
+        Event::LinkLoss(n, r, a) => (
+            "link_loss",
+            vec![("node", u(n)), ("round", u(r)), ("attempt", u(a))],
+        ),
+        Event::RetrySuccess(n, r, k) => (
+            "retry_success",
+            vec![("node", u(n)), ("round", u(r)), ("retries", u(k))],
+        ),
+        Event::TransferFailed(_, n, r, a) => (
+            "transfer_failed",
+            vec![("node", u(n)), ("round", u(r)), ("attempts", u(a))],
+        ),
+        Event::DeadlineMiss(_, n, r, deadline, finish) => (
+            "deadline_miss",
+            vec![
+                ("node", u(n)),
+                ("round", u(r)),
+                ("deadline_seconds", f(deadline)),
+                ("finish_seconds", f(finish)),
+            ],
+        ),
+        Event::Promoted(_, n, r) => ("replacement", vec![("standby", u(n)), ("round", u(r))]),
+        Event::QuorumLost(_, r, survivors, required, _) => (
+            "quorum_lost",
+            vec![
+                ("round", u(r)),
+                ("survivors", u(survivors)),
+                ("required", u(required)),
+            ],
+        ),
+        Event::Selected(..)
+        | Event::Charged(..)
+        | Event::Participated(_)
+        | Event::QueryObserved(_)
+        | Event::FleetObserved(_)
+        | Event::CacheInvalidated(..) => return None,
+    })
 }
 
 impl FaultTrace {
-    /// Records one event.
-    pub fn push(&mut self, event: FaultEvent) {
+    /// Records one fault event.
+    pub fn push(&mut self, event: Event) {
+        debug_assert!(row(&event).is_some(), "not a fault: {event:?}");
         self.events.push(event);
     }
 
@@ -193,9 +87,11 @@ impl FaultTrace {
         self.events.is_empty()
     }
 
-    /// Events of one kind (see [`FaultEvent::kind`]).
+    /// Events whose JSON `kind` tag is `kind` (`"dropout"`,
+    /// `"replacement"`, …).
     pub fn count(&self, kind: &str) -> usize {
-        self.events.iter().filter(|e| e.kind() == kind).count()
+        let tagged = |e: &&Event| row(e).is_some_and(|(k, _)| k == kind);
+        self.events.iter().filter(tagged).count()
     }
 
     /// Deterministic JSON export: an array of fixed-key-order objects.
@@ -203,11 +99,15 @@ impl FaultTrace {
     /// `crates/bench/tests/repro_cli.rs` diffs exactly this.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
-        for (i, e) in self.events.iter().enumerate() {
+        for (i, (kind, fields)) in self.events.iter().filter_map(row).enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&e.to_json());
+            let _ = write!(out, "{{\"kind\":\"{kind}\"");
+            for (key, value) in fields {
+                let _ = write!(out, ",\"{key}\":{value}");
+            }
+            out.push('}');
         }
         out.push(']');
         out
@@ -220,26 +120,11 @@ mod tests {
 
     fn sample() -> FaultTrace {
         let mut t = FaultTrace::default();
-        t.push(FaultEvent::Dropout { node: 1, round: 0 });
-        t.push(FaultEvent::Straggler {
-            node: 2,
-            round: 0,
-            slowdown: 3.5,
-        });
-        t.push(FaultEvent::LinkLoss {
-            node: 2,
-            round: 0,
-            attempt: 0,
-        });
-        t.push(FaultEvent::RetrySuccess {
-            node: 2,
-            round: 0,
-            retries: 1,
-        });
-        t.push(FaultEvent::Replacement {
-            standby: 4,
-            round: 0,
-        });
+        t.push(Event::Dropout(9, 1, 0));
+        t.push(Event::Straggled(2, 0, 3.5));
+        t.push(Event::LinkLoss(2, 0, 0));
+        t.push(Event::RetrySuccess(2, 0, 1));
+        t.push(Event::Promoted(9, 4, 0));
         t
     }
 
@@ -250,6 +135,7 @@ mod tests {
         assert!(!t.is_empty());
         assert_eq!(t.count("dropout"), 1);
         assert_eq!(t.count("link_loss"), 1);
+        assert_eq!(t.count("replacement"), 1);
         assert_eq!(t.count("crash"), 0);
         assert!(FaultTrace::default().is_empty());
     }
@@ -271,56 +157,52 @@ mod tests {
         );
     }
 
+    /// Each fault variant against the exact row the export writes for
+    /// it: query ids and the quorum cohort stay out, floats keep `{:?}`.
     #[test]
     fn every_event_kind_serialises() {
-        let events = [
-            FaultEvent::Dropout { node: 0, round: 0 },
-            FaultEvent::Crash { node: 0, round: 1 },
-            FaultEvent::Straggler {
-                node: 0,
-                round: 0,
-                slowdown: 2.0,
-            },
-            FaultEvent::LinkLoss {
-                node: 0,
-                round: 0,
-                attempt: 3,
-            },
-            FaultEvent::RetrySuccess {
-                node: 0,
-                round: 0,
-                retries: 2,
-            },
-            FaultEvent::TransferFailed {
-                node: 0,
-                round: 0,
-                attempts: 3,
-            },
-            FaultEvent::DeadlineMiss {
-                node: 0,
-                round: 0,
-                deadline_seconds: 5.0,
-                finish_seconds: 9.25,
-            },
-            FaultEvent::Replacement {
-                standby: 1,
-                round: 0,
-            },
-            FaultEvent::QuorumLost {
-                round: 0,
-                survivors: 0,
-                required: 2,
-            },
+        let rows = [
+            (
+                Event::Dropout(7, 0, 0),
+                r#"{"kind":"dropout","node":0,"round":0}"#,
+            ),
+            (
+                Event::Crash(7, 0, 1),
+                r#"{"kind":"crash","node":0,"round":1}"#,
+            ),
+            (
+                Event::Straggled(0, 0, 2.0),
+                r#"{"kind":"straggler","node":0,"round":0,"slowdown":2.0}"#,
+            ),
+            (
+                Event::LinkLoss(0, 0, 3),
+                r#"{"kind":"link_loss","node":0,"round":0,"attempt":3}"#,
+            ),
+            (
+                Event::RetrySuccess(0, 0, 2),
+                r#"{"kind":"retry_success","node":0,"round":0,"retries":2}"#,
+            ),
+            (
+                Event::TransferFailed(7, 0, 0, 3),
+                r#"{"kind":"transfer_failed","node":0,"round":0,"attempts":3}"#,
+            ),
+            (
+                Event::DeadlineMiss(7, 0, 0, 5.0, 9.25),
+                r#"{"kind":"deadline_miss","node":0,"round":0,"deadline_seconds":5.0,"finish_seconds":9.25}"#,
+            ),
+            (
+                Event::Promoted(7, 1, 0),
+                r#"{"kind":"replacement","standby":1,"round":0}"#,
+            ),
+            (
+                Event::QuorumLost(7, 0, 0, 2, vec![3, 4]),
+                r#"{"kind":"quorum_lost","round":0,"survivors":0,"required":2}"#,
+            ),
         ];
-        for e in events {
+        for (event, want) in rows {
             let mut t = FaultTrace::default();
-            let kind = e.kind();
-            t.push(e);
-            let json = t.to_json();
-            assert!(
-                json.contains(&format!("\"kind\":\"{kind}\"")),
-                "{kind} missing from {json}"
-            );
+            t.push(event);
+            assert_eq!(t.to_json(), format!("[{want}]"));
         }
     }
 }

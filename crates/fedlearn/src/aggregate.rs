@@ -118,14 +118,6 @@ impl GlobalModel {
     pub fn mse(&self, data: &mlkit::DenseDataset) -> f64 {
         mlkit::metrics::mse(&self.predict(data.x()), data.y())
     }
-
-    /// Number of participant models folded into this aggregate.
-    pub fn member_count(&self) -> usize {
-        match self {
-            GlobalModel::Ensemble { members, .. } => members.len(),
-            GlobalModel::Single(_) => 1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +141,7 @@ mod tests {
             &[10, 10],
         );
         assert_eq!(g.predict_row(&[1.0]), 2.0);
-        assert_eq!(g.member_count(), 2);
+        assert!(matches!(&g, GlobalModel::Ensemble { members, .. } if members.len() == 2));
     }
 
     #[test]
@@ -189,7 +181,6 @@ mod tests {
             other => panic!("expected Single, got {other:?}"),
         }
         assert_eq!(g.predict_row(&[1.0]), 3.0);
-        assert_eq!(g.member_count(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::time::Instant;
 
 use edgesim::{EdgeNetwork, QueryAccounting, SpaceScaler};
-use faults::{FaultEvent, FaultPlan, FaultSpec, FaultTolerance, FaultTrace, ParticipantFate};
+use faults::{FaultPlan, FaultSpec, FaultTolerance, FaultTrace, ParticipantFate};
 use geom::Query;
 use linalg::rng as lrng;
 use mlkit::{DenseDataset, Model, ModelKind, Regressor, TrainConfig};
@@ -99,44 +99,9 @@ impl FederationConfig {
         }
     }
 
-    /// Pins the training pool's worker count (see
-    /// [`FederationConfig::threads`]).
-    pub fn with_thread_count(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Swaps the aggregation rule.
     pub fn with_aggregation(mut self, aggregation: Aggregation) -> Self {
         self.aggregation = aggregation;
-        self
-    }
-
-    /// Enables FedAvg-style multi-round refinement (implies
-    /// [`Aggregation::FedAvgWeights`]).
-    ///
-    /// `rounds == 0` is not rejected here: [`run_query`] surfaces it as
-    /// the recoverable [`FederationError::UnsupportedConfig`] instead of
-    /// aborting the process mid-sweep.
-    pub fn with_rounds(mut self, rounds: usize) -> Self {
-        self.rounds = rounds;
-        if rounds > 1 {
-            self.aggregation = Aggregation::FedAvgWeights;
-        }
-        self
-    }
-
-    /// Enables deterministic fault injection (see
-    /// [`FederationConfig::faults`]).
-    pub fn with_faults(mut self, spec: FaultSpec) -> Self {
-        self.faults = Some(spec);
-        self
-    }
-
-    /// Sets the fault reaction policy (see
-    /// [`FederationConfig::tolerance`]).
-    pub fn with_tolerance(mut self, tolerance: FaultTolerance) -> Self {
-        self.tolerance = tolerance;
         self
     }
 }
@@ -348,67 +313,12 @@ struct Flight<'a> {
 }
 
 impl Flight<'_> {
-    /// Records one fault: pushes it to the fault trace, books it in the
-    /// accounting ledger and emits its telemetry event.
-    fn fault(&mut self, fault: FaultEvent) {
-        let q = self.ctx.query.id();
-        let a = &mut self.accounting;
-        let u = |x: usize| x as u64;
-        let event = match fault {
-            FaultEvent::Dropout { node, round } => {
-                a.dropped_participants += 1;
-                Event::Dropout(q, u(node), u(round))
-            }
-            FaultEvent::Crash { node, round } => {
-                a.dropped_participants += 1;
-                Event::Crash(q, u(node), u(round))
-            }
-            FaultEvent::Straggler {
-                node,
-                round,
-                slowdown,
-            } => Event::Straggled(u(node), u(round), slowdown),
-            FaultEvent::LinkLoss {
-                node,
-                round,
-                attempt,
-            } => {
-                a.retries += 1;
-                Event::LinkLoss(u(node), u(round), u(attempt))
-            }
-            FaultEvent::RetrySuccess {
-                node,
-                round,
-                retries,
-            } => Event::RetrySuccess(u(node), u(round), u(retries)),
-            FaultEvent::TransferFailed {
-                node,
-                round,
-                attempts,
-            } => {
-                a.dropped_participants += 1;
-                Event::TransferFailed(q, u(node), u(round), u(attempts))
-            }
-            FaultEvent::DeadlineMiss { node, round, .. } => {
-                a.deadline_misses += 1;
-                a.dropped_participants += 1;
-                Event::DeadlineMiss(q, u(node), u(round))
-            }
-            FaultEvent::Replacement { standby, round } => {
-                a.replacements += 1;
-                Event::Promoted(q, u(standby), u(round))
-            }
-            FaultEvent::QuorumLost {
-                round,
-                survivors,
-                required,
-            } => {
-                let cohort = self.cohort.iter().map(|m| u(m.participant.node.0));
-                Event::QuorumLost(q, u(round), u(survivors), u(required), cohort.collect())
-            }
-        };
-        self.trace.push(fault);
+    /// Records one fault: pushes it to the fault trace and emits it to
+    /// the telemetry views. The ledger is counted off the trace in
+    /// [`finish`].
+    fn fault(&mut self, event: Event) {
         telemetry::emit(&event);
+        self.trace.push(event);
     }
 }
 
@@ -581,6 +491,7 @@ fn fates(f: &mut Flight, round: usize, pending: Vec<usize>) -> Vec<(usize, f64)>
         &[("round", round as u64), ("pending", pending.len() as u64)],
     );
     let mut attempters = Vec::with_capacity(pending.len());
+    let q = f.ctx.query.id();
     for ci in pending {
         let node = f.cohort[ci].participant.node.0;
         let fate = f
@@ -589,23 +500,20 @@ fn fates(f: &mut Flight, round: usize, pending: Vec<usize>) -> Vec<(usize, f64)>
             .map_or(ParticipantFate::Participates { slowdown: 1.0 }, |p| {
                 p.fate(node, round)
             });
+        let (n, r) = (node as u64, round as u64);
         let event = match fate {
             ParticipantFate::Participates { slowdown } => {
                 attempters.push((ci, slowdown));
                 if slowdown <= 1.0 {
                     continue;
                 }
-                FaultEvent::Straggler {
-                    node,
-                    round,
-                    slowdown,
-                }
+                Event::Straggled(n, r, slowdown)
             }
             ParticipantFate::Crashed => {
                 f.ledger.crashed.push(ci);
-                FaultEvent::Crash { node, round }
+                Event::Crash(q, n, r)
             }
-            ParticipantFate::Dropped => FaultEvent::Dropout { node, round },
+            ParticipantFate::Dropped => Event::Dropout(q, n, r),
         };
         f.fault(event);
     }
@@ -724,6 +632,7 @@ fn deliver_one(env: &Env, f: &mut Flight, round: usize, ci: usize, slowdown: f64
     let tolerance = &env.config.tolerance;
     let participant = &f.cohort[ci].participant;
     let (node_idx, ranking) = (participant.node.0, participant.ranking);
+    let (q, n) = (f.ctx.query.id(), node_idx as u64);
     let node = env.network.node(participant.node);
     let model_bytes = f.model_bytes;
     f.ledger.samples_used += r.samples_used;
@@ -744,11 +653,7 @@ fn deliver_one(env: &Env, f: &mut Flight, round: usize, ci: usize, slowdown: f64
             .count()
     });
     for attempt in 0..failed {
-        f.fault(FaultEvent::LinkLoss {
-            node: node_idx,
-            round,
-            attempt,
-        });
+        f.fault(Event::LinkLoss(n, round as u64, attempt as u64));
     }
     let retry_penalty = node
         .link()
@@ -757,11 +662,7 @@ fn deliver_one(env: &Env, f: &mut Flight, round: usize, ci: usize, slowdown: f64
         // Retry budget exhausted: the report never reached the leader.
         // Charge the broadcast plus every lost upload; there is no model
         // to aggregate.
-        f.fault(FaultEvent::TransferFailed {
-            node: node_idx,
-            round,
-            attempts: failed,
-        });
+        f.fault(Event::TransferFailed(q, n, round as u64, failed as u64));
         let charged = train_sim + node.link().transfer_seconds(model_bytes) + retry_penalty;
         f.ledger.charge(
             node_idx,
@@ -772,11 +673,7 @@ fn deliver_one(env: &Env, f: &mut Flight, round: usize, ci: usize, slowdown: f64
         return;
     }
     if failed > 0 {
-        f.fault(FaultEvent::RetrySuccess {
-            node: node_idx,
-            round,
-            retries: failed,
-        });
+        f.fault(Event::RetrySuccess(n, round as u64, failed as u64));
     }
     // Fault-free identity: slowdown is 1.0 and the penalty 0.0 here, so
     // `finish` reduces bit-exactly to the `training + transfer(2·bytes)`
@@ -786,12 +683,7 @@ fn deliver_one(env: &Env, f: &mut Flight, round: usize, ci: usize, slowdown: f64
     if let Some(deadline) = tolerance.straggler_deadline_seconds.filter(|&d| finish > d) {
         // The leader stopped waiting at the deadline; the (completed)
         // work is discarded for this round.
-        f.fault(FaultEvent::DeadlineMiss {
-            node: node_idx,
-            round,
-            deadline_seconds: deadline,
-            finish_seconds: finish,
-        });
+        f.fault(Event::DeadlineMiss(q, n, round as u64, deadline, finish));
         f.ledger.charge(node_idx, deadline, r.wall_seconds, bytes);
         return;
     }
@@ -820,12 +712,12 @@ fn promote(env: &Env, f: &mut Flight, round: usize) -> Result<Vec<usize>, Federa
             break;
         };
         f.next_standby += 1;
-        let standby = p.node.0;
+        let standby = p.node.0 as u64;
         let member = env.member(&env.policy.promote(&f.ctx, p));
         // Standbys without training data are skipped — they could never
         // report a model.
         if member.has_data() {
-            f.fault(FaultEvent::Replacement { standby, round });
+            f.fault(Event::Promoted(f.ctx.query.id(), standby, round as u64));
             f.cohort.push(member);
             promoted.push(f.cohort.len() - 1);
         }
@@ -834,11 +726,10 @@ fn promote(env: &Env, f: &mut Flight, round: usize) -> Result<Vec<usize>, Federa
     if !promoted.is_empty() {
         return Ok(promoted);
     }
-    f.fault(FaultEvent::QuorumLost {
-        round,
-        survivors,
-        required: f.required,
-    });
+    let q = f.ctx.query.id();
+    let cohort = f.cohort.iter().map(|m| m.participant.node.0 as u64);
+    let (r, s, need) = (round as u64, survivors as u64, f.required as u64);
+    f.fault(Event::QuorumLost(q, r, s, need, cohort.collect()));
     Err(FederationError::QuorumLost {
         query_id: f.ctx.query.id(),
         round,
@@ -887,12 +778,19 @@ fn close_round(env: &Env, f: &mut Flight, round: usize) {
     f.global = Some(aggregation);
 }
 
-/// The outcome of a query whose every round closed.
-fn finish(env: &Env, f: Flight) -> RoundOutcome {
+/// The outcome of a query whose every round closed; its fault ledger is
+/// counted off the fault trace here.
+fn finish(env: &Env, mut f: Flight) -> RoundOutcome {
     let final_cohort: Vec<Participant> = f.cohort.into_iter().map(|m| m.participant).collect();
     for p in &final_cohort {
         telemetry::emit(&Event::Participated(p.node.0 as u64));
     }
+    let (t, a) = (&f.trace, &mut f.accounting);
+    a.retries = t.count("link_loss");
+    a.replacements = t.count("replacement");
+    a.deadline_misses = t.count("deadline_miss");
+    let lost = ["dropout", "crash", "transfer_failed"].map(|kind| t.count(kind));
+    a.dropped_participants = a.deadline_misses + lost.iter().sum::<usize>();
     // Satellite coupling: the simulator ledger and the telemetry counters
     // must tell the same story (asserted in tests/telemetry_pipeline.rs).
     f.accounting.commit_telemetry();
@@ -1033,7 +931,11 @@ mod tests {
             &net,
             &q,
             &QueryDriven::top_l(3),
-            &fast_cfg(3).with_rounds(3),
+            &FederationConfig {
+                rounds: 3,
+                aggregation: Aggregation::FedAvgWeights,
+                ..fast_cfg(3)
+            },
         )
         .unwrap();
         // Multi-round pays proportionally more and never does worse on a
@@ -1080,22 +982,6 @@ mod tests {
         ));
     }
 
-    /// Regression: `with_rounds(0)` used to `assert!` (a process abort);
-    /// the builder must hand the value through so [`run_query`] can
-    /// reject it recoverably.
-    #[test]
-    fn with_rounds_zero_is_rejected_at_run_time_not_build_time() {
-        let cfg = fast_cfg(1).with_rounds(0); // must not panic
-        assert_eq!(cfg.rounds, 0);
-        let net = network(false);
-        let q = Query::from_boundary_vec(8, &[0.0, 50.0, 0.0, 100.0]);
-        let err = run_query(&net, &q, &QueryDriven::top_l(2), &cfg).unwrap_err();
-        assert!(matches!(
-            err,
-            FederationError::UnsupportedConfig { query_id: 8, .. }
-        ));
-    }
-
     /// Regression: serial rounds used to credit only the *slowest*
     /// participant's wall time (max) even though the participants ran one
     /// after another; the serial ledger must use the sum.
@@ -1132,7 +1018,10 @@ mod tests {
     fn serial_wall_clock_dominates_pooled_wall_clock() {
         let net = network(true);
         let q = leader_query();
-        let cfg = fast_cfg(13).with_thread_count(4);
+        let cfg = |threads| FederationConfig {
+            threads: Some(threads),
+            ..fast_cfg(13)
+        };
         let fastest = |cfg: &FederationConfig| {
             (0..3)
                 .map(|_| {
@@ -1142,8 +1031,8 @@ mod tests {
                 })
                 .fold(f64::INFINITY, f64::min)
         };
-        let pooled = fastest(&cfg);
-        let ser = fastest(&cfg.with_thread_count(1));
+        let pooled = fastest(&cfg(4));
+        let ser = fastest(&cfg(1));
         assert!(
             ser >= pooled * 0.5,
             "serial wall {ser} vs pooled wall {pooled}"
@@ -1272,7 +1161,10 @@ mod tests {
             &net,
             &q,
             &QueryDriven::top_l(3),
-            &fast_cfg(7).with_faults(FaultSpec::none()),
+            &FederationConfig {
+                faults: Some(FaultSpec::none()),
+                ..fast_cfg(7)
+            },
         )
         .unwrap();
         assert!(plain.fault_trace.is_empty());
@@ -1289,7 +1181,10 @@ mod tests {
     fn all_participants_dropping_is_quorum_lost() {
         let net = network(true);
         let q = leader_query();
-        let cfg = fast_cfg(3).with_faults(FaultSpec::dropout(1, 1.0));
+        let cfg = FederationConfig {
+            faults: Some(FaultSpec::dropout(1, 1.0)),
+            ..fast_cfg(3)
+        };
         let err = run_query(&net, &q, &RandomSelection { l: 3, seed: 9 }, &cfg).unwrap_err();
         match err {
             FederationError::QuorumLost {
@@ -1324,7 +1219,10 @@ mod tests {
             &net,
             &q,
             &QueryDriven::top_l(3),
-            &fast_cfg(5).with_faults(spec),
+            &FederationConfig {
+                faults: Some(spec),
+                ..fast_cfg(5)
+            },
         )
         .unwrap();
         match &out.global {
@@ -1373,9 +1271,11 @@ mod tests {
             &net,
             &q,
             &QueryDriven::top_l(1),
-            &fast_cfg(5)
-                .with_faults(FaultSpec::none().with_crash(selected, 0))
-                .with_tolerance(FaultTolerance::full_strength()),
+            &FederationConfig {
+                faults: Some(FaultSpec::none().with_crash(selected, 0)),
+                tolerance: FaultTolerance::full_strength(),
+                ..fast_cfg(5)
+            },
         )
         .unwrap();
         assert_eq!(out.accounting.replacements, 1);
@@ -1400,11 +1300,13 @@ mod tests {
             &net,
             &q,
             &QueryDriven::top_l(1),
-            &fast_cfg(5)
-                .with_faults(
+            &FederationConfig {
+                faults: Some(
                     FaultSpec::none().with_crash(baseline.selection.participants[0].node.0, 0),
-                )
-                .with_tolerance(FaultTolerance::default().with_quorum(Quorum::AtLeast(supply + 5))),
+                ),
+                tolerance: FaultTolerance::default().with_quorum(Quorum::AtLeast(supply + 5)),
+                ..fast_cfg(5)
+            },
         )
         .unwrap_err();
         match err {
@@ -1457,9 +1359,11 @@ mod tests {
             let spec = nodes
                 .iter()
                 .fold(FaultSpec::none(), |spec, &node| spec.with_crash(node, 0));
-            fast_cfg(5)
-                .with_faults(spec)
-                .with_tolerance(FaultTolerance::full_strength())
+            FederationConfig {
+                faults: Some(spec),
+                tolerance: FaultTolerance::full_strength(),
+                ..fast_cfg(5)
+            }
         };
         let selected = baseline.selection.participants[0].node.0;
         let covered = run_query(&net, &q, &policy, &crash(&[selected, standby[0]])).unwrap();
@@ -1468,7 +1372,7 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match *e {
-                FaultEvent::Replacement { standby, round: 0 } => Some(standby),
+                Event::Promoted(_, standby, 0) => Some(standby as usize),
                 _ => None,
             })
             .collect();
@@ -1501,20 +1405,24 @@ mod tests {
     fn link_loss_charges_retries_and_extra_seconds() {
         let net = network(true);
         let q = leader_query();
-        let cfg = fast_cfg(7).with_rounds(3);
+        let cfg = FederationConfig {
+            rounds: 3,
+            aggregation: Aggregation::FedAvgWeights,
+            ..fast_cfg(7)
+        };
         let clean = run_query(&net, &q, &QueryDriven::top_l(3), &cfg).unwrap();
         let lossy = run_query(
             &net,
             &q,
             &QueryDriven::top_l(3),
-            &cfg.clone()
-                .with_faults(FaultSpec::none().with_link_loss(0.75))
-                .with_tolerance(
-                    FaultTolerance::full_strength().with_retry(faults::RetryPolicy {
-                        max_attempts: 8,
-                        ..faults::RetryPolicy::default()
-                    }),
-                ),
+            &FederationConfig {
+                faults: Some(FaultSpec::none().with_link_loss(0.75)),
+                tolerance: FaultTolerance::full_strength().with_retry(faults::RetryPolicy {
+                    max_attempts: 8,
+                    ..faults::RetryPolicy::default()
+                }),
+                ..cfg
+            },
         )
         .unwrap();
         assert!(lossy.accounting.retries > 0, "0.75 loss never fired");
@@ -1550,9 +1458,11 @@ mod tests {
             &net,
             &q,
             &QueryDriven::top_l(3),
-            &fast_cfg(7)
-                .with_faults(FaultSpec::none().with_dropout(0.0).with_link_loss(0.0))
-                .with_tolerance(FaultTolerance::default().with_deadline(deadline)),
+            &FederationConfig {
+                faults: Some(FaultSpec::none().with_dropout(0.0).with_link_loss(0.0)),
+                tolerance: FaultTolerance::default().with_deadline(deadline),
+                ..fast_cfg(7)
+            },
         );
         // An all-inert spec never builds a plan, but the deadline is a
         // *tolerance* feature and must apply regardless of any plan.
@@ -1611,14 +1521,21 @@ mod tests {
         let (cfg, fired): (FederationConfig, Fired) = match case {
             PoolCase::FaultFree => (fast_cfg(7), |o| o.fault_trace.is_empty()),
             PoolCase::UnreliableEdge => (
-                fast_cfg(11)
-                    .with_faults(FaultSpec::unreliable_edge(42))
-                    .with_tolerance(FaultTolerance::full_strength()),
+                FederationConfig {
+                    faults: Some(FaultSpec::unreliable_edge(42)),
+                    tolerance: FaultTolerance::full_strength(),
+                    ..fast_cfg(11)
+                },
                 |o| !o.fault_trace.is_empty(),
             ),
-            PoolCase::ThreeRounds => (fast_cfg(7).with_rounds(3), |o| {
-                matches!(o.global, GlobalModel::Single(_))
-            }),
+            PoolCase::ThreeRounds => (
+                FederationConfig {
+                    rounds: 3,
+                    aggregation: Aggregation::FedAvgWeights,
+                    ..fast_cfg(7)
+                },
+                |o| matches!(o.global, GlobalModel::Single(_)),
+            ),
             PoolCase::StragglerDeadline => {
                 // Make the worst-ranked participant of the first query
                 // catastrophically slow, so the deadline cuts it off.
@@ -1627,7 +1544,10 @@ mod tests {
                 net.node_mut(slow).set_capacity(1e-4);
                 let deadline = clean.accounting.sim_seconds * 10.0;
                 (
-                    fast_cfg(7).with_tolerance(FaultTolerance::default().with_deadline(deadline)),
+                    FederationConfig {
+                        tolerance: FaultTolerance::default().with_deadline(deadline),
+                        ..fast_cfg(7)
+                    },
                     |o| o.accounting.deadline_misses > 0,
                 )
             }

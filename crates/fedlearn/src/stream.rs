@@ -212,7 +212,7 @@ mod tests {
             })
             .collect();
         let plain = run_stream(&net, &wl, &QueryDriven::top_l(3), &fast_cfg());
-        let cached_policy = selection::CachedQueryDriven::with_defaults(QueryDriven::top_l(3));
+        let cached_policy = selection::CachedQueryDriven::new(QueryDriven::top_l(3));
         let cached = run_stream(&net, &wl, &cached_policy, &fast_cfg());
         // Bit-identical rows: the memo must not change any outcome.
         // (Full accounting is not compared — it carries measured

@@ -105,9 +105,14 @@ fn parallel_matches_serial() {
         let seed = rng.gen_range(0..50u64);
         let net = build(&specs, seed);
         let q = Query::new(0, net.global_space());
-        let par_cfg = fast_cfg(seed, Aggregation::WeightedAveraging, StageOrder::Sequential)
-            .with_thread_count(4);
-        let ser_cfg = par_cfg.clone().with_thread_count(1);
+        let ser_cfg = FederationConfig {
+            threads: Some(1),
+            ..fast_cfg(seed, Aggregation::WeightedAveraging, StageOrder::Sequential)
+        };
+        let par_cfg = FederationConfig {
+            threads: Some(4),
+            ..ser_cfg.clone()
+        };
         let par = run_query(&net, &q, &QueryDriven::top_l(3), &par_cfg);
         let ser = run_query(&net, &q, &QueryDriven::top_l(3), &ser_cfg);
         match (par, ser) {

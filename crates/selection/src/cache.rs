@@ -31,19 +31,9 @@ use crate::policy::{
 };
 use crate::query_driven::QueryDriven;
 
-/// Tuning knobs for [`CachedQueryDriven`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Maximum number of memoised answers; the oldest-inserted entry is
-    /// evicted first (deterministic FIFO).
-    pub capacity: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        Self { capacity: 256 }
-    }
-}
+/// Maximum number of memoised answers; the oldest-inserted entry is
+/// evicted first (deterministic FIFO).
+pub const CAPACITY: usize = 256;
 
 /// Monotonic memo counters, mirrored into the global telemetry registry
 /// as `qens_cache_{hits,misses,invalidations,entries}_total`.
@@ -89,27 +79,16 @@ struct Memo {
 #[derive(Debug)]
 pub struct CachedQueryDriven {
     inner: QueryDriven,
-    config: CacheConfig,
     state: Mutex<Memo>,
 }
 
 impl CachedQueryDriven {
-    /// Memoises `inner`, indexed or not.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is 0.
-    pub fn new(inner: QueryDriven, config: CacheConfig) -> Self {
-        assert!(config.capacity > 0, "cache capacity must be non-zero");
+    /// Memoises `inner`, indexed or not, up to [`CAPACITY`] answers.
+    pub fn new(inner: QueryDriven) -> Self {
         Self {
             inner,
-            config,
             state: Mutex::new(Memo::default()),
         }
-    }
-
-    /// Wraps with [`CacheConfig::default`].
-    pub fn with_defaults(inner: QueryDriven) -> Self {
-        Self::new(inner, CacheConfig::default())
     }
 
     /// The wrapped policy.
@@ -200,7 +179,7 @@ impl CachedQueryDriven {
         memo.order.push_back(key);
         memo.stats.entries += 1;
         telemetry::counter!("qens_cache_entries_total").add(1);
-        if memo.order.len() > self.config.capacity {
+        if memo.order.len() > CAPACITY {
             let oldest = memo.order.pop_front().expect("order is non-empty");
             memo.answers.remove(&oldest);
             memo.stats.evictions += 1;
@@ -251,7 +230,7 @@ mod tests {
     fn exact_repeat_hits_and_matches_uncached() {
         let net = network(3);
         let plain = QueryDriven::top_l(3);
-        let cached = CachedQueryDriven::with_defaults(plain.clone());
+        let cached = CachedQueryDriven::new(plain.clone());
         let query = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 15.0]);
         let ctx = SelectionContext::new(&net, &query);
         assert_oracle(&plain, &ctx, &cached.select(&ctx));
@@ -271,7 +250,7 @@ mod tests {
     fn absorb_drops_the_table_and_counts_the_changed_node() {
         let mut net = network(3);
         let plain = QueryDriven::top_l(3);
-        let cached = CachedQueryDriven::with_defaults(plain.clone());
+        let cached = CachedQueryDriven::new(plain.clone());
         let near = Query::from_boundary_vec(0, &[0.0, 25.0, 0.0, 25.0]);
         let far = Query::from_boundary_vec(1, &[15.0, 30.0, 15.0, 30.0]);
         cached.select(&SelectionContext::new(&net, &near));
@@ -295,31 +274,32 @@ mod tests {
     #[test]
     fn capacity_evicts_fifo() {
         let net = network(3);
-        let cached = CachedQueryDriven::new(QueryDriven::top_l(3), CacheConfig { capacity: 2 });
-        let query = |i: u64| {
+        let cached = CachedQueryDriven::new(QueryDriven::top_l(3));
+        let query = |i: usize| {
             let off = i as f64 * 10.0;
-            Query::from_boundary_vec(i, &[off, off + 5.0, off, off + 5.0])
+            Query::from_boundary_vec(i as u64, &[off, off + 5.0, off, off + 5.0])
         };
-        for i in 0..5 {
+        let n = CAPACITY + 3;
+        for i in 0..n {
             cached.select(&SelectionContext::new(&net, &query(i)));
         }
-        assert_eq!(cached.len(), 2);
+        assert_eq!(cached.len(), CAPACITY);
         let stats = cached.stats();
-        assert_eq!(stats.entries, 5);
+        assert_eq!(stats.entries, n as u64);
         assert_eq!(stats.evictions, 3);
-        assert_eq!(stats.misses, 5);
-        // The two youngest stayed, the oldest went first.
-        cached.select(&SelectionContext::new(&net, &query(4)));
+        assert_eq!(stats.misses, n as u64);
+        // The youngest stayed, the three oldest went first.
+        cached.select(&SelectionContext::new(&net, &query(n - 1)));
         cached.select(&SelectionContext::new(&net, &query(3)));
         assert_eq!(cached.stats().hits, 2);
         cached.select(&SelectionContext::new(&net, &query(2)));
-        assert_eq!(cached.stats().misses, 6);
+        assert_eq!(cached.stats().misses, n as u64 + 1);
     }
 
     #[test]
     fn clear_drops_entries_but_keeps_counters() {
         let net = network(3);
-        let cached = CachedQueryDriven::with_defaults(QueryDriven::top_l(3));
+        let cached = CachedQueryDriven::new(QueryDriven::top_l(3));
         let query = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 15.0]);
         cached.select(&SelectionContext::new(&net, &query));
         assert!(!cached.is_empty());
@@ -341,7 +321,7 @@ mod tests {
             domain_size: 4,
             cells_per_dim: 0,
         };
-        let cached = CachedQueryDriven::new(plain.clone().indexed(grid), CacheConfig::default());
+        let cached = CachedQueryDriven::new(plain.clone().indexed(grid));
         let pool = ThreadPool::new(2);
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {

@@ -100,10 +100,10 @@
 //! (`>=`, since an equal ranking with a lower node id still places) the
 //! `kept`-th best. A skipped domain holds no node that could displace a
 //! kept entry, so the kept entries are the oracle's. Under `Threshold`
-//! and `AllPositive` nothing is kept short, so only the domains with
-//! `h̄ < ε` are skipped. The inline phase and the pool's chunks are fixed
-//! sizes, so the domains scored, and every counter, are the same for
-//! any worker count.
+//! nothing is kept short, so only the domains with `h̄ < ε` are skipped.
+//! The inline phase and the pool's chunks are fixed sizes, so the
+//! domains scored, and every counter, are the same for any worker
+//! count.
 //!
 //! # Staleness
 //!
@@ -740,7 +740,7 @@ mod tests {
     #[test]
     fn a_requantise_to_a_new_k_patches_one_block_and_scores_the_new_offsets() {
         let mut net = network(40);
-        let indexed = QueryDriven::new(0.05, SelectionCap::AllPositive, RankingRule::PaperEq4)
+        let indexed = QueryDriven::new(0.05, SelectionCap::Threshold(0.0), RankingRule::PaperEq4)
             .indexed(SMALL_DOMAINS);
         let index = indexed.index.as_ref().unwrap();
         // Covers every node, so every block is gathered.
@@ -953,9 +953,9 @@ mod tests {
     /// and every ranking rule, no node of a probed domain ranks above
     /// the domain's bound, and a domain bounded at 0 holds no supporting
     /// node. And what the bound prunes is invisible: under `TopL`,
-    /// `AllPositive` and `Threshold` the probed source selects what the
-    /// scan and the oracle select, bit for bit, at pools of 1, 2 and 4
-    /// workers, with the same `IndexStats` at each.
+    /// `Threshold(0.0)` and `Threshold(0.1)` the probed source selects
+    /// what the scan and the oracle select, bit for bit, at pools of 1,
+    /// 2 and 4 workers, with the same `IndexStats` at each.
     #[test]
     fn rank_bounds_dominate_every_node_and_pruning_is_invisible() {
         let mut rng = linalg::rng::rng_for(0xB0D, 7);
@@ -997,7 +997,7 @@ mod tests {
                     scored += probe_policy.index_stats().candidates;
                     for cap in [
                         SelectionCap::TopL(l),
-                        SelectionCap::AllPositive,
+                        SelectionCap::Threshold(0.0),
                         SelectionCap::Threshold(0.1),
                     ] {
                         let plain = QueryDriven::new(epsilon, cap, rule);

@@ -120,11 +120,6 @@ impl FairStochastic {
             history: Mutex::new(Vec::new()),
         }
     }
-
-    /// How often each node has been selected so far.
-    pub fn selection_counts(&self) -> Vec<u64> {
-        self.history.lock().unwrap().clone()
-    }
 }
 
 impl SelectionPolicy for FairStochastic {
@@ -246,7 +241,7 @@ mod tests {
             let sel = pol.select(&SelectionContext::new(&net, &q));
             assert_eq!(sel.len(), 1);
         }
-        let counts = pol.selection_counts();
+        let counts = pol.history.lock().unwrap().clone();
         let min = *counts.iter().min().unwrap();
         let max = *counts.iter().max().unwrap();
         assert!(max - min <= 2, "fairness violated: {counts:?}");

@@ -95,7 +95,7 @@ pub struct Selection {
     /// first: nodes that supported the query but were trimmed by the
     /// cap, as `(node, r_i)` only. Under [`SelectionCap::TopL`]`(ℓ)` it
     /// holds the next [`RESERVE_PER_SLOT`]` · ℓ` nodes of the ranking and
-    /// no more; under `Threshold` and `AllPositive` every supporting
+    /// no more; under `Threshold` every supporting
     /// node below the cut. Fault-tolerant federations promote from this
     /// list, in order, when selected participants fail, and
     /// [`SelectionPolicy::promote`] gives a promoted node its supporting

@@ -32,21 +32,20 @@ pub const RESERVE_PER_SLOT: usize = 2;
 pub enum SelectionCap {
     /// Keep the ℓ best-ranked nodes (with positive ranking).
     TopL(usize),
-    /// Keep every node with `r_i >= ψ` (Eq. 5).
+    /// Keep every node with `r_i >= ψ` (Eq. 5); `Threshold(0.0)` keeps
+    /// every node with positive ranking.
     Threshold(f64),
-    /// Keep every node with positive ranking.
-    AllPositive,
 }
 
 impl SelectionCap {
     /// How many ranked entries a selection under this cap keeps,
     /// participants and standby together: `ℓ + RESERVE_PER_SLOT · ℓ`
-    /// under `TopL(ℓ)`, and `None` — every supporting node — under the
-    /// other two, whose cut is not a count.
+    /// under `TopL(ℓ)`, and `None` — every supporting node — under
+    /// `Threshold`, whose cut is not a count.
     pub(crate) fn kept(self) -> Option<usize> {
         match self {
             SelectionCap::TopL(l) => Some(l.saturating_mul(1 + RESERVE_PER_SLOT)),
-            SelectionCap::Threshold(_) | SelectionCap::AllPositive => None,
+            SelectionCap::Threshold(_) => None,
         }
     }
 }
@@ -272,7 +271,6 @@ impl QueryDriven {
         let cut = match self.cap {
             SelectionCap::TopL(l) => l.min(ranked.len()),
             SelectionCap::Threshold(psi) => ranked.partition_point(|r| r.ranking >= psi),
-            SelectionCap::AllPositive => ranked.len(),
         };
         let participants: Vec<Participant> =
             ranked.drain(..cut).map(|r| self.promote(ctx, &r)).collect();
@@ -396,11 +394,11 @@ mod tests {
         let query = Query::from_boundary_vec(0, &[0.0, 30.0, 0.0, 30.0]);
         let ctx = SelectionContext::new(&net, &query);
         let all = QueryDriven {
-            cap: SelectionCap::AllPositive,
+            cap: SelectionCap::Threshold(0.0),
             ..QueryDriven::top_l(3)
         }
         .select(&ctx);
-        assert!(all.standby.is_empty(), "AllPositive trims nothing");
+        assert!(all.standby.is_empty(), "Threshold(0.0) trims nothing");
         let capped_policy = QueryDriven::top_l(1);
         let capped = capped_policy.select(&ctx);
         // participants ++ promoted standby reproduces the uncapped
@@ -432,8 +430,8 @@ mod tests {
         let net = network();
         let query = Query::from_boundary_vec(0, &[0.0, 22.0, 0.0, 22.0]);
         let ctx = SelectionContext::new(&net, &query);
-        let all =
-            QueryDriven::new(0.05, SelectionCap::AllPositive, RankingRule::PaperEq4).select(&ctx);
+        let all = QueryDriven::new(0.05, SelectionCap::Threshold(0.0), RankingRule::PaperEq4)
+            .select(&ctx);
         assert!(all.len() >= 2);
         let psi = all.participants[0].ranking * 0.99;
         let sel = QueryDriven::threshold(0.05, psi).select(&ctx);
@@ -484,7 +482,7 @@ mod tests {
             RankingRule::PotentialOnly,
             RankingRule::CountOnly,
         ] {
-            let policy = QueryDriven::new(0.05, SelectionCap::AllPositive, rule);
+            let policy = QueryDriven::new(0.05, SelectionCap::Threshold(0.0), rule);
             assert_oracle(&policy, &ctx, &policy.select(&ctx));
         }
     }
@@ -526,7 +524,7 @@ mod tests {
         let mut net = EdgeNetwork::from_datasets(datasets);
         net.quantize_all(3, 5);
         let query = Query::from_boundary_vec(0, &[0.0, 30.0, 0.0, 30.0]);
-        let policy = QueryDriven::new(0.05, SelectionCap::AllPositive, RankingRule::PaperEq4);
+        let policy = QueryDriven::new(0.05, SelectionCap::Threshold(0.0), RankingRule::PaperEq4);
         let ctx = SelectionContext::new(&net, &query);
         let serial = policy.select_with_pool(&ctx, &par::ThreadPool::new(1));
         assert!(serial.len() >= 2, "query must rank several nodes");

@@ -109,11 +109,10 @@ pub fn select(
     let keep = match cap {
         SelectionCap::TopL(l) => l.min(participants.len()),
         SelectionCap::Threshold(psi) => participants.iter().filter(|p| p.ranking >= psi).count(),
-        SelectionCap::AllPositive => participants.len(),
     };
     let reserve = match cap {
         SelectionCap::TopL(l) => l.saturating_mul(RESERVE_PER_SLOT),
-        SelectionCap::Threshold(_) | SelectionCap::AllPositive => usize::MAX,
+        SelectionCap::Threshold(_) => usize::MAX,
     };
     let standby = participants
         .split_off(keep)

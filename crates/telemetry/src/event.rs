@@ -1,9 +1,8 @@
 //! The one event vocabulary of the fleet and fault layers.
 //!
 //! Every per-node or per-query occurrence — a node selected, dropped,
-//! promoted or charged, a memo invalidated, a query shed — is one
-//! [`Event`], emitted once through [`emit`]. Three views fold the
-//! stream:
+//! promoted or charged, a memo invalidated — is one [`Event`], emitted
+//! once through [`emit`]. Three views fold the stream:
 //!
 //! * the **trace** records the event's instant, if it has one
 //!   ([`crate::trace::instant`]);
@@ -12,8 +11,10 @@
 //! * the **journal** ([`crate::journal`]) keeps the incidents in its
 //!   ring and renders them as JSON lines.
 //!
-//! No view can disagree with another about what happened: there is no
-//! second call to forget.
+//! The round engine keeps each query's fault events as its fault trace
+//! (`faults::FaultTrace`), a fourth fold, and counts the query's fault
+//! ledger off it. No view can disagree with another about what
+//! happened: there is no second call to forget.
 
 use crate::trace::{self, instant};
 
@@ -42,9 +43,9 @@ pub enum Event {
     /// `(query, node, round, attempts)`: every transfer attempt was lost;
     /// the report never reached the leader.
     TransferFailed(u64, u64, u64, u64),
-    /// `(query, node, round)`: the leader stopped waiting for `node` at
-    /// the straggler deadline.
-    DeadlineMiss(u64, u64, u64),
+    /// `(query, node, round, deadline_s, finish_s)`: the leader stopped
+    /// waiting for `node` at the straggler deadline (simulated seconds).
+    DeadlineMiss(u64, u64, u64, f64, f64),
     /// `(query, node, round)`: standby `node` was promoted into the
     /// cohort.
     Promoted(u64, u64, u64),
@@ -87,11 +88,8 @@ fn trace_instant(event: &Event) {
         Event::Dropout(_, n, r) => ("fault.dropout", &[("node", n), ("round", r)]),
         Event::Crash(_, n, r) => ("fault.crash", &[("node", n), ("round", r)]),
         Event::Straggled(n, r, slowdown) => {
-            let milli = (slowdown * 1000.0) as u64;
-            (
-                "fault.straggler",
-                &[("node", n), ("round", r), ("slowdown_milli", milli)],
-            )
+            let milli = ("slowdown_milli", (slowdown * 1000.0) as u64);
+            ("fault.straggler", &[("node", n), ("round", r), milli])
         }
         Event::LinkLoss(n, r, a) => (
             "fault.link_loss",
@@ -105,7 +103,7 @@ fn trace_instant(event: &Event) {
             "fault.transfer_failed",
             &[("node", n), ("round", r), ("attempts", a)],
         ),
-        Event::DeadlineMiss(_, n, r) => ("fault.deadline_miss", &[("node", n), ("round", r)]),
+        Event::DeadlineMiss(_, n, r, ..) => ("fault.deadline_miss", &[("node", n), ("round", r)]),
         Event::Promoted(_, n, r) => ("fault.replacement", &[("standby", n), ("round", r)]),
         Event::QuorumLost(_, r, survivors, required, _) => (
             "fault.quorum_lost",
@@ -188,7 +186,7 @@ mod tests {
             Event::LinkLoss(1, 0, 1),
             Event::RetrySuccess(1, 0, 2),
             Event::TransferFailed(9, 5, 2, 3),
-            Event::DeadlineMiss(9, 5, 2),
+            Event::DeadlineMiss(9, 5, 2, 5.0, 9.25),
             Event::Promoted(4, 2, 1),
             Event::QuorumLost(4, 1, 0, 2, vec![2, 6]),
             Event::Charged(1, 0.5, 100, 4096),

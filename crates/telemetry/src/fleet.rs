@@ -228,7 +228,7 @@ pub(crate) fn fold(event: &Event) {
         Event::Dropout(_, node, _)
         | Event::Crash(_, node, _)
         | Event::TransferFailed(_, node, ..)
-        | Event::DeadlineMiss(_, node, _) => s.card(node).dropped += 1,
+        | Event::DeadlineMiss(_, node, ..) => s.card(node).dropped += 1,
         Event::Straggled(node, ..) => s.card(node).straggled += 1,
         Event::LinkLoss(node, ..) => s.card(node).retried += 1,
         Event::Promoted(_, node, _) => s.card(node).promoted += 1,

@@ -4,8 +4,8 @@
 //! [`crate::fleet`] records *totals* (how often things happened per
 //! node), the journal records *incidents*: a fixed-capacity ring of the
 //! [`Event`]s that name one — who was selected, who dropped, who got
-//! promoted, what was shed — each attributed to a query and (where
-//! meaningful) a node, and stamped with both clocks:
+//! promoted, when the memo was dropped — each attributed to a query
+//! and (where meaningful) a node, and stamped with both clocks:
 //!
 //! * a **logical tick** — one per event, assigned in recording order.
 //!   Every recording site sits in leader-serial code whose execution
@@ -82,7 +82,7 @@ fn line(event: &Event) -> Option<Line> {
         Event::Dropout(q, n, r) => dropped(q, n, "dropout", r),
         Event::Crash(q, n, r) => dropped(q, n, "crash", r),
         Event::TransferFailed(q, n, r, _) => dropped(q, n, "transfer", r),
-        Event::DeadlineMiss(q, n, r) => at_round("straggler_deadline", q, n, r),
+        Event::DeadlineMiss(q, n, r, ..) => at_round("straggler_deadline", q, n, r),
         Event::Promoted(q, n, r) => at_round("standby_promoted", q, n, r),
         Event::QuorumLost(q, r, s, ..) => {
             fleet_level("quorum_lost", q, [("round", r), ("survivors", s)])
@@ -335,7 +335,7 @@ mod tests {
     fn tail_bound_limits_the_export() {
         let _g = locked();
         for q in 0..10u64 {
-            emit(&Event::DeadlineMiss(q, 1, 0));
+            emit(&Event::DeadlineMiss(q, 1, 0, 5.0, 6.0));
         }
         let doc = to_jsonl(Clock::Logical, Some(4));
         assert_eq!(doc.lines().count(), 4);

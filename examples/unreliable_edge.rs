@@ -79,7 +79,11 @@ fn main() {
 
     println!("\nfault trace ({} events):", outcome.fault_trace.len());
     for event in &outcome.fault_trace.events {
-        println!("  {event:?}");
+        // One event's row of the `fault_trace.json` export, keys named.
+        let row = FaultTrace {
+            events: vec![event.clone()],
+        };
+        println!("  {}", row.to_json().trim_matches(['[', ']']));
     }
 
     let promoted: Vec<String> = outcome

@@ -150,7 +150,7 @@ fn cache_and_index_compose_exactly() {
         &space,
     );
     let plain = QueryDriven::top_l(3);
-    let both = CachedQueryDriven::new(plain.indexed(GridConfig::default()), CacheConfig::default());
+    let both = CachedQueryDriven::new(plain.indexed(GridConfig::default()));
     let pool = ThreadPool::new(2);
     for (i, q) in wl.queries.iter().enumerate() {
         let q = match i % 3 {
@@ -241,10 +241,18 @@ fn fault_plan_is_index_transparent() {
     };
     let scan_fed = build(false);
     let indexed_fed = build(true);
-    assert!(!scan_fed.index_enabled());
-    assert!(indexed_fed.index_enabled());
     let policy = PolicyKind::query_driven(2);
     let wl = scan_fed.paper_workload(21);
+    // Only the indexed federation's policy builds an index.
+    let rebuilds = |fed: &Federation| {
+        telemetry::set_enabled(true);
+        telemetry::global().reset();
+        fed.run_query(&wl.queries[0], &policy).expect("round runs");
+        let snap = telemetry::global().snapshot();
+        telemetry::set_enabled(false);
+        snap.counter("qens_index_rebuilds_total").unwrap_or(0)
+    };
+    assert_eq!((rebuilds(&scan_fed), rebuilds(&indexed_fed)), (0, 1));
     for q in wl.queries.iter().take(8) {
         let want = scan_fed.run_query(q, &policy).expect("scan round runs");
         let got = indexed_fed
@@ -431,7 +439,7 @@ fn promoted_standbys_match_the_oracles_entry() {
     let net = EdgeNetwork::from_nodes(filler_nodes(0, 160));
     let plain = QueryDriven::top_l(2);
     let index = plain.clone().indexed(SMALL_DOMAINS);
-    let memo = CachedQueryDriven::new(index.clone(), CacheConfig::default());
+    let memo = CachedQueryDriven::new(index.clone());
     let mut promoted = 0usize;
     for threads in [1usize, 4] {
         let pool = ThreadPool::new(threads);
@@ -476,7 +484,7 @@ fn differing_and_changing_k_rebuilds_the_offsets() {
     }
     let ks: Vec<usize> = net.nodes().iter().map(EdgeNode::k).collect();
     assert!(ks.iter().any(|k| *k != ks[0]), "nodes must differ in K");
-    let plain = QueryDriven::new(0.05, SelectionCap::AllPositive, RankingRule::PaperEq4);
+    let plain = QueryDriven::new(0.05, SelectionCap::Threshold(0.0), RankingRule::PaperEq4);
     let indexed = plain.clone().indexed(SMALL_DOMAINS);
     let queries = workload_of(WorkloadKind::Uniform, 12, &net.global_space()).queries;
     assert_oracle(&net, &[&plain, &indexed], &queries, "differing K");
@@ -527,7 +535,7 @@ fn zero_width_cluster_rectangles_score_like_the_scan() {
     ];
     nodes.extend(filler_nodes(3, 120));
     let net = EdgeNetwork::from_nodes(nodes);
-    let plain = QueryDriven::new(0.05, SelectionCap::AllPositive, RankingRule::PaperEq4);
+    let plain = QueryDriven::new(0.05, SelectionCap::Threshold(0.0), RankingRule::PaperEq4);
     let indexed = plain.clone().indexed(SMALL_DOMAINS);
     let mut queries = sliding_queries();
     for (i, b) in [
@@ -561,7 +569,7 @@ fn overlap_exactly_epsilon_supports_on_both_paths() {
     // Dimension 0: query inside cluster, 1/10; dimension 1: disjoint, 0.
     // The mean is 0.1 / 2, which is the double 0.05.
     let q = Query::from_boundary_vec(0, &[4.0, 5.0, 150.0, 151.0]);
-    let at = QueryDriven::new(0.05, SelectionCap::AllPositive, RankingRule::PaperEq4);
+    let at = QueryDriven::new(0.05, SelectionCap::Threshold(0.0), RankingRule::PaperEq4);
     let indexed = at.clone().indexed(SMALL_DOMAINS);
     assert_oracle(&net, &[&at, &indexed], std::slice::from_ref(&q), "h == ε");
     let sel = indexed.select(&SelectionContext::new(&net, &q));
@@ -578,7 +586,7 @@ fn overlap_exactly_epsilon_supports_on_both_paths() {
     // One ulp above ε and the same cluster no longer supports.
     let above = QueryDriven::new(
         f64::from_bits(0.05f64.to_bits() + 1),
-        SelectionCap::AllPositive,
+        SelectionCap::Threshold(0.0),
         RankingRule::PaperEq4,
     );
     let indexed = above.clone().indexed(SMALL_DOMAINS);
@@ -721,7 +729,7 @@ fn cluster_ids_and_sizes_beyond_32_bits_survive_the_table() {
 /// hull hit is a candidate only while the domain's rank bound reaches
 /// ε: the hull-hit totals are derived by brute force and pinned to what
 /// the per-candidate loop reported for this stream before the table
-/// existed, and the scored totals, under `AllPositive` (only domains
+/// existed, and the scored totals, under `Threshold(0.0)` (only domains
 /// that cannot support the query are skipped) and under `TopL(3)`
 /// (domains that cannot reach the 9th best ranking are skipped too),
 /// are pinned below them.
@@ -746,7 +754,7 @@ fn candidate_and_overlap_eval_counts_match_the_per_candidate_loop() {
     );
 
     for (cap, want) in [
-        (SelectionCap::AllPositive, PINNED_ALL_POSITIVE),
+        (SelectionCap::Threshold(0.0), PINNED_ALL_POSITIVE),
         (SelectionCap::TopL(3), PINNED_TOP_3),
     ] {
         for threads in [1usize, 2, 4] {
@@ -822,7 +830,7 @@ fn poisoned_clusters_are_counted_once_per_scored_cluster() {
             .counter("qens_selection_nonfinite_scores_total")
             .unwrap_or(0)
     };
-    for cap in [SelectionCap::AllPositive, SelectionCap::TopL(2)] {
+    for cap in [SelectionCap::Threshold(0.0), SelectionCap::TopL(2)] {
         let plain = QueryDriven::new(0.05, cap, RankingRule::PaperEq4);
         let indexed = plain.clone().indexed(SMALL_DOMAINS);
         let want = oracle(&net, &plain, &q);

@@ -136,11 +136,12 @@ fn full_rounds_are_bit_identical_across_thread_counts() {
     let q = Query::from_boundary_vec(1, &bounds);
     let policy = QueryDriven::top_l(3);
 
-    let configs: Vec<FederationConfig> = vec![
-        f.config().clone().with_thread_count(1),
-        f.config().clone().with_thread_count(2),
-        f.config().clone().with_thread_count(4),
-    ];
+    let configs: Vec<FederationConfig> = [1, 2, 4]
+        .map(|threads| FederationConfig {
+            threads: Some(threads),
+            ..f.config().clone()
+        })
+        .into();
     let outcomes: Vec<_> = configs
         .iter()
         .map(|cfg| run_query(f.network(), &q, &policy, cfg).expect("full-space query completes"))
@@ -216,7 +217,10 @@ fn domain_counter_totals_agree_across_pool_sizes() {
     let mut totals: Vec<Vec<(String, u64)>> = Vec::new();
     for threads in [1usize, 4] {
         telemetry::global().reset();
-        let cfg = f.config().clone().with_thread_count(threads);
+        let cfg = FederationConfig {
+            threads: Some(threads),
+            ..f.config().clone()
+        };
         run_query(f.network(), &q, &policy, &cfg).expect("query completes");
         let snap = telemetry::global().snapshot();
         let mut domain: Vec<(String, u64)> = snap
@@ -238,7 +242,7 @@ fn domain_counter_totals_agree_across_pool_sizes() {
 }
 
 /// The process-wide sized-pool cache hands back the same pool for the
-/// same size — `with_thread_count` never spawns per-query threads.
+/// same size — a pinned `threads` count never spawns per-query threads.
 #[test]
 fn sized_pools_are_cached_per_size() {
     let a = par::sized(3);

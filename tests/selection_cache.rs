@@ -18,7 +18,7 @@
 use qens::linalg::rng::{rng_for, Rng};
 use qens::par::{self, ThreadPool};
 use qens::prelude::*;
-use qens::selection::{reference, GridConfig};
+use qens::selection::{cache::CAPACITY, reference, GridConfig};
 use qens::telemetry;
 use qens::workload::generate;
 
@@ -76,21 +76,24 @@ fn reference_of(net: &EdgeNetwork, plain: &QueryDriven, query: &Query) -> Select
     reference::select(net, query, plain.epsilon, plain.cap, plain.rule)
 }
 
-/// The acceptance contract: for a 200-query drifting stream (and a
-/// uniform and a hotspot stream alongside), with every third query a
-/// bit-exact repeat of the one before it, the memoised policy returns a
+/// The acceptance contract: for a drifting stream (and a uniform and a
+/// hotspot stream alongside), with every third query a bit-exact repeat
+/// of the one before it, the memoised policy returns a
 /// bitwise-identical `Selection` for every single query, at 1, 2 and 4
-/// workers, on one memo kept across all thread counts. The table is
-/// smaller than a stream, so every pass both hits (the repeats) and
-/// misses (FIFO has dropped the stream's head by the time it comes
-/// round again): answers stored under one pool serve under another, and
-/// the policy behind the memo runs under each.
+/// workers, on one memo kept across all thread counts. Each stream has
+/// more distinct rectangles than the memo holds, so every pass both
+/// hits (the repeats) and misses (FIFO has dropped the stream's head by
+/// the time it comes round again): answers stored under one pool serve
+/// under another, and the policy behind the memo runs under each.
 #[test]
 fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
     let net = network(4);
     let space = net.global_space();
+    // Two in three queries are distinct: 2·CAPACITY queries hold
+    // CAPACITY·4/3 rectangles.
+    let n = 2 * CAPACITY;
     let kinds: Vec<(&str, QueryWorkload)> = vec![
-        ("uniform", workload_of(WorkloadKind::Uniform, 60, &space)),
+        ("uniform", workload_of(WorkloadKind::Uniform, n, &space)),
         (
             "drifting",
             workload_of(
@@ -98,7 +101,7 @@ fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
                     step_frac: 0.02,
                     spread_frac: 0.03,
                 },
-                200,
+                n,
                 &space,
             ),
         ),
@@ -109,7 +112,7 @@ fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
                     hotspots: 3,
                     spread_frac: 0.05,
                 },
-                60,
+                n,
                 &space,
             ),
         ),
@@ -122,7 +125,7 @@ fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
                 _ => wl.queries[i].clone(),
             })
             .collect();
-        let cached = CachedQueryDriven::new(plain.clone(), CacheConfig { capacity: 16 });
+        let cached = CachedQueryDriven::new(plain.clone());
         for threads in [1usize, 2, 4] {
             let pool = ThreadPool::new(threads);
             let before = cached.stats();
@@ -139,7 +142,7 @@ fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
                 "{name} at {threads} threads: every repeat hits ({after:?})"
             );
             assert!(
-                after.misses - before.misses >= 16,
+                after.misses - before.misses > CAPACITY as u64,
                 "{name} at {threads} threads: the policy must run ({after:?})"
             );
         }
@@ -161,7 +164,7 @@ fn cached_selections_are_bitwise_identical_across_threads_and_workloads() {
 fn absorb_invalidates_one_node_and_stays_exact() {
     let mut net = network(9);
     let plain = QueryDriven::top_l(3);
-    let cached = CachedQueryDriven::with_defaults(plain.clone());
+    let cached = CachedQueryDriven::new(plain.clone());
     let space = net.global_space();
     let wl = workload_of(WorkloadKind::Uniform, 8, &space);
     let pool = par::sized(2);
@@ -247,8 +250,8 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
     };
     // Room for every rectangle of the schedule: no eviction here.
     let index = plain.clone().indexed(grid);
-    let both = CachedQueryDriven::new(index.clone(), CacheConfig::default());
-    let memo = CachedQueryDriven::with_defaults(plain.clone());
+    let both = CachedQueryDriven::new(index.clone());
+    let memo = CachedQueryDriven::new(plain.clone());
     let pool = ThreadPool::new(2);
     let fresh_data = |seed: u64| {
         scenario::heterogeneous_nodes(2, 30, seed)
@@ -398,7 +401,7 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
 fn prometheus_export_covers_cache_series() {
     let mut net = network(11);
     telemetry::set_enabled(true);
-    let cached = CachedQueryDriven::with_defaults(QueryDriven::top_l(3));
+    let cached = CachedQueryDriven::new(QueryDriven::top_l(3));
     let q0 = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 30.0]);
     let q1 = Query::from_boundary_vec(1, &[0.5, 15.5, 0.0, 30.0]);
     cached.select(&SelectionContext::new(&net, &q0)); // miss + entry
