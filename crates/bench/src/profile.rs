@@ -141,8 +141,8 @@ pub fn run_profile(opts: &ProfileOptions) -> std::io::Result<(PathBuf, PathBuf)>
     let slo = tprofile::slo_view();
     println!(
         "\nSLO: objective {:.1} ms, target {:.3}: {} good / {} bad, burn 1x {:.3}, 6x {:.3}",
-        slo.config.objective_nanos as f64 / 1e6,
-        slo.config.target,
+        tprofile::SLO_OBJECTIVE_NANOS as f64 / 1e6,
+        tprofile::SLO_TARGET,
         slo.good_total,
         slo.bad_total,
         slo.burn_rate_1x,

@@ -544,7 +544,7 @@ fn train_wave(
     let pool = env.pool();
     let pooled = jobs.len() > 1 && pool.threads() > 1;
     let results = if pooled {
-        pool.map_indexed(&jobs, 1, |_, &member| run(member))
+        pool.map_chunks(jobs.len(), 1, |r| run(jobs[r.start]))
     } else {
         jobs.into_iter().map(run).collect()
     };

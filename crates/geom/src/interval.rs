@@ -50,25 +50,6 @@ impl Interval {
         Self { lo, hi }
     }
 
-    /// The smallest interval containing every *finite* value in `xs`.
-    ///
-    /// Non-finite values (NaN and ±∞) are skipped: an interval's bounds
-    /// must be finite (see [`Interval::new`]), so an infinite sample can
-    /// contribute no usable bound. Returns `None` if `xs` is empty or
-    /// holds no finite value.
-    pub fn bounding(xs: &[f64]) -> Option<Self> {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &x in xs {
-            if !x.is_finite() {
-                continue;
-            }
-            lo = lo.min(x);
-            hi = hi.max(x);
-        }
-        (lo <= hi).then(|| Self::new(lo, hi))
-    }
-
     /// Lower bound.
     #[inline]
     pub fn lo(&self) -> f64 {
@@ -228,43 +209,6 @@ mod tests {
     #[should_panic(expected = "must be finite")]
     fn non_finite_bounds_rejected() {
         Interval::new(f64::NEG_INFINITY, 0.0);
-    }
-
-    #[test]
-    fn bounding_skips_nans_and_handles_empty() {
-        assert_eq!(Interval::bounding(&[]), None);
-        assert_eq!(Interval::bounding(&[f64::NAN]), None);
-        assert_eq!(
-            Interval::bounding(&[2.0, f64::NAN, -1.0]),
-            Some(Interval::new(-1.0, 2.0))
-        );
-        assert_eq!(Interval::bounding(&[5.0]), Some(Interval::new(5.0, 5.0)));
-    }
-
-    /// Regression: `bounding` used to skip only NaN, so an infinite
-    /// sample flowed into `Interval::new` and tripped its finiteness
-    /// assert (a panic deep inside summary construction). Non-finite
-    /// values must be skipped like NaN, with `None` when nothing finite
-    /// remains.
-    #[test]
-    fn bounding_skips_non_finite_values() {
-        assert_eq!(Interval::bounding(&[f64::INFINITY]), None);
-        assert_eq!(
-            Interval::bounding(&[f64::NEG_INFINITY, f64::INFINITY]),
-            None
-        );
-        assert_eq!(
-            Interval::bounding(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
-            None
-        );
-        assert_eq!(
-            Interval::bounding(&[1.0, f64::INFINITY]),
-            Some(Interval::new(1.0, 1.0))
-        );
-        assert_eq!(
-            Interval::bounding(&[f64::NEG_INFINITY, -2.0, 7.0, f64::NAN]),
-            Some(Interval::new(-2.0, 7.0))
-        );
     }
 
     #[test]

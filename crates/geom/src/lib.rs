@@ -24,4 +24,4 @@ pub mod rect;
 pub use index::{GridConfig, Probe, SpatialIndex, SpatialIndexBuilder};
 pub use interval::{Interval, OverlapCase};
 pub use query::Query;
-pub use rect::HyperRect;
+pub use rect::{overlap_rate, HyperRect};

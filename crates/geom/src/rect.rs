@@ -137,21 +137,10 @@ impl HyperRect {
     }
 
     /// The paper's data-overlapping rate (Eq. 2) of `self` (a *query*
-    /// rectangle) against `cluster`:
-    ///
-    /// `h_ik = (1/d) Σ_d h_ik^d`
-    ///
-    /// where `h_ik^d` is the five-case per-dimension ratio
-    /// ([`Interval::overlap_ratio`]). Always in `[0, 1]`.
+    /// rectangle) against `cluster`; see [`overlap_rate`].
     pub fn overlap_rate(&self, cluster: &HyperRect) -> f64 {
         assert_eq!(self.dim(), cluster.dim(), "rect dimensionality mismatch");
-        let sum: f64 = self
-            .dims
-            .iter()
-            .zip(&cluster.dims)
-            .map(|(q, k)| q.overlap_ratio(k))
-            .sum();
-        sum / self.dim() as f64
+        overlap_rate(&self.dims, &cluster.dims)
     }
 
     /// Volume-fraction overlap: `vol(q ∩ k) / vol(hull(q, k))`.
@@ -172,6 +161,25 @@ impl HyperRect {
             }
         }
     }
+}
+
+/// The paper's data-overlapping rate (Eq. 2) of a query against a
+/// cluster, each given as its per-axis intervals:
+///
+/// `h_ik = (1/d) Σ_d h_ik^d`
+///
+/// where `h_ik^d` is the five-case per-dimension ratio
+/// ([`Interval::overlap_ratio`]). Always in `[0, 1]`. Both slices must
+/// have the query's dimensionality `d`.
+#[inline]
+pub fn overlap_rate(query: &[Interval], cluster: &[Interval]) -> f64 {
+    debug_assert_eq!(query.len(), cluster.len(), "rect dimensionality mismatch");
+    let sum: f64 = query
+        .iter()
+        .zip(cluster)
+        .map(|(q, k)| q.overlap_ratio(k))
+        .sum();
+    sum / query.len() as f64
 }
 
 #[cfg(test)]

@@ -18,10 +18,13 @@
 //!   therefore bit-identical across `QENS_THREADS=1`, `=4`, and the
 //!   inline serial path — `tests/par_determinism.rs` proves it across
 //!   the whole pipeline.
-//! * **Work-stealing-lite**: the submitting thread does not idle behind
-//!   its scope — it drains the shared injector queue alongside the
-//!   workers until its own tasks finish. This also makes nested scopes
-//!   (a pooled kernel calling another pooled kernel) deadlock-free.
+//! * **One queued scope per call**: a pooled call publishes one scope
+//!   (its body and a task counter), not one job per task. Workers and
+//!   the submitting thread claim task indices from it; the submitter
+//!   runs its claims instead of idling, then blocks once until the
+//!   tasks other threads claimed finish. It waits only on running tasks,
+//!   which makes nested scopes (a pooled kernel calling another pooled
+//!   kernel) deadlock-free.
 //! * **std-only**: the workspace's default build path must work with the
 //!   crates-io registry unreachable; no external dependencies.
 //!
@@ -38,7 +41,8 @@
 //! Following the workspace's `qens_<crate>_<name>` convention:
 //! `qens_par_scopes_total`, `qens_par_tasks_total`,
 //! `qens_par_inline_tasks_total` (counters), `qens_par_queue_depth`
-//! (histogram, sampled at enqueue) and `qens_par_workers` (gauge).
+//! (histogram: the unclaimed tasks across published scopes, sampled
+//! when a scope is published) and `qens_par_workers` (gauge).
 //! Scheduling metrics are intentionally *not* part of the determinism
 //! contract — only the domain counters are.
 //!
@@ -54,6 +58,8 @@
 //! });
 //! assert_eq!(total, serial.iter().sum::<f64>());
 //! ```
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::collections::HashMap;
 use std::num::NonZeroUsize;

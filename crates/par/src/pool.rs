@@ -2,24 +2,23 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::Instant;
 
-/// A type-erased, lifetime-erased job on the shared injector queue.
-///
-/// Jobs are only ever enqueued by [`ThreadPool::run_scoped`], which
-/// blocks until every job it enqueued has finished — that blocking is
-/// what makes the lifetime erasure sound (see the safety comment there).
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A scope's task body, called once with each task index; `'static`
+/// only because [`ThreadPool::run`] erases the caller's lifetime.
+type Body = dyn Fn(usize) + Sync;
 
 /// Queue state guarded by one mutex (shutdown lives inside so workers
-/// cannot miss the signal between a pop attempt and a wait).
+/// cannot miss the signal between a look at the queue and a wait).
 struct QueueState {
-    jobs: VecDeque<Job>,
+    /// Published scopes, oldest first. A scope leaves the queue once a
+    /// thread finds it has no task index left to claim.
+    scopes: VecDeque<Arc<Scope>>,
     shutdown: bool,
 }
 
@@ -29,44 +28,83 @@ struct Shared {
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Jobs never unwind while holding pool locks (panics are caught at
+    // Tasks never unwind while holding pool locks (panics are caught at
     // the task boundary), but be robust anyway.
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Per-scope completion latch plus the first captured panic.
-struct ScopeState {
-    remaining: Mutex<usize>,
+/// One published [`ThreadPool::run`] call: its body, the next task
+/// index to claim, the latch of unfinished tasks and the first captured
+/// panic.
+struct Scope {
+    /// The submitter's body with its lifetime erased (see `run`).
+    body: *const Body,
+    tasks: usize,
+    next: AtomicUsize,
+    unfinished: Mutex<usize>,
     done: Condvar,
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
     /// The submitter's trace query while wall tracing is on (`u64::MAX`
     /// otherwise).
     query: u64,
+    /// When the scope was published, while wall tracing is on.
+    published: Option<Instant>,
 }
 
-impl ScopeState {
-    fn new(tasks: usize, query: u64) -> Self {
-        Self {
-            remaining: Mutex::new(tasks),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
-            query,
-        }
+// SAFETY: every field but `body` is `Send`. `body` points at a
+// `dyn Fn(usize) + Sync`, which any thread may call through a shared
+// reference, and it is only dereferenced while `run` keeps its referent
+// alive (see `Scope::run_claims`).
+unsafe impl Send for Scope {}
+// SAFETY: every field but `body` is `Sync`; `body` is only read, and
+// what it points at is `Sync` (see the `Send` impl above).
+unsafe impl Sync for Scope {}
+
+impl Scope {
+    fn exhausted(&self) -> bool {
+        self.next.load(Ordering::Relaxed) >= self.tasks
     }
 
-    fn finish_task(&self) {
-        let mut rem = lock(&self.remaining);
-        *rem -= 1;
-        if *rem == 0 {
-            self.done.notify_all();
+    /// Claims task indices and runs them until none is left. The claim
+    /// is a relaxed `fetch_add`: it hands each index to exactly one
+    /// thread and publishes no data (the tasks' writes reach the
+    /// submitter through the `unfinished` mutex).
+    fn run_claims(&self) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.tasks {
+                return;
+            }
+            {
+                // The block ends the task's span *before* the
+                // count-down can release the submitter (which may
+                // export the trace at once).
+                let _traced = self.published.map(|t| traced_task(self.query, t));
+                // SAFETY: index `i` is claimed by this thread and not
+                // yet counted down, so the submitter is still inside
+                // `run`, whose caller owns the body for that whole call.
+                let body = unsafe { &*self.body };
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(i))) {
+                    let mut slot = lock(&self.panic);
+                    if slot.is_none() {
+                        *slot = Some(payload);
+                    }
+                }
+            }
+            let mut unfinished = lock(&self.unfinished);
+            *unfinished -= 1;
+            if *unfinished == 0 {
+                self.done.notify_one();
+            }
         }
     }
+}
 
-    fn record_panic(&self, payload: Box<dyn Any + Send + 'static>) {
-        let mut slot = lock(&self.panic);
-        if slot.is_none() {
-            *slot = Some(payload);
-        }
+/// Drops the scopes at the front of the queue that have no task index
+/// left to claim.
+fn pop_exhausted(scopes: &mut VecDeque<Arc<Scope>>) {
+    while scopes.front().is_some_and(|s| s.exhausted()) {
+        scopes.pop_front();
     }
 }
 
@@ -97,7 +135,7 @@ impl ThreadPool {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
+                scopes: VecDeque::new(),
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
@@ -128,119 +166,97 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Runs every task to completion before returning (scope semantics).
+    /// Runs `body(i)` for every `i` in `0..tasks` and returns once all
+    /// have finished (scope semantics), so `body` may borrow from the
+    /// caller's stack.
     ///
-    /// Tasks may borrow from the caller's stack (`'env`). With more than
-    /// one worker the tasks run on the pool while the caller helps drain
-    /// the queue; with one worker (or one task) they run inline in order.
-    /// Task *completion order* is scheduling-dependent — determinism is
-    /// the responsibility of the chunked wrappers, which assign each
-    /// task a fixed output slot.
+    /// With one worker or at most one task the indices run inline, in
+    /// order. Otherwise the call publishes one scope: the workers and
+    /// the caller claim indices from it, and the caller, out of indices,
+    /// blocks until the last claimed one finishes. A blocked caller
+    /// waits only on tasks that other threads are running, which is
+    /// what makes nested calls (a pooled kernel calling another)
+    /// deadlock-free. Completion order is scheduling-dependent —
+    /// determinism is the responsibility of the chunked wrappers, which
+    /// give each index a fixed output slot.
     ///
     /// # Panics
     /// If a task panics, the panic is re-raised on the caller after all
     /// tasks of the scope have finished (first payload wins).
-    fn run_scoped<'env, I>(&self, tasks: I)
-    where
-        I: IntoIterator<Item = Box<dyn FnOnce() + Send + 'env>>,
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + 'env>> = tasks.into_iter().collect();
-        if tasks.is_empty() {
+    fn run(&self, tasks: usize, body: &(dyn Fn(usize) + Sync)) {
+        if self.threads <= 1 || tasks <= 1 {
+            telemetry::counter!("qens_par_inline_tasks_total").add(tasks as u64);
+            (0..tasks).for_each(body);
             return;
         }
         telemetry::counter!("qens_par_scopes_total").incr();
-        if self.threads <= 1 || tasks.len() == 1 {
-            telemetry::counter!("qens_par_inline_tasks_total").add(tasks.len() as u64);
-            for task in tasks {
-                task();
-            }
-            return;
-        }
-        telemetry::counter!("qens_par_tasks_total").add(tasks.len() as u64);
-        // Dispatch-window span (enqueue → every task done). Wall-only:
-        // a single-thread pool never reaches this point (it trains
-        // inline above), so a logical-clock event here would break the
+        telemetry::counter!("qens_par_tasks_total").add(tasks as u64);
+        // Dispatch-window span (publish → every task done). Wall-only:
+        // a single-thread pool never reaches this point (it runs inline
+        // above), so a logical-clock event here would break the
         // QENS_THREADS byte-identity contract.
-        let _scope_span = telemetry::wall_span("par.scope", &[("tasks", tasks.len() as u64)]);
+        let _scope_span = telemetry::wall_span("par.scope", &[("tasks", tasks as u64)]);
 
         // Dispatch tracing (queue wait vs execute) is wall-mode only:
         // completion order is scheduling-dependent by design, so the
-        // logical clock must never see it. The flag is one relaxed load;
-        // while tracing is off no clock is read and nothing is recorded.
-        let trace_dispatch = telemetry::trace::mode() == Some(telemetry::trace::Clock::Wall);
-        // A traced scope records its submitter's query: the thread that
-        // runs one of its jobs may be answering another query (see
-        // `traced_task`).
-        let query = if trace_dispatch {
-            telemetry::trace::current_query()
-        } else {
-            u64::MAX
-        };
-        let scope = Arc::new(ScopeState::new(tasks.len(), query));
+        // logical clock must never see it. While tracing is off no clock
+        // is read and nothing is recorded. A traced scope records its
+        // submitter's query: the worker that runs one of its tasks may be
+        // answering another query (see `traced_task`).
+        let traced = telemetry::trace::mode() == Some(telemetry::trace::Clock::Wall);
+        let body: *const (dyn Fn(usize) + Sync + '_) = body;
+        // SAFETY: this only erases the body's lifetime. The body is
+        // dereferenced only for a claimed index that has not yet been
+        // counted down (`Scope::run_claims`), and this function does not
+        // return until every index is counted down, so no dereference
+        // outlives the borrow. Task panics are caught before the
+        // count-down, so the latch always drains. This is the argument
+        // `std::thread::scope` makes, minus the per-call thread spawn.
+        let body =
+            unsafe { std::mem::transmute::<*const (dyn Fn(usize) + Sync + '_), *const Body>(body) };
+        let scope = Arc::new(Scope {
+            body,
+            tasks,
+            next: AtomicUsize::new(0),
+            unfinished: Mutex::new(tasks),
+            done: Condvar::new(),
+            panic: Mutex::new(None),
+            query: if traced {
+                telemetry::trace::current_query()
+            } else {
+                u64::MAX
+            },
+            published: traced.then(Instant::now),
+        });
         {
             let mut state = lock(&self.shared.state);
-            for task in tasks {
-                let scope = Arc::clone(&scope);
-                let enqueued_at = trace_dispatch.then(std::time::Instant::now);
-                let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                    {
-                        // The scope block ends the task's span *before*
-                        // `finish_task` can unblock the caller (which may
-                        // immediately export the trace).
-                        let _traced = enqueued_at.map(|t| traced_task(scope.query, t));
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                            scope.record_panic(payload);
-                        }
-                    }
-                    scope.finish_task();
-                });
-                // SAFETY: the job may borrow data that only lives for
-                // `'env`. `run_scoped` does not return until
-                // `scope.remaining` hits zero, i.e. until this closure
-                // (and every sibling) has fully executed, so the borrows
-                // never outlive the frame that owns them. Panics inside
-                // the user task are caught above, so the job itself
-                // cannot unwind out of a worker and leave the latch
-                // hanging. This is the same argument `std::thread::scope`
-                // makes, minus the per-call thread spawn.
-                let job: Job =
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-                state.jobs.push_back(job);
-            }
-            telemetry::histogram!("qens_par_queue_depth").record(state.jobs.len() as u64);
-            self.shared.work_ready.notify_all();
+            pop_exhausted(&mut state.scopes);
+            let unclaimed: usize = state
+                .scopes
+                .iter()
+                .map(|s| s.tasks.saturating_sub(s.next.load(Ordering::Relaxed)))
+                .sum();
+            telemetry::histogram!("qens_par_queue_depth").record((unclaimed + tasks) as u64);
+            state.scopes.push_back(Arc::clone(&scope));
+        }
+        // The caller claims too, so at most `tasks - 1` workers find work.
+        for _ in 1..tasks.min(self.threads + 1) {
+            self.shared.work_ready.notify_one();
         }
 
-        // Work-stealing-lite: the caller drains the shared queue (its
-        // own tasks or a sibling scope's — both are sound, both callers
-        // are blocked here) instead of idling. This is also what makes
-        // nested `run_scoped` calls from inside a worker deadlock-free.
-        loop {
-            while let Some(job) = self.try_pop() {
-                job();
-            }
-            let rem = lock(&scope.remaining);
-            if *rem == 0 {
-                break;
-            }
-            // Short-timeout wait: re-check the queue for help-work while
-            // still being woken promptly by the final `finish_task`.
-            let (rem, _timeout) = scope
+        scope.run_claims();
+        let mut unfinished = lock(&scope.unfinished);
+        while *unfinished > 0 {
+            unfinished = scope
                 .done
-                .wait_timeout(rem, Duration::from_micros(200))
+                .wait(unfinished)
                 .unwrap_or_else(|p| p.into_inner());
-            if *rem == 0 {
-                break;
-            }
         }
+        drop(unfinished);
         let panic_payload = lock(&scope.panic).take();
         if let Some(payload) = panic_payload {
             resume_unwind(payload);
         }
-    }
-
-    fn try_pop(&self) -> Option<Job> {
-        lock(&self.shared.state).jobs.pop_front()
     }
 
     /// Applies `f` to every fixed-size chunk `[lo, hi)` of `0..len` and
@@ -258,54 +274,21 @@ impl ThreadPool {
         F: Fn(Range<usize>) -> U + Sync,
     {
         assert!(chunk > 0, "chunk size must be positive");
-        let n_chunks = len.div_ceil(chunk);
-        let mut out: Vec<Option<U>> = Vec::with_capacity(n_chunks);
-        out.resize_with(n_chunks, || None);
-        let bounds = |ci: usize| {
+        let slots: Vec<Mutex<Option<U>>> =
+            (0..len.div_ceil(chunk)).map(|_| Mutex::new(None)).collect();
+        self.run(slots.len(), &|ci| {
             let lo = ci * chunk;
-            lo..(lo + chunk).min(len)
-        };
-        if self.threads <= 1 || n_chunks <= 1 {
-            telemetry::counter!("qens_par_inline_tasks_total").add(n_chunks as u64);
-            for (ci, slot) in out.iter_mut().enumerate() {
-                *slot = Some(f(bounds(ci)));
-            }
-        } else {
-            let slots = SharedSlots::new(&mut out);
-            let f = &f;
-            let slots_ref = &slots;
-            self.run_scoped((0..n_chunks).map(|ci| {
-                Box::new(move || {
-                    // SAFETY: chunk index `ci` is unique to this task, so
-                    // no two tasks touch the same slot.
-                    unsafe { slots_ref.set(ci, f(bounds(ci))) };
-                }) as Box<dyn FnOnce() + Send + '_>
-            }));
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every chunk ran to completion"))
-            .collect()
-    }
-
-    /// Maps `f` over `items`, returning results in input order.
-    ///
-    /// Items are grouped into fixed chunks of `chunk` per task; each
-    /// result is written to its input index, so the output is identical
-    /// for any worker count.
-    pub fn map_indexed<T, U, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        let partials = self.map_chunks(items.len(), chunk, |range| {
-            range.map(|i| f(i, &items[i])).collect::<Vec<U>>()
+            let partial = f(lo..(lo + chunk).min(len));
+            *lock(&slots[ci]) = Some(partial);
         });
-        let mut out = Vec::with_capacity(items.len());
-        for part in partials {
-            out.extend(part);
-        }
-        out
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .expect("every chunk ran to completion")
+            })
+            .collect()
     }
 
     /// Runs `f(offset, chunk_slice)` over disjoint fixed-size chunks of
@@ -322,18 +305,8 @@ impl ThreadPool {
         F: Fn(usize, &mut [T]) + Sync,
     {
         assert!(chunk > 0, "chunk size must be positive");
-        let n_chunks = data.len().div_ceil(chunk);
-        if self.threads <= 1 || n_chunks <= 1 {
-            telemetry::counter!("qens_par_inline_tasks_total").add(n_chunks as u64);
-            for (ci, part) in data.chunks_mut(chunk).enumerate() {
-                f(ci * chunk, part);
-            }
-            return;
-        }
-        let f = &f;
-        self.run_scoped(data.chunks_mut(chunk).enumerate().map(|(ci, part)| {
-            Box::new(move || f(ci * chunk, part)) as Box<dyn FnOnce() + Send + '_>
-        }));
+        let parts: Vec<Mutex<&mut [T]>> = data.chunks_mut(chunk).map(Mutex::new).collect();
+        self.run(parts.len(), &|ci| f(ci * chunk, &mut lock(&parts[ci])));
     }
 }
 
@@ -350,21 +323,18 @@ impl Drop for ThreadPool {
     }
 }
 
-/// Starts a traced pool task of `query`, enqueued at `enqueued_at`: runs
+/// Starts a traced pool task of `query`, published at `published`: runs
 /// the rest of the task under the query's trace scope and records its
-/// queue wait (enqueue → first instruction of the job, on whichever
-/// thread picked it up), then opens the `par.task` span that times the
-/// task body. The span drops before the scope (tuple fields drop in
-/// order), so it closes on the stack it opened on. Kept out of line so
-/// an untraced job pays nothing for it.
+/// queue wait (publish → claim, on whichever thread claimed it), then
+/// opens the `par.task` span that times the task body. The span drops
+/// before the scope (tuple fields drop in order), so it closes on the
+/// stack it opened on. Kept out of line so an untraced task pays nothing
+/// for it.
 #[cold]
 #[inline(never)]
-fn traced_task(
-    query: u64,
-    enqueued_at: std::time::Instant,
-) -> (telemetry::Span, telemetry::trace::TaskScope) {
+fn traced_task(query: u64, published: Instant) -> (telemetry::Span, telemetry::trace::TaskScope) {
     let scope = telemetry::trace::task_scope(query);
-    let wait = u64::try_from(enqueued_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let wait = u64::try_from(published.elapsed().as_nanos()).unwrap_or(u64::MAX);
     telemetry::histogram!("qens_par_queue_wait_nanos").record(wait);
     (
         telemetry::wall_span("par.task", &[("queue_nanos", wait)]),
@@ -374,14 +344,15 @@ fn traced_task(
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let job = {
+        let scope = {
             let mut state = lock(&shared.state);
             loop {
-                if let Some(job) = state.jobs.pop_front() {
-                    break Some(job);
+                pop_exhausted(&mut state.scopes);
+                if let Some(scope) = state.scopes.front() {
+                    break Arc::clone(scope);
                 }
                 if state.shutdown {
-                    break None;
+                    return;
                 }
                 state = shared
                     .work_ready
@@ -389,50 +360,15 @@ fn worker_loop(shared: &Shared) {
                     .unwrap_or_else(|p| p.into_inner());
             }
         };
-        match job {
-            Some(job) => job(),
-            None => return,
-        }
-    }
-}
-
-/// Raw shared access to a `Vec<Option<U>>` where every task writes a
-/// distinct index (enforced by construction in [`ThreadPool::map_chunks`]).
-struct SharedSlots<'a, U> {
-    ptr: *mut Option<U>,
-    len: usize,
-    _marker: PhantomData<&'a mut [Option<U>]>,
-}
-
-// SAFETY: the slots are only written through `set`, each index by exactly
-// one task, and the owning Vec outlives the scope (the caller of
-// `map_chunks` holds it across `run_scoped`, which blocks).
-unsafe impl<U: Send> Sync for SharedSlots<'_, U> {}
-unsafe impl<U: Send> Send for SharedSlots<'_, U> {}
-
-impl<'a, U> SharedSlots<'a, U> {
-    fn new(slots: &'a mut Vec<Option<U>>) -> Self {
-        Self {
-            ptr: slots.as_mut_ptr(),
-            len: slots.len(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// # Safety
-    /// Each index must be written by at most one task, and `i < len`.
-    unsafe fn set(&self, i: usize, value: U) {
-        assert!(i < self.len, "slot index out of bounds");
-        // SAFETY: disjoint indices per the caller contract; the pointee
-        // is alive for 'a which spans the whole scope.
-        unsafe { *self.ptr.add(i) = Some(value) };
+        scope.run_claims();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn pools() -> Vec<ThreadPool> {
         vec![ThreadPool::new(1), ThreadPool::new(2), ThreadPool::new(4)]
@@ -445,18 +381,6 @@ mod tests {
         assert!(pool.workers.is_empty());
         let zero = ThreadPool::new(0);
         assert_eq!(zero.threads(), 1);
-    }
-
-    #[test]
-    fn map_indexed_preserves_input_order_for_every_pool_size() {
-        let items: Vec<u64> = (0..1000).collect();
-        for pool in pools() {
-            let out = pool.map_indexed(&items, 7, |i, &x| (i as u64) * 2 + x);
-            assert_eq!(out.len(), items.len());
-            for (i, v) in out.iter().enumerate() {
-                assert_eq!(*v, (i as u64) * 3);
-            }
-        }
     }
 
     #[test]
@@ -502,6 +426,20 @@ mod tests {
         assert!(empty.is_empty());
         let chunks = pool.map_chunks(10, 4, |r| (r.start, r.end));
         assert_eq!(chunks, vec![(0, 4), (4, 8), (8, 10)]);
+        // Partials land in chunk order for every pool size, whichever
+        // thread ran them: flattened, they are the input, in order.
+        let items: Vec<u64> = (0..1000).collect();
+        for pool in pools() {
+            let out: Vec<u64> = pool
+                .map_chunks(items.len(), 7, |r| {
+                    r.map(|i| (i as u64) * 2 + items[i]).collect::<Vec<_>>()
+                })
+                .concat();
+            assert_eq!(out.len(), items.len());
+            for (i, v) in out.iter().enumerate() {
+                assert_eq!(*v, (i as u64) * 3);
+            }
+        }
     }
 
     #[test]
@@ -509,13 +447,9 @@ mod tests {
         let pool = ThreadPool::new(4);
         let data: Vec<usize> = (0..100).collect();
         let hits = AtomicUsize::new(0);
-        pool.run_scoped((0..10).map(|t| {
-            let data = &data;
-            let hits = &hits;
-            Box::new(move || {
-                hits.fetch_add(data[t * 10], Ordering::Relaxed);
-            }) as Box<dyn FnOnce() + Send + '_>
-        }));
+        pool.run(10, &|t| {
+            hits.fetch_add(data[t * 10], Ordering::Relaxed);
+        });
         assert_eq!(hits.load(Ordering::Relaxed), (0..10).map(|t| t * 10).sum());
     }
 
@@ -523,16 +457,13 @@ mod tests {
     fn nested_scopes_do_not_deadlock() {
         let pool = ThreadPool::new(2);
         let total = AtomicUsize::new(0);
-        pool.run_scoped((0..4).map(|_| {
-            let pool = &pool;
-            let total = &total;
-            Box::new(move || {
-                // A pooled kernel calling another pooled kernel: the
-                // inner scope's caller (a worker) helps drain the queue.
-                let inner = pool.map_chunks(100, 10, |r| r.sum::<usize>());
-                total.fetch_add(inner.iter().sum::<usize>(), Ordering::Relaxed);
-            }) as Box<dyn FnOnce() + Send + '_>
-        }));
+        pool.run(4, &|_| {
+            // A pooled kernel calling another pooled kernel: the inner
+            // scope's caller (a worker, or the outer caller) claims its
+            // own indices and waits only on tasks that are running.
+            let inner = pool.map_chunks(100, 10, |r| r.sum::<usize>());
+            total.fetch_add(inner.iter().sum::<usize>(), Ordering::Relaxed);
+        });
         assert_eq!(total.load(Ordering::Relaxed), 4 * (0..100).sum::<usize>());
     }
 
@@ -541,15 +472,12 @@ mod tests {
         let pool = ThreadPool::new(3);
         let completed = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_scoped((0..8).map(|t| {
-                let completed = &completed;
-                Box::new(move || {
-                    if t == 3 {
-                        panic!("task 3 exploded");
-                    }
-                    completed.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            }));
+            pool.run(8, &|t| {
+                if t == 3 {
+                    panic!("task 3 exploded");
+                }
+                completed.fetch_add(1, Ordering::Relaxed);
+            });
         }));
         let payload = result.expect_err("panic must propagate");
         let msg = payload
@@ -564,6 +492,60 @@ mod tests {
         assert_eq!(sum, (0..50).sum::<usize>());
     }
 
+    /// Three submitters share one 2-worker pool for 2 000 scopes each,
+    /// half of whose tasks nest a scope of their own. A lost wake-up
+    /// would hang a submitter: the run is joined through a 60 s
+    /// timeout, so it fails the suite instead.
+    #[test]
+    fn concurrent_and_nested_scopes_finish_with_exact_sums() {
+        const SCOPES: usize = 2_000;
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = ThreadPool::new(2);
+            let sums: Vec<(usize, usize)> = std::thread::scope(|s| {
+                let submitters: Vec<_> = (0..3)
+                    .map(|t| {
+                        let pool = &pool;
+                        s.spawn(move || {
+                            let (mut got, mut want) = (0, 0);
+                            for k in 0..SCOPES {
+                                let tasks = 2 + (k * 7 + t) % 7;
+                                let nest = k % 2 == 0;
+                                let partials = pool.map_chunks(tasks, 1, |r| {
+                                    let inner = if nest {
+                                        pool.map_chunks(40, 8, |r| r.sum::<usize>()).iter().sum()
+                                    } else {
+                                        0
+                                    };
+                                    r.start + 1 + inner
+                                });
+                                got += partials.iter().sum::<usize>();
+                                want += tasks * (tasks + 1) / 2
+                                    + if nest {
+                                        tasks * (0..40).sum::<usize>()
+                                    } else {
+                                        0
+                                    };
+                            }
+                            (got, want)
+                        })
+                    })
+                    .collect();
+                submitters
+                    .into_iter()
+                    .map(|h| h.join().expect("submitter thread"))
+                    .collect()
+            });
+            let _ = done.send(sums);
+        });
+        let sums = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("every scope finished within 60 s");
+        for (got, want) in sums {
+            assert_eq!(got, want);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_rejected() {
@@ -573,8 +555,8 @@ mod tests {
     #[test]
     fn drop_joins_all_workers() {
         let pool = ThreadPool::new(4);
-        let out = pool.map_indexed(&[1u8, 2, 3], 1, |_, &x| x * 2);
-        assert_eq!(out, vec![2, 4, 6]);
+        let out = pool.map_chunks(3, 1, |r| r.start * 2);
+        assert_eq!(out, vec![0, 2, 4]);
         drop(pool); // must not hang
     }
 }

@@ -51,9 +51,9 @@
 //! zero-overlap cluster *does* pass `h >= ε`, so such a policy scores
 //! every node.
 //!
-//! A block copies the summaries' own intervals and
-//! `DomainClusters::overlaps` repeats [`geom::HyperRect::overlap_rate`]
-//! operation for operation, so a ranking has the bits
+//! A block copies the summaries' own intervals and scores them with
+//! [`geom::overlap_rate`], the function behind
+//! [`geom::HyperRect::overlap_rate`], so a ranking has the bits
 //! [`QueryDriven::score_node`] computes from the node's summaries — which
 //! is how `rank_and_cap` and [`SelectionPolicy::promote`] build the
 //! supporting clusters of the nodes that train. Scoring order is
@@ -298,8 +298,7 @@ impl DomainClusters {
 
     /// The `(cluster_id, size, h_ik)` triples of the node at the
     /// block's `i`-th slot, in summary order, as `rank_clusters` takes
-    /// them. `h_ik` repeats [`geom::HyperRect::overlap_rate`] operation
-    /// for operation.
+    /// them.
     #[inline]
     fn overlaps<'a>(
         &'a self,
@@ -309,12 +308,10 @@ impl DomainClusters {
     ) -> impl ExactSizeIterator<Item = (usize, usize, f64)> + 'a {
         let first = self.offsets[i] as usize;
         (first..self.offsets[i + 1] as usize).map(move |c| {
-            let sum: f64 = query
-                .intervals()
-                .iter()
-                .zip(&self.intervals[c * self.dims..(c + 1) * self.dims])
-                .map(|(q, k)| q.overlap_ratio(k))
-                .sum();
+            let h = geom::overlap_rate(
+                query.intervals(),
+                &self.intervals[c * self.dims..(c + 1) * self.dims],
+            );
             let (cluster_id, size) = match self.meta[c] {
                 (id, size) if id != WIDE && size != WIDE => (id as usize, size as usize),
                 _ => {
@@ -322,7 +319,7 @@ impl DomainClusters {
                     (summary.cluster_id, summary.size)
                 }
             };
-            (cluster_id, size, sum / self.dims as f64)
+            (cluster_id, size, h)
         })
     }
 

@@ -17,7 +17,7 @@
 //!   lower query id), so the one-in-a-thousand outlier is still fully
 //!   inspectable after the fact.
 //! * **Are we meeting the latency objective?** — the [`SloTracker`]
-//!   classifies every query against a configurable objective and keeps
+//!   classifies every query against a fixed 250 ms objective and keeps
 //!   good/bad counters plus 1x/6x rolling-window burn rates (the
 //!   multi-window alerting idiom: a burn rate of 1.0 means the error
 //!   budget is being consumed exactly as provisioned).
@@ -534,36 +534,25 @@ pub fn slowest_to_json() -> String {
 // SLO burn-rate tracking
 // ---------------------------------------------------------------------------
 
-/// The latency objective the tracker classifies queries against.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloConfig {
-    /// A query is *good* when its end-to-end wall time is at or under
-    /// this many nanoseconds.
-    pub objective_nanos: u64,
-    /// The availability target (e.g. `0.99` = 1% error budget).
-    pub target: f64,
-    /// The fast (1x) window length in queries; the slow window is 6x.
-    pub window: usize,
-}
+/// The latency objective: a query is *good* when its end-to-end wall
+/// time is at or under this many nanoseconds (250 ms).
+pub const SLO_OBJECTIVE_NANOS: u64 = 250_000_000;
 
-impl Default for SloConfig {
-    fn default() -> Self {
-        Self {
-            objective_nanos: 250_000_000, // 250 ms
-            target: 0.99,
-            window: 64,
-        }
-    }
-}
+/// The availability target: a 1% error budget.
+pub const SLO_TARGET: f64 = 0.99;
+
+/// The fast (1x) window length in queries; the slow window is 6x.
+pub const SLO_WINDOW: usize = 64;
 
 /// Rolling-window SLO tracking over per-query end-to-end latencies.
 ///
-/// Keeps lifetime good/bad totals plus a circular ring of the last
-/// `6 × window` verdicts, from which the 1x (last `window` queries) and
-/// 6x (last `6 × window`) burn rates are computed:
+/// Classifies each query against [`SLO_OBJECTIVE_NANOS`] and keeps
+/// lifetime good/bad totals plus a circular ring of the last
+/// `6 × SLO_WINDOW` verdicts, from which the 1x (last [`SLO_WINDOW`]
+/// queries) and 6x (last `6 × SLO_WINDOW`) burn rates are computed:
 ///
 /// ```text
-/// burn_rate = bad_fraction_in_window / (1 - target)
+/// burn_rate = bad_fraction_in_window / (1 - SLO_TARGET)
 /// ```
 ///
 /// A burn rate of 1.0 consumes the error budget exactly as provisioned;
@@ -571,7 +560,6 @@ impl Default for SloConfig {
 /// 1x window are the classic paging thresholds.
 #[derive(Debug)]
 pub struct SloTracker {
-    cfg: SloConfig,
     ring: Vec<bool>,
     next: usize,
     len: usize,
@@ -579,29 +567,24 @@ pub struct SloTracker {
     bad_total: u64,
 }
 
-impl SloTracker {
-    /// A fresh tracker for `cfg`.
-    pub fn new(cfg: SloConfig) -> Self {
-        let cap = cfg.window.max(1) * 6;
+impl Default for SloTracker {
+    /// A fresh tracker: nothing observed.
+    fn default() -> Self {
         Self {
-            cfg,
-            ring: vec![false; cap],
+            ring: vec![false; 6 * SLO_WINDOW],
             next: 0,
             len: 0,
             good_total: 0,
             bad_total: 0,
         }
     }
+}
 
-    /// The configured objective.
-    pub fn config(&self) -> SloConfig {
-        self.cfg
-    }
-
+impl SloTracker {
     /// Classifies one query latency; returns `true` when it met the
     /// objective.
     pub fn observe(&mut self, nanos: u64) -> bool {
-        let good = nanos <= self.cfg.objective_nanos;
+        let good = nanos <= SLO_OBJECTIVE_NANOS;
         let cap = self.ring.len();
         self.ring[self.next] = good;
         self.next = (self.next + 1) % cap;
@@ -644,22 +627,21 @@ impl SloTracker {
         if considered == 0 {
             return 0.0;
         }
-        let budget = (1.0 - self.cfg.target).max(1e-9);
+        let budget = 1.0 - SLO_TARGET;
         (bad as f64 / considered as f64) / budget
     }
 
     /// Burn rate over the last `window` queries.
     pub fn burn_rate_1x(&self) -> f64 {
-        self.burn_rate_over(self.cfg.window)
+        self.burn_rate_over(SLO_WINDOW)
     }
 
     /// Burn rate over the last `6 × window` queries.
     pub fn burn_rate_6x(&self) -> f64 {
-        self.burn_rate_over(self.cfg.window * 6)
+        self.burn_rate_over(SLO_WINDOW * 6)
     }
 
-    /// Forgets every verdict and zeroes the lifetime totals; the
-    /// configuration is kept.
+    /// Forgets every verdict and zeroes the lifetime totals.
     pub fn reset(&mut self) {
         self.ring.fill(false);
         self.next = 0;
@@ -671,7 +653,7 @@ impl SloTracker {
 
 fn slo() -> MutexGuard<'static, SloTracker> {
     static SLO: OnceLock<Mutex<SloTracker>> = OnceLock::new();
-    SLO.get_or_init(|| Mutex::new(SloTracker::new(SloConfig::default())))
+    SLO.get_or_init(|| Mutex::new(SloTracker::default()))
         .lock()
         .unwrap_or_else(|p| p.into_inner())
 }
@@ -684,15 +666,9 @@ fn slo() -> MutexGuard<'static, SloTracker> {
 /// inert while telemetry is disabled; the tracker itself always
 /// records.
 pub fn observe_query(nanos: u64) {
-    let (good, b1, b6, objective) = {
+    let (good, b1, b6) = {
         let mut t = slo();
-        let good = t.observe(nanos);
-        (
-            good,
-            t.burn_rate_1x(),
-            t.burn_rate_6x(),
-            t.config().objective_nanos,
-        )
+        (t.observe(nanos), t.burn_rate_1x(), t.burn_rate_6x())
     };
     if good {
         crate::counter!("qens_slo_good_total").incr();
@@ -701,14 +677,12 @@ pub fn observe_query(nanos: u64) {
     }
     crate::gauge!("qens_slo_burn_rate_1x").set(b1);
     crate::gauge!("qens_slo_burn_rate_6x").set(b6);
-    crate::gauge!("qens_slo_objective_seconds").set(objective as f64 / 1e9);
+    crate::gauge!("qens_slo_objective_seconds").set(SLO_OBJECTIVE_NANOS as f64 / 1e9);
 }
 
 /// A point-in-time copy of the global SLO state (for `/slo` and tests).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloView {
-    /// The active configuration.
-    pub config: SloConfig,
     /// Lifetime good queries.
     pub good_total: u64,
     /// Lifetime bad queries.
@@ -725,7 +699,6 @@ pub struct SloView {
 pub fn slo_view() -> SloView {
     let t = slo();
     SloView {
-        config: t.config(),
         good_total: t.good_total(),
         bad_total: t.bad_total(),
         observed: t.observed(),
@@ -747,13 +720,13 @@ pub fn slo_to_json() -> String {
     let mut out = String::with_capacity(192);
     out.push('{');
     write_key(&mut out, "objective_nanos");
-    write_u64(&mut out, v.config.objective_nanos);
+    write_u64(&mut out, SLO_OBJECTIVE_NANOS);
     out.push(',');
     write_key(&mut out, "target");
-    write_f64(&mut out, v.config.target);
+    write_f64(&mut out, SLO_TARGET);
     out.push(',');
     write_key(&mut out, "window");
-    write_u64(&mut out, v.config.window as u64);
+    write_u64(&mut out, SLO_WINDOW as u64);
     out.push(',');
     write_key(&mut out, "observed");
     write_u64(&mut out, v.observed as u64);
@@ -774,7 +747,7 @@ pub fn slo_to_json() -> String {
 }
 
 /// Clears the global flight recorder and SLO tracker (fresh profiling
-/// pass; configurations are kept).
+/// pass; the recorder's capacity is kept).
 pub fn reset() {
     recorder().clear();
     slo().reset();
@@ -798,6 +771,9 @@ pub fn reset() {
 pub struct QueryObserver {
     query_id: u64,
     start: Option<Instant>,
+    /// The trace buffer's end when the query began, while tracing is
+    /// on: none of the query's events lie before it.
+    mark: Option<trace::Mark>,
     span: Option<trace::Span>,
 }
 
@@ -807,10 +783,11 @@ impl QueryObserver {
         // The fleet registry counts queries here: every query runs
         // through `run_query`, which opens exactly one observer.
         crate::emit(&crate::Event::QueryObserved(query_id));
-        let active = crate::enabled() || trace::is_enabled();
+        let tracing = trace::is_enabled();
         Self {
             query_id,
-            start: active.then(Instant::now),
+            start: (crate::enabled() || tracing).then(Instant::now),
+            mark: tracing.then(trace::mark),
             span: Some(trace::query_span(query_id)),
         }
     }
@@ -825,8 +802,10 @@ impl Drop for QueryObserver {
             crate::histogram!("qens_fedlearn_run_query_nanos").record(nanos);
         }
         observe_query(nanos);
-        let Some(clock) = trace::mode() else { return };
-        let events = trace::snapshot_query(self.query_id);
+        let (Some(clock), Some(mark)) = (trace::mode(), self.mark) else {
+            return;
+        };
+        let events = trace::snapshot_query_since(mark, self.query_id);
         if events.is_empty() {
             return;
         }
@@ -990,31 +969,30 @@ mod tests {
 
     #[test]
     fn slo_tracker_burn_rates_roll_across_window_boundaries() {
-        let cfg = SloConfig {
-            objective_nanos: 100,
-            target: 0.9, // 10% budget
-            window: 2,   // ring holds 12
-        };
-        let mut t = SloTracker::new(cfg);
+        let (good, bad) = (SLO_OBJECTIVE_NANOS, SLO_OBJECTIVE_NANOS + 1);
+        let budget = 1.0 - SLO_TARGET;
+        let mut t = SloTracker::default();
         assert_eq!(t.burn_rate_1x(), 0.0, "empty tracker burns nothing");
-        // One good, one bad: 1x window = [good, bad] -> 50% bad / 10%.
-        assert!(t.observe(50));
-        assert!(!t.observe(150));
+        // One good, one bad: the 1x window is 50% bad.
+        assert!(t.observe(good));
+        assert!(!t.observe(bad));
         assert_eq!(t.good_total(), 1);
         assert_eq!(t.bad_total(), 1);
-        assert!((t.burn_rate_1x() - 5.0).abs() < 1e-9);
-        // Two more good: the bad verdict leaves the 1x window…
-        assert!(t.observe(50));
-        assert!(t.observe(50));
+        assert!((t.burn_rate_1x() - 0.5 / budget).abs() < 1e-9);
+        // A window of good verdicts: the bad one leaves the 1x window…
+        for _ in 0..SLO_WINDOW {
+            assert!(t.observe(good));
+        }
         assert_eq!(t.burn_rate_1x(), 0.0);
-        // …but stays in the 6x window (4 observed, 1 bad -> 25%/10%).
-        assert!((t.burn_rate_6x() - 2.5).abs() < 1e-9);
+        // …but stays in the 6x window (1 bad of the 2 + window observed).
+        let observed = (SLO_WINDOW + 2) as f64;
+        assert!((t.burn_rate_6x() - (1.0 / observed) / budget).abs() < 1e-9);
         // Fill the ring past capacity with good verdicts: the bad one
         // eventually rolls off the 6x window too.
-        for _ in 0..12 {
-            t.observe(50);
+        for _ in 0..6 * SLO_WINDOW {
+            t.observe(good);
         }
-        assert_eq!(t.observed(), 12, "ring saturates at 6x window");
+        assert_eq!(t.observed(), 6 * SLO_WINDOW, "ring saturates at 6x window");
         assert_eq!(t.burn_rate_6x(), 0.0);
         assert_eq!(t.bad_total(), 1, "lifetime totals never roll off");
         t.reset();
@@ -1024,14 +1002,9 @@ mod tests {
 
     #[test]
     fn slo_all_bad_pegs_the_burn_rate_at_budget_inverse() {
-        let cfg = SloConfig {
-            objective_nanos: 10,
-            target: 0.99,
-            window: 4,
-        };
-        let mut t = SloTracker::new(cfg);
-        for _ in 0..4 {
-            t.observe(1_000);
+        let mut t = SloTracker::default();
+        for _ in 0..SLO_WINDOW {
+            t.observe(SLO_OBJECTIVE_NANOS + 1);
         }
         // 100% bad over a 1% budget = burn rate 100.
         assert!((t.burn_rate_1x() - 100.0).abs() < 1e-9);
@@ -1039,11 +1012,12 @@ mod tests {
 
     #[test]
     fn slo_config_env_parsing_rejects_nonsense() {
-        // The global tracker runs on these defaults.
-        let d = SloConfig::default();
-        assert_eq!(d.objective_nanos, 250_000_000);
-        assert!((d.target - 0.99).abs() < 1e-12);
-        assert_eq!(d.window, 64);
+        // The tracker runs on fixed constants, which `/slo` reports.
+        let doc = slo_to_json();
+        assert!(
+            doc.starts_with(r#"{"objective_nanos":250000000,"target":0.99,"window":64,"#),
+            "{doc}"
+        );
     }
 
     #[test]

@@ -188,6 +188,9 @@ struct Collector {
     dropped: u64,
     epoch: Option<Instant>,
     next_tid: u32,
+    /// How many times [`clear`] has emptied the buffer (tells a [`Mark`]
+    /// taken before a clear from one taken after it).
+    generation: u64,
 }
 
 impl Collector {
@@ -199,6 +202,7 @@ impl Collector {
             dropped: 0,
             epoch: None,
             next_tid: 0,
+            generation: 0,
         }
     }
 }
@@ -233,6 +237,7 @@ pub fn clear() {
     let mut c = collector();
     *c = Collector {
         next_tid: c.next_tid,
+        generation: c.generation + 1,
         ..Collector::new()
     };
 }
@@ -257,6 +262,39 @@ pub fn snapshot_events() -> Vec<TraceEvent> {
 pub fn snapshot_query(query: u64) -> Vec<TraceEvent> {
     collector()
         .events
+        .iter()
+        .filter(|e| e.query == query)
+        .cloned()
+        .collect()
+}
+
+/// Where the buffer stood when [`mark`] was called.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Mark {
+    generation: u64,
+    len: usize,
+}
+
+/// The buffer's current end: events recorded from now on lie after it.
+pub(crate) fn mark() -> Mark {
+    let c = collector();
+    Mark {
+        generation: c.generation,
+        len: c.events.len(),
+    }
+}
+
+/// [`snapshot_query`] over the events recorded since `mark` only (the
+/// whole buffer if it was cleared since), so its cost follows what was
+/// recorded meanwhile, not the buffer's size.
+pub(crate) fn snapshot_query_since(mark: Mark, query: u64) -> Vec<TraceEvent> {
+    let c = collector();
+    let from = if c.generation == mark.generation {
+        mark.len
+    } else {
+        0
+    };
+    c.events[from..]
         .iter()
         .filter(|e| e.query == query)
         .cloned()
@@ -468,7 +506,7 @@ pub fn wall_span(name: &'static str, args: &[(&'static str, u64)]) -> Span {
 pub(crate) fn query_span(query_id: u64) -> Span {
     // Stamp the query id *before* the Begin event records, so the root
     // "query" span is itself attributed to its query — the tree
-    // [`snapshot_query`] hands the flight recorder would otherwise miss
+    // [`snapshot_query_since`] hands the flight recorder would otherwise miss
     // its root Begin and be unbalanced.
     if mode().is_some() {
         QUERY.with(|q| q.set(query_id));

@@ -191,45 +191,50 @@ fn each_query_is_timed_classified_and_traced_once() {
 #[test]
 fn slo_windows_stay_consistent_across_ring_wrap() {
     let _g = lock();
-    let cfg = profile::SloConfig {
-        objective_nanos: 1_000,
-        target: 0.9,
-        window: 4,
-    };
-    let mut t = profile::SloTracker::new(cfg);
-    // Fill the whole 6x ring (24 slots) with good verdicts, then push
-    // 4 bad ones: the 1x window must read 100% bad while the 6x window
-    // still remembers 20 good verdicts.
-    for _ in 0..24 {
-        assert!(t.observe(10), "10ns is within the 1µs objective");
+    let (good, bad) = (
+        profile::SLO_OBJECTIVE_NANOS,
+        profile::SLO_OBJECTIVE_NANOS + 1,
+    );
+    let (window, ring) = (profile::SLO_WINDOW, 6 * profile::SLO_WINDOW);
+    let budget = 1.0 - profile::SLO_TARGET;
+    let mut t = profile::SloTracker::default();
+    // Fill the whole 6x ring with good verdicts, then push one window
+    // of bad ones: the 1x window must read 100% bad while the 6x window
+    // still remembers the rest of the ring's good verdicts.
+    for _ in 0..ring {
+        assert!(t.observe(good), "the objective itself is good");
     }
     assert_eq!(t.burn_rate_1x(), 0.0);
     assert_eq!(t.burn_rate_6x(), 0.0);
-    for _ in 0..4 {
-        assert!(!t.observe(10_000), "10µs must breach the 1µs objective");
+    for _ in 0..window {
+        assert!(!t.observe(bad), "1ns over the objective is bad");
     }
-    // budget = 1 - 0.9 = 0.1; 1x window is all bad -> 1.0 / 0.1 = 10.
+    // The 1x window is all bad -> 1.0 / budget.
     assert!(
-        (t.burn_rate_1x() - 10.0).abs() < 1e-9,
+        (t.burn_rate_1x() - 1.0 / budget).abs() < 1e-9,
         "{}",
         t.burn_rate_1x()
     );
-    // 6x window holds 4 bad of 24 -> (4/24) / 0.1 = 5/3.
+    // The 6x window holds one window of bad in the ring -> (1/6) / budget.
     assert!(
-        (t.burn_rate_6x() - (4.0 / 24.0) / 0.1).abs() < 1e-9,
+        (t.burn_rate_6x() - (window as f64 / ring as f64) / budget).abs() < 1e-9,
         "{}",
         t.burn_rate_6x()
     );
-    assert_eq!(t.good_total(), 24);
-    assert_eq!(t.bad_total(), 4);
-    // Another 24 good verdicts wrap the ring fully: the bad slots must
+    assert_eq!(t.good_total(), ring as u64);
+    assert_eq!(t.bad_total(), window as u64);
+    // Another ring of good verdicts wraps it fully: the bad slots must
     // age out of both windows even though the lifetime totals persist.
-    for _ in 0..24 {
-        t.observe(10);
+    for _ in 0..ring {
+        t.observe(good);
     }
     assert_eq!(t.burn_rate_1x(), 0.0);
     assert_eq!(t.burn_rate_6x(), 0.0);
-    assert_eq!(t.bad_total(), 4, "lifetime counters must never age out");
+    assert_eq!(
+        t.bad_total(),
+        window as u64,
+        "lifetime counters must never age out"
+    );
 }
 
 #[test]

@@ -182,8 +182,8 @@ fn concurrent_traced_queries_keep_their_own_trees() {
     assert!(tasks > 0, "the round must use the pool");
     trace::clear();
     // Two threads answer queries side by side on one federation, as the
-    // server's connection threads do; each also helps drain the shared
-    // pool, so it may run a task of the other's query.
+    // server's connection threads do; the pool's workers run tasks of
+    // both queries.
     std::thread::scope(|s| {
         for t in 0..2u64 {
             let (fed, policy) = (&fed, &policy);
