@@ -426,8 +426,13 @@ mod tests {
         assert!(empty.is_empty());
         let chunks = pool.map_chunks(10, 4, |r| (r.start, r.end));
         assert_eq!(chunks, vec![(0, 4), (4, 8), (8, 10)]);
-        // Partials land in chunk order for every pool size, whichever
-        // thread ran them: flattened, they are the input, in order.
+    }
+
+    #[test]
+    fn map_indexed_preserves_input_order_for_every_pool_size() {
+        // A per-index map written as per-chunk partials: the partials land
+        // in chunk order for every pool size, whichever thread ran them, so
+        // flattened they are the input, in order.
         let items: Vec<u64> = (0..1000).collect();
         for pool in pools() {
             let out: Vec<u64> = pool
