@@ -72,7 +72,7 @@ fn run_workload(fed: &Federation, queries: u64) {
     }
 }
 
-/// One profiling pass under `clock`: fresh trace buffer, fresh flight
+/// One profiling pass under `clock`: fresh trace store, fresh flight
 /// recorder/SLO state, the full query mix, then the aggregated profile.
 fn profile_pass(clock: trace::Clock, queries: u64) -> tprofile::Profile {
     trace::set_mode(Some(clock));

@@ -9,8 +9,8 @@
 //! |---------------------|------------------------------------------------------|
 //! | `/healthz`          | `ok` (text/plain)                                    |
 //! | `/metrics`          | Prometheus text exposition of the global registry    |
-//! | `/trace`            | Chrome trace-event JSON of the trace buffer          |
-//! | `/profile`          | Folded-stack profile of the trace buffer (text)      |
+//! | `/trace`            | Chrome trace-event JSON of the trace store           |
+//! | `/profile`          | Folded-stack profile of the trace store (text)       |
 //! | `/profile.svg`      | The same profile as an SVG flamegraph                |
 //! | `/slowest`          | Flight-recorder top-K slowest queries (JSON)         |
 //! | `/slo`              | SLO objective, good/bad totals and burn rates (JSON) |

@@ -252,8 +252,8 @@ impl FederationBuilder {
     /// when the federation is built. Pass `Some(Clock::Logical)` for the
     /// deterministic tick clock (traces byte-identical across thread
     /// counts) or `Some(Clock::Wall)` for profiler-style nanosecond
-    /// timestamps. Export the buffer with
-    /// [`telemetry::trace::export_chrome`] / `write_chrome`.
+    /// timestamps. Export the trace with
+    /// [`telemetry::trace::export_chrome`].
     pub fn trace(mut self, clock: Option<telemetry::trace::Clock>) -> Self {
         self.trace = Some(clock);
         self

@@ -224,12 +224,6 @@ impl FaultTolerance {
         self
     }
 
-    /// Sets the quorum rule.
-    pub fn with_quorum(mut self, quorum: Quorum) -> Self {
-        self.quorum = quorum;
-        self
-    }
-
     /// Sets the retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;

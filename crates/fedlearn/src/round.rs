@@ -1304,7 +1304,10 @@ mod tests {
                 faults: Some(
                     FaultSpec::none().with_crash(baseline.selection.participants[0].node.0, 0),
                 ),
-                tolerance: FaultTolerance::default().with_quorum(Quorum::AtLeast(supply + 5)),
+                tolerance: FaultTolerance {
+                    quorum: Quorum::AtLeast(supply + 5),
+                    ..FaultTolerance::default()
+                },
                 ..fast_cfg(5)
             },
         )

@@ -134,7 +134,7 @@ pub fn help_text(name: &str) -> &'static str {
         "qens_trace_events_total" => return "Trace events recorded across all queries.",
         "qens_trace_spans_total" => return "Trace spans opened across all queries.",
         "qens_trace_dropped_total" => {
-            return "Trace events dropped after the buffer cap was reached."
+            return "Trace events evicted or refused once the retained trace reached its bound."
         }
         "qens_build_info" => {
             return "Build metadata (crate version and build profile) as labels; value is always 1."

@@ -1,4 +1,4 @@
-//! Query profiling on top of the span-tree buffer: folded stacks, a
+//! Query profiling on top of the trace store: folded stacks, a
 //! hand-rolled SVG flamegraph, a slow-query flight recorder, and a
 //! rolling-window SLO burn-rate tracker.
 //!
@@ -6,7 +6,7 @@
 //! module answers the operator questions that raw span trees cannot:
 //!
 //! * **Where does the pipeline spend its time?** — [`aggregate`]
-//!   collapses the buffered events into per-path statistics
+//!   collapses the retained events into per-path statistics
 //!   ([`Profile`]): total time, *self* time (total minus child spans)
 //!   and call count for every `query;fedlearn.round;…` phase path.
 //!   [`to_folded`] renders the classic `flamegraph.pl` folded format;
@@ -41,17 +41,20 @@
 //! [`QueryObserver::begin`] is the single integration point: the
 //! federation leader opens one per query, it opens the trace `query`
 //! span, and its drop closes that span before it times the query into
-//! `qens_fedlearn_run_query_nanos` (while telemetry is on), updates the
-//! SLO tracker and offers the query's span tree to the flight recorder.
-//! Everything is inert while both telemetry and tracing are disabled.
+//! `qens_fedlearn_run_query_nanos` (while telemetry is on) and updates
+//! the SLO tracker. Closing the span moves the query's events into a
+//! finished [`trace::Tree`] of the trace store and hands that tree back;
+//! the observer offers it to the flight recorder, which shares it with
+//! the store rather than copying it. Everything is inert while both
+//! telemetry and tracing are disabled.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use crate::json::{write_f64, write_key, write_str, write_u64};
-use crate::trace::{self, Clock, Phase, TraceEvent};
+use crate::json::{write_f64, write_str, write_u64};
+use crate::trace::{self, Clock, Phase, TraceEvent, Tree};
 
 // ---------------------------------------------------------------------------
 // Folded-stack aggregation
@@ -384,8 +387,9 @@ pub struct FlightEntry {
     pub duration: u64,
     /// `"wall"` or `"logical"` — which clock produced `duration`.
     pub clock: &'static str,
-    /// The query's complete buffered span tree (begin/end/instants).
-    pub events: Vec<TraceEvent>,
+    /// The query's complete span tree (begin/end/instants), shared with
+    /// the trace store.
+    pub events: Tree,
 }
 
 /// A fixed-capacity recorder of the K slowest queries seen so far.
@@ -479,54 +483,37 @@ pub fn slowest() -> Vec<FlightEntry> {
 /// Each entry's `phases` array is the folded profile of that single
 /// query's span tree.
 pub fn slowest_to_json() -> String {
-    let entries = slowest();
-    let mut out = String::with_capacity(256 + entries.len() * 256);
-    out.push('{');
-    write_key(&mut out, "slowest");
-    out.push('[');
-    for (i, e) in entries.iter().enumerate() {
+    let mut out = String::from(r#"{"slowest":["#);
+    for (i, e) in slowest().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push('{');
-        write_key(&mut out, "query_id");
+        out.push_str(r#"{"query_id":"#);
         write_u64(&mut out, e.query_id);
-        out.push(',');
-        write_key(&mut out, "clock");
+        out.push_str(r#","clock":"#);
         write_str(&mut out, e.clock);
-        out.push(',');
-        write_key(&mut out, "duration");
+        out.push_str(r#","duration":"#);
         write_u64(&mut out, e.duration);
-        out.push(',');
-        write_key(&mut out, "events");
+        out.push_str(r#","events":"#);
         write_u64(&mut out, e.events.len() as u64);
-        out.push(',');
-        write_key(&mut out, "phases");
-        out.push('[');
-        let profile = aggregate(&e.events);
-        for (j, (path, stat)) in profile.paths.iter().enumerate() {
+        out.push_str(r#","phases":["#);
+        for (j, (path, stat)) in aggregate(&e.events).paths.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            out.push('{');
-            write_key(&mut out, "path");
+            out.push_str(r#"{"path":"#);
             write_str(&mut out, path);
-            out.push(',');
-            write_key(&mut out, "total");
+            out.push_str(r#","total":"#);
             write_u64(&mut out, stat.total);
-            out.push(',');
-            write_key(&mut out, "self");
+            out.push_str(r#","self":"#);
             write_u64(&mut out, stat.self_time);
-            out.push(',');
-            write_key(&mut out, "count");
+            out.push_str(r#","count":"#);
             write_u64(&mut out, stat.count);
             out.push('}');
         }
-        out.push(']');
-        out.push('}');
+        out.push_str("]}");
     }
-    out.push(']');
-    out.push('}');
+    out.push_str("]}");
     out
 }
 
@@ -717,30 +704,21 @@ pub fn slo_view() -> SloView {
 /// ```
 pub fn slo_to_json() -> String {
     let v = slo_view();
-    let mut out = String::with_capacity(192);
-    out.push('{');
-    write_key(&mut out, "objective_nanos");
+    let mut out = String::from(r#"{"objective_nanos":"#);
     write_u64(&mut out, SLO_OBJECTIVE_NANOS);
-    out.push(',');
-    write_key(&mut out, "target");
+    out.push_str(r#","target":"#);
     write_f64(&mut out, SLO_TARGET);
-    out.push(',');
-    write_key(&mut out, "window");
+    out.push_str(r#","window":"#);
     write_u64(&mut out, SLO_WINDOW as u64);
-    out.push(',');
-    write_key(&mut out, "observed");
+    out.push_str(r#","observed":"#);
     write_u64(&mut out, v.observed as u64);
-    out.push(',');
-    write_key(&mut out, "good_total");
+    out.push_str(r#","good_total":"#);
     write_u64(&mut out, v.good_total);
-    out.push(',');
-    write_key(&mut out, "bad_total");
+    out.push_str(r#","bad_total":"#);
     write_u64(&mut out, v.bad_total);
-    out.push(',');
-    write_key(&mut out, "burn_rate_1x");
+    out.push_str(r#","burn_rate_1x":"#);
     write_f64(&mut out, v.burn_rate_1x);
-    out.push(',');
-    write_key(&mut out, "burn_rate_6x");
+    out.push_str(r#","burn_rate_6x":"#);
     write_f64(&mut out, v.burn_rate_6x);
     out.push('}');
     out
@@ -761,20 +739,17 @@ pub fn reset() {
 /// observer of its end-to-end latency.
 ///
 /// `begin` opens the trace `query` span, so every event until the drop
-/// is stamped with the query id. The drop closes that span first, so
-/// its `End` event is buffered, then records the query's nanoseconds
-/// into `qens_fedlearn_run_query_nanos` while telemetry is on, feeds
-/// the SLO tracker and offers the query's complete span tree to the
+/// is stamped with the query id. The drop closes that span first, which
+/// records its `End` and returns the query's finished tree, then records
+/// the query's nanoseconds into `qens_fedlearn_run_query_nanos` while
+/// telemetry is on, feeds the SLO tracker and offers the tree to the
 /// flight recorder. Inert (no clock read) while both telemetry and
 /// tracing are disabled.
 #[derive(Debug)]
 pub struct QueryObserver {
     query_id: u64,
     start: Option<Instant>,
-    /// The trace buffer's end when the query began, while tracing is
-    /// on: none of the query's events lie before it.
-    mark: Option<trace::Mark>,
-    span: Option<trace::Span>,
+    span: trace::Span,
 }
 
 impl QueryObserver {
@@ -783,47 +758,37 @@ impl QueryObserver {
         // The fleet registry counts queries here: every query runs
         // through `run_query`, which opens exactly one observer.
         crate::emit(&crate::Event::QueryObserved(query_id));
-        let tracing = trace::is_enabled();
         Self {
             query_id,
-            start: (crate::enabled() || tracing).then(Instant::now),
-            mark: tracing.then(trace::mark),
-            span: Some(trace::query_span(query_id)),
+            start: (crate::enabled() || trace::is_enabled()).then(Instant::now),
+            span: trace::query_span(query_id),
         }
     }
 }
 
 impl Drop for QueryObserver {
     fn drop(&mut self) {
-        drop(self.span.take());
+        let tree = self.span.end();
         let Some(start) = self.start else { return };
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         if crate::enabled() {
             crate::histogram!("qens_fedlearn_run_query_nanos").record(nanos);
         }
         observe_query(nanos);
-        let (Some(clock), Some(mark)) = (trace::mode(), self.mark) else {
+        let (Some(clock), Some(events)) = (trace::mode(), tree) else {
             return;
         };
-        let events = trace::snapshot_query_since(mark, self.query_id);
-        if events.is_empty() {
-            return;
-        }
-        // On the logical clock the duration is the query's tick span —
-        // a pure function of the simulation, so the recorder's top-K
-        // set and order are thread-count independent.
-        let (duration, clock_name) = match clock {
-            Clock::Wall => (nanos, "wall"),
-            Clock::Logical => {
-                let min = events.iter().map(|e| e.ts).min().unwrap_or(0);
-                let max = events.iter().map(|e| e.ts).max().unwrap_or(0);
-                (max - min + 1, "logical")
-            }
+        // On the logical clock the duration is the query's tick span (its
+        // tree is in tick order) — a pure function of the simulation, so
+        // the recorder's top-K set and order are thread-count independent.
+        let duration = match clock {
+            Clock::Wall => nanos,
+            Clock::Logical => events[events.len() - 1].ts.saturating_sub(events[0].ts) + 1,
         };
         recorder().offer(FlightEntry {
             query_id: self.query_id,
             duration,
-            clock: clock_name,
+            clock: clock.name(),
             events,
         });
     }
@@ -844,6 +809,7 @@ mod tests {
             parent,
             query: u64::MAX,
             args: Args::default(),
+            seq: ts,
         }
     }
 
@@ -934,7 +900,7 @@ mod tests {
             query_id: id,
             duration: dur,
             clock: "logical",
-            events: Vec::new(),
+            events: Tree::default(),
         };
         assert!(r.offer(entry(5, 100)));
         assert!(r.offer(entry(2, 100))); // tie: lower id first
@@ -962,7 +928,7 @@ mod tests {
             query_id: 1,
             duration: 1,
             clock: "wall",
-            events: Vec::new(),
+            events: Tree::default(),
         }));
         assert!(r.entries().is_empty());
     }

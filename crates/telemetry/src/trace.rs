@@ -45,20 +45,33 @@
 //! allocation, no lock. A [`Span`] adds one more load, of the telemetry
 //! flag, and is just as inert while both are off. Only code turns
 //! tracing on: [`set_mode`], e.g.
-//! through `FederationBuilder::trace` or `repro serve --trace`. The
-//! buffer is bounded ([`MAX_TRACE_EVENTS`]); once full, new events are
-//! counted in [`dropped`] and discarded.
+//! through `FederationBuilder::trace` or `repro serve --trace`.
+//!
+//! # The store
+//!
+//! The collector keeps whole query trees. A running query's events sit
+//! under its query id; when its root `query` span ends they become one
+//! finished [`Tree`], shared (not copied) with the flight recorder.
+//! Events outside any query (set-up, k-means, index build) sit in one
+//! queue of their own. [`MAX_TRACE_EVENTS`] bounds everything retained:
+//! past it the oldest finished tree is evicted whole, then the oldest
+//! loose events, so a long run keeps its most recent queries. Only when
+//! running queries alone fill the store is a new event refused.
+//! [`dropped`] counts both the evicted and the refused events.
 //!
 //! # Export
 //!
-//! [`export_chrome`] renders the buffer in the Chrome trace-event JSON
+//! [`export_chrome`] renders the store in the Chrome trace-event JSON
 //! format (`{"traceEvents":[…]}`), directly loadable in Perfetto or
-//! `chrome://tracing`. Key order is fixed and timestamps are integers
-//! in logical mode, so the export is byte-stable.
+//! `chrome://tracing`, merging the trees back into recording order (the
+//! sequence number the collector assigns each event). Key order is
+//! fixed and timestamps are integers in logical mode, so the export is
+//! byte-stable.
 
 use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::json::{write_key, write_str, write_u64};
@@ -67,9 +80,10 @@ use crate::Histogram;
 /// Maximum `(key, value)` arguments one event can carry.
 pub const MAX_ARGS: usize = 4;
 
-/// Buffered-event cap: recording stops (and [`dropped`] counts) once
-/// the buffer holds this many events. Bounds trace memory on long
-/// streams (~40 MB worst case at the default cap).
+/// Retained-event bound over the whole store: past it the oldest
+/// finished query trees, then the oldest loose events, are evicted (and
+/// counted in [`dropped`]). Bounds trace memory on long streams (~45 MB
+/// worst case).
 pub const MAX_TRACE_EVENTS: usize = 1 << 18;
 
 /// Which timestamp source the collector uses. See the module docs.
@@ -80,6 +94,16 @@ pub enum Clock {
     /// A deterministic tick per event; only deterministic (leader)
     /// call sites record, so the trace is thread-count independent.
     Logical,
+}
+
+impl Clock {
+    /// The clock's name in exports: `"wall"` or `"logical"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Clock::Wall => "wall",
+            Clock::Logical => "logical",
+        }
+    }
 }
 
 /// The mode flag: 0 = off (the start state), 1 = wall, 2 = logical.
@@ -97,7 +121,7 @@ pub fn mode() -> Option<Clock> {
 }
 
 /// Turns tracing on (with the given clock) or off. Does **not** clear
-/// already-buffered events — call [`clear`] for a fresh trace.
+/// already-retained events — call [`clear`] for a fresh trace.
 pub fn set_mode(m: Option<Clock>) {
     let code = match m {
         None => 0,
@@ -158,7 +182,7 @@ impl Args {
     }
 }
 
-/// One buffered trace event (a structured snapshot row; the public view
+/// One retained trace event (a structured snapshot row; the public view
 /// for tests and tooling).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -179,40 +203,82 @@ pub struct TraceEvent {
     pub query: u64,
     /// Static-key arguments.
     pub args: Args,
+    /// Recording order: assigned under the collector lock, so it totally
+    /// orders the events of all threads (equal to `ts` on the logical
+    /// clock).
+    pub seq: u64,
 }
 
+/// One finished query's events in recording order. The store and the
+/// flight recorder share it; neither copies it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Tree(Arc<[TraceEvent]>);
+
+impl std::ops::Deref for Tree {
+    type Target = [TraceEvent];
+
+    fn deref(&self) -> &[TraceEvent] {
+        &self.0
+    }
+}
+
+/// A tree equals a [`snapshot_query`] copy of the same events.
+impl PartialEq<Vec<TraceEvent>> for Tree {
+    fn eq(&self, other: &Vec<TraceEvent>) -> bool {
+        *self.0 == **other
+    }
+}
+
+/// The trace store: every retained event sits in exactly one of
+/// `running`, `finished` and `loose`, and `retained` counts them all.
+#[derive(Default)]
 struct Collector {
-    events: Vec<TraceEvent>,
-    next_span: u64,
-    tick: u64,
+    /// Running queries' events, by query id.
+    running: BTreeMap<u64, Vec<TraceEvent>>,
+    /// Finished queries' trees, oldest first; each is non-empty.
+    finished: VecDeque<Tree>,
+    /// Events outside any query, oldest first.
+    loose: VecDeque<TraceEvent>,
+    retained: usize,
+    /// The next event's sequence number.
+    seq: u64,
+    /// The last span id handed out (ids start at 1).
+    last_span: u64,
     dropped: u64,
     epoch: Option<Instant>,
     next_tid: u32,
-    /// How many times [`clear`] has emptied the buffer (tells a [`Mark`]
-    /// taken before a clear from one taken after it).
-    generation: u64,
 }
 
 impl Collector {
-    const fn new() -> Self {
-        Self {
-            events: Vec::new(),
-            next_span: 1,
-            tick: 0,
-            dropped: 0,
-            epoch: None,
-            next_tid: 0,
-            generation: 0,
+    /// Makes room for one more event: evicts the oldest finished tree
+    /// whole, then the oldest loose events, while the store is at its
+    /// bound. `false` (the event is refused) when only running queries
+    /// are left.
+    fn make_room(&mut self) -> bool {
+        while self.retained >= MAX_TRACE_EVENTS {
+            let freed = match self.finished.pop_front() {
+                Some(tree) => tree.len(),
+                None if self.loose.pop_front().is_some() => 1,
+                None => {
+                    self.count_dropped(1);
+                    return false;
+                }
+            };
+            self.retained -= freed;
+            self.count_dropped(freed);
         }
+        true
+    }
+
+    fn count_dropped(&mut self, n: usize) {
+        self.dropped += n as u64;
+        crate::counter!("qens_trace_dropped_total").add(n as u64);
     }
 }
 
 fn collector() -> MutexGuard<'static, Collector> {
-    static COLLECTOR: OnceLock<Mutex<Collector>> = OnceLock::new();
-    COLLECTOR
-        .get_or_init(|| Mutex::new(Collector::new()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
+    static COLLECTOR: LazyLock<Mutex<Collector>> = LazyLock::new(Mutex::default);
+    COLLECTOR.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 thread_local! {
@@ -227,147 +293,162 @@ thread_local! {
     static QUERY: Cell<u64> = const { Cell::new(u64::MAX) };
 }
 
-/// Discards every buffered event and resets ticks, span ids, the epoch
-/// and the dropped counter. The mode is left untouched, and so is the
-/// thread-id counter: a thread keeps the id it was given for as long as
-/// it lives (pool workers outlive any one trace), so handing the same
-/// id out again would put two threads on one track and break the
+/// Discards every retained event and resets sequence numbers, span ids,
+/// the epoch and the dropped counter. The mode is left untouched, and so
+/// is the thread-id counter: a thread keeps the id it was given for as
+/// long as it lives (pool workers outlive any one trace), so handing the
+/// same id out again would put two threads on one track and break the
 /// per-thread stack discipline [`validate_structure`] checks.
 pub fn clear() {
     let mut c = collector();
     *c = Collector {
         next_tid: c.next_tid,
-        generation: c.generation + 1,
-        ..Collector::new()
+        ..Collector::default()
     };
 }
 
-/// Number of buffered events.
+/// Number of retained events.
 pub fn events_len() -> usize {
-    collector().events.len()
+    collector().retained
 }
 
-/// Events discarded because the buffer hit [`MAX_TRACE_EVENTS`].
+/// Events that left the store: evicted once it reached
+/// [`MAX_TRACE_EVENTS`], or refused while running queries alone filled
+/// it.
 pub fn dropped() -> u64 {
     collector().dropped
 }
 
-/// A structured copy of the buffered events (tests, tooling).
+/// Hands `f` the retained events (`query`'s only, if given) in
+/// recording order, and the dropped count. Under the lock the finished
+/// trees are shared and the still-running events copied; the merge and
+/// `f` run after it is released.
+fn with_retained<R>(query: Option<u64>, f: impl FnOnce(Vec<&TraceEvent>, u64) -> R) -> R {
+    let mine = |q: u64| query.is_none_or(|want| want == q);
+    let (trees, open, dropped) = {
+        let c = collector();
+        let trees: Vec<Tree> = c
+            .finished
+            .iter()
+            .filter(|t| mine(t[0].query))
+            .cloned()
+            .collect();
+        let running = c
+            .running
+            .iter()
+            .filter(|&(&q, _)| mine(q))
+            .flat_map(|(_, e)| e);
+        let loose = c.loose.iter().filter(|_| mine(u64::MAX));
+        (
+            trees,
+            running.chain(loose).cloned().collect::<Vec<_>>(),
+            c.dropped,
+        )
+    };
+    let mut events: Vec<&TraceEvent> = trees.iter().flat_map(|t| t.iter()).chain(&open).collect();
+    events.sort_unstable_by_key(|e| e.seq);
+    f(events, dropped)
+}
+
+/// A structured copy of the retained events, in recording order (tests,
+/// tooling).
 pub fn snapshot_events() -> Vec<TraceEvent> {
-    collector().events.clone()
+    with_retained(None, |events, _| events.into_iter().cloned().collect())
 }
 
-/// A structured copy of the buffered events attributed to `query`
-/// (the root query span included — it is stamped with its own id).
+/// A structured copy of the retained events of `query` (the root query
+/// span included — it is stamped with its own id), in recording order.
 pub fn snapshot_query(query: u64) -> Vec<TraceEvent> {
-    collector()
-        .events
-        .iter()
-        .filter(|e| e.query == query)
-        .cloned()
-        .collect()
+    with_retained(Some(query), |events, _| {
+        events.into_iter().cloned().collect()
+    })
 }
 
-/// Where the buffer stood when [`mark`] was called.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Mark {
-    generation: u64,
-    len: usize,
-}
-
-/// The buffer's current end: events recorded from now on lie after it.
-pub(crate) fn mark() -> Mark {
-    let c = collector();
-    Mark {
-        generation: c.generation,
-        len: c.events.len(),
-    }
-}
-
-/// [`snapshot_query`] over the events recorded since `mark` only (the
-/// whole buffer if it was cleared since), so its cost follows what was
-/// recorded meanwhile, not the buffer's size.
-pub(crate) fn snapshot_query_since(mark: Mark, query: u64) -> Vec<TraceEvent> {
-    let c = collector();
-    let from = if c.generation == mark.generation {
-        mark.len
-    } else {
-        0
-    };
-    c.events[from..]
-        .iter()
-        .filter(|e| e.query == query)
-        .cloned()
-        .collect()
-}
-
-/// The distinct query ids seen in the buffer, in first-seen order.
+/// The distinct query ids in the store, in first-seen order.
 pub fn query_ids() -> Vec<u64> {
-    let c = collector();
-    let mut out = Vec::new();
-    for e in &c.events {
-        if e.query != u64::MAX && !out.contains(&e.query) {
-            out.push(e.query);
-        }
-    }
-    out
+    let mut firsts: Vec<(u64, u64)> = {
+        let c = collector();
+        let finished = c.finished.iter().map(|t| &t[0]);
+        let running = c.running.values().map(|events| &events[0]);
+        finished.chain(running).map(|e| (e.seq, e.query)).collect()
+    };
+    firsts.sort_unstable();
+    let mut seen = std::collections::BTreeSet::new();
+    firsts
+        .into_iter()
+        .filter_map(|(_, q)| seen.insert(q).then_some(q))
+        .collect()
 }
 
-fn record(clock: Clock, phase: Phase, name: &'static str, span: u64, parent: u64, args: Args) {
+/// Records one event. The `End` of a query's root span
+/// (`closes_query`) then moves the query's events into a finished
+/// [`Tree`] and returns it.
+fn record(
+    clock: Clock,
+    phase: Phase,
+    name: &'static str,
+    span: u64,
+    parent: u64,
+    args: Args,
+    closes_query: bool,
+) -> Option<Tree> {
     // The wall timestamp must be taken *outside* the collector lock so
-    // contention does not skew durations; logical ticks are assigned
-    // under the lock (that is what makes them a total order).
-    let wall_now = match clock {
-        Clock::Wall => Some(Instant::now()),
-        Clock::Logical => None,
-    };
-    let tid = match clock {
-        Clock::Logical => 0,
-        Clock::Wall => TID.with(|t| t.get()),
-    };
+    // contention does not skew durations; sequence numbers (the logical
+    // ticks) are assigned under the lock (that is what makes them a
+    // total order).
+    let wall_now = (clock == Clock::Wall).then(Instant::now);
+    let tid = wall_now.map_or(0, |_| TID.with(Cell::get));
+    let query = QUERY.with(Cell::get);
     let mut c = collector();
-    if c.events.len() >= MAX_TRACE_EVENTS {
-        c.dropped += 1;
-        crate::counter!("qens_trace_dropped_total").incr();
-        return;
+    if c.make_room() {
+        let seq = c.seq;
+        c.seq += 1;
+        let ts = match wall_now {
+            Some(now) => {
+                let epoch = *c.epoch.get_or_insert(now);
+                u64::try_from(now.duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
+            }
+            None => seq,
+        };
+        let tid = if tid == u32::MAX {
+            let assigned = c.next_tid;
+            c.next_tid += 1;
+            TID.with(|t| t.set(assigned));
+            assigned
+        } else {
+            tid
+        };
+        let event = TraceEvent {
+            name,
+            phase,
+            ts,
+            tid,
+            span,
+            parent,
+            query,
+            args,
+            seq,
+        };
+        c.retained += 1;
+        if query == u64::MAX {
+            c.loose.push_back(event);
+        } else {
+            c.running.entry(query).or_default().push(event);
+        }
+        crate::counter!("qens_trace_events_total").incr();
     }
-    let ts = match wall_now {
-        Some(now) => {
-            let epoch = *c.epoch.get_or_insert(now);
-            u64::try_from(now.duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
-        }
-        None => {
-            let t = c.tick;
-            c.tick += 1;
-            t
-        }
-    };
-    let tid = if tid == u32::MAX {
-        let assigned = c.next_tid;
-        c.next_tid += 1;
-        TID.with(|t| t.set(assigned));
-        assigned
-    } else {
-        tid
-    };
-    c.events.push(TraceEvent {
-        name,
-        phase,
-        ts,
-        tid,
-        span,
-        parent,
-        query: QUERY.with(Cell::get),
-        args,
-    });
-    crate::counter!("qens_trace_events_total").incr();
+    if !closes_query {
+        return None;
+    }
+    let tree = Tree(c.running.remove(&query)?.into());
+    c.finished.push_back(tree.clone());
+    Some(tree)
 }
 
 fn alloc_span_id() -> u64 {
     let mut c = collector();
-    let id = c.next_span;
-    c.next_span += 1;
-    id
+    c.last_span += 1;
+    c.last_span
 }
 
 fn current_parent() -> u64 {
@@ -434,6 +515,7 @@ impl Span {
             span.id,
             current_parent(),
             Args::from_slice(args),
+            false,
         );
         SPAN_STACK.with(|s| s.borrow_mut().push(span.id));
         crate::counter!("qens_trace_spans_total").incr();
@@ -450,14 +532,15 @@ impl Span {
     pub fn finish(self) {
         drop(self);
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((hist, start)) = self.timer {
+    /// Ends the span (once; later calls do nothing): its histogram
+    /// sample, then its trace `End`. A root query span also closes its
+    /// query and returns the query's finished tree.
+    pub(crate) fn end(&mut self) -> Option<Tree> {
+        if let Some((hist, start)) = self.timer.take() {
             hist.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
-        let Some(clock) = self.clock else { return };
+        let clock = self.clock.take()?;
         SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
             // Scope discipline means our id is on top; be robust to
@@ -468,16 +551,26 @@ impl Drop for Span {
                 stack.retain(|&x| x != self.id);
             }
         });
-        record(
+        let tree = record(
             clock,
             Phase::End,
             self.name,
             self.id,
             current_parent(),
             Args::default(),
+            self.owns_query,
         );
         if self.owns_query {
             QUERY.with(|q| q.set(u64::MAX));
+        }
+        tree
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if self.is_recording() {
+            self.end();
         }
     }
 }
@@ -505,9 +598,8 @@ pub fn wall_span(name: &'static str, args: &[(&'static str, u64)]) -> Span {
 /// the query; other threads may run other queries meanwhile.
 pub(crate) fn query_span(query_id: u64) -> Span {
     // Stamp the query id *before* the Begin event records, so the root
-    // "query" span is itself attributed to its query — the tree
-    // [`snapshot_query_since`] hands the flight recorder would otherwise miss
-    // its root Begin and be unbalanced.
+    // "query" span is itself attributed to its query — the finished
+    // tree would otherwise miss its root Begin and be unbalanced.
     if mode().is_some() {
         QUERY.with(|q| q.set(query_id));
     }
@@ -566,6 +658,7 @@ pub fn instant(name: &'static str, args: &[(&'static str, u64)]) {
         0,
         current_parent(),
         Args::from_slice(args),
+        false,
     );
 }
 
@@ -573,135 +666,76 @@ fn write_event(out: &mut String, e: &TraceEvent, clock: Clock) {
     out.push('{');
     write_key(out, "name");
     write_str(out, e.name);
-    out.push(',');
-    write_key(out, "cat");
-    write_str(out, "qens");
-    out.push(',');
-    write_key(out, "ph");
+    out.push_str(r#","cat":"qens","ph":"#);
     write_str(out, e.phase.chrome());
-    out.push(',');
-    write_key(out, "ts");
+    out.push_str(r#","ts":"#);
     match clock {
         // Logical ticks export verbatim; wall nanos export as integer
         // microseconds with three decimals (Chrome's ts unit is µs).
         Clock::Logical => write_u64(out, e.ts),
-        Clock::Wall => {
-            out.push_str(&format!("{}.{:03}", e.ts / 1000, e.ts % 1000));
-        }
+        Clock::Wall => out.push_str(&format!("{}.{:03}", e.ts / 1000, e.ts % 1000)),
     }
-    out.push(',');
-    write_key(out, "pid");
-    write_u64(out, 0);
-    out.push(',');
-    write_key(out, "tid");
+    out.push_str(r#","pid":0,"tid":"#);
     write_u64(out, u64::from(e.tid));
     if e.phase == Phase::Instant {
-        out.push(',');
-        write_key(out, "s");
-        write_str(out, "t");
+        out.push_str(r#","s":"t""#);
     }
-    out.push(',');
-    write_key(out, "args");
-    out.push('{');
-    let mut first = true;
-    if e.span != 0 {
-        write_key(out, "span");
-        write_u64(out, e.span);
-        first = false;
-    }
-    if e.parent != 0 {
-        if !first {
-            out.push(',');
-        }
-        write_key(out, "parent");
-        write_u64(out, e.parent);
-        first = false;
-    }
-    if e.query != u64::MAX {
-        if !first {
-            out.push(',');
-        }
-        write_key(out, "q");
-        write_u64(out, e.query);
-        first = false;
-    }
-    for &(k, v) in e.args.as_slice() {
-        if !first {
+    out.push_str(r#","args":{"#);
+    // The ids that are set (0 or `u64::MAX` mean unset), then the args.
+    let ids = [
+        ("span", e.span, 0),
+        ("parent", e.parent, 0),
+        ("q", e.query, u64::MAX),
+    ];
+    let ids = ids.into_iter().filter(|&(_, v, unset)| v != unset);
+    let fields = ids
+        .map(|(k, v, _)| (k, v))
+        .chain(e.args.as_slice().iter().copied());
+    for (i, (k, v)) in fields.enumerate() {
+        if i > 0 {
             out.push(',');
         }
         write_key(out, k);
         write_u64(out, v);
-        first = false;
     }
-    out.push('}');
-    out.push('}');
+    out.push_str("}}");
 }
 
-/// Renders the buffer as a Chrome trace-event JSON document
+/// Renders the store as a Chrome trace-event JSON document
 /// (`{"traceEvents":[…],"displayTimeUnit":…,"otherData":{…}}`),
 /// loadable in Perfetto / `chrome://tracing`. Pass `Some(query_id)` to
-/// export one query's events only.
+/// export one query's events only. The events are formatted after the
+/// collector lock is released, so recording never waits on an export.
 ///
 /// Key order, number formatting and event order are all fixed, so two
-/// identical buffers export byte-identically — `results/trace.json` is
+/// identical stores export byte-identically — `results/trace.json` is
 /// exactly this, byte-diffed by `crates/bench/tests/golden_telemetry.rs`
 /// and at two pool sizes by `crates/bench/tests/repro_cli.rs`.
 pub fn export_chrome(query: Option<u64>) -> String {
-    let c = collector();
     // The clock tag in the export comes from the *current* mode; a
-    // mixed buffer (mode switched mid-run without clear()) is the
+    // mixed store (mode switched mid-run without clear()) is the
     // caller's error.
     let clock = mode().unwrap_or(Clock::Logical);
-    let mut out = String::with_capacity(256 + c.events.len() * 96);
-    out.push('{');
-    write_key(&mut out, "traceEvents");
-    out.push('[');
-    let mut first = true;
-    for e in &c.events {
-        if let Some(q) = query {
-            if e.query != q {
-                continue;
+    with_retained(query, |events, dropped| {
+        let mut out = String::with_capacity(256 + events.len() * 96);
+        out.push_str(r#"{"traceEvents":["#);
+        for (i, e) in events.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
+            out.push('\n');
+            write_event(&mut out, e, clock);
         }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('\n');
-        write_event(&mut out, e, clock);
-    }
-    out.push_str("\n]");
-    out.push(',');
-    write_key(&mut out, "displayTimeUnit");
-    write_str(&mut out, "ms");
-    out.push(',');
-    write_key(&mut out, "otherData");
-    out.push('{');
-    write_key(&mut out, "clock");
-    write_str(
-        &mut out,
-        match clock {
-            Clock::Wall => "wall",
-            Clock::Logical => "logical",
-        },
-    );
-    out.push(',');
-    write_key(&mut out, "dropped");
-    write_u64(&mut out, c.dropped);
-    out.push('}');
-    out.push('}');
-    out
+        out.push_str("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":");
+        write_str(&mut out, clock.name());
+        out.push_str(r#","dropped":"#);
+        write_u64(&mut out, dropped);
+        out.push_str("}}");
+        out
+    })
 }
 
-/// Writes [`export_chrome`] to `path`, creating parent directories.
-pub fn write_chrome(path: &std::path::Path, query: Option<u64>) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, export_chrome(query))
-}
-
-/// Structural validation of the buffered events: every `Begin` has
+/// Structural validation of an event stream: every `Begin` has
 /// exactly one later `End` with the same span id, parents are opened
 /// before their children, and per-thread begin/end nesting is a proper
 /// stack. Returns the first violation as an error string.
@@ -934,33 +968,53 @@ mod tests {
         set_mode(None);
     }
 
+    /// More than [`MAX_TRACE_EVENTS`] events' worth of wall-traced
+    /// queries: the store evicts the oldest queries whole, so the last
+    /// (and slowest) query still reaches the flight recorder, its
+    /// snapshot and its export, and every tree left is complete.
     #[test]
-    fn buffer_cap_drops_and_counts() {
-        let _g = locked(Some(Clock::Logical));
-        // Simulate a full buffer by filling directly (fast).
-        {
-            let mut c = collector();
-            c.events = Vec::with_capacity(MAX_TRACE_EVENTS);
-            for _ in 0..MAX_TRACE_EVENTS {
-                c.events.push(TraceEvent {
-                    name: "fill",
-                    phase: Phase::Instant,
-                    ts: 0,
-                    tid: 0,
-                    span: 0,
-                    parent: 0,
-                    query: u64::MAX,
-                    args: Args::default(),
-                });
+    fn a_full_store_evicts_whole_old_queries_and_keeps_the_newest() {
+        const PER_QUERY: usize = 1024;
+        let _g = locked(Some(Clock::Wall));
+        crate::profile::reset();
+        let queries = (MAX_TRACE_EVENTS / PER_QUERY + 8) as u64;
+        let last = queries - 1;
+        for id in 0..queries {
+            let _q = crate::profile::QueryObserver::begin(id);
+            for _ in 0..(PER_QUERY - 2) / 2 {
+                drop(wall_span("work", &[]));
+            }
+            if id == last {
+                std::thread::sleep(std::time::Duration::from_millis(200));
             }
         }
-        instant("overflow", &[]);
-        assert_eq!(events_len(), MAX_TRACE_EVENTS);
-        assert_eq!(dropped(), 1);
-        clear();
-        assert_eq!(events_len(), 0);
-        assert_eq!(dropped(), 0);
+        let slowest = crate::profile::slowest();
+        let tree = snapshot_query(last);
+        let export = export_chrome(Some(last));
+        let ids = query_ids();
+        let trees: Vec<Vec<TraceEvent>> = ids.iter().map(|&id| snapshot_query(id)).collect();
+        let (retained, dropped) = (events_len(), dropped());
         set_mode(None);
+        clear();
+        crate::profile::reset();
+
+        let recorded = slowest.iter().find(|e| e.query_id == last);
+        let recorded = recorded.expect("the slowest query reaches the flight recorder");
+        assert!(
+            recorded.events == tree,
+            "the recorder holds the store's tree"
+        );
+        assert_eq!(tree.len(), PER_QUERY);
+        assert_eq!(export.matches("\"q\":").count(), PER_QUERY);
+        assert_eq!(ids.last(), Some(&last));
+        for (id, events) in ids.iter().zip(&trees) {
+            validate_structure(events).unwrap_or_else(|e| panic!("query {id}: {e}"));
+            assert_eq!((events[0].name, events[0].phase), ("query", Phase::Begin));
+            assert_eq!(events.len(), PER_QUERY, "query {id} is kept whole");
+        }
+        assert!(retained <= MAX_TRACE_EVENTS);
+        assert_eq!(retained, ids.len() * PER_QUERY);
+        assert_eq!(dropped, (queries as usize * PER_QUERY - retained) as u64);
     }
 
     /// Regression: `clear()` used to restart thread ids at 0 while
@@ -1009,6 +1063,7 @@ mod tests {
             parent,
             query: u64::MAX,
             args: Args::default(),
+            seq: 0,
         };
         // Unbalanced: begin without end.
         assert!(validate_structure(&[ev(Phase::Begin, 1, 0, 0)]).is_err());

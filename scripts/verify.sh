@@ -7,7 +7,7 @@
 #   1. release build of the whole workspace,
 #   2. the full test suite, three times in a row at the default test
 #      parallelism — the canary for tests that share process-global
-#      state (telemetry registry, trace buffer) without taking their
+#      state (telemetry registry, trace store) without taking their
 #      file's lock: such a test passes alone and under
 #      --test-threads=1 and fails only when a sibling lands inside it.
 #      The suite is also the end-to-end check: it runs the built
