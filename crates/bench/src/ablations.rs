@@ -164,11 +164,15 @@ fn ranking() -> Vec<AblationRow> {
 fn overlap() -> Vec<AblationRow> {
     let fed = heterogeneous_federation(ExperimentScale::Quick);
     let q = fed.query_from_bounds(0, &[0.0, 25.0, 0.0, 55.0]);
-    let rects: Vec<&HyperRect> = fed
+    let rects: Vec<HyperRect> = fed
         .network()
         .nodes()
         .iter()
-        .flat_map(|n| n.summaries().iter().map(|s| &s.rect))
+        .flat_map(|n| {
+            n.summaries()
+                .iter()
+                .map(|s| HyperRect::new(s.bounds.to_vec()))
+        })
         .collect();
     let kept = |score: fn(&HyperRect, &HyperRect) -> f64| {
         rects

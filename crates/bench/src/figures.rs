@@ -92,11 +92,11 @@ pub fn fig5(scale: ExperimentScale) -> (Vec<f64>, Vec<ClusterProjection>) {
         .summaries()
         .iter()
         .map(|s| {
-            let overlap = query.region().overlap_rate(&s.rect);
+            let overlap = qens::geom::overlap_rate(query.region().intervals(), s.bounds);
             ClusterProjection {
                 cluster_id: s.cluster_id,
                 size: s.size,
-                rect: s.rect.to_boundary_vec(),
+                rect: s.bounds.iter().flat_map(|iv| [iv.lo(), iv.hi()]).collect(),
                 overlap,
                 supporting: overlap >= EPSILON,
             }

@@ -100,16 +100,12 @@ pub fn synthetic_fleet(n_nodes: usize, clusters_per_node: usize, seed: u64) -> E
                 (cy + oy - hy).clamp(space_lo, space_hi),
                 (cy + oy + hy).clamp(space_lo, space_hi),
             );
-            let rect = HyperRect::new(vec![x, y]);
-            let representative = vec![
-                (rect.intervals()[0].lo() + rect.intervals()[0].hi()) / 2.0,
-                (rect.intervals()[1].lo() + rect.intervals()[1].hi()) / 2.0,
-            ];
             summaries.push(ClusterSummary {
                 cluster_id: k,
                 size: 16 + (i + k) % 48,
-                representative,
-                rect,
+                // The node's leader view drops it on intake.
+                representative: Vec::new(),
+                rect: HyperRect::new(vec![x, y]),
             });
         }
         nodes.push(EdgeNode::from_summaries(
@@ -348,8 +344,8 @@ mod tests {
         let net = synthetic_fleet(200, 3, 77);
         let space = scale_space();
         for node in net.nodes() {
-            for s in node.summaries() {
-                for (d, iv) in s.rect.intervals().iter().enumerate() {
+            for s in node.summaries().iter() {
+                for (d, iv) in s.bounds.iter().enumerate() {
                     let sp = &space.intervals()[d];
                     assert!(iv.lo() >= sp.lo() && iv.hi() <= sp.hi());
                 }

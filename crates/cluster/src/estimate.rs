@@ -7,9 +7,9 @@
 //! *estimate* how many samples a query would touch on each node before
 //! committing to a selection, again with zero communication.
 
-use geom::{HyperRect, Query};
+use geom::{Interval, Query};
 
-use crate::summary::ClusterSummary;
+use crate::summary::{ClusterView, SummaryTable};
 
 /// Estimated number of a cluster's members falling inside `query`,
 /// under the uniform-within-rectangle assumption: the member count
@@ -17,20 +17,21 @@ use crate::summary::ClusterSummary;
 ///
 /// Degenerate (zero-length) cluster dimensions count as fully covered
 /// when the query spans them and as empty otherwise.
-pub fn cluster_cardinality(summary: &ClusterSummary, query: &Query) -> f64 {
-    intersection_fraction(&summary.rect, query) * summary.size as f64
+pub fn cluster_cardinality(cluster: ClusterView<'_>, query: &Query) -> f64 {
+    intersection_fraction(cluster.bounds, query) * cluster.size as f64
 }
 
-/// The fraction of `rect`'s volume that intersects the query, treating
-/// each dimension independently (product of per-dimension coverage).
-fn intersection_fraction(rect: &HyperRect, query: &Query) -> f64 {
+/// The fraction of the rectangle `bounds`' volume that intersects the
+/// query, treating each dimension independently (product of
+/// per-dimension coverage).
+fn intersection_fraction(bounds: &[Interval], query: &Query) -> f64 {
     assert_eq!(
-        rect.dim(),
+        bounds.len(),
         query.dim(),
         "rect/query dimensionality mismatch"
     );
     let mut frac = 1.0;
-    for (k_iv, q_iv) in rect.intervals().iter().zip(query.region().intervals()) {
+    for (k_iv, q_iv) in bounds.iter().zip(query.region().intervals()) {
         match k_iv.intersection(q_iv) {
             None => return 0.0,
             Some(inter) => {
@@ -47,10 +48,10 @@ fn intersection_fraction(rect: &HyperRect, query: &Query) -> f64 {
 }
 
 /// Estimated samples a query touches on a node, from its summaries.
-pub fn node_cardinality(summaries: &[ClusterSummary], query: &Query) -> f64 {
+pub fn node_cardinality(summaries: &SummaryTable, query: &Query) -> f64 {
     summaries
         .iter()
-        .map(|s| cluster_cardinality(s, query))
+        .map(|c| cluster_cardinality(c, query))
         .sum()
 }
 
@@ -76,7 +77,7 @@ mod tests {
     fn full_cover_query_estimates_everything() {
         let data = uniform_square(200, 1);
         let model = KMeans::fit(&data, &KMeansConfig::with_k(4, 2));
-        let sums = summarize(&data, &model);
+        let sums = SummaryTable::new(&summarize(&data, &model));
         let q = Query::from_boundary_vec(0, &[-1.0, 11.0, -1.0, 11.0]);
         let est = node_cardinality(&sums, &q);
         assert!((est - 200.0).abs() < 1e-9, "estimate {est}");
@@ -86,7 +87,7 @@ mod tests {
     fn disjoint_query_estimates_zero() {
         let data = uniform_square(100, 2);
         let model = KMeans::fit(&data, &KMeansConfig::with_k(3, 3));
-        let sums = summarize(&data, &model);
+        let sums = SummaryTable::new(&summarize(&data, &model));
         let q = Query::from_boundary_vec(0, &[100.0, 110.0, 100.0, 110.0]);
         assert_eq!(node_cardinality(&sums, &q), 0.0);
     }
@@ -95,7 +96,7 @@ mod tests {
     fn uniform_data_estimates_are_accurate() {
         let data = uniform_square(2000, 3);
         let model = KMeans::fit(&data, &KMeansConfig::with_k(5, 4));
-        let sums = summarize(&data, &model);
+        let sums = SummaryTable::new(&summarize(&data, &model));
         let q = Query::from_boundary_vec(0, &[2.0, 7.0, 3.0, 9.0]);
         let est = node_cardinality(&sums, &q);
         let truth = q.filter_indices(data.row_iter()).len();
@@ -116,7 +117,7 @@ mod tests {
             .collect();
         let data = Matrix::from_rows(&rows);
         let model = KMeans::fit(&data, &KMeansConfig::with_k(8, 6));
-        let sums = summarize(&data, &model);
+        let sums = SummaryTable::new(&summarize(&data, &model));
         let q = Query::from_boundary_vec(0, &[-2.0, 2.0, -2.0, 2.0]);
         let est = node_cardinality(&sums, &q);
         let truth = q.filter_indices(data.row_iter()).len();
@@ -131,7 +132,7 @@ mod tests {
         // A cluster whose second dimension is a single point.
         let data = Matrix::from_rows(&[vec![0.0, 5.0], vec![1.0, 5.0], vec![2.0, 5.0]]);
         let model = KMeans::fit(&data, &KMeansConfig::with_k(1, 0));
-        let sums = summarize(&data, &model);
+        let sums = SummaryTable::new(&summarize(&data, &model));
         let covering = Query::from_boundary_vec(0, &[0.0, 2.0, 0.0, 10.0]);
         assert!((node_cardinality(&sums, &covering) - 3.0).abs() < 1e-9);
         let missing = Query::from_boundary_vec(0, &[0.0, 2.0, 6.0, 10.0]);

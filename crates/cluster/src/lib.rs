@@ -2,13 +2,15 @@
 //!
 //! Each edge node in the paper quantises its local data space with k-means
 //! (Eq. 1, K = 5 in the evaluation) and shares only per-cluster summaries
-//! (the cluster's per-dimension min/max rectangle plus its representative)
-//! with the leader - O(1) communication per node.
+//! (the cluster's per-dimension min/max rectangle and member count) with
+//! the leader - O(1) communication per node.
 //!
 //! * [`kmeans`] - k-means++ initialisation, Lloyd iterations to a
 //!   movement tolerance, empty-cluster repair.
 //! * [`summary`] - [`summary::ClusterSummary`]: the boundary rectangle,
-//!   representative and size that nodes ship to the leader.
+//!   representative and size of a fitted cluster; [`SummaryTable`]: a
+//!   node's summaries as the leader keeps them, flat and without the
+//!   representative.
 //! * [`quality`] - the quantisation loss of Eq. 1, which
 //!   [`MiniBatchKMeans::loss`] reports.
 //! * [`minibatch`] - mini-batch k-means for nodes whose data streams in.
@@ -17,6 +19,8 @@
 //!   (`EdgeNode::estimated_query_cardinality`).
 //! * [`privacy`] - differentially-private summary release (Laplace noise
 //!   on boundaries and counts before anything leaves the node).
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod estimate;
 pub mod kmeans;
@@ -27,4 +31,4 @@ pub mod summary;
 
 pub use kmeans::{KMeans, KMeansConfig};
 pub use minibatch::MiniBatchKMeans;
-pub use summary::ClusterSummary;
+pub use summary::{ClusterSummary, ClusterView, SummaryTable};

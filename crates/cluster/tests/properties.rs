@@ -2,7 +2,9 @@
 //! over the in-tree RNG; no proptest needed offline).
 
 use cluster::privacy::{noise_summaries, PrivacyBudget};
-use cluster::{estimate, kmeans::KMeansConfig, quality, summary, KMeans, MiniBatchKMeans};
+use cluster::{
+    estimate, kmeans::KMeansConfig, quality, summary, KMeans, MiniBatchKMeans, SummaryTable,
+};
 use geom::Query;
 use linalg::rng::{rng_for, Rng};
 use linalg::Matrix;
@@ -99,14 +101,14 @@ fn cardinality_estimate_bounds() {
             .flat_map(|b| [b[0] - 1.0, b[1] + 1.0])
             .collect();
         let all = Query::from_boundary_vec(0, &grown);
-        let est = estimate::node_cardinality(&sums, &all);
+        let est = estimate::node_cardinality(&SummaryTable::new(&sums), &all);
         assert!(
             (est - data.rows() as f64).abs() < 1e-6,
             "all-cover estimate {est}"
         );
         // Any sub-query estimates within [0, total].
         let sub = Query::new(1, bounds);
-        let e = estimate::node_cardinality(&sums, &sub);
+        let e = estimate::node_cardinality(&SummaryTable::new(&sums), &sub);
         assert!((0.0..=data.rows() as f64 + 1e-9).contains(&e));
     }
 }

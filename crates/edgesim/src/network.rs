@@ -449,13 +449,13 @@ mod tests {
     fn capacity_and_link_draws_preserve_quantisation() {
         let mut net = network();
         net.quantize_all(3, 9);
-        let summaries: Vec<_> = net.nodes().iter().map(|n| n.summaries().to_vec()).collect();
+        let summaries: Vec<_> = net.nodes().iter().map(|n| n.summaries().clone()).collect();
         let net =
             net.with_random_capacities(0.5, 2.0, 3)
                 .with_random_links((1e6, 20e6), (0.005, 0.1), 7);
         for (node, before) in net.nodes().iter().zip(&summaries) {
             assert!(node.is_quantized(), "quantisation must survive the draws");
-            assert_eq!(node.summaries(), &before[..]);
+            assert_eq!(node.summaries(), before);
         }
     }
 

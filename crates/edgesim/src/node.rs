@@ -1,7 +1,7 @@
 //! Participant edge nodes.
 
-use cluster::{summary, ClusterSummary, KMeans, KMeansConfig};
-use geom::HyperRect;
+use cluster::{summary, ClusterSummary, KMeans, KMeansConfig, SummaryTable};
+use geom::{HyperRect, Interval};
 use linalg::Matrix;
 use mlkit::DenseDataset;
 
@@ -24,7 +24,9 @@ impl std::fmt::Display for NodeId {
 ///
 /// * The **leader view**, held inline: id, name, compute capacity, uplink,
 ///   the cluster summaries and their epoch. Selection, ranking and the
-///   spatial index read nothing else.
+///   spatial index read nothing else. The summaries are one flat
+///   [`SummaryTable`] block: intervals, cluster ids and sizes, no
+///   representative.
 /// * The **node-local part**, boxed and optional: the local dataset, its
 ///   joint matrix and the k-means model behind the summaries. Nodes built
 ///   by [`EdgeNode::new`] have one; summary-only nodes
@@ -42,7 +44,7 @@ pub struct EdgeNode {
     /// reference node).
     capacity: f64,
     link: LinkProfile,
-    summaries: Vec<ClusterSummary>,
+    summaries: SummaryTable,
     /// Version counter of the leader-visible summaries. Bumped whenever
     /// they change ([`EdgeNode::quantize`], [`EdgeNode::quantize_private`])
     /// or become stale ([`EdgeNode::absorb`]); selection caches compare it
@@ -85,7 +87,7 @@ impl EdgeNode {
             name: name.into(),
             capacity,
             link: LinkProfile::default(),
-            summaries: Vec::new(),
+            summaries: SummaryTable::default(),
             summary_epoch: 0,
             local: Some(NodeLocal::new(data)),
         }
@@ -107,9 +109,13 @@ impl EdgeNode {
     /// read nothing but summaries. Rows absorbed later
     /// ([`EdgeNode::absorb`]) become the node's first local data.
     ///
+    /// The summaries are copied into the node's flat [`SummaryTable`];
+    /// their representatives are dropped unread.
+    ///
     /// # Panics
-    /// Panics if `summaries` is empty, dimensionalities disagree, the
-    /// joint space has fewer than 2 dimensions or `capacity <= 0`.
+    /// Panics if `summaries` is empty, rectangle dimensionalities
+    /// disagree, the joint space has fewer than 2 dimensions or
+    /// `capacity <= 0`.
     pub fn from_summaries(
         id: NodeId,
         name: impl Into<String>,
@@ -121,18 +127,16 @@ impl EdgeNode {
             "summary-only node needs at least one cluster summary"
         );
         assert!(capacity > 0.0, "capacity must be positive, got {capacity}");
-        let d = summaries[0].rect.dim();
-        assert!(d >= 2, "joint space needs at least one feature plus label");
-        for s in &summaries {
-            assert_eq!(s.rect.dim(), d, "summary rect dim mismatch");
-            assert_eq!(s.representative.len(), d, "representative dim mismatch");
-        }
+        assert!(
+            summaries[0].rect.dim() >= 2,
+            "joint space needs at least one feature plus label"
+        );
         Self {
             id,
             name: name.into(),
             capacity,
             link: LinkProfile::default(),
-            summaries,
+            summaries: SummaryTable::new(&summaries),
             summary_epoch: 1,
             local: None,
         }
@@ -229,7 +233,7 @@ impl EdgeNode {
     pub fn joint_dim(&self) -> usize {
         match &self.local {
             Some(local) => local.joint.cols(),
-            None => self.summaries[0].rect.dim(),
+            None => self.summaries.dims(),
         }
     }
 
@@ -248,24 +252,45 @@ impl EdgeNode {
     /// # Panics
     /// Panics on a summary-only node.
     pub fn quantize(&mut self, k: usize, seed: u64) {
-        let local = self
-            .local
-            .as_deref_mut()
-            .unwrap_or_else(|| no_local_rows(self.id));
-        let model = KMeans::fit(&local.joint, &KMeansConfig::with_k(k, seed));
-        self.summaries = summary::summarize(&local.joint, &model);
-        local.kmeans = Some(model);
-        self.summary_epoch += 1;
+        let summaries = self.fit(k, seed);
+        self.release(&summaries);
     }
 
     /// Like [`EdgeNode::quantize`] but releases differentially-private
     /// summaries: the leader-visible rectangles and counts carry Laplace
     /// noise at budget ε while the node's own cluster memberships (used
-    /// for local training) stay exact.
+    /// for local training) stay exact. The noise is drawn over the whole
+    /// [`summary::summarize`] output, representatives included, before
+    /// the leader view keeps its part.
+    ///
+    /// # Panics
+    /// Panics on a summary-only node.
     pub fn quantize_private(&mut self, k: usize, seed: u64, epsilon: f64) {
-        self.quantize(k, seed);
+        let summaries = self.fit(k, seed);
         let budget = cluster::privacy::PrivacyBudget::new(epsilon);
-        self.summaries = cluster::privacy::noise_summaries(&self.summaries, &budget, seed ^ 0xD1FF);
+        self.release(&cluster::privacy::noise_summaries(
+            &summaries,
+            &budget,
+            seed ^ 0xD1FF,
+        ));
+    }
+
+    /// Fits k-means over the node's rows, keeps the model and returns
+    /// its summaries.
+    fn fit(&mut self, k: usize, seed: u64) -> Vec<ClusterSummary> {
+        let local = self
+            .local
+            .as_deref_mut()
+            .unwrap_or_else(|| no_local_rows(self.id));
+        let model = KMeans::fit(&local.joint, &KMeansConfig::with_k(k, seed));
+        let summaries = summary::summarize(&local.joint, &model);
+        local.kmeans = Some(model);
+        summaries
+    }
+
+    /// Makes `summaries` the leader-visible ones.
+    fn release(&mut self, summaries: &[ClusterSummary]) {
+        self.summaries = SummaryTable::new(summaries);
         self.summary_epoch += 1;
     }
 
@@ -276,18 +301,19 @@ impl EdgeNode {
         !self.summaries.is_empty()
     }
 
-    /// The cluster summary rectangles, in summary order — the node's
-    /// entire leader-visible footprint in the joint space.
+    /// The cluster summary rectangles as per-axis intervals, in summary
+    /// order — the node's entire leader-visible footprint in the joint
+    /// space.
     ///
     /// # Panics
     /// Panics if the node is not quantised (same guidance as scoring).
-    pub fn summary_rects(&self) -> impl ExactSizeIterator<Item = &HyperRect> {
+    pub fn summary_rects(&self) -> impl ExactSizeIterator<Item = &[Interval]> {
         assert!(
             self.is_quantized(),
             "node {} has no cluster summaries; call EdgeNetwork::quantize_all first",
             self.id
         );
-        self.summaries.iter().map(|s| &s.rect)
+        self.summaries.iter().map(|c| c.bounds)
     }
 
     /// The hull of [`EdgeNode::summary_rects`]. This is what the spatial
@@ -298,9 +324,14 @@ impl EdgeNode {
     /// # Panics
     /// Panics if the node is not quantised (same guidance as scoring).
     pub fn summary_bounds(&self) -> HyperRect {
-        let mut it = self.summary_rects();
-        let first = it.next().expect("quantised node has summaries").clone();
-        it.fold(first, |acc, r| acc.hull(r))
+        let mut rects = self.summary_rects();
+        let mut hull = rects.next().expect("quantised node has summaries").to_vec();
+        for rect in rects {
+            for (h, iv) in hull.iter_mut().zip(rect) {
+                *h = h.hull(iv);
+            }
+        }
+        HyperRect::new(hull)
     }
 
     /// Version counter of the leader-visible summaries: 0 at
@@ -313,8 +344,8 @@ impl EdgeNode {
     }
 
     /// Cluster summaries (empty before quantisation). This is the node's
-    /// entire leader-visible state — `O(K·d)` numbers.
-    pub fn summaries(&self) -> &[ClusterSummary] {
+    /// entire leader-visible state — `O(K·d)` numbers in one block.
+    pub fn summaries(&self) -> &SummaryTable {
         &self.summaries
     }
 
@@ -367,7 +398,7 @@ impl EdgeNode {
             None => new.clone(),
         };
         self.local = Some(NodeLocal::new(data));
-        self.summaries.clear();
+        self.summaries = SummaryTable::default();
         self.summary_epoch += 1;
     }
 
@@ -447,8 +478,8 @@ mod tests {
         assert_eq!(n.k(), 5);
         let covered: usize = n.summaries().iter().map(|s| s.size).sum();
         assert_eq!(covered, 60);
-        for s in n.summaries() {
-            assert_eq!(s.rect.dim(), 2);
+        for s in n.summaries().iter() {
+            assert_eq!(s.bounds.len(), 2);
         }
     }
 
@@ -457,14 +488,14 @@ mod tests {
         let mut n = node();
         n.quantize(4, 1);
         let mut total = 0;
-        for s in n.summaries().to_vec() {
+        for s in n.summaries().iter() {
             let ds = n.cluster_dataset(s.cluster_id);
             assert_eq!(ds.len(), s.size);
             total += ds.len();
             // Every member's joint point lies inside the summary rect.
             for (row, &y) in ds.x().row_iter().zip(ds.y()) {
                 let joint = [row[0], y];
-                assert!(s.rect.contains_point(&joint));
+                assert!(s.bounds.iter().zip(joint).all(|(iv, x)| iv.contains(x)));
             }
         }
         assert_eq!(total, 60);
@@ -505,11 +536,11 @@ mod tests {
         let moved = exact
             .summaries()
             .iter()
-            .zip(private.summaries())
-            .any(|(a, b)| a.rect != b.rect || a.size != b.size);
+            .zip(private.summaries().iter())
+            .any(|(a, b)| a.bounds != b.bounds || a.size != b.size);
         assert!(moved, "eps=0.1 must perturb the released summaries");
         // ...but local training data (cluster memberships) is exact.
-        for s in exact.summaries().to_vec() {
+        for s in exact.summaries().iter() {
             assert_eq!(
                 exact.cluster_dataset(s.cluster_id),
                 private.cluster_dataset(s.cluster_id)
@@ -577,14 +608,17 @@ mod tests {
         let mut n = node();
         n.quantize(4, 2);
         let hull = n.summary_bounds();
-        for s in n.summaries() {
-            for d in 0..s.rect.dim() {
-                assert!(hull.interval(d).lo() <= s.rect.interval(d).lo());
-                assert!(hull.interval(d).hi() >= s.rect.interval(d).hi());
+        for s in n.summaries().iter() {
+            for (d, iv) in s.bounds.iter().enumerate() {
+                assert!(hull.interval(d).lo() <= iv.lo());
+                assert!(hull.interval(d).hi() >= iv.hi());
             }
         }
         // The hull is tight: it equals the hull of the member rects.
-        let mut it = n.summaries().iter().map(|s| s.rect.clone());
+        let mut it = n
+            .summaries()
+            .iter()
+            .map(|s| HyperRect::new(s.bounds.to_vec()));
         let first = it.next().unwrap();
         assert_eq!(hull, it.fold(first, |acc, r| acc.hull(&r)));
     }

@@ -73,6 +73,27 @@ impl SpaceScaler {
         DenseDataset::new(x, y)
     }
 
+    /// Scales one joint row (features, then the label) onto the unit
+    /// cube with [`SpaceScaler::transform_dataset`]'s arithmetic: the
+    /// scaled features into `features` (cleared first), the scaled label
+    /// returned.
+    ///
+    /// # Panics
+    /// Panics if `joint.len() != self.dim()`.
+    pub fn transform_joint_row(&self, joint: &[f64], features: &mut Vec<f64>) -> f64 {
+        assert_eq!(
+            joint.len(),
+            self.dim(),
+            "row width {} != scaler joint dim {}",
+            joint.len(),
+            self.dim()
+        );
+        let d = joint.len() - 1;
+        features.clear();
+        features.extend(joint[..d].iter().enumerate().map(|(j, &v)| self.fwd(j, v)));
+        self.fwd(d, joint[d])
+    }
+
     /// Converts a *scaled-space* MSE back to original label units
     /// (multiplies by the squared label span), so losses can be reported
     /// in the dataset's natural units.

@@ -136,29 +136,27 @@ impl RoundOutcome {
     /// by [`SpaceScaler::unscale_mse`] for raw units.
     ///
     /// Returns `None` when no sample falls inside the query region.
+    ///
+    /// One pass over every node's joint rows, in node then row order:
+    /// each row inside the query is scaled on the fly, predicted, and
+    /// its squared error summed in [`mlkit::metrics::mse`]'s order, so
+    /// the loss has the bits of `mse` over the gathered rows without
+    /// gathering them.
     pub fn query_loss(&self, network: &EdgeNetwork, query: &Query) -> Option<f64> {
-        let test = query_region_dataset(network, query, &self.scaler)?;
-        Some(self.global.mse(&test))
-    }
-}
-
-/// Collects the (scaled) samples inside the query region across the
-/// whole network.
-pub fn query_region_dataset(
-    network: &EdgeNetwork,
-    query: &Query,
-    scaler: &SpaceScaler,
-) -> Option<DenseDataset> {
-    let mut parts: Vec<DenseDataset> = Vec::new();
-    for node in network.nodes().iter().filter(|n| !n.is_empty()) {
-        let idx = query.filter_indices(node.joint().row_iter());
-        if !idx.is_empty() {
-            parts.push(scaler.transform_dataset(&node.data().select(&idx)));
+        let mut features = Vec::with_capacity(self.scaler.dim());
+        let (mut sum, mut n) = (0.0, 0usize);
+        for node in network.nodes().iter().filter(|n| !n.is_empty()) {
+            for row in node.joint().row_iter() {
+                if query.region().contains_point(row) {
+                    let target = self.scaler.transform_joint_row(row, &mut features);
+                    let p = self.global.predict_row(&features);
+                    sum += (p - target) * (p - target);
+                    n += 1;
+                }
+            }
         }
+        (n > 0).then(|| sum / n as f64)
     }
-    let mut it = parts.into_iter();
-    let first = it.next()?;
-    Some(it.fold(first, |acc, p| acc.concat(&p)))
 }
 
 /// What one participant's local training produced.
@@ -1039,6 +1037,55 @@ mod tests {
         );
     }
 
+    /// The (scaled) samples inside the query region across the whole
+    /// network, copied out: the reference `query_loss` streams past.
+    fn query_region_dataset(
+        network: &EdgeNetwork,
+        query: &Query,
+        scaler: &SpaceScaler,
+    ) -> Option<DenseDataset> {
+        let mut parts: Vec<DenseDataset> = Vec::new();
+        for node in network.nodes().iter().filter(|n| !n.is_empty()) {
+            let idx = query.filter_indices(node.joint().row_iter());
+            if !idx.is_empty() {
+                parts.push(scaler.transform_dataset(&node.data().select(&idx)));
+            }
+        }
+        let mut it = parts.into_iter();
+        let first = it.next()?;
+        Some(it.fold(first, |acc, p| acc.concat(&p)))
+    }
+
+    /// The streamed loss has the bits of `mse` over the copied rows,
+    /// for an ensemble and a single global model, and is `None` exactly
+    /// when no row falls inside the query.
+    #[test]
+    fn query_loss_streams_the_bits_of_mse_over_the_copied_rows() {
+        let net = network(true);
+        let queries = [
+            leader_query(),
+            Query::from_boundary_vec(1, &[0.0, 10.0, -100.0, 200.0]),
+            Query::from_boundary_vec(2, &[5.0, 60.0, 0.0, 130.0]),
+            Query::from_boundary_vec(3, &[1e6, 2e6, 1e6, 2e6]),
+        ];
+        for aggregation in [Aggregation::WeightedAveraging, Aggregation::FedAvgWeights] {
+            let cfg = FederationConfig {
+                aggregation,
+                ..fast_cfg(4)
+            };
+            let out = run_query(&net, &leader_query(), &QueryDriven::top_l(3), &cfg).unwrap();
+            let mut misses = 0;
+            for q in &queries {
+                let reference = query_region_dataset(&net, q, &out.scaler)
+                    .map(|rows| out.global.mse(&rows).to_bits());
+                let streamed = out.query_loss(&net, q).map(f64::to_bits);
+                assert_eq!(streamed, reference, "{aggregation:?}, query {}", q.id());
+                misses += usize::from(reference.is_none());
+            }
+            assert_eq!(misses, 1, "only the far query misses every row");
+        }
+    }
+
     #[test]
     fn query_region_dataset_collects_only_inside_points() {
         let net = network(false);
@@ -1067,8 +1114,18 @@ mod tests {
         let q = leader_query();
         let policy = QueryDriven::top_l(3);
         let hot = run_query(&data, &q, &policy, &fast_cfg(1)).unwrap();
-        let hot = data.node(hot.selection.participants[0].node).summaries();
-        let ghost = |id| EdgeNode::from_summaries(NodeId(id), "ghost", 1.0, hot.to_vec());
+        let hot: Vec<_> = data
+            .node(hot.selection.participants[0].node)
+            .summaries()
+            .iter()
+            .map(|c| cluster::ClusterSummary {
+                cluster_id: c.cluster_id,
+                size: c.size,
+                representative: Vec::new(),
+                rect: geom::HyperRect::new(c.bounds.to_vec()),
+            })
+            .collect();
+        let ghost = |id| EdgeNode::from_summaries(NodeId(id), "ghost", 1.0, hot.clone());
         for ghost_first in [true, false] {
             let mut nodes = Vec::new();
             if ghost_first {

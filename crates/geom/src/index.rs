@@ -194,36 +194,38 @@ impl SpatialIndexBuilder {
     /// # Panics
     /// Panics on a dimensionality mismatch.
     pub fn push(&mut self, rect: &HyperRect) {
+        self.push_intervals(rect.intervals());
+    }
+
+    fn push_intervals(&mut self, rect: &[Interval]) {
         assert_eq!(
-            rect.dim(),
+            rect.len(),
             self.dims,
             "rect dim {} != index dim {}",
-            rect.dim(),
+            rect.len(),
             self.dims
         );
-        for d in 0..self.dims {
-            let iv = rect.interval(d);
+        for (d, iv) in rect.iter().enumerate() {
             self.lo[d].push(iv.lo());
             self.hi[d].push(iv.hi());
         }
     }
 
-    /// Appends the next item as the hull of `rects`, written straight
-    /// into the SoA arrays: the same bounds as pushing the fold of
-    /// [`HyperRect::hull`] over them, without building that rectangle
-    /// (one heap allocation per fold step, which at a million items is
-    /// a third of the walk).
+    /// Appends the next item as the hull of `rects`, each given as its
+    /// per-axis intervals, written straight into the SoA arrays: the
+    /// same bounds as pushing the fold of [`HyperRect::hull`] over them,
+    /// without building that rectangle (one heap allocation per fold
+    /// step, which at a million items is a third of the walk).
     ///
     /// # Panics
     /// Panics if `rects` is empty or on a dimensionality mismatch.
-    pub fn push_hull<'a>(&mut self, rects: impl IntoIterator<Item = &'a HyperRect>) {
+    pub fn push_hull<'a>(&mut self, rects: impl IntoIterator<Item = &'a [Interval]>) {
         let mut rects = rects.into_iter();
-        self.push(rects.next().expect("hull of zero rectangles"));
+        self.push_intervals(rects.next().expect("hull of zero rectangles"));
         let i = self.len() - 1;
         for rect in rects {
-            assert_eq!(rect.dim(), self.dims, "rect dimensionality mismatch");
-            for d in 0..self.dims {
-                let iv = rect.interval(d);
+            assert_eq!(rect.len(), self.dims, "rect dimensionality mismatch");
+            for (d, iv) in rect.iter().enumerate() {
                 self.lo[d][i] = self.lo[d][i].min(iv.lo());
                 self.hi[d][i] = self.hi[d][i].max(iv.hi());
             }
@@ -782,7 +784,7 @@ mod tests {
                     .iter()
                     .fold(group[0].clone(), |acc, r| acc.hull(r)),
             );
-            direct.push_hull(group);
+            direct.push_hull(group.iter().map(HyperRect::intervals));
         }
         assert_eq!(direct.len(), 30);
         for d in 0..2 {

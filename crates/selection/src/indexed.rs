@@ -25,19 +25,20 @@
 //!
 //! # The cluster table
 //!
-//! Scoring through `nodes[id] → summaries → rect → intervals` is five or
-//! six dependent cache misses per candidate; at 1M nodes that chase, not
-//! the arithmetic, was 15 of a 17–20 ms select. A [`DomainClusters`]
-//! block holds what Eq. 2–4 reads, per cluster and in slot order: the
-//! `d` intervals (16·d bytes) and a narrowed `(cluster_id, size)` (8
-//! bytes), plus a 4-byte offset per node. It also keeps, per axis, the
-//! block's *reach* — its widest non-degenerate cluster interval and the
-//! hull of its zero-width ones — and its largest K, read off the
-//! intervals it copies. The probed source pays the chase once per
-//! domain per build, on the first select that probes the domain. It
-//! gathers nothing up front, and the every-node source keeps nothing:
-//! the whole table at 1M nodes × 3 clusters is 124 MB of pages that
-//! would stay resident.
+//! Scoring through `nodes[id] → summaries` costs dependent cache misses
+//! per candidate; at 1M nodes that chase, not the arithmetic, was 15 of
+//! a 17–20 ms select. A [`DomainClusters`] block holds what Eq. 2–4
+//! reads, per cluster and in slot order: the `d` intervals (16·d bytes)
+//! and a narrowed `(cluster_id, size)` (8 bytes), plus a 4-byte offset
+//! per node. A node keeps its intervals contiguous in its own
+//! [`cluster::SummaryTable`], so the gather copies each node's interval
+//! slice in one piece. The block also keeps, per axis, its *reach* — its
+//! widest non-degenerate cluster interval and the hull of its zero-width
+//! ones — and its largest K, read off the intervals it copies. The
+//! probed source pays the chase once per domain per build, on the first
+//! select that probes the domain. It gathers nothing up front, and the
+//! every-node source keeps nothing: the whole table at 1M nodes × 3
+//! clusters is 124 MB of pages that would stay resident.
 //!
 //! # Why pruning is exact
 //!
@@ -275,14 +276,18 @@ impl DomainClusters {
         offsets.push(0);
         for &id in ids {
             let summaries = crate::query_driven::quantized_summaries(&nodes[id as usize]);
-            for summary in summaries {
-                meta.push((narrow(summary.cluster_id), narrow(summary.size)));
-                let axes = summary.rect.intervals();
-                intervals.extend_from_slice(axes);
-                for (r, iv) in reach.iter_mut().zip(axes) {
+            let axes = summaries.intervals();
+            intervals.extend_from_slice(axes);
+            for rect in axes.chunks_exact(dims) {
+                for (r, iv) in reach.iter_mut().zip(rect) {
                     r.add(iv);
                 }
             }
+            meta.extend(
+                summaries
+                    .iter()
+                    .map(|c| (narrow(c.cluster_id), narrow(c.size))),
+            );
             k_max = k_max.max(summaries.len());
             offsets.push(u32::try_from(meta.len()).expect("block cluster count fits 32 bits"));
         }
@@ -315,8 +320,8 @@ impl DomainClusters {
             let (cluster_id, size) = match self.meta[c] {
                 (id, size) if id != WIDE && size != WIDE => (id as usize, size as usize),
                 _ => {
-                    let summary = &node.summaries()[c - first];
-                    (summary.cluster_id, summary.size)
+                    let cluster = node.summaries().get(c - first);
+                    (cluster.cluster_id, cluster.size)
                 }
             };
             (cluster_id, size, h)

@@ -134,9 +134,10 @@ impl QueryDriven {
         query: &geom::Query,
     ) -> (f64, Vec<SupportingCluster>) {
         let mut supporting = Vec::new();
+        let region = query.region().intervals();
         let overlaps = quantized_summaries(node)
             .iter()
-            .map(|s| (s.cluster_id, s.size, query.region().overlap_rate(&s.rect)));
+            .map(|c| (c.cluster_id, c.size, geom::overlap_rate(region, c.bounds)));
         let ranking = self.rank_clusters(overlaps.len(), overlaps, &mut supporting);
         (ranking, supporting)
     }
@@ -331,7 +332,7 @@ impl SelectionPolicy for QueryDriven {
 }
 
 /// The node's cluster summaries, after checking it has any.
-pub(crate) fn quantized_summaries(node: &EdgeNode) -> &[cluster::ClusterSummary] {
+pub(crate) fn quantized_summaries(node: &EdgeNode) -> &cluster::SummaryTable {
     // The quantisation check must run *before* any summary access: if
     // it came second, a summaries() implementation that itself panics on
     // an unquantized node would mask the friendly "call quantize_all

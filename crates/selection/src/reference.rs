@@ -50,11 +50,11 @@ pub fn ranked(
     let mut ranked = Vec::new();
     for node in network.nodes() {
         let mut supporting = Vec::new();
-        for cluster in node.summaries() {
-            let k = cluster.rect.to_boundary_vec();
+        for cluster in node.summaries().iter() {
             let mut sum = 0.0;
             for d in 0..dims {
-                sum += overlap_1d(q[2 * d], q[2 * d + 1], k[2 * d], k[2 * d + 1]);
+                let k = cluster.bounds[d];
+                sum += overlap_1d(q[2 * d], q[2 * d + 1], k.lo(), k.hi());
             }
             let overlap = sum / dims as f64;
             if overlap >= epsilon {

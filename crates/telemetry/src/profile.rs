@@ -545,11 +545,19 @@ pub const SLO_WINDOW: usize = 64;
 /// A burn rate of 1.0 consumes the error budget exactly as provisioned;
 /// sustained values above ~1 on the 6x window or spikes above ~6 on the
 /// 1x window are the classic paging thresholds.
+///
+/// Each window keeps a running count of its bad verdicts, updated as a
+/// verdict enters and leaves it, so an observation costs O(1) under the
+/// global tracker's lock.
 #[derive(Debug)]
 pub struct SloTracker {
     ring: Vec<bool>,
     next: usize,
     len: usize,
+    /// Bad verdicts among the last `min(len, SLO_WINDOW)`.
+    bad_1x: usize,
+    /// Bad verdicts in the ring.
+    bad_6x: usize,
     good_total: u64,
     bad_total: u64,
 }
@@ -561,6 +569,8 @@ impl Default for SloTracker {
             ring: vec![false; 6 * SLO_WINDOW],
             next: 0,
             len: 0,
+            bad_1x: 0,
+            bad_6x: 0,
             good_total: 0,
             bad_total: 0,
         }
@@ -573,6 +583,15 @@ impl SloTracker {
     pub fn observe(&mut self, nanos: u64) -> bool {
         let good = nanos <= SLO_OBJECTIVE_NANOS;
         let cap = self.ring.len();
+        // The verdicts the new one pushes out of each window.
+        if self.len >= SLO_WINDOW && !self.ring[(self.next + cap - SLO_WINDOW) % cap] {
+            self.bad_1x -= 1;
+        }
+        if self.len == cap && !self.ring[self.next] {
+            self.bad_6x -= 1;
+        }
+        self.bad_1x += usize::from(!good);
+        self.bad_6x += usize::from(!good);
         self.ring[self.next] = good;
         self.next = (self.next + 1) % cap;
         self.len = (self.len + 1).min(cap);
@@ -599,18 +618,9 @@ impl SloTracker {
         self.len
     }
 
-    /// `(bad, considered)` over the most recent `n` verdicts.
-    fn bad_in_last(&self, n: usize) -> (usize, usize) {
+    /// The burn rate of `bad` verdicts among the last `n` observed.
+    fn burn_rate_over(&self, bad: usize, n: usize) -> f64 {
         let considered = n.min(self.len);
-        let cap = self.ring.len();
-        let bad = (0..considered)
-            .filter(|i| !self.ring[(self.next + cap - 1 - i) % cap])
-            .count();
-        (bad, considered)
-    }
-
-    fn burn_rate_over(&self, n: usize) -> f64 {
-        let (bad, considered) = self.bad_in_last(n);
         if considered == 0 {
             return 0.0;
         }
@@ -620,12 +630,12 @@ impl SloTracker {
 
     /// Burn rate over the last `window` queries.
     pub fn burn_rate_1x(&self) -> f64 {
-        self.burn_rate_over(SLO_WINDOW)
+        self.burn_rate_over(self.bad_1x, SLO_WINDOW)
     }
 
     /// Burn rate over the last `6 × window` queries.
     pub fn burn_rate_6x(&self) -> f64 {
-        self.burn_rate_over(SLO_WINDOW * 6)
+        self.burn_rate_over(self.bad_6x, SLO_WINDOW * 6)
     }
 
     /// Forgets every verdict and zeroes the lifetime totals.
@@ -633,6 +643,8 @@ impl SloTracker {
         self.ring.fill(false);
         self.next = 0;
         self.len = 0;
+        self.bad_1x = 0;
+        self.bad_6x = 0;
         self.good_total = 0;
         self.bad_total = 0;
     }
@@ -964,6 +976,46 @@ mod tests {
         t.reset();
         assert_eq!(t.observed(), 0);
         assert_eq!(t.good_total(), 0);
+    }
+
+    /// The running bad counts against a naive recount of the verdicts
+    /// the test keeps itself, after every observation of a seeded
+    /// stream that wraps the ring many times and resets once mid-way.
+    #[test]
+    fn slo_running_counts_match_a_naive_recount() {
+        let budget = 1.0 - SLO_TARGET;
+        let naive = |verdicts: &[bool], n: usize| {
+            let last = &verdicts[verdicts.len().saturating_sub(n)..];
+            if last.is_empty() {
+                return 0.0;
+            }
+            let bad = last.iter().filter(|&&good| !good).count();
+            (bad as f64 / last.len() as f64) / budget
+        };
+        let mut t = SloTracker::default();
+        let mut verdicts = Vec::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        for i in 0..6_000 {
+            if i == 2_500 {
+                t.reset();
+                verdicts.clear();
+            }
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            // About one verdict in five is bad.
+            let bad = (state >> 33).is_multiple_of(5);
+            let nanos = SLO_OBJECTIVE_NANOS + u64::from(bad);
+            assert_eq!(t.observe(nanos), !bad);
+            verdicts.push(!bad);
+            assert_eq!(t.burn_rate_1x(), naive(&verdicts, SLO_WINDOW), "obs {i}");
+            assert_eq!(
+                t.burn_rate_6x(),
+                naive(&verdicts, 6 * SLO_WINDOW),
+                "obs {i}"
+            );
+        }
+        assert_eq!(t.observed(), 6 * SLO_WINDOW);
     }
 
     #[test]

@@ -380,9 +380,10 @@ pub fn query_ids() -> Vec<u64> {
         .collect()
 }
 
-/// Records one event. The `End` of a query's root span
-/// (`closes_query`) then moves the query's events into a finished
-/// [`Tree`] and returns it.
+/// Records one event and returns its span id: `span`, or for a
+/// `Begin` a fresh id assigned under the same lock. The `End` of a
+/// query's root span (`closes_query`) then moves the query's events
+/// into a finished [`Tree`] and returns it too.
 fn record(
     clock: Clock,
     phase: Phase,
@@ -391,7 +392,7 @@ fn record(
     parent: u64,
     args: Args,
     closes_query: bool,
-) -> Option<Tree> {
+) -> (u64, Option<Tree>) {
     // The wall timestamp must be taken *outside* the collector lock so
     // contention does not skew durations; sequence numbers (the logical
     // ticks) are assigned under the lock (that is what makes them a
@@ -400,6 +401,14 @@ fn record(
     let tid = wall_now.map_or(0, |_| TID.with(Cell::get));
     let query = QUERY.with(Cell::get);
     let mut c = collector();
+    // A span gets its id even when the store refuses its Begin: its
+    // End still needs one.
+    let span = if phase == Phase::Begin {
+        c.last_span += 1;
+        c.last_span
+    } else {
+        span
+    };
     if c.make_room() {
         let seq = c.seq;
         c.seq += 1;
@@ -438,17 +447,14 @@ fn record(
         crate::counter!("qens_trace_events_total").incr();
     }
     if !closes_query {
-        return None;
+        return (span, None);
     }
-    let tree = Tree(c.running.remove(&query)?.into());
+    let Some(events) = c.running.remove(&query) else {
+        return (span, None);
+    };
+    let tree = Tree(events.into());
     c.finished.push_back(tree.clone());
-    Some(tree)
-}
-
-fn alloc_span_id() -> u64 {
-    let mut c = collector();
-    c.last_span += 1;
-    c.last_span
+    (span, Some(tree))
 }
 
 fn current_parent() -> u64 {
@@ -495,7 +501,24 @@ pub struct Span {
 }
 
 impl Span {
+    /// Opens a span: with telemetry and tracing both off, an inlined
+    /// check of the two switches and an inert guard; otherwise the
+    /// out-of-line [`Span::begin_recording`].
+    #[inline]
     fn begin(name: &'static str, args: &[(&'static str, u64)], wall_only: bool) -> Self {
+        if !crate::enabled() && mode().is_none() {
+            return Self {
+                name,
+                id: 0,
+                clock: None,
+                owns_query: false,
+                timer: None,
+            };
+        }
+        Self::begin_recording(name, args, wall_only)
+    }
+
+    fn begin_recording(name: &'static str, args: &[(&'static str, u64)], wall_only: bool) -> Self {
         let timer = if crate::enabled() { series(name) } else { None };
         let mut span = Self {
             name,
@@ -507,12 +530,11 @@ impl Span {
         let Some(clock) = mode().filter(|&c| !(wall_only && c == Clock::Logical)) else {
             return span;
         };
-        span.id = alloc_span_id();
-        record(
+        (span.id, _) = record(
             clock,
             Phase::Begin,
             name,
-            span.id,
+            0,
             current_parent(),
             Args::from_slice(args),
             false,
@@ -524,6 +546,7 @@ impl Span {
     }
 
     /// Whether this span will record anything on drop.
+    #[inline]
     pub fn is_recording(&self) -> bool {
         self.clock.is_some() || self.timer.is_some()
     }
@@ -551,7 +574,7 @@ impl Span {
                 stack.retain(|&x| x != self.id);
             }
         });
-        let tree = record(
+        let (_, tree) = record(
             clock,
             Phase::End,
             self.name,
@@ -568,6 +591,7 @@ impl Span {
 }
 
 impl Drop for Span {
+    #[inline]
     fn drop(&mut self) {
         if self.is_recording() {
             self.end();

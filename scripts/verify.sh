@@ -33,7 +33,12 @@
 #      failed and `selection.latency_p99_ms` is under 2 ms: that p99 is
 #      the first miss after a node re-quantises, ~0.4 ms while the index
 #      is patched in place and ~5.5 ms when it is rebuilt, so a bulk
-#      rebuild per mutation cannot come back unnoticed either.
+#      rebuild per mutation cannot come back unnoticed either,
+#   8. one 3 s run of the repo benchmark's `fleet_select` workload (run
+#      only): fails unless no operation failed and peak RSS is under
+#      600 MB. Its 1M summary-only nodes read ~460 MB while each node
+#      keeps its summaries in one flat block, and ~725 MB with a heap
+#      block per cluster rectangle and representative.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -75,5 +80,6 @@ bench_gate() { # workload trace metric limit
 bench_gate serve_closed 0 latency_p50_ms 5
 bench_gate fleet_churn 0 peak_rss_mb 300
 bench_gate fleet_churn 1 selection.latency_p99_ms 2
+bench_gate fleet_select 0 peak_rss_mb 600
 
 echo "verify OK"

@@ -17,14 +17,17 @@ fn hetero_fed(seed: u64) -> Federation {
 fn summaries_are_the_only_leader_visible_state() {
     let fed = hetero_fed(1);
     // Every node reports at most K summaries, each with a rect in the
-    // joint space and a positive member count; the wire size is O(K*d).
+    // joint space and a positive member count: O(K*d) numbers.
     for node in fed.network().nodes() {
         assert!(node.k() >= 1 && node.k() <= 5);
+        assert_eq!(
+            node.summaries().intervals().len(),
+            node.k() * node.joint_dim()
+        );
         let mut total = 0;
-        for s in node.summaries() {
-            assert_eq!(s.rect.dim(), node.joint_dim());
+        for s in node.summaries().iter() {
+            assert_eq!(s.bounds.len(), node.joint_dim());
             assert!(s.size > 0);
-            assert!(s.wire_bytes() < 128);
             total += s.size;
         }
         assert_eq!(
@@ -209,8 +212,8 @@ fn multi_feature_federation_runs_in_higher_dimensions() {
         .build();
     assert_eq!(fed.network().nodes()[0].joint_dim(), 4);
     for node in fed.network().nodes() {
-        for s in node.summaries() {
-            assert_eq!(s.rect.dim(), 4);
+        for s in node.summaries().iter() {
+            assert_eq!(s.bounds.len(), 4);
         }
     }
     // A 4-d query: warm, breezy, moderate-NO2 hours, any O3 value.
