@@ -13,8 +13,8 @@
 //! ```
 //!
 //! Printed rows state the measured values next to the paper's; CSV series
-//! land in `results/`, alongside `results/telemetry.json` — the
-//! process-wide metric snapshot of the run.
+//! land in `results/`. `--smoke` also writes `results/telemetry.json`,
+//! the metric snapshot of its federation.
 //!
 //! The one environment setting is `QENS_THREADS` (the global pool's
 //! worker count). Any other `QENS_*` variable, or a `QENS_THREADS` that
@@ -31,10 +31,10 @@ fn results_dir() -> PathBuf {
     PathBuf::from("results")
 }
 
-/// Writes the global telemetry snapshot to `results/telemetry.json` and
+/// Writes `fed`'s metric snapshot to `results/telemetry.json` and
 /// returns the snapshot for inspection.
-fn write_telemetry() -> telemetry::Snapshot {
-    let snap = telemetry::global().snapshot();
+fn write_telemetry(fed: &qens::Federation) -> telemetry::Snapshot {
+    let snap = bench::metrics_snapshot(fed);
     let doc = telemetry::export::to_json(&snap);
     let dir = results_dir();
     std::fs::create_dir_all(&dir).expect("create results dir");
@@ -70,7 +70,7 @@ fn run_smoke() {
             .expect("smoke query has data");
         assert!(loss.is_finite(), "smoke loss must be finite");
     }
-    let snap = write_telemetry();
+    let snap = write_telemetry(&fed);
     assert!(!snap.is_empty(), "smoke run recorded no telemetry");
     // Every pipeline layer must have reported something.
     for metric in [
@@ -361,7 +361,6 @@ fn main() {
                 }
             }
         }
-        telemetry::set_enabled(true);
         if let Err(e) = bench::serve::serve(&opts) {
             eprintln!("serve: {e}");
             std::process::exit(1);
@@ -466,12 +465,8 @@ fn main() {
         }
     };
 
-    // The reproduction always records: where a query's time goes is part
-    // of the paper's argument (Figs. 8-9).
-    telemetry::set_enabled(true);
     println!("== qens paper reproduction ({scale:?} scale) ==\n");
     run(scale);
-    write_telemetry();
 }
 
 #[cfg(test)]

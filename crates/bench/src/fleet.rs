@@ -4,8 +4,9 @@
 //! Runs the paper federation through 200-query uniform, drifting and
 //! hotspot workloads (with a light deterministic dropout plan, so the
 //! fault-facing counters — dropped, promoted, retried — are exercised
-//! too), snapshots the scorecard registry and the logical-clock journal
-//! tail after each stream, and writes:
+//! too), each into a telemetry handle of its own, snapshots the
+//! scorecards and the logical-clock journal tail after each stream, and
+//! writes:
 //!
 //! * `results/fleet.json` — per-workload fleet documents (scorecards +
 //!   skew stats + journal tail), fixed key order;
@@ -79,7 +80,6 @@ fn workloads() -> Vec<(&'static str, WorkloadKind)> {
 
 /// Runs the three streams and returns their recorded fleets.
 pub fn run_fleet(scale: ExperimentScale) -> Vec<FleetRun> {
-    telemetry::fleet::set_enabled(true);
     let fed = paper_federation(scale, ModelKind::Linear, Aggregation::WeightedAveraging);
     let pk = PolicyKind::QueryDriven {
         epsilon: EPSILON,
@@ -87,8 +87,8 @@ pub fn run_fleet(scale: ExperimentScale) -> Vec<FleetRun> {
     };
     let mut runs = Vec::with_capacity(3);
     for (label, kind) in workloads() {
-        telemetry::fleet::reset();
-        telemetry::journal::clear();
+        let tele = telemetry::Telemetry::new();
+        tele.fleet().set_enabled(true);
         let wl = fed.workload(&WorkloadConfig {
             n_queries: N_QUERIES,
             kind,
@@ -97,9 +97,10 @@ pub fn run_fleet(scale: ExperimentScale) -> Vec<FleetRun> {
         let mut config = fed.config().clone();
         config.faults = Some(FaultSpec::dropout(SEED, DROPOUT));
         config.tolerance = FaultTolerance::full_strength();
-        let stream = qens::fedlearn::run_stream(fed.network(), &wl, pk.build().as_ref(), &config);
-        let cards = telemetry::fleet::snapshot();
-        let fleet_size = telemetry::fleet::fleet_size();
+        let stream = tele
+            .enter(|| qens::fedlearn::run_stream(fed.network(), &wl, pk.build().as_ref(), &config));
+        let cards = tele.fleet().snapshot();
+        let fleet_size = tele.fleet().fleet_size();
         let skew = telemetry::fleet::skew(&cards, fleet_size, telemetry::fleet::PROM_TOP_K);
         let ledger = (
             stream.accounting.rows.iter().map(|r| r.retries).sum(),
@@ -116,11 +117,10 @@ pub fn run_fleet(scale: ExperimentScale) -> Vec<FleetRun> {
             cards,
             fleet_size,
             skew,
-            fleet_json: telemetry::fleet::to_json(),
-            journal_tail: telemetry::journal::to_jsonl(
-                telemetry::trace::Clock::Logical,
-                Some(JOURNAL_TAIL),
-            ),
+            fleet_json: tele.fleet().to_json(),
+            journal_tail: tele
+                .journal()
+                .to_jsonl(telemetry::trace::Clock::Logical, Some(JOURNAL_TAIL)),
             ledger,
             failed: stream
                 .per_query
@@ -277,7 +277,6 @@ mod tests {
     /// (its own process) and on the single-purpose `repro fleet` path.
     #[test]
     fn fleet_runs_are_recorded_and_serialised() {
-        let _g = crate::fleet_test_lock();
         let runs = run_fleet(ExperimentScale::Quick);
         assert_eq!(runs.len(), 3);
         for run in &runs {
@@ -299,8 +298,5 @@ mod tests {
         let csv = to_csv(&runs);
         assert!(csv.lines().count() > 3);
         assert!(csv.starts_with("workload,node,selected"));
-        telemetry::fleet::set_enabled(false);
-        telemetry::fleet::reset();
-        telemetry::journal::clear();
     }
 }

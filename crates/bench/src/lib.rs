@@ -21,13 +21,14 @@ pub mod serve;
 pub mod smoke;
 pub mod tables;
 
-/// Serializes tests that mutate the process-global fleet registry and
-/// event journal (they would race otherwise: cargo runs a binary's
-/// tests on parallel threads).
-#[cfg(test)]
-pub(crate) fn fleet_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+/// `fed`'s metric snapshot for export, with the pool size behind
+/// `qens_par_workers` read now (while its telemetry is on): the pool
+/// belongs to the process, not to any one federation.
+pub fn metrics_snapshot(fed: &Federation) -> qens::telemetry::Snapshot {
+    let tele = fed.telemetry();
+    let workers = qens::par::global().threads() as f64;
+    tele.enter(|| qens::telemetry::gauge!("qens_par_workers").set(workers));
+    tele.snapshot()
 }
 
 /// Experiment sizing.

@@ -22,7 +22,6 @@
 use std::path::PathBuf;
 
 use qens::prelude::*;
-use qens::telemetry;
 use qens::telemetry::profile as tprofile;
 use qens::telemetry::trace;
 
@@ -44,14 +43,16 @@ impl Default for ProfileOptions {
     }
 }
 
-/// Builds the fixed profiling federation (seeded, faulty, telemetry on).
-fn build_federation() -> Federation {
+/// Builds the fixed profiling federation (seeded, faulty, telemetry on,
+/// traced on `clock` from its build on).
+fn build_federation(clock: trace::Clock) -> Federation {
     FederationBuilder::new()
         .heterogeneous_nodes(6, 120)
         .clusters_per_node(4)
         .seed(13)
         .epochs(2)
         .telemetry(true)
+        .trace(Some(clock))
         .faults(
             FaultSpec::unreliable_edge(13)
                 .with_dropout(0.25)
@@ -72,15 +73,14 @@ fn run_workload(fed: &Federation, queries: u64) {
     }
 }
 
-/// One profiling pass under `clock`: fresh trace store, fresh flight
-/// recorder/SLO state, the full query mix, then the aggregated profile.
-fn profile_pass(clock: trace::Clock, queries: u64) -> tprofile::Profile {
-    trace::set_mode(Some(clock));
-    trace::clear();
-    tprofile::reset();
-    let fed = build_federation();
+/// One profiling pass under `clock`: a fresh federation (so a fresh
+/// trace store, flight recorder and SLO tracker), the full query mix,
+/// then the aggregated profile and the federation.
+fn profile_pass(clock: trace::Clock, queries: u64) -> (tprofile::Profile, Federation) {
+    let fed = build_federation(clock);
     run_workload(&fed, queries);
-    tprofile::aggregate(&trace::snapshot_events())
+    let profile = tprofile::aggregate(&fed.telemetry().trace().snapshot_events());
+    (profile, fed)
 }
 
 fn print_top_table(profile: &tprofile::Profile, unit: &str) {
@@ -103,8 +103,8 @@ fn print_top_table(profile: &tprofile::Profile, unit: &str) {
     }
 }
 
-fn print_slowest(unit: &str) {
-    let slowest = tprofile::slowest();
+fn print_slowest(fed: &Federation, unit: &str) {
+    let slowest = fed.telemetry().profile().slowest();
     if slowest.is_empty() {
         println!("  (flight recorder empty)");
         return;
@@ -127,18 +127,16 @@ fn print_slowest(unit: &str) {
 /// If the workload produces an empty profile or a malformed SVG — this
 /// is a tier-1 gate, so a broken profiler must fail loudly.
 pub fn run_profile(opts: &ProfileOptions) -> std::io::Result<(PathBuf, PathBuf)> {
-    telemetry::set_enabled(true);
-
     // Pass 1: wall clock — the "real time" view.
     println!(
         "== profile pass 1: wall clock ({} queries) ==",
         opts.queries
     );
-    let wall = profile_pass(trace::Clock::Wall, opts.queries);
+    let (wall, fed) = profile_pass(trace::Clock::Wall, opts.queries);
     print_top_table(&wall, "ns");
     println!("\nslowest queries (flight recorder, wall nanos):");
-    print_slowest("ns");
-    let slo = tprofile::slo_view();
+    print_slowest(&fed, "ns");
+    let slo = fed.telemetry().profile().slo_view();
     println!(
         "\nSLO: objective {:.1} ms, target {:.3}: {} good / {} bad, burn 1x {:.3}, 6x {:.3}",
         tprofile::SLO_OBJECTIVE_NANOS as f64 / 1e6,
@@ -154,10 +152,10 @@ pub fn run_profile(opts: &ProfileOptions) -> std::io::Result<(PathBuf, PathBuf)>
         "\n== profile pass 2: logical clock ({} queries) ==",
         opts.queries
     );
-    let logical = profile_pass(trace::Clock::Logical, opts.queries);
+    let (logical, fed) = profile_pass(trace::Clock::Logical, opts.queries);
     print_top_table(&logical, "ticks");
     println!("\nslowest queries (flight recorder, tick spans):");
-    print_slowest("ticks");
+    print_slowest(&fed, "ticks");
 
     let folded = tprofile::to_folded(&logical);
     assert!(
@@ -181,8 +179,6 @@ pub fn run_profile(opts: &ProfileOptions) -> std::io::Result<(PathBuf, PathBuf)>
     let svg_path = opts.out_dir.join("profile.svg");
     std::fs::write(&folded_path, &folded)?;
     std::fs::write(&svg_path, &svg)?;
-    trace::set_mode(None);
-    trace::clear();
     println!(
         "\nprofile OK: {} folded paths -> {}, {} byte SVG -> {}",
         logical.paths.len(),

@@ -8,7 +8,7 @@
 //! | path                | body                                                 |
 //! |---------------------|------------------------------------------------------|
 //! | `/healthz`          | `ok` (text/plain)                                    |
-//! | `/metrics`          | Prometheus text exposition of the global registry    |
+//! | `/metrics`          | Prometheus text exposition of the metric registry    |
 //! | `/trace`            | Chrome trace-event JSON of the trace store           |
 //! | `/profile`          | Folded-stack profile of the trace store (text)       |
 //! | `/profile.svg`      | The same profile as an SVG flamegraph                |
@@ -36,9 +36,11 @@
 //! seconds in one read or one write, then it is closed; I/O failures
 //! are counted in `qens_serve_io_errors_total`.
 //!
-//! `repro serve` binds and serves until `--duration` elapses or a
-//! loopback client posts `/shutdown` — both answer in-flight queries
-//! before exit. The endpoints are checked over real sockets by this
+//! Every endpoint reads the served federation's own telemetry handle,
+//! and every connection thread records into it, so a second federation
+//! in the process never shows up here. `repro serve` binds and serves
+//! until `--duration` elapses or a loopback client posts `/shutdown` —
+//! both answer in-flight queries before exit. The endpoints are checked over real sockets by this
 //! module's tests, `tests/serve_http.rs` and `tests/serve_concurrent.rs`.
 
 pub mod http;
@@ -83,7 +85,7 @@ pub struct ServeOptions {
     /// `None` serves until `POST /shutdown` or Ctrl-C.
     pub duration: Option<Duration>,
     /// Trace clock for the live server (`repro serve --trace`); `None`
-    /// leaves tracing as it is.
+    /// serves untraced.
     pub trace: Option<telemetry::trace::Clock>,
 }
 
@@ -134,8 +136,8 @@ impl ServerState {
 
 /// The federation a standalone `repro serve` answers queries against: a
 /// mid-size heterogeneous network with the selection memo on, so a
-/// repeated rectangle gets its stored selection back.
-pub(crate) fn demo_federation() -> Federation {
+/// repeated rectangle gets its stored selection back, traced on `trace`.
+pub fn demo_federation(trace: Option<telemetry::trace::Clock>) -> Federation {
     FederationBuilder::new()
         .heterogeneous_nodes(6, 120)
         .clusters_per_node(4)
@@ -143,6 +145,7 @@ pub(crate) fn demo_federation() -> Federation {
         .epochs(2)
         .telemetry(true)
         .fleet(true)
+        .trace(trace)
         .selection_cache(true)
         .build()
 }
@@ -196,10 +199,11 @@ impl ServerHandle {
     }
 }
 
-/// Binds `addr` and spawns the accept workers. Non-blocking; drive the
-/// result with [`ServerHandle::wait`].
+/// Binds `addr` and spawns the accept workers, turning on metric
+/// recording in `fed`'s telemetry handle. Non-blocking; drive the result
+/// with [`ServerHandle::wait`].
 pub fn spawn(addr: &str, fed: Federation) -> std::io::Result<ServerHandle> {
-    telemetry::set_enabled(true);
+    fed.telemetry().set_enabled(true);
     let admission = fed.admission();
     let policy = fed.build_policy(&PolicyKind::query_driven(SERVE_SELECT_L));
     let listener = Arc::new(TcpListener::bind(addr)?);
@@ -221,24 +225,26 @@ pub fn spawn(addr: &str, fed: Federation) -> std::io::Result<ServerHandle> {
         workers.push(
             std::thread::Builder::new()
                 .name(format!("qens-serve-worker-{i}"))
-                .spawn(move || loop {
-                    if state.stopping.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if state.stopping.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            // A peer that reset, or stopped reading until
-                            // the write timed out: the socket is closed
-                            // by the drop, the worker moves on.
-                            if handle_connection(stream, &state).is_err() {
-                                telemetry::counter!("qens_serve_io_errors_total").incr();
-                            }
+                .spawn(move || {
+                    state.fed.telemetry().enter(|| loop {
+                        if state.stopping.load(Ordering::SeqCst) {
+                            break;
                         }
-                        Err(e) => eprintln!("accept error: {e}"),
-                    }
+                        match listener.accept() {
+                            Ok((stream, _)) => {
+                                if state.stopping.load(Ordering::SeqCst) {
+                                    break;
+                                }
+                                // A peer that reset, or stopped reading
+                                // until the write timed out: the socket is
+                                // closed by the drop, the worker moves on.
+                                if handle_connection(stream, &state).is_err() {
+                                    telemetry::counter!("qens_serve_io_errors_total").incr();
+                                }
+                            }
+                            Err(e) => eprintln!("accept error: {e}"),
+                        }
+                    })
                 })?,
         );
     }
@@ -335,6 +341,7 @@ fn respond(
 ) -> std::io::Result<bool> {
     let method = request.method.as_str();
     let path = request.path.split('?').next().unwrap_or("");
+    let tele = state.fed.telemetry();
     match (method, path) {
         ("POST", "/query") => {
             serve_query(stream, &request.body, state, keep_alive)?;
@@ -403,10 +410,11 @@ fn respond(
             Ok(false)
         }
         ("GET", "/metrics") => {
-            let mut body = telemetry::export::to_prometheus(&telemetry::global().snapshot());
+            let mut body = telemetry::export::to_prometheus(&crate::metrics_snapshot(&state.fed));
             // The fleet's labeled per-node series (top-K + "other") and
             // skew gauges ride along; silent while the fleet layer is off.
-            telemetry::fleet::to_prometheus(&mut body, telemetry::fleet::PROM_TOP_K);
+            tele.fleet()
+                .to_prometheus(&mut body, telemetry::fleet::PROM_TOP_K);
             write_response(
                 stream,
                 "200 OK",
@@ -418,12 +426,12 @@ fn respond(
             Ok(false)
         }
         ("GET", "/trace") => {
-            let body = telemetry::trace::export_chrome(None);
+            let body = tele.trace().export_chrome(None);
             write_response(stream, "200 OK", "application/json", "", &body, keep_alive)?;
             Ok(false)
         }
         ("GET", "/profile") => {
-            let profile = telemetry::profile::aggregate(&telemetry::trace::snapshot_events());
+            let profile = telemetry::profile::aggregate(&tele.trace().snapshot_events());
             write_response(
                 stream,
                 "200 OK",
@@ -435,8 +443,8 @@ fn respond(
             Ok(false)
         }
         ("GET", "/profile.svg") => {
-            let profile = telemetry::profile::aggregate(&telemetry::trace::snapshot_events());
-            let unit = match telemetry::trace::mode() {
+            let profile = telemetry::profile::aggregate(&tele.trace().snapshot_events());
+            let unit = match tele.trace().mode() {
                 Some(telemetry::trace::Clock::Logical) => "ticks",
                 _ => "ns",
             };
@@ -445,12 +453,12 @@ fn respond(
             Ok(false)
         }
         ("GET", "/slowest") => {
-            let body = telemetry::profile::slowest_to_json();
+            let body = tele.profile().slowest_to_json();
             write_response(stream, "200 OK", "application/json", "", &body, keep_alive)?;
             Ok(false)
         }
         ("GET", "/slo") => {
-            let body = telemetry::profile::slo_to_json();
+            let body = tele.profile().slo_to_json();
             write_response(stream, "200 OK", "application/json", "", &body, keep_alive)?;
             Ok(false)
         }
@@ -460,19 +468,19 @@ fn respond(
                 "200 OK",
                 "application/json",
                 "",
-                &cache_stats_json(),
+                &cache_stats_json(tele),
                 keep_alive,
             )?;
             Ok(false)
         }
         ("GET", "/nodes") => {
-            let mut body = telemetry::fleet::to_json();
+            let mut body = tele.fleet().to_json();
             body.push('\n');
             write_response(stream, "200 OK", "application/json", "", &body, keep_alive)?;
             Ok(false)
         }
         ("GET", p) if p.starts_with("/nodes/") => {
-            match node_scorecard_json(&p["/nodes/".len()..]) {
+            match node_scorecard_json(tele, &p["/nodes/".len()..]) {
                 Some(body) => {
                     write_response(stream, "200 OK", "application/json", "", &body, keep_alive)?
                 }
@@ -497,7 +505,7 @@ fn respond(
                 .map(|(_, q)| q)
                 .and_then(|q| q.split('&').find_map(|kv| kv.strip_prefix("n=")))
                 .and_then(http::parse_unsigned::<usize>);
-            let body = telemetry::journal::to_jsonl(telemetry::trace::Clock::Wall, tail);
+            let body = tele.journal().to_jsonl(telemetry::trace::Clock::Wall, tail);
             write_response(
                 stream,
                 "200 OK",
@@ -525,9 +533,9 @@ fn respond(
 
 /// Renders the selection memo's registry mirror as JSON (the memo
 /// itself lives inside the server's policy; its counters are published
-/// to the global registry on every lookup).
-pub fn cache_stats_json() -> String {
-    let snap = telemetry::global().snapshot();
+/// to the served federation's registry on every lookup).
+pub fn cache_stats_json(tele: &telemetry::Telemetry) -> String {
+    let snap = tele.snapshot();
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let hits = counter("qens_cache_hits_total");
     let misses = counter("qens_cache_misses_total");
@@ -550,9 +558,9 @@ pub fn cache_stats_json() -> String {
 /// for indices outside the observed fleet. The deterministic scorecard JSON
 /// gets the live-only wall-time field appended — this endpoint reports
 /// what the process measured, not the reproducible export.
-fn node_scorecard_json(id: &str) -> Option<String> {
+fn node_scorecard_json(tele: &telemetry::Telemetry, id: &str) -> Option<String> {
     let idx: u64 = http::parse_unsigned(id.strip_prefix('n').unwrap_or(id))?;
-    let card = telemetry::fleet::scorecard(idx)?;
+    let card = tele.fleet().scorecard(idx)?;
     let mut body = String::with_capacity(256);
     card.write_json(&mut body);
     body.pop();
@@ -738,10 +746,7 @@ fn serve_query(
 /// Runs the endpoint. Blocking; returns when `--duration` elapses or
 /// after a loopback `POST /shutdown`.
 pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
-    if opts.trace.is_some() {
-        telemetry::trace::set_mode(opts.trace);
-    }
-    let handle = spawn(&opts.addr, demo_federation())?;
+    let handle = spawn(&opts.addr, demo_federation(opts.trace))?;
     println!(
         "serving http://{} ({ENDPOINT_LIST}); POST /shutdown or Ctrl-C to stop",
         handle.addr()
@@ -872,9 +877,8 @@ mod tests {
 
     #[test]
     fn nodes_and_events_endpoints_serve_fleet_data() {
-        let _g = crate::fleet_test_lock();
         let server = test_server(None);
-        telemetry::fleet::set_enabled(true);
+        server.state().fed.telemetry().fleet().set_enabled(true);
         // Before any query: /nodes is valid (possibly empty) JSON and
         // /events is empty-or-lines; unknown ids 404.
         let (status, body) = get(server.addr(), "/nodes").unwrap();
@@ -934,9 +938,6 @@ mod tests {
         }
         server.request_shutdown();
         server.wait().unwrap();
-        telemetry::fleet::set_enabled(false);
-        telemetry::fleet::reset();
-        telemetry::journal::clear();
     }
 
     #[test]
@@ -972,7 +973,10 @@ mod tests {
     fn a_peer_reset_inside_a_request_counts_an_io_error() {
         let server = test_server(None);
         let io_errors = || {
-            telemetry::global()
+            server
+                .state()
+                .fed
+                .telemetry()
                 .snapshot()
                 .counter("qens_serve_io_errors_total")
                 .unwrap_or(0)

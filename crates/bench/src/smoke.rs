@@ -7,10 +7,10 @@
 use std::path::Path;
 
 use qens::prelude::*;
-use qens::telemetry::trace::{self, Clock};
+use qens::telemetry::trace::Clock;
 
 /// Writes `dir/fault_trace.json` and `dir/trace.json` and returns the
-/// fault-plan query's outcome. Leaves tracing off.
+/// fault-plan query's outcome.
 ///
 /// # Panics
 /// Panics if a smoke query fails, its loss is not finite, or the trace
@@ -37,13 +37,14 @@ pub fn write_fault_and_trace(dir: &Path) -> std::io::Result<RoundOutcome> {
     std::fs::create_dir_all(dir)?;
     std::fs::write(dir.join("fault_trace.json"), outcome.fault_trace.to_json())?;
 
-    trace::set_mode(Some(Clock::Logical));
-    trace::clear();
+    // The store is still empty: tracing was off until now.
+    let trace = faulty.telemetry().trace();
+    trace.set_mode(Some(Clock::Logical));
     let q = faulty.query_from_bounds(3, &bounds);
-    let traced = faulty.run_query(&q, &PolicyKind::query_driven(2));
-    let doc = trace::export_chrome(None);
-    trace::set_mode(None);
-    traced.expect("trace smoke query runs");
+    faulty
+        .run_query(&q, &PolicyKind::query_driven(2))
+        .expect("trace smoke query runs");
+    let doc = trace.export_chrome(None);
     assert!(
         doc.contains("\"ph\":\"B\"") && doc.contains("\"ph\":\"E\""),
         "trace smoke produced no spans"

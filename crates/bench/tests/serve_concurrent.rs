@@ -1,10 +1,11 @@
 //! Concurrent-scrape correctness: the observability endpoints must stay
 //! consistent while a query stream is in flight, and serve the traced
-//! query that follows it.
+//! query that follows it; and a second federation in the process leaves
+//! a running server's telemetry alone.
 //!
-//! One test, its own binary: the assertions compare the global metric
-//! registry against a ledger of what the clients actually did, so
-//! nothing else may run queries in this process.
+//! The assertions compare the served federation's own registry against
+//! a ledger of what this test's clients did, so other federations may
+//! run in the same process.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -40,7 +41,6 @@ fn assert_prometheus_parses(body: &str) {
 
 #[test]
 fn scrapes_stay_consistent_under_a_live_query_stream() {
-    telemetry::set_enabled(true);
     let fed = FederationBuilder::new()
         .heterogeneous_nodes(4, 60)
         .clusters_per_node(3)
@@ -157,7 +157,7 @@ fn scrapes_stay_consistent_under_a_live_query_stream() {
 
     // The registry totals must match the ledger of what the clients did:
     // every answered query was counted exactly once.
-    let snap = telemetry::global().snapshot();
+    let snap = handle.state().fed.telemetry().snapshot();
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     assert_eq!(
         counter("qens_serve_queries_total"),
@@ -210,6 +210,50 @@ fn scrapes_stay_consistent_under_a_live_query_stream() {
         assert!(body.contains(series), "/metrics lacks {series}");
     }
 
+    handle.request_shutdown();
+    handle.wait().expect("graceful shutdown");
+}
+
+/// The `qens_serve_queries_total` sample of a `/metrics` body.
+fn served_queries(addr: &str) -> u64 {
+    let (status, body) = http::get(addr, "/metrics").expect("/metrics");
+    assert_eq!(status, 200);
+    body.lines()
+        .find_map(|l| l.strip_prefix("qens_serve_queries_total "))
+        .map_or(0, |v| v.parse().expect("a count"))
+}
+
+/// Regression: building a federation used to set the process-wide
+/// switches, so a telemetry-off federation built while a server ran
+/// silenced the server's metrics, scorecards and journal.
+#[test]
+fn a_federation_built_beside_a_server_leaves_its_telemetry_on() {
+    let handle = serve::spawn("127.0.0.1:0", serve::demo_federation(None)).expect("spawn");
+    let addr = handle.addr().to_string();
+    let before = served_queries(&addr);
+    let quiet = FederationBuilder::new()
+        .heterogeneous_nodes(2, 20)
+        .clusters_per_node(2)
+        .epochs(1)
+        .telemetry(false)
+        .fleet(false)
+        .trace(None)
+        .build();
+    let (status, reply) = http::post(
+        &addr,
+        "/query",
+        "{\"id\": 4242, \"bounds\": [0, 20, 0, 45]}",
+    )
+    .expect("query");
+    assert_eq!(status, 200, "query must succeed, got: {reply}");
+    assert_eq!(served_queries(&addr), before + 1);
+    let (status, nodes) = http::get(&addr, "/nodes").expect("/nodes");
+    assert_eq!(status, 200);
+    assert!(
+        nodes.contains("\"last_selected_query\":4242"),
+        "/nodes must show the served query: {nodes}"
+    );
+    assert!(quiet.telemetry().snapshot().counters.is_empty());
     handle.request_shutdown();
     handle.wait().expect("graceful shutdown");
 }

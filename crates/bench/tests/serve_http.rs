@@ -5,10 +5,8 @@
 
 use bench::serve::{self, http, ServeOptions};
 use qens::prelude::*;
-use qens::telemetry;
 
 fn server_with(admission: AdmissionConfig) -> serve::ServerHandle {
-    telemetry::set_enabled(true);
     let fed = FederationBuilder::new()
         .heterogeneous_nodes(4, 60)
         .clusters_per_node(3)

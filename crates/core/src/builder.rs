@@ -8,6 +8,8 @@ use fedlearn::{run_query, run_stream, FederationConfig, RoundOutcome, StreamResu
 use fedlearn::{Aggregation, FederationError, StageOrder};
 use geom::Query;
 use mlkit::{ModelKind, TrainConfig};
+use telemetry::trace::Clock;
+use telemetry::Telemetry;
 use workload::{generate, QueryWorkload, WorkloadConfig};
 
 use crate::policy_kind::PolicyKind;
@@ -16,13 +18,8 @@ use crate::serve_config::AdmissionConfig;
 /// Where the node population comes from.
 #[derive(Debug, Clone)]
 enum NodeSource {
-    /// Synthetic air-quality stations (§V-A); one or more input features.
-    AirQuality {
-        n_nodes: usize,
-        hours: u64,
-        inputs: Vec<Feature>,
-        label: Feature,
-    },
+    /// Synthetic air-quality stations (§V-A): PM10 in, PM2.5 out.
+    AirQuality { n_nodes: usize, hours: u64 },
     /// The controlled homogeneous regression scenario (§II, Table I).
     Homogeneous { n_nodes: usize, samples: usize },
     /// The controlled heterogeneous regression scenario (§II, Table II).
@@ -47,9 +44,9 @@ pub struct FederationBuilder {
     capacity_range: Option<(f64, f64)>,
     rounds: usize,
     stage_order: StageOrder,
-    telemetry: Option<bool>,
-    fleet: Option<bool>,
-    trace: Option<Option<telemetry::trace::Clock>>,
+    telemetry: bool,
+    fleet: bool,
+    trace: Option<Clock>,
     threads: Option<usize>,
     faults: Option<FaultSpec>,
     tolerance: FaultTolerance,
@@ -72,8 +69,6 @@ impl FederationBuilder {
             source: NodeSource::AirQuality {
                 n_nodes: 10,
                 hours: 24 * 120,
-                inputs: vec![Feature::Pm10],
-                label: Feature::Pm25,
             },
             k: 5,
             seed: 42,
@@ -83,8 +78,8 @@ impl FederationBuilder {
             capacity_range: None,
             rounds: 1,
             stage_order: StageOrder::Sequential,
-            telemetry: None,
-            fleet: None,
+            telemetry: false,
+            fleet: false,
             trace: None,
             threads: None,
             faults: None,
@@ -99,30 +94,7 @@ impl FederationBuilder {
     /// Uses `n` synthetic air-quality stations with `hours` hourly
     /// records each (§V-A; inputs PM10, labels PM2.5).
     pub fn air_quality_nodes(mut self, n: usize, hours: u64) -> Self {
-        self.source = NodeSource::AirQuality {
-            n_nodes: n,
-            hours,
-            inputs: vec![Feature::Pm10],
-            label: Feature::Pm25,
-        };
-        self
-    }
-
-    /// Multi-feature air-quality nodes: the joint data space (and the
-    /// query boundary vectors) become `inputs.len() + 1` dimensional.
-    pub fn air_quality_multi(
-        mut self,
-        n: usize,
-        hours: u64,
-        inputs: Vec<Feature>,
-        label: Feature,
-    ) -> Self {
-        self.source = NodeSource::AirQuality {
-            n_nodes: n,
-            hours,
-            inputs,
-            label,
-        };
+        self.source = NodeSource::AirQuality { n_nodes: n, hours };
         self
     }
 
@@ -228,34 +200,34 @@ impl FederationBuilder {
         self
     }
 
-    /// Turns the global telemetry registry on (or off) when the
-    /// federation is built. Left untouched when never called, so an
-    /// already-enabled registry keeps recording. Snapshots are read via
-    /// [`telemetry::global`] and exported with [`telemetry::export`].
+    /// Turns metric recording (counters, gauges, histograms, span
+    /// timers, the SLO tracker) on or off in the federation's
+    /// [`Telemetry`] handle. Off by default. Read it through
+    /// [`Federation::telemetry`] and export it with [`telemetry::export`].
     pub fn telemetry(mut self, on: bool) -> Self {
-        self.telemetry = Some(on);
+        self.telemetry = on;
         self
     }
 
     /// Turns the fleet observability layer (per-node scorecards, skew
     /// analytics and the structured event journal — see
-    /// [`telemetry::fleet`] / [`telemetry::journal`]) on or off when the
-    /// federation is built. Off by default: scorecards cost one mutex
+    /// [`telemetry::fleet`] / [`telemetry::journal`]) on or off in the
+    /// federation's handle. Off by default: scorecards cost one mutex
     /// hop per round-loop event, and disabled runs are bitwise identical
-    /// to a build without the layer. Left untouched when never called.
+    /// to a build without the layer.
     pub fn fleet(mut self, on: bool) -> Self {
-        self.fleet = Some(on);
+        self.fleet = on;
         self
     }
 
     /// Turns structured query tracing on (with the given clock) or off
-    /// when the federation is built. Pass `Some(Clock::Logical)` for the
-    /// deterministic tick clock (traces byte-identical across thread
-    /// counts) or `Some(Clock::Wall)` for profiler-style nanosecond
-    /// timestamps. Export the trace with
-    /// [`telemetry::trace::export_chrome`].
-    pub fn trace(mut self, clock: Option<telemetry::trace::Clock>) -> Self {
-        self.trace = Some(clock);
+    /// in the federation's handle; off by default. Pass
+    /// `Some(Clock::Logical)` for the deterministic tick clock (traces
+    /// byte-identical across thread counts) or `Some(Clock::Wall)` for
+    /// profiler-style nanosecond timestamps. Export the trace with
+    /// [`telemetry::trace::Store::export_chrome`].
+    pub fn trace(mut self, clock: Option<Clock>) -> Self {
+        self.trace = clock;
         self
     }
 
@@ -318,28 +290,29 @@ impl FederationBuilder {
         self
     }
 
-    /// Materialises the federation: generates/loads node data, builds the
-    /// network and quantises every node.
+    /// Materialises the federation: creates its telemetry handle, then —
+    /// recording into it — generates/loads node data, builds the network
+    /// and quantises every node.
     pub fn build(self) -> Federation {
-        if let Some(on) = self.telemetry {
-            telemetry::set_enabled(on);
-        }
-        if let Some(on) = self.fleet {
-            telemetry::fleet::set_enabled(on);
-        }
-        if let Some(clock) = self.trace {
-            telemetry::trace::set_mode(clock);
-        }
+        let telemetry = Telemetry::new();
+        telemetry.set_enabled(self.telemetry);
+        telemetry.fleet().set_enabled(self.fleet);
+        telemetry.trace().set_mode(self.trace);
+        telemetry.clone().enter(|| self.materialise(telemetry))
+    }
+
+    fn materialise(self, telemetry: Telemetry) -> Federation {
         let datasets: Vec<(String, mlkit::DenseDataset)> = match self.source {
-            NodeSource::AirQuality {
+            NodeSource::AirQuality { n_nodes, hours } => scenario::realistic_nodes_multi(
                 n_nodes,
                 hours,
-                inputs,
-                label,
-            } => scenario::realistic_nodes_multi(n_nodes, hours, self.seed, &inputs, label)
-                .into_iter()
-                .map(|n| (n.name, n.dataset))
-                .collect(),
+                self.seed,
+                &[Feature::Pm10],
+                Feature::Pm25,
+            )
+            .into_iter()
+            .map(|n| (n.name, n.dataset))
+            .collect(),
             NodeSource::Homogeneous { n_nodes, samples } => {
                 scenario::homogeneous_nodes(n_nodes, samples, self.seed)
                     .into_iter()
@@ -393,6 +366,7 @@ impl FederationBuilder {
             cache: self.selection_cache,
             index: self.selection_index,
             admission: self.admission,
+            telemetry,
         }
     }
 }
@@ -412,6 +386,8 @@ pub struct Federation {
     /// Admission control for the serving front end (the builder's
     /// [`FederationBuilder::admission`] or the default).
     admission: AdmissionConfig,
+    /// Where this federation's runs record; clones share it.
+    telemetry: Telemetry,
 }
 
 impl Federation {
@@ -423,6 +399,15 @@ impl Federation {
     /// The learning configuration in force.
     pub fn config(&self) -> &FederationConfig {
         &self.config
+    }
+
+    /// The federation's telemetry handle: the switches the builder set
+    /// and everything its build and runs recorded. [`Federation::run_query`],
+    /// [`Federation::run_batch`] and [`Federation::run_workload`] enter it;
+    /// to record a direct `fedlearn` call here, run the call inside
+    /// [`Telemetry::enter`].
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
     }
 
     /// Builds a query from a joint-space boundary vector
@@ -471,12 +456,14 @@ impl Federation {
         query: &Query,
         policy: &PolicyKind,
     ) -> Result<RoundOutcome, FederationError> {
-        run_query(
-            &self.network,
-            query,
-            self.build_policy(policy).as_ref(),
-            &self.config,
-        )
+        self.telemetry.enter(|| {
+            run_query(
+                &self.network,
+                query,
+                self.build_policy(policy).as_ref(),
+                &self.config,
+            )
+        })
     }
 
     /// Runs each query through [`fedlearn::run_query`] under one policy
@@ -492,21 +479,25 @@ impl Federation {
         queries: &[Query],
         policy: &PolicyKind,
     ) -> Vec<Result<RoundOutcome, FederationError>> {
-        let policy = self.build_policy(policy);
-        queries
-            .iter()
-            .map(|q| run_query(&self.network, q, policy.as_ref(), &self.config))
-            .collect()
+        self.telemetry.enter(|| {
+            let policy = self.build_policy(policy);
+            queries
+                .iter()
+                .map(|q| run_query(&self.network, q, policy.as_ref(), &self.config))
+                .collect()
+        })
     }
 
     /// Runs a whole workload under a policy.
     pub fn run_workload(&self, workload: &QueryWorkload, policy: &PolicyKind) -> StreamResult {
-        run_stream(
-            &self.network,
-            workload,
-            self.build_policy(policy).as_ref(),
-            &self.config,
-        )
+        self.telemetry.enter(|| {
+            run_stream(
+                &self.network,
+                workload,
+                self.build_policy(policy).as_ref(),
+                &self.config,
+            )
+        })
     }
 
     /// The federation's master seed.

@@ -42,7 +42,10 @@
 //! `qens_par_scopes_total`, `qens_par_tasks_total`,
 //! `qens_par_inline_tasks_total` (counters), `qens_par_queue_depth`
 //! (histogram: the unclaimed tasks across published scopes, sampled
-//! when a scope is published) and `qens_par_workers` (gauge).
+//! when a scope is published). They go to the submitter's current
+//! [`telemetry::Telemetry`] handle, which a published scope carries and
+//! each of its tasks enters, on whichever thread runs it. The pool size
+//! is exported as `qens_par_workers` by whoever exports a snapshot.
 //! Scheduling metrics are intentionally *not* part of the determinism
 //! contract — only the domain counters are.
 //!

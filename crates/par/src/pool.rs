@@ -34,21 +34,28 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One published [`ThreadPool::run`] call: its body, the next task
-/// index to claim, the latch of unfinished tasks and the first captured
-/// panic.
+/// index to claim and the latch.
 struct Scope {
     /// The submitter's body with its lifetime erased (see `run`).
     body: *const Body,
     tasks: usize,
     next: AtomicUsize,
-    unfinished: Mutex<usize>,
+    latch: Mutex<Latch>,
     done: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
+    /// The submitter's current telemetry handle, entered around each
+    /// task so the task records where its submitter does.
+    telemetry: Option<telemetry::Telemetry>,
     /// The submitter's trace query while wall tracing is on (`u64::MAX`
     /// otherwise).
     query: u64,
     /// When the scope was published, while wall tracing is on.
     published: Option<Instant>,
+}
+
+/// The tasks not yet finished and the first captured panic.
+struct Latch {
+    unfinished: usize,
+    panic: Option<Box<dyn Any + Send + 'static>>,
 }
 
 // SAFETY: every field but `body` is `Send`. `body` points at a
@@ -68,32 +75,33 @@ impl Scope {
     /// Claims task indices and runs them until none is left. The claim
     /// is a relaxed `fetch_add`: it hands each index to exactly one
     /// thread and publishes no data (the tasks' writes reach the
-    /// submitter through the `unfinished` mutex).
+    /// submitter through the latch mutex).
     fn run_claims(&self) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.tasks {
                 return;
             }
-            {
-                // The block ends the task's span *before* the
-                // count-down can release the submitter (which may
-                // export the trace at once).
+            // The task ends its span *before* the count-down can
+            // release the submitter (which may export the trace at once).
+            let task = || {
                 let _traced = self.published.map(|t| traced_task(self.query, t));
                 // SAFETY: index `i` is claimed by this thread and not
                 // yet counted down, so the submitter is still inside
                 // `run`, whose caller owns the body for that whole call.
                 let body = unsafe { &*self.body };
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(i))) {
-                    let mut slot = lock(&self.panic);
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
+                catch_unwind(AssertUnwindSafe(|| body(i))).err()
+            };
+            let panic = match &self.telemetry {
+                Some(t) => t.enter(task),
+                None => task(),
+            };
+            let mut latch = lock(&self.latch);
+            if latch.panic.is_none() {
+                latch.panic = panic;
             }
-            let mut unfinished = lock(&self.unfinished);
-            *unfinished -= 1;
-            if *unfinished == 0 {
+            latch.unfinished -= 1;
+            if latch.unfinished == 0 {
                 self.done.notify_one();
             }
         }
@@ -153,7 +161,6 @@ impl ThreadPool {
         } else {
             Vec::new()
         };
-        telemetry::gauge!("qens_par_workers").set(threads as f64);
         Self {
             shared,
             workers,
@@ -203,7 +210,10 @@ impl ThreadPool {
         // is read and nothing is recorded. A traced scope records its
         // submitter's query: the worker that runs one of its tasks may be
         // answering another query (see `traced_task`).
-        let traced = telemetry::trace::mode() == Some(telemetry::trace::Clock::Wall);
+        let telemetry = telemetry::Telemetry::current();
+        let traced = telemetry
+            .as_ref()
+            .is_some_and(|t| t.trace().mode() == Some(telemetry::trace::Clock::Wall));
         let body: *const (dyn Fn(usize) + Sync + '_) = body;
         // SAFETY: this only erases the body's lifetime. The body is
         // dereferenced only for a claimed index that has not yet been
@@ -218,9 +228,12 @@ impl ThreadPool {
             body,
             tasks,
             next: AtomicUsize::new(0),
-            unfinished: Mutex::new(tasks),
+            latch: Mutex::new(Latch {
+                unfinished: tasks,
+                panic: None,
+            }),
             done: Condvar::new(),
-            panic: Mutex::new(None),
+            telemetry,
             query: if traced {
                 telemetry::trace::current_query()
             } else {
@@ -245,15 +258,12 @@ impl ThreadPool {
         }
 
         scope.run_claims();
-        let mut unfinished = lock(&scope.unfinished);
-        while *unfinished > 0 {
-            unfinished = scope
-                .done
-                .wait(unfinished)
-                .unwrap_or_else(|p| p.into_inner());
+        let mut latch = lock(&scope.latch);
+        while latch.unfinished > 0 {
+            latch = scope.done.wait(latch).unwrap_or_else(|p| p.into_inner());
         }
-        drop(unfinished);
-        let panic_payload = lock(&scope.panic).take();
+        let panic_payload = latch.panic.take();
+        drop(latch);
         if let Some(payload) = panic_payload {
             resume_unwind(payload);
         }

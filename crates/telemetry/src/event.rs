@@ -16,7 +16,7 @@
 //! ledger off it. No view can disagree with another about what
 //! happened: there is no second call to forget.
 
-use crate::trace::{self, instant};
+use crate::trace::instant;
 
 /// One fleet or fault occurrence. Fields are positional, named in each
 /// variant's doc; node indices, query ids and rounds are `u64`, as the
@@ -66,20 +66,23 @@ pub enum Event {
     CacheInvalidated(u64, u64),
 }
 
-/// Records `event` in every live view: its trace instant while tracing
-/// is on, the scorecards and the journal while [`crate::fleet::enabled`].
-/// With both off it costs two relaxed atomic loads. The views keep the
-/// stream's order, so the logical exports are deterministic as long as
-/// the events come from leader-serial code, as every round-loop site's
-/// do.
+/// Records `event` in every live view of the current handle: its trace
+/// instant while tracing is on, the scorecards and the journal while the
+/// fleet switch is on. With no handle entered it costs one thread-local
+/// read, with both switches off two relaxed atomic loads more. The views
+/// keep the stream's order, so the logical exports are deterministic as
+/// long as the events come from leader-serial code, as every round-loop
+/// site's do.
 pub fn emit(event: &Event) {
-    if trace::is_enabled() {
-        trace_instant(event);
-    }
-    if crate::fleet::enabled() {
-        crate::fleet::fold(event);
-        crate::journal::record(event);
-    }
+    crate::with_current(|t| {
+        if t.trace.mode().is_some() {
+            trace_instant(event);
+        }
+        if t.fleet.enabled() {
+            t.fleet.fold(event);
+            t.fleet.journal.record(event);
+        }
+    });
 }
 
 /// The trace view: the event's instant under its `crate.verb` name.
@@ -126,13 +129,16 @@ fn trace_instant(event: &Event) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fleet, journal, trace::Clock};
+    use crate::{trace::Clock, Telemetry};
 
     /// One table row: the trace instants (`phase name key=value…`), the
     /// logical journal lines and every scorecard field that moved from
     /// empty, then the fleet size and query count when set.
-    fn views() -> String {
-        let instants: Vec<String> = trace::snapshot_events()
+    fn views(tele: &Telemetry) -> String {
+        let fleet = tele.fleet();
+        let instants: Vec<String> = tele
+            .trace()
+            .snapshot_events()
             .iter()
             .map(|e| {
                 let args = e.args.as_slice().iter();
@@ -141,7 +147,7 @@ mod tests {
             })
             .collect();
         let mut delta = Vec::new();
-        for c in fleet::snapshot() {
+        for c in fleet.snapshot() {
             let mut card = format!("n{}:", c.node);
             let live = [
                 ("train_wall_nanos", c.train_wall_nanos),
@@ -160,13 +166,14 @@ mod tests {
             }
             delta.push(card);
         }
-        if fleet::fleet_size() > 0 {
-            delta.push(format!("fleet_size={}", fleet::fleet_size()));
+        if fleet.fleet_size() > 0 {
+            delta.push(format!("fleet_size={}", fleet.fleet_size()));
         }
-        if fleet::queries() > 0 {
-            delta.push(format!("queries={}", fleet::queries()));
+        if fleet.queries() > 0 {
+            delta.push(format!("queries={}", fleet.queries()));
         }
-        let lines = journal::to_jsonl(Clock::Logical, None).replace('\n', " ");
+        let lines = tele.journal().to_jsonl(Clock::Logical, None);
+        let lines = lines.replace('\n', " ");
         let row = format!("{} | {lines}| {}", instants.join(", "), delta.join("; "));
         row.trim_end().to_string()
     }
@@ -175,9 +182,6 @@ mod tests {
     /// per-view recording calls it replaced wrote into each view.
     #[test]
     fn every_event_renders_its_three_views() {
-        let _g = crate::test_lock();
-        fleet::set_enabled(true);
-        trace::set_mode(Some(Clock::Logical));
         let events = [
             Event::Selected(7, 3, 1, 2),
             Event::Dropout(7, 3, 0),
@@ -214,15 +218,11 @@ Instant edgesim.transfer node=1 bytes=4096 | | n1: rounds_trained=1 bytes_transf
         let want: Vec<&str> = want.lines().skip(1).collect();
         assert_eq!(want.len(), events.len());
         for (event, want) in events.iter().zip(want) {
-            fleet::reset();
-            journal::clear();
-            trace::clear();
-            emit(event);
-            assert_eq!(views(), want, "{event:?}");
+            let tele = Telemetry::new();
+            tele.fleet().set_enabled(true);
+            tele.trace().set_mode(Some(Clock::Logical));
+            tele.enter(|| emit(event));
+            assert_eq!(views(&tele), want, "{event:?}");
         }
-        trace::set_mode(None);
-        trace::clear();
-        fleet::reset();
-        journal::clear();
     }
 }

@@ -313,7 +313,6 @@ mod tests {
     use crate::Registry;
 
     fn sample_registry() -> Registry {
-        crate::set_enabled(true);
         let r = Registry::new();
         r.counter("qens_test_export_total").add(4);
         r.gauge("qens_test_export_ratio").set(0.25);
@@ -325,7 +324,6 @@ mod tests {
 
     #[test]
     fn json_contains_all_sections() {
-        let _g = crate::test_lock();
         let r = sample_registry();
         let doc = to_json(&r.snapshot());
         assert!(doc.starts_with('{') && doc.ends_with('}'));
@@ -338,7 +336,6 @@ mod tests {
 
     #[test]
     fn prometheus_has_cumulative_buckets_and_totals() {
-        let _g = crate::test_lock();
         let r = sample_registry();
         let text = to_prometheus(&r.snapshot());
         assert!(text.contains("# TYPE qens_test_export_total counter"));
@@ -365,7 +362,6 @@ mod tests {
     /// to `_count`.
     #[test]
     fn prometheus_exposition_is_conformant() {
-        let _g = crate::test_lock();
         let r = sample_registry();
         let text = to_prometheus(&r.snapshot());
 
@@ -428,7 +424,6 @@ mod tests {
 
     #[test]
     fn prometheus_leads_with_build_info_and_uptime() {
-        let _g = crate::test_lock();
         let r = sample_registry();
         let text = to_prometheus(&r.snapshot());
         let build_line = text
@@ -533,15 +528,16 @@ mod tests {
     /// `# TYPE` lines, HELP before TYPE before the first sample.
     #[test]
     fn fleet_exposition_is_conformant() {
-        let _g = crate::test_lock();
-        crate::fleet::set_enabled(true);
-        crate::fleet::reset();
-        crate::journal::clear();
-        crate::emit(&crate::Event::FleetObserved(5));
-        crate::emit(&crate::Event::Selected(1, 0, 0, 0));
-        crate::emit(&crate::Event::Selected(1, 3, 1, 0));
+        let tele = crate::Telemetry::new();
+        tele.fleet().set_enabled(true);
+        tele.enter(|| {
+            crate::emit(&crate::Event::FleetObserved(5));
+            crate::emit(&crate::Event::Selected(1, 0, 0, 0));
+            crate::emit(&crate::Event::Selected(1, 3, 1, 0));
+        });
         let mut text = String::new();
-        crate::fleet::to_prometheus(&mut text, crate::fleet::PROM_TOP_K);
+        tele.fleet()
+            .to_prometheus(&mut text, crate::fleet::PROM_TOP_K);
         assert!(!text.is_empty());
         for line in text.lines() {
             if line.starts_with('#') || line.is_empty() {
@@ -563,7 +559,5 @@ mod tests {
             assert!(help_at < type_at && type_at < sample_at);
         }
         assert!(text.contains("qens_journal_events_total 2"));
-        crate::fleet::reset();
-        crate::journal::clear();
     }
 }

@@ -6,7 +6,7 @@
 //! drops out, straggles, retries, gets promoted from standby or sits in
 //! a cohort that loses quorum — plus how much it trained and
 //! transferred over its lifetime. This module keeps one [`Scorecard`]
-//! per node in a process-global registry, folded from the
+//! per node in each [`crate::Telemetry`] handle, folded from the
 //! [`crate::Event`]s the selection and federation round loops emit, and
 //! derives fleet-level **skew analytics** on demand: the Gini
 //! coefficient and normalized entropy of the selection-count
@@ -25,7 +25,7 @@
 //!
 //! # Enablement and cost
 //!
-//! Off by default; enable with [`set_enabled`] or
+//! Off in a fresh handle; enable with [`Fleet::set_enabled`] or
 //! `FederationBuilder::fleet(true)`. With the layer off, [`crate::emit`]
 //! skips this view after one relaxed atomic load, so such runs are
 //! bitwise identical to a build without this module. An update on the
@@ -44,30 +44,15 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
+use crate::journal::Journal;
 use crate::json::{write_f64, write_key, write_u64};
 use crate::Event;
 
 /// Per-node Prometheus series are emitted for this many hot nodes; the
 /// rest fold into the `node="other"` aggregate.
 pub const PROM_TOP_K: usize = 8;
-
-/// Whether scorecard/journal recording is live; off until
-/// [`set_enabled`] turns it on. One relaxed load on the hot path.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Whether scorecard/journal recording is live.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns fleet recording on or off globally. Does **not** clear
-/// already-recorded scorecards — call [`reset`] for a fresh registry.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 /// One node's lifetime counters. All integer fields saturate only at
 /// `u64::MAX`; `train_sim_seconds` accumulates simulated seconds in
@@ -172,6 +157,7 @@ impl Scorecard {
     }
 }
 
+#[derive(Default)]
 struct FleetState {
     /// Node index → scorecard; `BTreeMap` so every snapshot and export
     /// walks nodes in index order.
@@ -184,14 +170,6 @@ struct FleetState {
 }
 
 impl FleetState {
-    const fn new() -> Self {
-        Self {
-            cards: BTreeMap::new(),
-            fleet_size: 0,
-            queries: 0,
-        }
-    }
-
     /// `node`'s card, created on first touch.
     fn card(&mut self, node: u64) -> &mut Scorecard {
         self.cards
@@ -200,81 +178,99 @@ impl FleetState {
     }
 }
 
-fn state() -> MutexGuard<'static, FleetState> {
-    static FLEET: OnceLock<Mutex<FleetState>> = OnceLock::new();
-    FLEET
-        .get_or_init(|| Mutex::new(FleetState::new()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
+/// One handle's scorecards, journal and fleet switch (it gates both).
+#[derive(Default)]
+pub struct Fleet {
+    enabled: AtomicBool,
+    state: Mutex<FleetState>,
+    pub(crate) journal: Journal,
 }
 
-/// Discards every scorecard and resets the fleet size and query count.
-/// The enablement flag is left untouched.
-pub fn reset() {
-    *state() = FleetState::new();
-}
+impl Fleet {
+    /// Whether scorecard/journal recording is live. One relaxed load.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
 
-/// The scorecard view of the event stream: applies one [`Event`] to the
-/// registry ([`crate::emit`] calls it while recording is live).
-pub(crate) fn fold(event: &Event) {
-    let mut s = state();
-    match *event {
-        Event::Selected(query, node, _, summary_epoch) => {
-            let c = s.card(node);
-            c.selected += 1;
-            c.last_selected_query = query;
-            c.last_summary_epoch = summary_epoch;
-        }
-        Event::Dropout(_, node, _)
-        | Event::Crash(_, node, _)
-        | Event::TransferFailed(_, node, ..)
-        | Event::DeadlineMiss(_, node, ..) => s.card(node).dropped += 1,
-        Event::Straggled(node, ..) => s.card(node).straggled += 1,
-        Event::LinkLoss(node, ..) => s.card(node).retried += 1,
-        Event::Promoted(_, node, _) => s.card(node).promoted += 1,
-        Event::QuorumLost(.., ref cohort) => {
-            for &node in cohort {
-                s.card(node).quorum_lost += 1;
+    /// Turns scorecard and journal recording on or off. Recorded cards
+    /// and entries stay.
+    pub fn set_enabled(&self, on: bool) {
+        self.enabled.store(on, Ordering::Relaxed);
+    }
+
+    fn state(&self) -> MutexGuard<'_, FleetState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The scorecard view of the event stream: applies one [`Event`]
+    /// ([`crate::emit`] calls it while recording is live).
+    pub(crate) fn fold(&self, event: &Event) {
+        let mut s = self.state();
+        match *event {
+            Event::Selected(query, node, _, summary_epoch) => {
+                let c = s.card(node);
+                c.selected += 1;
+                c.last_selected_query = query;
+                c.last_summary_epoch = summary_epoch;
             }
+            Event::Dropout(_, node, _)
+            | Event::Crash(_, node, _)
+            | Event::TransferFailed(_, node, ..)
+            | Event::DeadlineMiss(_, node, ..) => s.card(node).dropped += 1,
+            Event::Straggled(node, ..) => s.card(node).straggled += 1,
+            Event::LinkLoss(node, ..) => s.card(node).retried += 1,
+            Event::Promoted(_, node, _) => s.card(node).promoted += 1,
+            Event::QuorumLost(.., ref cohort) => {
+                for &node in cohort {
+                    s.card(node).quorum_lost += 1;
+                }
+            }
+            Event::Charged(node, sim_seconds, wall_nanos, bytes) => {
+                let c = s.card(node);
+                c.rounds_trained += 1;
+                c.train_sim_seconds += sim_seconds;
+                c.train_wall_nanos = c.train_wall_nanos.saturating_add(wall_nanos);
+                c.bytes_transferred += bytes;
+            }
+            Event::Participated(node) => s.card(node).participated += 1,
+            Event::QueryObserved(_) => s.queries += 1,
+            Event::FleetObserved(nodes) => s.fleet_size = s.fleet_size.max(nodes),
+            Event::RetrySuccess(..) | Event::CacheInvalidated(..) => {}
         }
-        Event::Charged(node, sim_seconds, wall_nanos, bytes) => {
-            let c = s.card(node);
-            c.rounds_trained += 1;
-            c.train_sim_seconds += sim_seconds;
-            c.train_wall_nanos = c.train_wall_nanos.saturating_add(wall_nanos);
-            c.bytes_transferred += bytes;
+    }
+
+    /// A copy of every tracked scorecard, in node-index order.
+    pub fn snapshot(&self) -> Vec<Scorecard> {
+        self.state().cards.values().copied().collect()
+    }
+
+    /// The scorecard of one node: its tracked card, a zero card when the
+    /// node is known to exist but was never touched, `None` when the
+    /// index is outside every observed network.
+    pub fn scorecard(&self, node: u64) -> Option<Scorecard> {
+        let s = self.state();
+        if let Some(c) = s.cards.get(&node) {
+            return Some(*c);
         }
-        Event::Participated(node) => s.card(node).participated += 1,
-        Event::QueryObserved(_) => s.queries += 1,
-        Event::FleetObserved(nodes) => s.fleet_size = s.fleet_size.max(nodes),
-        Event::RetrySuccess(..) | Event::CacheInvalidated(..) => {}
+        (node < s.fleet_size).then(|| Scorecard::new(node))
     }
-}
 
-/// A copy of every tracked scorecard, in node-index order.
-pub fn snapshot() -> Vec<Scorecard> {
-    state().cards.values().copied().collect()
-}
-
-/// The scorecard of one node: its tracked card, a zero card when the
-/// node is known to exist but was never touched, `None` when the index
-/// is outside every observed network.
-pub fn scorecard(node: u64) -> Option<Scorecard> {
-    let s = state();
-    if let Some(c) = s.cards.get(&node) {
-        return Some(*c);
+    /// The largest network size observed so far.
+    pub fn fleet_size(&self) -> u64 {
+        self.state().fleet_size
     }
-    (node < s.fleet_size).then(|| Scorecard::new(node))
-}
 
-/// The largest network size observed so far.
-pub fn fleet_size() -> u64 {
-    state().fleet_size
-}
+    /// Queries observed end-to-end.
+    pub fn queries(&self) -> u64 {
+        self.state().queries
+    }
 
-/// Queries observed end-to-end.
-pub fn queries() -> u64 {
-    state().queries
+    /// The cards, the fleet size and the query count, read at once.
+    fn read(&self) -> (Vec<Scorecard>, u64, u64) {
+        let s = self.state();
+        (s.cards.values().copied().collect(), s.fleet_size, s.queries)
+    }
 }
 
 /// Fleet-level selection-skew statistics, computed deterministically
@@ -399,42 +395,37 @@ impl SkewStats {
     }
 }
 
-/// Renders the whole fleet — size, query count, every scorecard, skew
-/// stats — as one deterministic JSON document (fixed key order, no wall
-/// time). This is the body of the `/nodes` endpoint and the per-stream
-/// section of `results/fleet.json`.
-pub fn to_json() -> String {
-    let (cards, fleet_size, queries) = {
-        let s = state();
-        (
-            s.cards.values().copied().collect::<Vec<_>>(),
-            s.fleet_size,
-            s.queries,
-        )
-    };
-    let stats = skew(&cards, fleet_size, PROM_TOP_K);
-    let mut out = String::with_capacity(256 + cards.len() * 192);
-    out.push('{');
-    write_key(&mut out, "fleet_size");
-    write_u64(&mut out, fleet_size.max(cards.len() as u64));
-    out.push(',');
-    write_key(&mut out, "queries");
-    write_u64(&mut out, queries);
-    out.push(',');
-    write_key(&mut out, "nodes");
-    out.push('[');
-    for (i, c) in cards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+impl Fleet {
+    /// Renders the whole fleet — size, query count, every scorecard, skew
+    /// stats — as one deterministic JSON document (fixed key order, no wall
+    /// time). This is the body of the `/nodes` endpoint and the per-stream
+    /// section of `results/fleet.json`.
+    pub fn to_json(&self) -> String {
+        let (cards, fleet_size, queries) = self.read();
+        let stats = skew(&cards, fleet_size, PROM_TOP_K);
+        let mut out = String::with_capacity(256 + cards.len() * 192);
+        out.push('{');
+        write_key(&mut out, "fleet_size");
+        write_u64(&mut out, fleet_size.max(cards.len() as u64));
+        out.push(',');
+        write_key(&mut out, "queries");
+        write_u64(&mut out, queries);
+        out.push(',');
+        write_key(&mut out, "nodes");
+        out.push('[');
+        for (i, c) in cards.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            c.write_json(&mut out);
         }
-        c.write_json(&mut out);
+        out.push(']');
+        out.push(',');
+        write_key(&mut out, "skew");
+        stats.write_json(&mut out);
+        out.push('}');
+        out
     }
-    out.push(']');
-    out.push(',');
-    write_key(&mut out, "skew");
-    stats.write_json(&mut out);
-    out.push('}');
-    out
 }
 
 /// A Prometheus counter family exported per node: metric name plus the
@@ -449,67 +440,62 @@ const PROM_FAMILIES: [PromFamily; 4] = [
     ("qens_node_promoted_total", |c| c.promoted),
 ];
 
-/// Appends the fleet's Prometheus series to `out`: per-node counters
-/// for the top-`top_k` nodes by selection count with every other node
-/// folded into `node="other"`, plus fleet-level skew gauges and journal
-/// counters. Appends nothing while recording is disabled, so a
-/// scrape with the layer off is byte-identical to the pre-fleet exposition.
-pub fn to_prometheus(out: &mut String, top_k: usize) {
-    if !enabled() {
-        return;
-    }
-    let (cards, fleet_size, queries) = {
-        let s = state();
-        (
-            s.cards.values().copied().collect::<Vec<_>>(),
-            s.fleet_size,
-            s.queries,
-        )
-    };
-    let stats = skew(&cards, fleet_size, top_k);
-    let hot: Vec<u64> = stats.top.iter().map(|&(node, _)| node).collect();
-    for (name, get) in PROM_FAMILIES {
-        push_meta(out, name, "counter");
-        for &node in &hot {
-            let card = cards
-                .iter()
-                .find(|c| c.node == node)
-                .expect("hot node tracked");
-            out.push_str(&format!("{name}{{node=\"n{node}\"}} {}\n", get(card)));
+impl Fleet {
+    /// Appends the fleet's Prometheus series to `out`: per-node counters
+    /// for the top-`top_k` nodes by selection count with every other node
+    /// folded into `node="other"`, plus fleet-level skew gauges and journal
+    /// counters. Appends nothing while recording is disabled, so a
+    /// scrape with the layer off is byte-identical to the pre-fleet exposition.
+    pub fn to_prometheus(&self, out: &mut String, top_k: usize) {
+        if !self.enabled() {
+            return;
         }
-        let other: u64 = cards
-            .iter()
-            .filter(|c| !hot.contains(&c.node))
-            .map(get)
-            .sum();
-        out.push_str(&format!("{name}{{node=\"other\"}} {other}\n"));
+        let (cards, fleet_size, queries) = self.read();
+        let stats = skew(&cards, fleet_size, top_k);
+        let hot: Vec<u64> = stats.top.iter().map(|&(node, _)| node).collect();
+        for (name, get) in PROM_FAMILIES {
+            push_meta(out, name, "counter");
+            for &node in &hot {
+                let card = cards
+                    .iter()
+                    .find(|c| c.node == node)
+                    .expect("hot node tracked");
+                out.push_str(&format!("{name}{{node=\"n{node}\"}} {}\n", get(card)));
+            }
+            let other: u64 = cards
+                .iter()
+                .filter(|c| !hot.contains(&c.node))
+                .map(get)
+                .sum();
+            out.push_str(&format!("{name}{{node=\"other\"}} {other}\n"));
+        }
+        push_meta(out, "qens_fleet_size", "gauge");
+        out.push_str(&format!(
+            "qens_fleet_size {}\n",
+            fleet_size.max(cards.len() as u64)
+        ));
+        push_meta(out, "qens_fleet_queries_total", "counter");
+        out.push_str(&format!("qens_fleet_queries_total {queries}\n"));
+        push_meta(out, "qens_fleet_never_selected", "gauge");
+        out.push_str(&format!(
+            "qens_fleet_never_selected {}\n",
+            stats.never_selected
+        ));
+        push_meta(out, "qens_fleet_selection_gini", "gauge");
+        out.push_str(&format!("qens_fleet_selection_gini {}\n", stats.gini));
+        push_meta(out, "qens_fleet_selection_entropy", "gauge");
+        out.push_str(&format!("qens_fleet_selection_entropy {}\n", stats.entropy));
+        push_meta(out, "qens_journal_events_total", "counter");
+        out.push_str(&format!(
+            "qens_journal_events_total {}\n",
+            self.journal.events_total()
+        ));
+        push_meta(out, "qens_journal_overwritten_total", "counter");
+        out.push_str(&format!(
+            "qens_journal_overwritten_total {}\n",
+            self.journal.overwritten()
+        ));
     }
-    push_meta(out, "qens_fleet_size", "gauge");
-    out.push_str(&format!(
-        "qens_fleet_size {}\n",
-        fleet_size.max(cards.len() as u64)
-    ));
-    push_meta(out, "qens_fleet_queries_total", "counter");
-    out.push_str(&format!("qens_fleet_queries_total {queries}\n"));
-    push_meta(out, "qens_fleet_never_selected", "gauge");
-    out.push_str(&format!(
-        "qens_fleet_never_selected {}\n",
-        stats.never_selected
-    ));
-    push_meta(out, "qens_fleet_selection_gini", "gauge");
-    out.push_str(&format!("qens_fleet_selection_gini {}\n", stats.gini));
-    push_meta(out, "qens_fleet_selection_entropy", "gauge");
-    out.push_str(&format!("qens_fleet_selection_entropy {}\n", stats.entropy));
-    push_meta(out, "qens_journal_events_total", "counter");
-    out.push_str(&format!(
-        "qens_journal_events_total {}\n",
-        crate::journal::events_total()
-    ));
-    push_meta(out, "qens_journal_overwritten_total", "counter");
-    out.push_str(&format!(
-        "qens_journal_overwritten_total {}\n",
-        crate::journal::overwritten()
-    ));
 }
 
 fn push_meta(out: &mut String, name: &str, kind: &str) {
@@ -528,40 +514,43 @@ fn push_meta(out: &mut String, name: &str, kind: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
 
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        let g = crate::test_lock();
-        set_enabled(true);
-        reset();
-        crate::journal::clear();
-        g
+    /// A fresh handle with the fleet layer on.
+    fn on() -> Telemetry {
+        let tele = Telemetry::new();
+        tele.fleet().set_enabled(true);
+        tele
     }
 
-    fn select(query: u64, node: u64, summary_epoch: u64) {
-        crate::emit(&Event::Selected(query, node, 0, summary_epoch));
+    fn emit(tele: &Telemetry, event: &Event) {
+        tele.enter(|| crate::emit(event));
+    }
+
+    fn select(tele: &Telemetry, query: u64, node: u64, summary_epoch: u64) {
+        emit(tele, &Event::Selected(query, node, 0, summary_epoch));
     }
 
     #[test]
     fn disabled_registry_records_nothing() {
-        let _g = locked();
-        set_enabled(false);
+        let tele = on();
+        tele.fleet().set_enabled(false);
         for event in [
             Event::Selected(1, 0, 0, 3),
             Event::Charged(0, 1.5, 10, 64),
             Event::FleetObserved(5),
             Event::QueryObserved(1),
         ] {
-            crate::emit(&event);
+            emit(&tele, &event);
         }
-        assert!(snapshot().is_empty());
-        assert_eq!(fleet_size(), 0);
-        assert_eq!(queries(), 0);
-        set_enabled(true);
+        assert!(tele.fleet().snapshot().is_empty());
+        assert_eq!(tele.fleet().fleet_size(), 0);
+        assert_eq!(tele.fleet().queries(), 0);
     }
 
     #[test]
     fn scorecards_accumulate_per_node() {
-        let _g = locked();
+        let tele = on();
         for event in [
             Event::FleetObserved(4),
             Event::Selected(7, 1, 0, 2),
@@ -580,12 +569,12 @@ mod tests {
             Event::QueryObserved(7),
             Event::QueryObserved(8),
         ] {
-            crate::emit(&event);
+            emit(&tele, &event);
         }
 
-        let cards = snapshot();
+        let cards = tele.fleet().snapshot();
         assert_eq!(cards.len(), 3);
-        let n1 = scorecard(1).unwrap();
+        let n1 = tele.fleet().scorecard(1).unwrap();
         assert_eq!(n1.selected, 2);
         assert_eq!(n1.last_selected_query, 8);
         assert_eq!(n1.last_summary_epoch, 2);
@@ -595,27 +584,27 @@ mod tests {
         assert_eq!(n1.bytes_transferred, 4096);
         assert_eq!(n1.retried, 3);
         assert_eq!(n1.participated, 1);
-        let n2 = scorecard(2).unwrap();
+        let n2 = tele.fleet().scorecard(2).unwrap();
         assert_eq!((n2.dropped, n2.straggled, n2.quorum_lost), (1, 1, 1));
-        assert_eq!(scorecard(3).unwrap().promoted, 1);
+        assert_eq!(tele.fleet().scorecard(3).unwrap().promoted, 1);
         // Known-but-untouched node: a zero card; unknown index: None.
-        let zero = scorecard(0).unwrap();
+        let zero = tele.fleet().scorecard(0).unwrap();
         assert_eq!(zero.selected, 0);
         assert_eq!(zero.last_selected_query, u64::MAX);
-        assert!(scorecard(99).is_none());
-        assert_eq!(queries(), 2);
+        assert!(tele.fleet().scorecard(99).is_none());
+        assert_eq!(tele.fleet().queries(), 2);
     }
 
     #[test]
     fn skew_of_a_uniform_fleet_is_flat() {
-        let _g = locked();
-        crate::emit(&Event::FleetObserved(4));
+        let tele = on();
+        emit(&tele, &Event::FleetObserved(4));
         for node in 0..4u64 {
             for q in 0..5u64 {
-                select(q, node, 0);
+                select(&tele, q, node, 0);
             }
         }
-        let stats = skew(&snapshot(), fleet_size(), 3);
+        let stats = skew(&tele.fleet().snapshot(), tele.fleet().fleet_size(), 3);
         assert_eq!(stats.total_selections, 20);
         assert!(stats.gini.abs() < 1e-12, "uniform gini ~0: {}", stats.gini);
         assert!(
@@ -630,12 +619,12 @@ mod tests {
 
     #[test]
     fn skew_of_a_hotspot_fleet_is_concentrated() {
-        let _g = locked();
-        crate::emit(&Event::FleetObserved(10));
+        let tele = on();
+        emit(&tele, &Event::FleetObserved(10));
         for q in 0..30u64 {
-            select(q, 4, 0);
+            select(&tele, q, 4, 0);
         }
-        let stats = skew(&snapshot(), fleet_size(), 3);
+        let stats = skew(&tele.fleet().snapshot(), tele.fleet().fleet_size(), 3);
         assert_eq!(stats.total_selections, 30);
         assert!(stats.gini > 0.85, "one hot node: gini {}", stats.gini);
         assert!(stats.entropy.abs() < 1e-12);
@@ -655,7 +644,7 @@ mod tests {
 
     #[test]
     fn fleet_json_is_byte_stable_with_fixed_keys() {
-        let _g = locked();
+        let tele = on();
         for event in [
             Event::FleetObserved(3),
             Event::Selected(11, 0, 0, 1),
@@ -663,10 +652,10 @@ mod tests {
             Event::Charged(0, 1.25, 999, 0),
             Event::QueryObserved(11),
         ] {
-            crate::emit(&event);
+            emit(&tele, &event);
         }
-        let a = to_json();
-        let b = to_json();
+        let a = tele.fleet().to_json();
+        let b = tele.fleet().to_json();
         assert_eq!(a, b);
         assert!(a.starts_with(r#"{"fleet_size":3,"queries":1,"nodes":["#));
         assert!(a.contains(r#""node":0,"selected":1"#));
@@ -683,16 +672,16 @@ mod tests {
 
     #[test]
     fn prometheus_cardinality_is_bounded_on_a_200_node_fleet() {
-        let _g = locked();
-        crate::emit(&Event::FleetObserved(200));
+        let tele = on();
+        emit(&tele, &Event::FleetObserved(200));
         // A skewed load: node i selected (i % 17) times.
         for node in 0..200u64 {
             for q in 0..(node % 17) {
-                select(q, node, 0);
+                select(&tele, q, node, 0);
             }
         }
         let mut out = String::new();
-        to_prometheus(&mut out, PROM_TOP_K);
+        tele.fleet().to_prometheus(&mut out, PROM_TOP_K);
         let node_series = out
             .lines()
             .filter(|l| l.starts_with("qens_node_") && !l.starts_with('#'))
@@ -704,7 +693,7 @@ mod tests {
         );
         // The aggregate bucket keeps the totals honest: per-family sum
         // over exported series equals the fleet-wide total.
-        let total_selected: u64 = snapshot().iter().map(|c| c.selected).sum();
+        let total_selected: u64 = tele.fleet().snapshot().iter().map(|c| c.selected).sum();
         let exported: u64 = out
             .lines()
             .filter(|l| l.starts_with("qens_node_selected_total{"))
@@ -719,12 +708,11 @@ mod tests {
 
     #[test]
     fn prometheus_is_silent_while_disabled() {
-        let _g = locked();
-        select(1, 0, 0);
-        set_enabled(false);
+        let tele = on();
+        select(&tele, 1, 0, 0);
+        tele.fleet().set_enabled(false);
         let mut out = String::new();
-        to_prometheus(&mut out, PROM_TOP_K);
+        tele.fleet().to_prometheus(&mut out, PROM_TOP_K);
         assert!(out.is_empty());
-        set_enabled(true);
     }
 }

@@ -16,25 +16,27 @@
 //! * **wall nanoseconds** since the journal epoch (the first event) —
 //!   live-debugging context, excluded from the logical export.
 //!
-//! The ring holds [`DEFAULT_CAPACITY`] events (override with
-//! [`set_capacity`]); once full, the *oldest* event is overwritten — a
-//! journal answers "what just happened", so the tail survives, and
-//! [`overwritten`] counts what the ring forgot.
+//! Each [`crate::Telemetry`] handle keeps one. The ring holds
+//! [`DEFAULT_CAPACITY`] events (override with [`Journal::set_capacity`]);
+//! once full, the *oldest* event is overwritten — a journal answers
+//! "what just happened", so the tail survives, and
+//! [`Journal::overwritten`] counts what the ring forgot.
 //!
-//! [`crate::emit`] feeds the journal while [`crate::fleet::enabled`]:
-//! the disabled fast path is one relaxed atomic load, and a disabled run
-//! records nothing — byte-identical to a build without this module.
+//! [`crate::emit`] feeds the journal while the handle's fleet switch
+//! ([`crate::fleet::Fleet::enabled`]) is on: the disabled fast path is
+//! one relaxed atomic load, and a disabled run records nothing —
+//! byte-identical to a build without this module.
 //!
 //! # Export
 //!
-//! [`to_jsonl`] renders events as JSON lines with a fixed key order
+//! [`Journal::to_jsonl`] renders events as JSON lines with a fixed key order
 //! (`{"tick":…,"kind":"node_dropped","query":…,"node":…,…}`), one
 //! event per line, oldest first. Under [`Clock::Logical`] the output is
 //! byte-stable; under [`Clock::Wall`] each line additionally carries
 //! `"wall_nanos"`.
 
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::json::{write_key, write_str, write_u64};
@@ -120,81 +122,101 @@ impl Ring {
     }
 }
 
-fn ring() -> MutexGuard<'static, Ring> {
-    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
-    RING.get_or_init(|| Mutex::new(Ring::new(DEFAULT_CAPACITY)))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-}
+/// One handle's journal ring.
+pub struct Journal(Mutex<Ring>);
 
-/// Discards every event and resets ticks, the epoch and the
-/// overwritten counter. Capacity is left untouched.
-pub fn clear() {
-    let mut r = ring();
-    let cap = r.capacity;
-    *r = Ring::new(cap);
-}
-
-/// Replaces the ring capacity and clears the journal (entries recorded
-/// under the old bound would make the tail semantics ambiguous).
-///
-/// # Panics
-/// Panics if `capacity` is 0.
-pub fn set_capacity(capacity: usize) {
-    assert!(capacity > 0, "journal capacity must be non-zero");
-    *ring() = Ring::new(capacity);
-}
-
-/// Entries currently held (≤ capacity).
-pub fn len() -> usize {
-    ring().entries.len()
-}
-
-/// Entries ever recorded (monotonic; survives ring wrap-around).
-pub fn events_total() -> u64 {
-    ring().next_tick
-}
-
-/// Entries the ring overwrote to make room for newer ones.
-pub fn overwritten() -> u64 {
-    ring().overwritten
-}
-
-/// The last `n` entries (all of them when `None`), oldest first.
-pub fn tail(n: Option<usize>) -> Vec<Entry> {
-    let r = ring();
-    let take = n.unwrap_or(r.entries.len()).min(r.entries.len());
-    r.entries
-        .iter()
-        .skip(r.entries.len() - take)
-        .cloned()
-        .collect()
-}
-
-/// The journal view of the event stream: keeps `event` if it is an
-/// incident ([`crate::emit`] calls it while recording is live).
-pub(crate) fn record(event: &Event) {
-    if line(event).is_none() {
-        return;
+impl Default for Journal {
+    fn default() -> Self {
+        Self(Mutex::new(Ring::new(DEFAULT_CAPACITY)))
     }
-    // The wall stamp is taken outside the lock (contention must not
-    // skew it); the tick is assigned under the lock, which is what
-    // makes it a total order.
-    let now = Instant::now();
-    let mut r = ring();
-    let epoch = *r.epoch.get_or_insert(now);
-    let wall_nanos = u64::try_from(now.duration_since(epoch).as_nanos()).unwrap_or(u64::MAX);
-    let tick = r.next_tick;
-    r.next_tick += 1;
-    if r.entries.len() >= r.capacity {
-        r.entries.pop_front();
-        r.overwritten += 1;
+}
+
+impl Journal {
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.0.lock().unwrap_or_else(|p| p.into_inner())
     }
-    r.entries.push_back(Entry {
-        tick,
-        wall_nanos,
-        event: event.clone(),
-    });
+
+    /// Replaces the ring capacity and clears the journal (entries
+    /// recorded under the old bound would make the tail semantics
+    /// ambiguous).
+    ///
+    /// # Panics
+    /// Panics if `capacity` is 0.
+    pub fn set_capacity(&self, capacity: usize) {
+        assert!(capacity > 0, "journal capacity must be non-zero");
+        *self.ring() = Ring::new(capacity);
+    }
+
+    /// Entries currently held (≤ capacity).
+    pub fn len(&self) -> usize {
+        self.ring().entries.len()
+    }
+
+    /// Whether the ring holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entries ever recorded (monotonic; survives ring wrap-around).
+    pub fn events_total(&self) -> u64 {
+        self.ring().next_tick
+    }
+
+    /// Entries the ring overwrote to make room for newer ones.
+    pub fn overwritten(&self) -> u64 {
+        self.ring().overwritten
+    }
+
+    /// The last `n` entries (all of them when `None`), oldest first.
+    pub fn tail(&self, n: Option<usize>) -> Vec<Entry> {
+        let r = self.ring();
+        let take = n.unwrap_or(r.entries.len()).min(r.entries.len());
+        r.entries
+            .iter()
+            .skip(r.entries.len() - take)
+            .cloned()
+            .collect()
+    }
+
+    /// The journal view of the event stream: keeps `event` if it is an
+    /// incident ([`crate::emit`] calls it while recording is live).
+    pub(crate) fn record(&self, event: &Event) {
+        if line(event).is_none() {
+            return;
+        }
+        // The wall stamp is taken outside the lock (contention must not
+        // skew it); the tick is assigned under the lock, which is what
+        // makes it a total order.
+        let now = Instant::now();
+        let mut r = self.ring();
+        let epoch = *r.epoch.get_or_insert(now);
+        let wall_nanos = u64::try_from(now.duration_since(epoch).as_nanos()).unwrap_or(u64::MAX);
+        let tick = r.next_tick;
+        r.next_tick += 1;
+        if r.entries.len() >= r.capacity {
+            r.entries.pop_front();
+            r.overwritten += 1;
+        }
+        r.entries.push_back(Entry {
+            tick,
+            wall_nanos,
+            event: event.clone(),
+        });
+    }
+
+    /// Renders the last `tail_n` entries (all when `None`) as JSON
+    /// lines, oldest first. Key order is fixed; under [`Clock::Logical`]
+    /// every field is deterministic, so the export is byte-stable for
+    /// any `QENS_THREADS` — `results/fleet.json` embeds it, and
+    /// `crates/bench/tests/golden_telemetry.rs` byte-diffs that file.
+    pub fn to_jsonl(&self, clock: Clock, tail_n: Option<usize>) -> String {
+        let entries = self.tail(tail_n);
+        let mut out = String::with_capacity(entries.len() * 96);
+        for e in &entries {
+            write_entry(&mut out, e, clock);
+        }
+        out
+    }
 }
 
 fn write_entry(out: &mut String, e: &Entry, clock: Clock) {
@@ -234,55 +256,44 @@ fn write_entry(out: &mut String, e: &Entry, clock: Clock) {
     out.push('\n');
 }
 
-/// Renders the last `tail_n` entries (all when `None`) as JSON lines,
-/// oldest first. Key order is fixed; under [`Clock::Logical`] every
-/// field is deterministic, so the export is byte-stable for any
-/// `QENS_THREADS` — `results/fleet.json` embeds it, and
-/// `crates/bench/tests/golden_telemetry.rs` byte-diffs that file.
-pub fn to_jsonl(clock: Clock, tail_n: Option<usize>) -> String {
-    let entries = tail(tail_n);
-    let mut out = String::with_capacity(entries.len() * 96);
-    for e in &entries {
-        write_entry(&mut out, e, clock);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emit;
+    use crate::Telemetry;
 
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        let g = crate::test_lock();
-        crate::fleet::set_enabled(true);
-        set_capacity(DEFAULT_CAPACITY);
-        g
+    /// A fresh handle with the fleet layer (and so the journal) on.
+    fn on() -> Telemetry {
+        let tele = Telemetry::new();
+        tele.fleet().set_enabled(true);
+        tele
+    }
+
+    fn emit(tele: &Telemetry, event: &Event) {
+        tele.enter(|| crate::emit(event));
     }
 
     #[test]
     fn disabled_journal_records_nothing() {
-        let _g = locked();
-        crate::fleet::set_enabled(false);
-        emit(&Event::Selected(1, 2, 0, 0));
-        emit(&Event::QuorumLost(1, 0, 1, 2, vec![2]));
-        assert_eq!(len(), 0);
-        assert_eq!(events_total(), 0);
-        crate::fleet::set_enabled(true);
+        let tele = on();
+        tele.fleet().set_enabled(false);
+        emit(&tele, &Event::Selected(1, 2, 0, 0));
+        emit(&tele, &Event::QuorumLost(1, 0, 1, 2, vec![2]));
+        assert_eq!(tele.journal().len(), 0);
+        assert_eq!(tele.journal().events_total(), 0);
     }
 
     #[test]
     fn events_carry_typed_fields_and_ticks() {
-        let _g = locked();
+        let tele = on();
         let dropout = Event::Dropout(7, 3, 0);
         let invalidated = Event::CacheInvalidated(9, 2);
-        emit(&Event::Selected(7, 3, 1, 0));
+        emit(&tele, &Event::Selected(7, 3, 1, 0));
         // Not an incident: the scorecards take it, the journal does not,
         // and it uses up no tick.
-        emit(&Event::Participated(3));
-        emit(&dropout);
-        emit(&invalidated);
-        let entries = tail(None);
+        emit(&tele, &Event::Participated(3));
+        emit(&tele, &dropout);
+        emit(&tele, &invalidated);
+        let entries = tele.journal().tail(None);
         assert_eq!(entries.len(), 3);
         assert_eq!(entries[0].tick, 0);
         assert_eq!(entries[1].tick, 1);
@@ -292,29 +303,33 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_keeps_the_tail() {
-        let _g = locked();
-        set_capacity(3);
+        let tele = on();
+        tele.journal().set_capacity(3);
         for q in 0..5u64 {
-            emit(&Event::Selected(q, 0, 0, 0));
+            emit(&tele, &Event::Selected(q, 0, 0, 0));
         }
-        assert_eq!(len(), 3);
-        assert_eq!(overwritten(), 2);
-        assert_eq!(events_total(), 5);
-        let ticks: Vec<u64> = tail(None).iter().map(|e| e.tick).collect();
+        assert_eq!(tele.journal().len(), 3);
+        assert_eq!(tele.journal().overwritten(), 2);
+        assert_eq!(tele.journal().events_total(), 5);
+        let ticks: Vec<u64> = tele.journal().tail(None).iter().map(|e| e.tick).collect();
         assert_eq!(ticks, vec![2, 3, 4]);
-        let last_two: Vec<u64> = tail(Some(2)).iter().map(|e| e.tick).collect();
+        let last_two: Vec<u64> = tele
+            .journal()
+            .tail(Some(2))
+            .iter()
+            .map(|e| e.tick)
+            .collect();
         assert_eq!(last_two, vec![3, 4]);
-        set_capacity(DEFAULT_CAPACITY);
     }
 
     #[test]
     fn logical_export_is_byte_stable_and_omits_wall() {
-        let _g = locked();
-        emit(&Event::Promoted(4, 2, 1));
-        emit(&Event::QuorumLost(4, 1, 0, 1, vec![2]));
-        emit(&Event::CacheInvalidated(5, 2));
-        let a = to_jsonl(Clock::Logical, None);
-        let b = to_jsonl(Clock::Logical, None);
+        let tele = on();
+        emit(&tele, &Event::Promoted(4, 2, 1));
+        emit(&tele, &Event::QuorumLost(4, 1, 0, 1, vec![2]));
+        emit(&tele, &Event::CacheInvalidated(5, 2));
+        let a = tele.journal().to_jsonl(Clock::Logical, None);
+        let b = tele.journal().to_jsonl(Clock::Logical, None);
         assert_eq!(a, b);
         assert!(a.contains(r#""kind":"standby_promoted""#));
         assert!(a.contains(r#""kind":"quorum_lost""#));
@@ -327,17 +342,17 @@ mod tests {
             assert_eq!(line.matches('{').count(), line.matches('}').count());
         }
         // The wall export carries the extra stamp on every line.
-        let w = to_jsonl(Clock::Wall, None);
+        let w = tele.journal().to_jsonl(Clock::Wall, None);
         assert_eq!(w.matches("\"wall_nanos\":").count(), 3);
     }
 
     #[test]
     fn tail_bound_limits_the_export() {
-        let _g = locked();
+        let tele = on();
         for q in 0..10u64 {
-            emit(&Event::DeadlineMiss(q, 1, 0, 5.0, 6.0));
+            emit(&tele, &Event::DeadlineMiss(q, 1, 0, 5.0, 6.0));
         }
-        let doc = to_jsonl(Clock::Logical, Some(4));
+        let doc = tele.journal().to_jsonl(Clock::Logical, Some(4));
         assert_eq!(doc.lines().count(), 4);
         assert!(doc.starts_with(r#"{"tick":6"#));
     }

@@ -9,6 +9,12 @@
 //!
 //! # Model
 //!
+//! * [`Telemetry`] — one federation's recorded state: three switches
+//!   (telemetry, fleet, trace clock) and six stores (the metric
+//!   [`Registry`], the [`trace`] store, the flight recorder and SLO
+//!   tracker of [`profile`], the [`fleet`] scorecards and the
+//!   [`journal`]). A cheap clone of an `Arc`; `FederationBuilder`
+//!   creates one per federation.
 //! * [`Counter`] — monotonically increasing, saturating `u64`.
 //! * [`Gauge`] — last-write-wins `f64`.
 //! * [`Histogram`] — power-of-two log-scale buckets over `u64` samples
@@ -18,9 +24,6 @@
 //!   ones. It records a [`trace`] begin/end pair while tracing is on and
 //!   the elapsed nanos into its name's `_nanos` histogram while
 //!   telemetry is on.
-//! * [`Registry`] — the thread-safe global name → metric table. It
-//!   keeps process totals only: a query's cost is its `QueryAccounting`
-//!   ledger and its time is its [`trace`] tree.
 //! * [`Event`] — one fleet or fault occurrence, emitted once through
 //!   [`emit`]; the trace instants, the [`fleet`] scorecards and the
 //!   [`journal`] are folds of that stream.
@@ -28,28 +31,41 @@
 //! Metric names follow `qens_<crate>_<name>` with a unit suffix
 //! (`_total` for counters, `_nanos`/`_micros`/`_bytes` for histograms).
 //!
-//! # Enablement
+//! # The current handle
 //!
-//! Telemetry is **disabled by default** and the disabled path is a
-//! single relaxed atomic load per recording call. Only code turns it on:
-//! [`set_enabled`], e.g. through the `FederationBuilder::telemetry(true)`
-//! flag. No environment variable is read.
+//! A recording site (`counter!`, `gauge!`, `histogram!`, [`span`],
+//! [`wall_span`], [`trace::instant`], [`emit`]) records into the
+//! thread's *current* handle: the one whose [`Telemetry::enter`] call
+//! is innermost on the thread. With no handle entered a site is inert,
+//! and with one entered it checks that handle's switch — every switch
+//! is off in a fresh handle. No environment variable is read, and two
+//! handles never see each other's records.
+//!
+//! What belongs to no handle stays process-wide: the interned series
+//! names (each call site caches its slot id), trace thread ids, and the
+//! process start behind `qens_uptime_seconds`.
 //!
 //! # Example
 //!
 //! ```
-//! telemetry::set_enabled(true);
-//! {
+//! let tele = telemetry::Telemetry::new();
+//! tele.set_enabled(true);
+//! tele.enter(|| {
 //!     let _span = telemetry::span("fedlearn.aggregate", &[("round", 0)]);
 //!     telemetry::counter!("qens_doc_items_total").add(3);
-//! }
-//! let snap = telemetry::global().snapshot();
+//! });
+//! let snap = tele.snapshot();
 //! assert_eq!(snap.counter("qens_doc_items_total"), Some(3));
 //! let json = telemetry::export::to_json(&snap);
 //! assert!(json.contains("qens_fedlearn_aggregate_nanos"));
+//! // Nothing is entered here, so this records nowhere.
+//! telemetry::counter!("qens_doc_items_total").add(1);
+//! assert_eq!(tele.snapshot().counter("qens_doc_items_total"), Some(3));
 //! ```
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 pub mod event;
 pub mod export;
@@ -65,74 +81,210 @@ pub mod trace;
 pub use event::{emit, Event};
 pub use histogram::{BucketCount, Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
-pub use registry::{global, Registry, Snapshot};
+pub use registry::{Registry, Snapshot};
 pub use trace::{span, wall_span, Span};
 
-/// Whether recording is live; off until [`set_enabled`] turns it on.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Everything one handle records.
+#[derive(Default)]
+pub(crate) struct Stores {
+    enabled: AtomicBool,
+    pub(crate) registry: Registry,
+    pub(crate) trace: trace::Store,
+    pub(crate) profile: profile::Profiler,
+    pub(crate) fleet: fleet::Fleet,
+}
 
-/// Whether recording is live. The disabled fast path is one relaxed
-/// atomic load.
+impl Stores {
+    #[inline]
+    pub(crate) fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
+}
+
+/// One federation's telemetry: its switches and stores behind an `Arc`,
+/// so clones share them. See the crate docs.
+#[derive(Clone, Default)]
+pub struct Telemetry(Arc<Stores>);
+
+impl std::fmt::Debug for Telemetry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Telemetry")
+            .field("enabled", &self.enabled())
+            .field("fleet", &self.fleet().enabled())
+            .field("trace", &self.trace().mode())
+            .finish_non_exhaustive()
+    }
+}
+
+thread_local! {
+    /// The thread's current handle (null = none). Only
+    /// [`Telemetry::enter`] writes it, restoring the previous value when
+    /// its call returns or unwinds, so it is always null or the stores
+    /// of a handle borrowed by an `enter` call still on this thread's
+    /// stack.
+    static CURRENT: Cell<*const Stores> = const { Cell::new(std::ptr::null()) };
+}
+
+/// The current handle's stores, as an identity (null = none).
 #[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+pub(crate) fn current_stores() -> *const Stores {
+    CURRENT.with(Cell::get)
 }
 
-/// Turns recording on or off globally.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+/// Runs `f` on the current handle's stores; `None` with none entered.
+#[inline]
+pub(crate) fn with_current<R>(f: impl FnOnce(&Stores) -> R) -> Option<R> {
+    let stores = current_stores();
+    // SAFETY: `CURRENT` is null or points at the stores of a handle
+    // borrowed by an `enter` call that is still running on this thread
+    // (see `CURRENT`), so they outlive this call.
+    (!stores.is_null()).then(|| f(unsafe { &*stores }))
 }
 
-/// Looks up (once per call site) the named [`Counter`] in the global
-/// registry. Usage: `telemetry::counter!("qens_cluster_repairs_total").incr()`.
+impl Telemetry {
+    /// A fresh handle: empty stores, every switch off.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether metrics (counters, gauges, histograms, span timers) and
+    /// the SLO tracker record.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.0.enabled()
+    }
+
+    /// Turns metric recording on or off.
+    pub fn set_enabled(&self, on: bool) {
+        self.0.enabled.store(on, Ordering::Relaxed);
+    }
+
+    /// The metric registry.
+    pub fn registry(&self) -> &Registry {
+        &self.0.registry
+    }
+
+    /// A point-in-time view of every series this handle registered.
+    pub fn snapshot(&self) -> Snapshot {
+        self.0.registry.snapshot()
+    }
+
+    /// The trace store and its clock switch.
+    pub fn trace(&self) -> &trace::Store {
+        &self.0.trace
+    }
+
+    /// The flight recorder and the SLO tracker.
+    pub fn profile(&self) -> &profile::Profiler {
+        &self.0.profile
+    }
+
+    /// The per-node scorecards and the fleet switch.
+    pub fn fleet(&self) -> &fleet::Fleet {
+        &self.0.fleet
+    }
+
+    /// The event journal (recorded while the fleet switch is on).
+    pub fn journal(&self) -> &journal::Journal {
+        &self.0.fleet.journal
+    }
+
+    /// Runs `f` with this handle current on the calling thread, then
+    /// puts the previous one back (also when `f` unwinds).
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(*const Stores);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                CURRENT.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(CURRENT.with(|c| c.replace(Arc::as_ptr(&self.0))));
+        f()
+    }
+
+    /// The calling thread's current handle, if one is entered — what a
+    /// pool carries into the tasks it runs for this thread.
+    pub fn current() -> Option<Telemetry> {
+        let stores = current_stores();
+        if stores.is_null() {
+            return None;
+        }
+        // SAFETY: a non-null `CURRENT` came from `Arc::as_ptr` of a
+        // handle that is alive for this call (see `CURRENT`); taking a
+        // new strong count makes the returned handle own one.
+        unsafe {
+            Arc::increment_strong_count(stores);
+            Some(Telemetry(Arc::from_raw(stores)))
+        }
+    }
+}
+
+/// Records into the current handle's registry (once per call site the
+/// name is interned to a slot id). Usage:
+/// `telemetry::counter!("qens_cluster_repairs_total").incr()`.
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
-        static __COUNTER: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
-            ::std::sync::OnceLock::new();
-        &**__COUNTER.get_or_init(|| $crate::global().counter($name))
+        static __SITE: $crate::registry::CounterSite = $crate::registry::CounterSite::new($name);
+        &__SITE
     }};
 }
 
-/// Looks up (once per call site) the named [`Gauge`].
+/// The current handle's named [`Gauge`]; see [`counter!`].
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
-        static __GAUGE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Gauge>> =
-            ::std::sync::OnceLock::new();
-        &**__GAUGE.get_or_init(|| $crate::global().gauge($name))
+        static __SITE: $crate::registry::GaugeSite = $crate::registry::GaugeSite::new($name);
+        &__SITE
     }};
 }
 
-/// Looks up (once per call site) the named [`Histogram`].
+/// The current handle's named [`Histogram`]; see [`counter!`].
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{
-        static __HIST: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
-            ::std::sync::OnceLock::new();
-        &**__HIST.get_or_init(|| $crate::global().histogram($name))
+        static __SITE: $crate::registry::HistogramSite =
+            $crate::registry::HistogramSite::new($name);
+        &__SITE
     }};
-}
-
-/// Serialises unit tests that toggle the global enablement flag (cargo
-/// runs tests on parallel threads; the flag is process-wide).
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Telemetry;
+
     #[test]
     fn enable_disable_round_trip() {
-        let _g = super::test_lock();
-        super::set_enabled(true);
-        assert!(super::enabled());
-        super::set_enabled(false);
-        assert!(!super::enabled());
-        super::set_enabled(true);
-        assert!(super::enabled());
+        let tele = Telemetry::new();
+        assert!(!tele.enabled());
+        tele.set_enabled(true);
+        assert!(tele.enabled());
+        tele.set_enabled(false);
+        assert!(!tele.enabled());
+        // Clones share the switch.
+        tele.clone().set_enabled(true);
+        assert!(tele.enabled());
+    }
+
+    #[test]
+    fn enter_nests_and_restores() {
+        let (a, b) = (Telemetry::new(), Telemetry::new());
+        for t in [&a, &b] {
+            t.set_enabled(true);
+        }
+        assert!(Telemetry::current().is_none());
+        a.enter(|| {
+            crate::counter!("qens_test_enter_total").incr();
+            b.enter(|| crate::counter!("qens_test_enter_total").add(10));
+            crate::counter!("qens_test_enter_total").incr();
+            let unwound = std::panic::catch_unwind(|| b.enter(|| panic!("unwinds")));
+            assert!(unwound.is_err());
+            crate::counter!("qens_test_enter_total").incr();
+            assert!(Telemetry::current().is_some());
+        });
+        assert!(Telemetry::current().is_none());
+        let count = |t: &Telemetry| t.snapshot().counter("qens_test_enter_total");
+        assert_eq!((count(&a), count(&b)), (Some(3), Some(10)));
     }
 }
 
@@ -141,48 +293,40 @@ mod tests {
 #[cfg(test)]
 mod span {
     mod tests {
-        use crate::trace;
+        use crate::Telemetry;
 
-        fn count(series: &str) -> Option<u64> {
-            crate::global()
-                .snapshot()
-                .histogram(series)
-                .map(|h| h.count)
+        fn count(tele: &Telemetry, series: &str) -> Option<u64> {
+            tele.snapshot().histogram(series).map(|h| h.count)
         }
 
         #[test]
         fn span_records_into_named_histogram() {
-            let _g = crate::test_lock();
-            trace::set_mode(None);
-            crate::set_enabled(true);
-            let before = count("qens_mlkit_stage_nanos").unwrap_or(0);
-            {
+            let tele = Telemetry::new();
+            tele.set_enabled(true);
+            tele.enter(|| {
                 let s = crate::span("mlkit.stage", &[]);
                 assert!(s.is_recording());
                 std::hint::black_box(1 + 1);
-            }
-            assert_eq!(count("qens_mlkit_stage_nanos"), Some(before + 1));
-            crate::set_enabled(false);
+            });
+            assert_eq!(count(&tele, "qens_mlkit_stage_nanos"), Some(1));
         }
 
         #[test]
         fn disabled_span_is_inert() {
-            let _g = crate::test_lock();
-            trace::set_mode(None);
-            trace::clear();
-            crate::set_enabled(false);
-            let before = count("qens_mlkit_train_nanos");
+            let tele = Telemetry::new();
+            tele.enter(|| {
+                let s = crate::wall_span("mlkit.train", &[]);
+                assert!(!s.is_recording());
+            });
+            assert_eq!(count(&tele, "qens_mlkit_train_nanos"), None);
+            assert_eq!(tele.trace().events_len(), 0);
+            // A span opened with no handle entered records nowhere, even
+            // if it ends inside an enabled one.
+            tele.set_enabled(true);
             let s = crate::wall_span("mlkit.train", &[]);
             assert!(!s.is_recording());
-            drop(s);
-            assert_eq!(count("qens_mlkit_train_nanos"), before);
-            assert_eq!(trace::events_len(), 0);
-            crate::set_enabled(true);
-            assert_eq!(
-                count("qens_mlkit_train_nanos").unwrap_or(0),
-                before.unwrap_or(0)
-            );
-            crate::set_enabled(false);
+            tele.enter(|| drop(s));
+            assert_eq!(count(&tele, "qens_mlkit_train_nanos"), None);
         }
     }
 }

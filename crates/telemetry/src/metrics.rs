@@ -19,13 +19,9 @@ impl Counter {
         Self::default()
     }
 
-    /// Adds `n`, saturating at `u64::MAX` (never wraps). No-op while
-    /// telemetry is disabled.
+    /// Adds `n`, saturating at `u64::MAX` (never wraps).
     #[inline]
     pub fn add(&self, n: u64) {
-        if !crate::enabled() {
-            return;
-        }
         // Saturating add via CAS loop: overflow would otherwise wrap and
         // silently destroy a long-running deployment's totals.
         let mut cur = self.value.load(Ordering::Relaxed);
@@ -70,21 +66,15 @@ impl Gauge {
         Self::default()
     }
 
-    /// Sets the gauge. No-op while telemetry is disabled.
+    /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
-        if !crate::enabled() {
-            return;
-        }
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Adds `d` (CAS loop). No-op while telemetry is disabled.
+    /// Adds `d` (CAS loop).
     #[inline]
     pub fn add(&self, d: f64) {
-        if !crate::enabled() {
-            return;
-        }
         let mut cur = self.bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + d).to_bits();
@@ -112,11 +102,10 @@ impl Gauge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
 
     #[test]
     fn counter_adds_and_saturates() {
-        let _g = crate::test_lock();
-        crate::set_enabled(true);
         let c = Counter::new();
         c.add(10);
         c.incr();
@@ -130,22 +119,23 @@ mod tests {
         assert_eq!(c.get(), u64::MAX);
     }
 
+    /// A `counter!` site records only into an entered handle whose
+    /// switch is on.
     #[test]
     fn counter_ignores_when_disabled() {
-        let _g = crate::test_lock();
-        crate::set_enabled(false);
-        let c = Counter::new();
-        c.add(5);
-        assert_eq!(c.get(), 0);
-        crate::set_enabled(true);
-        c.add(5);
-        assert_eq!(c.get(), 5);
+        let tele = Telemetry::new();
+        let site = || crate::counter!("qens_test_switch_total").add(5);
+        site();
+        tele.enter(site);
+        assert_eq!(tele.snapshot().counter("qens_test_switch_total"), None);
+        tele.set_enabled(true);
+        tele.enter(site);
+        site();
+        assert_eq!(tele.snapshot().counter("qens_test_switch_total"), Some(5));
     }
 
     #[test]
     fn gauge_set_add_get() {
-        let _g = crate::test_lock();
-        crate::set_enabled(true);
         let g = Gauge::new();
         g.set(2.5);
         g.add(1.25);

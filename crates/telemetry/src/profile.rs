@@ -45,16 +45,18 @@
 //! the SLO tracker. Closing the span moves the query's events into a
 //! finished [`trace::Tree`] of the trace store and hands that tree back;
 //! the observer offers it to the flight recorder, which shares it with
-//! the store rather than copying it. Everything is inert while both
-//! telemetry and tracing are disabled.
+//! the store rather than copying it. All of it goes to the current
+//! [`crate::Telemetry`] handle's [`Profiler`], and all of it is inert
+//! with no handle entered or its telemetry and tracing both off.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::json::{write_f64, write_str, write_u64};
 use crate::trace::{self, Clock, Phase, TraceEvent, Tree};
+use crate::Telemetry;
 
 // ---------------------------------------------------------------------------
 // Folded-stack aggregation
@@ -373,7 +375,7 @@ pub fn to_svg(profile: &Profile, title: &str, unit: &str) -> String {
 // Slow-query flight recorder
 // ---------------------------------------------------------------------------
 
-/// Retained-query capacity of the global flight recorder.
+/// Retained-query capacity of a handle's flight recorder.
 pub const DEFAULT_FLIGHT_K: usize = 8;
 
 /// One retained slow query: its id, end-to-end duration (nanoseconds on
@@ -451,70 +453,79 @@ impl FlightRecorder {
                 .then(a.query_id.cmp(&b.query_id))
         });
     }
+}
 
-    /// Drops every retained query.
-    pub fn clear(&mut self) {
-        self.entries.clear();
+/// One handle's flight recorder and SLO tracker.
+#[derive(Debug)]
+pub struct Profiler {
+    recorder: Mutex<FlightRecorder>,
+    slo: Mutex<SloTracker>,
+}
+
+impl Default for Profiler {
+    fn default() -> Self {
+        Self {
+            recorder: Mutex::new(FlightRecorder::new(DEFAULT_FLIGHT_K)),
+            slo: Mutex::default(),
+        }
     }
 }
 
-fn recorder() -> MutexGuard<'static, FlightRecorder> {
-    static RECORDER: OnceLock<Mutex<FlightRecorder>> = OnceLock::new();
-    RECORDER
-        .get_or_init(|| Mutex::new(FlightRecorder::new(DEFAULT_FLIGHT_K)))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// A copy of the globally retained slowest queries, slowest first.
-pub fn slowest() -> Vec<FlightEntry> {
-    recorder().entries().to_vec()
-}
+impl Profiler {
+    /// A copy of the retained slowest queries, slowest first.
+    pub fn slowest(&self) -> Vec<FlightEntry> {
+        locked(&self.recorder).entries().to_vec()
+    }
 
-/// Renders the global flight recorder as a JSON document with a fixed
-/// key order:
-///
-/// ```json
-/// {"slowest":[{"query_id":3,"clock":"logical","duration":120,
-///   "events":64,"phases":[{"path":"query;fedlearn.select","total":9,
-///   "self":4,"count":1}, …]}, …]}
-/// ```
-///
-/// Each entry's `phases` array is the folded profile of that single
-/// query's span tree.
-pub fn slowest_to_json() -> String {
-    let mut out = String::from(r#"{"slowest":["#);
-    for (i, e) in slowest().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(r#"{"query_id":"#);
-        write_u64(&mut out, e.query_id);
-        out.push_str(r#","clock":"#);
-        write_str(&mut out, e.clock);
-        out.push_str(r#","duration":"#);
-        write_u64(&mut out, e.duration);
-        out.push_str(r#","events":"#);
-        write_u64(&mut out, e.events.len() as u64);
-        out.push_str(r#","phases":["#);
-        for (j, (path, stat)) in aggregate(&e.events).paths.iter().enumerate() {
-            if j > 0 {
+    /// Renders the flight recorder as a JSON document with a fixed key
+    /// order:
+    ///
+    /// ```json
+    /// {"slowest":[{"query_id":3,"clock":"logical","duration":120,
+    ///   "events":64,"phases":[{"path":"query;fedlearn.select","total":9,
+    ///   "self":4,"count":1}, …]}, …]}
+    /// ```
+    ///
+    /// Each entry's `phases` array is the folded profile of that single
+    /// query's span tree.
+    pub fn slowest_to_json(&self) -> String {
+        let mut out = String::from(r#"{"slowest":["#);
+        for (i, e) in self.slowest().iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            out.push_str(r#"{"path":"#);
-            write_str(&mut out, path);
-            out.push_str(r#","total":"#);
-            write_u64(&mut out, stat.total);
-            out.push_str(r#","self":"#);
-            write_u64(&mut out, stat.self_time);
-            out.push_str(r#","count":"#);
-            write_u64(&mut out, stat.count);
-            out.push('}');
+            out.push_str(r#"{"query_id":"#);
+            write_u64(&mut out, e.query_id);
+            out.push_str(r#","clock":"#);
+            write_str(&mut out, e.clock);
+            out.push_str(r#","duration":"#);
+            write_u64(&mut out, e.duration);
+            out.push_str(r#","events":"#);
+            write_u64(&mut out, e.events.len() as u64);
+            out.push_str(r#","phases":["#);
+            for (j, (path, stat)) in aggregate(&e.events).paths.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push_str(r#"{"path":"#);
+                write_str(&mut out, path);
+                out.push_str(r#","total":"#);
+                write_u64(&mut out, stat.total);
+                out.push_str(r#","self":"#);
+                write_u64(&mut out, stat.self_time);
+                out.push_str(r#","count":"#);
+                write_u64(&mut out, stat.count);
+                out.push('}');
+            }
+            out.push_str("]}");
         }
         out.push_str("]}");
+        out
     }
-    out.push_str("]}");
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +559,7 @@ pub const SLO_WINDOW: usize = 64;
 ///
 /// Each window keeps a running count of its bad verdicts, updated as a
 /// verdict enters and leaves it, so an observation costs O(1) under the
-/// global tracker's lock.
+/// tracker's lock.
 #[derive(Debug)]
 pub struct SloTracker {
     ring: Vec<bool>,
@@ -650,24 +661,18 @@ impl SloTracker {
     }
 }
 
-fn slo() -> MutexGuard<'static, SloTracker> {
-    static SLO: OnceLock<Mutex<SloTracker>> = OnceLock::new();
-    SLO.get_or_init(|| Mutex::new(SloTracker::default()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-}
-
 /// Feeds one end-to-end query latency (wall nanoseconds) into the
-/// global SLO tracker and mirrors the result into the metric registry:
-/// `qens_slo_good_total` / `qens_slo_bad_total` counters and the
-/// `qens_slo_burn_rate_1x` / `qens_slo_burn_rate_6x` /
-/// `qens_slo_objective_seconds` gauges. The counters and gauges are
-/// inert while telemetry is disabled; the tracker itself always
-/// records.
+/// current handle's SLO tracker and mirrors the result into its metric
+/// registry: `qens_slo_good_total` / `qens_slo_bad_total` counters and
+/// the `qens_slo_burn_rate_1x` / `qens_slo_burn_rate_6x` /
+/// `qens_slo_objective_seconds` gauges. The counters and gauges follow
+/// the handle's telemetry switch; the tracker itself always records.
 pub fn observe_query(nanos: u64) {
-    let (good, b1, b6) = {
-        let mut t = slo();
-        (t.observe(nanos), t.burn_rate_1x(), t.burn_rate_6x())
+    let Some((good, b1, b6)) = crate::with_current(|t| {
+        let mut slo = locked(&t.profile.slo);
+        (slo.observe(nanos), slo.burn_rate_1x(), slo.burn_rate_6x())
+    }) else {
+        return;
     };
     if good {
         crate::counter!("qens_slo_good_total").incr();
@@ -679,7 +684,7 @@ pub fn observe_query(nanos: u64) {
     crate::gauge!("qens_slo_objective_seconds").set(SLO_OBJECTIVE_NANOS as f64 / 1e9);
 }
 
-/// A point-in-time copy of the global SLO state (for `/slo` and tests).
+/// A point-in-time copy of a handle's SLO state (for `/slo` and tests).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloView {
     /// Lifetime good queries.
@@ -694,53 +699,47 @@ pub struct SloView {
     pub burn_rate_6x: f64,
 }
 
-/// Reads the global tracker.
-pub fn slo_view() -> SloView {
-    let t = slo();
-    SloView {
-        good_total: t.good_total(),
-        bad_total: t.bad_total(),
-        observed: t.observed(),
-        burn_rate_1x: t.burn_rate_1x(),
-        burn_rate_6x: t.burn_rate_6x(),
+impl Profiler {
+    /// Reads the SLO tracker.
+    pub fn slo_view(&self) -> SloView {
+        let t = locked(&self.slo);
+        SloView {
+            good_total: t.good_total(),
+            bad_total: t.bad_total(),
+            observed: t.observed(),
+            burn_rate_1x: t.burn_rate_1x(),
+            burn_rate_6x: t.burn_rate_6x(),
+        }
     }
-}
 
-/// Renders the global SLO state as a JSON document with a fixed key
-/// order:
-///
-/// ```json
-/// {"objective_nanos":250000000,"target":0.99,"window":64,
-///  "observed":12,"good_total":11,"bad_total":1,
-///  "burn_rate_1x":8.33,"burn_rate_6x":8.33}
-/// ```
-pub fn slo_to_json() -> String {
-    let v = slo_view();
-    let mut out = String::from(r#"{"objective_nanos":"#);
-    write_u64(&mut out, SLO_OBJECTIVE_NANOS);
-    out.push_str(r#","target":"#);
-    write_f64(&mut out, SLO_TARGET);
-    out.push_str(r#","window":"#);
-    write_u64(&mut out, SLO_WINDOW as u64);
-    out.push_str(r#","observed":"#);
-    write_u64(&mut out, v.observed as u64);
-    out.push_str(r#","good_total":"#);
-    write_u64(&mut out, v.good_total);
-    out.push_str(r#","bad_total":"#);
-    write_u64(&mut out, v.bad_total);
-    out.push_str(r#","burn_rate_1x":"#);
-    write_f64(&mut out, v.burn_rate_1x);
-    out.push_str(r#","burn_rate_6x":"#);
-    write_f64(&mut out, v.burn_rate_6x);
-    out.push('}');
-    out
-}
-
-/// Clears the global flight recorder and SLO tracker (fresh profiling
-/// pass; the recorder's capacity is kept).
-pub fn reset() {
-    recorder().clear();
-    slo().reset();
+    /// Renders the SLO state as a JSON document with a fixed key order:
+    ///
+    /// ```json
+    /// {"objective_nanos":250000000,"target":0.99,"window":64,
+    ///  "observed":12,"good_total":11,"bad_total":1,
+    ///  "burn_rate_1x":8.33,"burn_rate_6x":8.33}
+    /// ```
+    pub fn slo_to_json(&self) -> String {
+        let v = self.slo_view();
+        let mut out = String::from(r#"{"objective_nanos":"#);
+        write_u64(&mut out, SLO_OBJECTIVE_NANOS);
+        out.push_str(r#","target":"#);
+        write_f64(&mut out, SLO_TARGET);
+        out.push_str(r#","window":"#);
+        write_u64(&mut out, SLO_WINDOW as u64);
+        out.push_str(r#","observed":"#);
+        write_u64(&mut out, v.observed as u64);
+        out.push_str(r#","good_total":"#);
+        write_u64(&mut out, v.good_total);
+        out.push_str(r#","bad_total":"#);
+        write_u64(&mut out, v.bad_total);
+        out.push_str(r#","burn_rate_1x":"#);
+        write_f64(&mut out, v.burn_rate_1x);
+        out.push_str(r#","burn_rate_6x":"#);
+        write_f64(&mut out, v.burn_rate_6x);
+        out.push('}');
+        out
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -748,19 +747,21 @@ pub fn reset() {
 // ---------------------------------------------------------------------------
 
 /// RAII guard around one query: the root of its trace tree and the
-/// observer of its end-to-end latency.
+/// observer of its end-to-end latency, in the handle current when it
+/// begins.
 ///
 /// `begin` opens the trace `query` span, so every event until the drop
 /// is stamped with the query id. The drop closes that span first, which
 /// records its `End` and returns the query's finished tree, then records
 /// the query's nanoseconds into `qens_fedlearn_run_query_nanos` while
 /// telemetry is on, feeds the SLO tracker and offers the tree to the
-/// flight recorder. Inert (no clock read) while both telemetry and
-/// tracing are disabled.
+/// flight recorder. Inert (no clock read) with no handle entered or its
+/// telemetry and tracing both off.
 #[derive(Debug)]
 pub struct QueryObserver {
     query_id: u64,
-    start: Option<Instant>,
+    /// The handle and the start, while it records.
+    observing: Option<(Telemetry, Instant)>,
     span: trace::Span,
 }
 
@@ -770,9 +771,12 @@ impl QueryObserver {
         // The fleet registry counts queries here: every query runs
         // through `run_query`, which opens exactly one observer.
         crate::emit(&crate::Event::QueryObserved(query_id));
+        let observing = Telemetry::current()
+            .filter(|t| t.enabled() || t.trace().mode().is_some())
+            .map(|t| (t, Instant::now()));
         Self {
             query_id,
-            start: (crate::enabled() || trace::is_enabled()).then(Instant::now),
+            observing,
             span: trace::query_span(query_id),
         }
     }
@@ -781,13 +785,15 @@ impl QueryObserver {
 impl Drop for QueryObserver {
     fn drop(&mut self) {
         let tree = self.span.end();
-        let Some(start) = self.start else { return };
+        let Some((tele, start)) = self.observing.take() else {
+            return;
+        };
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if crate::enabled() {
+        tele.enter(|| {
             crate::histogram!("qens_fedlearn_run_query_nanos").record(nanos);
-        }
-        observe_query(nanos);
-        let (Some(clock), Some(events)) = (trace::mode(), tree) else {
+            observe_query(nanos);
+        });
+        let (Some(clock), Some(events)) = (tele.trace().mode(), tree) else {
             return;
         };
         // On the logical clock the duration is the query's tick span (its
@@ -797,7 +803,7 @@ impl Drop for QueryObserver {
             Clock::Wall => nanos,
             Clock::Logical => events[events.len() - 1].ts.saturating_sub(events[0].ts) + 1,
         };
-        recorder().offer(FlightEntry {
+        locked(&tele.0.profile.recorder).offer(FlightEntry {
             query_id: self.query_id,
             duration,
             clock: clock.name(),
@@ -1031,7 +1037,7 @@ mod tests {
     #[test]
     fn slo_config_env_parsing_rejects_nonsense() {
         // The tracker runs on fixed constants, which `/slo` reports.
-        let doc = slo_to_json();
+        let doc = Profiler::default().slo_to_json();
         assert!(
             doc.starts_with(r#"{"objective_nanos":250000000,"target":0.99,"window":64,"#),
             "{doc}"
@@ -1040,7 +1046,7 @@ mod tests {
 
     #[test]
     fn slo_json_has_fixed_key_order() {
-        let doc = slo_to_json();
+        let doc = Profiler::default().slo_to_json();
         let o = doc.find("\"objective_nanos\"").unwrap();
         let t = doc.find("\"target\"").unwrap();
         let b1 = doc.find("\"burn_rate_1x\"").unwrap();

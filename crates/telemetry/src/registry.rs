@@ -1,100 +1,267 @@
-//! The global metric registry.
+//! The metric registry: one per [`crate::Telemetry`] handle, with slots
+//! indexed by the process-wide interned series names.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{LazyLock, Mutex, MutexGuard, OnceLock};
 
 use crate::histogram::HistogramSnapshot;
 use crate::{Counter, Gauge, Histogram};
 
-/// One kind's name → metric table.
-type Table<T> = BTreeMap<String, Arc<T>>;
+/// Distinct series names one process may intern, per kind.
+pub const MAX_SERIES: usize = 128;
 
-fn get_or_register<T: Default>(table: &Mutex<Table<T>>, name: &str) -> Arc<T> {
-    let mut table = locked(table);
-    if let Some(metric) = table.get(name) {
-        return Arc::clone(metric);
+/// The three metric kinds, each with its own slot ids.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+/// The interned series names, one list per [`Kind`]: a name's index is
+/// the slot every registry keeps that series in. The span histograms
+/// take the first histogram slots, in [`crate::trace::SERIES`] order, so
+/// a span finds its slot by name without interning.
+static NAMES: LazyLock<Mutex<[Vec<String>; 3]>> = LazyLock::new(|| {
+    let spans = crate::trace::SERIES
+        .iter()
+        .map(|&(_, series)| series.into());
+    Mutex::new([Vec::new(), Vec::new(), spans.collect()])
+});
+
+fn names() -> MutexGuard<'static, [Vec<String>; 3]> {
+    NAMES.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The slot id of `name`, interned on first use.
+///
+/// # Panics
+/// Past [`MAX_SERIES`] names of one kind.
+fn intern(kind: Kind, name: &str) -> usize {
+    let mut names = names();
+    let table = &mut names[kind as usize];
+    if let Some(id) = table.iter().position(|n| n == name) {
+        return id;
     }
-    let metric = Arc::new(T::default());
-    table.insert(name.into(), Arc::clone(&metric));
-    metric
+    assert!(
+        table.len() < MAX_SERIES,
+        "more than {MAX_SERIES} {kind:?} series (registering {name})"
+    );
+    table.push(name.into());
+    table.len() - 1
 }
 
-fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .expect("a thread panicked while holding a registry lock")
+/// A call site's series: its name and, once interned, its slot id.
+#[derive(Debug)]
+struct Site {
+    name: &'static str,
+    /// `u32::MAX` until first use.
+    id: AtomicU32,
 }
 
-/// Thread-safe name → metric table.
+impl Site {
+    const fn new(name: &'static str) -> Self {
+        Self {
+            name,
+            id: AtomicU32::new(u32::MAX),
+        }
+    }
+
+    #[inline]
+    fn id(&self, kind: Kind) -> usize {
+        match self.id.load(Ordering::Relaxed) {
+            u32::MAX => self.intern(kind),
+            id => id as usize,
+        }
+    }
+
+    #[cold]
+    fn intern(&self, kind: Kind) -> usize {
+        let id = intern(kind, self.name);
+        self.id.store(id as u32, Ordering::Relaxed);
+        id
+    }
+}
+
+/// The current handle's registry, while its telemetry switch is on.
+#[inline]
+fn recording(record: impl FnOnce(&Registry)) {
+    crate::with_current(|t| {
+        if t.enabled() {
+            record(&t.registry);
+        }
+    });
+}
+
+/// A `counter!` call site.
+#[derive(Debug)]
+pub struct CounterSite(Site);
+
+impl CounterSite {
+    #[doc(hidden)]
+    pub const fn new(name: &'static str) -> Self {
+        Self(Site::new(name))
+    }
+
+    /// Adds `n` to the current handle's counter.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        recording(|r| r.counter_at(self.0.id(Kind::Counter)).add(n));
+    }
+
+    /// Adds one.
+    #[inline]
+    pub fn incr(&self) {
+        self.add(1);
+    }
+}
+
+/// A `gauge!` call site.
+#[derive(Debug)]
+pub struct GaugeSite(Site);
+
+impl GaugeSite {
+    #[doc(hidden)]
+    pub const fn new(name: &'static str) -> Self {
+        Self(Site::new(name))
+    }
+
+    /// Sets the current handle's gauge.
+    #[inline]
+    pub fn set(&self, v: f64) {
+        recording(|r| r.gauge_at(self.0.id(Kind::Gauge)).set(v));
+    }
+
+    /// Adds `d` to the current handle's gauge.
+    #[inline]
+    pub fn add(&self, d: f64) {
+        recording(|r| r.gauge_at(self.0.id(Kind::Gauge)).add(d));
+    }
+}
+
+/// A `histogram!` call site.
+#[derive(Debug)]
+pub struct HistogramSite(Site);
+
+impl HistogramSite {
+    #[doc(hidden)]
+    pub const fn new(name: &'static str) -> Self {
+        Self(Site::new(name))
+    }
+
+    /// Records one sample into the current handle's histogram.
+    #[inline]
+    pub fn record(&self, v: u64) {
+        recording(|r| r.histogram_at(self.0.id(Kind::Histogram)).record(v));
+    }
+}
+
+/// One handle's name → metric table: a slot per interned series name,
+/// filled the first time the series records.
 ///
 /// Metric names should follow the `qens_<crate>_<name>` convention with
 /// a unit suffix; registration is idempotent (the same name always
 /// returns the same metric).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Registry {
-    counters: Mutex<Table<Counter>>,
-    gauges: Mutex<Table<Gauge>>,
-    histograms: Mutex<Table<Histogram>>,
+    counters: Box<[OnceLock<Counter>]>,
+    gauges: Box<[OnceLock<Gauge>]>,
+    histograms: Box<[OnceLock<Box<Histogram>>]>,
 }
 
-/// The process-wide registry.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::default)
+fn slots<T>() -> Box<[OnceLock<T>]> {
+    (0..MAX_SERIES).map(|_| OnceLock::new()).collect()
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Self {
+            counters: slots(),
+            gauges: slots(),
+            histograms: slots(),
+        }
+    }
 }
 
 impl Registry {
-    /// A fresh registry (tests; production code uses [`global`]).
+    /// A fresh registry.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// The named counter, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        get_or_register(&self.counters, name)
+    pub fn counter(&self, name: &str) -> &Counter {
+        self.counter_at(intern(Kind::Counter, name))
     }
 
     /// The named gauge, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        get_or_register(&self.gauges, name)
+    pub fn gauge(&self, name: &str) -> &Gauge {
+        self.gauge_at(intern(Kind::Gauge, name))
     }
 
     /// The named histogram, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        get_or_register(&self.histograms, name)
+    pub fn histogram(&self, name: &str) -> &Histogram {
+        self.histogram_at(intern(Kind::Histogram, name))
+    }
+
+    #[inline]
+    fn counter_at(&self, id: usize) -> &Counter {
+        self.counters[id].get_or_init(Counter::new)
+    }
+
+    #[inline]
+    fn gauge_at(&self, id: usize) -> &Gauge {
+        self.gauges[id].get_or_init(Gauge::new)
+    }
+
+    #[inline]
+    pub(crate) fn histogram_at(&self, id: usize) -> &Histogram {
+        self.histograms[id].get_or_init(|| Box::new(Histogram::new()))
     }
 
     /// A point-in-time view of every registered metric.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = locked(&self.counters)
-            .iter()
-            .map(|(n, c)| (n.clone(), c.get()))
-            .collect();
-        let gauges = locked(&self.gauges)
-            .iter()
-            .map(|(n, g)| (n.clone(), g.get()))
-            .collect();
-        let histograms = locked(&self.histograms)
-            .iter()
-            .map(|(n, h)| h.snapshot(n))
-            .collect();
-        Snapshot {
-            counters,
-            gauges,
-            histograms,
+        fn filled<'a, T>(
+            names: &'a [String],
+            slots: &'a [OnceLock<T>],
+        ) -> impl Iterator<Item = (&'a String, &'a T)> {
+            names
+                .iter()
+                .zip(slots)
+                .filter_map(|(n, s)| Some((n, s.get()?)))
         }
+        let names = names();
+        let [counter_names, gauge_names, histogram_names] = &*names;
+        let mut snap = Snapshot {
+            counters: filled(counter_names, &self.counters)
+                .map(|(n, c)| (n.clone(), c.get()))
+                .collect(),
+            gauges: filled(gauge_names, &self.gauges)
+                .map(|(n, g)| (n.clone(), g.get()))
+                .collect(),
+            histograms: filled(histogram_names, &self.histograms)
+                .map(|(n, h)| h.snapshot(n))
+                .collect(),
+        };
+        drop(names);
+        snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
+        snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
+        snap.histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        snap
     }
 
     /// Zeroes every metric. Metric handles stay valid (tests, repeated
     /// experiment arms).
     pub fn reset(&self) {
-        for c in locked(&self.counters).values() {
-            c.reset();
-        }
-        for g in locked(&self.gauges).values() {
-            g.reset();
-        }
-        for h in locked(&self.histograms).values() {
+        self.counters
+            .iter()
+            .filter_map(OnceLock::get)
+            .for_each(Counter::reset);
+        self.gauges
+            .iter()
+            .filter_map(OnceLock::get)
+            .for_each(Gauge::reset);
+        for h in self.histograms.iter().filter_map(OnceLock::get) {
             h.reset();
         }
     }
@@ -144,18 +311,15 @@ mod tests {
 
     #[test]
     fn registration_is_idempotent() {
-        let _g = crate::test_lock();
         let r = Registry::new();
-        let a = r.counter("qens_test_x_total");
-        let b = r.counter("qens_test_x_total");
-        assert!(Arc::ptr_eq(&a, &b));
+        let a: *const Counter = r.counter("qens_test_x_total");
+        let b: *const Counter = r.counter("qens_test_x_total");
+        assert_eq!(a, b);
         assert_eq!(r.snapshot().counters.len(), 1);
     }
 
     #[test]
     fn snapshot_is_sorted_and_queryable() {
-        let _g = crate::test_lock();
-        crate::set_enabled(true);
         let r = Registry::new();
         r.counter("qens_test_b_total").add(2);
         r.counter("qens_test_a_total").add(1);
@@ -172,8 +336,6 @@ mod tests {
 
     #[test]
     fn reset_zeroes_but_keeps_handles_valid() {
-        let _g = crate::test_lock();
-        crate::set_enabled(true);
         let r = Registry::new();
         let c = r.counter("qens_test_r_total");
         c.add(9);

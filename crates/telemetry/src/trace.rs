@@ -40,12 +40,12 @@
 //!
 //! # Enablement and cost
 //!
-//! Tracing is **off by default**; the disabled fast path of every entry
-//! point is a single relaxed atomic load — no clock read, no
-//! allocation, no lock. A [`Span`] adds one more load, of the telemetry
-//! flag, and is just as inert while both are off. Only code turns
-//! tracing on: [`set_mode`], e.g.
-//! through `FederationBuilder::trace` or `repro serve --trace`.
+//! Each [`crate::Telemetry`] handle has its own store and its own clock
+//! switch ([`Store::set_mode`], e.g. through `FederationBuilder::trace`
+//! or `repro serve --trace`), off in a fresh handle. A site records
+//! into the current handle's store; with no handle entered, or its
+//! tracing and telemetry both off, a site is inert: no clock read, no
+//! allocation, no lock.
 //!
 //! # The store
 //!
@@ -57,11 +57,11 @@
 //! past it the oldest finished tree is evicted whole, then the oldest
 //! loose events, so a long run keeps its most recent queries. Only when
 //! running queries alone fill the store is a new event refused.
-//! [`dropped`] counts both the evicted and the refused events.
+//! [`Store::dropped`] counts both the evicted and the refused events.
 //!
 //! # Export
 //!
-//! [`export_chrome`] renders the store in the Chrome trace-event JSON
+//! [`Store::export_chrome`] renders the store in the Chrome trace-event JSON
 //! format (`{"traceEvents":[…]}`), directly loadable in Perfetto or
 //! `chrome://tracing`, merging the trees back into recording order (the
 //! sequence number the collector assigns each event). Key order is
@@ -70,19 +70,19 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::json::{write_key, write_str, write_u64};
-use crate::Histogram;
+use crate::Stores;
 
 /// Maximum `(key, value)` arguments one event can carry.
 pub const MAX_ARGS: usize = 4;
 
 /// Retained-event bound over the whole store: past it the oldest
 /// finished query trees, then the oldest loose events, are evicted (and
-/// counted in [`dropped`]). Bounds trace memory on long streams (~45 MB
+/// counted in [`Store::dropped`]). Bounds trace memory on long streams (~45 MB
 /// worst case).
 pub const MAX_TRACE_EVENTS: usize = 1 << 18;
 
@@ -104,37 +104,6 @@ impl Clock {
             Clock::Logical => "logical",
         }
     }
-}
-
-/// The mode flag: 0 = off (the start state), 1 = wall, 2 = logical.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// The current trace mode (`None` = disabled). One relaxed load on the
-/// hot path.
-#[inline]
-pub fn mode() -> Option<Clock> {
-    match MODE.load(Ordering::Relaxed) {
-        1 => Some(Clock::Wall),
-        2 => Some(Clock::Logical),
-        _ => None,
-    }
-}
-
-/// Turns tracing on (with the given clock) or off. Does **not** clear
-/// already-retained events — call [`clear`] for a fresh trace.
-pub fn set_mode(m: Option<Clock>) {
-    let code = match m {
-        None => 0,
-        Some(Clock::Wall) => 1,
-        Some(Clock::Logical) => 2,
-    };
-    MODE.store(code, Ordering::Relaxed);
-}
-
-/// Whether any event would be recorded right now.
-#[inline]
-pub fn is_enabled() -> bool {
-    mode().is_some()
 }
 
 /// One event phase, mirroring the Chrome trace-event `ph` field.
@@ -222,7 +191,7 @@ impl std::ops::Deref for Tree {
     }
 }
 
-/// A tree equals a [`snapshot_query`] copy of the same events.
+/// A tree equals a [`Store::snapshot_query`] copy of the same events.
 impl PartialEq<Vec<TraceEvent>> for Tree {
     fn eq(&self, other: &Vec<TraceEvent>) -> bool {
         *self.0 == **other
@@ -246,7 +215,6 @@ struct Collector {
     last_span: u64,
     dropped: u64,
     epoch: Option<Instant>,
-    next_tid: u32,
 }
 
 impl Collector {
@@ -276,15 +244,10 @@ impl Collector {
     }
 }
 
-fn collector() -> MutexGuard<'static, Collector> {
-    static COLLECTOR: LazyLock<Mutex<Collector>> = LazyLock::new(Mutex::default);
-    COLLECTOR.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 thread_local! {
     /// Open-span stack of this thread (for parent assignment).
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    /// This thread's registration-order id (`u32::MAX` = unassigned).
+    /// This thread's id on wall-clock tracks (`u32::MAX` = unassigned).
     static TID: Cell<u32> = const { Cell::new(u32::MAX) };
     /// The query this thread's events belong to (`u64::MAX` = none): set
     /// by [`query_span`] on the thread running the query, and by
@@ -293,168 +256,238 @@ thread_local! {
     static QUERY: Cell<u64> = const { Cell::new(u64::MAX) };
 }
 
-/// Discards every retained event and resets sequence numbers, span ids,
-/// the epoch and the dropped counter. The mode is left untouched, and so
-/// is the thread-id counter: a thread keeps the id it was given for as
-/// long as it lives (pool workers outlive any one trace), so handing the
-/// same id out again would put two threads on one track and break the
-/// per-thread stack discipline [`validate_structure`] checks.
-pub fn clear() {
-    let mut c = collector();
-    *c = Collector {
-        next_tid: c.next_tid,
-        ..Collector::default()
-    };
-}
-
-/// Number of retained events.
-pub fn events_len() -> usize {
-    collector().retained
-}
-
-/// Events that left the store: evicted once it reached
-/// [`MAX_TRACE_EVENTS`], or refused while running queries alone filled
-/// it.
-pub fn dropped() -> u64 {
-    collector().dropped
-}
-
-/// Hands `f` the retained events (`query`'s only, if given) in
-/// recording order, and the dropped count. Under the lock the finished
-/// trees are shared and the still-running events copied; the merge and
-/// `f` run after it is released.
-fn with_retained<R>(query: Option<u64>, f: impl FnOnce(Vec<&TraceEvent>, u64) -> R) -> R {
-    let mine = |q: u64| query.is_none_or(|want| want == q);
-    let (trees, open, dropped) = {
-        let c = collector();
-        let trees: Vec<Tree> = c
-            .finished
-            .iter()
-            .filter(|t| mine(t[0].query))
-            .cloned()
-            .collect();
-        let running = c
-            .running
-            .iter()
-            .filter(|&(&q, _)| mine(q))
-            .flat_map(|(_, e)| e);
-        let loose = c.loose.iter().filter(|_| mine(u64::MAX));
-        (
-            trees,
-            running.chain(loose).cloned().collect::<Vec<_>>(),
-            c.dropped,
-        )
-    };
-    let mut events: Vec<&TraceEvent> = trees.iter().flat_map(|t| t.iter()).chain(&open).collect();
-    events.sort_unstable_by_key(|e| e.seq);
-    f(events, dropped)
-}
-
-/// A structured copy of the retained events, in recording order (tests,
-/// tooling).
-pub fn snapshot_events() -> Vec<TraceEvent> {
-    with_retained(None, |events, _| events.into_iter().cloned().collect())
-}
-
-/// A structured copy of the retained events of `query` (the root query
-/// span included — it is stamped with its own id), in recording order.
-pub fn snapshot_query(query: u64) -> Vec<TraceEvent> {
-    with_retained(Some(query), |events, _| {
-        events.into_iter().cloned().collect()
+/// The calling thread's wall-clock track id, handed out once per thread
+/// for the life of the process: pool workers outlive any one store, and
+/// an id handed out twice would put two threads on one track and break
+/// the per-thread stack discipline [`validate_structure`] checks.
+fn thread_tid() -> u32 {
+    static NEXT_TID: AtomicU32 = AtomicU32::new(0);
+    TID.with(|t| {
+        if t.get() == u32::MAX {
+            t.set(NEXT_TID.fetch_add(1, Ordering::Relaxed));
+        }
+        t.get()
     })
 }
 
-/// The distinct query ids in the store, in first-seen order.
-pub fn query_ids() -> Vec<u64> {
-    let mut firsts: Vec<(u64, u64)> = {
-        let c = collector();
-        let finished = c.finished.iter().map(|t| &t[0]);
-        let running = c.running.values().map(|events| &events[0]);
-        finished.chain(running).map(|e| (e.seq, e.query)).collect()
-    };
-    firsts.sort_unstable();
-    let mut seen = std::collections::BTreeSet::new();
-    firsts
-        .into_iter()
-        .filter_map(|(_, q)| seen.insert(q).then_some(q))
-        .collect()
+/// One handle's trace store and clock switch.
+#[derive(Default)]
+pub struct Store {
+    /// 0 = off (the start state), 1 = wall, 2 = logical.
+    mode: AtomicU8,
+    collector: Mutex<Collector>,
 }
 
-/// Records one event and returns its span id: `span`, or for a
-/// `Begin` a fresh id assigned under the same lock. The `End` of a
-/// query's root span (`closes_query`) then moves the query's events
-/// into a finished [`Tree`] and returns it too.
-fn record(
-    clock: Clock,
-    phase: Phase,
-    name: &'static str,
-    span: u64,
-    parent: u64,
-    args: Args,
-    closes_query: bool,
-) -> (u64, Option<Tree>) {
-    // The wall timestamp must be taken *outside* the collector lock so
-    // contention does not skew durations; sequence numbers (the logical
-    // ticks) are assigned under the lock (that is what makes them a
-    // total order).
-    let wall_now = (clock == Clock::Wall).then(Instant::now);
-    let tid = wall_now.map_or(0, |_| TID.with(Cell::get));
-    let query = QUERY.with(Cell::get);
-    let mut c = collector();
-    // A span gets its id even when the store refuses its Begin: its
-    // End still needs one.
-    let span = if phase == Phase::Begin {
-        c.last_span += 1;
-        c.last_span
-    } else {
-        span
-    };
-    if c.make_room() {
-        let seq = c.seq;
-        c.seq += 1;
-        let ts = match wall_now {
-            Some(now) => {
-                let epoch = *c.epoch.get_or_insert(now);
-                u64::try_from(now.duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
-            }
-            None => seq,
-        };
-        let tid = if tid == u32::MAX {
-            let assigned = c.next_tid;
-            c.next_tid += 1;
-            TID.with(|t| t.set(assigned));
-            assigned
-        } else {
-            tid
-        };
-        let event = TraceEvent {
-            name,
-            phase,
-            ts,
-            tid,
-            span,
-            parent,
-            query,
-            args,
-            seq,
-        };
-        c.retained += 1;
-        if query == u64::MAX {
-            c.loose.push_back(event);
-        } else {
-            c.running.entry(query).or_default().push(event);
+impl Store {
+    /// The trace mode (`None` = disabled).
+    #[inline]
+    pub fn mode(&self) -> Option<Clock> {
+        match self.mode.load(Ordering::Relaxed) {
+            1 => Some(Clock::Wall),
+            2 => Some(Clock::Logical),
+            _ => None,
         }
-        crate::counter!("qens_trace_events_total").incr();
     }
-    if !closes_query {
-        return (span, None);
+
+    /// Turns tracing on (with the given clock) or off. Retained events
+    /// stay.
+    pub fn set_mode(&self, m: Option<Clock>) {
+        let code = match m {
+            None => 0,
+            Some(Clock::Wall) => 1,
+            Some(Clock::Logical) => 2,
+        };
+        self.mode.store(code, Ordering::Relaxed);
     }
-    let Some(events) = c.running.remove(&query) else {
-        return (span, None);
-    };
-    let tree = Tree(events.into());
-    c.finished.push_back(tree.clone());
-    (span, Some(tree))
+
+    fn collector(&self) -> MutexGuard<'_, Collector> {
+        self.collector.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Number of retained events.
+    pub fn events_len(&self) -> usize {
+        self.collector().retained
+    }
+
+    /// Events that left the store: evicted once it reached
+    /// [`MAX_TRACE_EVENTS`], or refused while running queries alone
+    /// filled it.
+    pub fn dropped(&self) -> u64 {
+        self.collector().dropped
+    }
+
+    /// Hands `f` the retained events (`query`'s only, if given) in
+    /// recording order, and the dropped count. Under the lock the
+    /// finished trees are shared and the still-running events copied;
+    /// the merge and `f` run after it is released.
+    fn with_retained<R>(
+        &self,
+        query: Option<u64>,
+        f: impl FnOnce(Vec<&TraceEvent>, u64) -> R,
+    ) -> R {
+        let mine = |q: u64| query.is_none_or(|want| want == q);
+        let (trees, open, dropped) = {
+            let c = self.collector();
+            let trees: Vec<Tree> = c
+                .finished
+                .iter()
+                .filter(|t| mine(t[0].query))
+                .cloned()
+                .collect();
+            let running = c
+                .running
+                .iter()
+                .filter(|&(&q, _)| mine(q))
+                .flat_map(|(_, e)| e);
+            let loose = c.loose.iter().filter(|_| mine(u64::MAX));
+            (
+                trees,
+                running.chain(loose).cloned().collect::<Vec<_>>(),
+                c.dropped,
+            )
+        };
+        let mut events: Vec<&TraceEvent> =
+            trees.iter().flat_map(|t| t.iter()).chain(&open).collect();
+        events.sort_unstable_by_key(|e| e.seq);
+        f(events, dropped)
+    }
+
+    /// A structured copy of the retained events, in recording order
+    /// (tests, tooling).
+    pub fn snapshot_events(&self) -> Vec<TraceEvent> {
+        self.with_retained(None, |events, _| events.into_iter().cloned().collect())
+    }
+
+    /// A structured copy of the retained events of `query` (the root
+    /// query span included — it is stamped with its own id), in
+    /// recording order.
+    pub fn snapshot_query(&self, query: u64) -> Vec<TraceEvent> {
+        self.with_retained(Some(query), |events, _| {
+            events.into_iter().cloned().collect()
+        })
+    }
+
+    /// The distinct query ids in the store, in first-seen order.
+    pub fn query_ids(&self) -> Vec<u64> {
+        let mut firsts: Vec<(u64, u64)> = {
+            let c = self.collector();
+            let finished = c.finished.iter().map(|t| &t[0]);
+            let running = c.running.values().map(|events| &events[0]);
+            finished.chain(running).map(|e| (e.seq, e.query)).collect()
+        };
+        firsts.sort_unstable();
+        let mut seen = std::collections::BTreeSet::new();
+        firsts
+            .into_iter()
+            .filter_map(|(_, q)| seen.insert(q).then_some(q))
+            .collect()
+    }
+
+    /// Records one event and returns its span id: `span`, or for a
+    /// `Begin` a fresh id assigned under the same lock. The `End` of a
+    /// query's root span (`closes_query`) then moves the query's events
+    /// into a finished [`Tree`] and returns it too.
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        &self,
+        clock: Clock,
+        phase: Phase,
+        name: &'static str,
+        span: u64,
+        parent: u64,
+        args: Args,
+        closes_query: bool,
+    ) -> (u64, Option<Tree>) {
+        // The wall timestamp must be taken *outside* the collector lock
+        // so contention does not skew durations; sequence numbers (the
+        // logical ticks) are assigned under the lock (that is what makes
+        // them a total order).
+        let wall_now = (clock == Clock::Wall).then(Instant::now);
+        let tid = wall_now.map_or(0, |_| thread_tid());
+        let query = QUERY.with(Cell::get);
+        let mut c = self.collector();
+        // A span gets its id even when the store refuses its Begin: its
+        // End still needs one.
+        let span = if phase == Phase::Begin {
+            c.last_span += 1;
+            c.last_span
+        } else {
+            span
+        };
+        if c.make_room() {
+            let seq = c.seq;
+            c.seq += 1;
+            let ts = match wall_now {
+                Some(now) => {
+                    let epoch = *c.epoch.get_or_insert(now);
+                    u64::try_from(now.duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
+                }
+                None => seq,
+            };
+            let event = TraceEvent {
+                name,
+                phase,
+                ts,
+                tid,
+                span,
+                parent,
+                query,
+                args,
+                seq,
+            };
+            c.retained += 1;
+            if query == u64::MAX {
+                c.loose.push_back(event);
+            } else {
+                c.running.entry(query).or_default().push(event);
+            }
+            crate::counter!("qens_trace_events_total").incr();
+        }
+        if !closes_query {
+            return (span, None);
+        }
+        let Some(events) = c.running.remove(&query) else {
+            return (span, None);
+        };
+        let tree = Tree(events.into());
+        c.finished.push_back(tree.clone());
+        (span, Some(tree))
+    }
+
+    /// Renders the store as a Chrome trace-event JSON document
+    /// (`{"traceEvents":[…],"displayTimeUnit":…,"otherData":{…}}`),
+    /// loadable in Perfetto / `chrome://tracing`. Pass `Some(query_id)`
+    /// to export one query's events only. The events are formatted after
+    /// the collector lock is released, so recording never waits on an
+    /// export.
+    ///
+    /// Key order, number formatting and event order are all fixed, so
+    /// two identical stores export byte-identically —
+    /// `results/trace.json` is exactly this, byte-diffed by
+    /// `crates/bench/tests/golden_telemetry.rs` and at two pool sizes by
+    /// `crates/bench/tests/repro_cli.rs`.
+    pub fn export_chrome(&self, query: Option<u64>) -> String {
+        // The clock tag in the export comes from the *current* mode; a
+        // store filled under two clocks is the caller's error.
+        let clock = self.mode().unwrap_or(Clock::Logical);
+        self.with_retained(query, |events, dropped| {
+            let mut out = String::with_capacity(256 + events.len() * 96);
+            out.push_str(r#"{"traceEvents":["#);
+            for (i, e) in events.into_iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('\n');
+                write_event(&mut out, e, clock);
+            }
+            out.push_str("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":");
+            write_str(&mut out, clock.name());
+            out.push_str(r#","dropped":"#);
+            write_u64(&mut out, dropped);
+            out.push_str("}}");
+            out
+        })
+    }
 }
 
 fn current_parent() -> u64 {
@@ -462,8 +495,10 @@ fn current_parent() -> u64 {
 }
 
 /// Trace name → the `_nanos` histogram a span of that name also fills
-/// while telemetry is on. Spans of any other name only trace.
-const SERIES: [(&str, &str); 10] = [
+/// while telemetry is on. Spans of any other name only trace. The
+/// histograms hold the first histogram slots of every registry, in this
+/// order.
+pub(crate) const SERIES: [(&str, &str); 10] = [
     ("cluster.kmeans", "qens_cluster_kmeans_fit_nanos"),
     ("cluster.kmeans.assign", "qens_cluster_kmeans_assign_nanos"),
     ("cluster.kmeans.update", "qens_cluster_kmeans_update_nanos"),
@@ -476,73 +511,81 @@ const SERIES: [(&str, &str); 10] = [
     ("selection.select", "qens_selection_select_nanos"),
 ];
 
-/// The histogram [`SERIES`] maps `name` to, looked up in the registry
-/// once per table slot.
-fn series(name: &str) -> Option<&'static Histogram> {
-    static SLOTS: [OnceLock<Arc<Histogram>>; SERIES.len()] =
-        [const { OnceLock::new() }; SERIES.len()];
-    let slot = SERIES.iter().position(|&(span, _)| span == name)?;
-    Some(SLOTS[slot].get_or_init(|| crate::global().histogram(SERIES[slot].1)))
-}
-
 /// RAII timing guard with two sinks: a trace `Begin` on creation and
 /// the matching `End` on drop while tracing records its site, and the
 /// elapsed nanoseconds into the `_nanos` histogram its name maps to while
-/// telemetry is on. With both off it is inert: no clock read, no
+/// telemetry is on. Both go to the handle current when the span opened,
+/// and only while it is still current when the span ends. With no
+/// handle entered, or both switches off, it is inert: no clock read, no
 /// registry access, nothing on drop.
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
     id: u64,
+    /// The stores the span opened in (an identity, checked on end).
+    stores: *const Stores,
     clock: Option<Clock>,
     /// Clear the thread's query on drop (root query spans only).
     owns_query: bool,
-    timer: Option<(&'static Histogram, Instant)>,
+    /// The [`SERIES`] slot and the start instant.
+    timer: Option<(usize, Instant)>,
 }
 
 impl Span {
-    /// Opens a span: with telemetry and tracing both off, an inlined
-    /// check of the two switches and an inert guard; otherwise the
+    fn inert(name: &'static str) -> Self {
+        Self {
+            name,
+            id: 0,
+            stores: std::ptr::null(),
+            clock: None,
+            owns_query: false,
+            timer: None,
+        }
+    }
+
+    /// Opens a span: with no handle entered or its telemetry and tracing
+    /// both off, an inlined check and an inert guard; otherwise the
     /// out-of-line [`Span::begin_recording`].
     #[inline]
     fn begin(name: &'static str, args: &[(&'static str, u64)], wall_only: bool) -> Self {
-        if !crate::enabled() && mode().is_none() {
-            return Self {
-                name,
-                id: 0,
-                clock: None,
-                owns_query: false,
-                timer: None,
-            };
+        match crate::with_current(|t| t.enabled() || t.trace.mode().is_some()) {
+            Some(true) => Self::begin_recording(name, args, wall_only),
+            _ => Self::inert(name),
         }
-        Self::begin_recording(name, args, wall_only)
     }
 
     fn begin_recording(name: &'static str, args: &[(&'static str, u64)], wall_only: bool) -> Self {
-        let timer = if crate::enabled() { series(name) } else { None };
-        let mut span = Self {
-            name,
-            id: 0,
-            clock: None,
-            owns_query: false,
-            timer: timer.map(|hist| (hist, Instant::now())),
-        };
-        let Some(clock) = mode().filter(|&c| !(wall_only && c == Clock::Logical)) else {
-            return span;
-        };
-        (span.id, _) = record(
-            clock,
-            Phase::Begin,
-            name,
-            0,
-            current_parent(),
-            Args::from_slice(args),
-            false,
-        );
-        SPAN_STACK.with(|s| s.borrow_mut().push(span.id));
-        crate::counter!("qens_trace_spans_total").incr();
-        span.clock = Some(clock);
-        span
+        crate::with_current(|t| {
+            let slot = t
+                .enabled()
+                .then(|| SERIES.iter().position(|&(s, _)| s == name));
+            let mut span = Self {
+                stores: t,
+                timer: slot.flatten().map(|slot| (slot, Instant::now())),
+                ..Self::inert(name)
+            };
+            let Some(clock) = t
+                .trace
+                .mode()
+                .filter(|&c| !(wall_only && c == Clock::Logical))
+            else {
+                return span;
+            };
+            (span.id, _) = t.trace.record(
+                clock,
+                Phase::Begin,
+                name,
+                0,
+                current_parent(),
+                Args::from_slice(args),
+                false,
+            );
+            SPAN_STACK.with(|s| s.borrow_mut().push(span.id));
+            crate::counter!("qens_trace_spans_total").incr();
+            span.clock = Some(clock);
+            span
+        })
+        .unwrap_or_else(|| Self::inert(name))
     }
 
     /// Whether this span will record anything on drop.
@@ -560,33 +603,42 @@ impl Span {
     /// sample, then its trace `End`. A root query span also closes its
     /// query and returns the query's finished tree.
     pub(crate) fn end(&mut self) -> Option<Tree> {
-        if let Some((hist, start)) = self.timer.take() {
-            hist.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        let (timer, clock) = (self.timer.take(), self.clock.take());
+        if clock.is_some() {
+            SPAN_STACK.with(|s| {
+                let mut stack = s.borrow_mut();
+                // Scope discipline means our id is on top; be robust to
+                // out-of-order drops anyway (retain everything else).
+                if stack.last() == Some(&self.id) {
+                    stack.pop();
+                } else {
+                    stack.retain(|&x| x != self.id);
+                }
+            });
         }
-        let clock = self.clock.take()?;
-        SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            // Scope discipline means our id is on top; be robust to
-            // out-of-order drops anyway (retain everything else).
-            if stack.last() == Some(&self.id) {
-                stack.pop();
-            } else {
-                stack.retain(|&x| x != self.id);
+        let tree = crate::with_current(|t| {
+            if !std::ptr::eq(t, self.stores) {
+                return None;
             }
+            if let Some((slot, start)) = timer {
+                let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                t.registry.histogram_at(slot).record(nanos);
+            }
+            let (_, tree) = t.trace.record(
+                clock?,
+                Phase::End,
+                self.name,
+                self.id,
+                current_parent(),
+                Args::default(),
+                self.owns_query,
+            );
+            tree
         });
-        let (_, tree) = record(
-            clock,
-            Phase::End,
-            self.name,
-            self.id,
-            current_parent(),
-            Args::default(),
-            self.owns_query,
-        );
         if self.owns_query {
             QUERY.with(|q| q.set(u64::MAX));
         }
-        tree
+        tree.flatten()
     }
 }
 
@@ -624,7 +676,7 @@ pub(crate) fn query_span(query_id: u64) -> Span {
     // Stamp the query id *before* the Begin event records, so the root
     // "query" span is itself attributed to its query — the finished
     // tree would otherwise miss its root Begin and be unbalanced.
-    if mode().is_some() {
+    if crate::with_current(|t| t.trace.mode().is_some()) == Some(true) {
         QUERY.with(|q| q.set(query_id));
     }
     let mut s = span("query", &[("query", query_id)]);
@@ -671,19 +723,21 @@ impl Drop for TaskScope {
 }
 
 /// Records a point event from a **deterministic** call site (recorded
-/// in both modes).
+/// in both modes) into the current handle's store.
 #[inline]
 pub fn instant(name: &'static str, args: &[(&'static str, u64)]) {
-    let Some(clock) = mode() else { return };
-    record(
-        clock,
-        Phase::Instant,
-        name,
-        0,
-        current_parent(),
-        Args::from_slice(args),
-        false,
-    );
+    crate::with_current(|t| {
+        let Some(clock) = t.trace.mode() else { return };
+        t.trace.record(
+            clock,
+            Phase::Instant,
+            name,
+            0,
+            current_parent(),
+            Args::from_slice(args),
+            false,
+        );
+    });
 }
 
 fn write_event(out: &mut String, e: &TraceEvent, clock: Clock) {
@@ -723,40 +777,6 @@ fn write_event(out: &mut String, e: &TraceEvent, clock: Clock) {
         write_u64(out, v);
     }
     out.push_str("}}");
-}
-
-/// Renders the store as a Chrome trace-event JSON document
-/// (`{"traceEvents":[…],"displayTimeUnit":…,"otherData":{…}}`),
-/// loadable in Perfetto / `chrome://tracing`. Pass `Some(query_id)` to
-/// export one query's events only. The events are formatted after the
-/// collector lock is released, so recording never waits on an export.
-///
-/// Key order, number formatting and event order are all fixed, so two
-/// identical stores export byte-identically — `results/trace.json` is
-/// exactly this, byte-diffed by `crates/bench/tests/golden_telemetry.rs`
-/// and at two pool sizes by `crates/bench/tests/repro_cli.rs`.
-pub fn export_chrome(query: Option<u64>) -> String {
-    // The clock tag in the export comes from the *current* mode; a
-    // mixed store (mode switched mid-run without clear()) is the
-    // caller's error.
-    let clock = mode().unwrap_or(Clock::Logical);
-    with_retained(query, |events, dropped| {
-        let mut out = String::with_capacity(256 + events.len() * 96);
-        out.push_str(r#"{"traceEvents":["#);
-        for (i, e) in events.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            write_event(&mut out, e, clock);
-        }
-        out.push_str("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":");
-        write_str(&mut out, clock.name());
-        out.push_str(r#","dropped":"#);
-        write_u64(&mut out, dropped);
-        out.push_str("}}");
-        out
-    })
 }
 
 /// Structural validation of an event stream: every `Begin` has
@@ -823,45 +843,53 @@ pub fn validate_structure(events: &[TraceEvent]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
 
-    /// Trace tests share the process-global collector and mode flag, so
-    /// they serialise on the crate test lock like the enablement tests.
-    fn locked(clock: Option<Clock>) -> std::sync::MutexGuard<'static, ()> {
-        let g = crate::test_lock();
-        set_mode(clock);
-        clear();
-        g
+    /// A fresh handle tracing on `clock`.
+    fn traced(clock: Option<Clock>) -> Telemetry {
+        let tele = Telemetry::new();
+        tele.trace().set_mode(clock);
+        tele
     }
 
     #[test]
     fn disabled_trace_is_inert() {
-        let _g = locked(None);
-        let s = span("qens.test.off", &[]);
-        assert!(!s.is_recording());
-        assert_eq!(s.id, 0);
-        drop(s);
+        let tele = traced(None);
+        tele.enter(|| {
+            let s = span("qens.test.off", &[]);
+            assert!(!s.is_recording());
+            assert_eq!(s.id, 0);
+            drop(s);
+            instant("qens.test.off.instant", &[("x", 1)]);
+        });
+        // With no handle entered, an open handle records nothing either.
+        let on = traced(Some(Clock::Logical));
         instant("qens.test.off.instant", &[("x", 1)]);
-        assert_eq!(events_len(), 0);
-        assert_eq!(dropped(), 0);
+        drop(span("qens.test.off", &[]));
+        for t in [&tele, &on] {
+            assert_eq!(t.trace().events_len(), 0);
+            assert_eq!(t.trace().dropped(), 0);
+        }
     }
 
     #[test]
     fn logical_mode_skips_wall_only_sites() {
-        let _g = locked(Some(Clock::Logical));
-        let a = span("a", &[]);
-        let w = wall_span("w", &[]);
-        assert!(a.is_recording());
-        assert!(!w.is_recording());
-        drop(w);
-        drop(a);
-        let events = snapshot_events();
+        let tele = traced(Some(Clock::Logical));
+        tele.enter(|| {
+            let a = span("a", &[]);
+            let w = wall_span("w", &[]);
+            assert!(a.is_recording());
+            assert!(!w.is_recording());
+            drop(w);
+            drop(a);
+        });
+        let events = tele.trace().snapshot_events();
         assert_eq!(events.len(), 2); // a begin + a end only
         assert!(events.iter().all(|e| e.name == "a"));
         // Logical ticks are 0, 1, ... and tid is forced to 0.
         assert_eq!(events[0].ts, 0);
         assert_eq!(events[1].ts, 1);
         assert!(events.iter().all(|e| e.tid == 0));
-        set_mode(None);
     }
 
     /// Every switch setting × both constructors × a mapped and an
@@ -871,15 +899,7 @@ mod tests {
     /// off, and with both off the guard holds no timestamp.
     #[test]
     fn one_guard_feeds_the_trace_and_the_histogram() {
-        let _g = crate::test_lock();
         let (mapped, series_name) = SERIES[0];
-        let series = || {
-            crate::global()
-                .snapshot()
-                .histogram(series_name)
-                .map(|h| h.count)
-        };
-        // Telemetry off first, so the series is still unregistered.
         for telemetry in [false, true] {
             for clock in [None, Some(Clock::Wall), Some(Clock::Logical)] {
                 for wall_only in [false, true] {
@@ -887,44 +907,43 @@ mod tests {
                         let case = format!(
                             "telemetry {telemetry}, clock {clock:?}, wall_only {wall_only}, {name}"
                         );
-                        crate::set_enabled(telemetry);
-                        set_mode(clock);
-                        clear();
-                        let before = series().unwrap_or(0);
-                        let guard = if wall_only {
-                            wall_span(name, &[])
-                        } else {
-                            span(name, &[])
-                        };
+                        let tele = traced(clock);
+                        tele.set_enabled(telemetry);
+                        let guard = tele.enter(|| {
+                            if wall_only {
+                                wall_span(name, &[])
+                            } else {
+                                span(name, &[])
+                            }
+                        });
                         let traced = clock.is_some_and(|c| !(wall_only && c == Clock::Logical));
                         let timed = telemetry && name == mapped;
                         assert_eq!(guard.clock.is_some(), traced, "{case}");
                         assert_eq!(guard.timer.is_some(), timed, "{case}");
-                        drop(guard);
-                        assert_eq!(events_len(), if traced { 2 } else { 0 }, "{case}");
-                        let after = series();
-                        assert_eq!(after.is_some(), telemetry, "{case}");
-                        assert_eq!(after.unwrap_or(0) - before, u64::from(timed), "{case}");
+                        tele.enter(|| drop(guard));
+                        let events = tele.trace().events_len();
+                        assert_eq!(events, if traced { 2 } else { 0 }, "{case}");
+                        let samples = tele.snapshot().histogram(series_name).map(|h| h.count);
+                        assert_eq!(samples, timed.then_some(1), "{case}");
                     }
                 }
             }
         }
-        crate::set_enabled(false);
-        set_mode(None);
     }
 
     #[test]
     fn spans_nest_and_instants_inherit_the_parent() {
-        let _g = locked(Some(Clock::Logical));
-        let root = span("root", &[]);
-        let root_id = root.id;
-        {
-            let child = span("child", &[("k", 7)]);
-            assert_ne!(child.id, root_id);
-            instant("point", &[("v", 3)]);
-        }
-        drop(root);
-        let events = snapshot_events();
+        let tele = traced(Some(Clock::Logical));
+        let root_id = tele.enter(|| {
+            let root = span("root", &[]);
+            {
+                let child = span("child", &[("k", 7)]);
+                assert_ne!(child.id, root.id);
+                instant("point", &[("v", 3)]);
+            }
+            root.id
+        });
+        let events = tele.trace().snapshot_events();
         assert_eq!(events.len(), 5);
         let child_begin = &events[1];
         assert_eq!(child_begin.parent, root_id);
@@ -933,36 +952,36 @@ mod tests {
         assert_eq!(point.phase, Phase::Instant);
         assert_eq!(point.parent, child_begin.span);
         validate_structure(&events).expect("nested spans are structurally valid");
-        set_mode(None);
     }
 
     #[test]
     fn query_span_stamps_children_until_dropped() {
-        let _g = locked(Some(Clock::Logical));
-        {
-            let _q = query_span(42);
-            instant("inside", &[]);
-        }
-        instant("outside", &[]);
-        let events = snapshot_events();
+        let tele = traced(Some(Clock::Logical));
+        tele.enter(|| {
+            {
+                let _q = query_span(42);
+                instant("inside", &[]);
+            }
+            instant("outside", &[]);
+        });
+        let events = tele.trace().snapshot_events();
         let inside = events.iter().find(|e| e.name == "inside").unwrap();
         assert_eq!(inside.query, 42);
         let outside = events.iter().find(|e| e.name == "outside").unwrap();
         assert_eq!(outside.query, u64::MAX);
-        assert_eq!(query_ids(), vec![42]);
-        set_mode(None);
+        assert_eq!(tele.trace().query_ids(), vec![42]);
     }
 
     #[test]
     fn chrome_export_is_byte_stable_and_balanced() {
-        let _g = locked(Some(Clock::Logical));
-        {
+        let tele = traced(Some(Clock::Logical));
+        tele.enter(|| {
             let _q = query_span(9);
             let _s = span("work", &[("bytes", 128)]);
             instant("fault.dropout", &[("node", 2), ("round", 0)]);
-        }
-        let a = export_chrome(None);
-        let b = export_chrome(None);
+        });
+        let a = tele.trace().export_chrome(None);
+        let b = tele.trace().export_chrome(None);
         assert_eq!(a, b);
         assert!(a.contains(r#""name":"query""#));
         assert!(a.contains(r#""ph":"B""#) && a.contains(r#""ph":"E""#));
@@ -971,25 +990,23 @@ mod tests {
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
         // Query-filtered export keeps only query 9's events.
-        let filtered = export_chrome(Some(9));
+        let filtered = tele.trace().export_chrome(Some(9));
         assert!(filtered.contains(r#""name":"work""#));
-        let empty = export_chrome(Some(777));
+        let empty = tele.trace().export_chrome(Some(777));
         assert!(!empty.contains(r#""name":"work""#));
-        set_mode(None);
     }
 
     #[test]
     fn wall_mode_records_worker_sites_with_nanos() {
-        let _g = locked(Some(Clock::Wall));
-        {
+        let tele = traced(Some(Clock::Wall));
+        tele.enter(|| {
             let _s = wall_span("hot", &[]);
             std::hint::black_box(1 + 1);
-        }
-        let events = snapshot_events();
+        });
+        let events = tele.trace().snapshot_events();
         assert_eq!(events.len(), 2);
         assert!(events[1].ts >= events[0].ts, "wall time is monotone");
         validate_structure(&events).unwrap();
-        set_mode(None);
     }
 
     /// More than [`MAX_TRACE_EVENTS`] events' worth of wall-traced
@@ -999,28 +1016,27 @@ mod tests {
     #[test]
     fn a_full_store_evicts_whole_old_queries_and_keeps_the_newest() {
         const PER_QUERY: usize = 1024;
-        let _g = locked(Some(Clock::Wall));
-        crate::profile::reset();
+        let tele = traced(Some(Clock::Wall));
         let queries = (MAX_TRACE_EVENTS / PER_QUERY + 8) as u64;
         let last = queries - 1;
-        for id in 0..queries {
-            let _q = crate::profile::QueryObserver::begin(id);
-            for _ in 0..(PER_QUERY - 2) / 2 {
-                drop(wall_span("work", &[]));
+        tele.enter(|| {
+            for id in 0..queries {
+                let _q = crate::profile::QueryObserver::begin(id);
+                for _ in 0..(PER_QUERY - 2) / 2 {
+                    drop(wall_span("work", &[]));
+                }
+                if id == last {
+                    std::thread::sleep(std::time::Duration::from_millis(200));
+                }
             }
-            if id == last {
-                std::thread::sleep(std::time::Duration::from_millis(200));
-            }
-        }
-        let slowest = crate::profile::slowest();
-        let tree = snapshot_query(last);
-        let export = export_chrome(Some(last));
-        let ids = query_ids();
-        let trees: Vec<Vec<TraceEvent>> = ids.iter().map(|&id| snapshot_query(id)).collect();
-        let (retained, dropped) = (events_len(), dropped());
-        set_mode(None);
-        clear();
-        crate::profile::reset();
+        });
+        let store = tele.trace();
+        let slowest = tele.profile().slowest();
+        let tree = store.snapshot_query(last);
+        let export = store.export_chrome(Some(last));
+        let ids = store.query_ids();
+        let trees: Vec<Vec<TraceEvent>> = ids.iter().map(|&id| store.snapshot_query(id)).collect();
+        let (retained, dropped) = (store.events_len(), store.dropped());
 
         let recorded = slowest.iter().find(|e| e.query_id == last);
         let recorded = recorded.expect("the slowest query reaches the flight recorder");
@@ -1041,36 +1057,40 @@ mod tests {
         assert_eq!(dropped, (queries as usize * PER_QUERY - retained) as u64);
     }
 
-    /// Regression: `clear()` used to restart thread ids at 0 while
+    /// Regression: a fresh store used to restart thread ids at 0 while
     /// long-lived threads (pool workers) kept theirs, so the first new
-    /// thread to record after a clear shared a track with an old one
-    /// and interleaved spans failed the stack check.
+    /// thread to record into it shared a track with an old one and
+    /// interleaved spans failed the stack check. Ids are process-wide.
     #[test]
     fn clear_never_hands_a_live_threads_id_out_again() {
-        let _g = locked(Some(Clock::Wall));
+        let (old, fresh) = (traced(Some(Clock::Wall)), traced(Some(Clock::Wall)));
         let (to_worker, from_main) = std::sync::mpsc::channel::<()>();
         let (to_main, from_worker) = std::sync::mpsc::channel::<()>();
-        let worker = std::thread::spawn(move || {
-            drop(wall_span("before.clear", &[])); // takes an id
-            to_main.send(()).unwrap();
-            from_main.recv().unwrap();
-            let _outer = wall_span("worker.outer", &[]);
-            to_main.send(()).unwrap();
-            from_main.recv().unwrap();
-        });
+        let worker = {
+            let (old, fresh) = (old.clone(), fresh.clone());
+            std::thread::spawn(move || {
+                old.enter(|| drop(wall_span("before.fresh", &[]))); // takes an id
+                to_main.send(()).unwrap();
+                from_main.recv().unwrap();
+                fresh.enter(|| {
+                    let _outer = wall_span("worker.outer", &[]);
+                    to_main.send(()).unwrap();
+                    from_main.recv().unwrap();
+                });
+            })
+        };
         from_worker.recv().unwrap();
-        clear();
         to_worker.send(()).unwrap();
         from_worker.recv().unwrap();
         // Opened while the worker's span is open, on a thread (a fresh
         // one, spawned here) that has no id yet.
-        std::thread::spawn(|| drop(wall_span("fresh.inner", &[])))
+        let inner = fresh.clone();
+        std::thread::spawn(move || inner.enter(|| drop(wall_span("fresh.inner", &[]))))
             .join()
             .unwrap();
         to_worker.send(()).unwrap();
         worker.join().unwrap();
-        let events = snapshot_events();
-        set_mode(None);
+        let events = fresh.trace().snapshot_events();
         validate_structure(&events).expect("two threads, two tracks");
         let tid_of = |name| events.iter().find(|e| e.name == name).unwrap().tid;
         assert_ne!(tid_of("worker.outer"), tid_of("fresh.inner"));

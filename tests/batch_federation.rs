@@ -10,15 +10,6 @@
 //! * a batch is timed query by query, as that many `run_query` calls.
 
 use qens::prelude::*;
-use qens::telemetry;
-
-/// Serialises the tests that run queries: one switches the
-/// process-global telemetry on and counts exact histogram samples,
-/// which a sibling's queries would leak into.
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn builder(seed: u64) -> FederationBuilder {
     FederationBuilder::new()
@@ -44,7 +35,6 @@ fn bucketed_queries(fed: &Federation) -> Vec<Query> {
 
 #[test]
 fn run_batch_is_bit_identical_to_run_query_for_a_workload() {
-    let _g = lock();
     let policy = PolicyKind::query_driven(3);
     let fed = builder(21).build();
     let queries = bucketed_queries(&fed);
@@ -94,7 +84,6 @@ fn run_batch_is_bit_identical_to_run_query_for_a_workload() {
 
 #[test]
 fn batch_errors_are_per_slot() {
-    let _g = lock();
     let policy = PolicyKind::query_driven(3);
     let fed = builder(33).build();
     let queries = vec![
@@ -121,13 +110,10 @@ fn batch_errors_are_per_slot() {
 /// series is registered.
 #[test]
 fn a_batch_is_timed_query_by_query() {
-    let _g = lock();
     let fed = builder(21).telemetry(true).build();
-    telemetry::global().reset();
     let queries = bucketed_queries(&fed);
     let outcomes = fed.run_batch(&queries, &PolicyKind::query_driven(3));
-    let snap = telemetry::global().snapshot();
-    telemetry::set_enabled(false);
+    let snap = fed.telemetry().snapshot();
     assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
     let samples = snap
         .histogram("qens_fedlearn_run_query_nanos")

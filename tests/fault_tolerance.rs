@@ -13,15 +13,6 @@
 //!   strength under dropout where a tail-less policy collapses.
 
 use qens::prelude::*;
-use qens::telemetry;
-
-/// One test here enables the process-global telemetry registry; every
-/// test therefore serialises on this lock so concurrent federation runs
-/// cannot bleed metrics into the telemetry assertions.
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn build(seed: u64, spec: Option<FaultSpec>, tolerance: FaultTolerance) -> Federation {
     let mut b = FederationBuilder::new()
@@ -44,7 +35,6 @@ fn probe_query(fed: &Federation) -> Query {
 
 #[test]
 fn fault_runs_are_identical_across_thread_counts() {
-    let _guard = lock();
     let spec = FaultSpec::unreliable_edge(11);
     let outcomes: Vec<_> = [1usize, 2, 4]
         .into_iter()
@@ -80,7 +70,6 @@ fn fault_runs_are_identical_across_thread_counts() {
 
 #[test]
 fn disabled_faults_match_a_fault_free_federation_bitwise() {
-    let _guard = lock();
     let plain = build(9, None, FaultTolerance::default());
     let inert = build(9, Some(FaultSpec::none()), FaultTolerance::default());
     let q = probe_query(&plain);
@@ -106,7 +95,6 @@ fn disabled_faults_match_a_fault_free_federation_bitwise() {
 
 #[test]
 fn quorum_loss_is_recorded_by_the_stream_not_fatal() {
-    let _guard = lock();
     // Certain dropout: every participant misses every round, and there
     // is no standby deep enough to save a full-strength quorum.
     let fed = build(
@@ -135,7 +123,6 @@ fn quorum_loss_is_recorded_by_the_stream_not_fatal() {
 
 #[test]
 fn standby_promotion_outlives_dropout_where_tail_less_selection_fails() {
-    let _guard = lock();
     let spec = FaultSpec::dropout(3, 0.4);
     let tolerance = FaultTolerance::full_strength();
     let fed = build(21, Some(spec), tolerance);
@@ -162,20 +149,17 @@ fn standby_promotion_outlives_dropout_where_tail_less_selection_fails() {
 
 #[test]
 fn fault_telemetry_counters_mirror_the_ledger() {
-    let _guard = lock();
-    telemetry::set_enabled(true);
-    telemetry::global().reset();
     let fed = build(
         7,
         Some(FaultSpec::unreliable_edge(19)),
         FaultTolerance::full_strength(),
     );
+    fed.telemetry().set_enabled(true);
     let q = probe_query(&fed);
     let out = fed
         .run_query(&q, &PolicyKind::query_driven(3))
         .expect("faulty round completes");
-    let snap = telemetry::global().snapshot();
-    telemetry::set_enabled(false);
+    let snap = fed.telemetry().snapshot();
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     assert!(
         snap.counters

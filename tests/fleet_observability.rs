@@ -13,20 +13,12 @@
 //! * a disabled fleet (`FederationBuilder::fleet(false)`)
 //!   must record nothing and leave query results bitwise unchanged.
 //!
-//! The registry and journal are process-global, so every test
-//! serialises on one lock and resets both first.
+//! Each stream runs on a federation of its own and reads that
+//! federation's telemetry handle.
 
 use qens::prelude::*;
-use qens::telemetry::fleet;
-use qens::telemetry::journal;
 use qens::telemetry::trace::Clock;
 use qens::workload::{WorkloadConfig, WorkloadKind};
-
-/// Serialises tests that flip the process-global fleet state.
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 const N_QUERIES: usize = 200;
 
@@ -46,34 +38,31 @@ fn build_fed(threads: usize, dropout: Option<(f64, FaultTolerance)>, fleet_on: b
     b.build()
 }
 
-/// Runs one 200-query stream and returns the deterministic fleet JSON,
-/// the full logical-clock journal export, and the stream result.
+/// Runs one 200-query stream on a fresh federation with the fleet layer
+/// on (a journal of 2^14 entries, so none is overwritten) and returns
+/// the deterministic fleet JSON, the full logical-clock journal export,
+/// the stream result and the federation.
 fn run_fleet_stream(
     threads: usize,
     kind: WorkloadKind,
     dropout: Option<(f64, FaultTolerance)>,
     halfwidth_frac: (f64, f64),
-) -> (String, String, qens::fedlearn::StreamResult) {
-    fleet::reset();
-    journal::clear();
+) -> (String, String, qens::fedlearn::StreamResult, Federation) {
     let fed = build_fed(threads, dropout, true);
+    fed.telemetry().journal().set_capacity(1 << 14);
     let wl = fed.workload(&WorkloadConfig {
         n_queries: N_QUERIES,
         kind,
         halfwidth_frac,
         ..WorkloadConfig::paper_default(77)
     });
-    let policy = PolicyKind::query_driven(3);
-    let stream = qens::fedlearn::run_stream(
-        fed.network(),
-        &wl,
-        fed.build_policy(&policy).as_ref(),
-        fed.config(),
-    );
+    let stream = fed.run_workload(&wl, &PolicyKind::query_driven(3));
+    let tele = fed.telemetry();
     (
-        fleet::to_json(),
-        journal::to_jsonl(Clock::Logical, None),
+        tele.fleet().to_json(),
+        tele.journal().to_jsonl(Clock::Logical, None),
         stream,
+        fed.clone(),
     )
 }
 
@@ -91,21 +80,13 @@ fn workloads() -> [WorkloadKind; 3] {
     ]
 }
 
-fn cleanup() {
-    fleet::set_enabled(false);
-    fleet::reset();
-    journal::clear();
-}
-
 #[test]
 fn scorecards_and_journal_are_byte_identical_across_threads() {
-    let _g = lock();
-    journal::set_capacity(1 << 14);
     for kind in workloads() {
         // A hostile plan on every stream: dropout, retries, standby
         // promotion and the occasional quorum loss must all replay
         // identically regardless of the worker count.
-        let (base_fleet, base_journal, _) = run_fleet_stream(
+        let (base_fleet, base_journal, ..) = run_fleet_stream(
             1,
             kind.clone(),
             Some((0.2, FaultTolerance::full_strength())),
@@ -118,7 +99,7 @@ fn scorecards_and_journal_are_byte_identical_across_threads() {
         );
         assert!(!base_journal.contains("wall_nanos"));
         for threads in [2usize, 4] {
-            let (f, j, _) = run_fleet_stream(
+            let (f, j, ..) = run_fleet_stream(
                 threads,
                 kind.clone(),
                 Some((0.2, FaultTolerance::full_strength())),
@@ -134,7 +115,6 @@ fn scorecards_and_journal_are_byte_identical_across_threads() {
             );
         }
     }
-    cleanup();
 }
 
 /// Counts journal events of `kind` attributed to each node.
@@ -159,15 +139,13 @@ fn events_per_node(journal_doc: &str, kind: &str) -> std::collections::BTreeMap<
 
 #[test]
 fn faulted_run_attributes_drops_and_promotions_to_the_right_nodes() {
-    let _g = lock();
-    journal::set_capacity(1 << 14);
-    let (fleet_doc, journal_doc, _) = run_fleet_stream(
+    let (fleet_doc, journal_doc, _, fed) = run_fleet_stream(
         1,
         WorkloadKind::Uniform,
         Some((0.2, FaultTolerance::full_strength())),
         (0.05, 0.30),
     );
-    let cards = fleet::snapshot();
+    let cards = fed.telemetry().fleet().snapshot();
     let dropped_events = events_per_node(&journal_doc, "node_dropped");
     let promoted_events = events_per_node(&journal_doc, "standby_promoted");
     assert!(
@@ -198,19 +176,16 @@ fn faulted_run_attributes_drops_and_promotions_to_the_right_nodes() {
         );
     }
     assert!(fleet_doc.contains("\"fleet_size\":6"));
-    cleanup();
 }
 
 #[test]
 fn registry_totals_agree_with_the_accounting_ledger() {
-    let _g = lock();
-    journal::set_capacity(1 << 14);
     // The ledger only rows *completed* queries, while the registry (by
     // design) counts all activity — including rounds of queries that
     // later lost quorum. The journal attributes every event to its
     // query, so failed-query activity can be subtracted exactly and the
     // remainder must match the ledger to the unit.
-    let (_, journal_doc, stream) = run_fleet_stream(
+    let (_, journal_doc, stream, fed) = run_fleet_stream(
         1,
         WorkloadKind::Uniform,
         Some((0.2, FaultTolerance::full_strength())),
@@ -240,7 +215,7 @@ fn registry_totals_agree_with_the_accounting_ledger() {
             })
             .count() as u64
     };
-    let cards = fleet::snapshot();
+    let cards = fed.telemetry().fleet().snapshot();
     let fleet_totals = (
         cards.iter().map(|c| c.retried).sum::<u64>(),
         cards.iter().map(|c| c.dropped).sum::<u64>() - in_failed("node_dropped"),
@@ -265,39 +240,35 @@ fn registry_totals_agree_with_the_accounting_ledger() {
         fleet_totals.1 > 0 && fleet_totals.2 > 0,
         "the plan must exercise the fault counters: {fleet_totals:?}"
     );
-    assert_eq!(fleet::queries(), N_QUERIES as u64);
-    cleanup();
+    assert_eq!(fed.telemetry().fleet().queries(), N_QUERIES as u64);
 }
 
 #[test]
 fn disabled_fleet_is_inert_and_leaves_results_bitwise_unchanged() {
-    let _g = lock();
     // Enabled run first.
-    let (_, _, enabled) = run_fleet_stream(
+    let (_, _, enabled, _) = run_fleet_stream(
         1,
         WorkloadKind::Uniform,
         Some((0.2, FaultTolerance::full_strength())),
         (0.05, 0.30),
     );
     // Disabled run: same federation, fleet(false).
-    fleet::reset();
-    journal::clear();
     let fed = build_fed(1, Some((0.2, FaultTolerance::full_strength())), false);
-    assert!(!fleet::enabled(), "fleet(false) must disable the registry");
+    let tele = fed.telemetry();
+    assert!(
+        !tele.fleet().enabled(),
+        "fleet(false) must disable the registry"
+    );
     let wl = fed.workload(&WorkloadConfig {
         n_queries: N_QUERIES,
         kind: WorkloadKind::Uniform,
         ..WorkloadConfig::paper_default(77)
     });
-    let policy = PolicyKind::query_driven(3);
-    let disabled = qens::fedlearn::run_stream(
-        fed.network(),
-        &wl,
-        fed.build_policy(&policy).as_ref(),
-        fed.config(),
-    );
+    let disabled = fed.run_workload(&wl, &PolicyKind::query_driven(3));
     assert!(
-        fleet::snapshot().is_empty() && fleet::queries() == 0 && journal::len() == 0,
+        tele.fleet().snapshot().is_empty()
+            && tele.fleet().queries() == 0
+            && tele.journal().is_empty(),
         "a disabled fleet must record nothing"
     );
     // Observability must never perturb the computation: identical
@@ -312,5 +283,4 @@ fn disabled_fleet_is_inert_and_leaves_results_bitwise_unchanged() {
             a.query_id
         );
     }
-    cleanup();
 }

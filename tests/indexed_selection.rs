@@ -18,15 +18,14 @@ use qens::selection::{
     reference, GridConfig, Participant, Ranked, RankingRule, SelectionCap, SelectionPolicy,
     RESERVE_PER_SLOT,
 };
-use qens::telemetry;
+use qens::telemetry::{self, Telemetry};
 use qens::workload::generate;
 
-/// Serialises the tests of this binary: three of them switch the
-/// process-global telemetry on and one compares exact counter deltas,
-/// which a sibling's selections would leak into.
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+/// A fresh handle with metric recording on.
+fn recording() -> Telemetry {
+    let tele = Telemetry::new();
+    tele.set_enabled(true);
+    tele
 }
 
 fn network(seed: u64) -> EdgeNetwork {
@@ -101,7 +100,6 @@ fn assert_oracle(net: &EdgeNetwork, policies: &[&QueryDriven], queries: &[Query]
 /// another.
 #[test]
 fn indexed_selections_are_bitwise_identical_across_threads_and_workloads() {
-    let _g = lock();
     let net = network(4);
     let space = net.global_space();
     let drifting = WorkloadKind::Drifting {
@@ -138,7 +136,6 @@ fn indexed_selections_are_bitwise_identical_across_threads_and_workloads() {
 /// bit-identically to the reference.
 #[test]
 fn cache_and_index_compose_exactly() {
-    let _g = lock();
     let net = network(4);
     let space = net.global_space();
     let wl = workload_of(
@@ -181,7 +178,6 @@ fn cache_and_index_compose_exactly() {
 /// and after must still match the reference bitwise.
 #[test]
 fn churn_patches_the_index_and_joins_rebuild_it() {
-    let _g = lock();
     let mut net = network(9);
     let plain = QueryDriven::top_l(3);
     let indexed = plain.clone().indexed(GridConfig::default());
@@ -227,7 +223,6 @@ fn churn_patches_the_index_and_joins_rebuild_it() {
 /// cohort on every query.
 #[test]
 fn fault_plan_is_index_transparent() {
-    let _g = lock();
     let build = |index: bool| {
         FederationBuilder::new()
             .heterogeneous_nodes(5, 60)
@@ -245,11 +240,10 @@ fn fault_plan_is_index_transparent() {
     let wl = scan_fed.paper_workload(21);
     // Only the indexed federation's policy builds an index.
     let rebuilds = |fed: &Federation| {
-        telemetry::set_enabled(true);
-        telemetry::global().reset();
+        fed.telemetry().set_enabled(true);
         fed.run_query(&wl.queries[0], &policy).expect("round runs");
-        let snap = telemetry::global().snapshot();
-        telemetry::set_enabled(false);
+        fed.telemetry().set_enabled(false);
+        let snap = fed.telemetry().snapshot();
         snap.counter("qens_index_rebuilds_total").unwrap_or(0)
     };
     assert_eq!((rebuilds(&scan_fed), rebuilds(&indexed_fed)), (0, 1));
@@ -287,18 +281,18 @@ fn fault_plan_is_index_transparent() {
 /// counter, all format-conformant.
 #[test]
 fn prometheus_export_covers_index_series() {
-    let _g = lock();
     let mut net = network(11);
-    telemetry::set_enabled(true);
+    let tele = recording();
     let indexed = QueryDriven::top_l(3).indexed(GridConfig::default());
     let q0 = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 30.0]);
     let q1 = Query::from_boundary_vec(1, &[0.5, 15.5, 0.0, 30.0]);
-    indexed.select(&SelectionContext::new(&net, &q0)); // build + probe
-    indexed.select(&SelectionContext::new(&net, &q1)); // probe
-    net.node_mut(NodeId(1)).quantize(4, 11);
-    indexed.select(&SelectionContext::new(&net, &q1)); // patch + probe
-    let text = telemetry::export::to_prometheus(&telemetry::global().snapshot());
-    telemetry::set_enabled(false);
+    tele.enter(|| {
+        indexed.select(&SelectionContext::new(&net, &q0)); // build + probe
+        indexed.select(&SelectionContext::new(&net, &q1)); // probe
+        net.node_mut(NodeId(1)).quantize(4, 11);
+        indexed.select(&SelectionContext::new(&net, &q1)); // patch + probe
+    });
+    let text = telemetry::export::to_prometheus(&tele.snapshot());
 
     for series in [
         "qens_index_rebuilds_total",
@@ -345,17 +339,18 @@ fn prometheus_export_covers_index_series() {
 /// Perfetto next to the selection spans.
 #[test]
 fn trace_records_index_instants() {
-    let _g = lock();
     let mut net = network(5);
-    telemetry::trace::set_mode(Some(telemetry::trace::Clock::Logical));
-    telemetry::trace::clear();
+    let tele = Telemetry::new();
+    tele.trace()
+        .set_mode(Some(telemetry::trace::Clock::Logical));
     let indexed = QueryDriven::top_l(3).indexed(GridConfig::default());
     let q = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 30.0]);
-    indexed.select(&SelectionContext::new(&net, &q));
-    net.node_mut(NodeId(0)).quantize(4, 5);
-    indexed.select(&SelectionContext::new(&net, &q));
-    let doc = telemetry::trace::export_chrome(None);
-    telemetry::trace::set_mode(None);
+    tele.enter(|| {
+        indexed.select(&SelectionContext::new(&net, &q));
+        net.node_mut(NodeId(0)).quantize(4, 5);
+        indexed.select(&SelectionContext::new(&net, &q));
+    });
+    let doc = tele.trace().export_chrome(None);
     assert!(
         doc.contains("selection.index_rebuild"),
         "trace must record the bulk build"
@@ -435,7 +430,6 @@ fn sliding_queries() -> Vec<Query> {
 /// the oracle's full ranking cut after `3ℓ` entries.
 #[test]
 fn promoted_standbys_match_the_oracles_entry() {
-    let _g = lock();
     let net = EdgeNetwork::from_nodes(filler_nodes(0, 160));
     let plain = QueryDriven::top_l(2);
     let index = plain.clone().indexed(SMALL_DOMAINS);
@@ -477,7 +471,6 @@ fn promoted_standbys_match_the_oracles_entry() {
 /// (the re-quantise) or rebuilt (the join).
 #[test]
 fn differing_and_changing_k_rebuilds_the_offsets() {
-    let _g = lock();
     let mut net = network(21);
     for i in 0..net.len() {
         net.node_mut(NodeId(i)).quantize(2 + i % 4, 21);
@@ -526,7 +519,6 @@ fn differing_and_changing_k_rebuilds_the_offsets() {
 /// degenerate intervals through unchanged.
 #[test]
 fn zero_width_cluster_rectangles_score_like_the_scan() {
-    let _g = lock();
     let mut nodes = vec![
         // A point, a vertical segment, a horizontal segment.
         summary_node(0, &[[50.0, 50.0, 60.0, 60.0]]),
@@ -562,7 +554,6 @@ fn zero_width_cluster_rectangles_score_like_the_scan() {
 /// `h_ik == ε` exactly supports the query (`>=`), on both sources.
 #[test]
 fn overlap_exactly_epsilon_supports_on_both_paths() {
-    let _g = lock();
     let mut nodes = vec![summary_node(0, &[[0.0, 10.0, 0.0, 10.0]])];
     nodes.extend(filler_nodes(1, 60));
     let net = EdgeNetwork::from_nodes(nodes);
@@ -602,7 +593,6 @@ fn overlap_exactly_epsilon_supports_on_both_paths() {
 /// higher one.
 #[test]
 fn equal_rankings_straddling_the_cut_break_by_node_id() {
-    let _g = lock();
     // Six nodes with the same two rectangles, spread through the id
     // space so the Morton order does not happen to be the id order.
     let twins = [3usize, 17, 18, 40, 77, 90];
@@ -651,7 +641,6 @@ fn equal_rankings_straddling_the_cut_break_by_node_id() {
 /// and none of its rectangles: a candidate, evaluated, not selected.
 #[test]
 fn query_in_the_gap_between_clusters_is_a_candidate_but_not_a_participant() {
-    let _g = lock();
     let net = EdgeNetwork::from_nodes(vec![
         summary_node(0, &[[0.0, 10.0, 0.0, 10.0], [90.0, 100.0, 90.0, 100.0]]),
         summary_node(1, &[[40.0, 50.0, 40.0, 50.0]]),
@@ -677,7 +666,6 @@ fn query_in_the_gap_between_clusters_is_a_candidate_but_not_a_participant() {
 /// node may carry wider ones and must get them back unchanged.
 #[test]
 fn cluster_ids_and_sizes_beyond_32_bits_survive_the_table() {
-    let _g = lock();
     let wide = |cluster_id: usize, size: usize, b: [f64; 4]| ClusterSummary {
         cluster_id,
         size,
@@ -735,7 +723,6 @@ fn cluster_ids_and_sizes_beyond_32_bits_survive_the_table() {
 /// are pinned below them.
 #[test]
 fn candidate_and_overlap_eval_counts_match_the_per_candidate_loop() {
-    let _g = lock();
     let net = EdgeNetwork::from_nodes(filler_nodes(0, 400));
     let queries = sliding_queries();
     let (mut hull_candidates, mut hull_evals) = (0u64, 0u64);
@@ -760,15 +747,13 @@ fn candidate_and_overlap_eval_counts_match_the_per_candidate_loop() {
         for threads in [1usize, 2, 4] {
             let pool = ThreadPool::new(threads);
             let indexed = QueryDriven::new(0.05, cap, RankingRule::PaperEq4).indexed(SMALL_DOMAINS);
-            telemetry::set_enabled(true);
-            telemetry::global().reset();
+            let tele = recording();
             for q in &queries {
                 let ctx = SelectionContext::new(&net, q);
-                let got = indexed.select_with_pool(&ctx, &pool);
+                let got = tele.enter(|| indexed.select_with_pool(&ctx, &pool));
                 assert_bitwise_eq(&oracle(&net, &indexed, q), &got, &format!("{cap:?}"));
             }
-            let snap = telemetry::global().snapshot();
-            telemetry::set_enabled(false);
+            let snap = tele.snapshot();
             let what = format!("{cap:?} at {threads} threads");
             let stats = indexed.index_stats();
             assert_eq!(stats.probes, queries.len() as u64);
@@ -804,7 +789,6 @@ const PINNED_TOP_3: (u64, u64) = (1324, 3664);
 /// it skips domains that cannot support the query or reach the cut.
 #[test]
 fn poisoned_clusters_are_counted_once_per_scored_cluster() {
-    let _g = lock();
     const HUGE: f64 = 1e308;
     // Every fourth node carries a poisoned cluster beside one that
     // supports the query, so poisoned nodes are selected and standby.
@@ -824,9 +808,8 @@ fn poisoned_clusters_are_counted_once_per_scored_cluster() {
     let net = EdgeNetwork::from_nodes(nodes);
     let q = Query::from_boundary_vec(0, &[-HUGE, HUGE, 40.0, 60.0]);
     let ctx = SelectionContext::new(&net, &q);
-    let nonfinite = || {
-        telemetry::global()
-            .snapshot()
+    let nonfinite = |tele: &Telemetry| {
+        tele.snapshot()
             .counter("qens_selection_nonfinite_scores_total")
             .unwrap_or(0)
     };
@@ -844,18 +827,18 @@ fn poisoned_clusters_are_counted_once_per_scored_cluster() {
         };
         assert!(poisoned_in(&want) > 0, "{cap:?}: poisoned nodes must rank");
 
-        telemetry::set_enabled(true);
-        telemetry::global().reset();
-        let scan = plain.select(&ctx);
-        let after_scan = nonfinite();
-        let index = indexed.select(&ctx);
-        let after_index = nonfinite();
-        for r in scan.standby.iter().chain(&index.standby) {
-            plain.promote(&ctx, r);
-            indexed.promote(&ctx, r);
-        }
-        let after_promote = nonfinite();
-        telemetry::set_enabled(false);
+        let tele = recording();
+        let scan = tele.enter(|| plain.select(&ctx));
+        let after_scan = nonfinite(&tele);
+        let index = tele.enter(|| indexed.select(&ctx));
+        let after_index = nonfinite(&tele);
+        tele.enter(|| {
+            for r in scan.standby.iter().chain(&index.standby) {
+                plain.promote(&ctx, r);
+                indexed.promote(&ctx, r);
+            }
+        });
+        let after_promote = nonfinite(&tele);
 
         assert_bitwise_eq(&want, &scan, &format!("{cap:?}: scan"));
         assert_bitwise_eq(&want, &index, &format!("{cap:?}: index"));

@@ -200,13 +200,10 @@ fn csv_round_trip_feeds_the_same_pipeline() {
 fn multi_feature_federation_runs_in_higher_dimensions() {
     use qens::airdata::Feature;
     // Predict O3 from (TEMP, WSPM, NO2): a 4-dimensional joint space.
+    let inputs = [Feature::Temp, Feature::Wspm, Feature::No2];
+    let nodes = scenario::realistic_nodes_multi(6, 24 * 20, 21, &inputs, Feature::O3);
     let fed = FederationBuilder::new()
-        .air_quality_multi(
-            6,
-            24 * 20,
-            vec![Feature::Temp, Feature::Wspm, Feature::No2],
-            Feature::O3,
-        )
+        .datasets(nodes.into_iter().map(|n| (n.name, n.dataset)).collect())
         .seed(21)
         .epochs(5)
         .build();

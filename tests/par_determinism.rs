@@ -25,16 +25,7 @@ use qens::linalg::Matrix;
 use qens::par::{self, ThreadPool};
 use qens::prelude::*;
 use qens::selection::{QueryDriven, SelectionContext};
-use qens::telemetry;
-
-/// Serialises every test that records into the process-global telemetry
-/// registry — not only the one that resets and reads it: a sibling's
-/// k-means fit or `run_query` landing between that test's `reset()` and
-/// `snapshot()` leaks counters into one of the two totals it compares.
-fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use qens::telemetry::Telemetry;
 
 fn blob_matrix(rows: usize, seed: u64) -> Matrix {
     let mut r = rng::rng_for(seed, 0xDE7);
@@ -68,7 +59,6 @@ fn pools() -> Vec<ThreadPool> {
 /// Layer 1: k-means fits are bit-identical for any worker count.
 #[test]
 fn kmeans_fits_are_bit_identical_across_pool_sizes() {
-    let _g = telemetry_lock();
     let data = blob_matrix(900, 5);
     let cfg = KMeansConfig::with_k(4, 17);
     let reference = KMeans::fit_with_pool(&data, &cfg, &ThreadPool::new(1));
@@ -97,7 +87,6 @@ fn kmeans_fits_are_bit_identical_across_pool_sizes() {
 /// and sort order) is identical for any worker count.
 #[test]
 fn selections_are_identical_across_pool_sizes() {
-    let _g = telemetry_lock();
     let f = fed(9);
     let bounds = f.network().global_space().to_boundary_vec();
     let q = Query::from_boundary_vec(3, &bounds);
@@ -130,7 +119,6 @@ fn selections_are_identical_across_pool_sizes() {
 /// train inline on a 1-thread pool or on 2 or 4 workers.
 #[test]
 fn full_rounds_are_bit_identical_across_thread_counts() {
-    let _g = telemetry_lock();
     let f = fed(27);
     let bounds = f.network().global_space().to_boundary_vec();
     let q = Query::from_boundary_vec(1, &bounds);
@@ -206,9 +194,6 @@ fn full_rounds_are_bit_identical_across_thread_counts() {
 /// queued task counts are scheduling detail, not domain state.
 #[test]
 fn domain_counter_totals_agree_across_pool_sizes() {
-    let _g = telemetry_lock();
-    telemetry::set_enabled(true);
-
     let f = fed(33);
     let bounds = f.network().global_space().to_boundary_vec();
     let q = Query::from_boundary_vec(6, &bounds);
@@ -216,13 +201,15 @@ fn domain_counter_totals_agree_across_pool_sizes() {
 
     let mut totals: Vec<Vec<(String, u64)>> = Vec::new();
     for threads in [1usize, 4] {
-        telemetry::global().reset();
+        let tele = Telemetry::new();
+        tele.set_enabled(true);
         let cfg = FederationConfig {
             threads: Some(threads),
             ..f.config().clone()
         };
-        run_query(f.network(), &q, &policy, &cfg).expect("query completes");
-        let snap = telemetry::global().snapshot();
+        tele.enter(|| run_query(f.network(), &q, &policy, &cfg))
+            .expect("query completes");
+        let snap = tele.snapshot();
         let mut domain: Vec<(String, u64)> = snap
             .counters
             .iter()
@@ -233,7 +220,6 @@ fn domain_counter_totals_agree_across_pool_sizes() {
         assert!(!domain.is_empty(), "telemetry recorded nothing");
         totals.push(domain);
     }
-    telemetry::set_enabled(false);
 
     assert_eq!(
         totals[0], totals[1],

@@ -13,20 +13,10 @@
 //!   `qens_uptime_seconds`, `qens_slo_*`) must conform to the text
 //!   exposition format.
 //!
-//! The trace collector, flight recorder, SLO tracker and metric
-//! registry are process-global, so every test serialises on one lock
-//! and clears the relevant state first.
+//! Each test reads the telemetry handle of the federation it built.
 
 use qens::prelude::*;
-use qens::telemetry;
-use qens::telemetry::profile;
-use qens::telemetry::trace;
-
-/// Serialises tests that flip the process-global telemetry state.
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use qens::telemetry::{self, profile, trace};
 
 /// Runs three queries on a fresh logical-clock trace and returns the
 /// aggregated profile artefacts plus the flight-recorder verdict.
@@ -40,8 +30,9 @@ fn profiled_run(threads: usize) -> (String, String, Vec<(u64, u64, usize)>) {
         .faults(FaultSpec::unreliable_edge(7).with_dropout(0.3))
         .fault_tolerance(FaultTolerance::full_strength())
         .build();
-    trace::clear();
-    profile::reset();
+    // Traced from here on: the build's events stay out of the profile.
+    let tele = fed.telemetry();
+    tele.trace().set_mode(Some(trace::Clock::Logical));
     for qid in 0..3u64 {
         let q = fed.query_from_bounds(qid, &[0.0, 20.0, 0.0, 45.0]);
         // Quorum loss under the hostile plan is acceptable: failed
@@ -49,10 +40,12 @@ fn profiled_run(threads: usize) -> (String, String, Vec<(u64, u64, usize)>) {
         // what the byte-identity contract must cover.
         let _ = fed.run_query(&q, &PolicyKind::query_driven(2));
     }
-    let agg = profile::aggregate(&trace::snapshot_events());
+    let agg = profile::aggregate(&tele.trace().snapshot_events());
     let folded = profile::to_folded(&agg);
     let svg = profile::to_svg(&agg, "profile_slo test", "ticks");
-    let slowest = profile::slowest()
+    let slowest = tele
+        .profile()
+        .slowest()
         .iter()
         .map(|e| (e.query_id, e.duration, e.events.len()))
         .collect();
@@ -61,14 +54,9 @@ fn profiled_run(threads: usize) -> (String, String, Vec<(u64, u64, usize)>) {
 
 #[test]
 fn folded_profile_is_byte_identical_across_worker_counts() {
-    let _g = lock();
-    trace::set_mode(Some(trace::Clock::Logical));
     let serial = profiled_run(1);
     let two = profiled_run(2);
     let four = profiled_run(4);
-    trace::set_mode(None);
-    trace::clear();
-    profile::reset();
     assert!(
         serial.0.lines().any(|l| l.starts_with("query ")),
         "folded export must contain the query root"
@@ -100,13 +88,8 @@ fn folded_profile_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn flight_recorder_retains_identical_slow_queries_across_worker_counts() {
-    let _g = lock();
-    trace::set_mode(Some(trace::Clock::Logical));
     let serial = profiled_run(1);
     let pooled = profiled_run(4);
-    trace::set_mode(None);
-    trace::clear();
-    profile::reset();
     assert_eq!(
         serial.2.len(),
         3,
@@ -133,7 +116,6 @@ fn flight_recorder_retains_identical_slow_queries_across_worker_counts() {
 /// classified once and traced as one balanced tree under `query`.
 #[test]
 fn each_query_is_timed_classified_and_traced_once() {
-    let _g = lock();
     let fed = FederationBuilder::new()
         .heterogeneous_nodes(4, 60)
         .clusters_per_node(3)
@@ -141,24 +123,21 @@ fn each_query_is_timed_classified_and_traced_once() {
         .epochs(2)
         .telemetry(true)
         .build();
-    telemetry::global().reset();
-    trace::set_mode(Some(trace::Clock::Logical));
-    trace::clear();
-    profile::reset();
+    let tele = fed.telemetry();
+    tele.trace().set_mode(Some(trace::Clock::Logical));
     for qid in 0..3u64 {
         let q = fed.query_from_bounds(qid, &[0.0, 20.0, 0.0, 45.0]);
         fed.run_query(&q, &PolicyKind::query_driven(2))
             .expect("query runs");
     }
-    trace::set_mode(None);
-    let snap = telemetry::global().snapshot();
-    let ids = trace::query_ids();
-    let trees: Vec<_> = ids.iter().map(|&id| trace::snapshot_query(id)).collect();
-    let mut recorded = profile::slowest();
+    let snap = tele.snapshot();
+    let ids = tele.trace().query_ids();
+    let trees: Vec<_> = ids
+        .iter()
+        .map(|&id| tele.trace().snapshot_query(id))
+        .collect();
+    let mut recorded = tele.profile().slowest();
     recorded.sort_by_key(|e| e.query_id);
-    telemetry::set_enabled(false);
-    trace::clear();
-    profile::reset();
 
     let timed = snap.histogram("qens_fedlearn_run_query_nanos");
     assert_eq!(timed.map(|h| h.count), Some(3));
@@ -190,7 +169,6 @@ fn each_query_is_timed_classified_and_traced_once() {
 
 #[test]
 fn slo_windows_stay_consistent_across_ring_wrap() {
-    let _g = lock();
     let (good, bad) = (
         profile::SLO_OBJECTIVE_NANOS,
         profile::SLO_OBJECTIVE_NANOS + 1,
@@ -239,15 +217,15 @@ fn slo_windows_stay_consistent_across_ring_wrap() {
 
 #[test]
 fn prometheus_export_covers_build_info_uptime_and_slo_series() {
-    let _g = lock();
-    telemetry::set_enabled(true);
+    let tele = telemetry::Telemetry::new();
+    tele.set_enabled(true);
     // One verdict on each side of the default 250ms objective so both
     // counters exist in the registry.
-    profile::observe_query(1);
-    profile::observe_query(10_000_000_000);
-    let text = telemetry::export::to_prometheus(&telemetry::global().snapshot());
-    telemetry::set_enabled(false);
-    profile::reset();
+    tele.enter(|| {
+        profile::observe_query(1);
+        profile::observe_query(10_000_000_000);
+    });
+    let text = telemetry::export::to_prometheus(&tele.snapshot());
 
     for series in [
         "qens_build_info",

@@ -178,7 +178,8 @@ fn a_query_stays_within_its_allocation_budget() {
             })
             .collect();
         let (run, loss) = tally(&fed, &queries, |q| {
-            fedlearn::run_query(fed.network(), q, policy.as_ref(), fed.config())
+            fed.telemetry()
+                .enter(|| fedlearn::run_query(fed.network(), q, policy.as_ref(), fed.config()))
                 .expect("serve query runs")
         });
         let calls = (queries.len() - WARM_UP) as u64;

@@ -237,10 +237,8 @@ enum Step {
 /// which entries make it, not only on their order.
 #[test]
 fn memo_and_index_follow_a_churning_fleet_exactly() {
-    use telemetry::{journal, Event};
+    use telemetry::{Event, Telemetry};
     const STEPS: u64 = 240;
-    // Query ids no other test of this binary uses: the journal is
-    // process-wide and is filtered by them below.
     const FIRST_ID: u64 = 7_000_000;
     let mut net = network(17);
     let plain = QueryDriven::top_l(1);
@@ -260,7 +258,8 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
             .unwrap()
             .dataset
     };
-    telemetry::fleet::set_enabled(true);
+    let tele = Telemetry::new();
+    tele.fleet().set_enabled(true);
 
     let mut rng = rng_for(0x6C, 19);
     let mut bounds = vec![0.0, 20.0, 0.0, 45.0];
@@ -342,10 +341,12 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
         let want = reference_of(&net, &plain, &q);
         let supporting = reference::ranked(&net, &q, plain.epsilon, plain.rule).len();
         cut_short += usize::from(supporting > want.len() + want.standby.len());
-        assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, &pool), &what);
-        assert_bitwise_eq(&want, &both.select_with_pool(&ctx, &pool), &what);
-        assert_bitwise_eq(&want, &memo.select_with_pool(&ctx, &pool), &what);
-        assert_bitwise_eq(&want, &index.select_with_pool(&ctx, &pool), &what);
+        tele.enter(|| {
+            assert_bitwise_eq(&want, &plain.select_with_pool(&ctx, &pool), &what);
+            assert_bitwise_eq(&want, &both.select_with_pool(&ctx, &pool), &what);
+            assert_bitwise_eq(&want, &memo.select_with_pool(&ctx, &pool), &what);
+            assert_bitwise_eq(&want, &index.select_with_pool(&ctx, &pool), &what);
+        });
 
         for (name, stats) in [("memo + index", both.stats()), ("memo", memo.stats())] {
             assert_eq!(
@@ -364,7 +365,9 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
                 "{what}: {name}"
             );
         }
-        let journaled: Vec<u64> = journal::tail(None)
+        let journaled: Vec<u64> = tele
+            .journal()
+            .tail(None)
             .iter()
             .filter_map(|e| match e.event {
                 Event::CacheInvalidated(query, stale) if query == q.id() => Some(stale),
@@ -378,7 +381,6 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
         };
         assert_eq!(journaled, expected, "{what}: one event per memo per drift");
     }
-    telemetry::fleet::set_enabled(false);
     assert!(
         seen.iter().all(|&n| n >= 20),
         "every kind of step must occur often: {seen:?}"
@@ -400,24 +402,26 @@ fn memo_and_index_follow_a_churning_fleet_exactly() {
 #[test]
 fn prometheus_export_covers_cache_series() {
     let mut net = network(11);
-    telemetry::set_enabled(true);
+    let tele = telemetry::Telemetry::new();
+    tele.set_enabled(true);
     let cached = CachedQueryDriven::new(QueryDriven::top_l(3));
     let q0 = Query::from_boundary_vec(0, &[0.0, 15.0, 0.0, 30.0]);
     let q1 = Query::from_boundary_vec(1, &[0.5, 15.5, 0.0, 30.0]);
-    cached.select(&SelectionContext::new(&net, &q0)); // miss + entry
-    cached.select(&SelectionContext::new(&net, &q0)); // hit
-    cached.select(&SelectionContext::new(&net, &q1)); // miss + entry
-    cached.select(&SelectionContext::new(&net, &q1)); // hit
     let extra = scenario::heterogeneous_nodes(2, 30, 78)
         .into_iter()
         .next()
         .unwrap()
         .dataset;
-    net.node_mut(NodeId(0)).absorb(&extra);
-    net.node_mut(NodeId(0)).quantize(5, 11);
-    cached.select(&SelectionContext::new(&net, &q1)); // invalidation + miss
-    let text = telemetry::export::to_prometheus(&telemetry::global().snapshot());
-    telemetry::set_enabled(false);
+    tele.enter(|| {
+        cached.select(&SelectionContext::new(&net, &q0)); // miss + entry
+        cached.select(&SelectionContext::new(&net, &q0)); // hit
+        cached.select(&SelectionContext::new(&net, &q1)); // miss + entry
+        cached.select(&SelectionContext::new(&net, &q1)); // hit
+        net.node_mut(NodeId(0)).absorb(&extra);
+        net.node_mut(NodeId(0)).quantize(5, 11);
+        cached.select(&SelectionContext::new(&net, &q1)); // invalidation + miss
+    });
+    let text = telemetry::export::to_prometheus(&tele.snapshot());
 
     for series in [
         "qens_cache_hits_total",

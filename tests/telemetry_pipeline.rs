@@ -6,36 +6,30 @@
 //!   produce identical models AND identical counter totals (the
 //!   determinism guard),
 //! * concurrent recording must be lossless,
-//! * disabled mode must record nothing.
+//! * disabled mode must record nothing,
+//! * two federations run side by side keep their telemetry apart.
 //!
-//! The telemetry enablement flag and the registry are process-global, so
-//! every test serialises on one lock and resets the registry first.
+//! Each test reads the telemetry handle of the federation it built.
 
 use qens::prelude::*;
-use qens::telemetry;
+use qens::telemetry::{self, trace::Clock, Telemetry};
 
-/// Serialises tests that flip the process-global telemetry state.
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn small_fed(seed: u64) -> Federation {
+fn builder(seed: u64) -> FederationBuilder {
     FederationBuilder::new()
         .heterogeneous_nodes(4, 60)
         .clusters_per_node(3)
         .seed(seed)
         .epochs(2)
-        .build()
+}
+
+fn small_fed(seed: u64) -> Federation {
+    builder(seed).build()
 }
 
 /// The telemetry counters and the accounting rows agree exactly: every
 /// resource the ledger reports is mirrored in `qens_edgesim_*` totals.
 #[test]
 fn accounting_rows_agree_with_counters() {
-    let _g = lock();
-    telemetry::set_enabled(true);
-
     let fed = small_fed(11);
     let global = fed.network().global_space();
     let y = global.interval(1);
@@ -48,15 +42,15 @@ fn accounting_rows_agree_with_counters() {
         .collect();
     let policy = PolicyKind::query_driven(3);
 
-    telemetry::global().reset();
+    fed.telemetry().set_enabled(true);
     let outcomes: Vec<_> = queries.iter().map(|q| fed.run_query(q, &policy)).collect();
-    assert_rows_match_counters(outcomes);
-    telemetry::set_enabled(false);
+    assert_rows_match_counters(&fed.telemetry().snapshot(), outcomes);
 }
 
-/// Asserts the registry's `qens_edgesim_*` totals equal the summed
+/// Asserts the snapshot's `qens_edgesim_*` totals equal the summed
 /// ledgers of the completed outcomes.
 fn assert_rows_match_counters(
+    snap: &telemetry::Snapshot,
     outcomes: Vec<Result<qens::fedlearn::RoundOutcome, FederationError>>,
 ) {
     let rows: Vec<_> = outcomes
@@ -65,7 +59,6 @@ fn assert_rows_match_counters(
         .map(|out| out.accounting)
         .collect();
     assert!(!rows.is_empty(), "at least one query must complete");
-    let snap = telemetry::global().snapshot();
 
     let sum = |f: fn(&qens::edgesim::QueryAccounting) -> u64| rows.iter().map(f).sum::<u64>();
     assert_eq!(
@@ -113,9 +106,6 @@ fn assert_rows_match_counters(
 /// counter totals and histogram counts.
 #[test]
 fn parallel_and_serial_runs_are_telemetry_identical() {
-    let _g = lock();
-    telemetry::set_enabled(true);
-
     let fed = small_fed(23);
     let q = fed.query_from_bounds(0, &fed.network().global_space().to_boundary_vec());
     let with_threads = |threads| FederationConfig {
@@ -126,14 +116,15 @@ fn parallel_and_serial_runs_are_telemetry_identical() {
 
     let mut runs = Vec::new();
     for cfg in [par_cfg, ser_cfg] {
-        telemetry::global().reset();
+        let tele = Telemetry::new();
+        tele.set_enabled(true);
         let policy = PolicyKind::query_driven(3).build();
-        let out = qens::fedlearn::run_query(fed.network(), &q, policy.as_ref(), &cfg)
+        let out = tele
+            .enter(|| qens::fedlearn::run_query(fed.network(), &q, policy.as_ref(), &cfg))
             .expect("full-space query must complete");
         let loss = out.query_loss(fed.network(), &q).expect("loss available");
-        runs.push((loss, telemetry::global().snapshot()));
+        runs.push((loss, tele.snapshot()));
     }
-    telemetry::set_enabled(false);
 
     let (par_loss, par_snap) = &runs[0];
     let (ser_loss, ser_snap) = &runs[1];
@@ -178,8 +169,6 @@ fn parallel_and_serial_runs_are_telemetry_identical() {
 /// histogram observations.
 #[test]
 fn concurrent_recording_is_lossless() {
-    let _g = lock();
-    telemetry::set_enabled(true);
     let reg = telemetry::Registry::new();
     let threads = 8;
     let per_thread = 10_000u64;
@@ -196,7 +185,6 @@ fn concurrent_recording_is_lossless() {
             });
         }
     });
-    telemetry::set_enabled(false);
     let snap = reg.snapshot();
     assert_eq!(
         snap.counter("qens_test_concurrent_total"),
@@ -212,15 +200,84 @@ fn concurrent_recording_is_lossless() {
 /// near-free disabled mode really is off.
 #[test]
 fn disabled_mode_records_nothing() {
-    let _g = lock();
-    telemetry::set_enabled(false);
-    telemetry::global().reset();
-
     let fed = small_fed(41);
     let q = fed.query_from_bounds(0, &fed.network().global_space().to_boundary_vec());
     fed.run_query(&q, &PolicyKind::query_driven(3))
         .expect("query completes");
 
-    let snap = telemetry::global().snapshot();
+    let snap = fed.telemetry().snapshot();
     assert!(snap.is_empty(), "disabled telemetry must record nothing");
+    assert!(snap.counters.is_empty() && snap.histograms.is_empty());
+}
+
+/// What one federation's handle saw of its own queries.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    run_query_samples: u64,
+    edgesim_queries: u64,
+    fleet_queries: u64,
+    trace_query_ids: Vec<u64>,
+    chrome: String,
+}
+
+/// Builds a fully observed federation (telemetry, fleet, logical trace)
+/// of `seed` and runs `n` queries with ids from `first_id` on it.
+fn observed_run(seed: u64, first_id: u64, n: u64) -> Seen {
+    let fed = builder(seed)
+        .telemetry(true)
+        .fleet(true)
+        .trace(Some(Clock::Logical))
+        .build();
+    for id in first_id..first_id + n {
+        let lo = (id % 4) as f64 * 2.5;
+        let q = fed.query_from_bounds(id, &[lo, lo + 20.0, 0.0, 45.0]);
+        fed.run_query(&q, &PolicyKind::query_driven(2))
+            .expect("query runs");
+    }
+    let tele = fed.telemetry();
+    let snap = tele.snapshot();
+    Seen {
+        run_query_samples: snap
+            .histogram("qens_fedlearn_run_query_nanos")
+            .map_or(0, |h| h.count),
+        edgesim_queries: snap.counter("qens_edgesim_queries_total").unwrap_or(0),
+        fleet_queries: tele.fleet().queries(),
+        trace_query_ids: tele.trace().query_ids(),
+        chrome: tele.trace().export_chrome(None),
+    }
+}
+
+/// Two differently seeded federations, each with every telemetry layer
+/// on, run at once on two threads (sharing the global pool). Each
+/// handle counts exactly its own queries, and each logical trace is
+/// byte-identical to the same federation's run alone: no counter, card,
+/// span or tick of one reaches the other.
+#[test]
+fn two_federations_on_two_threads_keep_their_own_telemetry() {
+    let runs = [(31, 0, 3), (32, 100, 5)];
+    let alone: Vec<Seen> = runs
+        .iter()
+        .map(|&(seed, first, n)| observed_run(seed, first, n))
+        .collect();
+    let together: Vec<Seen> = std::thread::scope(|s| {
+        let threads: Vec<_> = runs
+            .iter()
+            .map(|&(seed, first, n)| s.spawn(move || observed_run(seed, first, n)))
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    for ((&(_, first, n), alone), together) in runs.iter().zip(&alone).zip(&together) {
+        let ids: Vec<u64> = (first..first + n).collect();
+        assert_eq!(
+            (
+                together.run_query_samples,
+                together.edgesim_queries,
+                together.fleet_queries,
+                &together.trace_query_ids
+            ),
+            (n, n, n, &ids)
+        );
+        assert!(together.chrome.contains("fedlearn.round"));
+        assert_eq!(together, alone);
+    }
 }

@@ -8,21 +8,14 @@
 //! * events must be attributed to the query that produced them,
 //! * disabled tracing must record nothing at all.
 //!
-//! The trace collector and mode are process-global, so every test
-//! serialises on one lock and clears the buffer first.
+//! Each test reads the trace store of the federation it built.
 
 use qens::prelude::*;
 use qens::telemetry::trace;
 
-/// Serialises tests that flip the process-global trace state.
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Runs two queries on a fresh logical-clock trace and returns the
-/// Chrome export.
-fn traced_run(threads: usize) -> String {
+/// Runs two queries traced on `clock` (the build untraced) and returns
+/// the federation, whose trace store holds them.
+fn traced_run(clock: trace::Clock, threads: usize) -> Federation {
     let fed = FederationBuilder::new()
         .heterogeneous_nodes(4, 60)
         .clusters_per_node(3)
@@ -32,7 +25,7 @@ fn traced_run(threads: usize) -> String {
         .faults(FaultSpec::unreliable_edge(7).with_dropout(0.3))
         .fault_tolerance(FaultTolerance::full_strength())
         .build();
-    trace::clear();
+    fed.telemetry().trace().set_mode(Some(clock));
     for qid in 0..2u64 {
         let q = fed.query_from_bounds(qid, &[0.0, 20.0, 0.0, 45.0]);
         // Quorum loss under the hostile plan is acceptable: failed
@@ -40,17 +33,19 @@ fn traced_run(threads: usize) -> String {
         // the byte-identity contract must cover.
         let _ = fed.run_query(&q, &PolicyKind::query_driven(2));
     }
-    trace::export_chrome(None)
+    fed
+}
+
+/// The Chrome export of [`traced_run`] on the logical clock.
+fn logical_export(threads: usize) -> String {
+    let fed = traced_run(trace::Clock::Logical, threads);
+    fed.telemetry().trace().export_chrome(None)
 }
 
 #[test]
 fn logical_trace_is_byte_identical_across_worker_counts() {
-    let _g = lock();
-    trace::set_mode(Some(trace::Clock::Logical));
-    let serial = traced_run(1);
-    let pooled = traced_run(2);
-    trace::set_mode(None);
-    trace::clear();
+    let serial = logical_export(1);
+    let pooled = logical_export(2);
     assert!(
         serial.contains("\"ph\":\"B\""),
         "logical trace must contain spans"
@@ -63,13 +58,9 @@ fn logical_trace_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn logical_trace_is_structurally_valid_and_query_attributed() {
-    let _g = lock();
-    trace::set_mode(Some(trace::Clock::Logical));
-    let _ = traced_run(2);
-    let events = trace::snapshot_events();
-    let queries = trace::query_ids();
-    trace::set_mode(None);
-    trace::clear();
+    let fed = traced_run(trace::Clock::Logical, 2);
+    let events = fed.telemetry().trace().snapshot_events();
+    let queries = fed.telemetry().trace().query_ids();
     trace::validate_structure(&events).expect("logical trace is well-formed");
     assert_eq!(queries, vec![0, 1], "both queries must appear in the trace");
     // The round spans must be owned by a query.
@@ -88,12 +79,8 @@ fn logical_trace_is_structurally_valid_and_query_attributed() {
 
 #[test]
 fn wall_trace_is_structurally_valid_and_sees_worker_spans() {
-    let _g = lock();
-    trace::set_mode(Some(trace::Clock::Wall));
-    let _ = traced_run(2);
-    let events = trace::snapshot_events();
-    trace::set_mode(None);
-    trace::clear();
+    let fed = traced_run(trace::Clock::Wall, 2);
+    let events = fed.telemetry().trace().snapshot_events();
     trace::validate_structure(&events).expect("wall trace is well-formed");
     // Wall mode additionally records the scheduling-dependent spans.
     for name in ["fedlearn.train", "par.task", "selection.score_node"] {
@@ -113,9 +100,6 @@ fn wall_trace_is_structurally_valid_and_sees_worker_spans() {
 
 #[test]
 fn disabled_tracing_records_nothing() {
-    let _g = lock();
-    trace::set_mode(None);
-    trace::clear();
     let fed = FederationBuilder::new()
         .heterogeneous_nodes(3, 40)
         .clusters_per_node(2)
@@ -125,26 +109,25 @@ fn disabled_tracing_records_nothing() {
     let q = fed.query_from_bounds(0, &[0.0, 20.0, 0.0, 45.0]);
     fed.run_query(&q, &PolicyKind::query_driven(2))
         .expect("query runs");
+    let store = fed.telemetry().trace();
     assert_eq!(
-        trace::events_len(),
+        store.events_len(),
         0,
         "disabled tracing must buffer no events"
     );
-    let span = telemetry::span("never.recorded", &[]);
+    let span = fed
+        .telemetry()
+        .enter(|| telemetry::span("never.recorded", &[]));
     assert!(!span.is_recording(), "disabled spans must be inert");
     drop(span);
-    assert_eq!(trace::events_len(), 0);
+    assert_eq!(store.events_len(), 0);
 }
 
 #[test]
 fn export_filters_by_query_id() {
-    let _g = lock();
-    trace::set_mode(Some(trace::Clock::Logical));
-    let _ = traced_run(1);
-    let all = trace::export_chrome(None);
-    let only_q1 = trace::export_chrome(Some(1));
-    trace::set_mode(None);
-    trace::clear();
+    let fed = traced_run(trace::Clock::Logical, 1);
+    let all = fed.telemetry().trace().export_chrome(None);
+    let only_q1 = fed.telemetry().trace().export_chrome(Some(1));
     assert!(all.len() > only_q1.len(), "filtered export must be smaller");
     assert!(
         !only_q1.contains("\"q\":0") && only_q1.contains("\"q\":1"),
@@ -162,25 +145,23 @@ fn begins(events: &[trace::TraceEvent], name: &str) -> usize {
 
 #[test]
 fn concurrent_traced_queries_keep_their_own_trees() {
-    let _g = lock();
     let fed = FederationBuilder::new()
         .heterogeneous_nodes(4, 60)
         .clusters_per_node(3)
         .seed(7)
         .epochs(2)
         .threads(2)
+        .trace(Some(trace::Clock::Wall))
         .build();
+    let store = fed.telemetry().trace();
     let bounds = [0.0, 20.0, 0.0, 45.0];
     let policy = PolicyKind::query_driven(2);
-    trace::set_mode(Some(trace::Clock::Wall));
     // Alone, one query's tree holds every pool task of its round; the
     // same rectangle always submits the same tasks.
-    trace::clear();
     fed.run_query(&fed.query_from_bounds(999, &bounds), &policy)
         .expect("query runs");
-    let tasks = begins(&trace::snapshot_query(999), "par.task");
+    let tasks = begins(&store.snapshot_query(999), "par.task");
     assert!(tasks > 0, "the round must use the pool");
-    trace::clear();
     // Two threads answer queries side by side on one federation, as the
     // server's connection threads do; the pool's workers run tasks of
     // both queries.
@@ -197,10 +178,8 @@ fn concurrent_traced_queries_keep_their_own_trees() {
     });
     let trees: Vec<(u64, Vec<trace::TraceEvent>)> = (0..2u64)
         .flat_map(|t| (0..20).map(move |i| 100 * t + i))
-        .map(|id| (id, trace::snapshot_query(id)))
+        .map(|id| (id, store.snapshot_query(id)))
         .collect();
-    trace::set_mode(None);
-    trace::clear();
     for (id, events) in trees {
         let ends = events
             .iter()
