@@ -6,14 +6,13 @@
 //! the leader - O(1) communication per node.
 //!
 //! * [`kmeans`] - k-means++ initialisation, Lloyd iterations to a
-//!   movement tolerance, empty-cluster repair.
+//!   movement tolerance, empty-cluster repair. It is the one clustering
+//!   path: a node whose data grows re-quantises with a full fit
+//!   (`EdgeNode::absorb` then `EdgeNode::quantize`).
 //! * [`summary`] - [`summary::ClusterSummary`]: the boundary rectangle,
 //!   representative and size of a fitted cluster; [`SummaryTable`]: a
 //!   node's summaries as the leader keeps them, flat and without the
 //!   representative.
-//! * [`quality`] - the quantisation loss of Eq. 1, which
-//!   [`MiniBatchKMeans::loss`] reports.
-//! * [`minibatch`] - mini-batch k-means for nodes whose data streams in.
 //! * [`estimate`] - summary-based cardinality estimation: how many samples
 //!   a query would touch, computed by the leader with zero communication
 //!   (`EdgeNode::estimated_query_cardinality`).
@@ -24,11 +23,8 @@
 
 pub mod estimate;
 pub mod kmeans;
-pub mod minibatch;
 pub mod privacy;
-pub mod quality;
 pub mod summary;
 
 pub use kmeans::{KMeans, KMeansConfig};
-pub use minibatch::MiniBatchKMeans;
 pub use summary::{ClusterSummary, ClusterView, SummaryTable};

@@ -34,15 +34,6 @@ pub struct ClusterSummary {
     pub rect: HyperRect,
 }
 
-impl ClusterSummary {
-    /// Serialized payload size in bytes (used by the edge-network cost
-    /// model): boundary vector + representative + two counters.
-    pub fn wire_bytes(&self) -> usize {
-        let d = self.rect.dim();
-        (2 * d + d) * std::mem::size_of::<f64>() + 2 * std::mem::size_of::<u64>()
-    }
-}
-
 /// Summarises every *non-empty* cluster of a fitted model.
 ///
 /// Empty clusters (possible when K exceeds the diversity of the data)
@@ -252,15 +243,6 @@ mod tests {
             sums[0].rect.intervals(),
             &[Interval::new(1.0, 4.0), Interval::new(-5.0, 2.0)]
         );
-    }
-
-    #[test]
-    fn wire_bytes_scales_with_dimension() {
-        let data = two_blob_data();
-        let model = KMeans::fit(&data, &KMeansConfig::with_k(2, 3));
-        let s = &summarize(&data, &model)[0];
-        // d = 2: 4 boundary f64 + 2 representative f64 + 2 u64 counters.
-        assert_eq!(s.wire_bytes(), 6 * 8 + 2 * 8);
     }
 
     #[test]

@@ -2,18 +2,17 @@
 //!
 //! Edge deployments are not static — a sensor node collects new hourly
 //! records forever. This example shows the maintenance loop around the
-//! paper's mechanism: nodes absorb fresh data, re-quantise (full k-means
-//! here; `cluster::minibatch` offers the incremental variant), and the
-//! *same* standing query selects a different participant set once a
-//! node's data drifts into the requested region.
+//! paper's mechanism: a node absorbs fresh data and re-quantises with a
+//! full k-means fit (`EdgeNode::absorb` + `EdgeNode::quantize`, as a
+//! node does), and the *same* standing query selects a different
+//! participant set once the node's data drifts into the requested
+//! region.
 //!
 //! ```text
 //! cargo run --release -p qens --example streaming_edge
 //! ```
 
 use qens::airdata::scenario::NodeSpec;
-use qens::cluster::MiniBatchKMeans;
-use qens::linalg::Matrix;
 use qens::prelude::*;
 
 fn main() {
@@ -68,15 +67,9 @@ fn main() {
             noise_std: 2.0,
         }
         .sample(150, 100 + round);
-        let mut nodes: Vec<EdgeNode> = network.nodes().to_vec();
-        nodes[2].absorb(&fresh);
-        network = EdgeNetwork::from_datasets(
-            nodes
-                .iter()
-                .map(|n| (n.name().to_string(), n.data().clone()))
-                .collect(),
-        );
-        network.quantize_all(5, 11 + round);
+        let drifting = network.node_mut(NodeId(2));
+        drifting.absorb(&fresh);
+        drifting.quantize(5, 11 + round);
 
         let ctx = SelectionContext::new(&network, &query);
         let sel = policy.select(&ctx);
@@ -93,27 +86,5 @@ fn main() {
             );
         }
         println!();
-    }
-
-    // The incremental alternative: maintain centroids without refitting.
-    println!("\nmini-batch maintenance of one node's quantisation:");
-    let mut stream_node = stationary_a.sample(200, 21);
-    let joint = |ds: &DenseDataset| {
-        let mut rows = Vec::with_capacity(ds.len());
-        for (r, &y) in ds.x().row_iter().zip(ds.y()) {
-            rows.push(vec![r[0], y]);
-        }
-        Matrix::from_rows(&rows)
-    };
-    let mut mb = MiniBatchKMeans::new(&joint(&stream_node), 5, 7);
-    for step in 0..4u64 {
-        let batch = stationary_a.sample(60, 30 + step);
-        mb.update(&joint(&batch));
-        stream_node = stream_node.concat(&batch);
-        println!(
-            "  after batch {step}: {} points folded, quantisation loss {:.1}",
-            mb.total_count(),
-            mb.loss(&joint(&stream_node))
-        );
     }
 }

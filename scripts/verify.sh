@@ -5,11 +5,12 @@
 # is dependency-free):
 #
 #   1. release build of the whole workspace,
-#   2. the full test suite, three times in a row at the default test
-#      parallelism — the canary for tests that share process-global
-#      state (telemetry registry, trace store) without taking their
-#      file's lock: such a test passes alone and under
-#      --test-threads=1 and fails only when a sibling lands inside it.
+#   2. the full test suite, three times in a row on 8 test threads
+#      (more than this 2-core guest's default of 2) — the canary for
+#      tests that share state: every test reads the telemetry handle of
+#      the federation it built, and one that reached across would pass
+#      alone and under --test-threads=1 and fail only when a sibling
+#      lands inside it.
 #      The suite is also the end-to-end check: it runs the built
 #      `repro` binary (--smoke, profile, fleet, scale, the refusals)
 #      and drives live servers over real sockets (every endpoint, the
@@ -47,9 +48,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> cargo test -q --offline, 3x at default test parallelism (racy-test canary)"
+echo "==> cargo test -q --offline -- --test-threads=8, 3x (racy-test canary)"
 for run in 1 2 3; do
-  cargo test -q --offline || { echo "FAIL: test suite failed on run $run of 3"; exit 1; }
+  cargo test -q --offline -- --test-threads=8 || { echo "FAIL: test suite failed on run $run of 3"; exit 1; }
 done
 
 echo "==> cargo clippy --all-targets -- -D warnings"
