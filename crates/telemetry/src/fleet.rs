@@ -157,7 +157,7 @@ impl Scorecard {
     }
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct FleetState {
     /// Node index → scorecard; `BTreeMap` so every snapshot and export
     /// walks nodes in index order.
@@ -179,7 +179,7 @@ impl FleetState {
 }
 
 /// One handle's scorecards, journal and fleet switch (it gates both).
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Fleet {
     enabled: AtomicBool,
     state: Mutex<FleetState>,

@@ -102,6 +102,7 @@ fn line(event: &Event) -> Option<Line> {
     })
 }
 
+#[derive(Debug)]
 struct Ring {
     entries: VecDeque<Entry>,
     capacity: usize,
@@ -123,6 +124,7 @@ impl Ring {
 }
 
 /// One handle's journal ring.
+#[derive(Debug)]
 pub struct Journal(Mutex<Ring>);
 
 impl Default for Journal {
@@ -145,16 +147,6 @@ impl Journal {
     pub fn set_capacity(&self, capacity: usize) {
         assert!(capacity > 0, "journal capacity must be non-zero");
         *self.ring() = Ring::new(capacity);
-    }
-
-    /// Entries currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.ring().entries.len()
-    }
-
-    /// Whether the ring holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Entries ever recorded (monotonic; survives ring wrap-around).
@@ -278,7 +270,7 @@ mod tests {
         tele.fleet().set_enabled(false);
         emit(&tele, &Event::Selected(1, 2, 0, 0));
         emit(&tele, &Event::QuorumLost(1, 0, 1, 2, vec![2]));
-        assert_eq!(tele.journal().len(), 0);
+        assert!(tele.journal().tail(None).is_empty());
         assert_eq!(tele.journal().events_total(), 0);
     }
 
@@ -308,7 +300,7 @@ mod tests {
         for q in 0..5u64 {
             emit(&tele, &Event::Selected(q, 0, 0, 0));
         }
-        assert_eq!(tele.journal().len(), 3);
+        assert_eq!(tele.journal().tail(None).len(), 3);
         assert_eq!(tele.journal().overwritten(), 2);
         assert_eq!(tele.journal().events_total(), 5);
         let ticks: Vec<u64> = tele.journal().tail(None).iter().map(|e| e.tick).collect();

@@ -85,7 +85,7 @@ pub use registry::{Registry, Snapshot};
 pub use trace::{span, wall_span, Span};
 
 /// Everything one handle records.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Stores {
     enabled: AtomicBool,
     pub(crate) registry: Registry,
@@ -103,18 +103,8 @@ impl Stores {
 
 /// One federation's telemetry: its switches and stores behind an `Arc`,
 /// so clones share them. See the crate docs.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Telemetry(Arc<Stores>);
-
-impl std::fmt::Debug for Telemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("enabled", &self.enabled())
-            .field("fleet", &self.fleet().enabled())
-            .field("trace", &self.trace().mode())
-            .finish_non_exhaustive()
-    }
-}
 
 thread_local! {
     /// The thread's current handle (null = none). Only
@@ -125,16 +115,10 @@ thread_local! {
     static CURRENT: Cell<*const Stores> = const { Cell::new(std::ptr::null()) };
 }
 
-/// The current handle's stores, as an identity (null = none).
-#[inline]
-pub(crate) fn current_stores() -> *const Stores {
-    CURRENT.with(Cell::get)
-}
-
 /// Runs `f` on the current handle's stores; `None` with none entered.
 #[inline]
 pub(crate) fn with_current<R>(f: impl FnOnce(&Stores) -> R) -> Option<R> {
-    let stores = current_stores();
+    let stores = CURRENT.with(Cell::get);
     // SAFETY: `CURRENT` is null or points at the stores of a handle
     // borrowed by an `enter` call that is still running on this thread
     // (see `CURRENT`), so they outlive this call.
@@ -148,8 +132,7 @@ impl Telemetry {
     }
 
     /// Whether metrics (counters, gauges, histograms, span timers) and
-    /// the SLO tracker record.
-    #[inline]
+    /// the SLO tracker's series record.
     pub fn enabled(&self) -> bool {
         self.0.enabled()
     }
@@ -157,11 +140,6 @@ impl Telemetry {
     /// Turns metric recording on or off.
     pub fn set_enabled(&self, on: bool) {
         self.0.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// The metric registry.
-    pub fn registry(&self) -> &Registry {
-        &self.0.registry
     }
 
     /// A point-in-time view of every series this handle registered.
@@ -205,7 +183,7 @@ impl Telemetry {
     /// The calling thread's current handle, if one is entered — what a
     /// pool carries into the tasks it runs for this thread.
     pub fn current() -> Option<Telemetry> {
-        let stores = current_stores();
+        let stores = CURRENT.with(Cell::get);
         if stores.is_null() {
             return None;
         }
@@ -225,7 +203,7 @@ impl Telemetry {
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
-        static __SITE: $crate::registry::CounterSite = $crate::registry::CounterSite::new($name);
+        static __SITE: $crate::registry::Site<$crate::Counter> = $crate::registry::Site::new($name);
         &__SITE
     }};
 }
@@ -234,7 +212,7 @@ macro_rules! counter {
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
-        static __SITE: $crate::registry::GaugeSite = $crate::registry::GaugeSite::new($name);
+        static __SITE: $crate::registry::Site<$crate::Gauge> = $crate::registry::Site::new($name);
         &__SITE
     }};
 }
@@ -243,8 +221,8 @@ macro_rules! gauge {
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{
-        static __SITE: $crate::registry::HistogramSite =
-            $crate::registry::HistogramSite::new($name);
+        static __SITE: $crate::registry::Site<$crate::Histogram> =
+            $crate::registry::Site::new($name);
         &__SITE
     }};
 }

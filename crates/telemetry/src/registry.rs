@@ -1,6 +1,7 @@
 //! The metric registry: one per [`crate::Telemetry`] handle, with slots
 //! indexed by the process-wide interned series names.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{LazyLock, Mutex, MutexGuard, OnceLock};
 
@@ -10,18 +11,10 @@ use crate::{Counter, Gauge, Histogram};
 /// Distinct series names one process may intern, per kind.
 pub const MAX_SERIES: usize = 128;
 
-/// The three metric kinds, each with its own slot ids.
-#[derive(Debug, Clone, Copy)]
-enum Kind {
-    Counter,
-    Gauge,
-    Histogram,
-}
-
-/// The interned series names, one list per [`Kind`]: a name's index is
-/// the slot every registry keeps that series in. The span histograms
-/// take the first histogram slots, in [`crate::trace::SERIES`] order, so
-/// a span finds its slot by name without interning.
+/// The interned series names, one list per metric kind (counters,
+/// gauges, histograms): a name's index is the slot every registry keeps
+/// that series in. The span histograms take the first histogram slots,
+/// in [`crate::trace::SERIES`] order, so a span finds its slot by name.
 static NAMES: LazyLock<Mutex<[Vec<String>; 3]>> = LazyLock::new(|| {
     let spans = crate::trace::SERIES
         .iter()
@@ -33,80 +26,102 @@ fn names() -> MutexGuard<'static, [Vec<String>; 3]> {
     NAMES.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// The slot id of `name`, interned on first use.
+/// The slot id of `name` among the `kind`'s series, interned on first
+/// use.
 ///
 /// # Panics
 /// Past [`MAX_SERIES`] names of one kind.
-fn intern(kind: Kind, name: &str) -> usize {
+fn intern(kind: usize, name: &str) -> usize {
     let mut names = names();
-    let table = &mut names[kind as usize];
+    let table = &mut names[kind];
     if let Some(id) = table.iter().position(|n| n == name) {
         return id;
     }
     assert!(
         table.len() < MAX_SERIES,
-        "more than {MAX_SERIES} {kind:?} series (registering {name})"
+        "more than {MAX_SERIES} series like {name}"
     );
     table.push(name.into());
     table.len() - 1
 }
 
-/// A call site's series: its name and, once interned, its slot id.
-#[derive(Debug)]
-struct Site {
-    name: &'static str,
-    /// `u32::MAX` until first use.
-    id: AtomicU32,
+/// A metric kind a registry keeps slots of.
+#[doc(hidden)]
+pub trait Metric: Sized {
+    /// The kind's index in the name table.
+    const KIND: usize;
+    /// `registry`'s metric at slot `id`, created on first use.
+    fn slot(registry: &Registry, id: usize) -> &Self;
 }
 
-impl Site {
-    const fn new(name: &'static str) -> Self {
+impl Metric for Counter {
+    const KIND: usize = 0;
+    fn slot(registry: &Registry, id: usize) -> &Self {
+        registry.counters[id].get_or_init(Counter::new)
+    }
+}
+
+impl Metric for Gauge {
+    const KIND: usize = 1;
+    fn slot(registry: &Registry, id: usize) -> &Self {
+        registry.gauges[id].get_or_init(Gauge::new)
+    }
+}
+
+impl Metric for Histogram {
+    const KIND: usize = 2;
+    fn slot(registry: &Registry, id: usize) -> &Self {
+        registry.histograms[id].get_or_init(|| Box::new(Histogram::new()))
+    }
+}
+
+/// A `counter!`, `gauge!` or `histogram!` call site: its series name and,
+/// once interned, its slot id (`u32::MAX` until first use). It records
+/// into the current handle's registry while that handle's telemetry
+/// switch is on.
+#[derive(Debug)]
+pub struct Site<M> {
+    name: &'static str,
+    id: AtomicU32,
+    metric: PhantomData<fn() -> M>,
+}
+
+impl<M: Metric> Site<M> {
+    #[doc(hidden)]
+    pub const fn new(name: &'static str) -> Self {
         Self {
             name,
             id: AtomicU32::new(u32::MAX),
+            metric: PhantomData,
         }
     }
 
     #[inline]
-    fn id(&self, kind: Kind) -> usize {
-        match self.id.load(Ordering::Relaxed) {
-            u32::MAX => self.intern(kind),
-            id => id as usize,
-        }
+    fn with(&self, record: impl FnOnce(&M)) {
+        crate::with_current(|t| {
+            if t.enabled() {
+                let id = match self.id.load(Ordering::Relaxed) {
+                    u32::MAX => self.intern(),
+                    id => id as usize,
+                };
+                record(M::slot(&t.registry, id));
+            }
+        });
     }
 
     #[cold]
-    fn intern(&self, kind: Kind) -> usize {
-        let id = intern(kind, self.name);
+    fn intern(&self) -> usize {
+        let id = intern(M::KIND, self.name);
         self.id.store(id as u32, Ordering::Relaxed);
         id
     }
 }
 
-/// The current handle's registry, while its telemetry switch is on.
-#[inline]
-fn recording(record: impl FnOnce(&Registry)) {
-    crate::with_current(|t| {
-        if t.enabled() {
-            record(&t.registry);
-        }
-    });
-}
-
-/// A `counter!` call site.
-#[derive(Debug)]
-pub struct CounterSite(Site);
-
-impl CounterSite {
-    #[doc(hidden)]
-    pub const fn new(name: &'static str) -> Self {
-        Self(Site::new(name))
-    }
-
-    /// Adds `n` to the current handle's counter.
+impl Site<Counter> {
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        recording(|r| r.counter_at(self.0.id(Kind::Counter)).add(n));
+        self.with(|c| c.add(n));
     }
 
     /// Adds one.
@@ -116,43 +131,25 @@ impl CounterSite {
     }
 }
 
-/// A `gauge!` call site.
-#[derive(Debug)]
-pub struct GaugeSite(Site);
-
-impl GaugeSite {
-    #[doc(hidden)]
-    pub const fn new(name: &'static str) -> Self {
-        Self(Site::new(name))
-    }
-
-    /// Sets the current handle's gauge.
+impl Site<Gauge> {
+    /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
-        recording(|r| r.gauge_at(self.0.id(Kind::Gauge)).set(v));
+        self.with(|g| g.set(v));
     }
 
-    /// Adds `d` to the current handle's gauge.
+    /// Adds `d`.
     #[inline]
     pub fn add(&self, d: f64) {
-        recording(|r| r.gauge_at(self.0.id(Kind::Gauge)).add(d));
+        self.with(|g| g.add(d));
     }
 }
 
-/// A `histogram!` call site.
-#[derive(Debug)]
-pub struct HistogramSite(Site);
-
-impl HistogramSite {
-    #[doc(hidden)]
-    pub const fn new(name: &'static str) -> Self {
-        Self(Site::new(name))
-    }
-
-    /// Records one sample into the current handle's histogram.
+impl Site<Histogram> {
+    /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        recording(|r| r.histogram_at(self.0.id(Kind::Histogram)).record(v));
+        self.with(|h| h.record(v));
     }
 }
 
@@ -191,32 +188,17 @@ impl Registry {
 
     /// The named counter, created on first use.
     pub fn counter(&self, name: &str) -> &Counter {
-        self.counter_at(intern(Kind::Counter, name))
+        Counter::slot(self, intern(Counter::KIND, name))
     }
 
     /// The named gauge, created on first use.
     pub fn gauge(&self, name: &str) -> &Gauge {
-        self.gauge_at(intern(Kind::Gauge, name))
+        Gauge::slot(self, intern(Gauge::KIND, name))
     }
 
     /// The named histogram, created on first use.
     pub fn histogram(&self, name: &str) -> &Histogram {
-        self.histogram_at(intern(Kind::Histogram, name))
-    }
-
-    #[inline]
-    fn counter_at(&self, id: usize) -> &Counter {
-        self.counters[id].get_or_init(Counter::new)
-    }
-
-    #[inline]
-    fn gauge_at(&self, id: usize) -> &Gauge {
-        self.gauges[id].get_or_init(Gauge::new)
-    }
-
-    #[inline]
-    pub(crate) fn histogram_at(&self, id: usize) -> &Histogram {
-        self.histograms[id].get_or_init(|| Box::new(Histogram::new()))
+        Histogram::slot(self, intern(Histogram::KIND, name))
     }
 
     /// A point-in-time view of every registered metric.

@@ -75,7 +75,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::json::{write_key, write_str, write_u64};
-use crate::Stores;
+use crate::registry::Metric;
+use crate::{Histogram, Stores};
 
 /// Maximum `(key, value)` arguments one event can carry.
 pub const MAX_ARGS: usize = 4;
@@ -200,7 +201,7 @@ impl PartialEq<Vec<TraceEvent>> for Tree {
 
 /// The trace store: every retained event sits in exactly one of
 /// `running`, `finished` and `loose`, and `retained` counts them all.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Collector {
     /// Running queries' events, by query id.
     running: BTreeMap<u64, Vec<TraceEvent>>,
@@ -271,7 +272,7 @@ fn thread_tid() -> u32 {
 }
 
 /// One handle's trace store and clock switch.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Store {
     /// 0 = off (the start state), 1 = wall, 2 = logical.
     mode: AtomicU8,
@@ -622,7 +623,7 @@ impl Span {
             }
             if let Some((slot, start)) = timer {
                 let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                t.registry.histogram_at(slot).record(nanos);
+                Histogram::slot(&t.registry, slot).record(nanos);
             }
             let (_, tree) = t.trace.record(
                 clock?,
