@@ -119,11 +119,6 @@ impl Record {
     pub fn get(&self, f: Feature) -> f64 {
         self.values[f.index()]
     }
-
-    /// True when every feature is present (non-NaN).
-    pub fn is_complete(&self) -> bool {
-        self.values.iter().all(|v| !v.is_nan())
-    }
 }
 
 #[cfg(test)]
@@ -156,8 +151,5 @@ mod tests {
         };
         r.values[Feature::O3.index()] = 42.0;
         assert_eq!(r.get(Feature::O3), 42.0);
-        assert!(r.is_complete());
-        r.values[Feature::Co.index()] = f64::NAN;
-        assert!(!r.is_complete());
     }
 }

@@ -72,16 +72,20 @@ fn run_smoke() {
     }
     let snap = write_telemetry(&fed);
     assert!(!snap.is_empty(), "smoke run recorded no telemetry");
-    // Every pipeline layer must have reported something.
+    // Every pipeline layer must have reported something: a counter's
+    // value or a histogram's sample count.
     for metric in [
-        "qens_cluster_kmeans_fits_total",
+        "qens_cluster_kmeans_fit_nanos",
         "qens_selection_overlap_evals_total",
-        "qens_mlkit_train_calls_total",
-        "qens_fedlearn_participants_total",
-        "qens_edgesim_queries_total",
+        "qens_mlkit_train_nanos",
+        "qens_fedlearn_train_nanos",
+        "qens_edgesim_query_bytes",
     ] {
+        let reported = snap
+            .counter(metric)
+            .or_else(|| snap.histogram(metric).map(|h| h.count));
         assert!(
-            snap.counter(metric).is_some_and(|v| v > 0),
+            reported.is_some_and(|v| v > 0),
             "smoke run missing {metric}"
         );
     }

@@ -426,7 +426,7 @@ fn respond(
             Ok(false)
         }
         ("GET", "/trace") => {
-            let body = tele.trace().export_chrome(None);
+            let body = tele.trace().export_chrome();
             write_response(stream, "200 OK", "application/json", "", &body, keep_alive)?;
             Ok(false)
         }

@@ -44,7 +44,7 @@ pub fn write_fault_and_trace(dir: &Path) -> std::io::Result<RoundOutcome> {
     faulty
         .run_query(&q, &PolicyKind::query_driven(2))
         .expect("trace smoke query runs");
-    let doc = trace.export_chrome(None);
+    let doc = trace.export_chrome();
     assert!(
         doc.contains("\"ph\":\"B\"") && doc.contains("\"ph\":\"E\""),
         "trace smoke produced no spans"

@@ -112,16 +112,14 @@ fn scale_matches_the_committed_file_at_pool_sizes_1_and_4() {
 /// `qens_slo_good_total` or `qens_slo_bad_total` depends on its wall
 /// time.
 const SMOKE_COUNTERS: &str = "
-    qens_cluster_kmeans_fits_total qens_cluster_kmeans_iterations_total
-    qens_edgesim_bytes_transferred_total qens_edgesim_nodes_quantized_total
-    qens_edgesim_nodes_selected_total qens_edgesim_queries_total
+    qens_cluster_kmeans_iterations_total
+    qens_edgesim_nodes_quantized_total qens_edgesim_nodes_selected_total
     qens_edgesim_sample_visits_total qens_edgesim_samples_used_total
-    qens_fedlearn_model_bytes_total qens_fedlearn_participants_total qens_fedlearn_rounds_total
+    qens_fedlearn_model_bytes_total
     qens_fedlearn_sample_visits_total qens_fedlearn_samples_used_total
     qens_fedlearn_stages_total
-    qens_mlkit_stage_samples_total qens_mlkit_train_calls_total
     qens_par_inline_tasks_total qens_par_scopes_total qens_par_tasks_total
-    qens_selection_overlap_evals_total qens_selection_participants_total
+    qens_selection_overlap_evals_total
     qens_selection_supporting_clusters_total";
 const SMOKE_GAUGES: &str = "
     qens_edgesim_sim_seconds qens_edgesim_wall_seconds

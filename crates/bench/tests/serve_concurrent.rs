@@ -168,8 +168,10 @@ fn scrapes_stay_consistent_under_a_live_query_stream() {
         counter("qens_serve_requests_total") >= (answered + scrapes * 3) as u64,
         "request counter must cover queries and scrapes"
     );
-    // And the federation itself saw exactly the admitted queries.
-    assert_eq!(counter("qens_fedlearn_rounds_total"), answered as u64);
+    // And the federation itself aggregated exactly the admitted queries
+    // (one round each).
+    let aggregations = snap.histogram("qens_fedlearn_aggregate_nanos");
+    assert_eq!(aggregations.map_or(0, |h| h.count), answered as u64);
 
     // A query runs under a `query` root span, which the trace, profile
     // and flight-recorder endpoints then serve.

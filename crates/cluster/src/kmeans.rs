@@ -78,7 +78,6 @@ impl KMeans {
     pub fn fit_with_pool(data: &Matrix, config: &KMeansConfig, pool: &ThreadPool) -> Self {
         assert!(config.k > 0, "k must be positive");
         assert!(data.rows() > 0, "cannot cluster an empty dataset");
-        telemetry::counter!("qens_cluster_kmeans_fits_total").incr();
         let k = config.k.min(data.rows());
         // Deterministic leader-side span: the fit runs on the caller's
         // thread and its iteration count is bit-identical for any pool.
@@ -176,15 +175,6 @@ impl KMeans {
             .filter(|&(_, &a)| a == c)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Cluster sizes, indexed by cluster id.
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.k()];
-        for &a in &self.assignments {
-            sizes[a] += 1;
-        }
-        sizes
     }
 }
 
@@ -424,7 +414,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-        assert_eq!(m.sizes().iter().sum::<usize>(), data.rows());
     }
 
     #[test]

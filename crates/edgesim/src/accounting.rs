@@ -71,12 +71,9 @@ impl QueryAccounting {
                 ("retries", self.retries as u64),
             ],
         );
-        telemetry::counter!("qens_edgesim_queries_total").incr();
         telemetry::counter!("qens_edgesim_nodes_selected_total").add(self.nodes_selected as u64);
         telemetry::counter!("qens_edgesim_samples_used_total").add(self.samples_used as u64);
         telemetry::counter!("qens_edgesim_sample_visits_total").add(self.sample_visits as u64);
-        telemetry::counter!("qens_edgesim_bytes_transferred_total")
-            .add(self.bytes_transferred as u64);
         // Seconds are f64; gauges accumulate them exactly (one writer at
         // a time: the leader commits once per completed query).
         telemetry::gauge!("qens_edgesim_wall_seconds").add(self.wall_seconds);

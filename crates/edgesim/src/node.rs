@@ -378,8 +378,7 @@ impl EdgeNode {
     /// a summary-only node they become its first local data.
     ///
     /// The cached quantisation becomes stale and is dropped — call
-    /// [`EdgeNode::quantize`] (or use mini-batch maintenance at the
-    /// application level) before the node participates again.
+    /// [`EdgeNode::quantize`] before the node participates again.
     ///
     /// # Panics
     /// Panics if the new data's width differs from the joint space's

@@ -573,7 +573,6 @@ fn train(
     let samples_used: usize = member.stages.iter().map(DenseDataset::len).sum();
     // Counter adds are relaxed atomics, so these totals are identical
     // whether participants train on threads or inline.
-    telemetry::counter!("qens_fedlearn_participants_total").incr();
     telemetry::counter!("qens_fedlearn_stages_total").add(member.stages.len() as u64);
     telemetry::counter!("qens_fedlearn_samples_used_total").add(samples_used as u64);
     // Worker-side span: traced in wall mode only (participants may train
@@ -749,7 +748,6 @@ fn close_round(env: &Env, f: &mut Flight, round: usize) {
     );
     let aggregation = GlobalModel::aggregate(env.config.aggregation, models, &lambdas, &samples);
     agg_span.finish();
-    telemetry::counter!("qens_fedlearn_rounds_total").incr();
     telemetry::counter!("qens_fedlearn_model_bytes_total").add(ledger.bytes as u64);
 
     // Accounting: every round pays training on the slowest charged node

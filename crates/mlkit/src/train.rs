@@ -154,7 +154,6 @@ pub fn train<M: Regressor>(
 ) -> TrainReport {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     let _span = telemetry::wall_span("mlkit.train", &[("rows", data.len() as u64)]);
-    telemetry::counter!("qens_mlkit_train_calls_total").incr();
     assert!(
         data.x().all_finite() && data.y().iter().all(|v| v.is_finite()),
         "training data contains NaN/inf - impute missing values first (see airdata::impute)"
@@ -219,7 +218,6 @@ pub fn train_incremental<M: Regressor>(
             ..config.clone()
         };
         let _stage_span = telemetry::wall_span("mlkit.stage", &[("stage", i as u64)]);
-        telemetry::counter!("qens_mlkit_stage_samples_total").add(stage.len() as u64);
         let rep = train(model, stage, &stage_cfg);
         match &mut combined {
             None => combined = Some(rep),
@@ -255,10 +253,6 @@ pub fn train_interleaved<M: Regressor>(
         "train_interleaved requires at least one non-empty stage"
     );
     let _span = telemetry::wall_span("mlkit.train", &[("stages", nonempty.len() as u64)]);
-    telemetry::counter!("qens_mlkit_train_calls_total").incr();
-    for stage in &nonempty {
-        telemetry::counter!("qens_mlkit_stage_samples_total").add(stage.len() as u64);
-    }
     let mut report = TrainReport {
         train_loss: Vec::with_capacity(config.epochs),
         val_loss: Vec::new(),

@@ -277,7 +277,6 @@ impl QueryDriven {
             ranked.drain(..cut).map(|r| self.promote(ctx, &r)).collect();
         let standby = ranked;
         rank_span.finish();
-        telemetry::counter!("qens_selection_participants_total").add(participants.len() as u64);
         // Rankings live in [0, K]; record micro-units so the log-scale
         // buckets resolve the sub-1.0 mass the paper's Eq. 4 produces.
         let rank_hist = telemetry::histogram!("qens_selection_rank_micros");

@@ -211,7 +211,7 @@ fn process_start() -> &'static std::time::Instant {
     START.get_or_init(std::time::Instant::now)
 }
 
-fn push_help_and_type(out: &mut String, name: &str, kind: &str) {
+pub(crate) fn push_help_and_type(out: &mut String, name: &str, kind: &str) {
     out.push_str("# HELP ");
     out.push_str(name);
     out.push(' ');
@@ -508,7 +508,7 @@ mod tests {
             ("qens_index_patches_total", "spatial-index candidate"),
             ("qens_cluster_kmeans_fit_nanos", "k-means clustering"),
             ("qens_selection_select_nanos", "query-driven node selection"),
-            ("qens_fedlearn_rounds_total", "federated round engine"),
+            ("qens_fedlearn_aggregate_nanos", "federated round engine"),
             ("qens_fedlearn_run_query_nanos", "federated round engine"),
             ("qens_fault_retries_total", "injected-fault handling"),
             ("qens_edgesim_query_bytes", "edge network simulation"),

@@ -46,6 +46,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use crate::export::push_help_and_type;
 use crate::journal::Journal;
 use crate::json::{write_f64, write_key, write_u64};
 use crate::Event;
@@ -454,7 +455,7 @@ impl Fleet {
         let stats = skew(&cards, fleet_size, top_k);
         let hot: Vec<u64> = stats.top.iter().map(|&(node, _)| node).collect();
         for (name, get) in PROM_FAMILIES {
-            push_meta(out, name, "counter");
+            push_help_and_type(out, name, "counter");
             for &node in &hot {
                 let card = cards
                     .iter()
@@ -469,46 +470,33 @@ impl Fleet {
                 .sum();
             out.push_str(&format!("{name}{{node=\"other\"}} {other}\n"));
         }
-        push_meta(out, "qens_fleet_size", "gauge");
+        push_help_and_type(out, "qens_fleet_size", "gauge");
         out.push_str(&format!(
             "qens_fleet_size {}\n",
             fleet_size.max(cards.len() as u64)
         ));
-        push_meta(out, "qens_fleet_queries_total", "counter");
+        push_help_and_type(out, "qens_fleet_queries_total", "counter");
         out.push_str(&format!("qens_fleet_queries_total {queries}\n"));
-        push_meta(out, "qens_fleet_never_selected", "gauge");
+        push_help_and_type(out, "qens_fleet_never_selected", "gauge");
         out.push_str(&format!(
             "qens_fleet_never_selected {}\n",
             stats.never_selected
         ));
-        push_meta(out, "qens_fleet_selection_gini", "gauge");
+        push_help_and_type(out, "qens_fleet_selection_gini", "gauge");
         out.push_str(&format!("qens_fleet_selection_gini {}\n", stats.gini));
-        push_meta(out, "qens_fleet_selection_entropy", "gauge");
+        push_help_and_type(out, "qens_fleet_selection_entropy", "gauge");
         out.push_str(&format!("qens_fleet_selection_entropy {}\n", stats.entropy));
-        push_meta(out, "qens_journal_events_total", "counter");
+        push_help_and_type(out, "qens_journal_events_total", "counter");
         out.push_str(&format!(
             "qens_journal_events_total {}\n",
             self.journal.events_total()
         ));
-        push_meta(out, "qens_journal_overwritten_total", "counter");
+        push_help_and_type(out, "qens_journal_overwritten_total", "counter");
         out.push_str(&format!(
             "qens_journal_overwritten_total {}\n",
             self.journal.overwritten()
         ));
     }
-}
-
-fn push_meta(out: &mut String, name: &str, kind: &str) {
-    out.push_str("# HELP ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(crate::export::help_text(name));
-    out.push('\n');
-    out.push_str("# TYPE ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(kind);
-    out.push('\n');
 }
 
 #[cfg(test)]

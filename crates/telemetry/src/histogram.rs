@@ -94,17 +94,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Resets every cell to empty.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-
     /// A consistent-enough snapshot of the histogram (cells are read
     /// individually; concurrent recording can skew totals by the handful
     /// of in-flight samples, which is the standard trade for lock-free

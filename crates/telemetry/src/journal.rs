@@ -17,10 +17,9 @@
 //!   live-debugging context, excluded from the logical export.
 //!
 //! Each [`crate::Telemetry`] handle keeps one. The ring holds
-//! [`DEFAULT_CAPACITY`] events (override with [`Journal::set_capacity`]);
-//! once full, the *oldest* event is overwritten — a journal answers
-//! "what just happened", so the tail survives, and
-//! [`Journal::overwritten`] counts what the ring forgot.
+//! [`DEFAULT_CAPACITY`] events; once full, the *oldest* event is
+//! overwritten — a journal answers "what just happened", so the tail
+//! survives, and [`Journal::overwritten`] counts what the ring forgot.
 //!
 //! [`crate::emit`] feeds the journal while the handle's fleet switch
 //! ([`crate::fleet::Fleet::enabled`]) is on: the disabled fast path is
@@ -43,7 +42,7 @@ use crate::json::{write_key, write_str, write_u64};
 use crate::trace::Clock;
 use crate::Event;
 
-/// Default ring capacity (events held before the oldest is overwritten).
+/// Ring capacity (events held before the oldest is overwritten).
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// One journal entry: an [`Event`] stamped with both clocks.
@@ -102,51 +101,21 @@ fn line(event: &Event) -> Option<Line> {
     })
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Ring {
     entries: VecDeque<Entry>,
-    capacity: usize,
     next_tick: u64,
     overwritten: u64,
     epoch: Option<Instant>,
 }
 
-impl Ring {
-    fn new(capacity: usize) -> Self {
-        Self {
-            entries: VecDeque::new(),
-            capacity,
-            next_tick: 0,
-            overwritten: 0,
-            epoch: None,
-        }
-    }
-}
-
 /// One handle's journal ring.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Journal(Mutex<Ring>);
-
-impl Default for Journal {
-    fn default() -> Self {
-        Self(Mutex::new(Ring::new(DEFAULT_CAPACITY)))
-    }
-}
 
 impl Journal {
     fn ring(&self) -> MutexGuard<'_, Ring> {
         self.0.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Replaces the ring capacity and clears the journal (entries
-    /// recorded under the old bound would make the tail semantics
-    /// ambiguous).
-    ///
-    /// # Panics
-    /// Panics if `capacity` is 0.
-    pub fn set_capacity(&self, capacity: usize) {
-        assert!(capacity > 0, "journal capacity must be non-zero");
-        *self.ring() = Ring::new(capacity);
     }
 
     /// Entries ever recorded (monotonic; survives ring wrap-around).
@@ -185,7 +154,7 @@ impl Journal {
         let wall_nanos = u64::try_from(now.duration_since(epoch).as_nanos()).unwrap_or(u64::MAX);
         let tick = r.next_tick;
         r.next_tick += 1;
-        if r.entries.len() >= r.capacity {
+        if r.entries.len() >= DEFAULT_CAPACITY {
             r.entries.pop_front();
             r.overwritten += 1;
         }
@@ -296,22 +265,22 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest_and_keeps_the_tail() {
         let tele = on();
-        tele.journal().set_capacity(3);
-        for q in 0..5u64 {
+        let total = DEFAULT_CAPACITY as u64 + 3;
+        for q in 0..total {
             emit(&tele, &Event::Selected(q, 0, 0, 0));
         }
-        assert_eq!(tele.journal().tail(None).len(), 3);
-        assert_eq!(tele.journal().overwritten(), 2);
-        assert_eq!(tele.journal().events_total(), 5);
+        assert_eq!(tele.journal().tail(None).len(), DEFAULT_CAPACITY);
+        assert_eq!(tele.journal().overwritten(), 3);
+        assert_eq!(tele.journal().events_total(), total);
         let ticks: Vec<u64> = tele.journal().tail(None).iter().map(|e| e.tick).collect();
-        assert_eq!(ticks, vec![2, 3, 4]);
+        assert_eq!(ticks, (3..total).collect::<Vec<_>>());
         let last_two: Vec<u64> = tele
             .journal()
             .tail(Some(2))
             .iter()
             .map(|e| e.tick)
             .collect();
-        assert_eq!(last_two, vec![3, 4]);
+        assert_eq!(last_two, vec![total - 2, total - 1]);
     }
 
     #[test]

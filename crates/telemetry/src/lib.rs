@@ -297,7 +297,7 @@ mod span {
                 assert!(!s.is_recording());
             });
             assert_eq!(count(&tele, "qens_mlkit_train_nanos"), None);
-            assert_eq!(tele.trace().events_len(), 0);
+            assert!(tele.trace().snapshot_events().is_empty());
             // A span opened with no handle entered records nowhere, even
             // if it ends inside an enabled one.
             tele.set_enabled(true);

@@ -47,11 +47,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Resets to zero (tests and benchmarks).
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A last-write-wins `f64` gauge (stored as bits in an atomic).
@@ -91,11 +86,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.bits.store(0, Ordering::Relaxed);
     }
 }
 
@@ -140,7 +130,5 @@ mod tests {
         g.set(2.5);
         g.add(1.25);
         assert_eq!(g.get(), 3.75);
-        g.reset();
-        assert_eq!(g.get(), 0.0);
     }
 }

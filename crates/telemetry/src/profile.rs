@@ -83,16 +83,6 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Sum of root-level (single-segment path) totals — the flamegraph
-    /// denominator.
-    pub fn root_total(&self) -> u64 {
-        self.paths
-            .iter()
-            .filter(|(p, _)| !p.contains(';'))
-            .map(|(_, s)| s.total)
-            .sum()
-    }
-
     /// The `n` paths with the largest self time, ties broken by path
     /// (deterministic).
     pub fn top_by_self(&self, n: usize) -> Vec<(&str, PathStat)> {
@@ -394,29 +384,19 @@ pub struct FlightEntry {
     pub events: Tree,
 }
 
-/// A fixed-capacity recorder of the K slowest queries seen so far.
+/// A recorder of the [`DEFAULT_FLIGHT_K`] slowest queries seen so far.
 ///
 /// Ordering is deterministic: slowest first, equal durations break
 /// toward the **lower query id** (so re-runs at different thread counts
 /// under the logical clock retain an identical set, in an identical
 /// order). Re-offering a retained query id keeps whichever observation
 /// was slower.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    cap: usize,
     entries: Vec<FlightEntry>,
 }
 
 impl FlightRecorder {
-    /// A recorder retaining at most `cap` queries (`cap` 0 records
-    /// nothing).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            cap,
-            entries: Vec::new(),
-        }
-    }
-
     /// The retained queries, slowest first.
     pub fn entries(&self) -> &[FlightEntry] {
         &self.entries
@@ -425,9 +405,6 @@ impl FlightRecorder {
     /// Offers one completed query. Returns `true` when the query is
     /// retained (inserted or updated), `false` when it was too fast.
     pub fn offer(&mut self, entry: FlightEntry) -> bool {
-        if self.cap == 0 {
-            return false;
-        }
         let qid = entry.query_id;
         if let Some(existing) = self.entries.iter_mut().find(|e| e.query_id == qid) {
             if entry.duration > existing.duration {
@@ -438,8 +415,8 @@ impl FlightRecorder {
         }
         self.entries.push(entry);
         self.sort();
-        if self.entries.len() > self.cap {
-            self.entries.truncate(self.cap);
+        if self.entries.len() > DEFAULT_FLIGHT_K {
+            self.entries.truncate(DEFAULT_FLIGHT_K);
             // The offered entry may itself have been the one evicted.
             return self.entries.iter().any(|e| e.query_id == qid);
         }
@@ -456,19 +433,10 @@ impl FlightRecorder {
 }
 
 /// One handle's flight recorder and SLO tracker.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Profiler {
     recorder: Mutex<FlightRecorder>,
     slo: Mutex<SloTracker>,
-}
-
-impl Default for Profiler {
-    fn default() -> Self {
-        Self {
-            recorder: Mutex::new(FlightRecorder::new(DEFAULT_FLIGHT_K)),
-            slo: Mutex::default(),
-        }
-    }
 }
 
 fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -647,17 +615,6 @@ impl SloTracker {
     /// Burn rate over the last `6 × window` queries.
     pub fn burn_rate_6x(&self) -> f64 {
         self.burn_rate_over(self.bad_6x, SLO_WINDOW * 6)
-    }
-
-    /// Forgets every verdict and zeroes the lifetime totals.
-    pub fn reset(&mut self) {
-        self.ring.fill(false);
-        self.next = 0;
-        self.len = 0;
-        self.bad_1x = 0;
-        self.bad_6x = 0;
-        self.good_total = 0;
-        self.bad_total = 0;
     }
 }
 
@@ -860,7 +817,6 @@ mod tests {
         let agg = p.paths.get("query;round;agg").unwrap();
         assert_eq!(agg.total, 2);
         assert_eq!(agg.self_time, 2);
-        assert_eq!(p.root_total(), 10);
     }
 
     #[test]
@@ -913,42 +869,36 @@ mod tests {
 
     #[test]
     fn flight_recorder_orders_and_ties_deterministically() {
-        let mut r = FlightRecorder::new(3);
+        let mut r = FlightRecorder::default();
         let entry = |id, dur| FlightEntry {
             query_id: id,
             duration: dur,
             clock: "logical",
             events: Tree::default(),
         };
+        let ids = |r: &FlightRecorder| r.entries().iter().map(|e| e.query_id).collect::<Vec<_>>();
         assert!(r.offer(entry(5, 100)));
         assert!(r.offer(entry(2, 100))); // tie: lower id first
         assert!(r.offer(entry(9, 300)));
-        let ids: Vec<u64> = r.entries().iter().map(|e| e.query_id).collect();
-        assert_eq!(ids, vec![9, 2, 5]);
+        assert_eq!(ids(&r), vec![9, 2, 5]);
+        // Fill the recorder with queries between the two durations.
+        let fillers: Vec<u64> = (100..).take(DEFAULT_FLIGHT_K - 3).collect();
+        for &id in &fillers {
+            assert!(r.offer(entry(id, 200)));
+        }
+        let full = [&[9][..], &fillers, &[2, 5]].concat();
+        assert_eq!(ids(&r), full);
         // Capacity eviction: a slower query pushes the tail out…
-        assert!(r.offer(entry(1, 200)));
-        let ids: Vec<u64> = r.entries().iter().map(|e| e.query_id).collect();
-        assert_eq!(ids, vec![9, 1, 2]);
+        assert!(r.offer(entry(1, 250)));
+        let evicted = [&[9, 1][..], &fillers, &[2]].concat();
+        assert_eq!(ids(&r), evicted);
         // …and a faster one is rejected outright.
-        r.offer(entry(7, 50));
-        let ids: Vec<u64> = r.entries().iter().map(|e| e.query_id).collect();
-        assert_eq!(ids, vec![9, 1, 2]);
+        assert!(!r.offer(entry(7, 50)));
+        assert_eq!(ids(&r), evicted);
         // Re-offering a retained id keeps the slower observation.
         assert!(r.offer(entry(2, 500)));
         let top = &r.entries()[0];
         assert_eq!((top.query_id, top.duration), (2, 500));
-    }
-
-    #[test]
-    fn flight_recorder_zero_capacity_records_nothing() {
-        let mut r = FlightRecorder::new(0);
-        assert!(!r.offer(FlightEntry {
-            query_id: 1,
-            duration: 1,
-            clock: "wall",
-            events: Tree::default(),
-        }));
-        assert!(r.entries().is_empty());
     }
 
     #[test]
@@ -979,14 +929,11 @@ mod tests {
         assert_eq!(t.observed(), 6 * SLO_WINDOW, "ring saturates at 6x window");
         assert_eq!(t.burn_rate_6x(), 0.0);
         assert_eq!(t.bad_total(), 1, "lifetime totals never roll off");
-        t.reset();
-        assert_eq!(t.observed(), 0);
-        assert_eq!(t.good_total(), 0);
     }
 
     /// The running bad counts against a naive recount of the verdicts
     /// the test keeps itself, after every observation of a seeded
-    /// stream that wraps the ring many times and resets once mid-way.
+    /// stream that wraps the ring many times.
     #[test]
     fn slo_running_counts_match_a_naive_recount() {
         let budget = 1.0 - SLO_TARGET;
@@ -1002,10 +949,6 @@ mod tests {
         let mut verdicts = Vec::new();
         let mut state = 0x9E37_79B9_7F4A_7C15_u64;
         for i in 0..6_000 {
-            if i == 2_500 {
-                t.reset();
-                verdicts.clear();
-            }
             state = state
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);

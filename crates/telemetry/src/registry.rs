@@ -231,22 +231,6 @@ impl Registry {
         snap.histograms.sort_by(|a, b| a.name.cmp(&b.name));
         snap
     }
-
-    /// Zeroes every metric. Metric handles stay valid (tests, repeated
-    /// experiment arms).
-    pub fn reset(&self) {
-        self.counters
-            .iter()
-            .filter_map(OnceLock::get)
-            .for_each(Counter::reset);
-        self.gauges
-            .iter()
-            .filter_map(OnceLock::get)
-            .for_each(Gauge::reset);
-        for h in self.histograms.iter().filter_map(OnceLock::get) {
-            h.reset();
-        }
-    }
 }
 
 /// A point-in-time view of the registry (names sorted ascending, so
@@ -314,16 +298,5 @@ mod tests {
         assert_eq!(s.gauge("qens_test_g"), Some(1.5));
         assert_eq!(s.histogram("qens_test_h_nanos").unwrap().count, 1);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_handles_valid() {
-        let r = Registry::new();
-        let c = r.counter("qens_test_r_total");
-        c.add(9);
-        r.reset();
-        assert_eq!(c.get(), 0);
-        c.add(2);
-        assert_eq!(r.snapshot().counter("qens_test_r_total"), Some(2));
     }
 }

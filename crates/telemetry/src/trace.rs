@@ -192,13 +192,6 @@ impl std::ops::Deref for Tree {
     }
 }
 
-/// A tree equals a [`Store::snapshot_query`] copy of the same events.
-impl PartialEq<Vec<TraceEvent>> for Tree {
-    fn eq(&self, other: &Vec<TraceEvent>) -> bool {
-        *self.0 == **other
-    }
-}
-
 /// The trace store: every retained event sits in exactly one of
 /// `running`, `finished` and `loose`, and `retained` counts them all.
 #[derive(Debug, Default)]
@@ -305,11 +298,6 @@ impl Store {
         self.collector.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Number of retained events.
-    pub fn events_len(&self) -> usize {
-        self.collector().retained
-    }
-
     /// Events that left the store: evicted once it reached
     /// [`MAX_TRACE_EVENTS`], or refused while running queries alone
     /// filled it.
@@ -317,33 +305,18 @@ impl Store {
         self.collector().dropped
     }
 
-    /// Hands `f` the retained events (`query`'s only, if given) in
-    /// recording order, and the dropped count. Under the lock the
-    /// finished trees are shared and the still-running events copied;
-    /// the merge and `f` run after it is released.
-    fn with_retained<R>(
-        &self,
-        query: Option<u64>,
-        f: impl FnOnce(Vec<&TraceEvent>, u64) -> R,
-    ) -> R {
-        let mine = |q: u64| query.is_none_or(|want| want == q);
+    /// Hands `f` the retained events in recording order, and the
+    /// dropped count. Under the lock the finished trees are shared and
+    /// the still-running events copied; the merge and `f` run after it
+    /// is released.
+    fn with_retained<R>(&self, f: impl FnOnce(Vec<&TraceEvent>, u64) -> R) -> R {
         let (trees, open, dropped) = {
             let c = self.collector();
-            let trees: Vec<Tree> = c
-                .finished
-                .iter()
-                .filter(|t| mine(t[0].query))
-                .cloned()
-                .collect();
-            let running = c
-                .running
-                .iter()
-                .filter(|&(&q, _)| mine(q))
-                .flat_map(|(_, e)| e);
-            let loose = c.loose.iter().filter(|_| mine(u64::MAX));
+            let trees: Vec<Tree> = c.finished.iter().cloned().collect();
+            let running = c.running.values().flatten();
             (
                 trees,
-                running.chain(loose).cloned().collect::<Vec<_>>(),
+                running.chain(&c.loose).cloned().collect::<Vec<_>>(),
                 c.dropped,
             )
         };
@@ -356,32 +329,7 @@ impl Store {
     /// A structured copy of the retained events, in recording order
     /// (tests, tooling).
     pub fn snapshot_events(&self) -> Vec<TraceEvent> {
-        self.with_retained(None, |events, _| events.into_iter().cloned().collect())
-    }
-
-    /// A structured copy of the retained events of `query` (the root
-    /// query span included — it is stamped with its own id), in
-    /// recording order.
-    pub fn snapshot_query(&self, query: u64) -> Vec<TraceEvent> {
-        self.with_retained(Some(query), |events, _| {
-            events.into_iter().cloned().collect()
-        })
-    }
-
-    /// The distinct query ids in the store, in first-seen order.
-    pub fn query_ids(&self) -> Vec<u64> {
-        let mut firsts: Vec<(u64, u64)> = {
-            let c = self.collector();
-            let finished = c.finished.iter().map(|t| &t[0]);
-            let running = c.running.values().map(|events| &events[0]);
-            finished.chain(running).map(|e| (e.seq, e.query)).collect()
-        };
-        firsts.sort_unstable();
-        let mut seen = std::collections::BTreeSet::new();
-        firsts
-            .into_iter()
-            .filter_map(|(_, q)| seen.insert(q).then_some(q))
-            .collect()
+        self.with_retained(|events, _| events.into_iter().cloned().collect())
     }
 
     /// Records one event and returns its span id: `span`, or for a
@@ -457,21 +405,20 @@ impl Store {
 
     /// Renders the store as a Chrome trace-event JSON document
     /// (`{"traceEvents":[…],"displayTimeUnit":…,"otherData":{…}}`),
-    /// loadable in Perfetto / `chrome://tracing`. Pass `Some(query_id)`
-    /// to export one query's events only. The events are formatted after
-    /// the collector lock is released, so recording never waits on an
-    /// export.
+    /// loadable in Perfetto / `chrome://tracing`. The events are
+    /// formatted after the collector lock is released, so recording
+    /// never waits on an export.
     ///
     /// Key order, number formatting and event order are all fixed, so
     /// two identical stores export byte-identically —
     /// `results/trace.json` is exactly this, byte-diffed by
     /// `crates/bench/tests/golden_telemetry.rs` and at two pool sizes by
     /// `crates/bench/tests/repro_cli.rs`.
-    pub fn export_chrome(&self, query: Option<u64>) -> String {
+    pub fn export_chrome(&self) -> String {
         // The clock tag in the export comes from the *current* mode; a
         // store filled under two clocks is the caller's error.
         let clock = self.mode().unwrap_or(Clock::Logical);
-        self.with_retained(query, |events, dropped| {
+        self.with_retained(|events, dropped| {
             let mut out = String::with_capacity(256 + events.len() * 96);
             out.push_str(r#"{"traceEvents":["#);
             for (i, e) in events.into_iter().enumerate() {
@@ -868,7 +815,7 @@ mod tests {
         instant("qens.test.off.instant", &[("x", 1)]);
         drop(span("qens.test.off", &[]));
         for t in [&tele, &on] {
-            assert_eq!(t.trace().events_len(), 0);
+            assert!(t.trace().snapshot_events().is_empty());
             assert_eq!(t.trace().dropped(), 0);
         }
     }
@@ -922,7 +869,7 @@ mod tests {
                         assert_eq!(guard.clock.is_some(), traced, "{case}");
                         assert_eq!(guard.timer.is_some(), timed, "{case}");
                         tele.enter(|| drop(guard));
-                        let events = tele.trace().events_len();
+                        let events = tele.trace().snapshot_events().len();
                         assert_eq!(events, if traced { 2 } else { 0 }, "{case}");
                         let samples = tele.snapshot().histogram(series_name).map(|h| h.count);
                         assert_eq!(samples, timed.then_some(1), "{case}");
@@ -970,7 +917,8 @@ mod tests {
         assert_eq!(inside.query, 42);
         let outside = events.iter().find(|e| e.name == "outside").unwrap();
         assert_eq!(outside.query, u64::MAX);
-        assert_eq!(tele.trace().query_ids(), vec![42]);
+        let root = events.iter().filter(|e| e.name == "query");
+        assert!(root.map(|e| e.query).eq([42, 42]));
     }
 
     #[test]
@@ -981,8 +929,8 @@ mod tests {
             let _s = span("work", &[("bytes", 128)]);
             instant("fault.dropout", &[("node", 2), ("round", 0)]);
         });
-        let a = tele.trace().export_chrome(None);
-        let b = tele.trace().export_chrome(None);
+        let a = tele.trace().export_chrome();
+        let b = tele.trace().export_chrome();
         assert_eq!(a, b);
         assert!(a.contains(r#""name":"query""#));
         assert!(a.contains(r#""ph":"B""#) && a.contains(r#""ph":"E""#));
@@ -990,11 +938,6 @@ mod tests {
         assert!(a.contains(r#""clock":"logical""#));
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
-        // Query-filtered export keeps only query 9's events.
-        let filtered = tele.trace().export_chrome(Some(9));
-        assert!(filtered.contains(r#""name":"work""#));
-        let empty = tele.trace().export_chrome(Some(777));
-        assert!(!empty.contains(r#""name":"work""#));
     }
 
     #[test]
@@ -1012,8 +955,8 @@ mod tests {
 
     /// More than [`MAX_TRACE_EVENTS`] events' worth of wall-traced
     /// queries: the store evicts the oldest queries whole, so the last
-    /// (and slowest) query still reaches the flight recorder, its
-    /// snapshot and its export, and every tree left is complete.
+    /// (and slowest) query still reaches the flight recorder, the
+    /// snapshot and the export, and every tree left is complete.
     #[test]
     fn a_full_store_evicts_whole_old_queries_and_keeps_the_newest() {
         const PER_QUERY: usize = 1024;
@@ -1033,28 +976,35 @@ mod tests {
         });
         let store = tele.trace();
         let slowest = tele.profile().slowest();
-        let tree = store.snapshot_query(last);
-        let export = store.export_chrome(Some(last));
-        let ids = store.query_ids();
-        let trees: Vec<Vec<TraceEvent>> = ids.iter().map(|&id| store.snapshot_query(id)).collect();
-        let (retained, dropped) = (store.events_len(), store.dropped());
+        let events = store.snapshot_events();
+        let export = store.export_chrome();
+        let (retained, dropped) = (events.len(), store.dropped());
+        // The queries ran one after another, so each one's events are a
+        // run of the recording order.
+        let mut trees: Vec<(u64, Vec<TraceEvent>)> = Vec::new();
+        for e in events {
+            match trees.last_mut() {
+                Some((id, tree)) if *id == e.query => tree.push(e),
+                _ => trees.push((e.query, vec![e])),
+            }
+        }
 
         let recorded = slowest.iter().find(|e| e.query_id == last);
         let recorded = recorded.expect("the slowest query reaches the flight recorder");
+        let (id, tree) = trees.last().expect("the store keeps the newest query");
+        assert_eq!(*id, last);
         assert!(
-            recorded.events == tree,
+            recorded.events[..] == tree[..],
             "the recorder holds the store's tree"
         );
-        assert_eq!(tree.len(), PER_QUERY);
-        assert_eq!(export.matches("\"q\":").count(), PER_QUERY);
-        assert_eq!(ids.last(), Some(&last));
-        for (id, events) in ids.iter().zip(&trees) {
+        assert_eq!(export.matches("\"q\":").count(), retained);
+        for (id, events) in &trees {
             validate_structure(events).unwrap_or_else(|e| panic!("query {id}: {e}"));
             assert_eq!((events[0].name, events[0].phase), ("query", Phase::Begin));
             assert_eq!(events.len(), PER_QUERY, "query {id} is kept whole");
         }
         assert!(retained <= MAX_TRACE_EVENTS);
-        assert_eq!(retained, ids.len() * PER_QUERY);
+        assert_eq!(retained, trees.len() * PER_QUERY);
         assert_eq!(dropped, (queries as usize * PER_QUERY - retained) as u64);
     }
 

@@ -39,9 +39,9 @@ fn build_fed(threads: usize, dropout: Option<(f64, FaultTolerance)>, fleet_on: b
 }
 
 /// Runs one 200-query stream on a fresh federation with the fleet layer
-/// on (a journal of 2^14 entries, so none is overwritten) and returns
-/// the deterministic fleet JSON, the full logical-clock journal export,
-/// the stream result and the federation.
+/// on (no stream fills the journal's ring, so none is overwritten) and
+/// returns the deterministic fleet JSON, the full logical-clock journal
+/// export, the stream result and the federation.
 fn run_fleet_stream(
     threads: usize,
     kind: WorkloadKind,
@@ -49,7 +49,6 @@ fn run_fleet_stream(
     halfwidth_frac: (f64, f64),
 ) -> (String, String, qens::fedlearn::StreamResult, Federation) {
     let fed = build_fed(threads, dropout, true);
-    fed.telemetry().journal().set_capacity(1 << 14);
     let wl = fed.workload(&WorkloadConfig {
         n_queries: N_QUERIES,
         kind,
@@ -58,6 +57,7 @@ fn run_fleet_stream(
     });
     let stream = fed.run_workload(&wl, &PolicyKind::query_driven(3));
     let tele = fed.telemetry();
+    assert_eq!(tele.journal().overwritten(), 0);
     (
         tele.fleet().to_json(),
         tele.journal().to_jsonl(Clock::Logical, None),

@@ -350,7 +350,7 @@ fn trace_records_index_instants() {
         net.node_mut(NodeId(0)).quantize(4, 5);
         indexed.select(&SelectionContext::new(&net, &q));
     });
-    let doc = tele.trace().export_chrome(None);
+    let doc = tele.trace().export_chrome();
     assert!(
         doc.contains("selection.index_rebuild"),
         "trace must record the bulk build"

@@ -61,9 +61,12 @@ fn assert_rows_match_counters(
     assert!(!rows.is_empty(), "at least one query must complete");
 
     let sum = |f: fn(&qens::edgesim::QueryAccounting) -> u64| rows.iter().map(f).sum::<u64>();
+    // One `qens_edgesim_query_bytes` observation per completed query,
+    // summing to the bytes its ledger transferred.
+    let bytes = snap.histogram("qens_edgesim_query_bytes").unwrap();
     assert_eq!(
-        snap.counter("qens_edgesim_queries_total"),
-        Some(rows.len() as u64)
+        (bytes.count, bytes.sum),
+        (rows.len() as u64, sum(|r| r.bytes_transferred as u64))
     );
     assert_eq!(
         snap.counter("qens_edgesim_nodes_selected_total"),
@@ -77,10 +80,6 @@ fn assert_rows_match_counters(
         snap.counter("qens_edgesim_sample_visits_total"),
         Some(sum(|r| r.sample_visits as u64))
     );
-    assert_eq!(
-        snap.counter("qens_edgesim_bytes_transferred_total"),
-        Some(sum(|r| r.bytes_transferred as u64))
-    );
     let wall: f64 = rows.iter().map(|r| r.wall_seconds).sum();
     let got_wall = snap.gauge("qens_edgesim_wall_seconds").unwrap();
     assert!(
@@ -92,11 +91,6 @@ fn assert_rows_match_counters(
     assert!(
         (got_sim - sim).abs() <= 1e-9 * sim.max(1.0),
         "{got_sim} vs {sim}"
-    );
-    // One histogram observation per completed query.
-    assert_eq!(
-        snap.histogram("qens_edgesim_query_bytes").unwrap().count,
-        rows.len() as u64
     );
 }
 
@@ -236,14 +230,20 @@ fn observed_run(seed: u64, first_id: u64, n: u64) -> Seen {
     }
     let tele = fed.telemetry();
     let snap = tele.snapshot();
+    let count = |name| snap.histogram(name).map_or(0, |h| h.count);
+    // The queries the trace holds events of, in first-seen order.
+    let mut trace_query_ids = Vec::new();
+    for e in tele.trace().snapshot_events() {
+        if e.query != u64::MAX && !trace_query_ids.contains(&e.query) {
+            trace_query_ids.push(e.query);
+        }
+    }
     Seen {
-        run_query_samples: snap
-            .histogram("qens_fedlearn_run_query_nanos")
-            .map_or(0, |h| h.count),
-        edgesim_queries: snap.counter("qens_edgesim_queries_total").unwrap_or(0),
+        run_query_samples: count("qens_fedlearn_run_query_nanos"),
+        edgesim_queries: count("qens_edgesim_query_bytes"),
         fleet_queries: tele.fleet().queries(),
-        trace_query_ids: tele.trace().query_ids(),
-        chrome: tele.trace().export_chrome(None),
+        trace_query_ids,
+        chrome: tele.trace().export_chrome(),
     }
 }
 

@@ -39,7 +39,7 @@ fn traced_run(clock: trace::Clock, threads: usize) -> Federation {
 /// The Chrome export of [`traced_run`] on the logical clock.
 fn logical_export(threads: usize) -> String {
     let fed = traced_run(trace::Clock::Logical, threads);
-    fed.telemetry().trace().export_chrome(None)
+    fed.telemetry().trace().export_chrome()
 }
 
 #[test]
@@ -60,9 +60,17 @@ fn logical_trace_is_byte_identical_across_worker_counts() {
 fn logical_trace_is_structurally_valid_and_query_attributed() {
     let fed = traced_run(trace::Clock::Logical, 2);
     let events = fed.telemetry().trace().snapshot_events();
-    let queries = fed.telemetry().trace().query_ids();
     trace::validate_structure(&events).expect("logical trace is well-formed");
-    assert_eq!(queries, vec![0, 1], "both queries must appear in the trace");
+    for q in [0, 1] {
+        assert!(
+            events.iter().any(|e| e.query == q),
+            "both queries must appear in the trace"
+        );
+    }
+    assert!(
+        events.iter().all(|e| e.query == u64::MAX || e.query < 2),
+        "no other query appears in the trace"
+    );
     // The round spans must be owned by a query.
     assert!(
         events
@@ -110,9 +118,8 @@ fn disabled_tracing_records_nothing() {
     fed.run_query(&q, &PolicyKind::query_driven(2))
         .expect("query runs");
     let store = fed.telemetry().trace();
-    assert_eq!(
-        store.events_len(),
-        0,
+    assert!(
+        store.snapshot_events().is_empty(),
         "disabled tracing must buffer no events"
     );
     let span = fed
@@ -120,19 +127,7 @@ fn disabled_tracing_records_nothing() {
         .enter(|| telemetry::span("never.recorded", &[]));
     assert!(!span.is_recording(), "disabled spans must be inert");
     drop(span);
-    assert_eq!(store.events_len(), 0);
-}
-
-#[test]
-fn export_filters_by_query_id() {
-    let fed = traced_run(trace::Clock::Logical, 1);
-    let all = fed.telemetry().trace().export_chrome(None);
-    let only_q1 = fed.telemetry().trace().export_chrome(Some(1));
-    assert!(all.len() > only_q1.len(), "filtered export must be smaller");
-    assert!(
-        !only_q1.contains("\"q\":0") && only_q1.contains("\"q\":1"),
-        "filtered export must only contain the requested query"
-    );
+    assert!(store.snapshot_events().is_empty());
 }
 
 /// How many `name` spans begin in `events`.
@@ -141,6 +136,13 @@ fn begins(events: &[trace::TraceEvent], name: &str) -> usize {
         .iter()
         .filter(|e| e.name == name && e.phase == trace::Phase::Begin)
         .count()
+}
+
+/// `query`'s events among the store's, in recording order.
+fn of_query(store: &trace::Store, query: u64) -> Vec<trace::TraceEvent> {
+    let mut events = store.snapshot_events();
+    events.retain(|e| e.query == query);
+    events
 }
 
 #[test]
@@ -160,7 +162,7 @@ fn concurrent_traced_queries_keep_their_own_trees() {
     // same rectangle always submits the same tasks.
     fed.run_query(&fed.query_from_bounds(999, &bounds), &policy)
         .expect("query runs");
-    let tasks = begins(&store.snapshot_query(999), "par.task");
+    let tasks = begins(&of_query(store, 999), "par.task");
     assert!(tasks > 0, "the round must use the pool");
     // Two threads answer queries side by side on one federation, as the
     // server's connection threads do; the pool's workers run tasks of
@@ -178,7 +180,7 @@ fn concurrent_traced_queries_keep_their_own_trees() {
     });
     let trees: Vec<(u64, Vec<trace::TraceEvent>)> = (0..2u64)
         .flat_map(|t| (0..20).map(move |i| 100 * t + i))
-        .map(|id| (id, store.snapshot_query(id)))
+        .map(|id| (id, of_query(store, id)))
         .collect();
     for (id, events) in trees {
         let ends = events
